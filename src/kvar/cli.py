@@ -7,8 +7,10 @@ Commands:
     kvar fan fan.json --props --class --complete
 
 JSON reports are byte-identical for identical configurations (checks are
-emitted in a fixed order and wall-clock timings are excluded from JSON);
-the process exit status is 0 exactly when no check failed.
+emitted in a fixed order and wall-clock timings are excluded from JSON).
+The process exit status is 0 when no check failed, 1 when one did, and 2
+for an unreadable input file or an unknown measure name (one line on
+stderr).
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ from kvar.spansite import (
     enumerate_simple_covers,
     validate_square,
 )
+
+
+class InputError(Exception):
+    """An input file that cannot be read, or an unknown measure name."""
 
 
 @dataclass
@@ -138,6 +144,14 @@ def _parse_measures(names: List[str]) -> List[MeasureSpec]:
     return [MeasureSpec.parse(n) for n in names]
 
 
+def _load_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
 def _measure_from_record(rec) -> MeasureOnCompacts:
     if isinstance(rec, str):
         return MeasureOnCompacts(MeasureSpec.parse(rec))
@@ -158,14 +172,13 @@ def cmd_eval(config: RunConfig) -> Report:
                      "measures": ",".join(config.measure_names)})
     rels = kring.standard_relations()
     if config.relations_path:
-        with open(config.relations_path) as fh:
-            for rec in json.load(fh):
-                if rec.get("kind") == "generator":
-                    rels.declare_generator(rec["name"], rec["dim"],
-                                           rec.get("compact", False))
-                else:
-                    rels.add_relation(rec["kind"], rec["slots"],
-                                      rec.get("dims"), rec.get("compact"))
+        for rec in _load_json(config.relations_path):
+            if rec.get("kind") == "generator":
+                rels.declare_generator(rec["name"], rec["dim"],
+                                       rec.get("compact", False))
+            else:
+                rels.add_relation(rec["kind"], rec["slots"],
+                                  rec.get("dims"), rec.get("compact"))
     started = time.perf_counter()
     try:
         cls = kring.normalize(config.expression, rels)
@@ -197,8 +210,7 @@ def cmd_eval(config: RunConfig) -> Report:
 def cmd_fan(config: RunConfig) -> Report:
     report = Report({"command": "fan", "path": config.fan_path,
                      "ops": ",".join(config.fan_ops)})
-    with open(config.fan_path) as fh:
-        fan = toric.Fan.from_json(json.load(fh))
+    fan = toric.Fan.from_json(_load_json(config.fan_path))
     ops = config.fan_ops or ["props"]
     for op in ops:
         t0 = time.perf_counter()
@@ -225,22 +237,8 @@ def cmd_fan(config: RunConfig) -> Report:
 # ---------------------------------------------------------------------------
 # check
 
-CORPUS_MEASURES = {
-    "euler": csupport.euler_measure,
-    "e": csupport.e_polynomial_measure,
-    "e_poly": csupport.e_polynomial_measure,
-    "poincare": csupport.virtual_poincare_measure,
-}
-
-
 def _corpus_measures(names: List[str]) -> List[MeasureOnCompacts]:
-    out = []
-    for n in names:
-        if n.startswith("count:"):
-            out.append(csupport.point_count_measure(int(n.split(":")[1])))
-        else:
-            out.append(CORPUS_MEASURES[n]())
-    return out
+    return [MeasureOnCompacts(spec) for spec in _parse_measures(names)]
 
 
 def run_corpus_checks(report: Report, seed: int, size: int,
@@ -439,9 +437,7 @@ def cmd_check(config: RunConfig) -> Report:
     if config.suite_path:
         header["suite"] = config.suite_path
         report = Report(header)
-        with open(config.suite_path) as fh:
-            suite = json.load(fh)
-        run_suite(report, suite, config.depth)
+        run_suite(report, _load_json(config.suite_path), config.depth)
         return report
     header["corpus_seed"] = config.corpus_seed
     header["corpus_size"] = config.corpus_size
@@ -502,6 +498,10 @@ def config_from_args(args) -> RunConfig:
 
 
 def run(config: RunConfig) -> Report:
+    try:
+        _parse_measures(config.measure_names)
+    except measures.MeasureError as exc:
+        raise InputError(str(exc)) from None
     if config.command == "eval":
         return cmd_eval(config)
     if config.command == "fan":
@@ -516,7 +516,11 @@ def run(config: RunConfig) -> Report:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = config_from_args(args)
-    report = run(config)
+    try:
+        report = run(config)
+    except InputError as exc:
+        sys.stderr.write(f"kvar: error: {exc}\n")
+        return 2
     text = report.to_json_text() if config.out_format == "json" else report.to_text()
     if config.out_path:
         with open(config.out_path, "w") as fh:

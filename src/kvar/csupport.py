@@ -144,10 +144,18 @@ class CompactificationChoice:
 class CompletionProvider:
     """Supplies a completion fan for every non-compact toric object it
     meets: rank <= 2 automatically, tori via products of P1, anything else
-    from explicit registrations."""
+    from explicit registrations.
+
+    A provider belongs to one run.  It memoizes the extensions made through
+    it (see ``extend_measure``): the completion it picks for a fan stays
+    fixed until ``register`` changes it, which drops the extensions over
+    that fan.
+    """
 
     def __init__(self):
         self._registry: Dict[Fan, Fan] = {}
+        # _fan_key(fan) or locus -> (measure, object type, name) -> extension
+        self._extensions: Dict[object, Dict[tuple, "ExtensionResult"]] = {}
 
     def register(self, fan: Fan, completion: Fan) -> None:
         if not completion.is_complete():
@@ -155,6 +163,9 @@ class CompletionProvider:
         if not all(completion.contains_cone(c) for c in fan.cones):
             raise MissingCompactificationError(
                 "registered completion does not contain the fan")
+        if self._registry.get(fan) != completion:
+            # extensions over this fan went through its old completion
+            self._extensions.pop(_fan_key(fan), None)
         self._registry[fan] = completion
 
     def completion_fan(self, fan: Fan) -> Fan:
@@ -176,6 +187,11 @@ class CompletionProvider:
                               [c for c in completion.cones
                                if not obj.fan.contains_cone(c)])
         return CompactificationChoice(compact_obj, boundary)
+
+
+def _fan_key(fan: Fan) -> tuple:
+    # what makes a Fan equal, without the caches a Fan carries
+    return (fan.rank, fan.cones)
 
 
 import functools
@@ -211,7 +227,7 @@ def toric_choice(obj: ToricObject, completion: Fan,
 # ---------------------------------------------------------------------------
 # the extension
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     object_desc: str
     compactification: str
@@ -219,7 +235,7 @@ class TraceStep:
     depth: int
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ExtensionResult:
     object_name: str
     value: MeasureValue
@@ -237,75 +253,107 @@ def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
     ``choice`` overrides the provider for the top-level object only (used
     by the independence check).  Trace depth never exceeds dim + 1: every
     recursive boundary strictly drops dimension.
+
+    Without ``choice``, the result for a toric object or locus is memoized
+    in the provider, keyed on the measure, the object's type and name, and
+    its fan or locus; name and fan determine the value and the trace.
     """
     provider = provider or CompletionProvider()
-    trace: List[TraceStep] = []
-    torus_cache: Dict[int, MeasureValue] = {}
+    if choice is not None or not isinstance(obj, (ToricObject, ToricLocusObject)):
+        return _extend(phi, obj, provider, choice)
+    where = _fan_key(obj.fan) if isinstance(obj, ToricObject) else obj.locus
+    memo = provider._extensions.setdefault(where, {})
+    key = (phi, type(obj), obj.name)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = _extend(phi, obj, provider, None)
+    return result
 
-    def of_object(o: SiteObject, depth: int, top_choice=None) -> MeasureValue:
+
+def _extend(phi: MeasureOnCompacts, obj: SiteObject, provider: CompletionProvider,
+            choice: Optional[CompactificationChoice]) -> ExtensionResult:
+    run = _Extension(phi, provider)
+    value = run.of_object(obj, 0, choice)
+    return ExtensionResult(obj.name, value, tuple(run.trace))
+
+
+class _Extension:
+    """One extension's recursion, with its trace and its torus values.
+
+    A class rather than nested functions: mutually recursive closures form
+    a reference cycle per call, which only the garbage collector frees.
+    """
+
+    def __init__(self, phi: MeasureOnCompacts, provider: CompletionProvider):
+        self.phi = phi
+        self.provider = provider
+        self.trace: List[TraceStep] = []
+        self.torus_cache: Dict[int, MeasureValue] = {}
+
+    def of_object(self, o: SiteObject, depth: int, top_choice=None) -> MeasureValue:
+        phi = self.phi
         if o.is_empty():
             return MeasureValue.integer(0)
         if o.is_compact():
             return phi.on_compact(o)
         if isinstance(o, ToricObject):
-            ch = top_choice or provider.choose(o)
-            trace.append(TraceStep(o.name, ch.compact_obj.name,
-                                   f"{len(ch.boundary.cones)} boundary cones"
-                                   if isinstance(ch.boundary, ToricLocus)
-                                   else ch.boundary.name, depth + 1))
+            ch = top_choice or self.provider.choose(o)
+            self.trace.append(TraceStep(o.name, ch.compact_obj.name,
+                                        f"{len(ch.boundary.cones)} boundary cones"
+                                        if isinstance(ch.boundary, ToricLocus)
+                                        else ch.boundary.name, depth + 1))
             _check_depth(o, depth + 1)
             boundary_value = (
-                of_locus(ch.boundary, depth + 1)
+                self.of_locus(ch.boundary, depth + 1)
                 if isinstance(ch.boundary, ToricLocus)
-                else of_object(ch.boundary, depth + 1)
+                else self.of_object(ch.boundary, depth + 1)
             )
             return phi.on_compact(ch.compact_obj) - boundary_value
         if isinstance(o, ToricLocusObject):
-            return of_locus(o.locus, depth)
+            return self.of_locus(o.locus, depth)
         if isinstance(o, DeclaredObject):
             if top_choice is None:
                 raise MissingCompactificationError(
                     f"declared object {o.name} needs an explicit compactification")
             ch = top_choice
-            trace.append(TraceStep(o.name, ch.compact_obj.name, str(ch.boundary), depth + 1))
-            return phi.on_compact(ch.compact_obj) - of_object(ch.boundary, depth + 1)
+            self.trace.append(TraceStep(o.name, ch.compact_obj.name, str(ch.boundary),
+                                        depth + 1))
+            return phi.on_compact(ch.compact_obj) - self.of_object(ch.boundary, depth + 1)
         raise CSupportError(f"cannot extend over {o!r}")
 
-    def of_locus(locus: ToricLocus, depth: int) -> MeasureValue:
+    def of_locus(self, locus: ToricLocus, depth: int) -> MeasureValue:
         if locus.is_empty():
             return MeasureValue.integer(0)
         if locus.is_compact():
-            return phi.on_compact(ToricLocusObject("piece", locus))
+            return self.phi.on_compact(ToricLocusObject("piece", locus))
         # locally closed piece: decompose orbit by orbit into torus classes
         total = MeasureValue.integer(0)
         for cone in sorted(locus.cones, key=lambda c: c.rays):
-            total = total + of_torus(locus.fan.rank - cone.dim, depth)
+            total = total + self.of_torus(locus.fan.rank - cone.dim, depth)
         return total
 
-    def of_torus(k: int, depth: int) -> MeasureValue:
-        if k in torus_cache:
-            return torus_cache[k]
+    def of_torus(self, k: int, depth: int) -> MeasureValue:
+        if k in self.torus_cache:
+            return self.torus_cache[k]
         if k == 0:
-            value = phi.on_compact(ToricObject("pt", _p1_power(0)))
+            value = self.phi.on_compact(ToricObject("pt", _p1_power(0)))
         else:
             ambient = _p1_power(k)
             torus_cones = frozenset(c for c in ambient.cones if c.dim == 0)
             boundary = ToricLocus(ambient, [c for c in ambient.cones
                                             if c not in torus_cones])
-            trace.append(TraceStep(f"torus^{k}", f"(P1)^{k}",
-                                   f"{len(boundary.cones)} boundary cones", depth + 1))
-            value = phi.on_compact(ToricObject(f"(P1)^{k}", ambient)) \
-                - of_locus(boundary, depth + 1)
-        torus_cache[k] = value
+            self.trace.append(TraceStep(f"torus^{k}", f"(P1)^{k}",
+                                        f"{len(boundary.cones)} boundary cones", depth + 1))
+            value = self.phi.on_compact(ToricObject(f"(P1)^{k}", ambient)) \
+                - self.of_locus(boundary, depth + 1)
+        self.torus_cache[k] = value
         return value
 
-    def _check_depth(o: SiteObject, depth: int) -> None:
-        if depth > max(o.dim, 0) + 1:
-            raise CSupportError(
-                f"recursion depth {depth} exceeds dim+1 for {o.name}")
 
-    value = of_object(obj, 0, choice)
-    return ExtensionResult(obj.name, value, tuple(trace))
+def _check_depth(o: SiteObject, depth: int) -> None:
+    if depth > max(o.dim, 0) + 1:
+        raise CSupportError(
+            f"recursion depth {depth} exceeds dim+1 for {o.name}")
 
 
 def oracle_value(phi: MeasureOnCompacts, obj: SiteObject) -> MeasureValue:

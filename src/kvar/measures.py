@@ -215,7 +215,11 @@ class MeasureSpec:
         if text in ("poincare", "virtual_poincare"):
             return MeasureSpec("virtual_poincare")
         if text.startswith("count:"):
-            return MeasureSpec("point_count", q=int(text.split(":", 1)[1]))
+            try:
+                q = int(text.split(":", 1)[1])
+            except ValueError:
+                raise MeasureError(f"{text!r} needs an integer q") from None
+            return MeasureSpec("point_count", q=q)
         raise MeasureError(f"unknown measure {text!r}")
 
 
@@ -231,11 +235,12 @@ def apply_measure(spec: MeasureSpec, cls: KClass,
     """
     lval = spec.lefschetz_image()
     total = MeasureValue.integer(0)
-    powers = {0: MeasureValue.integer(1)}
+    powers = [MeasureValue.integer(1)]
 
     def lpow(e: int) -> MeasureValue:
-        if e not in powers:
-            powers[e] = lpow(e - 1) * lval
+        # a loop, not recursion: a self-referencing closure is a reference cycle
+        while len(powers) <= e:
+            powers.append(powers[-1] * lval)
         return powers[e]
 
     for exp, coeff in cls.lpolynomial():

@@ -683,6 +683,7 @@ class SitePresentation:
         self.objects: Dict[str, SiteObject] = {"empty": EMPTY}
         self.morphisms: List[SpanMorphism] = []
         self.squares: List[DistinguishedSquare] = []
+        self._squares_by_base: Dict[str, List[DistinguishedSquare]] = {}
         self.declared_pullbacks: dict = {}
 
     def add_object(self, obj: SiteObject) -> SiteObject:
@@ -700,10 +701,12 @@ class SitePresentation:
             if obj.name not in self.objects:
                 self.add_object(obj)
         self.squares.append(sq)
+        self._squares_by_base.setdefault(sq.base.name, []).append(sq)
         return sq
 
     def squares_over(self, obj: SiteObject) -> List[DistinguishedSquare]:
-        return [sq for sq in self.squares if sq.base.name == obj.name]
+        """The squares with base ``obj``, in the order they were added."""
+        return list(self._squares_by_base.get(obj.name, ()))
 
     @staticmethod
     def from_json(data) -> "SitePresentation":
@@ -833,24 +836,26 @@ def enumerate_simple_covers(site: SitePresentation, obj: SiteObject,
                             depth: int) -> List[SimpleCover]:
     """All covers reachable with at most ``depth`` applications of the
     square rule, deduplicated by leaf family; monotone in depth."""
-    memo: dict = {}
+    return _covers(site, obj, depth, {})
 
-    def covers(o: SiteObject, d: int) -> List[SimpleCover]:
-        key = (o.name, d)
-        if key in memo:
-            return memo[key]
-        found = {identity_cover(o).key(): identity_cover(o)}
-        if d > 0:
-            for sq in site.squares_over(o):
-                for cu in covers(sq.Y, d - 1):
-                    for cl in covers(sq.C, d - 1):
-                        cover = square_cover(sq, cu, cl)
-                        found.setdefault(cover.key(), cover)
-        out = sorted(found.values(), key=lambda c: sorted(map(str, c.key())))
-        memo[key] = out
-        return out
 
-    return covers(obj, depth)
+def _covers(site: SitePresentation, o: SiteObject, d: int, memo: dict) -> List[SimpleCover]:
+    # a function of its own, not a recursive closure: that would be a
+    # reference cycle holding every cover until the garbage collector runs
+    key = (o.name, d)
+    if key in memo:
+        return memo[key]
+    identity = identity_cover(o)
+    found = {identity.key(): identity}
+    if d > 0:
+        for sq in site.squares_over(o):
+            for cu in _covers(site, sq.Y, d - 1, memo):
+                for cl in _covers(site, sq.C, d - 1, memo):
+                    cover = square_cover(sq, cu, cl)
+                    found.setdefault(cover.key(), cover)
+    out = sorted(found.values(), key=lambda c: sorted(map(str, c.key())))
+    memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

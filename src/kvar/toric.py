@@ -152,27 +152,20 @@ class Cone:
     computed once, by enumerating supporting hyperplanes through
     (dim-1)-element ray subsets; this is exact and ample for the small
     cones the engine manipulates.  Instances are interned by (rank, rays),
-    so the derived data is shared and equality is cheap.
+    so the derived data is shared and equality is cheap; a cone enters the
+    intern table only once it has validated, and its hash is computed once.
     """
 
-    __slots__ = ("rank", "rays", "_dim", "_span_eqs", "_facets", "_faces", "_ready")
+    __slots__ = ("rank", "rays", "_hash", "_dim", "_span_eqs", "_facets", "_faces")
 
     _interned: dict = {}
 
     def __new__(cls, rank: int, rays: Iterable[Sequence[int]] = ()):
-        key = (rank, tuple(sorted(tuple(int(x) for x in r) for r in rays)))
+        rays = tuple(sorted(tuple(int(x) for x in r) for r in rays))
+        key = (rank, rays)
         cached = cls._interned.get(key)
         if cached is not None:
             return cached
-        inst = super().__new__(cls)
-        inst._ready = False
-        cls._interned[key] = inst
-        return inst
-
-    def __init__(self, rank: int, rays: Iterable[Sequence[int]] = ()):
-        if self._ready:
-            return
-        rays = [tuple(int(x) for x in r) for r in rays]
         for r in rays:
             if len(r) != rank:
                 raise ToricError(f"ray {r} does not have length {rank}")
@@ -182,19 +175,18 @@ class Cone:
                 raise NonPrimitiveRayError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise ToricError("duplicate rays")
-        self.rank = rank
-        self.rays: Tuple[Vector, ...] = tuple(sorted(rays))
-        self._dim: Optional[int] = None
-        self._span_eqs = None
-        self._facets = None
-        self._faces = None
-        self._ready = True
-        try:
-            if self._lineality_rank() != 0:
-                raise NotStronglyConvexError(f"cone{self.rays} contains a line")
-        except ToricError:
-            del type(self)._interned[(self.rank, self.rays)]
-            raise
+        inst = super().__new__(cls)
+        inst.rank = rank
+        inst.rays = rays
+        inst._hash = hash(key)
+        inst._dim = None
+        inst._span_eqs = None
+        inst._facets = None
+        inst._faces = None
+        if inst._lineality_rank() != 0:
+            raise NotStronglyConvexError(f"cone{rays} contains a line")
+        cls._interned[key] = inst
+        return inst
 
     @property
     def dim(self) -> int:
@@ -330,7 +322,7 @@ class Cone:
         return isinstance(other, Cone) and self.rank == other.rank and self.rays == other.rays
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.rays))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Cone{self.rays}"
@@ -388,13 +380,11 @@ class Fan:
 
     @property
     def maximal_cones(self) -> Tuple[Cone, ...]:
+        """The cones that are not a proper face of another cone."""
         if self._maximal is None:
-            raysets = {c.rays: c for c in self.cones}
-            maximal = []
-            for c in self.cones:
-                if not any(set(c.rays) < set(other) for other in raysets if other != c.rays):
-                    maximal.append(c)
-            self._maximal = tuple(sorted(maximal, key=lambda c: c.rays))
+            proper_faces = {f for c in self.cones for f in c.faces() if f is not c}
+            self._maximal = tuple(sorted((c for c in self.cones if c not in proper_faces),
+                                         key=lambda c: c.rays))
         return self._maximal
 
     @property
@@ -510,16 +500,13 @@ class Fan:
             if not self.contains_cone(c):
                 raise ToricError(f"{c} is not a cone of the fan")
         gm = kring.L - kring.ONE
-        powers = {0: kring.ONE}
-
-        def gm_pow(k: int) -> KClass:
-            if k not in powers:
-                powers[k] = gm_pow(k - 1) * gm
-            return powers[k]
-
+        powers = [kring.ONE]
         total = KClass.zero()
         for c in cones:
-            total = total + gm_pow(self.rank - c.dim)
+            k = self.rank - c.dim
+            while len(powers) <= k:
+                powers.append(powers[-1] * gm)
+            total = total + powers[k]
         if cone_subset is None:
             self._flags["class"] = total
         return total

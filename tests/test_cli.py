@@ -1,5 +1,6 @@
 """The batch front door: eval, fan, check; determinism and exit codes."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from kvar.cli import RunConfig, build_parser, config_from_args, run
+from kvar.cli import RunConfig, _corpus_measures, build_parser, config_from_args, run
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -102,6 +103,16 @@ def test_exit_code_contract(tmp_path):
     assert proc.stdout.endswith("summary: 4 pass, 2 fail, 0 skipped\n")
     ok_cmd = [sys.executable, "-m", "kvar.cli", "eval", "P1"]
     assert subprocess.run(ok_cmd, capture_output=True).returncode == 0
+    # input errors: exit 2 with one line on stderr, never a traceback
+    for argv in (["--suite", str(tmp_path / "nonexistent.json")],
+                 ["--corpus-seed", "1", "--corpus-size", "2", "--measure", "chi2"],
+                 ["--corpus-seed", "1", "--corpus-size", "2", "--measure", "count:x"]):
+        proc = subprocess.run([sys.executable, "-m", "kvar.cli", "check", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("kvar: error: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_json_reports_byte_identical(tmp_path, cli_child_env):
@@ -115,6 +126,22 @@ def test_json_reports_byte_identical(tmp_path, cli_child_env):
     payload = json.loads(out_a.read_text())
     assert payload["summary"]["fail"] == 0
     assert all(r["timing"] is None for r in payload["records"])
+
+
+def test_check_reads_measure_names_like_eval():
+    phis = _corpus_measures(["chi", "e", "poincare", "count:3"])
+    assert [phi.name for phi in phis] == ["euler", "e_poly", "virtual_poincare",
+                                          "point_count(3)"]
+
+
+def test_corpus_report_bytes_are_pinned(tmp_path, cli_child_env):
+    out = tmp_path / "report.json"
+    subprocess.run(
+        [sys.executable, "-m", "kvar.cli", "check", "--corpus-seed", "1",
+         "--corpus-size", "10", "--format", "json", "--out", str(out)],
+        check=True, env=cli_child_env("0"))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "aa7e8ae851a0cfa7c9aa127117f17be975f532226a7948de7a4261f8ac656da9")
 
 
 def test_run_config_requires_corpus_or_suite():

@@ -102,6 +102,45 @@ def test_provider_registration_enables_rank4(provider):
     assert value == uv(0, 0, 0, 0, 1)  # (uv)^4
 
 
+def test_memoized_extensions_match_a_fresh_provider():
+    from kvar import corpus
+    from kvar.csupport import BUILTIN_MEASURES
+    corp = corpus.generate(1, 10)
+    objects = list(corp.surfaces) + list(corp.rank3)
+    for sq in corp.squares + corp.loc_squares:
+        objects.extend(sq.corners.values())
+    objects.extend(ToricObject(f"{x.name}|U", x.fan.subfan(w)) for x, w in corp.pairs_xu)
+    objects.extend(ToricLocusObject("complement", ToricLocus(
+        x.fan, [c for c in x.fan.cones if c not in w])) for x, w in corp.pairs_xu)
+    for a, b in corp.kunneth_pairs:
+        objects.extend((a, b))
+    phis = [MeasureOnCompacts(MeasureSpec(s)) for s in BUILTIN_MEASURES]
+    shared = CompletionProvider()
+    for o in objects:
+        for phi in phis:
+            memoized = extend_measure(phi, o, shared)
+            assert memoized == extend_measure(phi, o, CompletionProvider())
+            assert extend_measure(phi, o, shared) == memoized
+
+
+def test_changed_registration_reaches_the_next_extension(provider):
+    a2 = builtin_fan("A2")
+    # the perturbation shifts the value through P2, not through P1xP1
+    phi = PerturbedMeasure(e_polynomial_measure(), builtin_fan("P2"))
+    a2_obj = ToricObject("A2", a2)
+    assert provider.completion_fan(a2) == builtin_fan("P2")
+    through_p2 = extend_measure(phi, a2_obj, provider)
+    provider.register(a2, builtin_fan("P1xP1"))
+    through_p1xp1 = extend_measure(phi, a2_obj, provider)
+    assert through_p1xp1.value != through_p2.value
+    fresh = CompletionProvider()
+    fresh.register(a2, builtin_fan("P1xP1"))
+    assert through_p1xp1 == extend_measure(phi, a2_obj, fresh)
+    # registering the same completion again keeps the memoized result
+    provider.register(a2, builtin_fan("P1xP1"))
+    assert extend_measure(phi, a2_obj, provider) is through_p1xp1
+
+
 def test_measure_domain_errors():
     phi = euler_measure()
     with pytest.raises(MeasureDomainError):

@@ -76,6 +76,8 @@ def test_measure_spec_validation_and_parse():
         MeasureSpec("euler", q=3)
     assert MeasureSpec.parse("count:5") == MeasureSpec("point_count", q=5)
     assert MeasureSpec.parse("e").selector == "e_poly"
+    with pytest.raises(MeasureError):
+        MeasureSpec.parse("count:x")
 
 
 def test_residual_generators_need_registration():

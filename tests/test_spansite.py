@@ -331,3 +331,12 @@ def test_site_presentation_from_json():
     assert len(site.squares) == 1
     assert validate_square(site.squares[0]).ok
     assert len(site.morphisms) == 1
+
+
+def test_squares_over_matches_a_scan_of_all_squares():
+    from kvar import corpus
+    site = corpus.generate(1, 10).site
+    assert site.squares
+    for obj in site.objects.values():
+        expected = [sq for sq in site.squares if sq.base.name == obj.name]
+        assert site.squares_over(obj) == expected

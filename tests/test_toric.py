@@ -74,6 +74,28 @@ def test_cone_interning_shares_instances():
     assert Cone(2, [(0, 1), (1, 0)]) is Cone(2, [(1, 0), (0, 1)])
 
 
+def test_cone_from_an_iterator_is_the_cone_from_a_list():
+    rays = [(7, 2), (2, 7)]  # a cone no other test builds first
+    from_iter = Cone(2, iter(rays))
+    assert from_iter.rays == ((2, 7), (7, 2))
+    assert from_iter is Cone(2, list(rays))
+    assert hash(from_iter) == hash((2, from_iter.rays))
+    with pytest.raises(NotStronglyConvexError):
+        Cone(2, (r for r in [(5, 3), (-5, -3)]))
+
+
+def test_failed_cone_leaves_no_intern_entry():
+    for rank, rays, error in ((2, [(2, 0)], NonPrimitiveRayError),
+                              (2, [(1, 0, 0)], toric.ToricError),
+                              (2, [(3, 4), (-3, -4)], NotStronglyConvexError)):
+        key = (rank, tuple(sorted(rays)))
+        with pytest.raises(error):
+            Cone(rank, rays)
+        assert key not in Cone._interned
+        with pytest.raises(error):  # and fails again, not from a stale entry
+            Cone(rank, rays)
+
+
 # -- fan construction ------------------------------------------------------------
 
 def test_build_fan_p1():
@@ -328,3 +350,23 @@ def test_builtin_fan_names():
     assert builtin_fan("Hirzebruch(0)") == builtin_fan("P1xP1")
     with pytest.raises(toric.ToricError):
         builtin_fan("P9000x")
+
+
+def _maximal_by_subset_scan(fan):
+    """Reference: the cones whose ray set no other cone's ray set contains."""
+    return tuple(sorted((c for c in fan.cones
+                         if not any(set(c.rays) < set(o.rays) for o in fan.cones)),
+                        key=lambda c: c.rays))
+
+
+def test_maximal_cones_match_the_subset_scan():
+    from kvar import corpus
+    corp = corpus.generate(1, 10)
+    fans = [builtin_fan(n) for n in toric.BUILTIN_FAN_NAMES]
+    fans += [Fan(2, []), builtin_fan("P1").product(builtin_fan("Gm"))]
+    fans += corp.all_fans()
+    fans += [obj.fan.subfan(window) for obj, window in corp.pairs_xu]
+    fans += [a.fan.product(b.fan) for a, b in corp.kunneth_pairs]
+    for fan in fans:
+        assert fan.maximal_cones == _maximal_by_subset_scan(fan)
+    assert builtin_fan("Gm").maximal_cones == (Cone(1, []),)
