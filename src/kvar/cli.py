@@ -9,8 +9,9 @@ Commands:
 JSON reports are byte-identical for identical configurations (checks are
 emitted in a fixed order and wall-clock timings are excluded from JSON).
 The process exit status is 0 when no check failed, 1 when one did, and 2
-for an unreadable input file or an unknown measure name (one line on
-stderr).
+for an input error (one line on stderr): an unreadable input file or one
+of the wrong shape, an unknown measure name, or `check` with neither
+`--suite` nor `--corpus-seed`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from kvar.spansite import (
 
 
 class InputError(Exception):
-    """An input file that cannot be read, or an unknown measure name."""
+    """An input file that cannot be read or has the wrong shape, an unknown
+    measure name, or a check with nothing to check."""
 
 
 @dataclass
@@ -172,13 +174,11 @@ def cmd_eval(config: RunConfig) -> Report:
                      "measures": ",".join(config.measure_names)})
     rels = kring.standard_relations()
     if config.relations_path:
-        for rec in _load_json(config.relations_path):
-            if rec.get("kind") == "generator":
-                rels.declare_generator(rec["name"], rec["dim"],
-                                       rec.get("compact", False))
-            else:
-                rels.add_relation(rec["kind"], rec["slots"],
-                                  rec.get("dims"), rec.get("compact"))
+        records = _load_json(config.relations_path)
+        try:
+            kring.RelationSet.from_json(records, into=rels)
+        except kring.KringError as exc:
+            raise InputError(f"{config.relations_path}: {exc}") from None
     started = time.perf_counter()
     try:
         cls = kring.normalize(config.expression, rels)
@@ -210,7 +210,10 @@ def cmd_eval(config: RunConfig) -> Report:
 def cmd_fan(config: RunConfig) -> Report:
     report = Report({"command": "fan", "path": config.fan_path,
                      "ops": ",".join(config.fan_ops)})
-    fan = toric.Fan.from_json(_load_json(config.fan_path))
+    try:
+        fan = toric.Fan.from_json(_load_json(config.fan_path))
+    except toric.ToricError as exc:
+        raise InputError(f"{config.fan_path}: {exc}") from None
     ops = config.fan_ops or ["props"]
     for op in ops:
         t0 = time.perf_counter()
@@ -508,7 +511,7 @@ def run(config: RunConfig) -> Report:
         return cmd_fan(config)
     if config.command == "check":
         if not config.suite_path and config.corpus_seed is None:
-            raise SystemExit("check needs --suite or --corpus-seed")
+            raise InputError("check needs --suite or --corpus-seed")
         return cmd_check(config)
     raise SystemExit(f"unknown command {config.command!r}")
 

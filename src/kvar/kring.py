@@ -141,8 +141,7 @@ class KClass:
 
     def __add__(self, other: "KClass") -> "KClass":
         terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            terms[mono] = terms.get(mono, 0) + coeff
+        _add_terms(terms, other._terms, 1)
         return KClass(terms)
 
     def __neg__(self) -> "KClass":
@@ -153,10 +152,7 @@ class KClass:
 
     def __mul__(self, other: "KClass") -> "KClass":
         terms: dict = {}
-        for (e1, n1), c1 in self._terms.items():
-            for (e2, n2), c2 in other._terms.items():
-                mono = (e1 + e2, tuple(sorted(n1 + n2)))
-                terms[mono] = terms.get(mono, 0) + c1 * c2
+        _add_product(terms, self._terms, other._terms, 1)
         return KClass(terms)
 
     def __pow__(self, n: int) -> "KClass":
@@ -208,6 +204,21 @@ class KClass:
             else:
                 out.append(f"- {body}" if neg else f"+ {body}")
         return " ".join(out)
+
+
+def _add_terms(acc: dict, terms: Mapping[Monomial, int], coeff: int) -> None:
+    """acc += coeff * terms, on monomial -> coefficient dicts."""
+    for mono, c in terms.items():
+        acc[mono] = acc.get(mono, 0) + coeff * c
+
+
+def _add_product(acc: dict, left: Mapping[Monomial, int],
+                 right: Mapping[Monomial, int], coeff: int) -> None:
+    """acc += coeff * left * right, on monomial -> coefficient dicts."""
+    for (e1, n1), c1 in left.items():
+        for (e2, n2), c2 in right.items():
+            mono = (e1 + e2, tuple(sorted(n1 + n2)))
+            acc[mono] = acc.get(mono, 0) + coeff * c1 * c2
 
 
 L = KClass.lefschetz()
@@ -284,28 +295,89 @@ def expr_size(expr: Expr) -> int:
     return n
 
 
+# the generator slot a square node names in its relation
+_SQUARE_ROLES = {BlowupTotal: "Y", ExcDivisor: "E", OpenComplement: "complement"}
+
+
+def _leaves(expr: Expr):
+    """The leaves of a tree, left to right, without recursion."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Sum, Diff, Prod)):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            yield node
+
+
+def _fold(expr: Expr, leaf, branch):
+    """Post-order fold without recursion, left operand before right.
+
+    ``leaf(node)`` values every node that is not a Sum, Diff or Prod;
+    ``branch(node, left_value, right_value)`` values those three.
+    """
+    stack, values = [expr], []
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (branch node,) once both operands are valued
+            right = values.pop()
+            values.append(branch(node[0], values.pop(), right))
+        elif isinstance(node, (Sum, Diff, Prod)):
+            stack += ((node,), node.right, node.left)
+        else:
+            values.append(leaf(node))
+    return values[0]
+
+
+_LEAF_TEXT = {
+    Lit: lambda node: str(node.value),
+    Gen: lambda node: node.name,
+    BlowupTotal: lambda node: f"Bl({node.x};{node.c})",
+    ExcDivisor: lambda node: f"E({node.x};{node.c})",
+    OpenComplement: lambda node: f"({node.x} - {node.u})",
+}
+
+
 def expr_to_text(expr: Expr) -> str:
-    """Render a tree back into the surface grammar."""
-    def wrap(node, parent_prod):
-        if isinstance(node, Lit):
-            return str(node.value)
-        if isinstance(node, Gen):
-            return node.name
-        if isinstance(node, BlowupTotal):
-            return f"Bl({node.x};{node.c})"
-        if isinstance(node, ExcDivisor):
-            return f"E({node.x};{node.c})"
-        if isinstance(node, OpenComplement):
-            return f"({node.x} - {node.u})"
+    """Render a tree back into the surface grammar.
+
+    A sum or difference is parenthesized under a product, and so is the
+    right operand of a difference when it is itself a sum or difference.
+    The stack holds, in reverse output order, text and the sums,
+    differences and products still to render, each with whether its
+    parent is a product.
+    """
+    def item(node: Expr, parent_prod: bool):
+        text = _LEAF_TEXT.get(type(node))
+        return text(node) if text else (node, parent_prod)
+
+    out = []
+    stack = [item(expr, False)]
+    while stack:
+        top = stack.pop()
+        if type(top) is str:
+            out.append(top)
+            continue
+        node, parent_prod = top
         if isinstance(node, Prod):
-            return f"{wrap(node.left, True)}*{wrap(node.right, True)}"
-        op = "+" if isinstance(node, Sum) else "-"
-        right = wrap(node.right, False)
-        if isinstance(node, Diff) and isinstance(node.right, (Sum, Diff)):
-            right = f"({right})"
-        body = f"{wrap(node.left, False)} {op} {right}"
-        return f"({body})" if parent_prod else body
-    return wrap(expr, False)
+            stack += [item(node.right, True), "*", item(node.left, True)]
+        elif isinstance(node, (Sum, Diff)):
+            wrap_right = isinstance(node, Diff) and isinstance(node.right, (Sum, Diff))
+            if parent_prod:
+                stack.append(")")
+            if wrap_right:
+                stack.append(")")
+            stack.append(item(node.right, False))
+            if wrap_right:
+                stack.append("(")
+            stack.append(" + " if isinstance(node, Sum) else " - ")
+            stack.append(item(node.left, False))
+            if parent_prod:
+                out.append("(")
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +485,7 @@ class RelationSet:
         self._gens: dict = {}
         self.relations: list = []
         self._resolved: dict = {}
+        self._index: Optional[dict] = None  # target -> [(relation, replacement)]
 
     # -- declarations --------------------------------------------------------
 
@@ -433,18 +506,19 @@ class RelationSet:
             return
         self._gens[name] = GenInfo(name, dim, compact, len(self._gens))
         self._resolved.clear()
+        self._index = None
 
     def info(self, name: str) -> GenInfo:
+        known = self._gens.get(name)  # builtins are never declared
+        if known is not None:
+            return known
         binfo = builtin_info(name)
-        if binfo is not None:
-            return binfo
-        try:
-            return self._gens[name]
-        except KeyError:
-            raise UnknownGeneratorError(f"unknown generator {name!r}") from None
+        if binfo is None:
+            raise UnknownGeneratorError(f"unknown generator {name!r}")
+        return binfo
 
     def knows(self, name: str) -> bool:
-        return builtin_info(name) is not None or name in self._gens
+        return name in self._gens or builtin_info(name) is not None
 
     def generator_names(self):
         return tuple(self._gens)
@@ -487,6 +561,7 @@ class RelationSet:
                 )
         self.relations.append(rel)
         self._resolved.clear()
+        self._index = None
         return rel
 
     def add_open(self, x: str, u: str, complement: str, **kw) -> Relation:
@@ -560,66 +635,113 @@ class RelationSet:
             )
         return target, [(name, -coeff * c) for name, coeff in sorted(support.items())]
 
-    def _resolve(self, name: str, counter: "_Budget", stack: tuple) -> KClass:
-        cached = self._resolved.get(name)
-        if cached is not None:
-            return cached
-        if name in stack:
-            raise CyclicRelationError(
-                f"cyclic rewriting through {name!r}: the relation set is not well founded"
-            )
-        cls = builtin_class(name)
-        if cls is None:
-            info = self.info(name)
-            if info.dim == -1:
-                cls = KClass.zero()  # dimension -1 means isomorphic to empty
-            else:
-                candidates = []
-                for rel in self.relations:
-                    oriented = self._orientation(rel)
-                    if oriented and oriented[0] == name:
-                        candidates.append((rel, oriented[1]))
-                if not candidates:
-                    cls = KClass.generator(name)
-                else:
-                    results = []
-                    for rel, replacement in candidates:
-                        counter.step(name)
-                        acc = KClass.zero()
-                        for other, coeff in replacement:
-                            acc = acc + self._resolve(other, counter, stack + (name,)).scale(coeff)
-                        results.append((rel, acc))
-                    first = results[0][1]
-                    for rel, value in results[1:]:
-                        if value != first:
-                            raise InconsistentRelationsError(
-                                f"relations {results[0][0].index} and {rel.index} force "
-                                f"different canonical forms for {name!r}: "
-                                f"{first} vs {value}"
-                            )
-                    cls = first
-        self._resolved[name] = cls
-        return cls
+    def _rewrite_index(self) -> dict:
+        """Each eliminated generator -> [(relation, replacement)] in
+        relation order, so every relation is oriented once per state of
+        the set (declarations drop the index)."""
+        if self._index is None:
+            index: dict = {}
+            for rel in self.relations:
+                oriented = self._orientation(rel)
+                if oriented:
+                    index.setdefault(oriented[0], []).append((rel, oriented[1]))
+            self._index = index
+        return self._index
+
+    def _resolve(self, name: str, counter: "_Budget") -> KClass:
+        """The canonical class of a generator, depth first over its
+        candidate relations, on an explicit stack instead of recursion.
+
+        Every candidate relation costs one budget step and must give the
+        same class as the first; a generator met again on the path from
+        ``name`` is a cycle.  Finished classes are cached.
+        """
+        resolved = self._resolved
+        frames: list = []  # generators being eliminated, outermost first
+        path: set = set()  # their names
+        pending = name     # a generator to enter next, or None
+        value = None       # the class last finished, for the top frame
+        while True:
+            if pending is not None:
+                value = resolved.get(pending)
+                if value is None:
+                    if pending in path:
+                        raise CyclicRelationError(
+                            f"cyclic rewriting through {pending!r}: "
+                            "the relation set is not well founded"
+                        )
+                    value = builtin_class(pending)
+                    if value is None and self.info(pending).dim == -1:
+                        value = KClass.zero()  # dimension -1 means isomorphic to empty
+                    if value is None:
+                        candidates = self._rewrite_index().get(pending)
+                        if candidates:
+                            counter.step(pending)
+                            frames.append(_Frame(pending, candidates))
+                            path.add(pending)
+                        else:
+                            value = KClass.generator(pending)
+                    if value is not None:
+                        resolved[pending] = value
+                pending = None
+            if not frames:
+                return value
+            frame = frames[-1]
+            rel, replacement = frame.candidates[frame.k]
+            if value is not None:
+                _add_terms(frame.acc, value._terms, replacement[frame.j][1])
+                frame.j += 1
+                value = None
+            if frame.j < len(replacement):
+                pending = replacement[frame.j][0]
+                continue
+            frame.results.append((rel, KClass(frame.acc)))
+            frame.k += 1
+            if frame.k < len(frame.candidates):
+                counter.step(frame.name)
+                frame.j, frame.acc = 0, {}
+                continue
+            (first_rel, first), *others = frame.results
+            for rel, other in others:
+                if other != first:
+                    raise InconsistentRelationsError(
+                        f"relations {first_rel.index} and {rel.index} force "
+                        f"different canonical forms for {frame.name!r}: "
+                        f"{first} vs {other}"
+                    )
+            frames.pop()
+            path.discard(frame.name)
+            resolved[frame.name] = value = first
 
     # -- I/O -----------------------------------------------------------------
 
     @staticmethod
-    def from_json(records: Union[str, list]) -> "RelationSet":
-        """Load from the JSON relation-file format.
+    def from_json(records: Union[str, list],
+                  into: Optional["RelationSet"] = None) -> "RelationSet":
+        """Load from the JSON relation-file format, into a new set or on
+        top of ``into`` (e.g. ``standard_relations()``).
 
         Records are ``{kind, slots, dims, compact}``; the extra record kind
         ``{"kind": "generator", "name", "dim", "compact"}`` declares a bare
-        generator.
+        generator.  A record of the wrong shape raises InvalidRelationError.
         """
         if isinstance(records, str):
             records = json.loads(records)
-        rels = RelationSet()
-        for rec in records:
+        if not isinstance(records, list):
+            raise InvalidRelationError("a relation file is a JSON array of records")
+        rels = into if into is not None else RelationSet()
+        for i, rec in enumerate(records):
+            if not isinstance(rec, dict):
+                raise InvalidRelationError(f"relation record {i} is not an object")
             if rec.get("kind") == "generator":
-                rels.declare_generator(rec["name"], rec["dim"], rec.get("compact", False))
+                rels.declare_generator(_field(rec, i, "name", str),
+                                       _field(rec, i, "dim", int),
+                                       _field(rec, i, "compact", bool, False))
             else:
-                rels.add_relation(rec["kind"], rec["slots"],
-                                  rec.get("dims"), rec.get("compact"))
+                rels.add_relation(_field(rec, i, "kind", str),
+                                  _field(rec, i, "slots", dict, values=str),
+                                  _field(rec, i, "dims", dict, None, values=int),
+                                  _field(rec, i, "compact", dict, None, values=bool))
         return rels
 
     def to_json(self) -> list:
@@ -636,6 +758,42 @@ class RelationSet:
                 "compact": {n: self.info(n).compact for n in slots.values()},
             })
         return out
+
+
+_REQUIRED = object()
+_JSON_NAMES = {str: ("a string", "strings"), int: ("an integer", "integers"),
+               bool: ("a boolean", "booleans"), dict: ("an object", "objects")}
+
+
+def _field(rec: dict, i: int, key: str, kind: type, default=_REQUIRED,
+           values: Optional[type] = None):
+    """Field ``key`` of relation record ``i``, checked to have the JSON type
+    ``kind`` (an object with ``values`` values); absent or null gives
+    ``default``."""
+    value = rec.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise InvalidRelationError(f"relation record {i} has no field {key!r}")
+        return default
+    if type(value) is kind and (values is None
+                                or all(type(v) is values for v in value.values())):
+        return value
+    what = f"an object of {_JSON_NAMES[values][1]}" if values else _JSON_NAMES[kind][0]
+    raise InvalidRelationError(f"relation record {i}: field {key!r} must be {what}")
+
+
+class _Frame:
+    """A generator under elimination in ``RelationSet._resolve``: its
+    candidates, the candidate ``k`` and replacement slot ``j`` being
+    resolved, that candidate's class so far, and the finished ones."""
+    __slots__ = ("name", "candidates", "k", "j", "acc", "results")
+
+    def __init__(self, name: str, candidates: list):
+        self.name = name
+        self.candidates = candidates
+        self.k = self.j = 0
+        self.acc: dict = {}
+        self.results: list = []
 
 
 class _Budget:
@@ -655,6 +813,10 @@ class _Budget:
 EMPTY_RELATIONS = RelationSet()
 
 REWRITE_BUDGET = 10 ** 6
+
+# deepest parenthesis nesting the parser accepts; each level costs it a
+# few Python frames, and deeper input is a ParseError, not a RecursionError
+PARSE_NESTING_LIMIT = 200
 
 
 def standard_relations(max_dim: int = 4) -> RelationSet:
@@ -687,6 +849,7 @@ class _Parser:
         self.pos = 0
         self.token = None
         self.token_pos = 0
+        self.depth = 0  # open parentheses around the current position
         self._advance()
 
     def _advance(self):
@@ -743,9 +906,14 @@ class _Parser:
             self._advance()
             return Lit(value)
         if kind == "sym" and value == "(":
+            if self.depth == PARSE_NESTING_LIMIT:
+                raise ParseError(
+                    f"parentheses nested deeper than {PARSE_NESTING_LIMIT}", self.token_pos)
+            self.depth += 1
             self._advance()
             node = self.expr()
             self._expect(")")
+            self.depth -= 1
             return node
         if kind == "name":
             pos = self.token_pos
@@ -790,6 +958,11 @@ def parse_expr(text: str, rels: Optional[RelationSet] = None) -> Expr:
 # ---------------------------------------------------------------------------
 # normalization
 
+def _square_slot(node: Expr, rels: RelationSet) -> str:
+    """The generator a Bl/E/complement node stands for."""
+    return rels.relations[node.relation_index].slot(_SQUARE_ROLES[type(node)])
+
+
 def _as_expr(expr: Union[Expr, str, KClass], rels: RelationSet) -> Union[Expr, KClass]:
     if isinstance(expr, str):
         return parse_expr(expr, rels)
@@ -799,34 +972,53 @@ def _as_expr(expr: Union[Expr, str, KClass], rels: RelationSet) -> Union[Expr, K
 def normalize(expr: Union[Expr, str, KClass],
               rels: Optional[RelationSet] = None,
               budget: int = REWRITE_BUDGET) -> KClass:
-    """Rewrite an expression to its canonical KClass."""
+    """Rewrite an expression to its canonical KClass.
+
+    One loop folds the tree left to right over an explicit stack of
+    ``(node, sign, terms)``: a signed chain of sums and differences adds
+    into one monomial -> coefficient dict, and each operand of a product
+    folds into a dict of its own, multiplied out once both are done.
+    """
     rels = rels if rels is not None else EMPTY_RELATIONS
     expr = _as_expr(expr, rels)
     if isinstance(expr, KClass):
         return expr
     counter = _Budget(budget)
-
-    def ev(node: Expr) -> KClass:
-        if isinstance(node, Lit):
-            return KClass.from_int(node.value)
+    resolved = rels._resolved
+    total: dict = {}
+    stack: list = [(expr, 1, total)]
+    while stack:
+        item = stack.pop()
+        if len(item) == 4:  # both operands of a product are folded
+            left, right, sign, acc = item
+            _add_product(acc, left, right, sign)
+            continue
+        node, sign, acc = item
         if isinstance(node, Gen):
-            if not rels.knows(node.name):
-                raise UnknownGeneratorError(f"unknown generator {node.name!r}")
-            return rels._resolve(node.name, counter, ())
-        if isinstance(node, Sum):
-            return ev(node.left) + ev(node.right)
-        if isinstance(node, Diff):
-            return ev(node.left) - ev(node.right)
-        if isinstance(node, Prod):
-            return ev(node.left) * ev(node.right)
-        if isinstance(node, (BlowupTotal, ExcDivisor, OpenComplement)):
-            rel = rels.relations[node.relation_index]
-            role = {"BlowupTotal": "Y", "ExcDivisor": "E",
-                    "OpenComplement": "complement"}[type(node).__name__]
-            return rels._resolve(rel.slot(role), counter, ())
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return ev(expr)
+            cls = resolved.get(node.name)  # a resolved name is known
+            if cls is None:
+                if not rels.knows(node.name):
+                    raise UnknownGeneratorError(f"unknown generator {node.name!r}")
+                cls = rels._resolve(node.name, counter)
+            _add_terms(acc, cls._terms, sign)
+        elif isinstance(node, Sum):
+            stack.append((node.right, sign, acc))
+            stack.append((node.left, sign, acc))
+        elif isinstance(node, Diff):
+            stack.append((node.right, -sign, acc))
+            stack.append((node.left, sign, acc))
+        elif isinstance(node, Prod):
+            left, right = {}, {}
+            stack.append((left, right, sign, acc))
+            stack.append((node.right, 1, right))
+            stack.append((node.left, 1, left))
+        elif isinstance(node, Lit):
+            acc[(0, ())] = acc.get((0, ()), 0) + sign * node.value
+        elif isinstance(node, (BlowupTotal, ExcDivisor, OpenComplement)):
+            _add_terms(acc, rels._resolve(_square_slot(node, rels), counter)._terms, sign)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return KClass(total)
 
 
 # ---------------------------------------------------------------------------
@@ -888,27 +1080,27 @@ class GMapResult:
 def expr_dim(expr: Expr, rels: RelationSet) -> int:
     """Dimension upper bound of an expression: max over sums, additive over
     products, declared dimension on generators."""
-    if isinstance(expr, Gen):
-        return rels.info(expr.name).dim
-    if isinstance(expr, (Sum, Diff)):
-        return max(expr_dim(expr.left, rels), expr_dim(expr.right, rels))
-    if isinstance(expr, Prod):
-        a, b = expr_dim(expr.left, rels), expr_dim(expr.right, rels)
-        return -1 if -1 in (a, b) else a + b
-    if isinstance(expr, (BlowupTotal, ExcDivisor, OpenComplement)):
-        rel = rels.relations[expr.relation_index]
-        return max(rels.info(n).dim for _, n in rel.slots)
-    if isinstance(expr, Lit):
-        return -1 if expr.value == 0 else 0
-    raise TypeError(f"not an expression node: {expr!r}")
+    def leaf(node: Expr) -> int:
+        if isinstance(node, Gen):
+            return rels.info(node.name).dim
+        if isinstance(node, (BlowupTotal, ExcDivisor, OpenComplement)):
+            rel = rels.relations[node.relation_index]
+            return max(rels.info(n).dim for _, n in rel.slots)
+        if isinstance(node, Lit):
+            return -1 if node.value == 0 else 0
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def branch(node: Expr, a: int, b: int) -> int:
+        if isinstance(node, Prod):
+            return -1 if -1 in (a, b) else a + b
+        return max(a, b)
+
+    return _fold(expr, leaf, branch)
 
 
 def _all_compact(expr: Expr, rels: RelationSet) -> bool:
-    if isinstance(expr, Gen):
-        return rels.info(expr.name).compact
-    if isinstance(expr, (Sum, Diff, Prod)):
-        return _all_compact(expr.left, rels) and _all_compact(expr.right, rels)
-    return isinstance(expr, Lit)
+    return all(rels.info(node.name).compact if isinstance(node, Gen)
+               else isinstance(node, Lit) for node in _leaves(expr))
 
 
 def g_map(expr: Union[Expr, str], comp: CompactificationTable,
@@ -923,43 +1115,46 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
     rels = rels if rels is not None else EMPTY_RELATIONS
     node = _as_expr(expr, rels)
 
+    presented: dict = {}  # generator name -> its compact presentation, per call
+
     def transform(e: Expr) -> Expr:
+        if isinstance(e, (BlowupTotal, ExcDivisor, OpenComplement)):
+            e = Gen(_square_slot(e, rels))
         if isinstance(e, Lit):
             return e
-        if isinstance(e, Sum):
-            return Sum(transform(e.left), transform(e.right))
-        if isinstance(e, Diff):
-            return Diff(transform(e.left), transform(e.right))
-        if isinstance(e, Prod):
-            return Prod(transform(e.left), transform(e.right))
-        if isinstance(e, (BlowupTotal, ExcDivisor, OpenComplement)):
-            rel = rels.relations[e.relation_index]
-            role = {"BlowupTotal": "Y", "ExcDivisor": "E",
-                    "OpenComplement": "complement"}[type(e).__name__]
-            return transform(Gen(rel.slot(role)))
-        if isinstance(e, Gen):
-            info = rels.info(e.name)
-            if info.compact:
-                return e
-            entry = comp.lookup(e.name)
-            if not _all_compact(entry.compact, rels):
-                raise MissingCompactificationError(
-                    f"compactification of {e.name!r} uses non-compact generators"
-                )
-            cdim = expr_dim(entry.compact, rels)
-            if cdim != info.dim:
-                raise BoundaryDimensionError(
-                    f"{e.name!r} is not dense in its compactification: "
-                    f"dimensions {info.dim} vs {cdim}"
-                )
-            if expr_dim(entry.boundary, rels) >= cdim:
-                raise BoundaryDimensionError(
-                    f"boundary of {e.name!r} does not have strictly smaller dimension"
-                )
-            return Diff(entry.compact, transform(entry.boundary))
-        raise TypeError(f"not an expression node: {e!r}")
+        if not isinstance(e, Gen):
+            raise TypeError(f"not an expression node: {e!r}")
+        done = presented.get(e.name)
+        if done is None:
+            done = presented[e.name] = present(e)
+        return done
 
-    compact_expr = transform(node)
+    def present(e: Gen) -> Expr:
+        info = rels.info(e.name)
+        if info.compact:
+            return e
+        entry = comp.lookup(e.name)
+        if not _all_compact(entry.compact, rels):
+            raise MissingCompactificationError(
+                f"compactification of {e.name!r} uses non-compact generators"
+            )
+        cdim = expr_dim(entry.compact, rels)
+        if cdim != info.dim:
+            raise BoundaryDimensionError(
+                f"{e.name!r} is not dense in its compactification: "
+                f"dimensions {info.dim} vs {cdim}"
+            )
+        if expr_dim(entry.boundary, rels) >= cdim:
+            raise BoundaryDimensionError(
+                f"boundary of {e.name!r} does not have strictly smaller dimension"
+            )
+        # nests once per boundary, whose dimension strictly drops
+        return Diff(entry.compact, _fold(entry.boundary, transform, rebuild))
+
+    def rebuild(e: Expr, left: Expr, right: Expr) -> Expr:
+        return type(e)(left, right)
+
+    compact_expr = _fold(node, transform, rebuild)
     return GMapResult(compact_expr, normalize(compact_expr, rels))
 
 

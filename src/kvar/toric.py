@@ -559,9 +559,25 @@ class Fan:
     def from_json(data) -> "Fan":
         if isinstance(data, str):
             data = json.loads(data)
-        rank = data["rank"]
-        rays = [tuple(r) for r in data["rays"]]
-        maximal = [tuple(ix) for ix in data["maximal_cones"]]
+        if not isinstance(data, dict):
+            raise ToricError("a fan file is a JSON object")
+        rank, rays, maximal = (data.get(k) for k in ("rank", "rays", "maximal_cones"))
+
+        def int_rows(rows, length=None, bound=None) -> bool:
+            return isinstance(rows, list) and all(
+                isinstance(row, (list, tuple))
+                and (length is None or len(row) == length)
+                and all(type(x) is int and (bound is None or 0 <= x < bound) for x in row)
+                for row in rows)
+
+        if type(rank) is not int or rank < 0:
+            raise ToricError('fan file: "rank" must be a non-negative integer')
+        if not int_rows(rays, length=rank):
+            raise ToricError(f'fan file: "rays" must be a list of integer vectors of length {rank}')
+        if not int_rows(maximal, bound=len(rays)):
+            raise ToricError('fan file: "maximal_cones" must be a list of lists of ray indices')
+        rays = [tuple(r) for r in rays]
+        maximal = [tuple(ix) for ix in maximal]
         if data.get("dense_torus") and not maximal:
             maximal = [()]
         return build_fan(rank, rays, maximal)

@@ -8,7 +8,14 @@ import sys
 
 import pytest
 
-from kvar.cli import RunConfig, _corpus_measures, build_parser, config_from_args, run
+from kvar.cli import (
+    InputError,
+    RunConfig,
+    _corpus_measures,
+    build_parser,
+    config_from_args,
+    run,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -47,6 +54,16 @@ def test_eval_parse_error_is_reported_not_raised():
     report = run_cli("eval", "P2 + noSuch")
     assert not report.ok()
     assert "unknown generator" in report.records[0].note
+
+
+def test_eval_relation_file_extends_the_standard_relations(tmp_path):
+    path = tmp_path / "rels.json"
+    path.write_text(json.dumps([
+        {"kind": "generator", "name": "S", "dim": 2, "compact": True},
+        {"kind": "open", "slots": {"X": "S", "U": "A2", "complement": "P1"}}]))
+    report = run_cli("eval", "S - Bl(P2;pt)", "--relations", str(path), "--measure", "euler")
+    assert report.ok()
+    assert {r.id: r for r in report.records}["class"].lhs == "-L"
 
 
 def test_fan_command(tmp_path):
@@ -104,10 +121,17 @@ def test_exit_code_contract(tmp_path):
     ok_cmd = [sys.executable, "-m", "kvar.cli", "eval", "P1"]
     assert subprocess.run(ok_cmd, capture_output=True).returncode == 0
     # input errors: exit 2 with one line on stderr, never a traceback
-    for argv in (["--suite", str(tmp_path / "nonexistent.json")],
-                 ["--corpus-seed", "1", "--corpus-size", "2", "--measure", "chi2"],
-                 ["--corpus-seed", "1", "--corpus-size", "2", "--measure", "count:x"]):
-        proc = subprocess.run([sys.executable, "-m", "kvar.cli", "check", *argv],
+    no_rank = tmp_path / "no_rank.json"
+    no_rank.write_text('{"rays": [[1, 0]], "maximal_cones": [[0]]}')
+    no_slots = tmp_path / "no_slots.json"
+    no_slots.write_text('[{"kind": "open", "dims": {"X": 1}}]')
+    for argv in (["check", "--suite", str(tmp_path / "nonexistent.json")],
+                 ["check", "--corpus-seed", "1", "--corpus-size", "2", "--measure", "chi2"],
+                 ["check", "--corpus-seed", "1", "--corpus-size", "2", "--measure", "count:x"],
+                 ["check"],
+                 ["fan", str(no_rank)],
+                 ["eval", "P1", "--relations", str(no_slots)]):
+        proc = subprocess.run([sys.executable, "-m", "kvar.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 2, argv
         assert proc.stdout == ""
@@ -145,5 +169,5 @@ def test_corpus_report_bytes_are_pinned(tmp_path, cli_child_env):
 
 
 def test_run_config_requires_corpus_or_suite():
-    with pytest.raises(SystemExit):
+    with pytest.raises(InputError):
         run(RunConfig(command="check"))

@@ -1,5 +1,7 @@
 """Expression parsing, normalization, and the compact-presentation map."""
 
+import time
+
 import pytest
 
 from kvar import kring
@@ -17,7 +19,10 @@ from kvar.kring import (
     ParseError,
     Prod,
     RelationSet,
+    RewriteBudgetError,
     Sum,
+    expr_dim,
+    expr_to_text,
     g_map,
     normalize,
     parse_expr,
@@ -72,6 +77,25 @@ def test_parse_errors_carry_position():
         parse_expr("Bl(P2;pt)")  # no relation declared
     with pytest.raises(ParseError):
         parse_expr("(P1")
+
+
+def test_parse_nesting_limit_is_a_parse_error():
+    limit = kring.PARSE_NESTING_LIMIT
+    assert normalize("(" * limit + "pt" + ")" * limit) == lpoly(1)
+    with pytest.raises(ParseError) as err:
+        parse_expr("(" * 1200 + "pt" + ")" * 1200)
+    assert err.value.position == limit  # the first parenthesis past the limit
+    assert "nested deeper than" in str(err.value)
+
+
+def test_expr_to_text_round_trips_the_grammar():
+    rels = standard_relations()
+    rels.add_open("P2", "A2", "P1")
+    for text in ("P2 + L*Gm", "P1 - (A1 + pt) - (Gm - 2)", "(P1 + 1)*(A2 - Gm)*3",
+                 "Bl(P2;pt) - E(P3;pt)*(L + 1)", "2*(P1 - (P1 - pt))"):
+        assert expr_to_text(parse_expr(text, rels)) == text
+    complement = Prod(Gen("L"), Diff(Gen("P1"), rels.complement_node("P2", "A2")))
+    assert expr_to_text(complement) == "L*(P1 - (P2 - A2))"
 
 
 def test_parse_precedence_and_parens():
@@ -298,3 +322,101 @@ def test_normalize_is_deterministic():
     again = normalize(text, blowup_rels())
     assert first.canonical == again.canonical
     assert hash(first) == hash(again)
+
+
+# -- linear, recursion-free rewriting -------------------------------------------
+
+def point_blowup_tower(levels):
+    """P2 <- X1 <- ... <- X<levels>, each blowing up a point (E = P1)."""
+    rels, below = RelationSet(), "P2"
+    for k in range(1, levels + 1):
+        rels.add_blowup("P1", f"X{k}", "pt", below,
+                        dims={f"X{k}": 2}, compact={f"X{k}": True})
+        below = f"X{k}"
+    return rels
+
+
+def test_deep_blowup_tower_resolves_in_linear_time():
+    rels = point_blowup_tower(1200)
+    started = time.perf_counter()
+    assert normalize("X1200", rels) == lpoly(1, 1201, 1)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_long_sums_walk_without_recursion():
+    text = " + ".join(["pt"] * 2000) + " - A1"
+    tree = parse_expr(text)
+    assert normalize(tree) == lpoly(2000, -1)
+    assert expr_to_text(tree) == text
+    assert expr_dim(tree, kring.EMPTY_RELATIONS) == 1
+    mapped = g_map(tree, CompactificationTable())
+    assert mapped.kclass == lpoly(2000, -1)
+    assert expr_to_text(mapped.compact_expr) == " + ".join(["pt"] * 2000) + " - (P1 - pt)"
+    right_deep = Lit(0)
+    for _ in range(3000):
+        right_deep = Diff(Gen("P1"), right_deep)
+    assert normalize(right_deep) == KClass.zero()
+    assert g_map(right_deep, CompactificationTable()).kclass == KClass.zero()
+    assert expr_to_text(right_deep).count("(") == 2999
+
+
+def test_rewrite_index_follows_later_declarations():
+    rels = RelationSet()
+    rels.declare_generator("X", 1, compact=True)
+    assert normalize("X", rels) == KClass.generator("X")
+    rels.add_open("X", "A1", "pt")                  # a relation after a resolve
+    assert normalize("X", rels) == lpoly(1, 1)
+    rels.declare_generator("W", 2)                  # a generator after a resolve
+    assert normalize("W + X", rels) == KClass.generator("W") + lpoly(1, 1)
+    rels.add_open("W", "A2", "X")
+    assert normalize("W", rels) == lpoly(1, 1, 1)
+
+
+def test_relation_errors_keep_their_messages():
+    cyclic = RelationSet()
+    cyclic.add_open("X", "U", "Z", dims={"X": 1, "U": 1, "Z": 0})
+    cyclic.add_open("U", "X", "W", dims={"W": 0})
+    with pytest.raises(CyclicRelationError, match=r"^cyclic rewriting through 'X': "
+                       "the relation set is not well founded$"):
+        normalize("X", cyclic)
+
+    with pytest.raises(RewriteBudgetError, match=r"^rewrite budget of 5 exceeded while "
+                       "eliminating 'X5'; the relation set is likely cyclic$"):
+        normalize("X10", point_blowup_tower(10), budget=5)
+
+    clash = RelationSet()
+    clash.add_open("X", "U", "pt", dims={"X": 1, "U": 1})
+    clash.add_open("X", "U", "Z", dims={"Z": 1})
+    with pytest.raises(InconsistentRelationsError, match=r"^relations 0 and 1 force different "
+                       r"canonical forms for 'X': 1 \+ U vs U \+ Z$"):
+        normalize("X", clash)
+
+    doubled = RelationSet()
+    doubled.add_blowup("W", "P1", "pt", "W", dims={"W": 1})  # [W] twice: accepted here
+    assert normalize("P1 + 1", doubled) == lpoly(2, 1)        # builtins need no orientation
+    for _ in range(2):  # the error stays lazy and repeats
+        with pytest.raises(InvalidRelationError, match=r"^relation 0 cannot be oriented: "
+                           "coefficient 2 on its slot 'W'$"):
+            normalize("W", doubled)
+
+
+def test_relation_file_loader_extends_a_set_and_rejects_bad_records():
+    records = [{"kind": "generator", "name": "S", "dim": 2, "compact": True},
+               {"kind": "open", "slots": {"X": "S", "U": "A2", "complement": "P1"}}]
+    rels = RelationSet.from_json(records, into=standard_relations())
+    assert normalize("S - Bl(P2;pt)", rels) == lpoly(0, -1)
+    assert RelationSet.from_json(records).find_open("S", "A2").index == 0
+    for bad, message in (
+            ({"kind": "open"}, "a relation file is a JSON array of records"),
+            (["S"], "relation record 0 is not an object"),
+            ([{"kind": "open", "dims": {}}], "relation record 0 has no field 'slots'"),
+            ([{"kind": "generator", "name": "S", "dim": "2"}],
+             "relation record 0: field 'dim' must be an integer"),
+            ([{"kind": "open", "slots": {"X": "P2", "U": "A2", "complement": 1}}],
+             "relation record 0: field 'slots' must be an object of strings"),
+            ([{"kind": "open", "slots": {"X": "Q", "U": "A2", "complement": "P1"},
+               "dims": {"Q": True}}],
+             "relation record 0: field 'dims' must be an object of integers")):
+        with pytest.raises(InvalidRelationError) as err:
+            RelationSet.from_json(bad)
+        assert str(err.value) == message

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from kvar.kring import CompactificationTable, KClass, g_map, normalize
+from kvar.kring import CompactificationTable, Diff, KClass, Lit, Sum, g_map, normalize, parse_expr
 from kvar.measures import MeasureSpec, apply_measure
 
 GENS = ["pt", "empty", "P1", "P2", "A1", "A2", "Gm", "L"]
@@ -62,3 +62,20 @@ def test_measures_respect_the_ring_structure(a, b):
     na, nb = normalize(a), normalize(b)
     assert apply_measure(spec, na * nb) == apply_measure(spec, na) * apply_measure(spec, nb)
     assert apply_measure(spec, na + nb) == apply_measure(spec, na) + apply_measure(spec, nb)
+
+
+@given(st.lists(st.tuples(st.booleans(), st.recursive(atoms, combine, max_leaves=3)),
+                min_size=1, max_size=4))
+@settings(max_examples=8, deadline=None)
+def test_a_long_sum_normalizes_to_its_scaled_closed_form(pattern):
+    # a signed pattern of terms, repeated to a sum of 10^5 terms
+    repeats = 10 ** 5 // len(pattern)
+    trees = [(plus, parse_expr(text)) for plus, text in pattern]
+    tree = Lit(0)
+    for _ in range(repeats):
+        for plus, term in trees:
+            tree = Sum(tree, term) if plus else Diff(tree, term)
+    closed = KClass.zero()
+    for plus, text in pattern:
+        closed = closed + normalize(text).scale(1 if plus else -1)
+    assert normalize(tree) == closed.scale(repeats)
