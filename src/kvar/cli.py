@@ -155,15 +155,36 @@ def _load_json(path: str):
 
 
 def _measure_from_record(rec) -> MeasureOnCompacts:
+    """A suite check's measure: a selector, or an object with a "selector"
+    and an optional "perturb" of a builtin "target" fan."""
     if isinstance(rec, str):
         return MeasureOnCompacts(MeasureSpec.parse(rec))
-    spec = MeasureSpec.parse(rec["selector"])
-    base = MeasureOnCompacts(spec)
-    perturb = rec.get("perturb")
+    perturb = rec.get("perturb") if isinstance(rec, dict) else None
+    target = perturb.get("target", "P2") if isinstance(perturb, dict) else None
+    if not (isinstance(rec, dict) and isinstance(rec.get("selector"), str)
+            and (not perturb or isinstance(target, str))):
+        raise InputError(f"suite file: {json.dumps(rec)} is not a measure")
+    base = MeasureOnCompacts(MeasureSpec.parse(rec["selector"]))
     if perturb:
-        target = toric.builtin_fan(perturb.get("target", "P2"))
-        return PerturbedMeasure(base, target, perturb.get("delta", 1))
+        return PerturbedMeasure(base, toric.builtin_fan(target), perturb.get("delta", 1))
     return base
+
+
+def _suite_checks(suite) -> list:
+    """The (record, measure) pairs of a suite file, or an InputError when
+    the file does not have the shape {"checks": [{"kind": ..., ...}, ...]}."""
+    checks = suite.get("checks", []) if isinstance(suite, dict) else None
+    if not isinstance(checks, list):
+        raise InputError('suite file: the top level must be an object whose "checks" is a list')
+    out = []
+    for i, rec in enumerate(checks):
+        if not (isinstance(rec, dict) and isinstance(rec.get("kind"), str)):
+            raise InputError(f'suite file: check {i} is not an object with a string "kind"')
+        try:
+            out.append((rec, _measure_from_record(rec.get("measure", "euler"))))
+        except (measures.MeasureError, toric.ToricError) as exc:
+            raise InputError(f"suite file: check {i}: {exc}") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +316,22 @@ def run_corpus_checks(report: Report, seed: int, size: int,
                   from_check(consistency_check("mayer_vietoris", phi, (obj, u, v),
                                                provider)))
 
+    # the pool repeats pairs; each distinct (measure, a, b) is checked once
+    # per run, and a repeat gets a record of its own with the same result
+    kunneth_done: dict = {}
+
+    def kunneth(phi, a, b) -> Record:
+        key = (phi, a, b)
+        if key not in kunneth_done:
+            kunneth_done[key] = consistency_check("kunneth", phi, (a, b), provider)
+        return from_check(kunneth_done[key])
+
     for i, (a, b) in enumerate(corp.kunneth_pairs):
         for phi in phis:
             if not phi.multiplicative:
                 continue
             timed(f"kunneth[{i}]:{a.name}x{b.name}:{phi.name}", "kunneth",
-                  lambda phi=phi, a=a, b=b:
-                  from_check(consistency_check("kunneth", phi, (a, b), provider)))
+                  lambda phi=phi, a=a, b=b: kunneth(phi, a, b))
 
     for i, (sq, f) in enumerate(corp.c_complete_cases):
         def ccomp(sq=sq, f=f) -> Record:
@@ -366,6 +396,7 @@ def run_corpus_checks(report: Report, seed: int, size: int,
 
 
 def run_suite(report: Report, suite: dict, depth: int) -> None:
+    checks = _suite_checks(suite)
     provider = CompletionProvider()
     objects: dict = {}
 
@@ -385,9 +416,8 @@ def run_suite(report: Report, suite: dict, depth: int) -> None:
         cones.add(toric.Cone(obj.fan.rank, []))
         return frozenset(cones)
 
-    for i, rec in enumerate(suite.get("checks", [])):
+    for i, (rec, phi) in enumerate(checks):
         kind = rec["kind"]
-        phi = _measure_from_record(rec.get("measure", "euler"))
         rec_id = f"{kind}[{i}]"
         t0 = time.perf_counter()
         try:

@@ -14,6 +14,7 @@ engine errors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -181,20 +182,12 @@ class CompletionProvider:
             f"no completion registered for a rank-{fan.rank} fan")
 
     def choose(self, obj: ToricObject) -> CompactificationChoice:
-        completion = self.completion_fan(obj.fan)
-        compact_obj = ToricObject(f"{obj.name}^bar", completion)
-        boundary = ToricLocus(completion,
-                              [c for c in completion.cones
-                               if not obj.fan.contains_cone(c)])
-        return CompactificationChoice(compact_obj, boundary)
+        return _completion_choice(obj, self.completion_fan(obj.fan))
 
 
 def _fan_key(fan: Fan) -> tuple:
     # what makes a Fan equal, without the caches a Fan carries
     return (fan.rank, fan.cones)
-
-
-import functools
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,6 +211,12 @@ def toric_choice(obj: ToricObject, completion: Fan,
         if not completion.contains_cone(c):
             raise MissingCompactificationError(
                 "completion does not contain the object's fan")
+    return _completion_choice(obj, completion, name)
+
+
+def _completion_choice(obj: ToricObject, completion: Fan,
+                       name: Optional[str] = None) -> CompactificationChoice:
+    """The object as a dense open of the completion, the rest as boundary."""
     compact_obj = ToricObject(name or f"{obj.name}^bar", completion)
     boundary = ToricLocus(completion, [c for c in completion.cones
                                        if not obj.fan.contains_cone(c)])

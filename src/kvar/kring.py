@@ -1116,6 +1116,7 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
     node = _as_expr(expr, rels)
 
     presented: dict = {}  # generator name -> its compact presentation, per call
+    presenting: set = set()  # generators whose boundary is being presented
 
     def transform(e: Expr) -> Expr:
         if isinstance(e, (BlowupTotal, ExcDivisor, OpenComplement)):
@@ -1126,6 +1127,10 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
             raise TypeError(f"not an expression node: {e!r}")
         done = presented.get(e.name)
         if done is None:
+            if e.name in presenting:
+                # a zero factor hides it from the dimension check: 0*U
+                raise BoundaryDimensionError(
+                    f"{e.name!r} occurs in the boundary of its own compactification")
             done = presented[e.name] = present(e)
         return done
 
@@ -1149,7 +1154,10 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
                 f"boundary of {e.name!r} does not have strictly smaller dimension"
             )
         # nests once per boundary, whose dimension strictly drops
-        return Diff(entry.compact, _fold(entry.boundary, transform, rebuild))
+        presenting.add(e.name)
+        boundary = _fold(entry.boundary, transform, rebuild)
+        presenting.discard(e.name)
+        return Diff(entry.compact, boundary)
 
     def rebuild(e: Expr, left: Expr, right: Expr) -> Expr:
         return type(e)(left, right)

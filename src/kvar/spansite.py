@@ -275,10 +275,11 @@ class SpanMorphism:
         cones = _source_cones(self.source)
         if not self.window <= cones:
             raise SpanError("window is not a subset of the source's cones")
-        for c in self.window:
-            for f in c.faces():
-                if f in cones and f not in self.window:
-                    raise SpanError("window is not relatively open in the source")
+        if self.window != cones:
+            for c in self.window:
+                for f in c.faces():
+                    if f in cones and f not in self.window:
+                        raise SpanError("window is not relatively open in the source")
         if self.map_desc == TORIC_ID and hasattr(self.target, "fan"):
             tfan = self.target.fan
             for c in self.window:
@@ -298,8 +299,7 @@ class SpanMorphism:
         tfan = self.target.fan
         out = set()
         for c in self.window:
-            container = tfan.smallest_containing(c.representative())
-            out.add(container.rays)
+            out.add(tfan.orbit_of(c).rays)
         return frozenset(out)
 
 
@@ -341,8 +341,7 @@ def compose(second: SpanMorphism, first: SpanMorphism,
     mid_fan = second.source.fan
     window = set()
     for c in first.window:
-        container = mid_fan.smallest_containing(c.representative())
-        if container in second.window:
+        if mid_fan.orbit_of(c) in second.window:
             window.add(c)
     return SpanMorphism(first.source, second.target, window, TORIC_ID, "composite")
 
@@ -650,7 +649,7 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
     e_cones = sq.E.all_cones()
     expected_e = frozenset(
         c for c in sd.fan.cones
-        if sd.center.is_face_of(sd.parent.smallest_containing(c.representative()))
+        if sd.center.is_face_of(sd.parent.orbit_of(c))
     )
     entries.append(CheckEntry(
         "square is Cartesian (E is the preimage of C)",
@@ -935,7 +934,7 @@ def _refinement_square(w_fan: Fan, x_obj: ToricObject, name: str) -> Distinguish
     c_obj = ToricLocusObject(f"{name}-center", ToricLocus(x_obj.fan, subdivided))
     e_cones = frozenset(
         c for c in w_fan.cones
-        if x_obj.fan.smallest_containing(c.representative()) in subdivided
+        if x_obj.fan.orbit_of(c) in subdivided
     )
     w_obj = ToricObject(name, w_fan)
     e_obj = ToricLocusObject(f"{name}-exc", ToricLocus(w_fan, e_cones))
@@ -1095,7 +1094,7 @@ def check_dim_compatible(sq: DistinguishedSquare) -> DimCompatVerdict:
             # toric opens are dense, so failure here means an empty window
             return DimCompatVerdict(
                 "fail", [], "unexpected non-dense toric open")
-        closure = getattr(sq.base, "closure_data", None) or sq.declared_flags.get("closure")
+        closure = sq.declared_flags.get("closure")
         if closure:
             corners = {
                 "upper_left": DeclaredObject(closure["boundary"],

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from kvar import kring
 from kvar.kring import KClass
 
 Vector = Tuple[int, ...]
@@ -175,16 +174,47 @@ class Cone:
                 raise NonPrimitiveRayError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise ToricError("duplicate rays")
-        inst = super().__new__(cls)
-        inst.rank = rank
-        inst.rays = rays
+        inst = cls._blank(key)
+        if inst._lineality_rank() != 0:
+            raise NotStronglyConvexError(f"cone{rays} contains a line")
+        cls._interned[key] = inst
+        return inst
+
+    @classmethod
+    def _blank(cls, key: Tuple[int, Tuple[Vector, ...]]) -> "Cone":
+        inst = object.__new__(cls)
+        inst.rank, inst.rays = key
         inst._hash = hash(key)
         inst._dim = None
         inst._span_eqs = None
         inst._facets = None
         inst._faces = None
-        if inst._lineality_rank() != 0:
-            raise NotStronglyConvexError(f"cone{rays} contains a line")
+        return inst
+
+    @classmethod
+    def product(cls, a: "Cone", b: "Cone") -> "Cone":
+        """The product cone a x b in the sum of the two lattices.
+
+        Its faces are the products of a face of a and a face of b (Fulton,
+        Introduction to Toric Varieties, 1.2), so its facet normals are the
+        factors' facet normals padded with zeros, and so are its span
+        equations; both come out exactly as ``Cone`` computes them from the
+        rays.  Padded primitive rays stay primitive and distinct, and a
+        product of strongly convex cones is strongly convex, so nothing is
+        left to validate.  The result is interned like any cone.
+        """
+        pad_a, pad_b = (0,) * b.rank, (0,) * a.rank
+        rays = sorted([r + pad_a for r in a.rays] + [pad_b + s for s in b.rays])
+        key = (a.rank + b.rank, tuple(rays))
+        cached = cls._interned.get(key)
+        if cached is not None:
+            return cached
+        inst = cls._blank(key)
+        inst._dim = a.dim + b.dim
+        inst._span_eqs = (tuple(e + pad_a for e in a.span_equations)
+                          + tuple(pad_b + e for e in b.span_equations))
+        inst._facets = tuple(sorted([f + pad_a for f in a.facet_normals]
+                                    + [pad_b + f for f in b.facet_normals]))
         cls._interned[key] = inst
         return inst
 
@@ -414,15 +444,27 @@ class Fan:
         self._containing[point] = found
         return found
 
+    def orbit_of(self, cone: Cone) -> Optional[Cone]:
+        """The fan cone whose relative interior holds the cone's relative
+        interior (equivalently, its representative), or None.
+
+        A cone of the fan is its own answer, found by lookup, since the
+        relative interiors of fan cones are disjoint.
+        """
+        found = self._by_rays.get(cone.rays)
+        if found is not None:
+            return found
+        return self.smallest_containing(cone.representative())
+
     def smallest_containing_cone(self, cone: Cone) -> Optional[Cone]:
         """Minimal fan cone containing the given cone entirely, or None.
 
         The relative interior of the cone meets the relative interior of at
         most one fan cone; containment additionally needs every ray inside.
         """
-        container = self.smallest_containing(cone.representative())
-        if container is None:
-            return None
+        container = self.orbit_of(cone)
+        if container is None or container is cone:
+            return container
         if all(container.contains(r) for r in cone.rays):
             return container
         return None
@@ -496,17 +538,19 @@ class Fan:
         if cone_subset is None and "class" in self._flags:
             return self._flags["class"]
         cones = self.cones if cone_subset is None else list(cone_subset)
+        codim_counts: dict = {}
         for c in cones:
             if not self.contains_cone(c):
                 raise ToricError(f"{c} is not a cone of the fan")
-        gm = kring.L - kring.ONE
-        powers = [kring.ONE]
-        total = KClass.zero()
-        for c in cones:
             k = self.rank - c.dim
-            while len(powers) <= k:
-                powers.append(powers[-1] * gm)
-            total = total + powers[k]
+            codim_counts[k] = codim_counts.get(k, 0) + 1
+        # count * (L - 1)^k, expanded binomially into powers of L
+        terms: dict = {}
+        for k, count in codim_counts.items():
+            for j in range(k + 1):
+                coeff = count * math.comb(k, j) * (-1) ** (k - j)
+                terms[(j, ())] = terms.get((j, ()), 0) + coeff
+        total = KClass(terms)
         if cone_subset is None:
             self._flags["class"] = total
         return total
@@ -585,13 +629,7 @@ class Fan:
 
 @functools.lru_cache(maxsize=None)
 def _product_fan(a: Fan, b: Fan) -> Fan:
-    n, m = a.rank, b.rank
-    cones = set()
-    for ca in a.cones:
-        for cb in b.cones:
-            rays = [r + (0,) * m for r in ca.rays] + [(0,) * n + s for s in cb.rays]
-            cones.add(Cone(n + m, rays))
-    return Fan(n + m, cones)
+    return Fan(a.rank + b.rank, {Cone.product(ca, cb) for ca in a.cones for cb in b.cones})
 
 
 def sort_rays_ccw(rays: Iterable[Vector]) -> List[Vector]:
@@ -789,29 +827,28 @@ def complete_surface(fan: Fan) -> Fan:
 class ToricVariety:
     """A fan together with the derived membership flags."""
 
-    __slots__ = ("fan", "_props")
+    __slots__ = ("fan",)
 
     def __init__(self, fan: Fan):
         self.fan = fan
-        self._props = None
 
     @property
     def properties(self) -> FanProperties:
-        if self._props is None:
-            self._props = fan_properties(self.fan)
-        return self._props
+        return fan_properties(self.fan)
 
+    # each flag alone: the fan caches them, and completeness is far cheaper
+    # than smoothness
     @property
     def complete(self) -> bool:
-        return self.properties.complete
+        return self.fan.is_complete()
 
     @property
     def smooth(self) -> bool:
-        return self.properties.smooth
+        return self.fan.is_smooth()
 
     @property
     def dim(self) -> int:
-        return self.properties.dimension
+        return self.fan.dimension()
 
     def is_empty(self) -> bool:
         return self.fan.is_empty()

@@ -8,14 +8,18 @@ import sys
 
 import pytest
 
+from kvar import corpus
 from kvar.cli import (
     InputError,
+    Report,
     RunConfig,
     _corpus_measures,
     build_parser,
     config_from_args,
     run,
+    run_corpus_checks,
 )
+from kvar.csupport import CompletionProvider, consistency_check
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -125,7 +129,16 @@ def test_exit_code_contract(tmp_path):
     no_rank.write_text('{"rays": [[1, 0]], "maximal_cones": [[0]]}')
     no_slots = tmp_path / "no_slots.json"
     no_slots.write_text('[{"kind": "open", "dims": {"X": 1}}]')
+    no_kind = tmp_path / "no_kind.json"
+    no_kind.write_text('{"checks": [{"object": "P2"}]}')
+    list_suite = tmp_path / "list_suite.json"
+    list_suite.write_text('[]')
+    bad_measure = tmp_path / "bad_measure.json"
+    bad_measure.write_text('{"checks": [{"kind": "kunneth", "x": "P1", "y": "P1", "measure": 5}]}')
     for argv in (["check", "--suite", str(tmp_path / "nonexistent.json")],
+                 ["check", "--suite", str(no_kind)],
+                 ["check", "--suite", str(list_suite)],
+                 ["check", "--suite", str(bad_measure)],
                  ["check", "--corpus-seed", "1", "--corpus-size", "2", "--measure", "chi2"],
                  ["check", "--corpus-seed", "1", "--corpus-size", "2", "--measure", "count:x"],
                  ["check"],
@@ -166,6 +179,35 @@ def test_corpus_report_bytes_are_pinned(tmp_path, cli_child_env):
         check=True, env=cli_child_env("0"))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "aa7e8ae851a0cfa7c9aa127117f17be975f532226a7948de7a4261f8ac656da9")
+    # size 50 runs every check kind and repeats Kunneth pairs
+    subprocess.run(
+        [sys.executable, "-m", "kvar.cli", "check", "--corpus-seed", "1",
+         "--corpus-size", "50", "--format", "json", "--out", str(out)],
+        check=True, env=cli_child_env("0"))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0b8ca5554e3d632aae24b379cc21ce30cdac61701a3b0c857d475af8508c8745")
+
+
+def test_repeated_kunneth_pair_matches_its_first_check():
+    report = Report({})
+    run_corpus_checks(report, 1, 10, ["euler", "e"])
+    corp = corpus.generate(1, 10)
+    phis = {phi.name: phi for phi in _corpus_measures(["euler", "e"])}
+    first, repeats = {}, 0
+    for rec in report.records:
+        if rec.kind != "kunneth":
+            continue
+        a, b = corp.kunneth_pairs[int(rec.id[len("kunneth["):rec.id.index("]")])]
+        key = (a.name, b.name, rec.id.rpartition(":")[2])
+        if key not in first:
+            first[key] = (rec.lhs, rec.rhs, rec.status)
+            continue
+        repeats += 1
+        assert (rec.lhs, rec.rhs, rec.status) == first[key]
+        if repeats <= 20:  # and both agree with a check on a fresh provider
+            fresh = consistency_check("kunneth", phis[key[2]], (a, b), CompletionProvider())
+            assert (fresh.lhs, fresh.rhs, fresh.status) == first[key]
+    assert repeats > 20
 
 
 def test_run_config_requires_corpus_or_suite():

@@ -261,6 +261,23 @@ def test_g_map_missing_entry_and_bad_boundary():
         g_map("U", table, rels)
 
 
+def test_g_map_rejects_a_boundary_that_names_its_generator():
+    # 0*U has dimension -1, so only the generator check stops the expansion
+    rels = RelationSet()
+    rels.declare_generator("U", 1)
+    rels.declare_generator("V", 1)
+    table = CompactificationTable()
+    table.set("U", "P1", "0*U", rels)
+    with pytest.raises(BoundaryDimensionError, match="'U' occurs in the boundary"):
+        g_map("U", table, rels)
+    table.set("U", "P1", "0*V", rels)
+    table.set("V", "P1", "0*U", rels)
+    with pytest.raises(BoundaryDimensionError):
+        g_map("V", table, rels)
+    table.set("V", "P1", "pt", rels)  # a generator may repeat outside its own boundary
+    assert g_map("U + V + U*V", table, rels).kclass == normalize("2*P1 - pt + (P1 - pt)*P1")
+
+
 def test_g_map_roundtrip_random_expressions():
     import random
 

@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kvar import toric
+from kvar import corpus, toric
 from kvar.kring import KClass
 from kvar.toric import (
     Cone,
@@ -21,6 +22,8 @@ from kvar.toric import (
     builtin_fan,
     complete_surface,
     fan_properties,
+    mat_rank,
+    nullspace,
     open_subfan,
     star_fan,
     star_subdivide,
@@ -94,6 +97,33 @@ def test_failed_cone_leaves_no_intern_entry():
         assert key not in Cone._interned
         with pytest.raises(error):  # and fails again, not from a stale entry
             Cone(rank, rays)
+
+
+def _factor_cones():
+    fans = [builtin_fan(n) for n in toric.BUILTIN_FAN_NAMES]
+    fans += [o.fan for o in corpus.generate(1, 10).surfaces]
+    return sorted({c for f in fans for c in f.cones}, key=lambda c: (c.rank, c.rays))
+
+
+def test_product_cone_matches_the_cone_of_its_rays():
+    # most of these products are first built here, from their factors
+    cones = _factor_cones()
+    for a in cones:
+        for b in cones:
+            p = Cone.product(a, b)
+            rays = [r + (0,) * b.rank for r in a.rays] + [(0,) * a.rank + s for s in b.rays]
+            assert (p.rank, p.rays) == (a.rank + b.rank, tuple(sorted(rays)))
+            assert p.dim == mat_rank(p.rays)
+            assert p.span_equations == tuple(nullspace(p.rays, p.rank))
+            assert p.facet_normals == Cone._blank((p.rank, p.rays))._compute_facets()
+
+
+def test_product_cone_is_interned_with_the_cone_of_its_rays():
+    # cones no other test builds first
+    p = Cone.product(Cone(1, [(1,)]), Cone(2, [(3, 1), (1, 4)]))
+    assert Cone(3, [(1, 0, 0), (0, 3, 1), (0, 1, 4)]) is p
+    q = Cone(3, [(5, 2, 0), (1, 7, 0), (0, 0, 1)])
+    assert Cone.product(Cone(2, [(5, 2), (1, 7)]), Cone(1, [(1,)])) is q
 
 
 # -- fan construction ------------------------------------------------------------
@@ -216,6 +246,21 @@ def test_class_additivity_over_subfans():
     sub = fan.subfan(set(maximal[0].faces()) | {Cone(2, [])})
     complement = [c for c in fan.cones if c not in sub.cones]
     assert fan.class_of() == sub.class_of() + fan.class_of(complement)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_class_of_is_the_sum_over_its_cones(data):
+    fan = builtin_fan(data.draw(st.sampled_from(toric.BUILTIN_FAN_NAMES + ("Hirzebruch(2)",))))
+    if data.draw(st.booleans()):
+        fan = builtin_fan("P1").product(fan)
+    subset = data.draw(st.sets(st.sampled_from(sorted(fan.cones, key=lambda c: c.rays))))
+    gm = KClass.lefschetz() - KClass.from_int(1)
+    expected = KClass.zero()
+    for c in subset:
+        expected = expected + gm ** (fan.rank - c.dim)
+    assert fan.class_of(subset) == expected
+    assert fan.class_of() == fan.class_of(list(fan.cones))
 
 
 def test_orbit_count_consistency():
@@ -343,6 +388,18 @@ def test_variety_flags():
     assert ToricVariety(Fan(2, [])).is_compact()  # the empty variety is proper
 
 
+def test_orbit_of_is_the_cone_holding_the_representative():
+    corp = corpus.generate(1, 10)
+    for fan in corp.all_fans():
+        for c in fan.cones:
+            assert fan.orbit_of(c) is fan.smallest_containing(c.representative()) is c
+    # cones of a subdivision are mostly not cones of the parent fan
+    for sq in corp.squares:
+        parent = sq.base.fan
+        for c in sq.Y.fan.cones:
+            assert parent.orbit_of(c) is parent.smallest_containing(c.representative())
+
+
 def test_builtin_fan_names():
     for name in toric.BUILTIN_FAN_NAMES:
         builtin_fan(name)
@@ -360,7 +417,6 @@ def _maximal_by_subset_scan(fan):
 
 
 def test_maximal_cones_match_the_subset_scan():
-    from kvar import corpus
     corp = corpus.generate(1, 10)
     fans = [builtin_fan(n) for n in toric.BUILTIN_FAN_NAMES]
     fans += [Fan(2, []), builtin_fan("P1").product(builtin_fan("Gm"))]
