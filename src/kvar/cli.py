@@ -33,9 +33,8 @@ from kvar.csupport import (
     extend_measure,
     independence_check,
     additivity_check,
-    oracle_value,
 )
-from kvar.measures import MeasureSpec, MeasureValue, apply_measure, h_vector, weight_report
+from kvar.measures import MeasureSpec, MeasureValue, apply_measure, weight_report
 from kvar.spansite import (
     ToricObject,
     check_c_complete,
@@ -110,7 +109,7 @@ class Report:
     def counts(self) -> dict:
         out = {"pass": 0, "fail": 0, "skipped": 0}
         for r in self.records:
-            out[r.status.split("(")[0]] = out.get(r.status.split("(")[0], 0) + 1
+            out[r.status] += 1
         return out
 
     def ok(self) -> bool:
@@ -156,17 +155,19 @@ def _load_json(path: str):
 
 def _measure_from_record(rec) -> MeasureOnCompacts:
     """A suite check's measure: a selector, or an object with a "selector"
-    and an optional "perturb" of a builtin "target" fan."""
+    and an optional "perturb" of a builtin "target" fan by an integer
+    "delta"."""
     if isinstance(rec, str):
         return MeasureOnCompacts(MeasureSpec.parse(rec))
     perturb = rec.get("perturb") if isinstance(rec, dict) else None
     target = perturb.get("target", "P2") if isinstance(perturb, dict) else None
+    delta = perturb.get("delta", 1) if isinstance(perturb, dict) else None
     if not (isinstance(rec, dict) and isinstance(rec.get("selector"), str)
-            and (not perturb or isinstance(target, str))):
+            and (not perturb or (isinstance(target, str) and type(delta) is int))):
         raise InputError(f"suite file: {json.dumps(rec)} is not a measure")
     base = MeasureOnCompacts(MeasureSpec.parse(rec["selector"]))
     if perturb:
-        return PerturbedMeasure(base, toric.builtin_fan(target), perturb.get("delta", 1))
+        return PerturbedMeasure(base, toric.builtin_fan(target), delta)
     return base
 
 
@@ -451,7 +452,7 @@ def run_suite(report: Report, suite: dict, depth: int) -> None:
                                        (get_object(rec["x"]), get_object(rec["y"])),
                                        provider)
             else:
-                report.add(Record(rec_id, kind, "skipped(unknown kind)"))
+                report.add(Record(rec_id, kind, "skipped", note="unknown kind"))
                 continue
         except Exception as exc:  # suite records stay isolated
             report.add(Record(rec_id, kind, "fail", note=f"error: {exc}"))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Tuple
 
 from kvar import toric
 from kvar.csupport import CompactificationChoice, CompletionProvider, toric_choice

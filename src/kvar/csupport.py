@@ -15,28 +15,23 @@ engine errors.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from kvar import measures, toric
-from kvar.kring import KClass
+from kvar import toric
+from kvar.kring import KClass, MissingCompactificationError
 from kvar.measures import MeasureSpec, MeasureValue, apply_measure
 from kvar.spansite import (
-    EMPTY,
     DeclaredObject,
     DistinguishedSquare,
     SiteObject,
     ToricLocusObject,
     ToricObject,
 )
-from kvar.toric import Cone, Fan, ToricLocus, ToricVariety
+from kvar.toric import Cone, Fan, ToricLocus
 
 
 class CSupportError(Exception):
-    pass
-
-
-class MissingCompactificationError(CSupportError):
     pass
 
 
@@ -138,9 +133,6 @@ class CompactificationChoice:
     compact_obj: SiteObject
     boundary: Union[ToricLocus, SiteObject]
 
-    def boundary_dim(self) -> int:
-        return self.boundary.dim if hasattr(self.boundary, "dim") else -1
-
 
 class CompletionProvider:
     """Supplies a completion fan for every non-compact toric object it
@@ -159,11 +151,7 @@ class CompletionProvider:
         self._extensions: Dict[object, Dict[tuple, "ExtensionResult"]] = {}
 
     def register(self, fan: Fan, completion: Fan) -> None:
-        if not completion.is_complete():
-            raise MissingCompactificationError("registered completion is not complete")
-        if not all(completion.contains_cone(c) for c in fan.cones):
-            raise MissingCompactificationError(
-                "registered completion does not contain the fan")
+        _check_completion(fan, completion)
         if self._registry.get(fan) != completion:
             # extensions over this fan went through its old completion
             self._extensions.pop(_fan_key(fan), None)
@@ -205,13 +193,15 @@ def toric_choice(obj: ToricObject, completion: Fan,
                  name: Optional[str] = None) -> CompactificationChoice:
     """Explicit compactification of a toric object by a completion fan
     containing its fan as a subfan."""
+    _check_completion(obj.fan, completion)
+    return _completion_choice(obj, completion, name)
+
+
+def _check_completion(fan: Fan, completion: Fan) -> None:
     if not completion.is_complete():
         raise MissingCompactificationError("completion fan is not complete")
-    for c in obj.fan.cones:
-        if not completion.contains_cone(c):
-            raise MissingCompactificationError(
-                "completion does not contain the object's fan")
-    return _completion_choice(obj, completion, name)
+    if not all(completion.contains_cone(c) for c in fan.cones):
+        raise MissingCompactificationError("completion does not contain the fan")
 
 
 def _completion_choice(obj: ToricObject, completion: Fan,
@@ -381,19 +371,6 @@ class CheckReport:
     @property
     def status(self) -> str:
         return "pass" if self.passed else "fail"
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.kind,
-            "measure": self.measure,
-            "subject": self.subject,
-            "status": self.status,
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
-            "note": self.note,
-            "trace": [f"{s.object_desc} in {s.compactification} (depth {s.depth})"
-                      for s in self.trace],
-        }
 
 
 def additivity_check(phi: MeasureOnCompacts, x_obj: ToricObject,

@@ -11,7 +11,7 @@ Every expression normalizes to a canonical :class:`KClass`: an integer
 polynomial in the Lefschetz class L (the class of the affine line) plus a
 sorted list of residual terms for generators that no relation eliminates.
 Relations are oriented so that the eliminated generator is strictly largest
-in a fixed well-founded order (dimension, declaration index, name), which
+in a fixed well-founded order (dimension, role priority, name), which
 makes the rewrite system terminating; a step budget and a confluence check
 turn malformed relation sets into clean errors.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 
 class KringError(Exception):
@@ -128,14 +128,8 @@ class KClass:
             sorted((m[0], m[1], c) for m, c in self._terms.items() if m[1])
         )
 
-    def is_lpolynomial(self) -> bool:
-        return all(not m[1] for m in self._terms)
-
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coefficient(self, l_exp: int, names: tuple = ()) -> int:
-        return self._terms.get((l_exp, tuple(sorted(names))), 0)
 
     # -- ring operations -----------------------------------------------------
 
@@ -396,24 +390,23 @@ class GenInfo:
     name: str
     dim: int
     compact: bool
-    index: int  # declaration order; builtins get -1
 
 
 def builtin_info(name: str) -> Optional[GenInfo]:
     if name == "pt":
-        return GenInfo("pt", 0, True, -1)
+        return GenInfo("pt", 0, True)
     if name == "empty":
-        return GenInfo("empty", -1, True, -1)
+        return GenInfo("empty", -1, True)
     if name == "Gm":
-        return GenInfo("Gm", 1, False, -1)
+        return GenInfo("Gm", 1, False)
     if name == "L":
-        return GenInfo("L", 1, False, -1)
+        return GenInfo("L", 1, False)
     m = _BUILTIN_SERIES.match(name)
     if m:
         n = int(m.group(2))
         if m.group(1) == "A":
-            return GenInfo(name, n, n == 0, -1)
-        return GenInfo(name, n, True, -1)
+            return GenInfo(name, n, n == 0)
+        return GenInfo(name, n, True)
     return None
 
 
@@ -504,7 +497,7 @@ class RelationSet:
             if known.dim != dim or known.compact != compact:
                 raise InvalidRelationError(f"conflicting declarations for {name!r}")
             return
-        self._gens[name] = GenInfo(name, dim, compact, len(self._gens))
+        self._gens[name] = GenInfo(name, dim, compact)
         self._resolved.clear()
         self._index = None
 
@@ -519,9 +512,6 @@ class RelationSet:
 
     def knows(self, name: str) -> bool:
         return name in self._gens or builtin_info(name) is not None
-
-    def generator_names(self):
-        return tuple(self._gens)
 
     # -- relations -----------------------------------------------------------
 
@@ -743,21 +733,6 @@ class RelationSet:
                                   _field(rec, i, "dims", dict, None, values=int),
                                   _field(rec, i, "compact", dict, None, values=bool))
         return rels
-
-    def to_json(self) -> list:
-        out = []
-        for info in sorted(self._gens.values(), key=lambda g: g.index):
-            out.append({"kind": "generator", "name": info.name,
-                        "dim": info.dim, "compact": info.compact})
-        for rel in self.relations:
-            slots = dict(rel.slots)
-            out.append({
-                "kind": rel.kind,
-                "slots": slots,
-                "dims": {n: self.info(n).dim for n in slots.values()},
-                "compact": {n: self.info(n).compact for n in slots.values()},
-            })
-        return out
 
 
 _REQUIRED = object()

@@ -10,7 +10,7 @@ integer polynomials in a single variable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple, Union
 
 from kvar.kring import KClass, KringError
@@ -300,14 +300,6 @@ class WeightReport:
     purity: Optional[bool]                # None when no verdict applies
     mixed: bool
     note: str = ""
-
-    def to_json(self):
-        return {
-            "weights": [list(w) for w in self.weights],
-            "purity": self.purity,
-            "mixed": self.mixed,
-            "note": self.note,
-        }
 
 
 def weight_report(value: MeasureValue, smooth: bool, compact: bool,

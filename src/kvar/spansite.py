@@ -44,23 +44,11 @@ class MissingPullbackError(SpanError):
 # site objects
 
 class SiteObject:
-    """Common surface of toric and declared objects."""
+    """Common surface of toric and declared objects: a name, ``dim``,
+    ``is_compact()``, ``is_empty()`` and ``kclass()``.  Toric objects and
+    the empty object also expose their orbits as the cone set ``cones``."""
 
     name: str
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    def is_compact(self) -> bool:
-        raise NotImplementedError
-
-    def is_empty(self) -> bool:
-        raise NotImplementedError
-
-    @property
-    def backend(self) -> str:
-        raise NotImplementedError
 
     def kclass(self) -> Optional[KClass]:
         return None
@@ -73,6 +61,7 @@ class ToricObject(SiteObject):
     def __init__(self, name: str, variety: Union[ToricVariety, Fan]):
         self.name = name
         self.variety = variety if isinstance(variety, ToricVariety) else ToricVariety(variety)
+        self.cones = self.variety.fan.cones
 
     @property
     def fan(self) -> Fan:
@@ -96,24 +85,15 @@ class ToricObject(SiteObject):
     def is_empty(self) -> bool:
         return self.variety.is_empty()
 
-    @property
-    def backend(self) -> str:
-        return "toric"
-
     def kclass(self) -> KClass:
         return self.variety.kclass()
-
-    def all_cones(self) -> FrozenSet[Cone]:
-        return self.fan.cones
-
-    def orbit_keys(self) -> FrozenSet[tuple]:
-        return frozenset(c.rays for c in self.fan.cones)
 
 
 class ToricLocusObject(SiteObject):
     def __init__(self, name: str, locus: ToricLocus):
         self.name = name
         self.locus = locus
+        self.cones = locus.cones
 
     @property
     def fan(self) -> Fan:
@@ -129,31 +109,19 @@ class ToricLocusObject(SiteObject):
     def is_empty(self) -> bool:
         return self.locus.is_empty()
 
-    @property
-    def backend(self) -> str:
-        return "toric"
-
     def kclass(self) -> KClass:
         return self.locus.kclass()
-
-    def all_cones(self) -> FrozenSet[Cone]:
-        return self.locus.cones
-
-    def orbit_keys(self) -> FrozenSet[tuple]:
-        return frozenset(c.rays for c in self.locus.cones)
 
 
 class DeclaredObject(SiteObject):
     def __init__(self, name: str, dim: int, compact: bool,
-                 components: Optional[Tuple[str, ...]] = None,
-                 closure_of: Optional[str] = None):
+                 components: Optional[Tuple[str, ...]] = None):
         if dim < -1:
             raise SpanError(f"dimension {dim} < -1")
         self.name = name
         self._dim = dim
         self._compact = compact
         self.components = components
-        self.closure_of = closure_of
 
     @property
     def dim(self) -> int:
@@ -165,15 +133,12 @@ class DeclaredObject(SiteObject):
     def is_empty(self) -> bool:
         return self._dim == -1
 
-    @property
-    def backend(self) -> str:
-        return "declared"
-
 
 class EmptyObject(SiteObject):
     """The empty variety: dimension -1, initial for spans of either backend."""
 
     name = "empty"
+    cones: FrozenSet[Cone] = frozenset()
 
     @property
     def dim(self) -> int:
@@ -185,21 +150,21 @@ class EmptyObject(SiteObject):
     def is_empty(self) -> bool:
         return True
 
-    @property
-    def backend(self) -> str:
-        return "any"
-
     def kclass(self) -> KClass:
         return KClass.zero()
 
-    def all_cones(self):
-        return frozenset()
-
-    def orbit_keys(self):
-        return frozenset()
-
 
 EMPTY = EmptyObject()
+
+# the objects with a fan, and those together with the empty object: the
+# objects whose windows are cone sets
+FAN_BACKED = (ToricObject, ToricLocusObject)
+TORIC_OBJECTS = FAN_BACKED + (EmptyObject,)
+
+
+def _ray_keys(obj: SiteObject) -> FrozenSet[tuple]:
+    """Ray-set keys of the orbits of a toric object."""
+    return frozenset(c.rays for c in obj.cones)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +245,7 @@ class SpanMorphism:
                 for f in c.faces():
                     if f in cones and f not in self.window:
                         raise SpanError("window is not relatively open in the source")
-        if self.map_desc == TORIC_ID and hasattr(self.target, "fan"):
+        if self.map_desc == TORIC_ID and isinstance(self.target, FAN_BACKED):
             tfan = self.target.fan
             for c in self.window:
                 if tfan.smallest_containing_cone(c) is None:
@@ -294,7 +259,7 @@ class SpanMorphism:
         """Ray-set keys of the target orbits hit by the window."""
         if self.is_zero():
             return frozenset()
-        if isinstance(self.window, str) or not hasattr(self.target, "fan"):
+        if isinstance(self.window, str) or not isinstance(self.target, FAN_BACKED):
             raise BackendMismatchError("orbit images are a toric-backend computation")
         tfan = self.target.fan
         out = set()
@@ -304,14 +269,14 @@ class SpanMorphism:
 
 
 def _source_cones(obj: SiteObject) -> FrozenSet[Cone]:
-    if hasattr(obj, "all_cones"):
-        return obj.all_cones()
+    if isinstance(obj, TORIC_OBJECTS):
+        return obj.cones
     raise BackendMismatchError(f"{obj.name} has no toric cone data")
 
 
 def identity_span(obj: SiteObject) -> SpanMorphism:
-    if isinstance(obj, (ToricObject, ToricLocusObject, EmptyObject)):
-        return SpanMorphism(obj, obj, _source_cones(obj), TORIC_ID, "identity")
+    if isinstance(obj, TORIC_OBJECTS):
+        return SpanMorphism(obj, obj, obj.cones, TORIC_ID, "identity")
     return SpanMorphism(obj, obj, "all", _declared_map("id"), "identity")
 
 
@@ -402,8 +367,7 @@ class DistinguishedSquare:
     @property
     def backend(self) -> str:
         return "toric" if all(
-            isinstance(o, (ToricObject, ToricLocusObject, EmptyObject))
-            for o in self.corners.values()
+            isinstance(o, TORIC_OBJECTS) for o in self.corners.values()
         ) else "declared"
 
     def corner_classes(self) -> Optional[dict]:
@@ -508,13 +472,6 @@ class SquareValidation:
     def ok(self) -> bool:
         return all(e.status != "fail" for e in self.entries)
 
-    def to_json(self):
-        return {
-            "checks": [{"condition": e.condition, "status": e.status, "note": e.note}
-                       for e in self.entries],
-            "jointly_surjective": self.jointly_surjective,
-        }
-
 
 def _proper_status(span: SpanMorphism) -> CheckEntry:
     """Decide properness of a toric span where the support comparison is
@@ -526,17 +483,17 @@ def _proper_status(span: SpanMorphism) -> CheckEntry:
     if isinstance(span.window, str):
         return CheckEntry(cond, "trusted", "declared map")
     if isinstance(span.source, ToricLocusObject):
-        if span.window == span.source.all_cones() and span.source.locus.is_closed():
-            if getattr(span.target, "fan", None) == span.source.locus.fan:
+        if span.window == span.source.cones and span.source.locus.is_closed():
+            if isinstance(span.target, FAN_BACKED) and span.target.fan == span.source.locus.fan:
                 return CheckEntry(cond, "pass", "closed immersion")
             if span.source.locus.is_compact():
                 return CheckEntry(cond, "pass", "the source locus is compact")
         return CheckEntry(cond, "trusted", span.proper_reason)
     if not isinstance(span.source, ToricObject):
         return CheckEntry(cond, "trusted", span.proper_reason)
-    tfan = getattr(span.target, "fan", None)
-    if tfan is None:
+    if not isinstance(span.target, FAN_BACKED):
         return CheckEntry(cond, "trusted", "target has no fan")
+    tfan = span.target.fan
     window_fan = Fan(span.source.fan.rank, span.window)
     if frozenset(window_fan.cones) == frozenset(tfan.cones):
         return CheckEntry(cond, "pass", "window equals the target fan")
@@ -632,7 +589,7 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
         expected = frozenset(c for c in x_obj.fan.cones if c not in window)
         entries.append(CheckEntry(
             "upper left is the closed complement",
-            "pass" if comp.all_cones() == expected else "fail", ""))
+            "pass" if comp.cones == expected else "fail", ""))
         entries.append(CheckEntry(
             "lower left is empty",
             "pass" if sq.corners["lower_left"].is_empty() else "fail", ""))
@@ -640,13 +597,12 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
         # joint surjectivity of {i, p} over the base U: the p window is U itself
         covered = sq.p_leg.orbit_image() | (frozenset() if sq.i_leg.is_zero()
                                             else sq.i_leg.orbit_image())
-        base_orbits = sq.base.orbit_keys()
-        joint = base_orbits <= covered
+        joint = _ray_keys(sq.base) <= covered
         sq.validation = SquareValidation(entries, joint)
         return sq.validation
 
     sd: StarSubdivision = sq.provenance
-    e_cones = sq.E.all_cones()
+    e_cones = sq.E.cones
     expected_e = frozenset(
         c for c in sd.fan.cones
         if sd.center.is_face_of(sd.parent.orbit_of(c))
@@ -666,7 +622,7 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
         "pass" if off_y == off_x else "fail",
         "cones away from the center coincide"))
     covered = sq.p_leg.orbit_image() | sq.i_leg.orbit_image()
-    joint = sq.base.orbit_keys() <= covered
+    joint = _ray_keys(sq.base) <= covered
     sq.validation = SquareValidation(entries, joint)
     return sq.validation
 
@@ -677,8 +633,7 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
 class SitePresentation:
     """Finite site: objects, generating spans, and distinguished squares."""
 
-    def __init__(self, backend: str = "toric"):
-        self.backend = backend
+    def __init__(self):
         self.objects: Dict[str, SiteObject] = {"empty": EMPTY}
         self.morphisms: List[SpanMorphism] = []
         self.squares: List[DistinguishedSquare] = []
@@ -713,7 +668,7 @@ class SitePresentation:
         morphisms: [{src, window, map, tgt}], squares: [{kind, corners, maps}]}."""
         if isinstance(data, str):
             data = json.loads(data)
-        site = SitePresentation(backend=data.get("backend", "declared"))
+        site = SitePresentation()
         for rec in data.get("objects", []):
             ref = rec.get("backend_ref")
             if ref and ref != "declared":
@@ -722,13 +677,12 @@ class SitePresentation:
             elif rec["name"] != "empty":
                 site.add_object(DeclaredObject(
                     rec["name"], rec["dim"], rec.get("compact", False),
-                    components=tuple(rec["components"]) if rec.get("components") else None,
-                    closure_of=rec.get("closure_of")))
+                    components=tuple(rec["components"]) if rec.get("components") else None))
         for rec in data.get("morphisms", []):
             src = site.objects[rec["src"]]
             tgt = site.objects[rec["tgt"]]
             window = rec.get("window", "all")
-            if isinstance(window, list) and hasattr(src, "fan"):
+            if isinstance(window, list) and isinstance(src, FAN_BACKED):
                 rays = src.fan.rays
                 window = frozenset(
                     Cone(src.fan.rank, [rays[i] for i in ix]) for ix in window
@@ -736,10 +690,10 @@ class SitePresentation:
                 window = frozenset().union(*[frozenset(c.faces()) for c in window]) \
                     if window else frozenset()
             elif window == "all":
-                window = _source_cones(src) if hasattr(src, "all_cones") else "all"
+                window = src.cones if isinstance(src, TORIC_OBJECTS) else "all"
             site.add_morphism(SpanMorphism(
                 src, tgt, window,
-                TORIC_ID if hasattr(src, "fan") else _declared_map(rec.get("map", "f")),
+                TORIC_ID if isinstance(src, FAN_BACKED) else _declared_map(rec.get("map", "f")),
                 "declared"))
         for rec in data.get("squares", []):
             corners = {role: site.objects[name]
@@ -813,7 +767,7 @@ class SimpleCover:
         for leaf in self.leaves():
             if not leaf.is_zero():
                 hit = hit | leaf.orbit_image()
-        return self.root.orbit_keys() <= hit
+        return _ray_keys(self.root) <= hit
 
     def __repr__(self):
         return f"SimpleCover({self.root.name}, {len(self.leaves())} leaves, depth {self.depth()})"
@@ -871,13 +825,13 @@ def factors_through(g: SpanMorphism, leg: SpanMorphism) -> bool:
     if isinstance(g.window, str) or isinstance(leg.window, str):
         return False
     # closed-immersion-style legs: factoring is orbit-image containment
-    if isinstance(leg.source, ToricLocusObject) and leg.window == leg.source.all_cones():
+    if isinstance(leg.source, ToricLocusObject) and leg.window == leg.source.cones:
         if g.target is leg.target:
-            return g.orbit_image() <= frozenset(c.rays for c in leg.source.all_cones())
+            return g.orbit_image() <= _ray_keys(leg.source)
     # try the maximal lift: a full-window span into the leg's source
-    if g.target is leg.target and hasattr(leg.source, "fan") \
-            and isinstance(g.source, (ToricObject, ToricLocusObject)):
-        source_cones = _source_cones(g.source)
+    if g.target is leg.target and isinstance(leg.source, FAN_BACKED) \
+            and isinstance(g.source, FAN_BACKED):
+        source_cones = g.source.cones
         tfan = leg.source.fan
         if all(tfan.smallest_containing_cone(c) is not None for c in source_cones):
             h = SpanMorphism(g.source, leg.source, source_cones, TORIC_ID, "lift")

@@ -101,6 +101,34 @@ def test_check_empty_suite(tmp_path):
     assert report.counts == {"pass": 0, "fail": 0, "skipped": 0}
 
 
+def test_check_suite_unknown_kind_is_skipped(tmp_path, cli_child_env):
+    path = tmp_path / "suite.json"
+    path.write_text('{"checks": [{"kind": "no_such_check"}]}')
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-m", "kvar.cli", "check", "--suite", str(path),
+                           "--format", "json", "--out", str(out)], env=cli_child_env("0"))
+    assert proc.returncode == 0
+    payload = json.loads(out.read_text())
+    assert [(r["status"], r["note"]) for r in payload["records"]] == [("skipped", "unknown kind")]
+    assert payload["summary"] == {"pass": 0, "fail": 0, "skipped": 1}
+
+
+def test_suite_fixture_report_is_pinned(tmp_path, cli_child_env):
+    # the fixture's fail records are the evidence that descent violations
+    # are detected; the header is left out, as it holds the suite path
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kvar.cli", "check", "--suite",
+         str(FIXTURES / "perturbed_suite.json"), "--format", "json", "--out", str(out)],
+        env=cli_child_env("0"))
+    assert proc.returncode == 1
+    payload = json.loads(out.read_text())
+    body = json.dumps({"records": payload["records"], "summary": payload["summary"]},
+                      sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "310d4b75f3acae559784134d97a3132a8b6339dce67b44813f0579c703d3a673")
+
+
 def test_check_corpus_small():
     report = run_cli("check", "--corpus-seed", "3", "--corpus-size", "4",
                      "--measure", "euler")
@@ -135,7 +163,15 @@ def test_exit_code_contract(tmp_path):
     list_suite.write_text('[]')
     bad_measure = tmp_path / "bad_measure.json"
     bad_measure.write_text('{"checks": [{"kind": "kunneth", "x": "P1", "y": "P1", "measure": 5}]}')
+    bad_deltas = []
+    for j, delta in enumerate(('"x"', "[1]", "2.5", "true")):
+        bad_deltas.append(tmp_path / f"bad_delta{j}.json")
+        bad_deltas[-1].write_text(
+            '{"checks": [{"kind": "blowup_descent", "object": "P2", "ray": [1, 1], '
+            '"measure": {"selector": "euler", "perturb": {"target": "P2", "delta": %s}}}]}'
+            % delta)
     for argv in (["check", "--suite", str(tmp_path / "nonexistent.json")],
+                 *(["check", "--suite", str(path)] for path in bad_deltas),
                  ["check", "--suite", str(no_kind)],
                  ["check", "--suite", str(list_suite)],
                  ["check", "--suite", str(bad_measure)],

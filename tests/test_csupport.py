@@ -2,8 +2,9 @@
 
 import pytest
 
-from kvar import toric
+from kvar import kring, toric
 from kvar.csupport import (
+    CompactificationChoice,
     CompletionProvider,
     CSupportError,
     MeasureDomainError,
@@ -22,7 +23,7 @@ from kvar.csupport import (
     virtual_poincare_measure,
 )
 from kvar.measures import MeasureSpec, MeasureValue
-from kvar.spansite import ToricLocusObject, ToricObject, star_subdivision_square
+from kvar.spansite import DeclaredObject, ToricLocusObject, ToricObject, star_subdivision_square
 from kvar.toric import Fan, ToricLocus, builtin_fan
 
 
@@ -87,10 +88,55 @@ def test_locus_extension_orbitwise(provider):
     assert value == uv(0, 3)  # class 3L
 
 
-def test_missing_completion_is_an_error():
-    rank4 = ToricObject("X4", builtin_fan("A2").product(builtin_fan("A2")))
+def test_non_closed_loci_decompose_into_tori(provider):
+    # neither closed nor compact: the value is a sum over torus orbits
+    loci = []
+    for name in ("A2", "P2", "P1xP1"):
+        fan = builtin_fan(name)
+        loci.append(ToricLocus(fan, [c for c in fan.cones if c.dim == 0]))
+    p2 = builtin_fan("P2")
+    loci.append(ToricLocus(p2, [c for c in p2.cones if c.dim == 1]))
+    for i, locus in enumerate(loci):
+        o = ToricLocusObject(f"locus{i}", locus)
+        assert not locus.is_closed() and not o.is_compact()
+        for phi in (euler_measure(), e_polynomial_measure(),
+                    virtual_poincare_measure(), point_count_measure(3)):
+            result = extend_measure(phi, o, provider)
+            assert result.value == oracle_value(phi, o)
+            assert result.max_depth() <= o.dim + 1
+    torus = ToricLocusObject("T", loci[0])
+    assert str(extend_measure(e_polynomial_measure(), torus, provider).value) \
+        == "1 - 2*(uv) + (uv)^2"
+
+
+def test_declared_object_extends_through_its_choice(provider):
+    phi = MeasureOnCompacts(table={"Xbar": MeasureValue.integer(3),
+                                   "D": MeasureValue.integer(1)}, name="table")
+    u = DeclaredObject("U", 2, False)
+    choice = CompactificationChoice(DeclaredObject("Xbar", 2, True),
+                                    DeclaredObject("D", 1, True))
+    result = extend_measure(phi, u, provider, choice=choice)
+    assert result.value.as_int() == 2  # table[Xbar] - table[D]
+    assert result.max_depth() == 1
     with pytest.raises(MissingCompactificationError):
-        extend_measure(euler_measure(), rank4, CompletionProvider())
+        extend_measure(phi, u, provider)
+
+
+def test_missing_completion_is_an_error():
+    # one class for every missing compactification: a g_map table entry, a
+    # rank-4 completion, a declared object's choice
+    rels = kring.RelationSet()
+    rels.declare_generator("U", 2)
+    rank4 = ToricObject("X4", builtin_fan("A2").product(builtin_fan("A2")))
+    declared = DeclaredObject("U", 2, False)
+    raise_sites = (
+        lambda: kring.g_map("U", kring.CompactificationTable(), rels),
+        lambda: extend_measure(euler_measure(), rank4, CompletionProvider()),
+        lambda: extend_measure(euler_measure(), declared, CompletionProvider()),
+    )
+    for raise_site in raise_sites:
+        with pytest.raises(kring.MissingCompactificationError):
+            raise_site()
 
 
 def test_provider_registration_enables_rank4(provider):

@@ -237,7 +237,7 @@ def test_c_complete_not_found_is_reported():
     sq = declared_square("abstract_blowup", corners, {})
     f = SpanMorphism(DeclaredObject("Z", 2, True), corners["base"], "all",
                      ("declared", "f"), "declared")
-    verdict = check_c_complete(SitePresentation(backend="declared"), sq, f)
+    verdict = check_c_complete(SitePresentation(), sq, f)
     assert not verdict.found
     assert verdict.note
 
