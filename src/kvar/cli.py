@@ -172,20 +172,84 @@ def _measure_from_record(rec) -> MeasureOnCompacts:
 
 
 def _suite_checks(suite) -> list:
-    """The (record, measure) pairs of a suite file, or an InputError when
-    the file does not have the shape {"checks": [{"kind": ..., ...}, ...]}."""
+    """The (kind, measure, arguments) triples of a suite file, or an
+    InputError when the file does not have the shape
+    {"checks": [{"kind": ..., ...}, ...]} or a field of a known kind is
+    malformed."""
     checks = suite.get("checks", []) if isinstance(suite, dict) else None
     if not isinstance(checks, list):
         raise InputError('suite file: the top level must be an object whose "checks" is a list')
     out = []
+    objects: dict = {}
     for i, rec in enumerate(checks):
         if not (isinstance(rec, dict) and isinstance(rec.get("kind"), str)):
             raise InputError(f'suite file: check {i} is not an object with a string "kind"')
         try:
-            out.append((rec, _measure_from_record(rec.get("measure", "euler"))))
-        except (measures.MeasureError, toric.ToricError) as exc:
+            phi = _measure_from_record(rec.get("measure", "euler"))
+            args = _suite_args(rec, objects)
+        except (measures.MeasureError, toric.ToricError, _FieldError) as exc:
             raise InputError(f"suite file: check {i}: {exc}") from None
+        out.append((rec["kind"], phi, args))
     return out
+
+
+class _FieldError(Exception):
+    """A suite check field of the wrong type or out of range."""
+
+
+def _suite_args(rec: dict, objects: dict):
+    """The arguments of a suite check as its check function takes them,
+    read from its fields: builtin fan names as objects, windows ("torus" or
+    lists of ray indices, each list spanning a cone of the object) as
+    face-closed cone sets, and a ray (a list of integers of the object's
+    rank) as its star-subdivision square.  An unknown kind has none."""
+    kind = rec["kind"]
+
+    def get_object(field: str) -> ToricObject:
+        name = rec.get(field)
+        if not isinstance(name, str):
+            raise _FieldError(f'"{field}" must be the name of a builtin fan')
+        if name not in objects:
+            objects[name] = ToricObject(name, toric.builtin_fan(name))
+        return objects[name]
+
+    def window(obj: ToricObject, field: str, default=None) -> frozenset:
+        spec = rec.get(field, default)
+        if spec == "torus":
+            return frozenset(c for c in obj.fan.cones if c.dim == 0)
+        rays = obj.fan.rays
+        if not (isinstance(spec, list) and all(
+                isinstance(ix, list) and all(type(j) is int and 0 <= j < len(rays) for j in ix)
+                for ix in spec)):
+            raise _FieldError(f'"{field}" must be "torus" or a list of lists of ray '
+                              f"indices of {obj.name} (0 to {len(rays) - 1})")
+        cones = {toric.Cone(obj.fan.rank, [])}
+        for ix in spec:
+            cone = toric.Cone(obj.fan.rank, [rays[j] for j in ix])
+            if not obj.fan.contains_cone(cone):
+                raise _FieldError(f'"{field}": {cone} is not a cone of {obj.name}')
+            cones.update(cone.faces())
+        return frozenset(cones)
+
+    if kind == "kunneth":
+        return get_object("x"), get_object("y")
+    if kind not in ("additivity", "independence", "blowup_descent", "mayer_vietoris"):
+        return ()
+    obj = get_object("object")
+    if kind == "additivity":
+        return obj, window(obj, "window")
+    if kind == "independence":
+        return obj, window(obj, "window", "torus")
+    if kind == "mayer_vietoris":
+        win_u, win_v = window(obj, "u"), window(obj, "v")
+        if win_u | win_v != obj.fan.cones:
+            raise _FieldError(f'"u" and "v" do not cover {obj.name}')
+        return obj, win_u, win_v
+    ray = rec.get("ray")
+    if not (isinstance(ray, list) and len(ray) == obj.fan.rank
+            and all(type(x) is int for x in ray)):
+        raise _FieldError(f'"ray" must be a list of {obj.fan.rank} integers')
+    return spansite.star_subdivision_square(obj, tuple(ray))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -399,35 +463,14 @@ def run_corpus_checks(report: Report, seed: int, size: int,
 def run_suite(report: Report, suite: dict, depth: int) -> None:
     checks = _suite_checks(suite)
     provider = CompletionProvider()
-    objects: dict = {}
-
-    def get_object(name: str) -> ToricObject:
-        if name not in objects:
-            objects[name] = ToricObject(name, toric.builtin_fan(name))
-        return objects[name]
-
-    def window_from(obj: ToricObject, spec) -> frozenset:
-        if spec == "torus":
-            return frozenset(c for c in obj.fan.cones if c.dim == 0)
-        rays = obj.fan.rays
-        cones = set()
-        for ix in spec:
-            cone = toric.Cone(obj.fan.rank, [rays[i] for i in ix])
-            cones.update(cone.faces())
-        cones.add(toric.Cone(obj.fan.rank, []))
-        return frozenset(cones)
-
-    for i, (rec, phi) in enumerate(checks):
-        kind = rec["kind"]
+    for i, (kind, phi, args) in enumerate(checks):
         rec_id = f"{kind}[{i}]"
         t0 = time.perf_counter()
         try:
             if kind == "additivity":
-                obj = get_object(rec["object"])
-                cr = additivity_check(phi, obj, window_from(obj, rec["window"]), provider)
+                cr = additivity_check(phi, *args, provider)
             elif kind == "independence":
-                obj = get_object(rec["object"])
-                window = window_from(obj, rec.get("window", "torus"))
+                obj, window = args
                 sub = obj.fan.subfan(window)
                 u_obj = ToricObject(f"{obj.name}|U{i}", sub)
                 comp_a = csupport.toric_choice(u_obj, toric.complete_surface(sub))
@@ -438,19 +481,8 @@ def run_suite(report: Report, suite: dict, depth: int) -> None:
                     alt, toric.primitive(outside[0].representative())).fan if outside else alt
                 comp_b = csupport.toric_choice(u_obj, alt2)
                 cr = independence_check(phi, u_obj, comp_a, comp_b, provider)
-            elif kind == "blowup_descent":
-                obj = get_object(rec["object"])
-                _, sq = spansite.star_subdivision_square(obj, tuple(rec["ray"]))
-                cr = consistency_check("blowup_descent", phi, sq, provider)
-            elif kind == "mayer_vietoris":
-                obj = get_object(rec["object"])
-                cr = consistency_check("mayer_vietoris", phi,
-                                       (obj, window_from(obj, rec["u"]),
-                                        window_from(obj, rec["v"])), provider)
-            elif kind == "kunneth":
-                cr = consistency_check("kunneth", phi,
-                                       (get_object(rec["x"]), get_object(rec["y"])),
-                                       provider)
+            elif kind in ("blowup_descent", "mayer_vietoris", "kunneth"):
+                cr = consistency_check(kind, phi, args, provider)
             else:
                 report.add(Record(rec_id, kind, "skipped", note="unknown kind"))
                 continue

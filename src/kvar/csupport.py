@@ -49,6 +49,10 @@ class MeasureOnCompacts:
     ring substitution; declared compacts read a user table.  ``cross_check``
     marks measures that factor through classes (so the orbit-decomposition
     oracle applies); the perturbed fixture switches it off.
+
+    Each measure memoizes its value per class, for classes without
+    residual generators (the others read ``registrations``, which may
+    change); a failure is never memoized.
     """
 
     def __init__(self, spec: Optional[MeasureSpec] = None,
@@ -65,14 +69,21 @@ class MeasureOnCompacts:
         self.unital = unital
         self.registrations = registrations
         self.cross_check = spec is not None
+        self._values: Dict[KClass, MeasureValue] = {}
 
     def on_compact(self, obj: SiteObject) -> MeasureValue:
         if obj.is_empty():
             return MeasureValue.integer(0)
         if not obj.is_compact():
             raise MeasureDomainError(f"{obj.name} is not compact")
-        if self.spec is not None and obj.kclass() is not None:
-            return apply_measure(self.spec, obj.kclass(), self.registrations)
+        cls = obj.kclass() if self.spec is not None else None
+        if cls is not None:
+            value = self._values.get(cls)
+            if value is None:
+                value = apply_measure(self.spec, cls, self.registrations)
+                if not cls.residual():
+                    self._values[cls] = value
+            return value
         if obj.name in self.table:
             return self.table[obj.name]
         raise MeasureDomainError(f"measure {self.name} undefined on {obj.name!r}")
@@ -139,16 +150,25 @@ class CompletionProvider:
     meets: rank <= 2 automatically, tori via products of P1, anything else
     from explicit registrations.
 
-    A provider belongs to one run.  It memoizes the extensions made through
-    it (see ``extend_measure``): the completion it picks for a fan stays
-    fixed until ``register`` changes it, which drops the extensions over
-    that fan.
+    A provider belongs to one run, and so do its three memos:
+    - the extensions made through it (see ``extend_measure``), per fan or
+      locus and then per (measure, object type, name);
+    - the automatic rank-2 completion of each fan;
+    - the extension of each locus, keyed on (measure, locus, depth) and
+      shared by every object over that locus, whatever its name.
+    The completion it picks for a fan stays fixed until ``register``
+    changes it, which drops the extensions over that fan.  The locus memo
+    needs no such care: a locus decomposes into torus orbits and never
+    asks for a completion.
     """
 
     def __init__(self):
         self._registry: Dict[Fan, Fan] = {}
+        self._completions: Dict[Fan, Fan] = {}
         # _fan_key(fan) or locus -> (measure, object type, name) -> extension
         self._extensions: Dict[object, Dict[tuple, "ExtensionResult"]] = {}
+        # (measure, locus, depth) -> (value, the trace steps it appends)
+        self._loci: Dict[tuple, Tuple[MeasureValue, Tuple["TraceStep", ...]]] = {}
 
     def register(self, fan: Fan, completion: Fan) -> None:
         _check_completion(fan, completion)
@@ -165,7 +185,10 @@ class CompletionProvider:
         if all(c.dim == 0 for c in fan.cones):
             return _p1_power(fan.rank)
         if fan.rank <= 2:
-            return toric.complete_surface(fan)
+            completion = self._completions.get(fan)
+            if completion is None:
+                completion = self._completions[fan] = toric.complete_surface(fan)
+            return completion
         raise MissingCompactificationError(
             f"no completion registered for a rank-{fan.rank} fan")
 
@@ -246,6 +269,10 @@ def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
     Without ``choice``, the result for a toric object or locus is memoized
     in the provider, keyed on the measure, the object's type and name, and
     its fan or locus; name and fan determine the value and the trace.
+    Below the object, the extension of its boundary locus (or of the locus
+    itself) is memoized in the provider on (measure, locus, depth) alone,
+    with or without ``choice``: nothing below the top step is named after
+    the object.
     """
     provider = provider or CompletionProvider()
     if choice is not None or not isinstance(obj, (ToricObject, ToricLocusObject)):
@@ -285,6 +312,7 @@ class _Extension:
             return MeasureValue.integer(0)
         if o.is_compact():
             return phi.on_compact(o)
+        of_locus = self.of_top_locus if depth == 0 else self.of_locus
         if isinstance(o, ToricObject):
             ch = top_choice or self.provider.choose(o)
             self.trace.append(TraceStep(o.name, ch.compact_obj.name,
@@ -293,13 +321,13 @@ class _Extension:
                                         else ch.boundary.name, depth + 1))
             _check_depth(o, depth + 1)
             boundary_value = (
-                self.of_locus(ch.boundary, depth + 1)
+                of_locus(ch.boundary, depth + 1)
                 if isinstance(ch.boundary, ToricLocus)
                 else self.of_object(ch.boundary, depth + 1)
             )
             return phi.on_compact(ch.compact_obj) - boundary_value
         if isinstance(o, ToricLocusObject):
-            return self.of_locus(o.locus, depth)
+            return of_locus(o.locus, depth)
         if isinstance(o, DeclaredObject):
             if top_choice is None:
                 raise MissingCompactificationError(
@@ -309,6 +337,21 @@ class _Extension:
                                         depth + 1))
             return phi.on_compact(ch.compact_obj) - self.of_object(ch.boundary, depth + 1)
         raise CSupportError(f"cannot extend over {o!r}")
+
+    def of_top_locus(self, locus: ToricLocus, depth: int) -> MeasureValue:
+        """``of_locus`` called by the top-level object, memoized in the
+        provider.  No torus value is cached yet at that call, so its value
+        and the steps it appends depend on the measure, the locus and the
+        depth alone."""
+        key = (self.phi, locus, depth)
+        hit = self.provider._loci.get(key)
+        if hit is None:
+            start = len(self.trace)
+            value = self.of_locus(locus, depth)
+            hit = self.provider._loci[key] = (value, tuple(self.trace[start:]))
+        else:
+            self.trace.extend(hit[1])
+        return hit[0]
 
     def of_locus(self, locus: ToricLocus, depth: int) -> MeasureValue:
         if locus.is_empty():

@@ -199,6 +199,7 @@ class SpanMorphism:
             self.window = frozenset(window)
         self.map_desc = ZERO_MAP if self.is_zero() else map_desc
         self.proper_reason = proper_reason
+        self._key = None
         self._validate()
 
     # -- basics ---------------------------------------------------------------
@@ -220,7 +221,10 @@ class SpanMorphism:
         return frozenset(c.rays for c in self.window)
 
     def key(self):
-        return (self.source.name, self.target.name, self.window_key(), self.map_desc)
+        if self._key is None:
+            self._key = (self.source.name, self.target.name, self.window_key(),
+                         self.map_desc)
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, SpanMorphism) and self.key() == other.key()
@@ -733,6 +737,7 @@ class SimpleCover:
         self.root = root
         self.node = node
         self._leaves: Optional[Tuple[SpanMorphism, ...]] = None
+        self._key: Optional[frozenset] = None
 
     def leaves(self) -> Tuple[SpanMorphism, ...]:
         if self._leaves is None:
@@ -756,10 +761,13 @@ class SimpleCover:
 
     def key(self) -> frozenset:
         """Deduplication key: the multiset of leaf morphisms."""
-        counts: dict = {}
-        for leaf in self.leaves():
-            counts[leaf.key()] = counts.get(leaf.key(), 0) + 1
-        return frozenset(counts.items())
+        if self._key is None:
+            counts: dict = {}
+            for leaf in self.leaves():
+                key = leaf.key()
+                counts[key] = counts.get(key, 0) + 1
+            self._key = frozenset(counts.items())
+        return self._key
 
     def jointly_surjective(self) -> bool:
         """All orbits of the root are hit by some leaf's proper map."""

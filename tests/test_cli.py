@@ -170,8 +170,28 @@ def test_exit_code_contract(tmp_path):
             '{"checks": [{"kind": "blowup_descent", "object": "P2", "ray": [1, 1], '
             '"measure": {"selector": "euler", "perturb": {"target": "P2", "delta": %s}}}]}'
             % delta)
+    # a malformed field of a known kind: an object that is not a builtin
+    # fan, a ray that is not a list of integers of the object's rank (or
+    # not a primitive ray inside a cone), a window that is not "torus" or
+    # lists of ray indices spanning cones, Mayer-Vietoris windows that do
+    # not cover
+    bad_fields = []
+    for j, check in enumerate((
+            '"kind": "blowup_descent", "object": "P2", "ray": "xy"',
+            '"kind": "blowup_descent", "object": "P2", "ray": [1.7, 1.2]',
+            '"kind": "blowup_descent", "object": "P2", "ray": ["1", "1"]',
+            '"kind": "blowup_descent", "object": "P2", "ray": [2, 2]',
+            '"kind": "additivity", "object": "NoSuch", "window": "torus"',
+            '"kind": "additivity", "object": "P1", "window": 5',
+            '"kind": "additivity", "object": "P1", "window": [[0.9, 1]]',
+            '"kind": "additivity", "object": "Hirzebruch(1)", "window": [[0, 3]]',
+            '"kind": "kunneth", "x": "P1"',
+            '"kind": "mayer_vietoris", "object": "P2", "u": [[0]], "v": [[9]]',
+            '"kind": "mayer_vietoris", "object": "P1", "u": [[0]], "v": [[0]]')):
+        bad_fields.append(tmp_path / f"bad_field{j}.json")
+        bad_fields[-1].write_text('{"checks": [{%s}]}' % check)
     for argv in (["check", "--suite", str(tmp_path / "nonexistent.json")],
-                 *(["check", "--suite", str(path)] for path in bad_deltas),
+                 *(["check", "--suite", str(path)] for path in bad_deltas + bad_fields),
                  ["check", "--suite", str(no_kind)],
                  ["check", "--suite", str(list_suite)],
                  ["check", "--suite", str(bad_measure)],

@@ -187,6 +187,109 @@ def test_changed_registration_reaches_the_next_extension(provider):
     assert extend_measure(phi, a2_obj, provider) is through_p1xp1
 
 
+def test_locus_extension_is_free_of_the_object_name(provider):
+    # two names over one locus share one memo entry: equal values and
+    # traces, each under its own name
+    p2 = builtin_fan("P2")
+    torus = ToricLocus(p2, [c for c in p2.cones if c.dim == 0])
+    phi = e_polynomial_measure()
+    first = extend_measure(phi, ToricLocusObject("T", torus), provider)
+    second = extend_measure(phi, ToricLocusObject("open torus", torus), provider)
+    assert (first.object_name, second.object_name) == ("T", "open torus")
+    assert second.value == first.value and second.trace == first.trace != ()
+    assert second == extend_measure(phi, ToricLocusObject("open torus", torus),
+                                    CompletionProvider())
+
+
+def test_one_fan_under_two_names_differs_only_in_the_first_step(provider):
+    a2 = builtin_fan("A2")
+    phi = e_polynomial_measure()
+    first = extend_measure(phi, ToricObject("A2", a2), provider)
+    plane = ToricObject("plane", a2)
+    second = extend_measure(phi, plane, provider)
+    assert second.value == first.value == uv(0, 0, 1)
+    assert (first.trace[0].object_desc, first.trace[0].compactification) == ("A2", "A2^bar")
+    assert (second.trace[0].object_desc, second.trace[0].compactification) \
+        == ("plane", "plane^bar")
+    assert second.trace[0].boundary_desc == first.trace[0].boundary_desc
+    assert second.trace[0].depth == first.trace[0].depth
+    assert second.trace[1:] == first.trace[1:]
+    assert second == extend_measure(phi, plane, CompletionProvider())
+
+
+def test_independence_after_the_battery_matches_a_fresh_provider():
+    from kvar import corpus
+    corp = corpus.generate(1, 10)
+    phis = [euler_measure(), e_polynomial_measure(),
+            PerturbedMeasure(e_polynomial_measure(), builtin_fan("P2"))]
+    for x_obj, window in corp.pairs_xu:
+        for phi in phis:
+            additivity_check(phi, x_obj, window, corp.provider)
+    # the automatic choice's boundary was extended by the battery already
+    assert any((phis[0], case.choice_a.boundary, 1) in corp.provider._loci
+               for case in corp.independence)
+    for case in corp.independence:
+        for phi in phis:
+            shared = independence_check(phi, case.obj, case.choice_a, case.choice_b,
+                                        corp.provider)
+            assert shared == independence_check(phi, case.obj, case.choice_a,
+                                                case.choice_b, CompletionProvider())
+
+
+def test_perturbed_values_stay_with_the_perturbed_measure():
+    base = e_polynomial_measure()
+    broken = PerturbedMeasure(base, builtin_fan("P2"))
+    p2 = obj("P2")
+    assert broken.on_compact(p2) == uv(2, 1, 1)
+    assert base.on_compact(p2) == uv(1, 1, 1)
+    assert broken.on_compact(p2) == uv(2, 1, 1)
+    assert base.on_compact(p2) == uv(1, 1, 1)
+
+
+def test_residual_classes_are_read_from_the_registrations_every_time():
+    from kvar.kring import KClass
+    from kvar.measures import UnresolvedGeneratorError
+    from kvar.spansite import SiteObject
+
+    class Generator(SiteObject):
+        name, dim = "X", 1
+
+        def is_compact(self):
+            return True
+
+        def is_empty(self):
+            return False
+
+        def kclass(self):
+            return KClass.generator("X")
+
+    registrations = {}
+    phi = MeasureOnCompacts(MeasureSpec("euler"), registrations=registrations)
+    for _ in range(2):
+        with pytest.raises(UnresolvedGeneratorError):
+            phi.on_compact(Generator())
+    registrations[("X", "euler")] = MeasureValue.integer(5)
+    assert phi.on_compact(Generator()).as_int() == 5
+    registrations[("X", "euler")] = MeasureValue.integer(7)
+    assert phi.on_compact(Generator()).as_int() == 7
+
+
+def test_registration_after_automatic_completions_is_used(provider):
+    a2 = builtin_fan("A2")
+    first = provider.completion_fan(a2)
+    assert provider.completion_fan(a2) is first
+    assert first == builtin_fan("P2")
+    provider.register(a2, builtin_fan("P1xP1"))
+    assert provider.completion_fan(a2) == builtin_fan("P1xP1")
+    # perturbing P2 shows which completion the extension went through
+    phi = PerturbedMeasure(e_polynomial_measure(), builtin_fan("P2"))
+    result = extend_measure(phi, ToricObject("A2", a2), provider)
+    assert result.value == uv(0, 0, 1)
+    fresh = CompletionProvider()
+    fresh.register(a2, builtin_fan("P1xP1"))
+    assert result == extend_measure(phi, ToricObject("A2", a2), fresh)
+
+
 def test_measure_domain_errors():
     phi = euler_measure()
     with pytest.raises(MeasureDomainError):
