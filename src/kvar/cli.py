@@ -10,8 +10,8 @@ JSON reports are byte-identical for identical configurations (checks are
 emitted in a fixed order and wall-clock timings are excluded from JSON).
 The process exit status is 0 when no check failed, 1 when one did, and 2
 for an input error (one line on stderr): an unreadable input file or one
-of the wrong shape, an unknown measure name, or `check` with neither
-`--suite` nor `--corpus-seed`.
+of the wrong shape, an unknown measure name, a negative `--depth` or
+`--corpus-size`, or `check` with neither `--suite` nor `--corpus-seed`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from kvar import corpus as corpus_mod
 from kvar import csupport, kring, measures, spansite, toric
@@ -46,7 +46,7 @@ from kvar.spansite import (
 
 class InputError(Exception):
     """An input file that cannot be read or has the wrong shape, an unknown
-    measure name, or a check with nothing to check."""
+    measure name, a negative bound, or a check with nothing to check."""
 
 
 @dataclass
@@ -187,6 +187,8 @@ def _suite_checks(suite) -> list:
         try:
             phi = _measure_from_record(rec.get("measure", "euler"))
             args = _suite_args(rec, objects)
+            if rec["kind"] == "kunneth" and not phi.multiplicative:
+                raise _FieldError("kunneth needs a multiplicative measure")
         except (measures.MeasureError, toric.ToricError, _FieldError) as exc:
             raise InputError(f"suite file: check {i}: {exc}") from None
         out.append((rec["kind"], phi, args))
@@ -337,127 +339,134 @@ def run_corpus_checks(report: Report, seed: int, size: int,
     provider = corp.provider
     phis = _corpus_measures(measure_names)
 
-    def timed(rec_id, kind, fn):
+    def timed(rec_id, kind, check, *args):
         t0 = time.perf_counter()
-        result = fn()
-        result.id = rec_id
-        result.kind = kind
-        result.seconds = time.perf_counter() - t0
-        report.add(result)
-
-    def from_check(cr) -> Record:
-        return Record("", "", cr.status, lhs=cr.lhs, rhs=cr.rhs, note=cr.note)
+        found = check(*args)
+        report.add(Record(rec_id, kind, found.status, lhs=found.lhs, rhs=found.rhs,
+                          note=found.note, seconds=time.perf_counter() - t0))
 
     for i, (obj, window) in enumerate(corp.pairs_xu):
         for phi in phis:
             timed(f"additivity[{i}]:{obj.name}:{phi.name}", "additivity",
-                  lambda phi=phi, obj=obj, window=window:
-                  from_check(additivity_check(phi, obj, window, provider)))
+                  additivity_check, phi, obj, window, provider)
 
     for i, case in enumerate(corp.independence):
         for phi in phis:
             timed(f"independence[{i}]:{case.obj.name}:{phi.name}", "independence",
-                  lambda phi=phi, case=case:
-                  from_check(independence_check(phi, case.obj, case.choice_a,
-                                                case.choice_b, provider)))
+                  independence_check, phi, case.obj, case.choice_a, case.choice_b, provider)
 
     for i, sq in enumerate(corp.squares):
-        def class_relation(sq=sq) -> Record:
-            cls = sq.corner_classes()
-            rep = kring.verify_square_relation(cls["upper_left"], cls["upper_right"],
-                                               cls["lower_left"], cls["base"])
-            return Record("", "", "pass" if rep.ok else "fail",
-                          lhs=str(rep.lhs), rhs=str(rep.rhs))
-        timed(f"square_relation[{i}]:{sq.base.name}", "square_relation", class_relation)
+        timed(f"square_relation[{i}]:{sq.base.name}", "square_relation", _square_relation, sq)
         for phi in phis:
             timed(f"blowup_descent[{i}]:{sq.base.name}:{phi.name}", "blowup_descent",
-                  lambda phi=phi, sq=sq:
-                  from_check(consistency_check("blowup_descent", phi, sq, provider)))
+                  consistency_check, "blowup_descent", phi, sq, provider)
 
     for i, (obj, win_u, win_v) in enumerate(corp.mv_triples):
         for phi in phis:
             timed(f"mayer_vietoris[{i}]:{obj.name}:{phi.name}", "mayer_vietoris",
-                  lambda phi=phi, obj=obj, u=win_u, v=win_v:
-                  from_check(consistency_check("mayer_vietoris", phi, (obj, u, v),
-                                               provider)))
+                  consistency_check, "mayer_vietoris", phi, (obj, win_u, win_v), provider)
 
     # the pool repeats pairs; each distinct (measure, a, b) is checked once
     # per run, and a repeat gets a record of its own with the same result
     kunneth_done: dict = {}
 
-    def kunneth(phi, a, b) -> Record:
+    def kunneth(phi, a, b) -> csupport.CheckReport:
         key = (phi, a, b)
         if key not in kunneth_done:
             kunneth_done[key] = consistency_check("kunneth", phi, (a, b), provider)
-        return from_check(kunneth_done[key])
+        return kunneth_done[key]
 
     for i, (a, b) in enumerate(corp.kunneth_pairs):
         for phi in phis:
-            if not phi.multiplicative:
-                continue
-            timed(f"kunneth[{i}]:{a.name}x{b.name}:{phi.name}", "kunneth",
-                  lambda phi=phi, a=a, b=b: kunneth(phi, a, b))
+            if phi.multiplicative:
+                timed(f"kunneth[{i}]:{a.name}x{b.name}:{phi.name}", "kunneth",
+                      kunneth, phi, a, b)
 
     for i, (sq, f) in enumerate(corp.c_complete_cases):
-        def ccomp(sq=sq, f=f) -> Record:
-            verdict = check_c_complete(corp.site, sq, f, depth)
-            return Record("", "", "pass" if verdict.found else "fail",
-                          note=verdict.note)
-        timed(f"c_complete[{i}]:{sq.base.name}<-{f.source.name}", "c_complete", ccomp)
+        timed(f"c_complete[{i}]:{sq.base.name}<-{f.source.name}", "c_complete",
+              _c_complete, corp.site, sq, f, depth)
 
     for i, sq in enumerate(corp.squares + corp.loc_squares):
-        def dimcompat(sq=sq) -> Record:
-            verdict = check_dim_compatible(sq)
-            ok = verdict.kind in ("direct", "refined") and all(
-                check_dim_compatible(r).kind == "direct" for r in verdict.refined)
-            return Record("", "", "pass" if ok else "fail", note=verdict.kind)
-        timed(f"dim_compatible[{i}]:{sq.base.name}", "dim_compatible", dimcompat)
-
-        def validation(sq=sq) -> Record:
-            v = validate_square(sq)
-            joint = v.jointly_surjective
-            ok = v.ok and (joint is not False)
-            return Record("", "", "pass" if ok else "fail",
-                          note="; ".join(f"{e.condition}={e.status}" for e in v.entries))
-        timed(f"square_valid[{i}]:{sq.base.name}", "square_valid", validation)
+        timed(f"dim_compatible[{i}]:{sq.base.name}", "dim_compatible", _dim_compatible, sq)
+        timed(f"square_valid[{i}]:{sq.base.name}", "square_valid", _square_valid, sq)
 
     e_phi = csupport.e_polynomial_measure()
     for i, obj in enumerate(corp.rank3 + corp.surfaces):
-        if obj.fan.rank > 3 or not (obj.smooth and obj.complete):
-            continue
-        def purity(obj=obj) -> Record:
-            value = extend_measure(e_phi, obj, provider).value
-            wr = weight_report(value, obj.smooth, obj.is_compact(),
-                               obj.fan.face_counts(), obj.fan.rank)
-            return Record("", "", "pass" if wr.purity else "fail",
-                          lhs=[list(w) for w in wr.weights], note=wr.note)
-        timed(f"purity[{i}]:{obj.name}", "purity", purity)
+        if obj.fan.rank <= 3 and obj.smooth and obj.complete:
+            timed(f"purity[{i}]:{obj.name}", "purity", _purity, e_phi, obj, provider)
 
     for i, fan in enumerate(corp.all_fans()):
-        def oracle(fan=fan) -> Record:
-            cls = fan.class_of()
-            for q in (2, 3, 4, 5):
-                direct = fan.orbit_count(q)
-                via_e = apply_measure(MeasureSpec("e_poly"), cls).substitute_int(q)
-                if direct != via_e:
-                    return Record("", "", "fail", lhs=via_e, rhs=direct,
-                                  note=f"q={q}")
-            return Record("", "", "pass", note="q in {2,3,4,5}")
-        timed(f"point_count_oracle[{i}]", "point_count_oracle", oracle)
+        timed(f"point_count_oracle[{i}]", "point_count_oracle", _point_count_oracle, fan)
 
     for i, obj in enumerate(sorted({sq.base.name: sq.base for sq in corp.squares}.values(),
                                    key=lambda o: o.name)):
-        def monotone(obj=obj) -> Record:
-            keys = []
-            for d in range(depth + 1):
-                covers = enumerate_simple_covers(corp.site, obj, d)
-                keys.append({c.key() for c in covers})
-            ok = all(a <= b for a, b in zip(keys, keys[1:]))
-            surj = all(c.jointly_surjective()
-                       for c in enumerate_simple_covers(corp.site, obj, min(depth, 2)))
-            return Record("", "", "pass" if ok and surj else "fail",
-                          note=f"cover counts {[len(k) for k in keys]}")
-        timed(f"cover_monotone[{i}]:{obj.name}", "cover_monotone", monotone)
+        timed(f"cover_monotone[{i}]:{obj.name}", "cover_monotone",
+              _cover_monotone, corp.site, obj, depth)
+
+
+class Outcome(NamedTuple):
+    """What one of the battery's own checks found, as its record holds it."""
+    status: str
+    lhs: object = None
+    rhs: object = None
+    note: str = ""
+
+
+def _square_relation(sq) -> Outcome:
+    cls = sq.corner_classes()
+    rep = kring.verify_square_relation(cls["upper_left"], cls["upper_right"],
+                                       cls["lower_left"], cls["base"])
+    return Outcome("pass" if rep.ok else "fail", str(rep.lhs), str(rep.rhs))
+
+
+def _c_complete(site, sq, f, depth: int) -> Outcome:
+    verdict = check_c_complete(site, sq, f, depth)
+    return Outcome("pass" if verdict.found else "fail", note=verdict.note)
+
+
+def _dim_compatible(sq) -> Outcome:
+    verdict = check_dim_compatible(sq)
+    ok = verdict.kind in ("direct", "refined") and all(
+        check_dim_compatible(r).kind == "direct" for r in verdict.refined)
+    return Outcome("pass" if ok else "fail", note=verdict.kind)
+
+
+def _square_valid(sq) -> Outcome:
+    v = validate_square(sq)
+    joint = v.jointly_surjective
+    ok = v.ok and (joint is not False)
+    return Outcome("pass" if ok else "fail",
+                   note="; ".join(f"{e.condition}={e.status}" for e in v.entries))
+
+
+def _purity(e_phi, obj, provider) -> Outcome:
+    value = extend_measure(e_phi, obj, provider).value
+    wr = weight_report(value, obj.smooth, obj.is_compact(),
+                       obj.fan.face_counts(), obj.fan.rank)
+    return Outcome("pass" if wr.purity else "fail", [list(w) for w in wr.weights],
+                   note=wr.note)
+
+
+def _point_count_oracle(fan) -> Outcome:
+    cls = fan.class_of()
+    for q in (2, 3, 4, 5):
+        direct = fan.orbit_count(q)
+        via_e = apply_measure(MeasureSpec("e_poly"), cls).substitute_int(q)
+        if direct != via_e:
+            return Outcome("fail", via_e, direct, f"q={q}")
+    return Outcome("pass", note="q in {2,3,4,5}")
+
+
+def _cover_monotone(site, obj, depth: int) -> Outcome:
+    keys = []
+    for d in range(depth + 1):
+        covers = enumerate_simple_covers(site, obj, d)
+        keys.append({c.key() for c in covers})
+    ok = all(a <= b for a, b in zip(keys, keys[1:]))
+    surj = all(c.jointly_surjective()
+               for c in enumerate_simple_covers(site, obj, min(depth, 2)))
+    return Outcome("pass" if ok and surj else "fail",
+                   note=f"cover counts {[len(k) for k in keys]}")
 
 
 def run_suite(report: Report, suite: dict, depth: int) -> None:
@@ -473,14 +482,10 @@ def run_suite(report: Report, suite: dict, depth: int) -> None:
                 obj, window = args
                 sub = obj.fan.subfan(window)
                 u_obj = ToricObject(f"{obj.name}|U{i}", sub)
-                comp_a = csupport.toric_choice(u_obj, toric.complete_surface(sub))
-                alt = toric.complete_surface(sub)
-                outside = sorted((c for c in alt.maximal_cones
-                                  if not sub.contains_cone(c)), key=lambda c: c.rays)
-                alt2 = toric.star_subdivide(
-                    alt, toric.primitive(outside[0].representative())).fan if outside else alt
-                comp_b = csupport.toric_choice(u_obj, alt2)
-                cr = independence_check(phi, u_obj, comp_a, comp_b, provider)
+                completion = toric.complete_surface(sub)
+                alt = toric.alternative_completion(completion, sub) or completion
+                cr = independence_check(phi, u_obj, csupport.toric_choice(u_obj, completion),
+                                        csupport.toric_choice(u_obj, alt), provider)
             elif kind in ("blowup_descent", "mayer_vietoris", "kunneth"):
                 cr = consistency_check(kind, phi, args, provider)
             else:
@@ -568,6 +573,9 @@ def run(config: RunConfig) -> Report:
         _parse_measures(config.measure_names)
     except measures.MeasureError as exc:
         raise InputError(str(exc)) from None
+    for flag, value in (("--depth", config.depth), ("--corpus-size", config.corpus_size)):
+        if value is not None and value < 0:
+            raise InputError(f"{flag} must be at least 0, not {value}")
     if config.command == "eval":
         return cmd_eval(config)
     if config.command == "fan":

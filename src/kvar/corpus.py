@@ -144,13 +144,11 @@ def generate(seed: int, size: int) -> Corpus:
         sub = obj.fan.subfan(window)
         if sub.is_complete() or sub.is_empty():
             continue
-        u_obj = ToricObject(f"{obj.name}|open{len(corpus.independence)}", sub)
         comp_a = toric.complete_surface(sub)
-        outside = [c for c in _sorted_maximal(comp_a) if not sub.contains_cone(c)]
-        if not outside:
+        comp_b = toric.alternative_completion(comp_a, sub, pick=rng.choice)
+        if comp_b is None:
             continue
-        target = rng.choice(outside)
-        comp_b = toric.star_subdivide(comp_a, toric.primitive(target.representative())).fan
+        u_obj = ToricObject(f"{obj.name}|open{len(corpus.independence)}", sub)
         corpus.independence.append(IndependenceCase(
             u_obj,
             toric_choice(u_obj, comp_a, f"{u_obj.name}^auto"),
@@ -216,12 +214,8 @@ def generate(seed: int, size: int) -> Corpus:
         u_obj = sq.base
         cases = [identity_span(u_obj), sq.p_leg, zero_span(sq.corners["upper_right"], u_obj)]
         if not u_obj.fan.is_complete():
-            alt_fan = toric.complete_surface(u_obj.fan)
-            outside = [c for c in _sorted_maximal(alt_fan)
-                       if not u_obj.fan.contains_cone(c)]
-            if outside:
-                alt_fan = toric.star_subdivide(
-                    alt_fan, toric.primitive(outside[0].representative())).fan
+            completion = toric.complete_surface(u_obj.fan)
+            alt_fan = toric.alternative_completion(completion, u_obj.fan) or completion
             alt_obj = ToricObject(f"{u_obj.name}^alt", alt_fan)
             cases.append(SpanMorphism(alt_obj, u_obj,
                                       frozenset(u_obj.fan.cones), TORIC_ID,

@@ -58,7 +58,7 @@ class MeasureOnCompacts:
     def __init__(self, spec: Optional[MeasureSpec] = None,
                  table: Optional[Dict[str, MeasureValue]] = None,
                  name: Optional[str] = None,
-                 multiplicative: bool = True, unital: bool = True,
+                 multiplicative: bool = True,
                  registrations: Optional[dict] = None):
         if spec is None and table is None:
             raise MeasureDomainError("a measure needs a substitution rule or a table")
@@ -66,7 +66,6 @@ class MeasureOnCompacts:
         self.table = dict(table or {})
         self.name = name or (spec.name if spec else "table")
         self.multiplicative = multiplicative
-        self.unital = unital
         self.registrations = registrations
         self.cross_check = spec is not None
         self._values: Dict[KClass, MeasureValue] = {}
@@ -102,8 +101,7 @@ class PerturbedMeasure(MeasureOnCompacts):
     def __init__(self, base: MeasureOnCompacts, target_fan: Fan, delta: int = 1):
         super().__init__(spec=base.spec, table=base.table,
                          name=f"{base.name}+perturbed",
-                         multiplicative=False, unital=base.unital,
-                         registrations=base.registrations)
+                         multiplicative=False, registrations=base.registrations)
         self.base = base
         self.target_fan = target_fan
         self.delta = delta

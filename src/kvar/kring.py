@@ -174,30 +174,26 @@ class KClass:
         return f"KClass({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = []
+        terms = []
         for (exp, names), coeff in self._canon:
-            factors = []
-            if exp == 1:
-                factors.append("L")
-            elif exp > 1:
-                factors.append(f"L^{exp}")
-            factors.extend(names)
-            body = "*".join(factors)
-            if not body:
-                bits.append((coeff < 0, str(abs(coeff))))
-            elif abs(coeff) == 1:
-                bits.append((coeff < 0, body))
-            else:
-                bits.append((coeff < 0, f"{abs(coeff)}*{body}"))
-        out = []
-        for neg, body in bits:
-            if not out:
-                out.append(f"-{body}" if neg else body)
-            else:
-                out.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(out)
+            power = ["L"] if exp == 1 else [f"L^{exp}"] if exp > 1 else []
+            terms.append((coeff, "*".join(power + list(names))))
+        return signed_sum_text(terms)
+
+
+def signed_sum_text(terms) -> str:
+    """Render (coefficient, monomial) pairs as "2*x - y + 3", in order: a
+    unit coefficient is left out before a monomial, "" is the monomial 1,
+    and no terms read "0"."""
+    out = []
+    for coeff, mono in terms:
+        size = abs(coeff)
+        body = str(size) if not mono else mono if size == 1 else f"{size}*{mono}"
+        if out:
+            out.append(f"- {body}" if coeff < 0 else f"+ {body}")
+        else:
+            out.append(f"-{body}" if coeff < 0 else body)
+    return " ".join(out) or "0"
 
 
 def _add_terms(acc: dict, terms: Mapping[Monomial, int], coeff: int) -> None:
@@ -278,31 +274,8 @@ class OpenComplement(Expr):
     relation_index: int
 
 
-def expr_size(expr: Expr) -> int:
-    stack, n = [expr], 0
-    while stack:
-        node = stack.pop()
-        n += 1
-        if isinstance(node, (Sum, Diff, Prod)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return n
-
-
 # the generator slot a square node names in its relation
 _SQUARE_ROLES = {BlowupTotal: "Y", ExcDivisor: "E", OpenComplement: "complement"}
-
-
-def _leaves(expr: Expr):
-    """The leaves of a tree, left to right, without recursion."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Sum, Diff, Prod)):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            yield node
 
 
 def _fold(expr: Expr, leaf, branch):
@@ -322,6 +295,11 @@ def _fold(expr: Expr, leaf, branch):
         else:
             values.append(leaf(node))
     return values[0]
+
+
+def expr_size(expr: Expr) -> int:
+    """The number of nodes of a tree."""
+    return _fold(expr, lambda node: 1, lambda node, left, right: left + right + 1)
 
 
 _LEAF_TEXT = {
@@ -1011,14 +989,12 @@ class CompEntry:
 class CompactificationTable:
     """Maps each non-compact generator to a compactification.
 
-    Builtin entries (A^n in P^n, Gm in P1, L = [A1]) are installed unless
-    ``builtins=False``; user entries override them.
+    Builtin entries (A^n in P^n, Gm in P1, L = [A1]) are always installed;
+    user entries override them.
     """
 
-    def __init__(self, entries: Optional[Mapping[str, CompEntry]] = None,
-                 builtins: bool = True):
+    def __init__(self, entries: Optional[Mapping[str, CompEntry]] = None):
         self._entries = dict(entries or {})
-        self._builtins = builtins
 
     def set(self, name: str, compact: Union[Expr, str], boundary: Union[Expr, str],
             rels: Optional[RelationSet] = None) -> None:
@@ -1032,17 +1008,16 @@ class CompactificationTable:
         entry = self._entries.get(name)
         if entry is not None:
             return entry
-        if self._builtins:
-            if name in ("L",):
-                return CompEntry(Gen("P1"), Gen("pt"))
-            if name == "Gm":
-                return CompEntry(Gen("P1"), Sum(Gen("pt"), Gen("pt")))
-            m = _BUILTIN_SERIES.match(name)
-            if m and m.group(1) == "A":
-                n = int(m.group(2))
-                if n >= 1:
-                    boundary = Gen("pt") if n == 1 else Gen(f"P{n - 1}")
-                    return CompEntry(Gen(f"P{n}"), boundary)
+        if name == "L":
+            return CompEntry(Gen("P1"), Gen("pt"))
+        if name == "Gm":
+            return CompEntry(Gen("P1"), Sum(Gen("pt"), Gen("pt")))
+        m = _BUILTIN_SERIES.match(name)
+        if m and m.group(1) == "A":
+            n = int(m.group(2))
+            if n >= 1:
+                boundary = Gen("pt") if n == 1 else Gen(f"P{n - 1}")
+                return CompEntry(Gen(f"P{n}"), boundary)
         raise MissingCompactificationError(f"no compactification registered for {name!r}")
 
 
@@ -1074,8 +1049,10 @@ def expr_dim(expr: Expr, rels: RelationSet) -> int:
 
 
 def _all_compact(expr: Expr, rels: RelationSet) -> bool:
-    return all(rels.info(node.name).compact if isinstance(node, Gen)
-               else isinstance(node, Lit) for node in _leaves(expr))
+    def leaf(node: Expr) -> bool:
+        return rels.info(node.name).compact if isinstance(node, Gen) else isinstance(node, Lit)
+
+    return _fold(expr, leaf, lambda node, left, right: left and right)
 
 
 def g_map(expr: Union[Expr, str], comp: CompactificationTable,

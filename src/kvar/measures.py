@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple, Union
 
-from kvar.kring import KClass, KringError
+from kvar.kring import KClass, KringError, signed_sum_text
 
 
 class MeasureError(KringError):
@@ -126,28 +126,10 @@ class MeasureValue:
         return f"MeasureValue({self})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        if self.var is None:
-            return str(self.coeffs[0])
         name = "(uv)" if self.var == "uv" else self.var
-        bits = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                bits.append((c < 0, str(abs(c))))
-            else:
-                mono = name if k == 1 else f"{name}^{k}"
-                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-                bits.append((c < 0, body))
-        out = []
-        for neg, body in bits:
-            if not out:
-                out.append(f"-{body}" if neg else body)
-            else:
-                out.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(out)
+        coeffs = self.coeffs if self.var else self.coeffs[:1]  # a constant
+        return signed_sum_text((c, "" if k == 0 else name if k == 1 else f"{name}^{k}")
+                               for k, c in enumerate(coeffs) if c)
 
     def to_json(self):
         if self.var is None:

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, U
 
 from kvar import toric
 from kvar.kring import KClass
-from kvar.toric import Cone, Fan, StarSubdivision, ToricLocus, ToricVariety
+from kvar.toric import Cone, Fan, StarSubdivision, ToricLocus
 
 
 class SpanError(Exception):
@@ -58,35 +58,35 @@ class SiteObject:
 
 
 class ToricObject(SiteObject):
-    def __init__(self, name: str, variety: Union[ToricVariety, Fan]):
+    """A named toric variety, given by its fan."""
+
+    def __init__(self, name: str, fan: Fan):
         self.name = name
-        self.variety = variety if isinstance(variety, ToricVariety) else ToricVariety(variety)
-        self.cones = self.variety.fan.cones
+        self.fan = fan
+        self.cones = fan.cones
 
-    @property
-    def fan(self) -> Fan:
-        return self.variety.fan
-
+    # each flag alone: the fan caches them, and completeness is far cheaper
+    # than smoothness
     @property
     def dim(self) -> int:
-        return self.variety.dim
+        return self.fan.dimension()
 
     @property
     def smooth(self) -> bool:
-        return self.variety.smooth
+        return self.fan.is_smooth()
 
     @property
     def complete(self) -> bool:
-        return self.variety.complete
+        return self.fan.is_complete()
 
     def is_compact(self) -> bool:
-        return self.variety.is_compact()
+        return self.fan.is_compact()
 
     def is_empty(self) -> bool:
-        return self.variety.is_empty()
+        return self.fan.is_empty()
 
     def kclass(self) -> KClass:
-        return self.variety.kclass()
+        return self.fan.class_of()
 
 
 class ToricLocusObject(SiteObject):
@@ -119,19 +119,15 @@ class DeclaredObject(SiteObject):
         if dim < -1:
             raise SpanError(f"dimension {dim} < -1")
         self.name = name
-        self._dim = dim
-        self._compact = compact
+        self.dim = dim
+        self.compact = compact
         self.components = components
 
-    @property
-    def dim(self) -> int:
-        return self._dim
-
     def is_compact(self) -> bool:
-        return self._compact
+        return self.compact
 
     def is_empty(self) -> bool:
-        return self._dim == -1
+        return self.dim == -1
 
 
 class EmptyObject(SiteObject):
@@ -139,10 +135,7 @@ class EmptyObject(SiteObject):
 
     name = "empty"
     cones: FrozenSet[Cone] = frozenset()
-
-    @property
-    def dim(self) -> int:
-        return -1
+    dim = -1
 
     def is_compact(self) -> bool:
         return True
@@ -215,15 +208,11 @@ class SpanMorphism:
                 and not isinstance(self.window, str)
                 and self.window == _source_cones(self.source))
 
-    def window_key(self):
-        if isinstance(self.window, str):
-            return self.window
-        return frozenset(c.rays for c in self.window)
-
     def key(self):
         if self._key is None:
-            self._key = (self.source.name, self.target.name, self.window_key(),
-                         self.map_desc)
+            window = self.window if isinstance(self.window, str) \
+                else frozenset(c.rays for c in self.window)
+            self._key = (self.source.name, self.target.name, window, self.map_desc)
         return self._key
 
     def __eq__(self, other):
@@ -409,9 +398,7 @@ def localization_square(x_obj: ToricObject, window: Iterable[Cone],
                                provenance=("localization", x_obj, window))
 
 
-def star_subdivision_square(fan_or_obj: Union[Fan, ToricObject],
-                            new_ray: Sequence[int],
-                            names: Optional[dict] = None):
+def star_subdivision_square(fan_or_obj: Union[Fan, ToricObject], new_ray: Sequence[int]):
     """Star-subdivide and package the abstract blowup square (E, Y, C, X).
 
     Returns (subdivided fan, DistinguishedSquare)."""
@@ -420,11 +407,10 @@ def star_subdivision_square(fan_or_obj: Union[Fan, ToricObject],
     else:
         x_obj = ToricObject("X", fan_or_obj)
     sd = toric.star_subdivide(x_obj.fan, new_ray)
-    names = names or {}
-    y_obj = ToricObject(names.get("Y", f"Bl({x_obj.name};{sd.new_ray})"), sd.fan)
-    c_obj = ToricLocusObject(names.get("C", f"V{sd.center.rays}@{x_obj.name}"),
+    y_obj = ToricObject(f"Bl({x_obj.name};{sd.new_ray})", sd.fan)
+    c_obj = ToricLocusObject(f"V{sd.center.rays}@{x_obj.name}",
                              ToricLocus(x_obj.fan, sd.center_cones))
-    e_obj = ToricLocusObject(names.get("E", f"E({x_obj.name};{sd.new_ray})"),
+    e_obj = ToricLocusObject(f"E({x_obj.name};{sd.new_ray})",
                              ToricLocus(sd.fan, sd.exceptional_cones))
     maps = {
         "top": SpanMorphism(e_obj, y_obj, e_obj.locus.cones, TORIC_ID, "closed immersion"),
@@ -736,13 +722,13 @@ class SimpleCover:
     def __init__(self, root: SiteObject, node: CoverNode):
         self.root = root
         self.node = node
-        self._leaves: Optional[Tuple[SpanMorphism, ...]] = None
+        self._leaf_spans: Optional[Tuple[SpanMorphism, ...]] = None
         self._key: Optional[frozenset] = None
 
     def leaves(self) -> Tuple[SpanMorphism, ...]:
-        if self._leaves is None:
-            self._leaves = tuple(self._collect(self.node))
-        return self._leaves
+        if self._leaf_spans is None:
+            self._leaf_spans = tuple(self._collect(self.node))
+        return self._leaf_spans
 
     def _collect(self, node: CoverNode) -> List[SpanMorphism]:
         if isinstance(node, IsoNode):
@@ -924,8 +910,6 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
     """
     if f.target is not sq.base:
         raise SpanError("the morphism must target the square's base")
-    if depth < 1:
-        return CCompleteVerdict(False, None, None, "depth budget exhausted")
 
     # the zero span pulls back to the maximal sieve
     if f.is_zero():
@@ -935,6 +919,9 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
     if in_sieve(f, sq):
         return CCompleteVerdict(True, identity_cover(f.source), 0,
                                 "the morphism factors through the square")
+    # every cover below needs one application of the square rule
+    if depth < 1:
+        return CCompleteVerdict(False, None, None, "depth budget exhausted")
     if f.is_identity():
         return CCompleteVerdict(True, square_cover(sq), 1,
                                 "pullback along the identity is the square's own cover")

@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -368,7 +369,7 @@ class Fan:
 
     __slots__ = ("rank", "cones", "_by_rays", "_maximal", "_flags", "_containing")
 
-    def __init__(self, rank: int, cones: Iterable[Cone], check_pairwise: bool = False):
+    def __init__(self, rank: int, cones: Iterable[Cone]):
         self.rank = rank
         cone_set = set(cones)
         for c in cone_set:
@@ -380,17 +381,14 @@ class Fan:
             for f in c.faces():
                 if f not in cone_set:
                     raise NotFaceClosedError(f"face {f} of {c} missing from the fan")
-        if check_pairwise:
-            self._check_pairwise(cone_set)
         self.cones: FrozenSet[Cone] = frozenset(cone_set)
         self._by_rays = {c.rays: c for c in cone_set}
         self._maximal = None
         self._flags: dict = {}
         self._containing: dict = {}
 
-    @staticmethod
-    def _check_pairwise(cone_set) -> None:
-        cones = sorted(cone_set, key=lambda c: c.rays)
+    def _check_pairwise(self) -> None:
+        cones = sorted(self.cones, key=lambda c: c.rays)
         for a, b in itertools.combinations(cones, 2):
             meet = a.intersect(b)
             if not (meet.is_face_of(a) and meet.is_face_of(b)):
@@ -399,12 +397,12 @@ class Fan:
                 )
 
     @staticmethod
-    def from_cones(rank: int, cones: Iterable[Cone], check_pairwise: bool = False) -> "Fan":
+    def from_cones(rank: int, cones: Iterable[Cone]) -> "Fan":
         """Face-close the given cones and build the fan."""
         closed = set()
         for c in cones:
             closed.update(c.faces())
-        return Fan(rank, closed, check_pairwise=check_pairwise)
+        return Fan(rank, closed)
 
     # -- views ---------------------------------------------------------------
 
@@ -428,6 +426,10 @@ class Fan:
 
     def is_empty(self) -> bool:
         return not self.cones
+
+    def is_compact(self) -> bool:
+        """Proper: the empty variety, or a complete fan."""
+        return self.is_empty() or self.is_complete()
 
     def contains_cone(self, cone: Cone) -> bool:
         return cone.rays in self._by_rays
@@ -674,7 +676,9 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]],
     cones = [Cone(rank, [rays[i] for i in ix]) for ix in maximal_cones]
     if not cones:
         return Fan(rank, [])
-    return Fan.from_cones(rank, cones, check_pairwise=True)
+    fan = Fan.from_cones(rank, cones)
+    fan._check_pairwise()
+    return fan
 
 
 def fan_properties(fan: Fan) -> FanProperties:
@@ -821,54 +825,21 @@ def complete_surface(fan: Fan) -> Fan:
     return Fan.from_cones(2, cones)
 
 
+def alternative_completion(completion: Fan, fan: Fan, pick=None) -> Optional[Fan]:
+    """A second completion of ``fan``: ``completion`` star-subdivided at the
+    barycentre of a maximal 2-cone that ``fan`` lacks, or None when it
+    lacks none.  ``pick`` chooses from those cones, given in ray order; by
+    default the first."""
+    outside = [c for c in completion.maximal_cones
+               if c.dim == 2 and not fan.contains_cone(c)]
+    if not outside:
+        return None
+    cone = pick(outside) if pick else outside[0]
+    return star_subdivide(completion, primitive(cone.representative())).fan
+
+
 # ---------------------------------------------------------------------------
-# varieties and loci
-
-class ToricVariety:
-    """A fan together with the derived membership flags."""
-
-    __slots__ = ("fan",)
-
-    def __init__(self, fan: Fan):
-        self.fan = fan
-
-    @property
-    def properties(self) -> FanProperties:
-        return fan_properties(self.fan)
-
-    # each flag alone: the fan caches them, and completeness is far cheaper
-    # than smoothness
-    @property
-    def complete(self) -> bool:
-        return self.fan.is_complete()
-
-    @property
-    def smooth(self) -> bool:
-        return self.fan.is_smooth()
-
-    @property
-    def dim(self) -> int:
-        return self.fan.dimension()
-
-    def is_empty(self) -> bool:
-        return self.fan.is_empty()
-
-    def is_compact(self) -> bool:
-        # the empty variety is proper; otherwise compact = complete support
-        return self.is_empty() or self.complete
-
-    def kclass(self) -> KClass:
-        return self.fan.class_of()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ToricVariety) and self.fan == other.fan
-
-    def __hash__(self) -> int:
-        return hash(("variety", self.fan))
-
-    def __repr__(self) -> str:
-        return f"ToricVariety({self.fan!r})"
-
+# loci
 
 class ToricLocus:
     """A locally closed union of torus orbits: a fan plus a cone subset.
@@ -1094,8 +1065,9 @@ def builtin_fan(name: str) -> Fan:
         return simple[name]()
     if name == "P1xP1":
         return _fan_p1().product(_fan_p1())
-    if name.startswith("Hirzebruch(") and name.endswith(")"):
-        return hirzebruch_fan(int(name[len("Hirzebruch("):-1]))
+    hirzebruch = re.fullmatch(r"Hirzebruch\((-?[0-9]{1,18})\)", name)
+    if hirzebruch:
+        return hirzebruch_fan(int(hirzebruch.group(1)))
     raise ToricError(f"unknown builtin fan {name!r}")
 
 

@@ -113,6 +113,23 @@ def test_check_suite_unknown_kind_is_skipped(tmp_path, cli_child_env):
     assert payload["summary"] == {"pass": 0, "fail": 0, "skipped": 1}
 
 
+def test_check_suite_independence_on_rank_one_objects(tmp_path, cli_child_env):
+    # a rank-1 completion has no 2-cone to subdivide: the check compares the
+    # automatic completion with itself
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": [
+        {"kind": "independence", "object": "A1"},
+        {"kind": "independence", "object": "P1", "window": [[0]]},
+        {"kind": "independence", "object": "Gm"}]}))
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-m", "kvar.cli", "check", "--suite", str(path),
+                           "--format", "json", "--out", str(out)], env=cli_child_env("0"))
+    assert proc.returncode == 0
+    payload = json.loads(out.read_text())
+    assert [(r["id"], r["status"]) for r in payload["records"]] == [
+        ("independence[0]", "pass"), ("independence[1]", "pass"), ("independence[2]", "pass")]
+
+
 def test_suite_fixture_report_is_pinned(tmp_path, cli_child_env):
     # the fixture's fail records are the evidence that descent violations
     # are detected; the header is left out, as it holds the suite path
@@ -163,6 +180,17 @@ def test_exit_code_contract(tmp_path):
     list_suite.write_text('[]')
     bad_measure = tmp_path / "bad_measure.json"
     bad_measure.write_text('{"checks": [{"kind": "kunneth", "x": "P1", "y": "P1", "measure": 5}]}')
+    # a Hirzebruch name without an integer, as an object and as a perturbation
+    # target, and a Kunneth check of a perturbed (not multiplicative) measure
+    bad_names = []
+    for j, check in enumerate((
+            '"kind": "additivity", "object": "Hirzebruch(x)", "window": "torus"',
+            '"kind": "blowup_descent", "object": "P2", "ray": [1, 1], "measure": '
+            '{"selector": "euler", "perturb": {"target": "Hirzebruch()", "delta": 1}}',
+            '"kind": "kunneth", "x": "P1", "y": "P1", "measure": '
+            '{"selector": "euler", "perturb": {"target": "P2", "delta": 1}}')):
+        bad_names.append(tmp_path / f"bad_name{j}.json")
+        bad_names[-1].write_text('{"checks": [{%s}]}' % check)
     bad_deltas = []
     for j, delta in enumerate(('"x"', "[1]", "2.5", "true")):
         bad_deltas.append(tmp_path / f"bad_delta{j}.json")
@@ -191,12 +219,15 @@ def test_exit_code_contract(tmp_path):
         bad_fields.append(tmp_path / f"bad_field{j}.json")
         bad_fields[-1].write_text('{"checks": [{%s}]}' % check)
     for argv in (["check", "--suite", str(tmp_path / "nonexistent.json")],
-                 *(["check", "--suite", str(path)] for path in bad_deltas + bad_fields),
+                 *(["check", "--suite", str(path)]
+                   for path in bad_deltas + bad_fields + bad_names),
                  ["check", "--suite", str(no_kind)],
                  ["check", "--suite", str(list_suite)],
                  ["check", "--suite", str(bad_measure)],
                  ["check", "--corpus-seed", "1", "--corpus-size", "2", "--measure", "chi2"],
                  ["check", "--corpus-seed", "1", "--corpus-size", "2", "--measure", "count:x"],
+                 ["check", "--corpus-seed", "1", "--corpus-size", "-3"],
+                 ["check", "--corpus-seed", "1", "--corpus-size", "2", "--depth", "-1"],
                  ["check"],
                  ["fan", str(no_rank)],
                  ["eval", "P1", "--relations", str(no_slots)]):

@@ -187,6 +187,20 @@ def test_c_complete_identity_and_legs(p2):
     assert check_c_complete(site, sq, zero_span(sq.Y, p2)).found
 
 
+def test_c_complete_at_depth_zero_finds_the_covers_of_depth_zero(p2):
+    site = SitePresentation()
+    site.add_object(p2)
+    _, sq = star_subdivision_square(p2, (1, 1))
+    site.add_square(sq)
+    for f in (zero_span(sq.Y, p2), sq.p_leg):
+        verdict = check_c_complete(site, sq, f, depth=0)
+        assert verdict.found and verdict.depth_used == 0
+    # the identity needs the square itself: one application of the rule
+    assert not check_c_complete(site, sq, identity_span(p2), depth=0).found
+    verdict = check_c_complete(site, sq, identity_span(p2), depth=1)
+    assert verdict.found and verdict.depth_used == 1
+
+
 def test_c_complete_pullback_along_other_blowdown(p2):
     site = SitePresentation()
     site.add_object(p2)

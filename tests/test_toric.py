@@ -17,7 +17,7 @@ from kvar.toric import (
     NotStronglyConvexError,
     SubdivisionError,
     ToricLocus,
-    ToricVariety,
+    alternative_completion,
     build_fan,
     builtin_fan,
     complete_surface,
@@ -383,9 +383,24 @@ def test_locus_flags_and_classes():
 
 
 def test_variety_flags():
-    assert ToricVariety(builtin_fan("P2")).is_compact()
-    assert not ToricVariety(builtin_fan("A2")).is_compact()
-    assert ToricVariety(Fan(2, [])).is_compact()  # the empty variety is proper
+    assert builtin_fan("P2").is_compact()
+    assert not builtin_fan("A2").is_compact()
+    assert Fan(2, []).is_compact()  # the empty variety is proper
+
+
+def test_alternative_completion_subdivides_a_cone_the_fan_lacks():
+    a2 = builtin_fan("A2")
+    completion = complete_surface(a2)
+    outside = [c for c in completion.maximal_cones if not a2.contains_cone(c)]
+    first = alternative_completion(completion, a2)
+    assert first == star_subdivide(completion, toric.primitive(outside[0].representative())).fan
+    last = alternative_completion(completion, a2, pick=lambda cones: cones[-1])
+    assert last == star_subdivide(completion, toric.primitive(outside[-1].representative())).fan
+    assert first.is_complete() and all(first.contains_cone(c) for c in a2.cones)
+    # a complete fan lacks no cone of itself, and a rank-1 completion has no
+    # 2-cone at all
+    assert alternative_completion(builtin_fan("P2"), builtin_fan("P2")) is None
+    assert alternative_completion(builtin_fan("P1"), builtin_fan("A1")) is None
 
 
 def test_orbit_of_is_the_cone_holding_the_representative():
@@ -404,9 +419,17 @@ def test_builtin_fan_names():
     for name in toric.BUILTIN_FAN_NAMES:
         builtin_fan(name)
     assert builtin_fan("Hirzebruch(3)").is_complete()
+    assert builtin_fan("Hirzebruch(-2)").is_complete()
     assert builtin_fan("Hirzebruch(0)") == builtin_fan("P1xP1")
     with pytest.raises(toric.ToricError):
         builtin_fan("P9000x")
+
+
+@pytest.mark.parametrize("name", ["Hirzebruch(x)", "Hirzebruch()", "Hirzebruch(1.5)",
+                                  "Hirzebruch( 1)", "Hirzebruch(" + "9" * 5000 + ")"])
+def test_hirzebruch_takes_an_integer(name):
+    with pytest.raises(toric.ToricError):
+        builtin_fan(name)
 
 
 def _maximal_by_subset_scan(fan):
