@@ -458,13 +458,13 @@ def _point_count_oracle(fan) -> Outcome:
 
 
 def _cover_monotone(site, obj, depth: int) -> Outcome:
-    keys = []
+    keys, identities = [], {}
     for d in range(depth + 1):
-        covers = enumerate_simple_covers(site, obj, d)
+        covers = enumerate_simple_covers(site, obj, d, identities)
         keys.append({c.key() for c in covers})
     ok = all(a <= b for a, b in zip(keys, keys[1:]))
     surj = all(c.jointly_surjective()
-               for c in enumerate_simple_covers(site, obj, min(depth, 2)))
+               for c in enumerate_simple_covers(site, obj, min(depth, 2), identities))
     return Outcome("pass" if ok and surj else "fail",
                    note=f"cover counts {[len(k) for k in keys]}")
 

@@ -243,18 +243,36 @@ def apply_measure(spec: MeasureSpec, cls: KClass,
 
 
 def registrations_from_json(records: Union[str, list]) -> dict:
-    """Measure registration file: list of {generator, measure, value}."""
+    """Measure registration file: list of {generator, measure, value}.
+
+    A value is an integer or {"var": name, "coeffs": [integers, constant
+    term first]}; a record of any other shape raises ``MeasureError``.
+    """
     import json
 
     if isinstance(records, str):
-        records = json.loads(records)
+        try:
+            records = json.loads(records)
+        except json.JSONDecodeError as exc:
+            raise MeasureError(f"registrations are not JSON: {exc}") from None
+    if not isinstance(records, list):
+        raise MeasureError("registrations are a list of records")
     table = {}
     for rec in records:
+        if not (isinstance(rec, dict) and isinstance(rec.get("generator"), str)
+                and isinstance(rec.get("measure"), str) and "value" in rec):
+            raise MeasureError(f"registration {rec!r} needs a string \"generator\", "
+                               "a string \"measure\" and a \"value\"")
         value = rec["value"]
-        if isinstance(value, int):
+        if type(value) is int:
             mv = MeasureValue.integer(value)
+        elif (isinstance(value, dict) and isinstance(value.get("var"), str)
+              and isinstance(value.get("coeffs"), list)
+              and all(type(c) is int for c in value["coeffs"])):
+            mv = MeasureValue(value["coeffs"], value["var"])
         else:
-            mv = MeasureValue(value["coeffs"], value.get("var"))
+            raise MeasureError(f"registration value {value!r} is neither an integer "
+                               "nor {\"var\": name, \"coeffs\": [integers]}")
         table[(rec["generator"], rec["measure"])] = mv
     return table
 

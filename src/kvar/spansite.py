@@ -779,25 +779,33 @@ def square_cover(sq: DistinguishedSquare,
     return SimpleCover(sq.base, SquareNode(sq, over_upper, over_lower))
 
 
-def enumerate_simple_covers(site: SitePresentation, obj: SiteObject,
-                            depth: int) -> List[SimpleCover]:
+def enumerate_simple_covers(site: SitePresentation, obj: SiteObject, depth: int,
+                            identities: Optional[dict] = None) -> List[SimpleCover]:
     """All covers reachable with at most ``depth`` applications of the
-    square rule, deduplicated by leaf family; monotone in depth."""
-    return _covers(site, obj, depth, {})
+    square rule, deduplicated by leaf family; monotone in depth.
+
+    ``identities`` maps an object's name to its identity cover; a caller
+    that enumerates one site several times may pass one dict to every call,
+    so that each identity span is built and validated once.
+    """
+    return _covers(site, obj, depth, {}, {} if identities is None else identities)
 
 
-def _covers(site: SitePresentation, o: SiteObject, d: int, memo: dict) -> List[SimpleCover]:
+def _covers(site: SitePresentation, o: SiteObject, d: int, memo: dict,
+            identities: dict) -> List[SimpleCover]:
     # a function of its own, not a recursive closure: that would be a
     # reference cycle holding every cover until the garbage collector runs
     key = (o.name, d)
     if key in memo:
         return memo[key]
-    identity = identity_cover(o)
+    identity = identities.get(o.name)
+    if identity is None:
+        identity = identities[o.name] = identity_cover(o)
     found = {identity.key(): identity}
     if d > 0:
         for sq in site.squares_over(o):
-            for cu in _covers(site, sq.Y, d - 1, memo):
-                for cl in _covers(site, sq.C, d - 1, memo):
+            for cu in _covers(site, sq.Y, d - 1, memo, identities):
+                for cl in _covers(site, sq.C, d - 1, memo, identities):
                     cover = square_cover(sq, cu, cl)
                     found.setdefault(cover.key(), cover)
     out = sorted(found.values(), key=lambda c: sorted(map(str, c.key())))

@@ -14,9 +14,10 @@ import itertools
 import json
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from kvar.kring import KClass
 
@@ -145,6 +146,13 @@ def det(rows: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 # cones
 
+def _check_rank(rank) -> None:
+    # before any intern-table lookup: True == 1 and 2.0 == 2 would share a
+    # key with the int rank and hand that rank to every later caller
+    if type(rank) is not int or rank < 0:
+        raise ToricError(f"rank must be a non-negative int, not {rank!r}")
+
+
 class Cone:
     """Strongly convex rational polyhedral cone, stored by its primitive rays.
 
@@ -161,6 +169,7 @@ class Cone:
     _interned: dict = {}
 
     def __new__(cls, rank: int, rays: Iterable[Sequence[int]] = ()):
+        _check_rank(rank)
         rays = tuple(sorted(tuple(int(x) for x in r) for r in rays))
         key = (rank, rays)
         cached = cls._interned.get(key)
@@ -365,13 +374,26 @@ class Cone:
 class Fan:
     """Finite fan: a set of cones closed under faces, pairwise intersecting
     in common faces.  The empty fan is the empty variety; the fan with only
-    the zero cone is the dense torus."""
+    the zero cone is the dense torus.
 
-    __slots__ = ("rank", "cones", "_by_rays", "_maximal", "_flags", "_containing")
+    Instances are interned by (rank, cones) in a weak table, so every caller
+    that builds an equal fan shares one object and its derived data
+    (completeness, rays, class, maximal cones, point lookups); a fan enters
+    the table only once it has validated, and leaves it when it is dropped.
+    """
 
-    def __init__(self, rank: int, cones: Iterable[Cone]):
-        self.rank = rank
-        cone_set = set(cones)
+    __slots__ = ("rank", "cones", "_by_rays", "_maximal", "_flags", "_containing",
+                 "__weakref__")
+
+    _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+    def __new__(cls, rank: int, cones: Iterable[Cone]):
+        _check_rank(rank)
+        cone_set = frozenset(cones)
+        key = (rank, cone_set)
+        cached = cls._interned.get(key)
+        if cached is not None:
+            return cached
         for c in cone_set:
             if c.rank != rank:
                 raise ToricError("cone rank differs from fan rank")
@@ -381,11 +403,15 @@ class Fan:
             for f in c.faces():
                 if f not in cone_set:
                     raise NotFaceClosedError(f"face {f} of {c} missing from the fan")
-        self.cones: FrozenSet[Cone] = frozenset(cone_set)
-        self._by_rays = {c.rays: c for c in cone_set}
-        self._maximal = None
-        self._flags: dict = {}
-        self._containing: dict = {}
+        inst = object.__new__(cls)
+        inst.rank = rank
+        inst.cones = cone_set
+        inst._by_rays = {c.rays: c for c in cone_set}
+        inst._maximal = None
+        inst._flags = {}
+        inst._containing = {}
+        cls._interned[key] = inst
+        return inst
 
     def _check_pairwise(self) -> None:
         cones = sorted(self.cones, key=lambda c: c.rays)

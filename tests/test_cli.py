@@ -273,6 +273,13 @@ def test_corpus_report_bytes_are_pinned(tmp_path, cli_child_env):
         check=True, env=cli_child_env("0"))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "0b8ca5554e3d632aae24b379cc21ce30cdac61701a3b0c857d475af8508c8745")
+    # size 200 shares each fan among its callers, whichever built it first
+    subprocess.run(
+        [sys.executable, "-m", "kvar.cli", "check", "--corpus-seed", "1",
+         "--corpus-size", "200", "--format", "json", "--out", str(out)],
+        check=True, env=cli_child_env("0"))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "60ca0092b3c672d0a21db229af5a5616344c6d4662432f823581c967674b6ead")
 
 
 def test_repeated_kunneth_pair_matches_its_first_check():

@@ -91,6 +91,35 @@ def test_residual_generators_need_registration():
     assert apply_measure(MeasureSpec("euler"), cls, table).as_int() == 4
 
 
+def test_registration_values_round_trip():
+    table = registrations_from_json(
+        '[{"generator": "S", "measure": "e_poly", "value": {"var": "uv", "coeffs": [1, 0, 2]}},'
+        ' {"generator": "S", "measure": "euler", "value": {"var": "uv", "coeffs": [3]}}]')
+    assert table[("S", "e_poly")] == uv(1, 0, 2)
+    assert table[("S", "euler")] == MeasureValue.integer(3)
+
+
+@pytest.mark.parametrize("records", [
+    '[{"generator": "S", "measure": "euler"}]',              # no value
+    '[{"measure": "euler", "value": 3}]',                    # no generator
+    '[{"generator": "S", "value": 3}]',                      # no measure
+    '[{"generator": ["S"], "measure": "euler", "value": 3}]',
+    '[{"generator": "S", "measure": "euler", "value": {"coeffs": [1, 2]}}]',  # no var
+    '[{"generator": "S", "measure": "euler", "value": {"var": "uv", "coeffs": [1.5]}}]',
+    '[{"generator": "S", "measure": "euler", "value": {"var": "uv", "coeffs": [true]}}]',
+    '[{"generator": "S", "measure": "euler", "value": {"var": "uv", "coeffs": 2}}]',
+    '[{"generator": "S", "measure": "euler", "value": {"var": "uv"}}]',
+    '[{"generator": "S", "measure": "euler", "value": "3"}]',
+    '[{"generator": "S", "measure": "euler", "value": true}]',
+    '["S"]',
+    '{"generator": "S", "measure": "euler", "value": 3}',
+    '[{"generator": "S"',
+])
+def test_malformed_registrations_raise_measure_error(records):
+    with pytest.raises(MeasureError):
+        registrations_from_json(records)
+
+
 def test_measure_is_ring_homomorphism_random():
     import random
 

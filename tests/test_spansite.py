@@ -6,6 +6,7 @@ from kvar import kring, toric
 from kvar.spansite import (
     EMPTY,
     DeclaredObject,
+    IsoNode,
     SitePresentation,
     SpanMorphism,
     TORIC_ID,
@@ -151,6 +152,43 @@ def test_cover_enumeration_depths(p2):
     keys1 = {c.key() for c in enumerate_simple_covers(site, p2, 1)}
     keys2 = {c.key() for c in depth2}
     assert keys1 <= keys2
+
+
+def test_one_identity_cover_per_object_in_one_enumeration(p2):
+    # the empty object is the lower-left corner of both localization
+    # squares, so it is covered at depths 1 and 0 below U2
+    chart = max(p2.fan.maximal_cones, key=lambda c: c.rays)
+    sq1 = localization_square(p2, chart.faces(), u_name="U1")
+    ray = next(c for c in chart.faces() if c.dim == 1)
+    sq2 = localization_square(sq1.base, ray.faces(), u_name="U2")
+    site = SitePresentation()
+    site.add_object(p2)
+    site.add_square(sq1)
+    site.add_square(sq2)
+    identities = {}
+
+    def walk(cover):
+        if isinstance(cover.node, IsoNode):
+            identities.setdefault(cover.root.name, set()).add(id(cover))
+        else:
+            walk(cover.node.over_upper)
+            walk(cover.node.over_lower)
+
+    covers = enumerate_simple_covers(site, sq2.base, 2)
+    for cover in covers:
+        walk(cover)
+    assert set(identities) == {"U2", "U1", "P2", EMPTY.name}
+    assert all(len(ids) == 1 for ids in identities.values())
+    assert identity_cover(sq2.base).key() in {c.key() for c in covers}
+    # one dict of identity covers, passed to every depth's enumeration
+    shared = {}
+    by_depth = [enumerate_simple_covers(site, sq2.base, d, shared) for d in range(3)]
+    identities.clear()
+    for cover in by_depth[1] + by_depth[2]:
+        walk(cover)
+    assert all(len(ids) == 1 for ids in identities.values())
+    assert [[c.key() for c in covers] for covers in by_depth] == [
+        [c.key() for c in enumerate_simple_covers(site, sq2.base, d)] for d in range(3)]
 
 
 def test_enumerated_covers_are_jointly_surjective(p2):

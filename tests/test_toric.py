@@ -1,5 +1,6 @@
 """Fans, cones, subdivisions, completions, and orbit classes."""
 
+import gc
 import json
 
 import pytest
@@ -97,6 +98,88 @@ def test_failed_cone_leaves_no_intern_entry():
         assert key not in Cone._interned
         with pytest.raises(error):  # and fails again, not from a stale entry
             Cone(rank, rays)
+
+
+@pytest.mark.parametrize("rank", [True, False, 2.0, -1, "2", None])
+def test_a_rank_that_is_not_a_nonnegative_int_is_rejected(rank):
+    with pytest.raises(toric.ToricError):
+        Cone(rank, [(1,)])
+    with pytest.raises(toric.ToricError):
+        Cone(rank, [(1, 0), (0, 1)])
+    with pytest.raises(toric.ToricError):
+        Fan(rank, [])
+    # nothing was interned under a key equal to an int rank's
+    assert Cone(1, [(1,)]).rank == 1 and type(Cone(1, [(1,)]).rank) is int
+    assert type(Fan(1, [Cone(1, [])]).rank) is int
+
+
+def test_fan_from_an_iterator_is_the_fan_from_a_list():
+    cones = Cone(2, [(5, 2), (2, 5)]).faces()  # a fan no other test builds first
+    from_iter = Fan(2, iter(cones))
+    assert from_iter is Fan(2, list(cones))
+    assert from_iter is Fan.from_cones(2, [Cone(2, [(2, 5), (5, 2)])])
+    assert Fan._interned[(2, frozenset(cones))] is from_iter
+
+
+def test_failed_fan_leaves_no_intern_entry():
+    zero, quad = Cone(2, []), Cone(2, [(1, 0), (0, 1)])
+    for cones, error in (([zero, quad], NotFaceClosedError),       # a missing face
+                         ([zero, Cone(1, [])], toric.ToricError),  # mixed ranks
+                         ([Cone(2, [(1, 0)])], NotFaceClosedError)):  # no zero cone
+        key = (2, frozenset(cones))
+        with pytest.raises(error):
+            Fan(2, cones)
+        assert key not in Fan._interned
+        with pytest.raises(error):  # and fails again, not from a stale entry
+            Fan(2, cones)
+
+
+def test_a_dropped_fan_leaves_the_table():
+    fan = Fan.from_cones(2, [Cone(2, [(4, 3), (3, 4)])])
+    key = (2, fan.cones)
+    assert Fan._interned[key] is fan
+    del fan
+    gc.collect()
+    assert key not in Fan._interned
+
+
+def _fresh_fan(fan):
+    """An equal fan built from the cones outside the table, caches empty."""
+    key = (fan.rank, fan.cones)
+    del Fan._interned[key]
+    try:
+        fresh = Fan(fan.rank, sorted(fan.cones, key=lambda c: c.rays))
+    finally:
+        Fan._interned[key] = fan
+    assert fresh is not fan and fresh == fan
+    return fresh
+
+
+def test_shared_fan_data_matches_a_fresh_fan():
+    corp = corpus.generate(1, 10)
+    fans = [builtin_fan(n) for n in toric.BUILTIN_FAN_NAMES] + corp.all_fans()
+    fans += [obj.fan.subfan(window) for obj, window in corp.pairs_xu]
+    for fan in fans:
+        fresh = _fresh_fan(fan)
+        assert fan.is_complete() == fresh.is_complete()
+        assert fan.rays == fresh.rays
+        assert fan.maximal_cones == fresh.maximal_cones
+        assert fan.class_of() == fresh.class_of()
+        assert fan is Fan(fan.rank, fan.cones)
+
+
+def test_subfan_checks_its_subset_even_when_an_equal_fan_is_interned():
+    p2 = builtin_fan("P2")
+    elsewhere = Fan.from_cones(2, [Cone(2, [(-1, 0), (0, -1)])])  # not cones of P2
+    with pytest.raises(toric.ToricError, match="is not a cone of the fan"):
+        p2.subfan(elsewhere.cones)
+    ray_cones = [c for c in p2.cones if c.dim == 1]
+    torus = p2.subfan([Cone(2, [])])
+    with pytest.raises(NotFaceClosedError):
+        p2.subfan(ray_cones)  # the zero cone is missing
+    with pytest.raises(NotFaceClosedError):
+        p2.subfan(list(p2.maximal_cones) + list(torus.cones))
+    assert p2.subfan(p2.cones) is p2
 
 
 def _factor_cones():
