@@ -21,11 +21,12 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import List, Optional
 
 from kvar import corpus as corpus_mod
 from kvar import csupport, kring, measures, spansite, toric
 from kvar.csupport import (
+    CheckResult,
     CompletionProvider,
     MeasureOnCompacts,
     PerturbedMeasure,
@@ -33,6 +34,7 @@ from kvar.csupport import (
     extend_measure,
     independence_check,
     additivity_check,
+    verdict,
 )
 from kvar.measures import MeasureSpec, MeasureValue, apply_measure, weight_report
 from kvar.spansite import (
@@ -73,7 +75,6 @@ class Record:
     lhs: object = None
     rhs: object = None
     note: str = ""
-    trace: list = field(default_factory=list)
     seconds: float = 0.0
 
     def to_json(self) -> dict:
@@ -84,7 +85,7 @@ class Record:
             "lhs": _jsonable(self.lhs),
             "rhs": _jsonable(self.rhs),
             "note": self.note,
-            "trace": self.trace,
+            "trace": [],
             "timing": None,  # excluded from JSON so reports are byte-identical
         }
 
@@ -92,8 +93,6 @@ class Record:
 def _jsonable(value):
     if isinstance(value, MeasureValue):
         return value.to_json()
-    if isinstance(value, kring.KClass):
-        return str(value)
     return value
 
 
@@ -131,7 +130,7 @@ class Report:
         for r in sorted(self.records, key=lambda r: (r.kind, r.id)):
             body = f"{r.status.upper():7s} {r.kind:18s} {r.id}"
             if r.lhs is not None:
-                body += f"  lhs={r.lhs} rhs={r.rhs}"
+                body += f"  lhs={r.lhs}" + (f" rhs={r.rhs}" if r.rhs is not None else "")
             if r.note:
                 body += f"  [{r.note}]"
             body += f"  ({r.seconds * 1000:.1f} ms)"
@@ -149,7 +148,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # nesting too deep to decode
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -164,7 +163,7 @@ def _measure_from_record(rec) -> MeasureOnCompacts:
     delta = perturb.get("delta", 1) if isinstance(perturb, dict) else None
     if not (isinstance(rec, dict) and isinstance(rec.get("selector"), str)
             and (not perturb or (isinstance(target, str) and type(delta) is int))):
-        raise InputError(f"suite file: {json.dumps(rec)} is not a measure")
+        raise InputError(f"{json.dumps(rec)} is not a measure")
     base = MeasureOnCompacts(MeasureSpec.parse(rec["selector"]))
     if perturb:
         return PerturbedMeasure(base, toric.builtin_fan(target), delta)
@@ -186,72 +185,83 @@ def _suite_checks(suite) -> list:
             raise InputError(f'suite file: check {i} is not an object with a string "kind"')
         try:
             phi = _measure_from_record(rec.get("measure", "euler"))
-            args = _suite_args(rec, objects)
+            args = _suite_args(rec, i, objects)
             if rec["kind"] == "kunneth" and not phi.multiplicative:
-                raise _FieldError("kunneth needs a multiplicative measure")
-        except (measures.MeasureError, toric.ToricError, _FieldError) as exc:
+                raise InputError("kunneth needs a multiplicative measure")
+        except (kring.KringError, toric.ToricError, InputError) as exc:
             raise InputError(f"suite file: check {i}: {exc}") from None
         out.append((rec["kind"], phi, args))
     return out
 
 
-class _FieldError(Exception):
-    """A suite check field of the wrong type or out of range."""
-
-
-def _suite_args(rec: dict, objects: dict):
-    """The arguments of a suite check as its check function takes them,
+def _suite_args(rec: dict, i: int, objects: dict):
+    """The arguments of suite check ``i`` as its check function takes them,
     read from its fields: builtin fan names as objects, windows ("torus" or
     lists of ray indices, each list spanning a cone of the object) as
-    face-closed cone sets, and a ray (a list of integers of the object's
-    rank) as its star-subdivision square.  An unknown kind has none."""
+    face-closed cone sets, a ray (a list of integers of the object's rank)
+    as its star-subdivision square, and an independence window as its open
+    with two completions.  An unknown kind has none."""
     kind = rec["kind"]
-
-    def get_object(field: str) -> ToricObject:
-        name = rec.get(field)
-        if not isinstance(name, str):
-            raise _FieldError(f'"{field}" must be the name of a builtin fan')
-        if name not in objects:
-            objects[name] = ToricObject(name, toric.builtin_fan(name))
-        return objects[name]
-
-    def window(obj: ToricObject, field: str, default=None) -> frozenset:
-        spec = rec.get(field, default)
-        if spec == "torus":
-            return frozenset(c for c in obj.fan.cones if c.dim == 0)
-        rays = obj.fan.rays
-        if not (isinstance(spec, list) and all(
-                isinstance(ix, list) and all(type(j) is int and 0 <= j < len(rays) for j in ix)
-                for ix in spec)):
-            raise _FieldError(f'"{field}" must be "torus" or a list of lists of ray '
-                              f"indices of {obj.name} (0 to {len(rays) - 1})")
-        cones = {toric.Cone(obj.fan.rank, [])}
-        for ix in spec:
-            cone = toric.Cone(obj.fan.rank, [rays[j] for j in ix])
-            if not obj.fan.contains_cone(cone):
-                raise _FieldError(f'"{field}": {cone} is not a cone of {obj.name}')
-            cones.update(cone.faces())
-        return frozenset(cones)
-
     if kind == "kunneth":
-        return get_object("x"), get_object("y")
+        return _suite_object(rec, "x", objects), _suite_object(rec, "y", objects)
     if kind not in ("additivity", "independence", "blowup_descent", "mayer_vietoris"):
         return ()
-    obj = get_object("object")
+    obj = _suite_object(rec, "object", objects)
     if kind == "additivity":
-        return obj, window(obj, "window")
+        return obj, _suite_window(rec, obj, "window")
     if kind == "independence":
-        return obj, window(obj, "window", "torus")
+        return _two_completions(obj, _suite_window(rec, obj, "window", "torus"),
+                                f"{obj.name}|U{i}")
     if kind == "mayer_vietoris":
-        win_u, win_v = window(obj, "u"), window(obj, "v")
+        win_u, win_v = _suite_window(rec, obj, "u"), _suite_window(rec, obj, "v")
         if win_u | win_v != obj.fan.cones:
-            raise _FieldError(f'"u" and "v" do not cover {obj.name}')
+            raise InputError(f'"u" and "v" do not cover {obj.name}')
         return obj, win_u, win_v
     ray = rec.get("ray")
     if not (isinstance(ray, list) and len(ray) == obj.fan.rank
             and all(type(x) is int for x in ray)):
-        raise _FieldError(f'"ray" must be a list of {obj.fan.rank} integers')
+        raise InputError(f'"ray" must be a list of {obj.fan.rank} integers')
     return spansite.star_subdivision_square(obj, tuple(ray))[1]
+
+
+def _suite_object(rec: dict, field: str, objects: dict) -> ToricObject:
+    """The builtin fan named by ``field``, one object per name per suite."""
+    name = rec.get(field)
+    if not isinstance(name, str):
+        raise InputError(f'"{field}" must be the name of a builtin fan')
+    if name not in objects:
+        objects[name] = ToricObject(name, toric.builtin_fan(name))
+    return objects[name]
+
+
+def _suite_window(rec: dict, obj: ToricObject, field: str, default=None) -> frozenset:
+    """The face-closed cone set that ``field`` names in ``obj``."""
+    spec = rec.get(field, default)
+    if spec == "torus":
+        return frozenset(c for c in obj.fan.cones if c.dim == 0)
+    rays = obj.fan.rays
+    if not (isinstance(spec, list) and all(
+            isinstance(ix, list) and all(type(j) is int and 0 <= j < len(rays) for j in ix)
+            for ix in spec)):
+        raise InputError(f'"{field}" must be "torus" or a list of lists of ray '
+                         f"indices of {obj.name} (0 to {len(rays) - 1})")
+    cones = {toric.Cone(obj.fan.rank, [])}
+    for ix in spec:
+        cone = toric.Cone(obj.fan.rank, [rays[j] for j in ix])
+        if not obj.fan.contains_cone(cone):
+            raise InputError(f'"{field}": {cone} is not a cone of {obj.name}')
+        cones.update(cone.faces())
+    return frozenset(cones)
+
+
+def _two_completions(obj: ToricObject, window: frozenset, name: str) -> tuple:
+    """The open of ``obj`` on ``window``, named ``name``, with its automatic
+    completion and that completion's alternative (itself if it has none)."""
+    u_obj = ToricObject(name, obj.fan.subfan(window))
+    completion = toric.complete_surface(u_obj.fan)
+    alt = toric.alternative_completion(completion, u_obj.fan) or completion
+    return (u_obj, csupport.toric_choice(u_obj, completion),
+            csupport.toric_choice(u_obj, alt))
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +312,26 @@ def cmd_fan(config: RunConfig) -> Report:
         fan = toric.Fan.from_json(_load_json(config.fan_path))
     except toric.ToricError as exc:
         raise InputError(f"{config.fan_path}: {exc}") from None
-    ops = config.fan_ops or ["props"]
-    for op in ops:
-        t0 = time.perf_counter()
-        if op == "props":
-            props = toric.fan_properties(fan)
-            report.add(Record("props", "fan", "pass",
-                              lhs={"complete": props.complete, "smooth": props.smooth,
-                                   "dimension": props.dimension},
-                              seconds=time.perf_counter() - t0))
-        elif op == "class":
-            report.add(Record("class", "fan", "pass", lhs=str(fan.class_of()),
-                              seconds=time.perf_counter() - t0))
-        elif op == "complete":
-            try:
-                completed = toric.complete_surface(fan)
-                report.add(Record("complete", "fan", "pass",
-                                  lhs=completed.to_json(),
-                                  seconds=time.perf_counter() - t0))
-            except toric.ToricError as exc:
-                report.add(Record("complete", "fan", "fail", note=str(exc)))
+    for op in config.fan_ops or ["props"]:
+        _timed(report, op, "fan", _fan_op, op, fan)
     return report
+
+
+def _fan_op(op: str, fan: toric.Fan) -> CheckResult:
+    """The record of one fan operation; a fan that cannot be completed
+    fails ``complete``."""
+    if op == "props":
+        props = toric.fan_properties(fan)
+        return verdict(True, {"complete": props.complete, "smooth": props.smooth,
+                              "dimension": props.dimension})
+    if op == "class":
+        return verdict(True, str(fan.class_of()))
+    if op != "complete":
+        raise InputError(f"unknown fan operation {op!r}")
+    try:
+        return verdict(True, toric.complete_surface(fan).to_json())
+    except toric.ToricError as exc:
+        return verdict(False, note=str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -339,38 +348,33 @@ def run_corpus_checks(report: Report, seed: int, size: int,
     provider = corp.provider
     phis = _corpus_measures(measure_names)
 
-    def timed(rec_id, kind, check, *args):
-        t0 = time.perf_counter()
-        found = check(*args)
-        report.add(Record(rec_id, kind, found.status, lhs=found.lhs, rhs=found.rhs,
-                          note=found.note, seconds=time.perf_counter() - t0))
-
     for i, (obj, window) in enumerate(corp.pairs_xu):
         for phi in phis:
-            timed(f"additivity[{i}]:{obj.name}:{phi.name}", "additivity",
-                  additivity_check, phi, obj, window, provider)
+            _timed(report, f"additivity[{i}]:{obj.name}:{phi.name}", "additivity",
+                   additivity_check, phi, obj, window, provider)
 
     for i, case in enumerate(corp.independence):
         for phi in phis:
-            timed(f"independence[{i}]:{case.obj.name}:{phi.name}", "independence",
-                  independence_check, phi, case.obj, case.choice_a, case.choice_b, provider)
+            _timed(report, f"independence[{i}]:{case.obj.name}:{phi.name}", "independence",
+                   independence_check, phi, case.obj, case.choice_a, case.choice_b, provider)
 
     for i, sq in enumerate(corp.squares):
-        timed(f"square_relation[{i}]:{sq.base.name}", "square_relation", _square_relation, sq)
+        _timed(report, f"square_relation[{i}]:{sq.base.name}", "square_relation",
+               _square_relation, sq)
         for phi in phis:
-            timed(f"blowup_descent[{i}]:{sq.base.name}:{phi.name}", "blowup_descent",
-                  consistency_check, "blowup_descent", phi, sq, provider)
+            _timed(report, f"blowup_descent[{i}]:{sq.base.name}:{phi.name}", "blowup_descent",
+                   consistency_check, "blowup_descent", phi, sq, provider)
 
     for i, (obj, win_u, win_v) in enumerate(corp.mv_triples):
         for phi in phis:
-            timed(f"mayer_vietoris[{i}]:{obj.name}:{phi.name}", "mayer_vietoris",
-                  consistency_check, "mayer_vietoris", phi, (obj, win_u, win_v), provider)
+            _timed(report, f"mayer_vietoris[{i}]:{obj.name}:{phi.name}", "mayer_vietoris",
+                   consistency_check, "mayer_vietoris", phi, (obj, win_u, win_v), provider)
 
     # the pool repeats pairs; each distinct (measure, a, b) is checked once
     # per run, and a repeat gets a record of its own with the same result
     kunneth_done: dict = {}
 
-    def kunneth(phi, a, b) -> csupport.CheckReport:
+    def kunneth(phi, a, b) -> CheckResult:
         key = (phi, a, b)
         if key not in kunneth_done:
             kunneth_done[key] = consistency_check("kunneth", phi, (a, b), provider)
@@ -379,85 +383,82 @@ def run_corpus_checks(report: Report, seed: int, size: int,
     for i, (a, b) in enumerate(corp.kunneth_pairs):
         for phi in phis:
             if phi.multiplicative:
-                timed(f"kunneth[{i}]:{a.name}x{b.name}:{phi.name}", "kunneth",
-                      kunneth, phi, a, b)
+                _timed(report, f"kunneth[{i}]:{a.name}x{b.name}:{phi.name}", "kunneth",
+                       kunneth, phi, a, b)
 
     for i, (sq, f) in enumerate(corp.c_complete_cases):
-        timed(f"c_complete[{i}]:{sq.base.name}<-{f.source.name}", "c_complete",
-              _c_complete, corp.site, sq, f, depth)
+        _timed(report, f"c_complete[{i}]:{sq.base.name}<-{f.source.name}", "c_complete",
+               _c_complete, corp.site, sq, f, depth)
 
     for i, sq in enumerate(corp.squares + corp.loc_squares):
-        timed(f"dim_compatible[{i}]:{sq.base.name}", "dim_compatible", _dim_compatible, sq)
-        timed(f"square_valid[{i}]:{sq.base.name}", "square_valid", _square_valid, sq)
+        _timed(report, f"dim_compatible[{i}]:{sq.base.name}", "dim_compatible",
+               _dim_compatible, sq)
+        _timed(report, f"square_valid[{i}]:{sq.base.name}", "square_valid", _square_valid, sq)
 
     e_phi = csupport.e_polynomial_measure()
     for i, obj in enumerate(corp.rank3 + corp.surfaces):
         if obj.fan.rank <= 3 and obj.smooth and obj.complete:
-            timed(f"purity[{i}]:{obj.name}", "purity", _purity, e_phi, obj, provider)
+            _timed(report, f"purity[{i}]:{obj.name}", "purity", _purity, e_phi, obj, provider)
 
     for i, fan in enumerate(corp.all_fans()):
-        timed(f"point_count_oracle[{i}]", "point_count_oracle", _point_count_oracle, fan)
+        _timed(report, f"point_count_oracle[{i}]", "point_count_oracle", _point_count_oracle, fan)
 
     for i, obj in enumerate(sorted({sq.base.name: sq.base for sq in corp.squares}.values(),
                                    key=lambda o: o.name)):
-        timed(f"cover_monotone[{i}]:{obj.name}", "cover_monotone",
-              _cover_monotone, corp.site, obj, depth)
+        _timed(report, f"cover_monotone[{i}]:{obj.name}", "cover_monotone",
+               _cover_monotone, corp.site, obj, depth)
 
 
-class Outcome(NamedTuple):
-    """What one of the battery's own checks found, as its record holds it."""
-    status: str
-    lhs: object = None
-    rhs: object = None
-    note: str = ""
+def _timed(report: Report, rec_id: str, kind: str, check, *args) -> None:
+    """Run one check and add its record, timed over the check call alone."""
+    t0 = time.perf_counter()
+    result = check(*args)
+    report.add(Record(rec_id, kind, *result, seconds=time.perf_counter() - t0))
 
 
-def _square_relation(sq) -> Outcome:
+def _square_relation(sq) -> CheckResult:
     cls = sq.corner_classes()
     rep = kring.verify_square_relation(cls["upper_left"], cls["upper_right"],
                                        cls["lower_left"], cls["base"])
-    return Outcome("pass" if rep.ok else "fail", str(rep.lhs), str(rep.rhs))
+    return verdict(rep.ok, str(rep.lhs), str(rep.rhs))
 
 
-def _c_complete(site, sq, f, depth: int) -> Outcome:
-    verdict = check_c_complete(site, sq, f, depth)
-    return Outcome("pass" if verdict.found else "fail", note=verdict.note)
+def _c_complete(site, sq, f, depth: int) -> CheckResult:
+    result = check_c_complete(site, sq, f, depth)
+    return verdict(result.found, note=result.note)
 
 
-def _dim_compatible(sq) -> Outcome:
-    verdict = check_dim_compatible(sq)
-    ok = verdict.kind in ("direct", "refined") and all(
-        check_dim_compatible(r).kind == "direct" for r in verdict.refined)
-    return Outcome("pass" if ok else "fail", note=verdict.kind)
+def _dim_compatible(sq) -> CheckResult:
+    result = check_dim_compatible(sq)
+    ok = result.kind in ("direct", "refined") and all(
+        check_dim_compatible(r).kind == "direct" for r in result.refined)
+    return verdict(ok, note=result.kind)
 
 
-def _square_valid(sq) -> Outcome:
+def _square_valid(sq) -> CheckResult:
     v = validate_square(sq)
-    joint = v.jointly_surjective
-    ok = v.ok and (joint is not False)
-    return Outcome("pass" if ok else "fail",
+    return verdict(v.ok and v.jointly_surjective is not False,
                    note="; ".join(f"{e.condition}={e.status}" for e in v.entries))
 
 
-def _purity(e_phi, obj, provider) -> Outcome:
+def _purity(e_phi, obj, provider) -> CheckResult:
     value = extend_measure(e_phi, obj, provider).value
     wr = weight_report(value, obj.smooth, obj.is_compact(),
                        obj.fan.face_counts(), obj.fan.rank)
-    return Outcome("pass" if wr.purity else "fail", [list(w) for w in wr.weights],
-                   note=wr.note)
+    return verdict(wr.purity, [list(w) for w in wr.weights], note=wr.note)
 
 
-def _point_count_oracle(fan) -> Outcome:
+def _point_count_oracle(fan) -> CheckResult:
     cls = fan.class_of()
     for q in (2, 3, 4, 5):
         direct = fan.orbit_count(q)
         via_e = apply_measure(MeasureSpec("e_poly"), cls).substitute_int(q)
         if direct != via_e:
-            return Outcome("fail", via_e, direct, f"q={q}")
-    return Outcome("pass", note="q in {2,3,4,5}")
+            return verdict(False, via_e, direct, f"q={q}")
+    return verdict(True, note="q in {2,3,4,5}")
 
 
-def _cover_monotone(site, obj, depth: int) -> Outcome:
+def _cover_monotone(site, obj, depth: int) -> CheckResult:
     keys, identities = [], {}
     for d in range(depth + 1):
         covers = enumerate_simple_covers(site, obj, d, identities)
@@ -465,8 +466,7 @@ def _cover_monotone(site, obj, depth: int) -> Outcome:
     ok = all(a <= b for a, b in zip(keys, keys[1:]))
     surj = all(c.jointly_surjective()
                for c in enumerate_simple_covers(site, obj, min(depth, 2), identities))
-    return Outcome("pass" if ok and surj else "fail",
-                   note=f"cover counts {[len(k) for k in keys]}")
+    return verdict(ok and surj, note=f"cover counts {[len(k) for k in keys]}")
 
 
 def run_suite(report: Report, suite: dict, depth: int) -> None:
@@ -474,28 +474,18 @@ def run_suite(report: Report, suite: dict, depth: int) -> None:
     provider = CompletionProvider()
     for i, (kind, phi, args) in enumerate(checks):
         rec_id = f"{kind}[{i}]"
-        t0 = time.perf_counter()
+        if kind in ("blowup_descent", "mayer_vietoris", "kunneth"):
+            check, args = consistency_check, (kind, phi, args)
+        elif kind in ("additivity", "independence"):
+            check = additivity_check if kind == "additivity" else independence_check
+            args = (phi, *args)
+        else:
+            report.add(Record(rec_id, kind, "skipped", note="unknown kind"))
+            continue
         try:
-            if kind == "additivity":
-                cr = additivity_check(phi, *args, provider)
-            elif kind == "independence":
-                obj, window = args
-                sub = obj.fan.subfan(window)
-                u_obj = ToricObject(f"{obj.name}|U{i}", sub)
-                completion = toric.complete_surface(sub)
-                alt = toric.alternative_completion(completion, sub) or completion
-                cr = independence_check(phi, u_obj, csupport.toric_choice(u_obj, completion),
-                                        csupport.toric_choice(u_obj, alt), provider)
-            elif kind in ("blowup_descent", "mayer_vietoris", "kunneth"):
-                cr = consistency_check(kind, phi, args, provider)
-            else:
-                report.add(Record(rec_id, kind, "skipped", note="unknown kind"))
-                continue
+            _timed(report, rec_id, kind, check, *args, provider)
         except Exception as exc:  # suite records stay isolated
             report.add(Record(rec_id, kind, "fail", note=f"error: {exc}"))
-            continue
-        report.add(Record(rec_id, kind, cr.status, lhs=cr.lhs, rhs=cr.rhs,
-                          note=cr.note, seconds=time.perf_counter() - t0))
 
 
 def cmd_check(config: RunConfig) -> Report:

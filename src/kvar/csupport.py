@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from kvar import toric
 from kvar.kring import KClass, MissingCompactificationError
@@ -163,7 +163,7 @@ class CompletionProvider:
     def __init__(self):
         self._registry: Dict[Fan, Fan] = {}
         self._completions: Dict[Fan, Fan] = {}
-        # _fan_key(fan) or locus -> (measure, object type, name) -> extension
+        # fan or locus -> (measure, object type, name) -> extension
         self._extensions: Dict[object, Dict[tuple, "ExtensionResult"]] = {}
         # (measure, locus, depth) -> (value, the trace steps it appends)
         self._loci: Dict[tuple, Tuple[MeasureValue, Tuple["TraceStep", ...]]] = {}
@@ -172,7 +172,7 @@ class CompletionProvider:
         _check_completion(fan, completion)
         if self._registry.get(fan) != completion:
             # extensions over this fan went through its old completion
-            self._extensions.pop(_fan_key(fan), None)
+            self._extensions.pop(fan, None)
         self._registry[fan] = completion
 
     def completion_fan(self, fan: Fan) -> Fan:
@@ -192,11 +192,6 @@ class CompletionProvider:
 
     def choose(self, obj: ToricObject) -> CompactificationChoice:
         return _completion_choice(obj, self.completion_fan(obj.fan))
-
-
-def _fan_key(fan: Fan) -> tuple:
-    # what makes a Fan equal, without the caches a Fan carries
-    return (fan.rank, fan.cones)
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,7 +270,7 @@ def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
     provider = provider or CompletionProvider()
     if choice is not None or not isinstance(obj, (ToricObject, ToricLocusObject)):
         return _extend(phi, obj, provider, choice)
-    where = _fan_key(obj.fan) if isinstance(obj, ToricObject) else obj.locus
+    where = obj.fan if isinstance(obj, ToricObject) else obj.locus
     memo = provider._extensions.setdefault(where, {})
     key = (phi, type(obj), obj.name)
     result = memo.get(key)
@@ -398,25 +393,26 @@ def oracle_value(phi: MeasureOnCompacts, obj: SiteObject) -> MeasureValue:
 # ---------------------------------------------------------------------------
 # checks
 
-@dataclass
-class CheckReport:
-    kind: str
-    measure: str
-    subject: str
-    passed: bool
-    lhs: MeasureValue
-    rhs: MeasureValue
+class CheckResult(NamedTuple):
+    """What a check found, as its report record holds it."""
+    status: str  # pass | fail
+    lhs: object = None
+    rhs: object = None
     note: str = ""
-    trace: Tuple[TraceStep, ...] = ()
 
     @property
-    def status(self) -> str:
-        return "pass" if self.passed else "fail"
+    def passed(self) -> bool:
+        return self.status == "pass"
+
+
+def verdict(ok: bool, lhs=None, rhs=None, note: str = "") -> CheckResult:
+    """The result of a check that passed exactly when ``ok`` holds."""
+    return CheckResult("pass" if ok else "fail", lhs, rhs, note)
 
 
 def additivity_check(phi: MeasureOnCompacts, x_obj: ToricObject,
                      window: Iterable[Cone],
-                     provider: Optional[CompletionProvider] = None) -> CheckReport:
+                     provider: Optional[CompletionProvider] = None) -> CheckResult:
     """Phi_c(U) + Phi_c(X \\ U) = Phi_c(X) for U the open subvariety on a
     face-closed cone subset."""
     provider = provider or CompletionProvider()
@@ -424,32 +420,26 @@ def additivity_check(phi: MeasureOnCompacts, x_obj: ToricObject,
     sub = x_obj.fan.subfan(window)
     u_obj = ToricObject(f"{x_obj.name}|U", sub)
     complement = ToricLocus(x_obj.fan, [c for c in x_obj.fan.cones if c not in window])
-    left = extend_measure(phi, u_obj, provider)
-    comp_value = extend_measure(phi, ToricLocusObject("complement", complement), provider)
-    right = extend_measure(phi, x_obj, provider)
-    lhs = left.value + comp_value.value
-    return CheckReport("additivity", phi.name, x_obj.name,
-                       lhs == right.value, lhs, right.value,
-                       trace=left.trace + comp_value.trace + right.trace)
+    lhs = extend_measure(phi, u_obj, provider).value \
+        + extend_measure(phi, ToricLocusObject("complement", complement), provider).value
+    rhs = extend_measure(phi, x_obj, provider).value
+    return verdict(lhs == rhs, lhs, rhs)
 
 
 def independence_check(phi: MeasureOnCompacts, obj: ToricObject,
                        comp_a: CompactificationChoice,
                        comp_b: CompactificationChoice,
-                       provider: Optional[CompletionProvider] = None) -> CheckReport:
+                       provider: Optional[CompletionProvider] = None) -> CheckResult:
     """Phi_c through two compactifications; inequality is evidence of a
     descent violation (well-definedness fails exactly then)."""
-    ra = extend_measure(phi, obj, provider, choice=comp_a)
-    rb = extend_measure(phi, obj, provider, choice=comp_b)
-    note = "" if ra.value == rb.value else \
-        "descent violation: the measure does not satisfy abstract-blowup descent"
-    return CheckReport("independence", phi.name, obj.name,
-                       ra.value == rb.value, ra.value, rb.value, note,
-                       trace=ra.trace + rb.trace)
+    va = extend_measure(phi, obj, provider, choice=comp_a).value
+    vb = extend_measure(phi, obj, provider, choice=comp_b).value
+    return verdict(va == vb, va, vb, "" if va == vb else
+                   "descent violation: the measure does not satisfy abstract-blowup descent")
 
 
 def consistency_check(kind: str, phi: MeasureOnCompacts, args,
-                      provider: Optional[CompletionProvider] = None) -> CheckReport:
+                      provider: Optional[CompletionProvider] = None) -> CheckResult:
     """Descent identities at measure level.
 
     blowup_descent:  Phi_c(X) + Phi_c(E) = Phi_c(C) + Phi_c(Y) on a square;
@@ -459,27 +449,21 @@ def consistency_check(kind: str, phi: MeasureOnCompacts, args,
     provider = provider or CompletionProvider()
     if kind == "blowup_descent":
         sq: DistinguishedSquare = args
-        vx = extend_measure(phi, sq.base, provider)
-        ve = extend_measure(phi, sq.E, provider)
-        vc = extend_measure(phi, sq.C, provider)
-        vy = extend_measure(phi, sq.Y, provider)
-        lhs = vx.value + ve.value
-        rhs = vc.value + vy.value
-        note = "" if lhs == rhs else "descent violation"
-        return CheckReport(kind, phi.name, repr(sq), lhs == rhs, lhs, rhs, note)
+        lhs = extend_measure(phi, sq.base, provider).value \
+            + extend_measure(phi, sq.E, provider).value
+        rhs = extend_measure(phi, sq.C, provider).value \
+            + extend_measure(phi, sq.Y, provider).value
+        return verdict(lhs == rhs, lhs, rhs, "" if lhs == rhs else "descent violation")
     if kind == "mayer_vietoris":
         x_obj, win_u, win_v = args
         win_u, win_v = frozenset(win_u), frozenset(win_v)
         if win_u | win_v != frozenset(x_obj.fan.cones):
             raise CSupportError("U and V do not cover X")
-        pieces = {}
-        for tag, win in (("U", win_u), ("V", win_v), ("UnV", win_u & win_v)):
-            sub = x_obj.fan.subfan(win)
-            pieces[tag] = extend_measure(phi, ToricObject(tag, sub), provider).value
-        vx = extend_measure(phi, x_obj, provider).value
-        lhs = pieces["UnV"] + vx
-        rhs = pieces["U"] + pieces["V"]
-        return CheckReport(kind, phi.name, x_obj.name, lhs == rhs, lhs, rhs)
+        vu, vv, vunv = (extend_measure(phi, ToricObject(tag, x_obj.fan.subfan(win)),
+                                       provider).value
+                        for tag, win in (("U", win_u), ("V", win_v), ("UnV", win_u & win_v)))
+        lhs = vunv + extend_measure(phi, x_obj, provider).value
+        return verdict(lhs == vu + vv, lhs, vu + vv)
     if kind == "kunneth":
         if not phi.multiplicative:
             raise MeasureDomainError("kunneth needs a multiplicative measure")
@@ -493,5 +477,5 @@ def consistency_check(kind: str, phi: MeasureOnCompacts, args,
         lhs = extend_measure(phi, prod_obj, provider).value
         rhs = extend_measure(phi, a_obj, provider).value \
             * extend_measure(phi, b_obj, provider).value
-        return CheckReport(kind, phi.name, prod_obj.name, lhs == rhs, lhs, rhs)
+        return verdict(lhs == rhs, lhs, rhs)
     raise CSupportError(f"unknown consistency check {kind!r}")

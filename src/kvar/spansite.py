@@ -255,10 +255,7 @@ class SpanMorphism:
         if isinstance(self.window, str) or not isinstance(self.target, FAN_BACKED):
             raise BackendMismatchError("orbit images are a toric-backend computation")
         tfan = self.target.fan
-        out = set()
-        for c in self.window:
-            out.add(tfan.orbit_of(c).rays)
-        return frozenset(out)
+        return frozenset(tfan.orbit_of(c).rays for c in self.window)
 
 
 def _source_cones(obj: SiteObject) -> FrozenSet[Cone]:
@@ -297,10 +294,7 @@ def compose(second: SpanMorphism, first: SpanMorphism,
             "composition of declared spans needs a declared pullback"
         )
     mid_fan = second.source.fan
-    window = set()
-    for c in first.window:
-        if mid_fan.orbit_of(c) in second.window:
-            window.add(c)
+    window = {c for c in first.window if mid_fan.orbit_of(c) in second.window}
     return SpanMorphism(first.source, second.target, window, TORIC_ID, "composite")
 
 
@@ -655,42 +649,55 @@ class SitePresentation:
     @staticmethod
     def from_json(data) -> "SitePresentation":
         """Site file: {objects: [{name, dim, compact, backend_ref}],
-        morphisms: [{src, window, map, tgt}], squares: [{kind, corners, maps}]}."""
-        if isinstance(data, str):
-            data = json.loads(data)
-        site = SitePresentation()
-        for rec in data.get("objects", []):
-            ref = rec.get("backend_ref")
-            if ref and ref != "declared":
-                fan = toric.builtin_fan(ref) if isinstance(ref, str) else Fan.from_json(ref)
-                site.add_object(ToricObject(rec["name"], fan))
-            elif rec["name"] != "empty":
-                site.add_object(DeclaredObject(
-                    rec["name"], rec["dim"], rec.get("compact", False),
-                    components=tuple(rec["components"]) if rec.get("components") else None))
-        for rec in data.get("morphisms", []):
-            src = site.objects[rec["src"]]
-            tgt = site.objects[rec["tgt"]]
-            window = rec.get("window", "all")
-            if isinstance(window, list) and isinstance(src, FAN_BACKED):
-                rays = src.fan.rays
-                window = frozenset(
-                    Cone(src.fan.rank, [rays[i] for i in ix]) for ix in window
-                )
-                window = frozenset().union(*[frozenset(c.faces()) for c in window]) \
-                    if window else frozenset()
-            elif window == "all":
-                window = src.cones if isinstance(src, TORIC_OBJECTS) else "all"
-            site.add_morphism(SpanMorphism(
-                src, tgt, window,
-                TORIC_ID if isinstance(src, FAN_BACKED) else _declared_map(rec.get("map", "f")),
-                "declared"))
-        for rec in data.get("squares", []):
-            corners = {role: site.objects[name]
-                       for role, name in rec["corners"].items()}
-            site.add_square(declared_square(rec["kind"], corners,
-                                            rec.get("maps", {})))
+        morphisms: [{src, window, map, tgt}], squares: [{kind, corners, maps}]}.
+
+        A file of another shape raises SpanError naming the record at fault;
+        an unknown ``backend_ref`` raises ToricError."""
+        site, where = SitePresentation(), "the top level"
+        try:
+            data = json.loads(data) if isinstance(data, str) else data
+            sections = [data.get(key, []) for key in ("objects", "morphisms", "squares")]
+            if not all(isinstance(records, list) for records in sections):
+                raise SpanError("objects, morphisms and squares must be lists")
+            for i, rec in enumerate(sections[0]):
+                where = f"objects[{i}]"
+                ref = rec.get("backend_ref")
+                if ref and ref != "declared":
+                    fan = toric.builtin_fan(ref) if isinstance(ref, str) else Fan.from_json(ref)
+                    site.add_object(ToricObject(rec["name"], fan))
+                elif rec["name"] != "empty":
+                    site.add_object(DeclaredObject(
+                        rec["name"], rec["dim"], rec.get("compact", False),
+                        components=tuple(rec["components"]) if rec.get("components") else None))
+            for i, rec in enumerate(sections[1]):
+                where = f"morphisms[{i}]"
+                src, tgt = site._named(rec["src"]), site._named(rec["tgt"])
+                window = rec.get("window", "all")
+                if isinstance(window, list) and isinstance(src, FAN_BACKED):
+                    rays = src.fan.rays
+                    if not all(type(j) is int and 0 <= j < len(rays) for ix in window for j in ix):
+                        raise SpanError(f"a window ray index is not in 0..{len(rays) - 1}")
+                    window = frozenset().union(
+                        *[Cone(src.fan.rank, [rays[j] for j in ix]).faces() for ix in window])
+                elif window == "all":
+                    window = src.cones if isinstance(src, TORIC_OBJECTS) else "all"
+                site.add_morphism(SpanMorphism(
+                    src, tgt, window, TORIC_ID if isinstance(src, FAN_BACKED)
+                    else _declared_map(rec.get("map", "f")), "declared"))
+            for i, rec in enumerate(sections[2]):
+                where = f"squares[{i}]"
+                corners = {role: site._named(name) for role, name in rec["corners"].items()}
+                site.add_square(declared_square(rec["kind"], corners, rec.get("maps", {})))
+        except (SpanError, AttributeError, KeyError, IndexError, TypeError, ValueError,
+                RecursionError) as exc:
+            what = f"missing {exc}" if isinstance(exc, KeyError) else exc
+            raise SpanError(f"site file: {where}: {what}") from None
         return site
+
+    def _named(self, name) -> SiteObject:
+        if name not in self.objects:
+            raise SpanError(f"unknown object {name!r}")
+        return self.objects[name]
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +740,8 @@ class SimpleCover:
     def _collect(self, node: CoverNode) -> List[SpanMorphism]:
         if isinstance(node, IsoNode):
             return [node.span]
-        out = []
-        for leaf in node.over_upper.leaves():
-            out.append(compose(node.square.p_leg, leaf))
-        for leaf in node.over_lower.leaves():
-            out.append(compose(node.square.i_leg, leaf))
-        return out
+        return ([compose(node.square.p_leg, leaf) for leaf in node.over_upper.leaves()]
+                + [compose(node.square.i_leg, leaf) for leaf in node.over_lower.leaves()])
 
     def depth(self) -> int:
         if isinstance(self.node, IsoNode):
@@ -866,13 +869,7 @@ class CCompleteVerdict:
 def _common_refinement_rank2(a: Fan, b: Fan) -> Fan:
     """Common refinement of two rank-2 fans with equal support."""
     rays = sorted(set(a.rays) | set(b.rays))
-    cones = set()
-    for c in a.cones:
-        if c.dim <= 1:
-            cones.add(c)
-    for c in b.cones:
-        if c.dim <= 1:
-            cones.add(c)
+    cones = {c for c in a.cones | b.cones if c.dim <= 1}
     ordered = toric.sort_rays_ccw(rays)
     for v, w in zip(ordered, ordered[1:] + ordered[:1]):
         rep = (v[0] + w[0], v[1] + w[1])

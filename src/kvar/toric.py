@@ -364,6 +364,9 @@ class Cone:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return Cone, (self.rank, self.rays)
+
     def __repr__(self) -> str:
         return f"Cone{self.rays}"
 
@@ -611,6 +614,9 @@ class Fan:
 
     def __hash__(self) -> int:
         return hash((self.rank, self.cones))
+
+    def __reduce__(self):
+        return Fan, (self.rank, self.cones)
 
     def __repr__(self) -> str:
         return f"Fan(rank={self.rank}, cones={len(self.cones)})"

@@ -83,6 +83,17 @@ def test_fan_command(tmp_path):
     assert sorted(completed["rays"]) == [[-1, -1], [0, 1], [1, 0]]
 
 
+def test_text_report_prints_rhs_only_when_there_is_one(tmp_path):
+    text = run_cli("eval", "P2 - pt", "--measure", "euler").to_text()
+    assert "lhs=L + L^2  (" in text and "rhs=" not in text
+    suite = run_cli("check", "--suite", str(FIXTURES / "perturbed_suite.json")).to_text()
+    assert "rhs=None" not in suite and " rhs=" in suite
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rank": 1, "rays": [[1]], "maximal_cones": [[0]]}))
+    with pytest.raises(InputError, match="unknown fan operation"):
+        run(RunConfig(command="fan", fan_path=str(path), fan_ops=["class", "volume"]))
+
+
 def test_check_suite_perturbed_fixture():
     report = run_cli("check", "--suite", str(FIXTURES / "perturbed_suite.json"))
     assert not report.ok()
@@ -178,6 +189,8 @@ def test_exit_code_contract(tmp_path):
     no_kind.write_text('{"checks": [{"object": "P2"}]}')
     list_suite = tmp_path / "list_suite.json"
     list_suite.write_text('[]')
+    deep_suite = tmp_path / "deep_suite.json"  # too deeply nested for json to decode
+    deep_suite.write_text('{"checks": %s}' % ("[" * 100_000 + "]" * 100_000))
     bad_measure = tmp_path / "bad_measure.json"
     bad_measure.write_text('{"checks": [{"kind": "kunneth", "x": "P1", "y": "P1", "measure": 5}]}')
     # a Hirzebruch name without an integer, as an object and as a perturbation
@@ -223,6 +236,7 @@ def test_exit_code_contract(tmp_path):
                    for path in bad_deltas + bad_fields + bad_names),
                  ["check", "--suite", str(no_kind)],
                  ["check", "--suite", str(list_suite)],
+                 ["check", "--suite", str(deep_suite)],
                  ["check", "--suite", str(bad_measure)],
                  ["check", "--corpus-seed", "1", "--corpus-size", "2", "--measure", "chi2"],
                  ["check", "--corpus-seed", "1", "--corpus-size", "2", "--measure", "count:x"],

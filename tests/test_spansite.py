@@ -8,6 +8,7 @@ from kvar.spansite import (
     DeclaredObject,
     IsoNode,
     SitePresentation,
+    SpanError,
     SpanMorphism,
     TORIC_ID,
     ToricLocusObject,
@@ -383,6 +384,34 @@ def test_site_presentation_from_json():
     assert len(site.squares) == 1
     assert validate_square(site.squares[0]).ok
     assert len(site.morphisms) == 1
+
+
+_SITE_OBJECTS = [{"name": "X", "dim": 1, "compact": True},
+                 {"name": "T", "dim": 2, "compact": True, "backend_ref": "P2"}]
+
+
+@pytest.mark.parametrize("data, error, where", [
+    ([], SpanError, "the top level"),
+    ({"objects": "abc"}, SpanError, "must be lists"),
+    ('{"objects": [', SpanError, "the top level"),
+    ("[" * 100_000, SpanError, "the top level"),
+    ({"objects": [{"dim": 1}]}, SpanError, "objects[0]: missing 'name'"),
+    ({"objects": [{"name": "X", "dim": "one"}]}, SpanError, "objects[0]"),
+    ({"objects": _SITE_OBJECTS, "morphisms": [{"src": "X", "tgt": "Z"}]},
+     SpanError, "morphisms[0]: unknown object 'Z'"),
+    ({"objects": _SITE_OBJECTS, "morphisms": [{"src": "T", "window": [[0], [7]], "tgt": "T"}]},
+     SpanError, "morphisms[0]: a window ray index is not in 0..2"),
+    ({"objects": _SITE_OBJECTS, "squares": [
+        {"kind": "abstract_blowup",
+         "corners": {"upper_left": "X", "upper_right": "X", "lower_left": "X"}}]},
+     SpanError, "squares[0]: missing 'base'"),
+    ({"objects": [{"name": "S", "backend_ref": "P9"}]}, toric.ToricError, "P9"),
+])
+def test_malformed_site_file_raises_a_typed_error(data, error, where):
+    with pytest.raises(error) as info:
+        SitePresentation.from_json(data)
+    assert type(info.value) is error
+    assert where in str(info.value) and "\n" not in str(info.value)
 
 
 def test_squares_over_matches_a_scan_of_all_squares():

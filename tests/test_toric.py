@@ -1,7 +1,9 @@
 """Fans, cones, subdivisions, completions, and orbit classes."""
 
+import copy
 import gc
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +168,14 @@ def test_shared_fan_data_matches_a_fresh_fan():
         assert fan.maximal_cones == fresh.maximal_cones
         assert fan.class_of() == fresh.class_of()
         assert fan is Fan(fan.rank, fan.cones)
+
+
+def test_copy_and_pickle_give_back_the_interned_instance():
+    fans = [builtin_fan(n) for n in toric.BUILTIN_FAN_NAMES] + corpus.generate(1, 10).all_fans()
+    for x in fans + sorted({c for f in fans for c in f.cones}, key=lambda c: (c.rank, c.rays)):
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
 
 
 def test_subfan_checks_its_subset_even_when_an_equal_fan_is_interned():
