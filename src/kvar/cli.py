@@ -469,7 +469,7 @@ def _cover_monotone(site, obj, depth: int) -> CheckResult:
     return verdict(ok and surj, note=f"cover counts {[len(k) for k in keys]}")
 
 
-def run_suite(report: Report, suite: dict, depth: int) -> None:
+def run_suite(report: Report, suite: dict) -> None:
     checks = _suite_checks(suite)
     provider = CompletionProvider()
     for i, (kind, phi, args) in enumerate(checks):
@@ -498,7 +498,7 @@ def cmd_check(config: RunConfig) -> Report:
     if config.suite_path:
         header["suite"] = config.suite_path
         report = Report(header)
-        run_suite(report, _load_json(config.suite_path), config.depth)
+        run_suite(report, _load_json(config.suite_path))
         return report
     header["corpus_seed"] = config.corpus_seed
     header["corpus_size"] = config.corpus_size

@@ -46,9 +46,7 @@ class MeasureOnCompacts:
     """A measure defined on the compact objects of the corpus.
 
     Toric compacts evaluate through their canonical class and the spec's
-    ring substitution; declared compacts read a user table.  ``cross_check``
-    marks measures that factor through classes (so the orbit-decomposition
-    oracle applies); the perturbed fixture switches it off.
+    ring substitution; declared compacts read a user table.
 
     Each measure memoizes its value per class, for classes without
     residual generators (the others read ``registrations``, which may
@@ -67,7 +65,6 @@ class MeasureOnCompacts:
         self.name = name or (spec.name if spec else "table")
         self.multiplicative = multiplicative
         self.registrations = registrations
-        self.cross_check = spec is not None
         self._values: Dict[KClass, MeasureValue] = {}
 
     def on_compact(self, obj: SiteObject) -> MeasureValue:
@@ -105,7 +102,6 @@ class PerturbedMeasure(MeasureOnCompacts):
         self.base = base
         self.target_fan = target_fan
         self.delta = delta
-        self.cross_check = False
 
     def on_compact(self, obj: SiteObject) -> MeasureValue:
         value = super().on_compact(obj)

@@ -694,7 +694,10 @@ class RelationSet:
         generator.  A record of the wrong shape raises InvalidRelationError.
         """
         if isinstance(records, str):
-            records = json.loads(records)
+            try:
+                records = json.loads(records)
+            except (ValueError, RecursionError) as exc:  # nesting too deep to decode
+                raise InvalidRelationError(f"a relation file is not JSON: {exc}") from None
         if not isinstance(records, list):
             raise InvalidRelationError("a relation file is a JSON array of records")
         rels = into if into is not None else RelationSet()

@@ -253,7 +253,7 @@ def registrations_from_json(records: Union[str, list]) -> dict:
     if isinstance(records, str):
         try:
             records = json.loads(records)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # nesting too deep to decode
             raise MeasureError(f"registrations are not JSON: {exc}") from None
     if not isinstance(records, list):
         raise MeasureError("registrations are a list of records")

@@ -275,8 +275,7 @@ def zero_span(source: SiteObject, target: SiteObject) -> SpanMorphism:
     return SpanMorphism(source, target, window, ZERO_MAP, "zero")
 
 
-def compose(second: SpanMorphism, first: SpanMorphism,
-            declared_pullbacks: Optional[dict] = None) -> SpanMorphism:
+def compose(second: SpanMorphism, first: SpanMorphism) -> SpanMorphism:
     """Composite span: the window is the pullback of the second window
     along the first map (for toric identity maps, the cones of the first
     window landing inside the second window's support)."""
@@ -287,9 +286,6 @@ def compose(second: SpanMorphism, first: SpanMorphism,
     if first.is_zero() or second.is_zero():
         return zero_span(first.source, second.target)
     if isinstance(first.window, str) or isinstance(second.window, str):
-        key = (first.key(), second.key())
-        if declared_pullbacks and key in declared_pullbacks:
-            return declared_pullbacks[key]
         raise MissingPullbackError(
             "composition of declared spans needs a declared pullback"
         )
@@ -324,7 +320,6 @@ class DistinguishedSquare:
         self.maps = dict(maps)
         self.provenance = provenance
         self.declared_flags = dict(declared_flags or {})
-        self.validation: Optional["SquareValidation"] = None
 
     # blowup-kind aliases
     @property
@@ -564,8 +559,7 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
             else:
                 entries.append(CheckEntry(condition, "fail", f"{flag} declared false"))
         joint = sq.declared_flags.get("jointly_surjective")
-        sq.validation = SquareValidation(entries, joint)
-        return sq.validation
+        return SquareValidation(entries, joint)
 
     if sq.kind == "localization":
         _, x_obj, window = sq.provenance
@@ -582,8 +576,7 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
         covered = sq.p_leg.orbit_image() | (frozenset() if sq.i_leg.is_zero()
                                             else sq.i_leg.orbit_image())
         joint = _ray_keys(sq.base) <= covered
-        sq.validation = SquareValidation(entries, joint)
-        return sq.validation
+        return SquareValidation(entries, joint)
 
     sd: StarSubdivision = sq.provenance
     e_cones = sq.E.cones
@@ -607,8 +600,7 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
         "cones away from the center coincide"))
     covered = sq.p_leg.orbit_image() | sq.i_leg.orbit_image()
     joint = _ray_keys(sq.base) <= covered
-    sq.validation = SquareValidation(entries, joint)
-    return sq.validation
+    return SquareValidation(entries, joint)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +614,6 @@ class SitePresentation:
         self.morphisms: List[SpanMorphism] = []
         self.squares: List[DistinguishedSquare] = []
         self._squares_by_base: Dict[str, List[DistinguishedSquare]] = {}
-        self.declared_pullbacks: dict = {}
 
     def add_object(self, obj: SiteObject) -> SiteObject:
         if obj.name in self.objects and self.objects[obj.name] is not obj:
@@ -946,15 +937,13 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
         x_obj = sq.base
         if full_window:
             # proper refinement Z -> X: pull the square back (rank 2)
-            if source.fan.rank == 2:
-                w_fan = _common_refinement_rank2(source.fan, sd.fan)
-                pulled = _refinement_square(w_fan, source, f"{source.name}&{sq.Y.name}")
-                cover = square_cover(pulled)
-                if all(in_sieve(compose(f, leaf), sq) for leaf in cover.leaves()):
-                    return CCompleteVerdict(True, cover, 1,
-                                            "pulled-back square via common refinement")
-            return CCompleteVerdict(False, None, None,
-                                    "fiber-product fan not representable at rank > 2")
+            unrepresentable = "fiber-product fan not representable at rank > 2"
+            if source.fan.rank != 2:
+                return CCompleteVerdict(False, None, None, unrepresentable)
+            w_fan = _common_refinement_rank2(source.fan, sd.fan)
+            pulled = _refinement_square(w_fan, source, f"{source.name}&{sq.Y.name}")
+            return _cover_verdict(f, sq, pulled, "pulled-back square via common refinement",
+                                  unrepresentable)
         if f.window == x_obj.fan.cones:
             # open immersion Z <- X: subdivide the big fan at the same ray
             try:
@@ -962,10 +951,8 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
             except toric.ToricError as exc:
                 return CCompleteVerdict(False, None, None,
                                         f"cannot subdivide the larger fan: {exc}")
-            cover = square_cover(big_square)
-            if all(in_sieve(compose(f, leaf), sq) for leaf in cover.leaves()):
-                return CCompleteVerdict(True, cover, 1,
-                                        "square over the larger fan, same ray")
+            return _cover_verdict(f, sq, big_square, "square over the larger fan, same ray",
+                                  "no toric-representable pullback found")
         return CCompleteVerdict(False, None, None,
                                 "no toric-representable pullback found")
 
@@ -992,23 +979,25 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
             loc.maps["right"] = SpanMorphism(g_obj, source, frozenset(source.fan.cones),
                                              TORIC_ID, "restriction to the open")
             loc.maps["bottom"] = zero_span(EMPTY, source)
-            cover = square_cover(loc)
-            if all(in_sieve(compose(f, leaf), sq) for leaf in cover.leaves()):
-                return CCompleteVerdict(True, cover, 1,
-                                        "glued completion over the refinement")
-            return CCompleteVerdict(False, None, None,
-                                    "glued cover is not inside the pulled-back sieve")
+            return _cover_verdict(f, sq, loc, "glued completion over the refinement",
+                                  "glued cover is not inside the pulled-back sieve")
         if f.window == frozenset(window):
             # restriction span X' -> U from another completion of U
             w_fan = _common_refinement_rank2(source.fan, x_obj.fan)
             pulled = _refinement_square(w_fan, source, f"{source.name}&{x_obj.name}")
-            cover = square_cover(pulled)
-            if all(in_sieve(compose(f, leaf), sq) for leaf in cover.leaves()):
-                return CCompleteVerdict(True, cover, 1,
-                                        "dominating completion via common refinement")
-            return CCompleteVerdict(False, None, None,
-                                    "refinement cover not inside the pulled-back sieve")
+            return _cover_verdict(f, sq, pulled, "dominating completion via common refinement",
+                                  "refinement cover not inside the pulled-back sieve")
     return CCompleteVerdict(False, None, None, "no toric-representable pullback found")
+
+
+def _cover_verdict(f: SpanMorphism, sq: DistinguishedSquare, square: DistinguishedSquare,
+                   found: str, missing: str) -> CCompleteVerdict:
+    """The cover of ``square``, found at depth 1 when f composed with each
+    of its leaves lies in the sieve of ``sq``."""
+    cover = square_cover(square)
+    if all(in_sieve(compose(f, leaf), sq) for leaf in cover.leaves()):
+        return CCompleteVerdict(True, cover, 1, found)
+    return CCompleteVerdict(False, None, None, missing)
 
 
 # ---------------------------------------------------------------------------

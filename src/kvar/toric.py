@@ -514,47 +514,33 @@ class Fan:
         return self._flags["smooth"]
 
     def is_complete(self) -> bool:
-        """Support covers the ambient space.
+        """Support covers the ambient space: nonempty, with facet pairing
+        over the star of the zero cone."""
+        if "complete" not in self._flags:
+            self._flags["complete"] = (not self.is_empty()
+                                       and self._complete_over(Cone(self.rank, ())))
+        return self._flags["complete"]
 
-        Rank <= 2 is decided by exact angular coverage; higher ranks by the
-        facet-pairing criterion: all maximal cones are full-dimensional and
-        every facet of a maximal cone is a facet of exactly two of them.
-        """
-        if "complete" in self._flags:
-            return self._flags["complete"]
-        if self.is_empty():
-            value = False
-        elif self.rank == 0:
-            value = True
-        elif self.rank == 1:
-            value = len(self.rays) == 2
-        elif self.rank == 2:
-            value = self._complete_rank2()
-        else:
-            value = self._complete_facet_pairing()
-        self._flags["complete"] = value
-        return value
-
-    def _complete_rank2(self) -> bool:
-        rays = sort_rays_ccw(self.rays)
-        if len(rays) < 3:
-            return False
-        for v, w in zip(rays, rays[1:] + rays[:1]):
-            if tuple(sorted((v, w))) not in self._by_rays:
-                return False
-        return True
-
-    def _complete_facet_pairing(self) -> bool:
+    def _complete_over(self, sigma: Cone) -> bool:
+        """Facet pairing over the star of ``sigma``, a cone of the fan: every
+        maximal cone containing sigma is full-dimensional, and every
+        codimension-one cone containing sigma is a face of exactly two of
+        them.  For the zero cone this says the fan is complete; for any
+        cone, that the orbit closure V(sigma) is proper (Fulton,
+        Introduction to Toric Varieties, 2.4 and 3.1).  Inside one fan,
+        sigma is a face of a cone exactly when its rays are among the
+        cone's rays."""
+        below = set(sigma.rays)
         counts: dict = {}
-        has_full = False
         for c in self.maximal_cones:
+            if below and not below <= set(c.rays):
+                continue
             if c.dim != self.rank:
                 return False
-            has_full = True
             for f in c.faces():
-                if f.dim == self.rank - 1:
-                    counts[f.rays] = counts.get(f.rays, 0) + 1
-        return has_full and all(v == 2 for v in counts.values())
+                if f.dim == self.rank - 1 and (not below or below <= set(f.rays)):
+                    counts[f] = counts.get(f, 0) + 1
+        return all(v == 2 for v in counts.values())
 
     def dimension(self) -> int:
         """Dimension of the toric variety: the ambient rank, or -1 for the
@@ -636,7 +622,10 @@ class Fan:
     @staticmethod
     def from_json(data) -> "Fan":
         if isinstance(data, str):
-            data = json.loads(data)
+            try:
+                data = json.loads(data)
+            except (ValueError, RecursionError) as exc:  # nesting too deep to decode
+                raise ToricError(f"fan file is not JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ToricError("a fan file is a JSON object")
         rank, rays, maximal = (data.get(k) for k in ("rank", "rays", "maximal_cones"))
@@ -773,8 +762,7 @@ def star_subdivide(fan: Fan, new_ray: Sequence[int]) -> StarSubdivision:
             f"ray {ray} lies on a cone of dimension {sigma.dim}; "
             "the subdivision center is ambiguous"
         )
-    star = [c for c in fan.cones if set(sigma.rays) <= set(c.rays)
-            and sigma.is_face_of(c)]
+    star = [c for c in fan.cones if set(sigma.rays) <= set(c.rays)]
     new_cones = [c for c in fan.cones if c not in star]
     for tau in star:
         for facet in tau.faces():
@@ -917,19 +905,21 @@ class ToricLocus:
         return True
 
     def is_compact(self) -> bool:
-        """Proper loci: empty, or closed inside a complete ambient fan, or
-        closed with every component's star fan complete."""
+        """Proper loci: empty, or closed with the orbit closure of every
+        minimal cone proper.  A closed locus in a complete ambient fan is
+        proper at once; otherwise each minimal cone gets the fan's facet
+        pairing over its star."""
         if self.is_empty():
             return True
         if not self.is_closed():
             return False
         if self.fan.is_complete():
             return True
-        return all(star_fan(self.fan, c).is_complete() for c in self._minimal_cones())
+        return all(self.fan._complete_over(c) for c in self._minimal_cones())
 
     def _minimal_cones(self) -> List[Cone]:
         return [c for c in self.cones
-                if not any(o is not c and o.is_face_of(c) for o in self.cones)]
+                if not any(o is not c and set(o.rays) <= set(c.rays) for o in self.cones)]
 
     def kclass(self) -> KClass:
         return self.fan.class_of(self.cones)
@@ -946,113 +936,6 @@ class ToricLocus:
 
     def __repr__(self) -> str:
         return f"ToricLocus({len(self.cones)} cones in {self.fan!r})"
-
-
-# ---------------------------------------------------------------------------
-# star (quotient) fans, for orbit closures
-
-def saturation_basis(vectors: Sequence[Vector], rank: int) -> List[Vector]:
-    """Basis of the saturation (span intersected with the lattice)."""
-    if not vectors or mat_rank(vectors) == 0:
-        return []
-    # the saturation is the nullspace of the nullspace
-    perp = nullspace(vectors, rank)
-    if not perp:
-        return [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    return nullspace(perp, rank)
-
-
-def _snf_column_transform(rows: List[List[int]], ncols: int) -> List[List[int]]:
-    """Unimodular V with (rows)V in Smith-like diagonal form.
-
-    Only the column transform is tracked: U*(rows)*V = D for some
-    unimodular U.  Standard gcd-reduction pivoting; exact integers.
-    """
-    a = [row[:] for row in rows]
-    m = len(a)
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def add_row(dst, src, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-
-    t = 0
-    while t < min(m, ncols):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(m):
-                if i != t and a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(ncols):
-                if j != t and a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        t += 1
-    return v
-
-
-def quotient_projection(sigma_rays: Sequence[Vector], rank: int):
-    """Projection Z^rank -> Z^(rank-k) with kernel the saturation of the
-    span of the given rays; returns a function on integer vectors."""
-    sat = saturation_basis(sigma_rays, rank)
-    k = len(sat)
-    v = _snf_column_transform([list(b) for b in sat], rank)
-
-    def project(x: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(sum(x[i] * v[i][j] for i in range(rank))
-                     for j in range(k, rank))
-
-    return project, rank - k
-
-
-def star_fan(fan: Fan, sigma: Cone) -> Fan:
-    """Fan of the orbit closure of sigma, in the quotient lattice."""
-    if not fan.contains_cone(sigma):
-        raise ToricError("cone not in fan")
-    if sigma.dim == 0:
-        return fan
-    project, qrank = quotient_projection(sigma.rays, fan.rank)
-    cones = set()
-    for tau in fan.cones:
-        if sigma.is_face_of(tau):
-            rays = set()
-            for r in tau.rays:
-                img = project(r)
-                if any(img):
-                    rays.add(primitive(img))
-            cones.add(Cone(qrank, sorted(rays)))
-    return Fan.from_cones(qrank, cones)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
-"""The package itself: kvar imports nothing outside the standard library."""
+"""The package itself: kvar imports only the standard library and only
+names it uses, and its JSON loaders end bad text in their typed errors."""
 
 import ast
 import pathlib
 import sys
 
+import pytest
+
 import kvar
+from kvar.kring import InvalidRelationError, RelationSet
+from kvar.measures import MeasureError, registrations_from_json
+from kvar.toric import Fan, ToricError
 
 SOURCES = sorted(pathlib.Path(kvar.__file__).parent.glob("*.py"))
 
@@ -22,3 +28,58 @@ def test_kvar_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "kvar" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def _imported_names(tree):
+    """Name -> line of every name a module binds by import, __future__ aside."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree):
+    """Names a module reads: in code, in quoted annotations and in __all__."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in filter(None, _annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                forward = ast.parse(node.value, mode="eval")  # e.g. "Optional[Fan]"
+                used.update(n.id for n in ast.walk(forward) if isinstance(n, ast.Name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_kvar_modules_use_every_name_they_import():
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        used = _used_names(tree)
+        unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+        assert not unused, (path.name, unused)
+
+
+@pytest.mark.parametrize("load, error", [(Fan.from_json, ToricError),
+                                         (RelationSet.from_json, InvalidRelationError),
+                                         (registrations_from_json, MeasureError)])
+@pytest.mark.parametrize("text", ["{", "[" * 100000], ids=["not JSON", "nested too deeply"])
+def test_json_text_that_does_not_decode_is_a_typed_error(load, error, text):
+    with pytest.raises(error, match="not JSON"):
+        load(text)

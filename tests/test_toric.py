@@ -28,7 +28,7 @@ from kvar.toric import (
     mat_rank,
     nullspace,
     open_subfan,
-    star_fan,
+    sort_rays_ccw,
     star_subdivide,
 )
 
@@ -282,12 +282,35 @@ def test_completeness_rank1_and_rank3():
     assert not partial.is_complete()
 
 
+def _angular_scan(fan):
+    """Reference for rank 2: the rays, sorted counterclockwise, are at least
+    three and every two neighbours span a cone of the fan."""
+    rays = sort_rays_ccw(fan.rays)
+    return len(rays) >= 3 and all(fan.contains_cone(Cone(2, [v, w]))
+                                  for v, w in zip(rays, rays[1:] + rays[:1]))
+
+
 def test_completeness_criteria_agree_on_surfaces():
     for name in ("P2", "P1xP1", "A2"):
         fan = builtin_fan(name)
-        assert fan._complete_rank2() == fan._complete_facet_pairing()
+        assert fan.is_complete() == _angular_scan(fan) == (name != "A2")
     f1 = star_subdivide(builtin_fan("P2"), (1, 1)).fan
-    assert f1._complete_rank2() == f1._complete_facet_pairing() is True
+    assert f1.is_complete() == _angular_scan(f1) is True
+
+
+def test_completeness_edge_cases():
+    p1 = builtin_fan("P1")
+    p1cubed = p1.product(p1).product(p1)
+    cases = [(Fan(2, []), False), (Fan(0, [Cone(0, [])]), True),
+             (Fan(2, [Cone(2, [])]), False), (p1, True), (builtin_fan("A1"), False),
+             (builtin_fan("Gm"), False)]
+    for dropped in p1cubed.maximal_cones:
+        cases.append((Fan.from_cones(3, [c for c in p1cubed.maximal_cones
+                                         if c is not dropped]), False))
+    cases += [(toric.hirzebruch_fan(a), True) for a in range(-2, 4)]
+    for fan, complete in cases:
+        assert _fresh_fan(fan).is_complete() is complete, fan
+        assert fan.is_complete() is complete, fan
 
 
 def test_empty_and_torus_fans():
@@ -449,19 +472,48 @@ def test_complete_surface_rank_bound():
 
 # -- star fans and loci -----------------------------------------------------------------
 
-def test_star_fan_of_ray_in_p2_is_p1():
-    p2 = builtin_fan("P2")
-    ray = Cone(2, [(1, 0)])
-    assert star_fan(p2, ray).is_complete()
-    assert star_fan(p2, ray).class_of() == lpoly(1, 1)
+def _star_locus(fan, sigma):
+    """The orbit closure V(sigma): the cones of the fan having sigma as a face."""
+    return ToricLocus(fan, [c for c in fan.cones if set(sigma.rays) <= set(c.rays)])
 
 
-def test_star_fan_quotient_lattice_is_saturated():
-    # V(ray (1,2)) inside a singular ambient: the quotient must use the
-    # saturated lattice, not the naive coordinate projection
+def test_orbit_closure_of_ray_in_p2_is_p1():
+    v = _star_locus(builtin_fan("P2"), Cone(2, [(1, 0)]))
+    assert v.is_closed() and v.is_compact()
+    assert v.kclass() == lpoly(1, 1)
+
+
+def test_orbit_closure_of_ray_in_singular_cone_is_not_compact():
+    # V(ray (1,2)) inside a singular 2-cone is a line missing its point at
+    # infinity, in a fan that is not complete
     fan = build_fan(2, [(1, 2), (1, 0)], [(0, 1)])
-    sf = star_fan(fan, Cone(2, [(1, 2)]))
-    assert sf.rank == 1 and len(sf.rays) == 1
+    v = _star_locus(fan, Cone(2, [(1, 2)]))
+    assert v.is_closed() and not v.is_compact()
+    assert v.kclass() == lpoly(0, 1)
+    assert _star_locus(fan, fan.maximal_cones[0]).is_compact()  # a point
+
+
+def test_orbit_closure_is_compact_when_the_completion_adds_no_cone_over_it():
+    # V_S(sigma) is open and dense in V_X(sigma), which is proper for a
+    # complete X containing S; so V_S(sigma) is proper exactly when X has no
+    # cone over sigma that S lacks
+    corp = corpus.generate(1, 10)
+    pairs = [(obj.fan, obj.fan.subfan(window)) for obj, window in corp.pairs_xu if window]
+    for name in ("A2", None):
+        sub = builtin_fan(name) if name else build_fan(2, [(1, 2), (1, 0)], [(0, 1)])
+        pairs.append((complete_surface(sub), sub))
+    # a maximal cone that is not full-dimensional, away from some stars
+    p2 = builtin_fan("P2")
+    pairs.append((p2, Fan.from_cones(2, [Cone(2, [(1, 0), (0, 1)]), Cone(2, [(-1, -1)])])))
+    seen = set()
+    for full, sub in pairs:
+        assert full.is_complete()
+        for sigma in sub.cones:
+            over = [c for c in full.cones if set(sigma.rays) <= set(c.rays)]
+            proper = all(sub.contains_cone(c) for c in over)
+            assert _star_locus(sub, sigma).is_compact() is proper, (sub, sigma)
+            seen.add(proper)
+    assert seen == {True, False}
 
 
 def test_locus_flags_and_classes():
