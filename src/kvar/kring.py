@@ -234,20 +234,16 @@ class Gen(Expr):
 
 @dataclass(frozen=True)
 class Sum(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Diff(Expr):
-    left: Expr
-    right: Expr
+    """A sum of two or more operands with ``signs`` +1 or -1 for each of
+    ``args``, the first +1: the grammar has no unary minus."""
+    args: tuple
+    signs: tuple
 
 
 @dataclass(frozen=True)
 class Prod(Expr):
-    left: Expr
-    right: Expr
+    """A product of the two or more operands in ``args``."""
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -279,19 +275,21 @@ _SQUARE_ROLES = {BlowupTotal: "Y", ExcDivisor: "E", OpenComplement: "complement"
 
 
 def _fold(expr: Expr, leaf, branch):
-    """Post-order fold without recursion, left operand before right.
+    """Post-order fold without recursion, operands left to right.
 
-    ``leaf(node)`` values every node that is not a Sum, Diff or Prod;
-    ``branch(node, left_value, right_value)`` values those three.
+    ``leaf(node)`` values every node that is not a Sum or Prod;
+    ``branch(node, values)`` values those two from the list of the values
+    of their ``args``.
     """
     stack, values = [expr], []
     while stack:
         node = stack.pop()
-        if type(node) is tuple:  # (branch node,) once both operands are valued
-            right = values.pop()
-            values.append(branch(node[0], values.pop(), right))
-        elif isinstance(node, (Sum, Diff, Prod)):
-            stack += ((node,), node.right, node.left)
+        if type(node) is tuple:  # (branch node,) once all its operands are valued
+            start = len(values) - len(node[0].args)
+            values[start:] = [branch(node[0], values[start:])]
+        elif isinstance(node, (Sum, Prod)):
+            stack.append((node,))
+            stack += node.args[::-1]
         else:
             values.append(leaf(node))
     return values[0]
@@ -299,7 +297,7 @@ def _fold(expr: Expr, leaf, branch):
 
 def expr_size(expr: Expr) -> int:
     """The number of nodes of a tree."""
-    return _fold(expr, lambda node: 1, lambda node, left, right: left + right + 1)
+    return _fold(expr, lambda node: 1, lambda node, values: sum(values) + 1)
 
 
 _LEAF_TEXT = {
@@ -314,39 +312,27 @@ _LEAF_TEXT = {
 def expr_to_text(expr: Expr) -> str:
     """Render a tree back into the surface grammar.
 
-    A sum or difference is parenthesized under a product, and so is the
-    right operand of a difference when it is itself a sum or difference.
-    The stack holds, in reverse output order, text and the sums,
-    differences and products still to render, each with whether its
-    parent is a product.
+    A sum is parenthesized when it is a factor of a product or follows a
+    minus sign.  The stack holds, in reverse output order, text and the
+    nodes still to render.  Each operand goes on it below the separator
+    before it, and the first operand's separator is dropped.
     """
-    def item(node: Expr, parent_prod: bool):
-        text = _LEAF_TEXT.get(type(node))
-        return text(node) if text else (node, parent_prod)
-
-    out = []
-    stack = [item(expr, False)]
+    out, stack = [], [expr]
     while stack:
-        top = stack.pop()
-        if type(top) is str:
-            out.append(top)
-            continue
-        node, parent_prod = top
-        if isinstance(node, Prod):
-            stack += [item(node.right, True), "*", item(node.left, True)]
-        elif isinstance(node, (Sum, Diff)):
-            wrap_right = isinstance(node, Diff) and isinstance(node.right, (Sum, Diff))
-            if parent_prod:
-                stack.append(")")
-            if wrap_right:
-                stack.append(")")
-            stack.append(item(node.right, False))
-            if wrap_right:
-                stack.append("(")
-            stack.append(" + " if isinstance(node, Sum) else " - ")
-            stack.append(item(node.left, False))
-            if parent_prod:
-                out.append("(")
+        node = stack.pop()
+        if type(node) is str:
+            out.append(node)
+        elif type(node) in _LEAF_TEXT:
+            out.append(_LEAF_TEXT[type(node)](node))
+        elif isinstance(node, Prod):
+            for arg in reversed(node.args):
+                stack += (")", arg, "(", "*") if isinstance(arg, Sum) else (arg, "*")
+            stack.pop()
+        elif isinstance(node, Sum):
+            for arg, sign in zip(reversed(node.args), reversed(node.signs)):
+                sep = " + " if sign > 0 else " - "
+                stack += (")", arg, "(", sep) if sign < 0 and isinstance(arg, Sum) else (arg, sep)
+            stack.pop()
         else:
             raise TypeError(f"not an expression node: {node!r}")
     return "".join(out)
@@ -819,7 +805,10 @@ class _Parser:
             return
         self.token_pos = m.start(m.lastindex)
         if m.group(1):
-            self.token = ("int", int(m.group(1)))
+            try:
+                self.token = ("int", int(m.group(1)))
+            except ValueError:  # past the interpreter's int-string digit limit
+                raise ParseError("integer literal too long", self.token_pos) from None
         elif m.group(2):
             self.token = ("name", m.group(2))
         else:
@@ -838,20 +827,19 @@ class _Parser:
         return expr
 
     def expr(self) -> Expr:
-        node = self.term()
+        args, signs = [self.term()], [1]
         while self.token in (("sym", "+"), ("sym", "-")):
-            op = self.token[1]
+            signs.append(1 if self.token[1] == "+" else -1)
             self._advance()
-            rhs = self.term()
-            node = Sum(node, rhs) if op == "+" else Diff(node, rhs)
-        return node
+            args.append(self.term())
+        return args[0] if len(args) == 1 else Sum(tuple(args), tuple(signs))
 
     def term(self) -> Expr:
-        node = self.factor()
+        args = [self.factor()]
         while self.token == ("sym", "*"):
             self._advance()
-            node = Prod(node, self.factor())
-        return node
+            args.append(self.factor())
+        return args[0] if len(args) == 1 else Prod(tuple(args))
 
     def factor(self) -> Expr:
         tok = self.token
@@ -920,9 +908,7 @@ def _square_slot(node: Expr, rels: RelationSet) -> str:
 
 
 def _as_expr(expr: Union[Expr, str, KClass], rels: RelationSet) -> Union[Expr, KClass]:
-    if isinstance(expr, str):
-        return parse_expr(expr, rels)
-    return expr
+    return parse_expr(expr, rels) if isinstance(expr, str) else expr
 
 
 def normalize(expr: Union[Expr, str, KClass],
@@ -931,9 +917,9 @@ def normalize(expr: Union[Expr, str, KClass],
     """Rewrite an expression to its canonical KClass.
 
     One loop folds the tree left to right over an explicit stack of
-    ``(node, sign, terms)``: a signed chain of sums and differences adds
-    into one monomial -> coefficient dict, and each operand of a product
-    folds into a dict of its own, multiplied out once both are done.
+    ``(node, sign, terms)``: each operand of a sum adds, with its sign,
+    into the sum's monomial -> coefficient dict, and each factor of a
+    product folds into a dict of its own; the dicts multiply out at the end.
     """
     rels = rels if rels is not None else EMPTY_RELATIONS
     expr = _as_expr(expr, rels)
@@ -945,9 +931,13 @@ def normalize(expr: Union[Expr, str, KClass],
     stack: list = [(expr, 1, total)]
     while stack:
         item = stack.pop()
-        if len(item) == 4:  # both operands of a product are folded
-            left, right, sign, acc = item
-            _add_product(acc, left, right, sign)
+        if len(item) == 4:  # every factor of a product is folded
+            factors, sign, acc, _ = item
+            product = factors[0]
+            for factor in factors[1:-1]:
+                product, partial = {}, product
+                _add_product(product, partial, factor, 1)
+            _add_product(acc, product, factors[-1], sign)
             continue
         node, sign, acc = item
         if isinstance(node, Gen):
@@ -958,16 +948,16 @@ def normalize(expr: Union[Expr, str, KClass],
                 cls = rels._resolve(node.name, counter)
             _add_terms(acc, cls._terms, sign)
         elif isinstance(node, Sum):
-            stack.append((node.right, sign, acc))
-            stack.append((node.left, sign, acc))
-        elif isinstance(node, Diff):
-            stack.append((node.right, -sign, acc))
-            stack.append((node.left, sign, acc))
+            args, signs, i = node.args, node.signs, len(node.args)
+            while i:  # right to left, so that the operands pop left to right
+                i -= 1
+                stack.append((args[i], sign * signs[i], acc))
         elif isinstance(node, Prod):
-            left, right = {}, {}
-            stack.append((left, right, sign, acc))
-            stack.append((node.right, 1, right))
-            stack.append((node.left, 1, left))
+            factors = []  # in reverse order, which the commutative product ignores
+            stack.append((factors, sign, acc, None))
+            for arg in reversed(node.args):
+                factors.append({})
+                stack.append((arg, 1, factors[-1]))
         elif isinstance(node, Lit):
             acc[(0, ())] = acc.get((0, ()), 0) + sign * node.value
         elif isinstance(node, (BlowupTotal, ExcDivisor, OpenComplement)):
@@ -1001,11 +991,7 @@ class CompactificationTable:
 
     def set(self, name: str, compact: Union[Expr, str], boundary: Union[Expr, str],
             rels: Optional[RelationSet] = None) -> None:
-        if isinstance(compact, str):
-            compact = parse_expr(compact, rels)
-        if isinstance(boundary, str):
-            boundary = parse_expr(boundary, rels)
-        self._entries[name] = CompEntry(compact, boundary)
+        self._entries[name] = CompEntry(_as_expr(compact, rels), _as_expr(boundary, rels))
 
     def lookup(self, name: str) -> CompEntry:
         entry = self._entries.get(name)
@@ -1014,7 +1000,7 @@ class CompactificationTable:
         if name == "L":
             return CompEntry(Gen("P1"), Gen("pt"))
         if name == "Gm":
-            return CompEntry(Gen("P1"), Sum(Gen("pt"), Gen("pt")))
+            return CompEntry(Gen("P1"), Sum((Gen("pt"), Gen("pt")), (1, 1)))
         m = _BUILTIN_SERIES.match(name)
         if m and m.group(1) == "A":
             n = int(m.group(2))
@@ -1043,10 +1029,10 @@ def expr_dim(expr: Expr, rels: RelationSet) -> int:
             return -1 if node.value == 0 else 0
         raise TypeError(f"not an expression node: {node!r}")
 
-    def branch(node: Expr, a: int, b: int) -> int:
+    def branch(node: Expr, dims: list) -> int:
         if isinstance(node, Prod):
-            return -1 if -1 in (a, b) else a + b
-        return max(a, b)
+            return -1 if -1 in dims else sum(dims)
+        return max(dims)
 
     return _fold(expr, leaf, branch)
 
@@ -1055,7 +1041,7 @@ def _all_compact(expr: Expr, rels: RelationSet) -> bool:
     def leaf(node: Expr) -> bool:
         return rels.info(node.name).compact if isinstance(node, Gen) else isinstance(node, Lit)
 
-    return _fold(expr, leaf, lambda node, left, right: left and right)
+    return _fold(expr, leaf, lambda node, values: all(values))
 
 
 def g_map(expr: Union[Expr, str], comp: CompactificationTable,
@@ -1112,10 +1098,10 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
         presenting.add(e.name)
         boundary = _fold(entry.boundary, transform, rebuild)
         presenting.discard(e.name)
-        return Diff(entry.compact, boundary)
+        return Sum((entry.compact, boundary), (1, -1))
 
-    def rebuild(e: Expr, left: Expr, right: Expr) -> Expr:
-        return type(e)(left, right)
+    def rebuild(e: Expr, args: list) -> Expr:
+        return Sum(tuple(args), e.signs) if isinstance(e, Sum) else Prod(tuple(args))
 
     compact_expr = _fold(node, transform, rebuild)
     return GMapResult(compact_expr, normalize(compact_expr, rels))

@@ -17,9 +17,9 @@ pulled-back sieves and compatibility with the dimension function.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -454,8 +454,8 @@ class SquareValidation:
 
 def _proper_status(span: SpanMorphism) -> CheckEntry:
     """Decide properness of a toric span where the support comparison is
-    computable: complete window, subfan identity, closed loci, or rank <= 2
-    supports."""
+    computable: complete window, subfan identity, closed loci, or the
+    supports of a toric window and target fan compared at any rank."""
     cond = "p is proper"
     if span.is_zero():
         return CheckEntry(cond, "pass", "zero span is trivially proper")
@@ -478,56 +478,29 @@ def _proper_status(span: SpanMorphism) -> CheckEntry:
         return CheckEntry(cond, "pass", "window equals the target fan")
     if window_fan.is_complete():
         return CheckEntry(cond, "pass", "window is complete")
-    if tfan.rank <= 2:
-        if _support_equal_rank2(window_fan, tfan):
-            return CheckEntry(cond, "pass", "window support equals target support")
-        return CheckEntry(cond, "fail", "window support differs from target support")
-    return CheckEntry(cond, "trusted", span.proper_reason)
+    if _covers_support(window_fan, tfan):
+        return CheckEntry(cond, "pass", "window support equals target support")
+    return CheckEntry(cond, "fail", "window support differs from target support")
 
 
-def _support_equal_rank2(a: Fan, b: Fan) -> bool:
-    """Exact support comparison for fans of rank <= 2."""
-    if a.rank != b.rank:
+def _covers_support(window_fan: Fan, target_fan: Fan) -> bool:
+    """Does the window's support contain the target's, so that the map is
+    proper (Fulton, Introduction to Toric Varieties, 2.4)?  Each window cone
+    lies in a target cone (``SpanMorphism._validate``), so the window cones
+    of dimension dim tau inside a maximal target cone tau must fill it.
+    They form a pure polyhedral set, which is tau when it is nonempty and
+    its frontier lies in the boundary of tau: a facet of those cones lies in
+    two of them if its orbit is tau (it meets the interior) and else in one."""
+    if window_fan.rank != target_fan.rank:
         return False
-    if a.rank <= 1:
-        return {c.rays for c in a.cones} == {c.rays for c in b.cones} or (
-            a.rank == 1 and _rank1_support(a) == _rank1_support(b))
-    return _support_covers_rank2(a, b) and _support_covers_rank2(b, a)
-
-
-def _rank1_support(fan: Fan) -> frozenset:
-    return frozenset(r for c in fan.cones for r in c.rays)
-
-
-def _support_covers_rank2(a: Fan, b: Fan) -> bool:
-    """Does the support of b contain the support of a (rank 2)?
-
-    Each 2-cone of a is cut by the rays of b lying inside it; every slice
-    (tested through an interior representative) must land in a 2-cone of
-    b.  All points in one slice comparison live within an angle < pi, so
-    the cross product is an exact total angular order.
-    """
-    def before(p, q):
-        c = p[0] * q[1] - p[1] * q[0]
-        return 0 if c == 0 else (-1 if c > 0 else 1)
-
-    if a.is_empty():
-        return True
-    if b.is_empty():
-        return False
-    for c in a.cones:
-        if c.dim == 1:
-            ray = c.rays[0]
-            if not any(other.contains(ray) for other in b.cones):
-                return False
-        elif c.dim == 2:
-            inside = [r for r in b.rays if c.contains(r)]
-            pts = set(inside) | set(c.rays)
-            ordered = sorted(pts, key=functools.cmp_to_key(before))
-            for p1, p2 in zip(ordered, ordered[1:]):
-                rep = (p1[0] + p2[0], p1[1] + p2[1])
-                if not any(o.dim == 2 and o.contains(rep) for o in b.cones):
-                    return False
+    for tau in target_fan.maximal_cones:
+        rays = set(tau.rays)
+        inside = [w for w in window_fan.cones if w.dim == tau.dim
+                  and rays.issuperset(target_fan.smallest_containing_cone(w).rays)]
+        facets = Counter(f for w in inside for f in w.faces() if f.dim == tau.dim - 1)
+        if not inside or any(n != (2 if target_fan.orbit_of(f) is tau else 1)
+                             for f, n in facets.items()):
+            return False
     return True
 
 
@@ -802,7 +775,7 @@ def _covers(site: SitePresentation, o: SiteObject, d: int, memo: dict,
                 for cl in _covers(site, sq.C, d - 1, memo, identities):
                     cover = square_cover(sq, cu, cl)
                     found.setdefault(cover.key(), cover)
-    out = sorted(found.values(), key=lambda c: sorted(map(str, c.key())))
+    out = list(found.values())
     memo[key] = out
     return out
 

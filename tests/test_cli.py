@@ -16,6 +16,7 @@ from kvar.cli import (
     _corpus_measures,
     build_parser,
     config_from_args,
+    main,
     run,
     run_corpus_checks,
 )
@@ -58,6 +59,14 @@ def test_eval_parse_error_is_reported_not_raised():
     report = run_cli("eval", "P2 + noSuch")
     assert not report.ok()
     assert "unknown generator" in report.records[0].note
+
+
+def test_eval_of_an_over_long_literal_is_a_failing_record(capsys):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    assert main(["eval", f"P1 + {digits}", "--format", "json"]) == 1
+    record = json.loads(capsys.readouterr().out)["records"][0]
+    assert record["status"] == "fail"
+    assert record["note"] == "integer literal too long (at position 5)"
 
 
 def test_eval_relation_file_extends_the_standard_relations(tmp_path):

@@ -1,5 +1,6 @@
 """Expression parsing, normalization, and the compact-presentation map."""
 
+import sys
 import time
 
 import pytest
@@ -9,7 +10,6 @@ from kvar.kring import (
     BoundaryDimensionError,
     CompactificationTable,
     CyclicRelationError,
-    Diff,
     Gen,
     InconsistentRelationsError,
     InvalidRelationError,
@@ -52,7 +52,12 @@ def blowup_rels():
 
 def test_parse_sum_of_product():
     tree = parse_expr("P2 + L*Gm")
-    assert tree == Sum(Gen("P2"), Prod(Gen("L"), Gen("Gm")))
+    assert tree == Sum((Gen("P2"), Prod((Gen("L"), Gen("Gm")))), (1, 1))
+    assert parse_expr("P1*P2*P3 - pt") == Sum(
+        (Prod((Gen("P1"), Gen("P2"), Gen("P3"))), Gen("pt")), (1, -1))
+    # a parenthesized sum stays one operand
+    assert parse_expr("pt - (P1 + A1)") == Sum(
+        (Gen("pt"), Sum((Gen("P1"), Gen("A1")), (1, 1))), (1, -1))
 
 
 def test_parse_builtin_empty():
@@ -62,9 +67,9 @@ def test_parse_builtin_empty():
 def test_parse_square_terms_bind_to_relation():
     rels = blowup_rels()
     tree = parse_expr("Bl(P2;pt) + pt - E(P2;pt)", rels)
-    assert isinstance(tree, Diff)
-    assert tree.left.left.relation_index == 0   # the Bl(...) node
-    assert tree.right.relation_index == 0       # the E(...) node
+    assert isinstance(tree, Sum) and tree.signs == (1, 1, -1)
+    assert tree.args[0].relation_index == 0     # the Bl(...) node
+    assert tree.args[2].relation_index == 0     # the E(...) node
 
 
 def test_parse_errors_carry_position():
@@ -77,6 +82,32 @@ def test_parse_errors_carry_position():
         parse_expr("Bl(P2;pt)")  # no relation declared
     with pytest.raises(ParseError):
         parse_expr("(P1")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("P2 + $", "unexpected character '$' (at position 4)"),  # the end of "+", not the "$"
+    ("P2 +   $ ", "unexpected character '$' (at position 4)"),
+    ("P2 + * $", "unexpected token '*' (at position 5)"),
+    ("  ", "unexpected end of input (at position 2)"),
+    ("", "unexpected end of input (at position 0)"),
+    ("(P1", "expected ')' (at position 3)"),
+    ("P1 )", "trailing input (at position 3)"),
+    ("P2 + noSuch", "unknown generator 'noSuch' (at position 5)"),
+    ("P1 * * 2", "unexpected token '*' (at position 5)"),
+])
+def test_parse_error_texts(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert str(err.value) == message
+
+
+def test_an_integer_literal_past_the_digit_limit_is_a_parse_error():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError) as err:
+        parse_expr(f"P1 + {digits}")
+    assert str(err.value) == "integer literal too long (at position 5)"
+    with pytest.raises(ParseError, match="unexpected character '\\$'"):
+        parse_expr(f"P2 + $ {digits}")  # reached in order: the "$" comes first
 
 
 def test_parse_nesting_limit_is_a_parse_error():
@@ -94,7 +125,7 @@ def test_expr_to_text_round_trips_the_grammar():
     for text in ("P2 + L*Gm", "P1 - (A1 + pt) - (Gm - 2)", "(P1 + 1)*(A2 - Gm)*3",
                  "Bl(P2;pt) - E(P3;pt)*(L + 1)", "2*(P1 - (P1 - pt))"):
         assert expr_to_text(parse_expr(text, rels)) == text
-    complement = Prod(Gen("L"), Diff(Gen("P1"), rels.complement_node("P2", "A2")))
+    complement = Prod((Gen("L"), Sum((Gen("P1"), rels.complement_node("P2", "A2")), (1, -1))))
     assert expr_to_text(complement) == "L*(P1 - (P2 - A2))"
 
 
@@ -240,8 +271,8 @@ def test_g_map_result_is_purely_compact():
     def only_compact(expr):
         if isinstance(expr, Gen):
             return kring.builtin_info(expr.name).compact
-        if isinstance(expr, (Sum, Diff, Prod)):
-            return only_compact(expr.left) and only_compact(expr.right)
+        if isinstance(expr, (Sum, Prod)):
+            return all(only_compact(arg) for arg in expr.args)
         return isinstance(expr, Lit)
 
     assert only_compact(result.compact_expr)
@@ -371,7 +402,7 @@ def test_long_sums_walk_without_recursion():
     assert expr_to_text(mapped.compact_expr) == " + ".join(["pt"] * 2000) + " - (P1 - pt)"
     right_deep = Lit(0)
     for _ in range(3000):
-        right_deep = Diff(Gen("P1"), right_deep)
+        right_deep = Sum((Gen("P1"), right_deep), (1, -1))
     assert normalize(right_deep) == KClass.zero()
     assert g_map(right_deep, CompactificationTable()).kclass == KClass.zero()
     assert expr_to_text(right_deep).count("(") == 2999

@@ -1,8 +1,13 @@
 """Property tests for the algebraic invariants (hypothesis-driven)."""
 
+import contextlib
+import io
+
 from hypothesis import given, settings, strategies as st
 
-from kvar.kring import CompactificationTable, Diff, KClass, Lit, Sum, g_map, normalize, parse_expr
+from kvar import cli
+from kvar.kring import (CompactificationTable, KClass, Lit, Sum, expr_to_text, g_map,
+                        normalize, parse_expr)
 from kvar.measures import MeasureSpec, apply_measure
 
 GENS = ["pt", "empty", "P1", "P2", "A1", "A2", "Gm", "L"]
@@ -74,8 +79,26 @@ def test_a_long_sum_normalizes_to_its_scaled_closed_form(pattern):
     tree = Lit(0)
     for _ in range(repeats):
         for plus, term in trees:
-            tree = Sum(tree, term) if plus else Diff(tree, term)
+            tree = Sum((tree, term), (1, 1 if plus else -1))
     closed = KClass.zero()
     for plus, text in pattern:
         closed = closed + normalize(text).scale(1 if plus else -1)
     assert normalize(tree) == closed.scale(repeats)
+
+
+@given(expressions)
+@settings(max_examples=120, deadline=None)
+def test_printed_expressions_parse_back_to_themselves(text):
+    printed = expr_to_text(parse_expr(text))
+    tree = parse_expr(printed)
+    assert expr_to_text(tree) == printed
+    assert normalize(tree) == normalize(text)
+
+
+@given(st.text(alphabet=st.sampled_from(list("PAGLmtpe0129+-*();Bl E ") + ["$", "é", "\t"]),
+               max_size=24))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_eval_of_any_text_ends_in_a_report(text):
+    # a leading "-" would read as an option, and "--" ends the options
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["eval", "--format", "json", "--", text]) in (0, 1)

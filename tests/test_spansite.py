@@ -338,22 +338,58 @@ def test_dim_compatible_declared_failure_without_data():
 
 
 def test_support_comparison_detects_slivers():
-    from kvar.spansite import _support_covers_rank2, _support_equal_rank2
+    from kvar.spansite import _covers_support
 
     p2_fan = builtin_fan("P2")
     f1 = toric.star_subdivide(p2_fan, (1, 1)).fan
     missing = Cone(2, [(1, 0), (1, 1)])
     partial = toric.Fan.from_cones(
         2, [c for c in f1.maximal_cones if c != missing])
-    assert _support_covers_rank2(partial, p2_fan)
-    assert not _support_covers_rank2(p2_fan, partial)
-    assert _support_equal_rank2(p2_fan, f1)
+    assert _covers_support(f1, p2_fan)
+    assert not _covers_support(partial, p2_fan)
+    assert _covers_support(partial, partial)
+    assert not _covers_support(builtin_fan("A1"), builtin_fan("P1"))
     # a missing interior slice among many rays of one quadrant
     rays = [(1, 0), (3, 1), (2, 1), (1, 1), (1, 2), (1, 3), (0, 1)]
-    cones = [Cone(2, [rays[i], rays[i + 1]])
-             for i in range(len(rays) - 1) if i != 3]
-    sliced = toric.Fan.from_cones(2, cones)
-    assert not _support_covers_rank2(builtin_fan("A2"), sliced)
+    quadrant = [Cone(2, [rays[i], rays[i + 1]]) for i in range(len(rays) - 1)]
+    assert _covers_support(toric.Fan.from_cones(2, quadrant), builtin_fan("A2"))
+    sliced = toric.Fan.from_cones(2, quadrant[:3] + quadrant[4:])
+    assert not _covers_support(sliced, builtin_fan("A2"))
+
+
+def octant_fan():
+    return toric.Fan.from_cones(3, [Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])])
+
+
+def test_support_comparison_at_rank_three():
+    from kvar.spansite import _covers_support
+
+    def without_one(fan):
+        return toric.Fan.from_cones(fan.rank, fan.maximal_cones[1:])
+
+    cube = builtin_fan("P1xP1").product(builtin_fan("P1"))
+    subdivided = toric.star_subdivide(cube, (1, 1, 1)).fan
+    assert _covers_support(subdivided, cube)
+    assert not _covers_support(without_one(cube), cube)
+    octant = octant_fan()
+    split = toric.star_subdivide(octant, (1, 1, 1)).fan
+    assert _covers_support(split, octant)
+    assert not _covers_support(without_one(split), octant)
+
+
+def test_a_rank_three_refinement_is_decided_proper():
+    from kvar.spansite import _proper_status
+
+    octant = barycentric = octant_fan()
+    for ray in ((1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)):
+        barycentric = toric.star_subdivide(barycentric, ray).fan
+    assert len([c for c in barycentric.cones if c.dim == 3]) == 6
+    a3 = ToricObject("A3", octant)
+    entry = _proper_status(SpanMorphism(ToricObject("Y", barycentric), a3, barycentric.cones))
+    assert (entry.status, entry.note) == ("pass", "window support equals target support")
+    holed = toric.Fan.from_cones(3, barycentric.maximal_cones[1:])
+    entry = _proper_status(SpanMorphism(ToricObject("Y0", holed), a3, holed.cones))
+    assert entry.status == "fail"
 
 
 # -- site files -------------------------------------------------------------------
