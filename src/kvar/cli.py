@@ -17,11 +17,13 @@ of the wrong shape, an unknown measure name, a negative `--depth` or
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from json.encoder import encode_basestring_ascii
+from typing import List, Optional, TextIO
 
 from kvar import corpus as corpus_mod
 from kvar import csupport, kring, measures, spansite, toric
@@ -67,7 +69,7 @@ class RunConfig:
     fan_ops: List[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Record:
     id: str
     kind: str
@@ -77,23 +79,30 @@ class Record:
     note: str = ""
     seconds: float = 0.0
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "status": self.status,
-            "lhs": _jsonable(self.lhs),
-            "rhs": _jsonable(self.rhs),
-            "note": self.note,
-            "trace": [],
-            "timing": None,  # excluded from JSON so reports are byte-identical
-        }
+
+# The JSON report is what ``json.dumps(payload, sort_keys=True, indent=2)``
+# gives for {"header": ..., "records": [...], "summary": ...}, written piece
+# by piece.  Each record fills one template whose keys are in sorted order;
+# its timing is left out so reports are byte-identical.
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+_RECORD = ('    {{\n      "id": {},\n      "kind": {},\n      "lhs": {},\n'
+           '      "note": {},\n      "rhs": {},\n      "status": {},\n'
+           '      "timing": null,\n      "trace": []\n    }}')
+_FIELD = " " * 6  # the indent of a record's fields
 
 
-def _jsonable(value):
+def _json_value(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
+    on a line indented by ``indent``."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return int.__repr__(value)
     if isinstance(value, MeasureValue):
-        return value.to_json()
-    return value
+        return _json_value(value.to_json(), indent)
+    return _ENCODER.encode(value).replace("\n", "\n" + indent)
 
 
 @dataclass
@@ -114,13 +123,31 @@ class Report:
     def ok(self) -> bool:
         return self.counts["fail"] == 0
 
+    def write_json(self, fh: TextIO) -> None:
+        """Write the JSON report to ``fh`` one record at a time."""
+        measured: dict = {}  # each distinct measure value is encoded once
+
+        def side(value) -> str:
+            if not isinstance(value, MeasureValue):
+                return _json_value(value, _FIELD)
+            if value not in measured:
+                measured[value] = _json_value(value, _FIELD)
+            return measured[value]
+
+        fh.write('{\n  "header": ' + _json_value(self.header, "  ") + ',\n  "records": [')
+        sep = "\n"
+        for r in self.records:
+            fh.write(sep + _RECORD.format(
+                _json_value(r.id, _FIELD), _json_value(r.kind, _FIELD), side(r.lhs),
+                _json_value(r.note, _FIELD), side(r.rhs), _json_value(r.status, _FIELD)))
+            sep = ",\n"
+        fh.write(("\n  ]" if self.records else "]") + ',\n  "summary": '
+                 + _json_value(self.counts, "  ") + "\n}\n")
+
     def to_json_text(self) -> str:
-        payload = {
-            "header": self.header,
-            "records": [r.to_json() for r in self.records],
-            "summary": self.counts,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        out = io.StringIO()
+        self.write_json(out)
+        return out.getvalue()
 
     def to_text(self) -> str:
         lines = [f"# {self.header.get('command', 'report')}"]
@@ -283,7 +310,12 @@ def cmd_eval(config: RunConfig) -> Report:
     except kring.KringError as exc:
         report.add(Record("expression", "eval", "fail", note=str(exc)))
         return report
-    report.add(Record("class", "eval", "pass", lhs=str(cls),
+    try:
+        text = str(cls)
+    except ValueError:  # past the interpreter's int-string digit limit
+        report.add(Record("class", "eval", "fail", note=_too_long("the class")))
+        return report
+    report.add(Record("class", "eval", "pass", lhs=text,
                       seconds=time.perf_counter() - started))
     for spec in _parse_measures(config.measure_names):
         t0 = time.perf_counter()
@@ -291,6 +323,11 @@ def cmd_eval(config: RunConfig) -> Report:
             value = apply_measure(spec, cls)
         except measures.MeasureError as exc:
             report.add(Record(spec.name, "measure", "fail", note=str(exc)))
+            continue
+        try:
+            str(value)  # as the report will print it
+        except ValueError:
+            report.add(Record(spec.name, "measure", "fail", note=_too_long("the value")))
             continue
         report.add(Record(spec.name, "measure", "pass", lhs=value,
                           seconds=time.perf_counter() - t0))
@@ -300,6 +337,12 @@ def cmd_eval(config: RunConfig) -> Report:
                               lhs=[list(w) for w in wr.weights],
                               note="table only; no purity verdict for a bare class"))
     return report
+
+
+def _too_long(what: str) -> str:
+    """The note of a result with an integer that ``str`` refuses to print."""
+    return (f"{what} has a coefficient longer than the interpreter's "
+            f"{sys.get_int_max_str_digits()}-digit int-string limit")
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +620,13 @@ def run(config: RunConfig) -> Report:
     raise SystemExit(f"unknown command {config.command!r}")
 
 
+def _write(report: Report, out_format: str, fh: TextIO) -> None:
+    if out_format == "json":
+        report.write_json(fh)
+    else:
+        fh.write(report.to_text())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = config_from_args(args)
@@ -585,12 +635,11 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"kvar: error: {exc}\n")
         return 2
-    text = report.to_json_text() if config.out_format == "json" else report.to_text()
     if config.out_path:
         with open(config.out_path, "w") as fh:
-            fh.write(text)
+            _write(report, config.out_format, fh)
     else:
-        sys.stdout.write(text)
+        _write(report, config.out_format, sys.stdout)
     return 0 if report.ok() else 1
 
 

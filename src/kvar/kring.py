@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -365,12 +366,10 @@ def builtin_info(name: str) -> Optional[GenInfo]:
         return GenInfo("Gm", 1, False)
     if name == "L":
         return GenInfo("L", 1, False)
-    m = _BUILTIN_SERIES.match(name)
-    if m:
-        n = int(m.group(2))
-        if m.group(1) == "A":
-            return GenInfo(name, n, n == 0)
-        return GenInfo(name, n, True)
+    series = _builtin_series(name)
+    if series:
+        letter, n = series
+        return GenInfo(name, n, letter == "P" or n == 0)
     return None
 
 
@@ -384,13 +383,26 @@ def builtin_class(name: str) -> Optional[KClass]:
         return L - ONE
     if name == "L":
         return L
-    m = _BUILTIN_SERIES.match(name)
-    if m:
-        n = int(m.group(2))
-        if m.group(1) == "A":
+    series = _builtin_series(name)
+    if series:
+        letter, n = series
+        if letter == "A":
             return KClass.lefschetz(n) if n else ONE
         return KClass({(k, ()): 1 for k in range(n + 1)})
     return None
+
+
+def _builtin_series(name: str) -> Optional[tuple]:
+    """The letter and index of a builtin ``A<n>`` or ``P<n>`` name, or None."""
+    m = _BUILTIN_SERIES.match(name)
+    if m is None:
+        return None
+    try:
+        return m.group(1), int(m.group(2))
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise UnknownGeneratorError(
+            f"{m.group(1)}<n> index longer than the interpreter's "
+            f"{sys.get_int_max_str_digits()}-digit int-string limit") from None
 
 
 # which slot a rewrite eliminates first on a dimension tie: the total space
@@ -864,9 +876,7 @@ class _Parser:
             self._advance()
             if value in ("Bl", "E") and self.token == ("sym", "("):
                 return self._square_term(value, pos)
-            if not self.rels.knows(value):
-                raise ParseError(f"unknown generator {value!r}", pos)
-            return Gen(value)
+            return Gen(self._known(value, pos))
         raise ParseError(f"unexpected token {value!r}", self.token_pos)
 
     def _square_term(self, head: str, pos: int) -> Expr:
@@ -888,7 +898,15 @@ class _Parser:
             raise ParseError("expected a generator name", self.token_pos)
         name, pos = self.token[1], self.token_pos
         self._advance()
-        if not self.rels.knows(name):
+        return self._known(name, pos)
+
+    def _known(self, name: str, pos: int) -> str:
+        """``name``, if it names a generator; a ParseError at ``pos`` if not."""
+        try:
+            known = self.rels.knows(name)
+        except UnknownGeneratorError as exc:
+            raise ParseError(str(exc), pos) from None
+        if not known:
             raise ParseError(f"unknown generator {name!r}", pos)
         return name
 

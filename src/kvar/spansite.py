@@ -184,6 +184,30 @@ class SpanMorphism:
     def __init__(self, source: SiteObject, target: SiteObject,
                  window, map_desc: tuple = TORIC_ID,
                  proper_reason: str = "unchecked"):
+        self._fill(source, target, window, map_desc, proper_reason)
+        self._validate()
+
+    @classmethod
+    def _valid_by_construction(cls, source: SiteObject, target: SiteObject,
+                               window, map_desc: tuple, proper_reason: str) -> "SpanMorphism":
+        """A span that ``compose`` or ``identity_span`` built, without
+        ``_validate``.  The checks hold by construction:
+
+        - the identity window is all of the source's cones;
+        - a composite window is the preimage, under the orbit map of the
+          middle fan, of the second window, which is relatively open; the
+          orbit of a face is a face of the orbit, so the preimage is
+          relatively open in the first window and so in the source;
+        - each composite window cone lies in the orbit it maps to, a cone of
+          the second window, which maps into the target;
+        - ``compose`` takes the middle object of both spans to be one
+          object, so every fan in the chain has the target's rank.
+        """
+        span = cls.__new__(cls)
+        span._fill(source, target, window, map_desc, proper_reason)
+        return span
+
+    def _fill(self, source, target, window, map_desc, proper_reason) -> None:
         self.source = source
         self.target = target
         if isinstance(window, str):
@@ -193,7 +217,6 @@ class SpanMorphism:
         self.map_desc = ZERO_MAP if self.is_zero() else map_desc
         self.proper_reason = proper_reason
         self._key = None
-        self._validate()
 
     # -- basics ---------------------------------------------------------------
 
@@ -230,6 +253,9 @@ class SpanMorphism:
     def _validate(self) -> None:
         if isinstance(self.window, str) or self.is_zero():
             return
+        toric_map = self.map_desc == TORIC_ID and isinstance(self.target, FAN_BACKED)
+        if toric_map and any(c.rank != self.target.fan.rank for c in self.window):
+            raise SpanError(f"window cones are not of the target's rank {self.target.fan.rank}")
         cones = _source_cones(self.source)
         if not self.window <= cones:
             raise SpanError("window is not a subset of the source's cones")
@@ -238,7 +264,7 @@ class SpanMorphism:
                 for f in c.faces():
                     if f in cones and f not in self.window:
                         raise SpanError("window is not relatively open in the source")
-        if self.map_desc == TORIC_ID and isinstance(self.target, FAN_BACKED):
+        if toric_map:
             tfan = self.target.fan
             for c in self.window:
                 if tfan.smallest_containing_cone(c) is None:
@@ -266,8 +292,8 @@ def _source_cones(obj: SiteObject) -> FrozenSet[Cone]:
 
 def identity_span(obj: SiteObject) -> SpanMorphism:
     if isinstance(obj, TORIC_OBJECTS):
-        return SpanMorphism(obj, obj, obj.cones, TORIC_ID, "identity")
-    return SpanMorphism(obj, obj, "all", _declared_map("id"), "identity")
+        return SpanMorphism._valid_by_construction(obj, obj, obj.cones, TORIC_ID, "identity")
+    return SpanMorphism._valid_by_construction(obj, obj, "all", _declared_map("id"), "identity")
 
 
 def zero_span(source: SiteObject, target: SiteObject) -> SpanMorphism:
@@ -291,7 +317,8 @@ def compose(second: SpanMorphism, first: SpanMorphism) -> SpanMorphism:
         )
     mid_fan = second.source.fan
     window = {c for c in first.window if mid_fan.orbit_of(c) in second.window}
-    return SpanMorphism(first.source, second.target, window, TORIC_ID, "composite")
+    return SpanMorphism._valid_by_construction(first.source, second.target, window,
+                                               TORIC_ID, "composite")
 
 
 # ---------------------------------------------------------------------------

@@ -888,14 +888,16 @@ class ToricLocus:
         return not self.cones
 
     def is_closed(self) -> bool:
-        """Upward-closed: with every cone, all fan cones having it as a face."""
-        for other in self.fan.cones:
-            if other in self.cones:
-                continue
-            for f in other.faces():
-                if f in self.cones and f is not other:
-                    return False
-        return True
+        """Upward-closed: with every cone, all fan cones having it as a face
+        (Fulton, Introduction to Toric Varieties, 3.1).  That depends on the
+        fan and the cone set alone, so it is decided once per interned fan."""
+        key = ("closed", self.cones)
+        flags = self.fan._flags
+        if key not in flags:
+            flags[key] = not any(f in self.cones
+                                 for other in self.fan.cones if other not in self.cones
+                                 for f in other.faces())
+        return flags[key]
 
     def is_open(self) -> bool:
         for c in self.cones:

@@ -7,10 +7,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kvar import corpus
 from kvar.cli import (
     InputError,
+    Record,
     Report,
     RunConfig,
     _corpus_measures,
@@ -21,6 +23,7 @@ from kvar.cli import (
     run_corpus_checks,
 )
 from kvar.csupport import CompletionProvider, consistency_check
+from kvar.measures import MeasureValue
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -67,6 +70,42 @@ def test_eval_of_an_over_long_literal_is_a_failing_record(capsys):
     record = json.loads(capsys.readouterr().out)["records"][0]
     assert record["status"] == "fail"
     assert record["note"] == "integer literal too long (at position 5)"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_of_a_class_too_long_to_print_is_a_failing_record(capsys, fmt):
+    # the literal fits under the digit limit; its square does not
+    digits = "9" * (sys.get_int_max_str_digits() * 2 // 3)
+    assert main(["eval", f"{digits}*{digits}", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    note = (f"the class has a coefficient longer than the interpreter's "
+            f"{sys.get_int_max_str_digits()}-digit int-string limit")
+    if fmt == "json":
+        assert [(r["id"], r["status"], r["note"]) for r in json.loads(out)["records"]] == [
+            ("class", "fail", note)]
+    else:
+        assert f"FAIL    eval               class  [{note}]" in out
+    # a class that prints whose measure value does not
+    assert main(["eval", f"{digits}*A{len(digits)}", "--measure", "count:10",
+                 "--measure", "euler", "--format", "json"]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [(r["id"], r["status"]) for r in records] == [
+        ("class", "pass"), ("point_count(10)", "fail"), ("euler", "pass")]
+    assert "the value has a coefficient longer than" in records[1]["note"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_of_a_builtin_index_past_the_digit_limit_is_a_parse_error(capsys, fmt):
+    name = "A" + "9" * (sys.get_int_max_str_digits() + 1)
+    assert main(["eval", f"P1 + {name}", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    note = (f"A<n> index longer than the interpreter's {sys.get_int_max_str_digits()}"
+            f"-digit int-string limit (at position 5)")
+    if fmt == "json":
+        assert [(r["id"], r["status"], r["note"]) for r in json.loads(out)["records"]] == [
+            ("expression", "fail", note)]
+    else:
+        assert f"[{note}]" in out
 
 
 def test_eval_relation_file_extends_the_standard_relations(tmp_path):
@@ -275,6 +314,49 @@ def test_json_reports_byte_identical(tmp_path, cli_child_env):
     assert all(r["timing"] is None for r in payload["records"])
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-10**60, max_value=10**60)
+    | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+measure_values = st.builds(
+    MeasureValue, st.lists(st.integers(min_value=-10**30, max_value=10**30), max_size=4),
+    st.sampled_from([None, "uv", "t", "q"]))
+records = st.builds(
+    Record, st.text(), st.text(), st.sampled_from(["pass", "fail", "skipped"]),
+    json_values | measure_values, json_values | measure_values, st.text())
+
+
+def _dumped(report: Report) -> str:
+    def side(value):
+        return value.to_json() if isinstance(value, MeasureValue) else value
+    payload = {
+        "header": report.header,
+        "records": [{"id": r.id, "kind": r.kind, "status": r.status, "lhs": side(r.lhs),
+                     "rhs": side(r.rhs), "note": r.note, "trace": [], "timing": None}
+                    for r in report.records],
+        "summary": report.counts,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@given(st.dictionaries(st.text(), json_values, max_size=4), st.lists(records, max_size=4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_the_json_writer_writes_what_json_dumps_writes(header, recs):
+    # text draws non-ASCII, quotes and control characters; an empty record list too
+    report = Report(header, recs)
+    assert report.to_json_text() == _dumped(report)
+
+
+def test_json_to_stdout_is_the_json_out_file(tmp_path, capsys):
+    argv = ["check", "--corpus-seed", "1", "--corpus-size", "10", "--format", "json"]
+    assert main(argv) == 0
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_check_reads_measure_names_like_eval():
     phis = _corpus_measures(["chi", "e", "poincare", "count:3"])
     assert [phi.name for phi in phis] == ["euler", "e_poly", "virtual_poincare",
@@ -303,6 +385,17 @@ def test_corpus_report_bytes_are_pinned(tmp_path, cli_child_env):
         check=True, env=cli_child_env("0"))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "60ca0092b3c672d0a21db229af5a5616344c6d4662432f823581c967674b6ead")
+
+
+def test_size_800_report_bytes_are_pinned(tmp_path, cli_child_env):
+    # under PYTHONHASHSEED 1, the smaller sizes above under 0: either gives these bytes
+    out = tmp_path / "report.json"
+    subprocess.run(
+        [sys.executable, "-m", "kvar.cli", "check", "--corpus-seed", "1",
+         "--corpus-size", "800", "--format", "json", "--out", str(out)],
+        check=True, env=cli_child_env("1"))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c5fcc87a5777a5e96365e71b02b105ecc5b4f4be391201d132471bf49dafbd93")
 
 
 def test_repeated_kunneth_pair_matches_its_first_check():

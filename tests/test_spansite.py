@@ -1,6 +1,9 @@
 """Spans, distinguished squares, simple covers, and the instance checks."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kvar import kring, toric
 from kvar.spansite import (
@@ -457,3 +460,67 @@ def test_squares_over_matches_a_scan_of_all_squares():
     for obj in site.objects.values():
         expected = [sq for sq in site.squares if sq.base.name == obj.name]
         assert site.squares_over(obj) == expected
+
+
+# -- spans valid by construction ------------------------------------------------------
+
+def test_a_window_of_another_rank_than_the_target_is_rejected(p1, p2):
+    with pytest.raises(SpanError, match="rank"):
+        SpanMorphism(p1, p2, p1.cones)
+    with pytest.raises(SpanError, match="rank"):
+        SpanMorphism(p2, p1, frozenset(c for c in p2.cones if c.dim == 0))
+
+
+def test_every_trusted_span_of_a_battery_validates_in_full(monkeypatch):
+    from kvar import cli
+    built = []
+    trusted = SpanMorphism._valid_by_construction.__func__
+
+    def collect(cls, *args):
+        span = trusted(cls, *args)
+        built.append(span)
+        return span
+    monkeypatch.setattr(SpanMorphism, "_valid_by_construction", classmethod(collect))
+    cli.run_corpus_checks(cli.Report({}), 1, 50, ["euler", "e"])
+    assert {span.proper_reason for span in built} == {"identity", "composite"}
+    for span in built:
+        span._validate()
+
+
+def _relatively_open(span: SpanMorphism, subset) -> frozenset:
+    """The cones of the source that are faces of a cone in ``subset``."""
+    return frozenset(f for c in subset for f in c.faces() if f in span.source.cones)
+
+
+@functools.lru_cache(maxsize=None)
+def _composable_pairs() -> tuple:
+    """(first, second) with first.target the source of second: the legs of
+    the seed-1 corpus squares that compose, and each leg before and after an
+    identity."""
+    from kvar import corpus
+    corp = corpus.generate(1, 10)
+    pairs = []
+    for sq in corp.squares + corp.loc_squares:
+        legs = sq.maps
+        pairs += [(legs["top"], legs["right"]), (legs["left"], legs["bottom"])]
+        for leg in legs.values():
+            pairs += [(leg, SpanMorphism(leg.target, leg.target, leg.target.cones)),
+                      (SpanMorphism(leg.source, leg.source, leg.source.cones), leg)]
+    return tuple((a, b) for a, b in pairs if not a.is_zero() and not b.is_zero())
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_composite_of_validated_spans_validates_in_full(data):
+    first, second = data.draw(st.sampled_from(_composable_pairs()))
+    windows = []
+    for leg in (first, second):
+        cones = sorted(leg.window, key=lambda c: c.rays)
+        subset = data.draw(st.sets(st.sampled_from(cones), min_size=1))
+        windows.append(_relatively_open(leg, subset))
+    first = SpanMorphism(first.source, first.target, windows[0])
+    second = SpanMorphism(second.source, second.target, windows[1])
+    out = compose(second, first)
+    out._validate()
+    mid = second.source.fan
+    assert out.window == {c for c in first.window if mid.orbit_of(c) in second.window}

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import json
 import pickle
 
@@ -594,3 +595,36 @@ def test_maximal_cones_match_the_subset_scan():
     for fan in fans:
         assert fan.maximal_cones == _maximal_by_subset_scan(fan)
     assert builtin_fan("Gm").maximal_cones == (Cone(1, []),)
+
+
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=4))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_cone_from_an_iterator_is_the_cone_from_a_list(rays):
+    # the same interned cone, or the same error
+    outcomes = []
+    for given_rays in (iter(rays), list(rays)):
+        try:
+            outcomes.append(Cone(2, given_rays))
+        except toric.ToricError as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] is outcomes[1]
+
+
+def _closed_by_definition(fan: Fan, cones: frozenset) -> bool:
+    """With each cone, every fan cone that has it as a face."""
+    return all(tau in cones for c in cones for tau in fan.cones
+               if set(c.rays) <= set(tau.rays))
+
+
+@pytest.mark.parametrize("name", ["P1", "A2", "P2", "Hirzebruch(1)"])
+def test_memoised_closedness_is_the_definition_on_every_cone_subset(name):
+    fan = builtin_fan(name)
+    cones = sorted(fan.cones, key=lambda c: c.rays)
+    subsets = [frozenset(s) for k in range(len(cones) + 1)
+               for s in itertools.combinations(cones, k)]
+    for subset in subsets:
+        expected = _closed_by_definition(fan, subset)
+        assert ToricLocus(fan, subset).is_closed() is expected
+    for subset in subsets:  # again, from the fan's memo
+        assert ToricLocus(fan, list(subset)).is_closed() is _closed_by_definition(fan, subset)
+    assert sum(k[0] == "closed" for k in fan._flags if isinstance(k, tuple)) == len(subsets)
