@@ -144,31 +144,17 @@ class CompletionProvider:
     meets: rank <= 2 automatically, tori via products of P1, anything else
     from explicit registrations.
 
-    A provider belongs to one run, and so do its three memos:
-    - the extensions made through it (see ``extend_measure``), per fan or
-      locus and then per (measure, object type, name);
-    - the automatic rank-2 completion of each fan;
-    - the extension of each locus, keyed on (measure, locus, depth) and
-      shared by every object over that locus, whatever its name.
-    The completion it picks for a fan stays fixed until ``register``
-    changes it, which drops the extensions over that fan.  The locus memo
-    needs no such care: a locus decomposes into torus orbits and never
-    asks for a completion.
+    A provider belongs to one run.  It keeps its registrations and the
+    automatic rank-2 completion of each fan, so the completion it picks for
+    a fan stays fixed until ``register`` changes it.
     """
 
     def __init__(self):
         self._registry: Dict[Fan, Fan] = {}
         self._completions: Dict[Fan, Fan] = {}
-        # fan or locus -> (measure, object type, name) -> extension
-        self._extensions: Dict[object, Dict[tuple, "ExtensionResult"]] = {}
-        # (measure, locus, depth) -> (value, the trace steps it appends)
-        self._loci: Dict[tuple, Tuple[MeasureValue, Tuple["TraceStep", ...]]] = {}
 
     def register(self, fan: Fan, completion: Fan) -> None:
         _check_completion(fan, completion)
-        if self._registry.get(fan) != completion:
-            # extensions over this fan went through its old completion
-            self._extensions.pop(fan, None)
         self._registry[fan] = completion
 
     def completion_fan(self, fan: Fan) -> Fan:
@@ -253,122 +239,80 @@ def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
 
     ``choice`` overrides the provider for the top-level object only (used
     by the independence check).  Trace depth never exceeds dim + 1: every
-    recursive boundary strictly drops dimension.
-
-    Without ``choice``, the result for a toric object or locus is memoized
-    in the provider, keyed on the measure, the object's type and name, and
-    its fan or locus; name and fan determine the value and the trace.
-    Below the object, the extension of its boundary locus (or of the locus
-    itself) is memoized in the provider on (measure, locus, depth) alone,
-    with or without ``choice``: nothing below the top step is named after
-    the object.
+    recursive boundary strictly drops dimension.  Nothing is memoized, so
+    the value and the trace depend on the measure, the object and the
+    completions the provider picks, and on nothing extended before.  The
+    recursion is module functions sharing ``trace``: nested closures would
+    form a reference cycle per call, which only the garbage collector frees.
     """
-    provider = provider or CompletionProvider()
-    if choice is not None or not isinstance(obj, (ToricObject, ToricLocusObject)):
-        return _extend(phi, obj, provider, choice)
-    where = obj.fan if isinstance(obj, ToricObject) else obj.locus
-    memo = provider._extensions.setdefault(where, {})
-    key = (phi, type(obj), obj.name)
-    result = memo.get(key)
-    if result is None:
-        result = memo[key] = _extend(phi, obj, provider, None)
-    return result
+    trace: List[TraceStep] = []
+    value = _of_object(phi, obj, provider or CompletionProvider(), choice, 0, trace)
+    return ExtensionResult(obj.name, value, tuple(trace))
 
 
-def _extend(phi: MeasureOnCompacts, obj: SiteObject, provider: CompletionProvider,
-            choice: Optional[CompactificationChoice]) -> ExtensionResult:
-    run = _Extension(phi, provider)
-    value = run.of_object(obj, 0, choice)
-    return ExtensionResult(obj.name, value, tuple(run.trace))
+def _of_object(phi: MeasureOnCompacts, o: SiteObject, provider: CompletionProvider,
+               choice: Optional[CompactificationChoice], depth: int,
+               trace: List[TraceStep]) -> MeasureValue:
+    """``choice`` is the top-level object's compactification, None below it."""
+    if o.is_empty():
+        return MeasureValue.integer(0)
+    if o.is_compact():
+        return phi.on_compact(o)
+    if isinstance(o, ToricObject):
+        ch = choice or provider.choose(o)
+        trace.append(TraceStep(o.name, ch.compact_obj.name,
+                               f"{len(ch.boundary.cones)} boundary cones"
+                               if isinstance(ch.boundary, ToricLocus)
+                               else ch.boundary.name, depth + 1))
+        _check_depth(o, depth + 1)
+        boundary_value = (_of_locus(phi, ch.boundary, depth + 1, trace)
+                          if isinstance(ch.boundary, ToricLocus) else
+                          _of_object(phi, ch.boundary, provider, None, depth + 1, trace))
+        return phi.on_compact(ch.compact_obj) - boundary_value
+    if isinstance(o, ToricLocusObject):
+        return _of_locus(phi, o.locus, depth, trace)
+    if isinstance(o, DeclaredObject):
+        if choice is None:
+            raise MissingCompactificationError(
+                f"declared object {o.name} needs an explicit compactification")
+        trace.append(TraceStep(o.name, choice.compact_obj.name, str(choice.boundary), depth + 1))
+        return phi.on_compact(choice.compact_obj) \
+            - _of_object(phi, choice.boundary, provider, None, depth + 1, trace)
+    raise CSupportError(f"cannot extend over {o!r}")
 
 
-class _Extension:
-    """One extension's recursion, with its trace and its torus values.
+def _of_locus(phi: MeasureOnCompacts, locus: ToricLocus, depth: int,
+              trace: List[TraceStep]) -> MeasureValue:
+    """A compact locus is measured; any other is decomposed orbit by orbit
+    into tori, each torus dimension extended once.  A completion's boundary
+    is upward-closed, hence compact (Fulton, Introduction to Toric
+    Varieties, 2.4 and 3.1), so one extension decomposes at most one locus:
+    a non-closed top-level locus, or a declared object's locus boundary."""
+    if locus.is_empty():
+        return MeasureValue.integer(0)
+    if locus.is_compact():
+        return phi.on_compact(ToricLocusObject("piece", locus))
+    tori: Dict[int, MeasureValue] = {}
+    total = MeasureValue.integer(0)
+    for cone in sorted(locus.cones, key=lambda c: c.rays):
+        k = locus.fan.rank - cone.dim
+        if k not in tori:
+            tori[k] = _of_torus(phi, k, depth, trace)
+        total = total + tori[k]
+    return total
 
-    A class rather than nested functions: mutually recursive closures form
-    a reference cycle per call, which only the garbage collector frees.
-    """
 
-    def __init__(self, phi: MeasureOnCompacts, provider: CompletionProvider):
-        self.phi = phi
-        self.provider = provider
-        self.trace: List[TraceStep] = []
-        self.torus_cache: Dict[int, MeasureValue] = {}
-
-    def of_object(self, o: SiteObject, depth: int, top_choice=None) -> MeasureValue:
-        phi = self.phi
-        if o.is_empty():
-            return MeasureValue.integer(0)
-        if o.is_compact():
-            return phi.on_compact(o)
-        of_locus = self.of_top_locus if depth == 0 else self.of_locus
-        if isinstance(o, ToricObject):
-            ch = top_choice or self.provider.choose(o)
-            self.trace.append(TraceStep(o.name, ch.compact_obj.name,
-                                        f"{len(ch.boundary.cones)} boundary cones"
-                                        if isinstance(ch.boundary, ToricLocus)
-                                        else ch.boundary.name, depth + 1))
-            _check_depth(o, depth + 1)
-            boundary_value = (
-                of_locus(ch.boundary, depth + 1)
-                if isinstance(ch.boundary, ToricLocus)
-                else self.of_object(ch.boundary, depth + 1)
-            )
-            return phi.on_compact(ch.compact_obj) - boundary_value
-        if isinstance(o, ToricLocusObject):
-            return of_locus(o.locus, depth)
-        if isinstance(o, DeclaredObject):
-            if top_choice is None:
-                raise MissingCompactificationError(
-                    f"declared object {o.name} needs an explicit compactification")
-            ch = top_choice
-            self.trace.append(TraceStep(o.name, ch.compact_obj.name, str(ch.boundary),
-                                        depth + 1))
-            return phi.on_compact(ch.compact_obj) - self.of_object(ch.boundary, depth + 1)
-        raise CSupportError(f"cannot extend over {o!r}")
-
-    def of_top_locus(self, locus: ToricLocus, depth: int) -> MeasureValue:
-        """``of_locus`` called by the top-level object, memoized in the
-        provider.  No torus value is cached yet at that call, so its value
-        and the steps it appends depend on the measure, the locus and the
-        depth alone."""
-        key = (self.phi, locus, depth)
-        hit = self.provider._loci.get(key)
-        if hit is None:
-            start = len(self.trace)
-            value = self.of_locus(locus, depth)
-            hit = self.provider._loci[key] = (value, tuple(self.trace[start:]))
-        else:
-            self.trace.extend(hit[1])
-        return hit[0]
-
-    def of_locus(self, locus: ToricLocus, depth: int) -> MeasureValue:
-        if locus.is_empty():
-            return MeasureValue.integer(0)
-        if locus.is_compact():
-            return self.phi.on_compact(ToricLocusObject("piece", locus))
-        # locally closed piece: decompose orbit by orbit into torus classes
-        total = MeasureValue.integer(0)
-        for cone in sorted(locus.cones, key=lambda c: c.rays):
-            total = total + self.of_torus(locus.fan.rank - cone.dim, depth)
-        return total
-
-    def of_torus(self, k: int, depth: int) -> MeasureValue:
-        if k in self.torus_cache:
-            return self.torus_cache[k]
-        if k == 0:
-            value = self.phi.on_compact(ToricObject("pt", _p1_power(0)))
-        else:
-            ambient = _p1_power(k)
-            torus_cones = frozenset(c for c in ambient.cones if c.dim == 0)
-            boundary = ToricLocus(ambient, [c for c in ambient.cones
-                                            if c not in torus_cones])
-            self.trace.append(TraceStep(f"torus^{k}", f"(P1)^{k}",
-                                        f"{len(boundary.cones)} boundary cones", depth + 1))
-            value = self.phi.on_compact(ToricObject(f"(P1)^{k}", ambient)) \
-                - self.of_locus(boundary, depth + 1)
-        self.torus_cache[k] = value
-        return value
+def _of_torus(phi: MeasureOnCompacts, k: int, depth: int,
+              trace: List[TraceStep]) -> MeasureValue:
+    """The k-torus as the dense open of (P1)^k."""
+    if k == 0:
+        return phi.on_compact(ToricObject("pt", _p1_power(0)))
+    ambient = _p1_power(k)
+    boundary = ToricLocus(ambient, [c for c in ambient.cones if c.dim > 0])
+    trace.append(TraceStep(f"torus^{k}", f"(P1)^{k}",
+                           f"{len(boundary.cones)} boundary cones", depth + 1))
+    return phi.on_compact(ToricObject(f"(P1)^{k}", ambient)) \
+        - _of_locus(phi, boundary, depth + 1, trace)
 
 
 def _check_depth(o: SiteObject, depth: int) -> None:

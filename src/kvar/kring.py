@@ -1019,12 +1019,10 @@ class CompactificationTable:
             return CompEntry(Gen("P1"), Gen("pt"))
         if name == "Gm":
             return CompEntry(Gen("P1"), Sum((Gen("pt"), Gen("pt")), (1, 1)))
-        m = _BUILTIN_SERIES.match(name)
-        if m and m.group(1) == "A":
-            n = int(m.group(2))
-            if n >= 1:
-                boundary = Gen("pt") if n == 1 else Gen(f"P{n - 1}")
-                return CompEntry(Gen(f"P{n}"), boundary)
+        series = _builtin_series(name)
+        if series and series[0] == "A" and series[1] >= 1:
+            n = series[1]
+            return CompEntry(Gen(f"P{n}"), Gen("pt") if n == 1 else Gen(f"P{n - 1}"))
         raise MissingCompactificationError(f"no compactification registered for {name!r}")
 
 

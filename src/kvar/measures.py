@@ -217,18 +217,16 @@ def apply_measure(spec: MeasureSpec, cls: KClass,
     """
     lval = spec.lefschetz_image()
     total = MeasureValue.integer(0)
-    powers = [MeasureValue.integer(1)]
-
-    def lpow(e: int) -> MeasureValue:
-        # a loop, not recursion: a self-referencing closure is a reference cycle
-        while len(powers) <= e:
-            powers.append(powers[-1] * lval)
-        return powers[e]
-
+    # both views are sorted by exponent: one running power each, so memory
+    # stays linear in the degree
+    power, at = MeasureValue.integer(1), 0
     for exp, coeff in cls.lpolynomial():
-        total = total + lpow(exp) * MeasureValue.integer(coeff)
+        power, at = _raise(power, lval, exp - at), exp
+        total = total + power * MeasureValue.integer(coeff)
+    power, at = MeasureValue.integer(1), 0
     for lexp, names, coeff in cls.residual():
-        term = lpow(lexp) * MeasureValue.integer(coeff)
+        power, at = _raise(power, lval, lexp - at), lexp
+        term = power * MeasureValue.integer(coeff)
         for name in names:
             value = None
             if registrations is not None:
@@ -240,6 +238,13 @@ def apply_measure(spec: MeasureSpec, cls: KClass,
             term = term * value
         total = total + term
     return total
+
+
+def _raise(power: MeasureValue, lval: MeasureValue, gap: int) -> MeasureValue:
+    """``power * lval^gap``: a gap of 1 is one multiplication by ``lval``."""
+    if gap == 0:
+        return power
+    return power * (lval if gap == 1 else lval ** gap)
 
 
 def registrations_from_json(records: Union[str, list]) -> dict:

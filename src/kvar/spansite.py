@@ -176,9 +176,7 @@ class SpanMorphism:
 
     Toric windows are cone subsets of the source, face-closed relative to
     the source (absolutely face-closed for variety sources); the map is the
-    lattice identity.  ``proper_reason`` records why the map is proper;
-    construction-time validation upgrades it to a verified reason when the
-    support comparison is decidable.
+    lattice identity.  ``proper_reason`` records why the map is proper.
     """
 
     def __init__(self, source: SiteObject, target: SiteObject,

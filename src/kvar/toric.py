@@ -924,7 +924,12 @@ class ToricLocus:
                 if not any(o is not c and set(o.rays) <= set(c.rays) for o in self.cones)]
 
     def kclass(self) -> KClass:
-        return self.fan.class_of(self.cones)
+        """The class of the orbits, kept once per interned fan and cone set."""
+        key = ("class", self.cones)
+        flags = self.fan._flags
+        if key not in flags:
+            flags[key] = self.fan.class_of(self.cones)
+        return flags[key]
 
     def complement(self) -> "ToricLocus":
         return ToricLocus(self.fan, [c for c in self.fan.cones if c not in self.cones])

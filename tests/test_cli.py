@@ -94,6 +94,12 @@ def test_eval_of_a_class_too_long_to_print_is_a_failing_record(capsys, fmt):
     assert "the value has a coefficient longer than" in records[1]["note"]
 
 
+def test_eval_of_a_high_lefschetz_power_ends(capsys):
+    # the e-polynomial of A50000 holds one running power of (uv), not all 50,001
+    assert main(["eval", "A50000", "--measure", "e"]) == 0
+    assert "(uv)^50000" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_eval_of_a_builtin_index_past_the_digit_limit_is_a_parse_error(capsys, fmt):
     name = "A" + "9" * (sys.get_int_max_str_digits() + 1)

@@ -292,6 +292,14 @@ def test_g_map_missing_entry_and_bad_boundary():
         g_map("U", table, rels)
 
 
+def test_compactification_lookup_reads_a_builtin_index_as_the_parser_does():
+    assert CompactificationTable().lookup("A3") == kring.CompEntry(Gen("P3"), Gen("P2"))
+    with pytest.raises(kring.UnknownGeneratorError):
+        CompactificationTable().lookup("A" + "9" * (sys.get_int_max_str_digits() + 1))
+    with pytest.raises(MissingCompactificationError):
+        CompactificationTable().lookup("A0")
+
+
 def test_g_map_rejects_a_boundary_that_names_its_generator():
     # 0*U has dimension -1, so only the generator check stops the expansion
     rels = RelationSet()

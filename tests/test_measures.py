@@ -1,5 +1,7 @@
 """Measure values, substitutions, and weight tables."""
 
+import tracemalloc
+
 import pytest
 
 from kvar import toric
@@ -26,6 +28,17 @@ def test_value_canonical_form():
     assert MeasureValue([0, 0]).var is None
     assert MeasureValue([5], "uv").var is None  # constants carry no variable
     assert uv(0, 1) != MeasureValue([0, 1], "t")
+
+
+def test_apply_measure_memory_is_linear_in_the_degree():
+    cls = normalize("A2000")
+    tracemalloc.start()
+    try:
+        assert apply_measure(MeasureSpec("e_poly"), cls) == MeasureValue([0] * 2000 + [1], "uv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # every power up to (uv)^2000 at once is about 16 MB
 
 
 def test_value_arithmetic():

@@ -625,6 +625,9 @@ def test_memoised_closedness_is_the_definition_on_every_cone_subset(name):
     for subset in subsets:
         expected = _closed_by_definition(fan, subset)
         assert ToricLocus(fan, subset).is_closed() is expected
+        assert ToricLocus(fan, subset).kclass() == fan.class_of(subset)
     for subset in subsets:  # again, from the fan's memo
         assert ToricLocus(fan, list(subset)).is_closed() is _closed_by_definition(fan, subset)
-    assert sum(k[0] == "closed" for k in fan._flags if isinstance(k, tuple)) == len(subsets)
+        assert ToricLocus(fan, list(subset)).kclass() == fan.class_of(subset)
+    for memo in ("closed", "class"):
+        assert sum(k[0] == memo for k in fan._flags if isinstance(k, tuple)) == len(subsets)
