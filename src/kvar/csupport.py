@@ -204,11 +204,15 @@ def _check_completion(fan: Fan, completion: Fan) -> None:
 
 def _completion_choice(obj: ToricObject, completion: Fan,
                        name: Optional[str] = None) -> CompactificationChoice:
-    """The object as a dense open of the completion, the rest as boundary."""
+    """The object as a dense open of the completion, the rest as boundary.
+    The boundary cones are kept on the object's fan, keyed by the
+    completion."""
     compact_obj = ToricObject(name or f"{obj.name}^bar", completion)
-    boundary = ToricLocus(completion, [c for c in completion.cones
-                                       if not obj.fan.contains_cone(c)])
-    return CompactificationChoice(compact_obj, boundary)
+    key = ("boundary", completion)
+    flags = obj.fan._flags
+    if key not in flags:
+        flags[key] = frozenset(c for c in completion.cones if not obj.fan.contains_cone(c))
+    return CompactificationChoice(compact_obj, ToricLocus(completion, flags[key]))
 
 
 # ---------------------------------------------------------------------------

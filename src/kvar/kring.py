@@ -388,6 +388,9 @@ def builtin_class(name: str) -> Optional[KClass]:
         letter, n = series
         if letter == "A":
             return KClass.lefschetz(n) if n else ONE
+        if n + 1 > REWRITE_BUDGET:
+            raise RewriteBudgetError(
+                f"{name} has {n + 1} terms, past the budget of {REWRITE_BUDGET}")
         return KClass({(k, ()): 1 for k in range(n + 1)})
     return None
 
@@ -574,7 +577,7 @@ class RelationSet:
 
     def _reducible(self, name: str) -> bool:
         """Already rewritable without relations: builtin or declared empty."""
-        return builtin_class(name) is not None or self.info(name).dim == -1
+        return builtin_info(name) is not None or self.info(name).dim == -1
 
     def _orientation(self, rel: Relation):
         """The generator this relation eliminates and its replacement.

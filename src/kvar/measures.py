@@ -104,8 +104,9 @@ class MeasureValue:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # square only while bits remain
+                base = base * base
         return result
 
     def substitute_int(self, value: int) -> int:

@@ -856,7 +856,15 @@ class CCompleteVerdict:
 
 
 def _common_refinement_rank2(a: Fan, b: Fan) -> Fan:
-    """Common refinement of two rank-2 fans with equal support."""
+    """Common refinement of two rank-2 fans with equal support, kept on
+    ``a`` keyed by ``b``."""
+    key = ("refinement", b)
+    if key not in a._flags:
+        a._flags[key] = _refine_rank2(a, b)
+    return a._flags[key]
+
+
+def _refine_rank2(a: Fan, b: Fan) -> Fan:
     rays = sorted(set(a.rays) | set(b.rays))
     cones = {c for c in a.cones | b.cones if c.dim <= 1}
     ordered = toric.sort_rays_ccw(rays)
@@ -934,7 +942,11 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
         sd: StarSubdivision = sq.provenance
         x_obj = sq.base
         if full_window:
-            # proper refinement Z -> X: pull the square back (rank 2)
+            # proper refinement Z -> X: pull the square back (rank 2).  A
+            # proper full-window span has the support of X, the precondition
+            # of the common refinement
+            if _proper_status(f).status == "fail":
+                return CCompleteVerdict(False, None, None, "not proper")
             unrepresentable = "fiber-product fan not representable at rank > 2"
             if source.fan.rank != 2:
                 return CCompleteVerdict(False, None, None, unrepresentable)

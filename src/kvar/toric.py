@@ -359,7 +359,9 @@ class Cone:
         return Cone(self.rank, list(rays))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Cone) and self.rank == other.rank and self.rays == other.rays
+        # type(self), not the module global: the weak fan table's callbacks
+        # may compare cones at interpreter exit, after the globals are gone
+        return isinstance(other, type(self)) and self.rank == other.rank and self.rays == other.rays
 
     def __hash__(self) -> int:
         return self._hash
@@ -380,9 +382,15 @@ class Fan:
     the zero cone is the dense torus.
 
     Instances are interned by (rank, cones) in a weak table, so every caller
-    that builds an equal fan shares one object and its derived data
-    (completeness, rays, class, maximal cones, point lookups); a fan enters
-    the table only once it has validated, and leaves it when it is dropped.
+    that builds an equal fan shares one object and its derived data; a fan
+    enters the table only once it has validated, and leaves it when it is
+    dropped, with everything it keeps.  Each datum is worked out on first
+    use, as a pure function of the fan (and of the key's other parts):
+    completeness, smoothness, rays, maximal cones, the class, point and cone
+    containment, the closedness and class of a cone subset, the star
+    subdivision at a ray, the rank-2 completion, the common refinement with
+    another fan (``spansite``) and the boundary inside a completion
+    (``csupport``).
     """
 
     __slots__ = ("rank", "cones", "_by_rays", "_maximal", "_flags", "_containing",
@@ -491,14 +499,20 @@ class Fan:
         """Minimal fan cone containing the given cone entirely, or None.
 
         The relative interior of the cone meets the relative interior of at
-        most one fan cone; containment additionally needs every ray inside.
+        most one fan cone; containment additionally needs every ray inside,
+        which is decided once per cone.
         """
-        container = self.orbit_of(cone)
-        if container is None or container is cone:
+        container = self._by_rays.get(cone.rays)
+        if container is not None:
             return container
-        if all(container.contains(r) for r in cone.rays):
-            return container
-        return None
+        key = ("within", cone)
+        flags = self._flags
+        if key not in flags:
+            container = self.smallest_containing(cone.representative())
+            if container is not None and not all(container.contains(r) for r in cone.rays):
+                container = None
+            flags[key] = container
+        return flags[key]
 
     def face_counts(self) -> dict:
         counts: dict = {}
@@ -581,7 +595,11 @@ class Fan:
     # -- constructions -------------------------------------------------------
 
     def subfan(self, cone_subset: Iterable[Cone]) -> "Fan":
-        subset = set(cone_subset)
+        subset = frozenset(cone_subset)
+        # an interned fan on these cones was face-closed when it was built
+        known = Fan._interned.get((self.rank, subset))
+        if known is not None and subset <= self.cones:
+            return known
         for c in subset:
             if not self.contains_cone(c):
                 raise ToricError(f"{c} is not a cone of the fan")
@@ -596,7 +614,7 @@ class Fan:
         return _product_fan(self, other)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Fan) and self.rank == other.rank and self.cones == other.cones
+        return isinstance(other, type(self)) and self.rank == other.rank and self.cones == other.cones
 
     def __hash__(self) -> int:
         return hash((self.rank, self.cones))
@@ -750,10 +768,25 @@ def star_subdivide(fan: Fan, new_ray: Sequence[int]) -> StarSubdivision:
     when the parent fan is smooth and the ray is the barycenter of the
     center cone (then the subdivision is literally the blowup along a
     smooth center).
+
+    The parts are kept on the fan, one entry per normalized ray, so a ray
+    given as (True, 1) shares the entry of (1, 1); an error is raised again
+    on every call, never kept.
     """
     ray = tuple(int(x) for x in new_ray)
     if all(x == 0 for x in ray) or vgcd(ray) != 1:
         raise NonPrimitiveRayError(f"{ray} is not a primitive ray")
+    key = ("star", ray)
+    parts = fan._flags.get(key)
+    if parts is None:
+        parts = fan._flags[key] = _star_parts(fan, ray)
+    subdivided, center, center_cones, exceptional, smooth = parts
+    return StarSubdivision(subdivided, fan, center, ray, center_cones, exceptional, smooth)
+
+
+def _star_parts(fan: Fan, ray: Vector) -> tuple:
+    """What ``star_subdivide`` returns but the parent fan and the ray: the
+    kept value holds no reference back to its fan."""
     sigma = fan.smallest_containing(ray)
     if sigma is None:
         raise SubdivisionError(f"ray {ray} lies outside the support of the fan")
@@ -774,8 +807,7 @@ def star_subdivide(fan: Fan, new_ray: Sequence[int]) -> StarSubdivision:
                                key=lambda c: c.rays))
     barycentric = ray == primitive(sigma.representative())
     smooth = fan.is_smooth() and barycentric
-    return StarSubdivision(subdivided, fan, sigma, ray, center_cones,
-                           exceptional, smooth)
+    return subdivided, sigma, center_cones, exceptional, smooth
 
 
 def complete_surface(fan: Fan) -> Fan:
@@ -785,16 +817,23 @@ def complete_surface(fan: Fan) -> Fan:
     their bounding rays; gaps of exactly pi (negated sum degenerates) get
     the 90-degree counterclockwise rotation of the starting ray.  Once all
     uncovered gaps are strictly less than pi, each is filled with a single
-    2-cone.  The input fan survives as a subfan.
+    2-cone.  The input fan survives as a subfan.  The completion of a fan
+    that is not complete is kept on the fan.
     """
     if fan.rank > 2:
         raise CompletionRankError("automatic completion only in rank <= 2")
     if fan.is_empty():
         raise ToricError("cannot complete the empty fan")
-    if fan.is_complete():
+    if fan.is_complete():  # every nonempty rank-0 fan is
         return fan
-    if fan.rank == 0:
-        return fan
+    if "completion" not in fan._flags:
+        fan._flags["completion"] = _gap_filled(fan)
+    return fan._flags["completion"]
+
+
+def _gap_filled(fan: Fan) -> Fan:
+    """The completion ``complete_surface`` describes, of a fan that is not
+    complete."""
     if fan.rank == 1:
         cones = set(fan.cones)
         for r in ((1,), (-1,)):

@@ -100,6 +100,14 @@ def test_eval_of_a_high_lefschetz_power_ends(capsys):
     assert "(uv)^50000" in capsys.readouterr().out
 
 
+def test_eval_of_a_projective_space_past_the_term_budget_is_a_failing_record(capsys):
+    # P<n> has n + 1 terms; P99999999 would ask for 10^8 of them
+    assert main(["eval", "P99999999", "--measure", "e", "--format", "json"]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [(r["id"], r["status"], r["note"]) for r in records] == [
+        ("expression", "fail", "P99999999 has 100000000 terms, past the budget of 1000000")]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_eval_of_a_builtin_index_past_the_digit_limit_is_a_parse_error(capsys, fmt):
     name = "A" + "9" * (sys.get_int_max_str_digits() + 1)

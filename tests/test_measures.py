@@ -51,6 +51,21 @@ def test_value_arithmetic():
         uv(1, 1) + MeasureValue([1, 1], "t")
 
 
+@pytest.mark.parametrize("base", [MeasureValue.integer(3), uv(1, 2), uv(0, 1), uv(-1, 0, 2)])
+def test_power_is_repeated_multiplication(base, monkeypatch):
+    expected = MeasureValue.integer(1)
+    for n in range(10):
+        assert base ** n == expected
+        expected = expected * base
+    # x^8 is three squarings, with no square of the base left over
+    products = []
+    mul = MeasureValue.__mul__
+    monkeypatch.setattr(MeasureValue, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    base ** 8
+    assert len(products) == 4  # the three squarings and one product into 1
+
+
 def test_apply_measure_examples():
     p2 = normalize("P2")
     assert apply_measure(MeasureSpec("e_poly"), p2) == uv(1, 1, 1)

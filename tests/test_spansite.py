@@ -282,6 +282,20 @@ def test_c_complete_localization_refinement_onto_base(p2):
     assert verdict.found
 
 
+def test_c_complete_of_a_full_window_span_that_is_not_proper(p2):
+    # the open 1-skeleton of P2, mapped into P2 with all its cones as the
+    # window: not proper, so there is no refinement to pull the square back
+    # along
+    from kvar.spansite import _proper_status
+    skeleton = ToricObject("U", p2.fan.subfan(c for c in p2.fan.cones if c.dim <= 1))
+    f = SpanMorphism(skeleton, p2, skeleton.fan.cones, TORIC_ID, "inclusion")
+    assert _proper_status(f).status == "fail"
+    _, sq = star_subdivision_square(p2, (1, 1))
+    verdict = check_c_complete(SitePresentation(), sq, f)
+    assert (verdict.found, verdict.cover, verdict.depth_used, verdict.note) == (
+        False, None, None, "not proper")
+
+
 def test_c_complete_not_found_is_reported():
     # a declared square offers the search nothing to work with
     corners = {

@@ -4,7 +4,11 @@ import copy
 import gc
 import itertools
 import json
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -631,3 +635,129 @@ def test_memoised_closedness_is_the_definition_on_every_cone_subset(name):
         assert ToricLocus(fan, list(subset)).kclass() == fan.class_of(subset)
     for memo in ("closed", "class"):
         assert sum(k[0] == memo for k in fan._flags if isinstance(k, tuple)) == len(subsets)
+
+
+# -- what each interned fan keeps ------------------------------------------------
+
+def _smallest_containing_cone_by_definition(fan: Fan, cone: Cone):
+    containing = [t for t in fan.cones if all(t.contains(r) for r in cone.rays)]
+    return min(containing, key=lambda t: t.dim) if containing else None
+
+
+def test_each_kept_fan_construction_is_its_fresh_computation():
+    from kvar import csupport, spansite
+    corp = corpus.generate(1, 200)
+    fans = list(dict.fromkeys(corp.all_fans()))  # interned: one object per fan
+    for fan in fans:
+        for cone in fan.maximal_cones:
+            ray = toric.primitive(cone.representative())
+            sd = star_subdivide(fan, ray)
+            assert (sd.fan, sd.center, sd.center_cones, sd.exceptional_cones,
+                    sd.smooth_blowup) == toric._star_parts(fan, ray)
+            assert sd.parent is fan and sd.new_ray == ray
+            assert star_subdivide(fan, list(ray)).fan is sd.fan
+    for y, x in dict.fromkeys((sq.Y.fan, sq.base.fan) for sq in corp.squares):
+        for a, b in ((y, x), (x, y)):
+            for c in a.cones:
+                expected = _smallest_containing_cone_by_definition(b, c)
+                assert b.smallest_containing_cone(c) is expected
+                assert b.smallest_containing_cone(c) is expected  # kept
+            refined = spansite._common_refinement_rank2(a, b)
+            assert refined is spansite._refine_rank2(a, b)
+            assert spansite._common_refinement_rank2(a, b) is refined
+    for case in corp.independence:
+        for choice in (case.choice_a, case.choice_b):
+            completion = choice.compact_obj.fan
+            again = csupport._completion_choice(case.obj, completion)
+            assert again.boundary.cones == frozenset(
+                c for c in completion.cones if not case.obj.fan.contains_cone(c))
+            assert again.boundary is not choice.boundary  # a fresh locus
+            assert again.boundary == choice.boundary
+    for obj, window in corp.pairs_xu:
+        sub = obj.fan.subfan(window)
+        assert sub is Fan(obj.fan.rank, window) and obj.fan.subfan(set(window)) is sub
+        if not sub.is_complete() and not sub.is_empty():
+            completion = complete_surface(sub)
+            assert completion is toric._gap_filled(sub)
+            assert complete_surface(sub) is completion
+            assert sub._flags["completion"] is completion
+    for fan in fans:  # a complete fan is its own completion and keeps none
+        if fan.rank <= 2:
+            assert complete_surface(fan) is fan and "completion" not in fan._flags
+
+
+def test_a_ray_keeps_one_subdivision_whatever_the_type_of_its_entries():
+    fan = toric.hirzebruch_fan(5)
+    by_bool = star_subdivide(fan, (True, 1))
+    by_int = star_subdivide(fan, (1, 1))
+    assert by_bool == by_int and by_bool.fan is by_int.fan
+    kept = [k for k in fan._flags if isinstance(k, tuple) and k[0] == "star"]
+    assert kept == [("star", (1, 1))]
+    assert [type(x) for x in kept[0][1]] == [int, int]
+    assert [type(x) for x in by_bool.new_ray] == [int, int]
+
+
+def test_a_bad_ray_raises_on_every_call_and_is_not_kept():
+    fan = toric.hirzebruch_fan(6)
+    for _ in range(2):
+        with pytest.raises(NonPrimitiveRayError):
+            star_subdivide(fan, (2, 2))
+        with pytest.raises(NonPrimitiveRayError):
+            star_subdivide(fan, (0, 0))
+        with pytest.raises(SubdivisionError, match="cone of dimension 1"):
+            star_subdivide(fan, (1, 0))
+    a2 = Fan.from_cones(2, [Cone(2, [(1, 0), (1, 5)])])
+    for _ in range(2):
+        with pytest.raises(SubdivisionError, match="outside the support"):
+            star_subdivide(a2, (-1, -1))
+    assert not [k for f in (fan, a2) for k in f._flags
+                if isinstance(k, tuple) and k[0] == "star"]
+
+
+def _build_and_keep():
+    """Fans no other test builds, with every kept construction filled in,
+    the common refinement both ways round; returns their table keys."""
+    from kvar import csupport, spansite
+    fan = build_fan(2, [(1, 0), (2, 7)], [(0, 1)])
+    completion = complete_surface(fan)
+    sd = star_subdivide(completion, toric.primitive(completion.maximal_cones[0].representative()))
+    refined = spansite._common_refinement_rank2(completion, sd.fan)
+    spansite._common_refinement_rank2(sd.fan, completion)
+    csupport._completion_choice(spansite.ToricObject("U", fan), completion)
+    for c in completion.cones:
+        sd.fan.smallest_containing_cone(c)
+    return [(f.rank, f.cones) for f in (fan, completion, sd.fan, refined)]
+
+
+def test_a_dropped_fan_leaves_the_intern_table_with_what_it_keeps():
+    keys = _build_and_keep()
+    gc.collect()
+    assert not [k for k in keys if k in Fan._interned]
+
+
+def test_fans_freed_after_their_module_globals_are_gone_write_nothing_to_stderr():
+    # At exit the interpreter sets the globals of a module still referenced
+    # to None, then frees what they held: here the builtin fans, and every
+    # fan they keep.  The weak table's callbacks then compare table keys,
+    # down to cones, whenever a key is not the one its entry was stored
+    # under, as after the entry was replaced while an equal fan was alive.
+    code = """
+from kvar import corpus, spansite, toric
+corp = corpus.generate(1, 10)
+for sq in corp.squares:  # kept constructions that refer to each other
+    spansite._common_refinement_rank2(sq.Y.fan, sq.base.fan)
+    spansite._common_refinement_rank2(sq.base.fan, sq.Y.fan)
+for fan in corp.all_fans():
+    key = (fan.rank, fan.cones)
+    del toric.Fan._interned[key]
+    fresh = toric.Fan(fan.rank, sorted(fan.cones, key=lambda c: c.rays))
+    toric.Fan._interned[key] = fan
+del fan, sq, corp, fresh
+for name in list(vars(toric)):
+    if not name.startswith("__"):
+        setattr(toric, name, None)
+"""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(toric.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
