@@ -14,7 +14,6 @@ engine errors.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
@@ -176,7 +175,6 @@ class CompletionProvider:
         return _completion_choice(obj, self.completion_fan(obj.fan))
 
 
-@functools.lru_cache(maxsize=None)
 def _p1_power(k: int) -> Fan:
     fan = toric.builtin_fan("P1")
     if k == 0:
@@ -204,15 +202,16 @@ def _check_completion(fan: Fan, completion: Fan) -> None:
 
 def _completion_choice(obj: ToricObject, completion: Fan,
                        name: Optional[str] = None) -> CompactificationChoice:
-    """The object as a dense open of the completion, the rest as boundary.
-    The boundary cones are kept on the object's fan, keyed by the
-    completion."""
+    """The object as a dense open of the completion, the rest as boundary."""
     compact_obj = ToricObject(name or f"{obj.name}^bar", completion)
-    key = ("boundary", completion)
-    flags = obj.fan._flags
-    if key not in flags:
-        flags[key] = frozenset(c for c in completion.cones if not obj.fan.contains_cone(c))
-    return CompactificationChoice(compact_obj, ToricLocus(completion, flags[key]))
+    return CompactificationChoice(compact_obj,
+                                  ToricLocus(completion, _boundary(obj.fan, completion)))
+
+
+@toric.kept
+def _boundary(fan: Fan, completion: Fan) -> frozenset:
+    """The cones of the completion outside the fan, kept on the fan."""
+    return frozenset(c for c in completion.cones if not fan.contains_cone(c))
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,8 @@ class MeasureValue:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def _join_var(self, other: "MeasureValue") -> Optional[str]:
-        if self.var is None:
-            return other.var
-        if other.var is None or other.var == self.var:
-            return self.var
-        raise MeasureError(f"mixed variables {self.var!r} and {other.var!r}")
-
     def __add__(self, other: "MeasureValue") -> "MeasureValue":
-        var = self._join_var(other)
+        var = _join(self.var, other.var)
         n = max(len(self.coeffs), len(other.coeffs))
         return MeasureValue(
             [self.coefficient(i) + other.coefficient(i) for i in range(n)], var
@@ -86,7 +79,7 @@ class MeasureValue:
         return self + (-other)
 
     def __mul__(self, other: "MeasureValue") -> "MeasureValue":
-        var = self._join_var(other)
+        var = _join(self.var, other.var)
         if not self.coeffs or not other.coeffs:
             return MeasureValue([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -136,6 +129,14 @@ class MeasureValue:
         if self.var is None:
             return self.as_int()
         return {"var": self.var, "coeffs": list(self.coeffs)}
+
+
+def _join(var: Optional[str], other: Optional[str]) -> Optional[str]:
+    if var is None:
+        return other
+    if other is None or other == var:
+        return var
+    raise MeasureError(f"mixed variables {var!r} and {other!r}")
 
 
 def is_prime_power(q: int) -> bool:
@@ -214,38 +215,36 @@ def apply_measure(spec: MeasureSpec, cls: KClass,
     """Substitute the measure into a canonical class.
 
     Residual generators must be registered: ``registrations`` maps
-    (generator name, selector) to a MeasureValue.
+    (generator name, selector) to a MeasureValue.  Every builtin image of L
+    is a monomial c x^k, so coeff L^e goes to coeff c^e at degree k e (times
+    the values of the term's generators), with no power of the image.
     """
     lval = spec.lefschetz_image()
-    total = MeasureValue.integer(0)
-    # both views are sorted by exponent: one running power each, so memory
-    # stays linear in the degree
-    power, at = MeasureValue.integer(1), 0
+    k = lval.degree()
+    c = lval.coefficient(k)
+    sums: dict = {}
+    # each view is sorted by exponent: one running power of c per view
+    power, at = 1, 0
     for exp, coeff in cls.lpolynomial():
-        power, at = _raise(power, lval, exp - at), exp
-        total = total + power * MeasureValue.integer(coeff)
-    power, at = MeasureValue.integer(1), 0
-    for lexp, names, coeff in cls.residual():
-        power, at = _raise(power, lval, lexp - at), lexp
-        term = power * MeasureValue.integer(coeff)
+        power, at = power * c ** (exp - at), exp
+        sums[k * exp] = sums.get(k * exp, 0) + coeff * power
+    var = lval.var if max(sums, default=0) else None  # past degree 0 only
+    power, at = 1, 0
+    for exp, names, coeff in cls.residual():
+        power, at = power * c ** (exp - at), exp
+        term = MeasureValue.integer(coeff * power)
         for name in names:
-            value = None
-            if registrations is not None:
-                value = registrations.get((name, spec.selector))
+            value = (registrations or {}).get((name, spec.selector))
             if value is None:
                 raise UnresolvedGeneratorError(
                     f"no {spec.name} value registered for generator {name!r}"
                 )
             term = term * value
-        total = total + term
-    return total
-
-
-def _raise(power: MeasureValue, lval: MeasureValue, gap: int) -> MeasureValue:
-    """``power * lval^gap``: a gap of 1 is one multiplication by ``lval``."""
-    if gap == 0:
-        return power
-    return power * (lval if gap == 1 else lval ** gap)
+        if term.coeffs:
+            var = _join(var, _join(lval.var if k * exp else None, term.var))
+            for degree, a in enumerate(term.coeffs, k * exp):
+                sums[degree] = sums.get(degree, 0) + a
+    return MeasureValue([sums.get(d, 0) for d in range(max(sums, default=-1) + 1)], var)
 
 
 def registrations_from_json(records: Union[str, list]) -> dict:

@@ -855,16 +855,10 @@ class CCompleteVerdict:
         return self.found
 
 
+@toric.kept
 def _common_refinement_rank2(a: Fan, b: Fan) -> Fan:
     """Common refinement of two rank-2 fans with equal support, kept on
     ``a`` keyed by ``b``."""
-    key = ("refinement", b)
-    if key not in a._flags:
-        a._flags[key] = _refine_rank2(a, b)
-    return a._flags[key]
-
-
-def _refine_rank2(a: Fan, b: Fan) -> Fan:
     rays = sorted(set(a.rays) | set(b.rays))
     cones = {c for c in a.cones | b.cones if c.dim <= 1}
     ordered = toric.sort_rays_ccw(rays)

@@ -376,6 +376,26 @@ class Cone:
 # ---------------------------------------------------------------------------
 # fans
 
+def kept(compute):
+    """Keep ``compute(fan, *args)``, a pure function of an interned fan and
+    hashable, normalised arguments, in the fan's ``_flags``, keyed by
+    ``compute`` alone or with the arguments: it lives and dies with the
+    fan.  An error is not kept, so it is raised again on every call.
+    """
+    @functools.wraps(compute)
+    def keeper(fan, *args):
+        key = (compute,) + args if args else compute
+        flags = fan._flags
+        try:
+            return flags[key]
+        except KeyError:
+            pass
+        value = flags[key] = compute(fan, *args)
+        return value
+
+    return keeper
+
+
 class Fan:
     """Finite fan: a set of cones closed under faces, pairwise intersecting
     in common faces.  The empty fan is the empty variety; the fan with only
@@ -384,17 +404,16 @@ class Fan:
     Instances are interned by (rank, cones) in a weak table, so every caller
     that builds an equal fan shares one object and its derived data; a fan
     enters the table only once it has validated, and leaves it when it is
-    dropped, with everything it keeps.  Each datum is worked out on first
-    use, as a pure function of the fan (and of the key's other parts):
-    completeness, smoothness, rays, maximal cones, the class, point and cone
-    containment, the closedness and class of a cone subset, the star
-    subdivision at a ray, the rank-2 completion, the common refinement with
-    another fan (``spansite``) and the boundary inside a completion
-    (``csupport``).
+    dropped, with everything it keeps.  Each datum is kept by ``kept``, as
+    a pure function of the fan and the other arguments: completeness,
+    smoothness, rays, maximal cones, the class, point and cone containment,
+    the closedness and class of a cone subset, the product with another
+    fan, the star subdivision at a ray, the rank-2 completion, the common
+    refinement with another fan (``spansite``) and the boundary inside a
+    completion (``csupport``).
     """
 
-    __slots__ = ("rank", "cones", "_by_rays", "_maximal", "_flags", "_containing",
-                 "__weakref__")
+    __slots__ = ("rank", "cones", "_by_rays", "_flags", "__weakref__")
 
     _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
@@ -418,9 +437,7 @@ class Fan:
         inst.rank = rank
         inst.cones = cone_set
         inst._by_rays = {c.rays: c for c in cone_set}
-        inst._maximal = None
         inst._flags = {}
-        inst._containing = {}
         cls._interned[key] = inst
         return inst
 
@@ -444,22 +461,17 @@ class Fan:
     # -- views ---------------------------------------------------------------
 
     @property
+    @kept
     def maximal_cones(self) -> Tuple[Cone, ...]:
         """The cones that are not a proper face of another cone."""
-        if self._maximal is None:
-            proper_faces = {f for c in self.cones for f in c.faces() if f is not c}
-            self._maximal = tuple(sorted((c for c in self.cones if c not in proper_faces),
-                                         key=lambda c: c.rays))
-        return self._maximal
+        proper_faces = {f for c in self.cones for f in c.faces() if f is not c}
+        return tuple(sorted((c for c in self.cones if c not in proper_faces),
+                            key=lambda c: c.rays))
 
     @property
+    @kept
     def rays(self) -> Tuple[Vector, ...]:
-        if "rays" not in self._flags:
-            out = set()
-            for c in self.cones:
-                out.update(c.rays)
-            self._flags["rays"] = tuple(sorted(out))
-        return self._flags["rays"]
+        return tuple(sorted({r for c in self.cones for r in c.rays}))
 
     def is_empty(self) -> bool:
         return not self.cones
@@ -472,16 +484,11 @@ class Fan:
         return cone.rays in self._by_rays
 
     def smallest_containing(self, point: Sequence[int]) -> Optional[Cone]:
-        point = tuple(point)
-        if point in self._containing:
-            return self._containing[point]
-        found = None
-        for c in self.cones:
-            if c.relint_contains(point):
-                found = c
-                break
-        self._containing[point] = found
-        return found
+        return self._relint_holding(tuple(point))
+
+    @kept
+    def _relint_holding(self, point: Vector) -> Optional[Cone]:
+        return next((c for c in self.cones if c.relint_contains(point)), None)
 
     def orbit_of(self, cone: Cone) -> Optional[Cone]:
         """The fan cone whose relative interior holds the cone's relative
@@ -505,14 +512,14 @@ class Fan:
         container = self._by_rays.get(cone.rays)
         if container is not None:
             return container
-        key = ("within", cone)
-        flags = self._flags
-        if key not in flags:
-            container = self.smallest_containing(cone.representative())
-            if container is not None and not all(container.contains(r) for r in cone.rays):
-                container = None
-            flags[key] = container
-        return flags[key]
+        return self._containing_cone(cone)
+
+    @kept
+    def _containing_cone(self, cone: Cone) -> Optional[Cone]:
+        container = self.smallest_containing(cone.representative())
+        if container is not None and not all(container.contains(r) for r in cone.rays):
+            return None
+        return container
 
     def face_counts(self) -> dict:
         counts: dict = {}
@@ -522,18 +529,15 @@ class Fan:
 
     # -- derived flags -------------------------------------------------------
 
+    @kept
     def is_smooth(self) -> bool:
-        if "smooth" not in self._flags:
-            self._flags["smooth"] = all(c.is_smooth() for c in self.maximal_cones)
-        return self._flags["smooth"]
+        return all(c.is_smooth() for c in self.maximal_cones)
 
+    @kept
     def is_complete(self) -> bool:
         """Support covers the ambient space: nonempty, with facet pairing
         over the star of the zero cone."""
-        if "complete" not in self._flags:
-            self._flags["complete"] = (not self.is_empty()
-                                       and self._complete_over(Cone(self.rank, ())))
-        return self._flags["complete"]
+        return not self.is_empty() and self._complete_over(Cone(self.rank, ()))
 
     def _complete_over(self, sigma: Cone) -> bool:
         """Facet pairing over the star of ``sigma``, a cone of the fan: every
@@ -565,12 +569,12 @@ class Fan:
 
     def class_of(self, cone_subset: Optional[Iterable[Cone]] = None) -> KClass:
         """Class of a union of torus orbits: sum of (L-1)^(n - dim) over the
-        cones.  The subset need not be face-closed (locally closed unions)."""
-        if cone_subset is None and "class" in self._flags:
-            return self._flags["class"]
-        cones = self.cones if cone_subset is None else list(cone_subset)
+        cones.  The subset need not be face-closed (locally closed unions).
+        The class of the whole fan is kept."""
+        if cone_subset is None:
+            return self._class()
         codim_counts: dict = {}
-        for c in cones:
+        for c in cone_subset:
             if not self.contains_cone(c):
                 raise ToricError(f"{c} is not a cone of the fan")
             k = self.rank - c.dim
@@ -581,10 +585,11 @@ class Fan:
             for j in range(k + 1):
                 coeff = count * math.comb(k, j) * (-1) ** (k - j)
                 terms[(j, ())] = terms.get((j, ()), 0) + coeff
-        total = KClass(terms)
-        if cone_subset is None:
-            self._flags["class"] = total
-        return total
+        return KClass(terms)
+
+    @kept
+    def _class(self) -> KClass:
+        return self.class_of(self.cones)
 
     def orbit_count(self, q: int, cone_subset: Optional[Iterable[Cone]] = None) -> int:
         """Independent point count over F_q: direct summation of
@@ -610,8 +615,10 @@ class Fan:
                     )
         return Fan(self.rank, subset)
 
+    @kept
     def product(self, other: "Fan") -> "Fan":
-        return _product_fan(self, other)
+        return Fan(self.rank + other.rank,
+                   {Cone.product(a, b) for a in self.cones for b in other.cones})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, type(self)) and self.rank == other.rank and self.cones == other.cones
@@ -666,11 +673,6 @@ class Fan:
         if data.get("dense_torus") and not maximal:
             maximal = [()]
         return build_fan(rank, rays, maximal)
-
-
-@functools.lru_cache(maxsize=None)
-def _product_fan(a: Fan, b: Fan) -> Fan:
-    return Fan(a.rank + b.rank, {Cone.product(ca, cb) for ca in a.cones for cb in b.cones})
 
 
 def sort_rays_ccw(rays: Iterable[Vector]) -> List[Vector]:
@@ -776,14 +778,11 @@ def star_subdivide(fan: Fan, new_ray: Sequence[int]) -> StarSubdivision:
     ray = tuple(int(x) for x in new_ray)
     if all(x == 0 for x in ray) or vgcd(ray) != 1:
         raise NonPrimitiveRayError(f"{ray} is not a primitive ray")
-    key = ("star", ray)
-    parts = fan._flags.get(key)
-    if parts is None:
-        parts = fan._flags[key] = _star_parts(fan, ray)
-    subdivided, center, center_cones, exceptional, smooth = parts
+    subdivided, center, center_cones, exceptional, smooth = _star_parts(fan, ray)
     return StarSubdivision(subdivided, fan, center, ray, center_cones, exceptional, smooth)
 
 
+@kept
 def _star_parts(fan: Fan, ray: Vector) -> tuple:
     """What ``star_subdivide`` returns but the parent fan and the ray: the
     kept value holds no reference back to its fan."""
@@ -826,11 +825,10 @@ def complete_surface(fan: Fan) -> Fan:
         raise ToricError("cannot complete the empty fan")
     if fan.is_complete():  # every nonempty rank-0 fan is
         return fan
-    if "completion" not in fan._flags:
-        fan._flags["completion"] = _gap_filled(fan)
-    return fan._flags["completion"]
+    return _gap_filled(fan)
 
 
+@kept
 def _gap_filled(fan: Fan) -> Fan:
     """The completion ``complete_surface`` describes, of a fan that is not
     complete."""
@@ -930,13 +928,7 @@ class ToricLocus:
         """Upward-closed: with every cone, all fan cones having it as a face
         (Fulton, Introduction to Toric Varieties, 3.1).  That depends on the
         fan and the cone set alone, so it is decided once per interned fan."""
-        key = ("closed", self.cones)
-        flags = self.fan._flags
-        if key not in flags:
-            flags[key] = not any(f in self.cones
-                                 for other in self.fan.cones if other not in self.cones
-                                 for f in other.faces())
-        return flags[key]
+        return _is_upward_closed(self.fan, self.cones)
 
     def is_open(self) -> bool:
         for c in self.cones:
@@ -964,11 +956,7 @@ class ToricLocus:
 
     def kclass(self) -> KClass:
         """The class of the orbits, kept once per interned fan and cone set."""
-        key = ("class", self.cones)
-        flags = self.fan._flags
-        if key not in flags:
-            flags[key] = self.fan.class_of(self.cones)
-        return flags[key]
+        return _locus_class(self.fan, self.cones)
 
     def complement(self) -> "ToricLocus":
         return ToricLocus(self.fan, [c for c in self.fan.cones if c not in self.cones])
@@ -982,6 +970,17 @@ class ToricLocus:
 
     def __repr__(self) -> str:
         return f"ToricLocus({len(self.cones)} cones in {self.fan!r})"
+
+
+@kept
+def _is_upward_closed(fan: Fan, cones: frozenset) -> bool:
+    return not any(f in cones for other in fan.cones if other not in cones
+                   for f in other.faces())
+
+
+@kept
+def _locus_class(fan: Fan, cones: frozenset) -> KClass:
+    return fan.class_of(cones)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Measure values, substitutions, and weight tables."""
 
+import time
 import tracemalloc
 
 import pytest
@@ -39,6 +40,51 @@ def test_apply_measure_memory_is_linear_in_the_degree():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # every power up to (uv)^2000 at once is about 16 MB
+
+
+def test_the_e_polynomial_of_a_high_projective_space_is_linear_in_its_degree():
+    cls = normalize("P20000")
+    start = time.process_time()
+    value = apply_measure(MeasureSpec("e_poly"), cls)
+    spent = time.process_time() - start
+    assert value == MeasureValue([1] * 20001, "uv")  # sum of (uv)^k, k = 0..20000
+    assert spent < 1.0
+
+
+@pytest.mark.parametrize("spec", [MeasureSpec("euler"), MeasureSpec("e_poly"),
+                                  MeasureSpec("virtual_poincare"),
+                                  MeasureSpec("point_count", q=4)])
+def test_a_substitution_is_the_sum_of_its_terms_in_value_arithmetic(spec):
+    rels = RelationSet()
+    rels.declare_generator("S", 2, compact=True)
+    rels.declare_generator("T", 1, compact=True)
+    cls = normalize("3*A4*S*T - 2*L*S + S*S + 5*A3 - A2 + 7 + A6*T", rels)
+    lval = spec.lefschetz_image()
+    values = {"S": {"euler": MeasureValue.integer(3), "e_poly": uv(1, 1, 1),
+                    "virtual_poincare": MeasureValue([1, 0, 1, 0, 1], "t"),
+                    "point_count": MeasureValue.integer(21)},
+              "T": {"euler": MeasureValue.integer(2), "e_poly": uv(1, 1),
+                    "virtual_poincare": MeasureValue([1, 0, 1], "t"),
+                    "point_count": MeasureValue.integer(5)}}
+    table = {(name, sel): v for name, by_sel in values.items() for sel, v in by_sel.items()}
+    expected = MeasureValue.integer(0)
+    for exp, coeff in cls.lpolynomial():
+        expected = expected + lval ** exp * MeasureValue.integer(coeff)
+    for exp, names, coeff in cls.residual():
+        term = lval ** exp * MeasureValue.integer(coeff)
+        for name in names:
+            term = term * table[(name, spec.selector)]
+        expected = expected + term
+    assert cls.residual() and apply_measure(spec, cls, table) == expected
+
+
+@pytest.mark.parametrize("text", ["L*S", "L + S"])
+def test_a_substitution_that_mixes_two_variables_is_an_error(text):
+    rels = RelationSet()
+    rels.declare_generator("S", 2, compact=True)
+    table = {("S", "e_poly"): MeasureValue([1, 0, 1], "t")}
+    with pytest.raises(MeasureError, match="mixed variables"):
+        apply_measure(MeasureSpec("e_poly"), normalize(text, rels), table)
 
 
 def test_value_arithmetic():

@@ -76,6 +76,19 @@ def test_kvar_modules_use_every_name_they_import():
         assert not unused, (path.name, unused)
 
 
+def test_only_toric_reaches_what_a_fan_keeps():
+    # other modules keep their fan data through toric.kept
+    assert "toric.py" in {path.name for path in SOURCES}
+    for path in SOURCES:
+        if path.name == "toric.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        named = [node.lineno for node in ast.walk(tree)
+                 if (isinstance(node, ast.Attribute) and node.attr == "_flags")
+                 or (isinstance(node, ast.Constant) and node.value == "_flags")]
+        assert not named, (path.name, named)
+
+
 @pytest.mark.parametrize("load, error", [(Fan.from_json, ToricError),
                                          (RelationSet.from_json, InvalidRelationError),
                                          (registrations_from_json, MeasureError)])

@@ -633,8 +633,8 @@ def test_memoised_closedness_is_the_definition_on_every_cone_subset(name):
     for subset in subsets:  # again, from the fan's memo
         assert ToricLocus(fan, list(subset)).is_closed() is _closed_by_definition(fan, subset)
         assert ToricLocus(fan, list(subset)).kclass() == fan.class_of(subset)
-    for memo in ("closed", "class"):
-        assert sum(k[0] == memo for k in fan._flags if isinstance(k, tuple)) == len(subsets)
+    for memo in (toric._is_upward_closed.__wrapped__, toric._locus_class.__wrapped__):
+        assert sum(k[0] is memo for k in fan._flags if isinstance(k, tuple)) == len(subsets)
 
 
 # -- what each interned fan keeps ------------------------------------------------
@@ -653,7 +653,7 @@ def test_each_kept_fan_construction_is_its_fresh_computation():
             ray = toric.primitive(cone.representative())
             sd = star_subdivide(fan, ray)
             assert (sd.fan, sd.center, sd.center_cones, sd.exceptional_cones,
-                    sd.smooth_blowup) == toric._star_parts(fan, ray)
+                    sd.smooth_blowup) == toric._star_parts.__wrapped__(fan, ray)
             assert sd.parent is fan and sd.new_ray == ray
             assert star_subdivide(fan, list(ray)).fan is sd.fan
     for y, x in dict.fromkeys((sq.Y.fan, sq.base.fan) for sq in corp.squares):
@@ -663,7 +663,7 @@ def test_each_kept_fan_construction_is_its_fresh_computation():
                 assert b.smallest_containing_cone(c) is expected
                 assert b.smallest_containing_cone(c) is expected  # kept
             refined = spansite._common_refinement_rank2(a, b)
-            assert refined is spansite._refine_rank2(a, b)
+            assert refined is spansite._common_refinement_rank2.__wrapped__(a, b)
             assert spansite._common_refinement_rank2(a, b) is refined
     for case in corp.independence:
         for choice in (case.choice_a, case.choice_b):
@@ -678,12 +678,13 @@ def test_each_kept_fan_construction_is_its_fresh_computation():
         assert sub is Fan(obj.fan.rank, window) and obj.fan.subfan(set(window)) is sub
         if not sub.is_complete() and not sub.is_empty():
             completion = complete_surface(sub)
-            assert completion is toric._gap_filled(sub)
+            assert completion is toric._gap_filled.__wrapped__(sub)
             assert complete_surface(sub) is completion
-            assert sub._flags["completion"] is completion
+            assert sub._flags[toric._gap_filled.__wrapped__] is completion
     for fan in fans:  # a complete fan is its own completion and keeps none
         if fan.rank <= 2:
-            assert complete_surface(fan) is fan and "completion" not in fan._flags
+            assert complete_surface(fan) is fan
+            assert toric._gap_filled.__wrapped__ not in fan._flags
 
 
 def test_a_ray_keeps_one_subdivision_whatever_the_type_of_its_entries():
@@ -691,8 +692,9 @@ def test_a_ray_keeps_one_subdivision_whatever_the_type_of_its_entries():
     by_bool = star_subdivide(fan, (True, 1))
     by_int = star_subdivide(fan, (1, 1))
     assert by_bool == by_int and by_bool.fan is by_int.fan
-    kept = [k for k in fan._flags if isinstance(k, tuple) and k[0] == "star"]
-    assert kept == [("star", (1, 1))]
+    star = toric._star_parts.__wrapped__
+    kept = [k for k in fan._flags if isinstance(k, tuple) and k[0] is star]
+    assert kept == [(star, (1, 1))]
     assert [type(x) for x in kept[0][1]] == [int, int]
     assert [type(x) for x in by_bool.new_ray] == [int, int]
 
@@ -710,15 +712,20 @@ def test_a_bad_ray_raises_on_every_call_and_is_not_kept():
     for _ in range(2):
         with pytest.raises(SubdivisionError, match="outside the support"):
             star_subdivide(a2, (-1, -1))
+    star = toric._star_parts.__wrapped__
     assert not [k for f in (fan, a2) for k in f._flags
-                if isinstance(k, tuple) and k[0] == "star"]
+                if isinstance(k, tuple) and k[0] is star]
+    star_subdivide(fan, (1, 1))  # the filter above does see a kept subdivision
+    assert [k for k in fan._flags if isinstance(k, tuple) and k[0] is star] == [(star, (1, 1))]
 
 
 def _build_and_keep():
     """Fans no other test builds, with every kept construction filled in,
-    the common refinement both ways round; returns their table keys."""
+    the common refinement both ways round, and a product with the builtin
+    P1; returns their table keys."""
     from kvar import csupport, spansite
     fan = build_fan(2, [(1, 0), (2, 7)], [(0, 1)])
+    product = fan.product(builtin_fan("P1"))
     completion = complete_surface(fan)
     sd = star_subdivide(completion, toric.primitive(completion.maximal_cones[0].representative()))
     refined = spansite._common_refinement_rank2(completion, sd.fan)
@@ -726,7 +733,7 @@ def _build_and_keep():
     csupport._completion_choice(spansite.ToricObject("U", fan), completion)
     for c in completion.cones:
         sd.fan.smallest_containing_cone(c)
-    return [(f.rank, f.cones) for f in (fan, completion, sd.fan, refined)]
+    return [(f.rank, f.cones) for f in (fan, completion, sd.fan, refined, product)]
 
 
 def test_a_dropped_fan_leaves_the_intern_table_with_what_it_keeps():
