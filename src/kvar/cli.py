@@ -10,8 +10,9 @@ JSON reports are byte-identical for identical configurations (checks are
 emitted in a fixed order and wall-clock timings are excluded from JSON).
 The process exit status is 0 when no check failed, 1 when one did, and 2
 for an input error (one line on stderr): an unreadable input file or one
-of the wrong shape, an unknown measure name, a negative `--depth` or
-`--corpus-size`, or `check` with neither `--suite` nor `--corpus-seed`.
+of the wrong shape, an unknown measure name, a `--depth` outside 0 to
+`MAX_DEPTH` (64), a negative `--corpus-size`, or `check` with neither
+`--suite` nor `--corpus-seed`.
 """
 
 from __future__ import annotations
@@ -43,14 +44,21 @@ from kvar.spansite import (
     ToricObject,
     check_c_complete,
     check_dim_compatible,
+    cover_height,
     enumerate_simple_covers,
     validate_square,
 )
 
 
+# The largest simple-cover search bound: far past the height of the square
+# trees a corpus builds (one), while each cover_monotone note lists
+# depth + 1 counts.
+MAX_DEPTH = 64
+
+
 class InputError(Exception):
     """An input file that cannot be read or has the wrong shape, an unknown
-    measure name, a negative bound, or a check with nothing to check."""
+    measure name, a bound out of range, or a check with nothing to check."""
 
 
 @dataclass
@@ -385,71 +393,111 @@ def _corpus_measures(names: List[str]) -> List[MeasureOnCompacts]:
 
 
 def run_corpus_checks(report: Report, seed: int, size: int,
-                      measure_names: List[str], depth: int = 3) -> None:
-    """The fixed battery over a seeded corpus; record order is deterministic."""
+                      measure_names: List[str], depth: int = 3) -> dict:
+    """The fixed battery over a seeded corpus; record order is deterministic.
+
+    The corpus repeats its inputs under new names, so the battery keeps one
+    answer table for its own run and returns it: each distinct (kind, key)
+    is checked once, and a repeat gets a record of its own with the kept
+    result, timed over the lookup alone.  A key holds only the measure
+    instance, interned fans, frozensets of interned cones and square
+    provenance, and each is sound because the result reads nothing else:
+
+    - additivity (measure, fan, window) and Mayer-Vietoris (measure, fan,
+      U, V): the open, the complement and X are built from these alone,
+      and a record holds values, never a name;
+    - independence (measure, fan, then each choice's compact fan and
+      boundary cones): the extension through a given choice reads the
+      open's fan (is it compact?), the compact fan and the boundary;
+    - square_relation, dim_compatible and square_valid (the square's
+      provenance), and blowup_descent (measure, provenance): a corpus
+      square is built by ``star_subdivision_square`` from its
+      ``StarSubdivision``, a frozen record of interned fans and cones, or
+      by ``localization_square`` from (X's fan, window), so its corners and
+      legs are functions of the provenance up to their names, which no
+      verdict reads;
+    - kunneth (measure, fan, fan), purity (fan) and point_count_oracle
+      (fan): the product object, the weights and the orbit counts are
+      functions of the fans.
+
+    The extensions also read the completions the provider picks.  Its only
+    ``register`` caller is Kunneth, for the product fan that its own key
+    determines, and Kunneth runs after every extension check that reads
+    automatic completions (purity extends complete objects only).  A
+    registration may still change the completion picked for a later
+    Kunneth factor, but Phi_c does not depend on the completion (what the
+    independence check verifies), so a kept value is the fresh one.
+    c_complete and cover_monotone keep no answer: their results read names
+    (``SpanMorphism.key``, ``is`` tests, ``site.squares_over`` by base name).
+    """
     corp = corpus_mod.generate(seed, size)
     provider = corp.provider
     phis = _corpus_measures(measure_names)
+    answers: dict = {}
+
+    def answered(rec_id: str, kind: str, key, check, *args) -> None:
+        _timed(report, rec_id, kind, _answer, answers, (kind, key), check, *args)
 
     for i, (obj, window) in enumerate(corp.pairs_xu):
         for phi in phis:
-            _timed(report, f"additivity[{i}]:{obj.name}:{phi.name}", "additivity",
-                   additivity_check, phi, obj, window, provider)
+            answered(f"additivity[{i}]:{obj.name}:{phi.name}", "additivity",
+                     (phi, obj.fan, window), additivity_check, phi, obj, window, provider)
 
     for i, case in enumerate(corp.independence):
+        a, b = case.choice_a, case.choice_b
+        shape = (case.obj.fan, a.compact_obj.fan, a.boundary.cones,
+                 b.compact_obj.fan, b.boundary.cones)
         for phi in phis:
-            _timed(report, f"independence[{i}]:{case.obj.name}:{phi.name}", "independence",
-                   independence_check, phi, case.obj, case.choice_a, case.choice_b, provider)
+            answered(f"independence[{i}]:{case.obj.name}:{phi.name}", "independence",
+                     (phi, shape), independence_check, phi, case.obj, a, b, provider)
 
     for i, sq in enumerate(corp.squares):
-        _timed(report, f"square_relation[{i}]:{sq.base.name}", "square_relation",
-               _square_relation, sq)
+        origin = _square_key(sq)
+        answered(f"square_relation[{i}]:{sq.base.name}", "square_relation", origin,
+                 _square_relation, sq)
         for phi in phis:
-            _timed(report, f"blowup_descent[{i}]:{sq.base.name}:{phi.name}", "blowup_descent",
-                   consistency_check, "blowup_descent", phi, sq, provider)
+            answered(f"blowup_descent[{i}]:{sq.base.name}:{phi.name}", "blowup_descent",
+                     (phi, origin), consistency_check, "blowup_descent", phi, sq, provider)
 
     for i, (obj, win_u, win_v) in enumerate(corp.mv_triples):
         for phi in phis:
-            _timed(report, f"mayer_vietoris[{i}]:{obj.name}:{phi.name}", "mayer_vietoris",
-                   consistency_check, "mayer_vietoris", phi, (obj, win_u, win_v), provider)
-
-    # the pool repeats pairs; each distinct (measure, a, b) is checked once
-    # per run, and a repeat gets a record of its own with the same result
-    kunneth_done: dict = {}
-
-    def kunneth(phi, a, b) -> CheckResult:
-        key = (phi, a, b)
-        if key not in kunneth_done:
-            kunneth_done[key] = consistency_check("kunneth", phi, (a, b), provider)
-        return kunneth_done[key]
+            answered(f"mayer_vietoris[{i}]:{obj.name}:{phi.name}", "mayer_vietoris",
+                     (phi, obj.fan, win_u, win_v), consistency_check, "mayer_vietoris",
+                     phi, (obj, win_u, win_v), provider)
 
     for i, (a, b) in enumerate(corp.kunneth_pairs):
         for phi in phis:
             if phi.multiplicative:
-                _timed(report, f"kunneth[{i}]:{a.name}x{b.name}:{phi.name}", "kunneth",
-                       kunneth, phi, a, b)
+                answered(f"kunneth[{i}]:{a.name}x{b.name}:{phi.name}", "kunneth",
+                         (phi, a.fan, b.fan), consistency_check, "kunneth", phi, (a, b),
+                         provider)
 
     for i, (sq, f) in enumerate(corp.c_complete_cases):
         _timed(report, f"c_complete[{i}]:{sq.base.name}<-{f.source.name}", "c_complete",
                _c_complete, corp.site, sq, f, depth)
 
     for i, sq in enumerate(corp.squares + corp.loc_squares):
-        _timed(report, f"dim_compatible[{i}]:{sq.base.name}", "dim_compatible",
-               _dim_compatible, sq)
-        _timed(report, f"square_valid[{i}]:{sq.base.name}", "square_valid", _square_valid, sq)
+        origin = _square_key(sq)
+        answered(f"dim_compatible[{i}]:{sq.base.name}", "dim_compatible", origin,
+                 _dim_compatible, sq)
+        answered(f"square_valid[{i}]:{sq.base.name}", "square_valid", origin,
+                 _square_valid, sq)
 
     e_phi = csupport.e_polynomial_measure()
     for i, obj in enumerate(corp.rank3 + corp.surfaces):
         if obj.fan.rank <= 3 and obj.smooth and obj.complete:
-            _timed(report, f"purity[{i}]:{obj.name}", "purity", _purity, e_phi, obj, provider)
+            answered(f"purity[{i}]:{obj.name}", "purity", obj.fan,
+                     _purity, e_phi, obj, provider)
 
     for i, fan in enumerate(corp.all_fans()):
-        _timed(report, f"point_count_oracle[{i}]", "point_count_oracle", _point_count_oracle, fan)
+        answered(f"point_count_oracle[{i}]", "point_count_oracle", fan,
+                 _point_count_oracle, fan)
 
     for i, obj in enumerate(sorted({sq.base.name: sq.base for sq in corp.squares}.values(),
                                    key=lambda o: o.name)):
         _timed(report, f"cover_monotone[{i}]:{obj.name}", "cover_monotone",
                _cover_monotone, corp.site, obj, depth)
+    return answers
 
 
 def _timed(report: Report, rec_id: str, kind: str, check, *args) -> None:
@@ -457,6 +505,23 @@ def _timed(report: Report, rec_id: str, kind: str, check, *args) -> None:
     t0 = time.perf_counter()
     result = check(*args)
     report.add(Record(rec_id, kind, *result, seconds=time.perf_counter() - t0))
+
+
+def _answer(answers: dict, key, check, *args) -> CheckResult:
+    """The result kept in ``answers`` under ``key``; on a miss, ``check(*args)``."""
+    result = answers.get(key)
+    if result is None:
+        result = answers[key] = check(*args)
+    return result
+
+
+def _square_key(sq) -> object:
+    """What a corpus square is built from: its ``StarSubdivision``, or (X's
+    fan, window) for a localization square."""
+    if sq.kind == "localization":
+        _, x_obj, window = sq.provenance
+        return x_obj.fan, window
+    return sq.provenance
 
 
 def _square_relation(sq) -> CheckResult:
@@ -502,14 +567,20 @@ def _point_count_oracle(fan) -> CheckResult:
 
 
 def _cover_monotone(site, obj, depth: int) -> CheckResult:
-    keys, identities = [], {}
-    for d in range(depth + 1):
-        covers = enumerate_simple_covers(site, obj, d, identities)
-        keys.append({c.key() for c in covers})
+    """Cover counts at depths 0 to ``depth`` grow monotonically, and the
+    covers of depth min(depth, 2) are jointly surjective.  Only depths up to
+    the height of the square tree over ``obj`` are enumerated: past it the
+    covers stay the same (``cover_height``), so the later counts repeat the
+    last one."""
+    top = cover_height(site, obj, depth)
+    identities: dict = {}
+    levels = [enumerate_simple_covers(site, obj, d, identities) for d in range(top + 1)]
+    keys = [{c.key() for c in covers} for covers in levels]
     ok = all(a <= b for a, b in zip(keys, keys[1:]))
-    surj = all(c.jointly_surjective()
-               for c in enumerate_simple_covers(site, obj, min(depth, 2), identities))
-    return verdict(ok and surj, note=f"cover counts {[len(k) for k in keys]}")
+    surj = all(c.jointly_surjective() for c in levels[min(top, 2)])
+    counts = [len(k) for k in keys]
+    counts += counts[-1:] * (depth - top)
+    return verdict(ok and surj, note=f"cover counts {counts}")
 
 
 def run_suite(report: Report, suite: dict) -> None:
@@ -563,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--measure", action="append", dest="measures",
                         help="euler | e | poincare | count:<q> (repeatable)")
-    common.add_argument("--depth", type=int, default=3)
+    common.add_argument("--depth", type=int, default=3,
+                        help=f"simple-cover search bound, 0 to {MAX_DEPTH} (default 3)")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", dest="out_path")
 
@@ -609,6 +681,8 @@ def run(config: RunConfig) -> Report:
     for flag, value in (("--depth", config.depth), ("--corpus-size", config.corpus_size)):
         if value is not None and value < 0:
             raise InputError(f"{flag} must be at least 0, not {value}")
+    if config.depth > MAX_DEPTH:
+        raise InputError(f"--depth must be at most {MAX_DEPTH}, not {config.depth}")
     if config.command == "eval":
         return cmd_eval(config)
     if config.command == "fan":

@@ -783,6 +783,26 @@ def enumerate_simple_covers(site: SitePresentation, obj: SiteObject, depth: int,
     return _covers(site, obj, depth, {}, {} if identities is None else identities)
 
 
+def cover_height(site: SitePresentation, obj: SiteObject, budget: int,
+                 memo: Optional[dict] = None) -> int:
+    """min(budget, h), for h the height of the tree of squares over ``obj``:
+    the longest chain of squares, each over a corner (Y or C) of the one
+    before, that ``enumerate_simple_covers`` follows.  The covers of depth d
+    and of depth min(d, h) are the same list, since a square cover of depth
+    d is built from covers of depth d - 1 of corners of smaller height.  A
+    declared site may hold a cycle (h infinite); the budget still ends the
+    walk, after at most one step per object name and budget."""
+    memo = {} if memo is None else memo
+    if budget <= 0:
+        return 0
+    key = (obj.name, budget)
+    if key not in memo:
+        memo[key] = max((1 + cover_height(site, corner, budget - 1, memo)
+                         for sq in site.squares_over(obj) for corner in (sq.Y, sq.C)),
+                        default=0)
+    return memo[key]
+
+
 def _covers(site: SitePresentation, o: SiteObject, d: int, memo: dict,
             identities: dict) -> List[SimpleCover]:
     # a function of its own, not a recursive closure: that would be a

@@ -5,12 +5,15 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kvar import corpus
+from kvar import cli, corpus, toric
 from kvar.cli import (
+    MAX_DEPTH,
     InputError,
     Record,
     Report,
@@ -21,9 +24,20 @@ from kvar.cli import (
     main,
     run,
     run_corpus_checks,
+    _cover_monotone,
 )
-from kvar.csupport import CompletionProvider, consistency_check
+from kvar.csupport import CompletionProvider, MeasureOnCompacts
 from kvar.measures import MeasureValue
+from kvar.spansite import (
+    EMPTY,
+    SitePresentation,
+    ToricObject,
+    cover_height,
+    enumerate_simple_covers,
+    identity_span,
+    localization_square,
+    zero_span,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -304,6 +318,8 @@ def test_exit_code_contract(tmp_path):
                  ["check", "--corpus-seed", "1", "--corpus-size", "2", "--measure", "count:x"],
                  ["check", "--corpus-seed", "1", "--corpus-size", "-3"],
                  ["check", "--corpus-seed", "1", "--corpus-size", "2", "--depth", "-1"],
+                 ["check", "--corpus-seed", "1", "--corpus-size", "2",
+                  "--depth", str(MAX_DEPTH + 1)],
                  ["check"],
                  ["fan", str(no_rank)],
                  ["eval", "P1", "--relations", str(no_slots)]):
@@ -412,26 +428,108 @@ def test_size_800_report_bytes_are_pinned(tmp_path, cli_child_env):
         "c5fcc87a5777a5e96365e71b02b105ecc5b4f4be391201d132471bf49dafbd93")
 
 
-def test_repeated_kunneth_pair_matches_its_first_check():
-    report = Report({})
-    run_corpus_checks(report, 1, 10, ["euler", "e"])
-    corp = corpus.generate(1, 10)
-    phis = {phi.name: phi for phi in _corpus_measures(["euler", "e"])}
-    first, repeats = {}, 0
-    for rec in report.records:
-        if rec.kind != "kunneth":
-            continue
-        a, b = corp.kunneth_pairs[int(rec.id[len("kunneth["):rec.id.index("]")])]
-        key = (a.name, b.name, rec.id.rpartition(":")[2])
-        if key not in first:
-            first[key] = (rec.lhs, rec.rhs, rec.status)
-            continue
-        repeats += 1
-        assert (rec.lhs, rec.rhs, rec.status) == first[key]
-        if repeats <= 20:  # and both agree with a check on a fresh provider
-            fresh = consistency_check("kunneth", phis[key[2]], (a, b), CompletionProvider())
-            assert (fresh.lhs, fresh.rhs, fresh.status) == first[key]
-    assert repeats > 20
+# the kinds whose results the battery keeps in its answer table
+ANSWERED_KINDS = {"additivity", "independence", "square_relation", "blowup_descent",
+                  "mayer_vietoris", "kunneth", "dim_compatible", "square_valid", "purity",
+                  "point_count_oracle"}
+
+
+def _fresh(arg):
+    """A battery argument with no state of the run: a new provider, a new
+    measure of the same spec; any other argument as it is."""
+    if isinstance(arg, CompletionProvider):
+        return CompletionProvider()
+    if type(arg) is MeasureOnCompacts:
+        return MeasureOnCompacts(arg.spec)
+    return arg
+
+
+def test_each_answer_from_the_table_is_its_fresh_computation(monkeypatch):
+    report, hits = Report({}), []
+    answer = cli._answer
+
+    def spying(answers, key, check, *args):
+        if key in answers:  # the record about to be added is answered from the table
+            hits.append((len(report.records), check, args))
+        return answer(answers, key, check, *args)
+    monkeypatch.setattr(cli, "_answer", spying)
+    run_corpus_checks(report, 1, 200, ["euler", "e"])
+    assert {report.records[i].kind for i, _, _ in hits} == ANSWERED_KINDS
+    for i, check, args in hits:
+        rec = report.records[i]
+        fresh = check(*(_fresh(arg) for arg in args))
+        assert tuple(fresh) == (rec.status, rec.lhs, rec.rhs, rec.note), rec.id
+
+
+def test_each_distinct_check_of_a_battery_is_computed_once():
+    # a key that stops matching its repeats (one not built from interned
+    # fans and cone sets, say) shows here as more computations
+    answers = run_corpus_checks(Report({}), 1, 200, ["euler", "e"])
+    assert Counter(kind for kind, _ in answers) == {
+        "additivity": 768, "independence": 226, "square_relation": 78,
+        "blowup_descent": 156, "mayer_vietoris": 598, "kunneth": 366,
+        "dim_compatible": 159, "square_valid": 159, "purity": 78,
+        "point_count_oracle": 80}
+
+
+def test_batteries_in_one_process_report_what_fresh_processes_report(tmp_path, cli_child_env):
+    # no answer table outlives the battery that filled it
+    for seed, size in ((2, 10), (1, 50), (1, 50)):
+        argv = ["check", "--corpus-seed", str(seed), "--corpus-size", str(size),
+                "--format", "json"]
+        out = tmp_path / f"{seed}-{size}.json"
+        if not out.exists():
+            subprocess.run([sys.executable, "-m", "kvar.cli", *argv, "--out", str(out)],
+                           check=True, env=cli_child_env("0"))
+        assert run_cli(*argv).to_json_text() == out.read_text()
+
+
+def _every_depth_cover_monotone(site, obj, depth: int):
+    """``_cover_monotone`` by enumerating every depth from 0 to ``depth``."""
+    keys = [{c.key() for c in enumerate_simple_covers(site, obj, d)} for d in range(depth + 1)]
+    ok = all(a <= b for a, b in zip(keys, keys[1:]))
+    surj = all(c.jointly_surjective()
+               for c in enumerate_simple_covers(site, obj, min(depth, 2)))
+    return cli.verdict(ok and surj, note=f"cover counts {[len(k) for k in keys]}")
+
+
+def test_cover_enumeration_stops_at_its_fixed_point():
+    corp = corpus.generate(1, 50)
+    bases = {sq.base.name: sq.base for sq in corp.squares}.values()
+    for obj in bases:
+        for depth in range(6):
+            assert _cover_monotone(corp.site, obj, depth) == \
+                _every_depth_cover_monotone(corp.site, obj, depth), (obj.name, depth)
+
+
+def test_cover_enumeration_over_a_cyclic_site_ends():
+    # the square over X has X itself as its upper right corner: X minus
+    # nothing, rebased onto X
+    x_obj = ToricObject("X", toric.builtin_fan("P2"))
+    sq = localization_square(x_obj, x_obj.fan.cones)
+    sq.corners["base"] = x_obj
+    sq.maps["right"] = identity_span(x_obj)
+    sq.maps["bottom"] = zero_span(EMPTY, x_obj)
+    site = SitePresentation()
+    site.add_object(x_obj)
+    site.add_square(sq)
+    assert [cover_height(site, x_obj, b) for b in (0, 1, 5, MAX_DEPTH)] == [0, 1, 5, MAX_DEPTH]
+    for depth in range(6):
+        assert _cover_monotone(site, x_obj, depth) == \
+            _every_depth_cover_monotone(site, x_obj, depth)
+    declared = SitePresentation.from_json({
+        "objects": [{"name": "X", "dim": 2}, {"name": "E", "dim": 1}],
+        "squares": [{"kind": "abstract_blowup", "corners": {
+            "upper_left": "E", "upper_right": "X", "lower_left": "E", "base": "X"}}]})
+    assert cover_height(declared, declared.objects["X"], MAX_DEPTH) == MAX_DEPTH
+
+
+def test_the_largest_depth_ends_soon(tmp_path):
+    started = time.process_time()
+    assert main(["check", "--corpus-seed", "1", "--corpus-size", "10",
+                 "--depth", str(MAX_DEPTH), "--format", "json",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert time.process_time() - started < 1.0
 
 
 def test_run_config_requires_corpus_or_suite():
