@@ -410,23 +410,19 @@ def run_corpus_checks(report: Report, seed: int, size: int,
       boundary cones): the extension through a given choice reads the
       open's fan (is it compact?), the compact fan and the boundary;
     - square_relation, dim_compatible and square_valid (the square's
-      provenance), and blowup_descent (measure, provenance): a corpus
-      square is built by ``star_subdivision_square`` from its
-      ``StarSubdivision``, a frozen record of interned fans and cones, or
-      by ``localization_square`` from (X's fan, window), so its corners and
-      legs are functions of the provenance up to their names, which no
-      verdict reads;
+      provenance), and blowup_descent (measure, provenance): a square is
+      built from its provenance, which holds no name (a
+      ``StarSubdivision``, a frozen record of interned fans and cones; the
+      fans (W, X) of a refinement; or (X's fan, window) of a
+      localization), so its corners and legs are functions of it up to
+      their names, which no verdict reads;
     - kunneth (measure, fan, fan), purity (fan) and point_count_oracle
       (fan): the product object, the weights and the orbit counts are
       functions of the fans.
 
-    The extensions also read the completions the provider picks.  Its only
-    ``register`` caller is Kunneth, for the product fan that its own key
-    determines, and Kunneth runs after every extension check that reads
-    automatic completions (purity extends complete objects only).  A
-    registration may still change the completion picked for a later
-    Kunneth factor, but Phi_c does not depend on the completion (what the
-    independence check verifies), so a kept value is the fresh one.
+    The extensions also read the completions the provider picks, and no
+    check changes them: Kunneth extends a product that is not complete
+    through an explicit choice, the product of its factors' completions.
     c_complete and cover_monotone keep no answer: their results read names
     (``SpanMorphism.key``, ``is`` tests, ``site.squares_over`` by base name).
     """
@@ -452,12 +448,12 @@ def run_corpus_checks(report: Report, seed: int, size: int,
                      (phi, shape), independence_check, phi, case.obj, a, b, provider)
 
     for i, sq in enumerate(corp.squares):
-        origin = _square_key(sq)
-        answered(f"square_relation[{i}]:{sq.base.name}", "square_relation", origin,
+        answered(f"square_relation[{i}]:{sq.base.name}", "square_relation", sq.provenance,
                  _square_relation, sq)
         for phi in phis:
             answered(f"blowup_descent[{i}]:{sq.base.name}:{phi.name}", "blowup_descent",
-                     (phi, origin), consistency_check, "blowup_descent", phi, sq, provider)
+                     (phi, sq.provenance), consistency_check, "blowup_descent", phi, sq,
+                     provider)
 
     for i, (obj, win_u, win_v) in enumerate(corp.mv_triples):
         for phi in phis:
@@ -477,10 +473,9 @@ def run_corpus_checks(report: Report, seed: int, size: int,
                _c_complete, corp.site, sq, f, depth)
 
     for i, sq in enumerate(corp.squares + corp.loc_squares):
-        origin = _square_key(sq)
-        answered(f"dim_compatible[{i}]:{sq.base.name}", "dim_compatible", origin,
+        answered(f"dim_compatible[{i}]:{sq.base.name}", "dim_compatible", sq.provenance,
                  _dim_compatible, sq)
-        answered(f"square_valid[{i}]:{sq.base.name}", "square_valid", origin,
+        answered(f"square_valid[{i}]:{sq.base.name}", "square_valid", sq.provenance,
                  _square_valid, sq)
 
     e_phi = csupport.e_polynomial_measure()
@@ -513,15 +508,6 @@ def _answer(answers: dict, key, check, *args) -> CheckResult:
     if result is None:
         result = answers[key] = check(*args)
     return result
-
-
-def _square_key(sq) -> object:
-    """What a corpus square is built from: its ``StarSubdivision``, or (X's
-    fan, window) for a localization square."""
-    if sq.kind == "localization":
-        _, x_obj, window = sq.provenance
-        return x_obj.fan, window
-    return sq.provenance
 
 
 def _square_relation(sq) -> CheckResult:

@@ -387,7 +387,9 @@ def consistency_check(kind: str, phi: MeasureOnCompacts, args,
 
     blowup_descent:  Phi_c(X) + Phi_c(E) = Phi_c(C) + Phi_c(Y) on a square;
     mayer_vietoris:  Phi_c(U n V) + Phi_c(X) = Phi_c(U) + Phi_c(V), X = U u V;
-    kunneth:         Phi_c(X x Y) = Phi_c(X) Phi_c(Y), phi multiplicative.
+    kunneth:         Phi_c(X x Y) = Phi_c(X) Phi_c(Y), phi multiplicative; a
+                     product that is not complete is extended through the
+                     product of the factors' completions.
     """
     provider = provider or CompletionProvider()
     if kind == "blowup_descent":
@@ -412,12 +414,13 @@ def consistency_check(kind: str, phi: MeasureOnCompacts, args,
             raise MeasureDomainError("kunneth needs a multiplicative measure")
         a_obj, b_obj = args
         product_fan = a_obj.fan.product(b_obj.fan)
+        prod_obj = ToricObject(f"{a_obj.name}x{b_obj.name}", product_fan)
+        choice = None
         if not product_fan.is_complete():
             comp_a = provider.completion_fan(a_obj.fan)
             comp_b = provider.completion_fan(b_obj.fan)
-            provider.register(product_fan, comp_a.product(comp_b))
-        prod_obj = ToricObject(f"{a_obj.name}x{b_obj.name}", product_fan)
-        lhs = extend_measure(phi, prod_obj, provider).value
+            choice = toric_choice(prod_obj, comp_a.product(comp_b))
+        lhs = extend_measure(phi, prod_obj, provider, choice).value
         rhs = extend_measure(phi, a_obj, provider).value \
             * extend_measure(phi, b_obj, provider).value
         return verdict(lhs == rhs, lhs, rhs)

@@ -263,16 +263,8 @@ class ExcDivisor(Expr):
     relation_index: int
 
 
-@dataclass(frozen=True)
-class OpenComplement(Expr):
-    """Complement X \\ U of a declared open decomposition (no surface syntax)."""
-    x: str
-    u: str
-    relation_index: int
-
-
 # the generator slot a square node names in its relation
-_SQUARE_ROLES = {BlowupTotal: "Y", ExcDivisor: "E", OpenComplement: "complement"}
+_SQUARE_ROLES = {BlowupTotal: "Y", ExcDivisor: "E"}
 
 
 def _fold(expr: Expr, leaf, branch):
@@ -306,7 +298,6 @@ _LEAF_TEXT = {
     Gen: lambda node: node.name,
     BlowupTotal: lambda node: f"Bl({node.x};{node.c})",
     ExcDivisor: lambda node: f"E({node.x};{node.c})",
-    OpenComplement: lambda node: f"({node.x} - {node.u})",
 }
 
 
@@ -569,9 +560,6 @@ class RelationSet:
             if rel.kind == "open" and rel.slot("X") == x and rel.slot("U") == u:
                 return rel
         raise RelationLookupError(f"no open decomposition declared for ({x}; {u})")
-
-    def complement_node(self, x: str, u: str) -> OpenComplement:
-        return OpenComplement(x, u, self.find_open(x, u).index)
 
     # -- rewriting -----------------------------------------------------------
 
@@ -981,7 +969,7 @@ def normalize(expr: Union[Expr, str, KClass],
                 stack.append((arg, 1, factors[-1]))
         elif isinstance(node, Lit):
             acc[(0, ())] = acc.get((0, ()), 0) + sign * node.value
-        elif isinstance(node, (BlowupTotal, ExcDivisor, OpenComplement)):
+        elif isinstance(node, (BlowupTotal, ExcDivisor)):
             _add_terms(acc, rels._resolve(_square_slot(node, rels), counter)._terms, sign)
         else:
             raise TypeError(f"not an expression node: {node!r}")
@@ -1041,7 +1029,7 @@ def expr_dim(expr: Expr, rels: RelationSet) -> int:
     def leaf(node: Expr) -> int:
         if isinstance(node, Gen):
             return rels.info(node.name).dim
-        if isinstance(node, (BlowupTotal, ExcDivisor, OpenComplement)):
+        if isinstance(node, (BlowupTotal, ExcDivisor)):
             rel = rels.relations[node.relation_index]
             return max(rels.info(n).dim for _, n in rel.slots)
         if isinstance(node, Lit):
@@ -1079,7 +1067,7 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
     presenting: set = set()  # generators whose boundary is being presented
 
     def transform(e: Expr) -> Expr:
-        if isinstance(e, (BlowupTotal, ExcDivisor, OpenComplement)):
+        if isinstance(e, (BlowupTotal, ExcDivisor)):
             e = Gen(_square_slot(e, rels))
         if isinstance(e, Lit):
             return e

@@ -139,17 +139,6 @@ def _join(var: Optional[str], other: Optional[str]) -> Optional[str]:
     raise MeasureError(f"mixed variables {var!r} and {other!r}")
 
 
-def is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return True  # q itself is prime
-
-
 SELECTORS = ("euler", "e_poly", "virtual_poincare", "point_count")
 
 
@@ -168,11 +157,6 @@ class MeasureSpec:
                 raise MeasureError("point_count needs an integer q >= 2")
         elif self.q is not None:
             raise MeasureError(f"{self.selector} takes no q")
-
-    @property
-    def formal_only(self) -> bool:
-        """Point counts at non-prime-powers are formal evaluations only."""
-        return self.selector == "point_count" and not is_prime_power(self.q)
 
     def lefschetz_image(self) -> MeasureValue:
         if self.selector == "euler":

@@ -21,7 +21,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from kvar import toric
 from kvar.kring import KClass
@@ -409,36 +409,50 @@ def localization_square(x_obj: ToricObject, window: Iterable[Cone],
     corners = {"upper_left": comp_obj, "upper_right": x_obj,
                "lower_left": EMPTY, "base": u_obj}
     return DistinguishedSquare("localization", corners, maps,
-                               provenance=("localization", x_obj, window))
+                               provenance=(x_obj.fan, window))
 
 
-def star_subdivision_square(fan_or_obj: Union[Fan, ToricObject], new_ray: Sequence[int]):
-    """Star-subdivide and package the abstract blowup square (E, Y, C, X).
+def star_subdivision_square(x_obj: ToricObject, new_ray: Sequence[int]):
+    """Star-subdivide X at a ray and name the corners of its blowup square:
+    Bl(X;ray) over X, with centre V(center)@X and exceptional part E(X;ray).
 
     Returns (subdivided fan, DistinguishedSquare)."""
-    if isinstance(fan_or_obj, ToricObject):
-        x_obj = fan_or_obj
-    else:
-        x_obj = ToricObject("X", fan_or_obj)
     sd = toric.star_subdivide(x_obj.fan, new_ray)
     y_obj = ToricObject(f"Bl({x_obj.name};{sd.new_ray})", sd.fan)
-    c_obj = ToricLocusObject(f"V{sd.center.rays}@{x_obj.name}",
-                             ToricLocus(x_obj.fan, sd.center_cones))
-    e_obj = ToricLocusObject(f"E({x_obj.name};{sd.new_ray})",
-                             ToricLocus(sd.fan, sd.exceptional_cones))
+    return sd.fan, _refinement_square(y_obj, x_obj, f"V{sd.center.rays}@{x_obj.name}",
+                                      f"E({x_obj.name};{sd.new_ray})", sd)
+
+
+def _refinement_square(w_obj: ToricObject, x_obj: ToricObject, c_name: str, e_name: str,
+                       provenance) -> DistinguishedSquare:
+    """The blowup square (E, W, C, X) of a refinement p: W -> X, the one
+    builder of toric blowup squares.  ``provenance`` is what W was built
+    from: a ``StarSubdivision`` (a smooth blowup when it says so) or the
+    fans (W, X) of a common refinement (an abstract blowup).
+
+    C is the cones of X that are not cones of W, and E, the cones of W
+    that are not cones of X, is exactly p^{-1}(C): the cones of W whose
+    orbit in X is in C.  A cone of W that is also a cone of X is its own
+    orbit, which is not in C.  A cone w of W that is not a cone of X has
+    its relative interior inside that of a cone tau of X (W refines X), and
+    tau is not a cone of W, since the relative interiors of distinct cones
+    of one fan are disjoint.  So tau is in C.
+    """
+    c_cones = x_obj.cones - w_obj.cones
+    e_cones = w_obj.cones - x_obj.cones
+    c_obj = ToricLocusObject(c_name, ToricLocus(x_obj.fan, c_cones))
+    e_obj = ToricLocusObject(e_name, ToricLocus(w_obj.fan, e_cones))
     maps = {
-        "top": SpanMorphism(e_obj, y_obj, e_obj.locus.cones, TORIC_ID, "closed immersion"),
-        "right": SpanMorphism(y_obj, x_obj, sd.fan.cones, TORIC_ID, "refinement"),
-        "left": SpanMorphism(e_obj, c_obj, e_obj.locus.cones, TORIC_ID,
-                             "restriction of the refinement"),
-        "bottom": SpanMorphism(c_obj, x_obj, c_obj.locus.cones, TORIC_ID,
-                               "closed immersion"),
+        "top": SpanMorphism(e_obj, w_obj, e_cones, TORIC_ID, "closed immersion"),
+        "right": SpanMorphism(w_obj, x_obj, w_obj.cones, TORIC_ID, "refinement"),
+        "left": SpanMorphism(e_obj, c_obj, e_cones, TORIC_ID, "restriction of the refinement"),
+        "bottom": SpanMorphism(c_obj, x_obj, c_cones, TORIC_ID, "closed immersion"),
     }
-    corners = {"upper_left": e_obj, "upper_right": y_obj,
+    corners = {"upper_left": e_obj, "upper_right": w_obj,
                "lower_left": c_obj, "base": x_obj}
-    kind = "smooth_blowup" if sd.smooth_blowup else "abstract_blowup"
-    square = DistinguishedSquare(kind, corners, maps, provenance=sd)
-    return sd.fan, square
+    smooth = isinstance(provenance, StarSubdivision) and provenance.smooth_blowup
+    return DistinguishedSquare("smooth_blowup" if smooth else "abstract_blowup",
+                               corners, maps, provenance=provenance)
 
 
 def declared_square(kind: str, corners: Dict[str, DeclaredObject],
@@ -532,8 +546,16 @@ def _covers_support(window_fan: Fan, target_fan: Fan) -> bool:
 def validate_square(sq: DistinguishedSquare) -> SquareValidation:
     """Check the defining conditions of a distinguished square.
 
-    Toric squares are verified by exact cone combinatorics; declared
-    squares are checked against their flags and reported as trusted.
+    A toric square is checked from its corners and legs alone, by exact
+    cone combinatorics, whatever built it.  A blowup square (E, Y, C, X)
+    is Cartesian when E is the locus {c in Y : orbit of c in C} of Y's fan
+    and C a locus of X's fan; i is a closed immersion when C is also
+    closed in X; p is proper by ``_proper_status``; and p is an
+    isomorphism off the center when Y minus E and X minus C are the same
+    cones.  The upper left of a localization square (X minus U, X, empty,
+    U) must be the locus of X's fan on the cones outside the window of p.
+    Declared squares are checked against their flags and reported as
+    trusted.
     """
     entries: List[CheckEntry] = []
     if sq.backend == "declared":
@@ -560,15 +582,14 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
         return SquareValidation(entries, joint)
 
     if sq.kind == "localization":
-        _, x_obj, window = sq.provenance
-        comp = sq.corners["upper_left"]
-        expected = frozenset(c for c in x_obj.fan.cones if c not in window)
+        x_obj, comp = sq.Y, sq.E
         entries.append(CheckEntry(
             "upper left is the closed complement",
-            "pass" if comp.cones == expected else "fail", ""))
+            "pass" if _locus_in(comp, x_obj.fan)
+            and comp.cones == x_obj.cones - sq.p_leg.window else "fail", ""))
         entries.append(CheckEntry(
             "lower left is empty",
-            "pass" if sq.corners["lower_left"].is_empty() else "fail", ""))
+            "pass" if sq.C.is_empty() else "fail", ""))
         entries.append(_proper_status(sq.maps["top"]))
         # joint surjectivity of {i, p} over the base U: the p window is U itself
         covered = sq.p_leg.orbit_image() | (frozenset() if sq.i_leg.is_zero()
@@ -576,29 +597,29 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
         joint = _ray_keys(sq.base) <= covered
         return SquareValidation(entries, joint)
 
-    sd: StarSubdivision = sq.provenance
-    e_cones = sq.E.cones
-    expected_e = frozenset(
-        c for c in sd.fan.cones
-        if sd.center.is_face_of(sd.parent.orbit_of(c))
-    )
+    x_fan, y_fan = sq.base.fan, sq.Y.fan
+    c_in_x = _locus_in(sq.C, x_fan)
+    preimage = frozenset(c for c in y_fan.cones if x_fan.orbit_of(c) in sq.C.cones)
     entries.append(CheckEntry(
         "square is Cartesian (E is the preimage of C)",
-        "pass" if e_cones == expected_e else "fail", ""))
+        "pass" if c_in_x and _locus_in(sq.E, y_fan) and sq.E.cones == preimage
+        else "fail", ""))
     entries.append(CheckEntry(
         "i is a closed immersion",
-        "pass" if sq.C.locus.is_closed() else "fail", ""))
+        "pass" if c_in_x and sq.C.locus.is_closed() else "fail", ""))
     entries.append(_proper_status(sq.p_leg))
-    off_y = frozenset(c.rays for c in sd.fan.cones if sd.new_ray not in c.rays)
-    off_x = frozenset(c.rays for c in sd.parent.cones
-                      if not sd.center.is_face_of(c))
     entries.append(CheckEntry(
         "restriction off the center is an isomorphism",
-        "pass" if off_y == off_x else "fail",
+        "pass" if sq.Y.cones - sq.E.cones == sq.base.cones - sq.C.cones else "fail",
         "cones away from the center coincide"))
     covered = sq.p_leg.orbit_image() | sq.i_leg.orbit_image()
     joint = _ray_keys(sq.base) <= covered
     return SquareValidation(entries, joint)
+
+
+def _locus_in(obj: SiteObject, fan: Fan) -> bool:
+    """Is ``obj`` a locus of ``fan``?"""
+    return isinstance(obj, ToricLocusObject) and obj.fan == fan
 
 
 # ---------------------------------------------------------------------------
@@ -891,27 +912,13 @@ def _common_refinement_rank2(a: Fan, b: Fan) -> Fan:
     return Fan.from_cones(2, cones)
 
 
-def _refinement_square(w_fan: Fan, x_obj: ToricObject, name: str) -> DistinguishedSquare:
-    """Abstract blowup square of a refinement W -> X: the center is the
-    locus of subdivided cones, the exceptional part its preimage."""
-    subdivided = frozenset(c for c in x_obj.fan.cones if not w_fan.contains_cone(c))
-    c_obj = ToricLocusObject(f"{name}-center", ToricLocus(x_obj.fan, subdivided))
-    e_cones = frozenset(
-        c for c in w_fan.cones
-        if x_obj.fan.orbit_of(c) in subdivided
-    )
-    w_obj = ToricObject(name, w_fan)
-    e_obj = ToricLocusObject(f"{name}-exc", ToricLocus(w_fan, e_cones))
-    maps = {
-        "top": SpanMorphism(e_obj, w_obj, e_cones, TORIC_ID, "closed immersion"),
-        "right": SpanMorphism(w_obj, x_obj, w_fan.cones, TORIC_ID, "refinement"),
-        "left": SpanMorphism(e_obj, c_obj, e_cones, TORIC_ID, "restriction"),
-        "bottom": SpanMorphism(c_obj, x_obj, subdivided, TORIC_ID, "closed immersion"),
-    }
-    corners = {"upper_left": e_obj, "upper_right": w_obj,
-               "lower_left": c_obj, "base": x_obj}
-    return DistinguishedSquare("abstract_blowup", corners, maps,
-                               provenance=("refinement", w_fan, x_obj))
+def _common_refinement_square(source: ToricObject, other: ToricObject) -> DistinguishedSquare:
+    """The blowup square over ``source`` of its common refinement with
+    ``other``, a rank-2 fan of the same support."""
+    name = f"{source.name}&{other.name}"
+    w_fan = _common_refinement_rank2(source.fan, other.fan)
+    return _refinement_square(ToricObject(name, w_fan), source, f"{name}-center",
+                              f"{name}-exc", (w_fan, source.fan))
 
 
 def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
@@ -953,8 +960,6 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
     full_window = f.window == source.fan.cones
 
     if isinstance(sq.provenance, StarSubdivision):
-        sd: StarSubdivision = sq.provenance
-        x_obj = sq.base
         if full_window:
             # proper refinement Z -> X: pull the square back (rank 2).  A
             # proper full-window span has the support of X, the precondition
@@ -964,14 +969,13 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
             unrepresentable = "fiber-product fan not representable at rank > 2"
             if source.fan.rank != 2:
                 return CCompleteVerdict(False, None, None, unrepresentable)
-            w_fan = _common_refinement_rank2(source.fan, sd.fan)
-            pulled = _refinement_square(w_fan, source, f"{source.name}&{sq.Y.name}")
-            return _cover_verdict(f, sq, pulled, "pulled-back square via common refinement",
+            return _cover_verdict(f, sq, _common_refinement_square(source, sq.Y),
+                                  "pulled-back square via common refinement",
                                   unrepresentable)
-        if f.window == x_obj.fan.cones:
+        if f.window == sq.base.cones:
             # open immersion Z <- X: subdivide the big fan at the same ray
             try:
-                _, big_square = star_subdivision_square(source, sd.new_ray)
+                _, big_square = star_subdivision_square(source, sq.provenance.new_ray)
             except toric.ToricError as exc:
                 return CCompleteVerdict(False, None, None,
                                         f"cannot subdivide the larger fan: {exc}")
@@ -981,13 +985,12 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
                                 "no toric-representable pullback found")
 
     if sq.kind == "localization":
-        _, x_obj, window = sq.provenance
+        x_obj, window = sq.Y, sq.p_leg.window
         if source.fan.rank != 2:
             return CCompleteVerdict(False, None, None,
                                     "localization glueing implemented for surfaces only")
         if full_window:
             # proper Z -> U with |Z| = |U|: extend the refinement over X
-            u_cones = frozenset(sq.base.fan.cones)
             boundary = [c for c in x_obj.fan.cones if c not in window]
             try:
                 glued = Fan(2, set(source.fan.cones) | set(boundary) |
@@ -1005,11 +1008,10 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
             loc.maps["bottom"] = zero_span(EMPTY, source)
             return _cover_verdict(f, sq, loc, "glued completion over the refinement",
                                   "glued cover is not inside the pulled-back sieve")
-        if f.window == frozenset(window):
+        if f.window == window:
             # restriction span X' -> U from another completion of U
-            w_fan = _common_refinement_rank2(source.fan, x_obj.fan)
-            pulled = _refinement_square(w_fan, source, f"{source.name}&{x_obj.name}")
-            return _cover_verdict(f, sq, pulled, "dominating completion via common refinement",
+            return _cover_verdict(f, sq, _common_refinement_square(source, x_obj),
+                                  "dominating completion via common refinement",
                                   "refinement cover not inside the pulled-back sieve")
     return CCompleteVerdict(False, None, None, "no toric-representable pullback found")
 

@@ -727,21 +727,6 @@ def fan_properties(fan: Fan) -> FanProperties:
 
 
 @dataclass(frozen=True)
-class OpenImmersion:
-    """An open toric subvariety together with its complement cone set."""
-    subfan: Fan
-    ambient: Fan
-    complement: Tuple[Cone, ...]
-
-
-def open_subfan(fan: Fan, cone_subset: Iterable[Cone]) -> OpenImmersion:
-    sub = fan.subfan(cone_subset)
-    complement = tuple(sorted((c for c in fan.cones if c not in sub.cones),
-                              key=lambda c: c.rays))
-    return OpenImmersion(sub, fan, complement)
-
-
-@dataclass(frozen=True)
 class StarSubdivision:
     """Result of a star subdivision: the refined fan plus the abstract
     blowup square data (corner cone sets and provenance)."""
@@ -930,13 +915,6 @@ class ToricLocus:
         fan and the cone set alone, so it is decided once per interned fan."""
         return _is_upward_closed(self.fan, self.cones)
 
-    def is_open(self) -> bool:
-        for c in self.cones:
-            for f in c.faces():
-                if f not in self.cones:
-                    return False
-        return True
-
     def is_compact(self) -> bool:
         """Proper loci: empty, or closed with the orbit closure of every
         minimal cone proper.  A closed locus in a complete ambient fan is
@@ -957,9 +935,6 @@ class ToricLocus:
     def kclass(self) -> KClass:
         """The class of the orbits, kept once per interned fan and cone set."""
         return _locus_class(self.fan, self.cones)
-
-    def complement(self) -> "ToricLocus":
-        return ToricLocus(self.fan, [c for c in self.fan.cones if c not in self.cones])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ToricLocus)

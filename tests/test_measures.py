@@ -14,7 +14,6 @@ from kvar.measures import (
     UnresolvedGeneratorError,
     apply_measure,
     h_vector,
-    is_prime_power,
     registrations_from_json,
     weight_report,
 )
@@ -135,12 +134,6 @@ def test_e_poly_specializes_to_point_count():
         for q in (2, 3, 4, 5):
             assert e.substitute_int(q) == \
                 apply_measure(MeasureSpec("point_count", q=q), cls).as_int()
-
-
-def test_prime_power_flag():
-    assert [q for q in range(2, 13) if is_prime_power(q)] == [2, 3, 4, 5, 7, 8, 9, 11]
-    assert MeasureSpec("point_count", q=6).formal_only
-    assert not MeasureSpec("point_count", q=4).formal_only
 
 
 def test_measure_spec_validation_and_parse():

@@ -1,5 +1,6 @@
 """The package itself: kvar imports only the standard library and only
-names it uses, and its JSON loaders end bad text in their typed errors."""
+names it uses, each public top-level name has a caller, and its JSON
+loaders end bad text in their typed errors."""
 
 import ast
 import pathlib
@@ -74,6 +75,41 @@ def test_kvar_modules_use_every_name_they_import():
         used = _used_names(tree)
         unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
         assert not unused, (path.name, unused)
+
+
+# public API that no caller in the repository reads: the measures that
+# README lists beside euler and e, and the documented registration loader
+NO_CALLER_NEEDED = {"point_count_measure", "virtual_poincare_measure",
+                    "registrations_from_json"}
+
+
+def _named_in(path):
+    """Every identifier a file names: in code, as an import, or as a string
+    (``perfbench/tracing.py`` patches functions by name)."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_public_top_level_name_has_a_caller():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    callers = [path for folder in ("src", "demos", "perfbench")
+               for path in sorted((root / folder).rglob("*.py"))]
+    assert len(callers) > len(SOURCES)
+    named = {name for path in callers for name in _named_in(path)}
+    exempt = set(kvar.__all__) | NO_CALLER_NEEDED
+    unused = [(path.name, node.name) for path in SOURCES
+              for node in ast.parse(path.read_text(), str(path)).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in named and node.name not in exempt]
+    assert not unused
 
 
 def test_only_toric_reaches_what_a_fan_keeps():

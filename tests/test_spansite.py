@@ -5,14 +5,16 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kvar import kring, toric
+from kvar import corpus, kring, toric
 from kvar.spansite import (
     EMPTY,
     DeclaredObject,
+    DistinguishedSquare,
     IsoNode,
     SitePresentation,
     SpanError,
     SpanMorphism,
+    SquareNode,
     TORIC_ID,
     ToricLocusObject,
     ToricObject,
@@ -28,6 +30,7 @@ from kvar.spansite import (
     star_subdivision_square,
     validate_square,
     zero_span,
+    _common_refinement_square,
 )
 from kvar.toric import Cone, builtin_fan
 
@@ -118,6 +121,129 @@ def test_localization_square_rejects_non_open(p2):
     ray = next(c for c in p2.fan.cones if c.dim == 1)
     with pytest.raises(toric.NotFaceClosedError):
         localization_square(p2, frozenset({ray}))
+
+
+def weighted_square():
+    """A weighted star square of P(1,1,2), whose cone on (1,0) and (-1,-2)
+    is singular: the ray (1,-2) is 2(1,0) + (-1,-2), not the barycenter."""
+    x_obj = ToricObject("P112", toric.build_fan(2, [(1, 0), (0, 1), (-1, -2)],
+                                                [(0, 1), (1, 2), (0, 2)]))
+    assert not x_obj.smooth and x_obj.complete
+    return star_subdivision_square(x_obj, (1, -2))[1]
+
+
+def refinement_square():
+    """The square over one blowup of P2 of its common refinement with
+    another: W has both new rays."""
+    p2 = ToricObject("P2", builtin_fan("P2"))
+    _, one = star_subdivision_square(p2, (1, 1))
+    _, other = star_subdivision_square(p2, (1, 2))
+    return _common_refinement_square(one.Y, other.Y)
+
+
+SQUARES = {
+    "smooth star": lambda: star_subdivision_square(ToricObject("P2", builtin_fan("P2")),
+                                                   (1, 1))[1],
+    "weighted star": weighted_square,
+    "refinement": refinement_square,
+}
+
+
+def _replaced(sq, role, obj, leg, span):
+    """``sq`` with the corner ``role`` and the leg ``leg`` replaced."""
+    return DistinguishedSquare(sq.kind, dict(sq.corners, **{role: obj}),
+                               dict(sq.maps, **{leg: span}), sq.provenance)
+
+
+def _first(cones, outside):
+    """The 2-cone of ``cones`` outside ``outside`` with the least rays."""
+    return min((c for c in cones if c.dim == 2 and c not in outside), key=lambda c: c.rays)
+
+
+def _wrong_point(sq):
+    point = _first(sq.base.cones, sq.C.cones)
+    c_obj = ToricLocusObject("C'", toric.ToricLocus(sq.base.fan, [point]))
+    return _replaced(sq, "lower_left", c_obj, "bottom",
+                     SpanMorphism(c_obj, sq.base, c_obj.cones))
+
+
+def _wrong_exceptional_set(sq):
+    cones = sq.E.cones | {_first(sq.Y.cones, sq.E.cones)}
+    e_obj = ToricLocusObject("E'", toric.ToricLocus(sq.Y.fan, cones))
+    return _replaced(sq, "upper_left", e_obj, "top", SpanMorphism(e_obj, sq.Y, cones))
+
+
+def _center_of_another_fan(sq):
+    other = toric.Fan.from_cones(2, sq.C.cones)
+    assert other != sq.base.fan
+    c_obj = ToricLocusObject("C'", toric.ToricLocus(other, sq.C.cones))
+    assert c_obj.locus.is_closed() and c_obj.cones == sq.C.cones
+    return _replaced(sq, "lower_left", c_obj, "bottom",
+                     SpanMorphism(c_obj, sq.base, c_obj.cones))
+
+
+@pytest.mark.parametrize("name", SQUARES)
+def test_a_toric_blowup_square_validates_from_its_corners(name):
+    sq = SQUARES[name]()
+    report = validate_square(sq)
+    assert {e.status for e in report.entries} == {"pass"} and report.jointly_surjective
+    assert [e.condition for e in report.entries] == [
+        "square is Cartesian (E is the preimage of C)", "i is a closed immersion",
+        "p is proper", "restriction off the center is an isomorphism"]
+
+
+@pytest.mark.parametrize("fault", [_wrong_point, _wrong_exceptional_set,
+                                   _center_of_another_fan])
+@pytest.mark.parametrize("name", SQUARES)
+def test_a_planted_fault_in_a_blowup_square_fails(name, fault):
+    report = validate_square(fault(SQUARES[name]()))
+    assert not report.ok
+    assert report.entries[0].status == "fail"  # E is not the preimage of C
+
+
+def test_the_builder_gives_a_star_square_the_center_and_exceptional_cones():
+    squares = [SQUARES["smooth star"](), weighted_square()]
+    squares += corpus.generate(1, 10).squares
+    for sq in squares:
+        sd = sq.provenance
+        assert sq.C.cones == frozenset(sd.center_cones)
+        assert sq.E.cones == frozenset(sd.exceptional_cones)
+        assert sq.kind == ("smooth_blowup" if sd.smooth_blowup else "abstract_blowup")
+    assert weighted_square().kind == "abstract_blowup"
+    assert refinement_square().kind == "abstract_blowup"
+
+
+def _cover_squares(cover):
+    if isinstance(cover.node, SquareNode):
+        yield cover.node.square
+        yield from _cover_squares(cover.node.over_upper)
+        yield from _cover_squares(cover.node.over_lower)
+
+
+def test_every_square_behind_a_c_complete_cover_validates():
+    corp = corpus.generate(1, 200)
+    squares = {}
+    for sq, f in corp.c_complete_cases:
+        verdict = check_c_complete(corp.site, sq, f)
+        if verdict.found:
+            squares.update((id(s), s) for s in _cover_squares(verdict.cover))
+    refinements = [s for s in squares.values() if isinstance(s.provenance, tuple)
+                   and s.kind == "abstract_blowup"]
+    assert (len(squares), len(refinements)) == (811, 331)
+    for sq in squares.values():
+        report = validate_square(sq)
+        assert report.ok and report.jointly_surjective, (sq, report.entries)
+
+
+def test_a_localization_square_validates_from_its_corners(p2):
+    torus = frozenset(c for c in p2.fan.cones if c.dim == 0)
+    sq = localization_square(p2, torus)
+    assert sq.provenance == (p2.fan, torus)
+    assert validate_square(sq).ok
+    bad = ToricLocusObject("bd'", toric.ToricLocus(p2.fan, p2.fan.cones - torus
+                                                   - {_first(p2.fan.cones, ())}))
+    faulty = _replaced(sq, "upper_left", bad, "top", SpanMorphism(bad, p2, bad.cones))
+    assert validate_square(faulty).entries[0].status == "fail"
 
 
 def test_declared_square_missing_flag_fails():
@@ -468,7 +594,6 @@ def test_malformed_site_file_raises_a_typed_error(data, error, where):
 
 
 def test_squares_over_matches_a_scan_of_all_squares():
-    from kvar import corpus
     site = corpus.generate(1, 10).site
     assert site.squares
     for obj in site.objects.values():
@@ -511,7 +636,6 @@ def _composable_pairs() -> tuple:
     """(first, second) with first.target the source of second: the legs of
     the seed-1 corpus squares that compose, and each leg before and after an
     identity."""
-    from kvar import corpus
     corp = corpus.generate(1, 10)
     pairs = []
     for sq in corp.squares + corp.loc_squares:

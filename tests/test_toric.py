@@ -32,7 +32,6 @@ from kvar.toric import (
     fan_properties,
     mat_rank,
     nullspace,
-    open_subfan,
     sort_rays_ccw,
     star_subdivide,
 )
@@ -330,27 +329,26 @@ def test_empty_and_torus_fans():
 
 def test_open_subfan_a1_in_p1():
     p1 = builtin_fan("P1")
-    sub = {c for c in p1.cones if c.dim == 0 or (1,) in c.rays}
-    imm = open_subfan(p1, sub)
-    assert imm.subfan.class_of() == lpoly(0, 1)  # A1
-    assert len(imm.complement) == 1              # one fixed point
+    sub = p1.subfan(c for c in p1.cones if c.dim == 0 or (1,) in c.rays)
+    assert sub.class_of() == lpoly(0, 1)     # A1
+    assert len(p1.cones - sub.cones) == 1    # one fixed point
 
 
 def test_open_subfan_identity_and_torus():
     p2 = builtin_fan("P2")
-    assert open_subfan(p2, p2.cones).complement == ()
-    torus = open_subfan(p2, {c for c in p2.cones if c.dim == 0})
-    assert torus.subfan.class_of() == lpoly(1, -2, 1)
-    assert p2.class_of(torus.complement) == lpoly(0, 3)  # the three lines
+    assert p2.subfan(p2.cones) == p2
+    torus = p2.subfan(c for c in p2.cones if c.dim == 0)
+    assert torus.class_of() == lpoly(1, -2, 1)
+    assert p2.class_of(p2.cones - torus.cones) == lpoly(0, 3)  # the three lines
 
 
 def test_open_subfan_rejects_non_face_closed():
     p2 = builtin_fan("P2")
     ray = next(c for c in p2.cones if c.dim == 1)
     with pytest.raises(NotFaceClosedError):
-        open_subfan(p2, {ray})
+        p2.subfan({ray})
     with pytest.raises(toric.ToricError):
-        open_subfan(p2, {Cone(2, [(5, 1)])})
+        p2.subfan({Cone(2, [(5, 1)])})
 
 
 # -- classes ------------------------------------------------------------------------
@@ -524,8 +522,8 @@ def test_orbit_closure_is_compact_when_the_completion_adds_no_cone_over_it():
 def test_locus_flags_and_classes():
     p2 = builtin_fan("P2")
     torus = ToricLocus(p2, [c for c in p2.cones if c.dim == 0])
-    assert torus.is_open() and not torus.is_closed() and not torus.is_compact()
-    boundary = torus.complement()
+    assert not torus.is_closed() and not torus.is_compact()
+    boundary = ToricLocus(p2, p2.cones - torus.cones)
     assert boundary.is_closed() and boundary.is_compact()
     assert boundary.kclass() == lpoly(0, 3)
     assert boundary.dim == 1
