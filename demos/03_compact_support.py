@@ -61,7 +61,7 @@ p1 = ToricObject("P1", builtin_fan("P1"))
 win = frozenset(c for c in p1.fan.cones if c.dim == 0 or (1,) in c.rays)
 print("  additivity on (P1, A1):",
       additivity_check(chi, p1, win, provider).status)
-_, square = star_subdivision_square(ToricObject("P2", builtin_fan("P2")), (1, 1))
+square = star_subdivision_square(ToricObject("P2", builtin_fan("P2")), (1, 1))
 report = consistency_check("blowup_descent", e_poly, square, provider)
 print(f"  blowup descent on (P1, F1, pt, P2): {report.status}, both sides {report.lhs}")
 gm = ToricObject("Gm", builtin_fan("Gm"))

@@ -36,7 +36,7 @@ print("  (P1 -> A1) then (A1 -> Gm): window has",
 print()
 print("== squares validate by exact cone combinatorics ==")
 p2 = ToricObject("P2", builtin_fan("P2"))
-_, square = star_subdivision_square(p2, (1, 1))
+square = star_subdivision_square(p2, (1, 1))
 report = validate_square(square)
 for entry in report.entries:
     print(f"  {entry.condition:55s} {entry.status}")
@@ -51,7 +51,7 @@ print("== simple covers ==")
 site = SitePresentation()
 site.add_object(p2)
 site.add_square(square)
-_, stacked = star_subdivision_square(square.Y, (2, 1))
+stacked = star_subdivision_square(square.Y, (2, 1))
 site.add_square(stacked)
 for depth in range(3):
     covers = enumerate_simple_covers(site, p2, depth)
@@ -63,14 +63,14 @@ print("== c-completeness: pulled-back sieves contain simple covers ==")
 cases = [
     ("identity", identity_span(p2)),
     ("the p-leg itself", square.p_leg),
-    ("another blowdown", star_subdivision_square(p2, (1, 2))[1].p_leg),
+    ("another blowdown", star_subdivision_square(p2, (1, 2)).p_leg),
 ]
 for label, f in cases:
     verdict = check_c_complete(site, square, f)
     print(f"  {label:24s} found={verdict.found}  ({verdict.note})")
 
 a2 = ToricObject("A2", builtin_fan("A2"))
-_, open_base_square = star_subdivision_square(a2, (1, 1))
+open_base_square = star_subdivision_square(a2, (1, 1))
 f_open = SpanMorphism(p2, a2, frozenset(a2.fan.cones))
 verdict = check_c_complete(site, open_base_square, f_open)
 print(f"  open immersion P2 <- A2    found={verdict.found}  ({verdict.note})")

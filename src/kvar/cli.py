@@ -256,7 +256,7 @@ def _suite_args(rec: dict, i: int, objects: dict):
     if not (isinstance(ray, list) and len(ray) == obj.fan.rank
             and all(type(x) is int for x in ray)):
         raise InputError(f'"ray" must be a list of {obj.fan.rank} integers')
-    return spansite.star_subdivision_square(obj, tuple(ray))[1]
+    return spansite.star_subdivision_square(obj, tuple(ray))
 
 
 def _suite_object(rec: dict, field: str, objects: dict) -> ToricObject:
@@ -523,10 +523,8 @@ def _c_complete(site, sq, f, depth: int) -> CheckResult:
 
 
 def _dim_compatible(sq) -> CheckResult:
-    result = check_dim_compatible(sq)
-    ok = result.kind in ("direct", "refined") and all(
-        check_dim_compatible(r).kind == "direct" for r in result.refined)
-    return verdict(ok, note=result.kind)
+    kind = check_dim_compatible(sq).kind
+    return verdict(kind in ("direct", "refined"), note=kind)
 
 
 def _square_valid(sq) -> CheckResult:

@@ -20,7 +20,6 @@ from kvar.spansite import (
     DistinguishedSquare,
     SitePresentation,
     SpanMorphism,
-    TORIC_ID,
     ToricObject,
     identity_span,
     localization_square,
@@ -77,9 +76,9 @@ def _random_surface(rng: random.Random, index: int) -> Tuple[ToricObject, List[D
     for step in range(rng.randint(1, 3)):
         cone = rng.choice(_sorted_maximal(obj.fan))
         ray = toric.primitive(cone.representative())
-        new_fan, sq = star_subdivision_square(obj, ray)
+        sq = star_subdivision_square(obj, ray)
         squares.append(sq)
-        obj = ToricObject(f"{obj.name}.{step}", new_fan)
+        obj = ToricObject(f"{obj.name}.{step}", sq.Y.fan)
     return obj, squares
 
 
@@ -206,7 +205,7 @@ def generate(seed: int, size: int) -> Corpus:
         base = sq.base
         cases = [identity_span(base), sq.p_leg, zero_span(sq.Y, base)]
         other = rng.choice(_sorted_maximal(base.fan))
-        alt = star_subdivision_square(base, toric.primitive(other.representative()))[1]
+        alt = star_subdivision_square(base, toric.primitive(other.representative()))
         cases.append(alt.p_leg)
         for f in cases:
             corpus.c_complete_cases.append((sq, f))
@@ -217,8 +216,7 @@ def generate(seed: int, size: int) -> Corpus:
             completion = toric.complete_surface(u_obj.fan)
             alt_fan = toric.alternative_completion(completion, u_obj.fan) or completion
             alt_obj = ToricObject(f"{u_obj.name}^alt", alt_fan)
-            cases.append(SpanMorphism(alt_obj, u_obj,
-                                      frozenset(u_obj.fan.cones), TORIC_ID,
+            cases.append(SpanMorphism(alt_obj, u_obj, frozenset(u_obj.fan.cones),
                                       "restriction from an alternative completion"))
         for f in cases:
             corpus.c_complete_cases.append((sq, f))

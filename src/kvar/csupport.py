@@ -15,18 +15,12 @@ engine errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from kvar import toric
 from kvar.kring import KClass, MissingCompactificationError
 from kvar.measures import MeasureSpec, MeasureValue, apply_measure
-from kvar.spansite import (
-    DeclaredObject,
-    DistinguishedSquare,
-    SiteObject,
-    ToricLocusObject,
-    ToricObject,
-)
+from kvar.spansite import DistinguishedSquare, SiteObject, ToricLocusObject, ToricObject
 from kvar.toric import Cone, Fan, ToricLocus
 
 
@@ -44,26 +38,16 @@ class MeasureDomainError(CSupportError):
 class MeasureOnCompacts:
     """A measure defined on the compact objects of the corpus.
 
-    Toric compacts evaluate through their canonical class and the spec's
-    ring substitution; declared compacts read a user table.
-
-    Each measure memoizes its value per class, for classes without
-    residual generators (the others read ``registrations``, which may
-    change); a failure is never memoized.
+    A compact object evaluates through its canonical class, a fan class,
+    and the spec's ring substitution.  Each measure memoizes its value per
+    class; a failure is never memoized.
     """
 
-    def __init__(self, spec: Optional[MeasureSpec] = None,
-                 table: Optional[Dict[str, MeasureValue]] = None,
-                 name: Optional[str] = None,
-                 multiplicative: bool = True,
-                 registrations: Optional[dict] = None):
-        if spec is None and table is None:
-            raise MeasureDomainError("a measure needs a substitution rule or a table")
+    multiplicative = True
+
+    def __init__(self, spec: MeasureSpec):
         self.spec = spec
-        self.table = dict(table or {})
-        self.name = name or (spec.name if spec else "table")
-        self.multiplicative = multiplicative
-        self.registrations = registrations
+        self.name = spec.name
         self._values: Dict[KClass, MeasureValue] = {}
 
     def on_compact(self, obj: SiteObject) -> MeasureValue:
@@ -71,22 +55,14 @@ class MeasureOnCompacts:
             return MeasureValue.integer(0)
         if not obj.is_compact():
             raise MeasureDomainError(f"{obj.name} is not compact")
-        cls = obj.kclass() if self.spec is not None else None
-        if cls is not None:
-            value = self._values.get(cls)
-            if value is None:
-                value = apply_measure(self.spec, cls, self.registrations)
-                if not cls.residual():
-                    self._values[cls] = value
-            return value
-        if obj.name in self.table:
-            return self.table[obj.name]
-        raise MeasureDomainError(f"measure {self.name} undefined on {obj.name!r}")
+        cls = obj.kclass()
+        value = self._values.get(cls)
+        if value is None:
+            value = self._values[cls] = apply_measure(self.spec, cls)
+        return value
 
     def substitute_class(self, cls: KClass) -> MeasureValue:
-        if self.spec is None:
-            raise MeasureDomainError(f"measure {self.name} has no substitution rule")
-        return apply_measure(self.spec, cls, self.registrations)
+        return apply_measure(self.spec, cls)
 
 
 class PerturbedMeasure(MeasureOnCompacts):
@@ -94,11 +70,11 @@ class PerturbedMeasure(MeasureOnCompacts):
     shifted.  Breaks abstract-blowup descent, which the check suite must
     detect as a descent violation."""
 
+    multiplicative = False
+
     def __init__(self, base: MeasureOnCompacts, target_fan: Fan, delta: int = 1):
-        super().__init__(spec=base.spec, table=base.table,
-                         name=f"{base.name}+perturbed",
-                         multiplicative=False, registrations=base.registrations)
-        self.base = base
+        super().__init__(base.spec)
+        self.name = f"{base.name}+perturbed"
         self.target_fan = target_fan
         self.delta = delta
 
@@ -134,33 +110,27 @@ BUILTIN_MEASURES = ("euler", "e_poly", "virtual_poincare")
 @dataclass
 class CompactificationChoice:
     """U sits as a dense open inside ``compact_obj`` with the given boundary."""
-    compact_obj: SiteObject
-    boundary: Union[ToricLocus, SiteObject]
+    compact_obj: ToricObject
+    boundary: ToricLocus
 
 
 class CompletionProvider:
     """Supplies a completion fan for every non-compact toric object it
-    meets: rank <= 2 automatically, tori via products of P1, anything else
-    from explicit registrations.
+    meets of rank <= 2, and for tori of any rank (products of P1).  An
+    object of higher rank takes an explicit compactification choice
+    (``toric_choice``) instead.
 
-    A provider belongs to one run.  It keeps its registrations and the
-    automatic rank-2 completion of each fan, so the completion it picks for
-    a fan stays fixed until ``register`` changes it.
+    A provider belongs to one run.  It keeps the automatic rank-2
+    completion of each fan, so the completion it picks for a fan stays
+    fixed.
     """
 
     def __init__(self):
-        self._registry: Dict[Fan, Fan] = {}
         self._completions: Dict[Fan, Fan] = {}
-
-    def register(self, fan: Fan, completion: Fan) -> None:
-        _check_completion(fan, completion)
-        self._registry[fan] = completion
 
     def completion_fan(self, fan: Fan) -> Fan:
         if fan.is_complete():
             return fan
-        if fan in self._registry:
-            return self._registry[fan]
         if all(c.dim == 0 for c in fan.cones):
             return _p1_power(fan.rank)
         if fan.rank <= 2:
@@ -169,7 +139,7 @@ class CompletionProvider:
                 completion = self._completions[fan] = toric.complete_surface(fan)
             return completion
         raise MissingCompactificationError(
-            f"no completion registered for a rank-{fan.rank} fan")
+            f"no automatic completion of a rank-{fan.rank} fan; pass an explicit choice")
 
     def choose(self, obj: ToricObject) -> CompactificationChoice:
         return _completion_choice(obj, self.completion_fan(obj.fan))
@@ -231,57 +201,36 @@ class ExtensionResult:
     value: MeasureValue
     trace: Tuple[TraceStep, ...]
 
-    def max_depth(self) -> int:
-        return max((s.depth for s in self.trace), default=0)
-
 
 def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
                    provider: Optional[CompletionProvider] = None,
                    choice: Optional[CompactificationChoice] = None) -> ExtensionResult:
     """Phi_c of any object: Phi on compacts, else Phi(Xbar) - Phi_c(boundary).
 
-    ``choice`` overrides the provider for the top-level object only (used
-    by the independence check).  Trace depth never exceeds dim + 1: every
-    recursive boundary strictly drops dimension.  Nothing is memoized, so
-    the value and the trace depend on the measure, the object and the
-    completions the provider picks, and on nothing extended before.  The
-    recursion is module functions sharing ``trace``: nested closures would
-    form a reference cycle per call, which only the garbage collector frees.
+    ``choice`` overrides the provider's compactification of the object
+    (used by the independence check, and for a rank above 2).  Trace depth
+    never exceeds dim + 1: every recursive boundary strictly drops
+    dimension.  Nothing is memoized, so the value and the trace depend on
+    the measure, the object and the completions the provider picks, and on
+    nothing extended before.  The recursion is module functions sharing
+    ``trace``: nested closures would form a reference cycle per call, which
+    only the garbage collector frees.
     """
     trace: List[TraceStep] = []
-    value = _of_object(phi, obj, provider or CompletionProvider(), choice, 0, trace)
+    if obj.is_empty():
+        value = MeasureValue.integer(0)
+    elif obj.is_compact():
+        value = phi.on_compact(obj)
+    elif isinstance(obj, ToricObject):
+        ch = choice or (provider or CompletionProvider()).choose(obj)
+        trace.append(TraceStep(obj.name, ch.compact_obj.name,
+                               f"{len(ch.boundary.cones)} boundary cones", 1))
+        value = phi.on_compact(ch.compact_obj) - _of_locus(phi, ch.boundary, 1, trace)
+    elif isinstance(obj, ToricLocusObject):
+        value = _of_locus(phi, obj.locus, 0, trace)
+    else:
+        raise CSupportError(f"cannot extend over {obj!r}")
     return ExtensionResult(obj.name, value, tuple(trace))
-
-
-def _of_object(phi: MeasureOnCompacts, o: SiteObject, provider: CompletionProvider,
-               choice: Optional[CompactificationChoice], depth: int,
-               trace: List[TraceStep]) -> MeasureValue:
-    """``choice`` is the top-level object's compactification, None below it."""
-    if o.is_empty():
-        return MeasureValue.integer(0)
-    if o.is_compact():
-        return phi.on_compact(o)
-    if isinstance(o, ToricObject):
-        ch = choice or provider.choose(o)
-        trace.append(TraceStep(o.name, ch.compact_obj.name,
-                               f"{len(ch.boundary.cones)} boundary cones"
-                               if isinstance(ch.boundary, ToricLocus)
-                               else ch.boundary.name, depth + 1))
-        _check_depth(o, depth + 1)
-        boundary_value = (_of_locus(phi, ch.boundary, depth + 1, trace)
-                          if isinstance(ch.boundary, ToricLocus) else
-                          _of_object(phi, ch.boundary, provider, None, depth + 1, trace))
-        return phi.on_compact(ch.compact_obj) - boundary_value
-    if isinstance(o, ToricLocusObject):
-        return _of_locus(phi, o.locus, depth, trace)
-    if isinstance(o, DeclaredObject):
-        if choice is None:
-            raise MissingCompactificationError(
-                f"declared object {o.name} needs an explicit compactification")
-        trace.append(TraceStep(o.name, choice.compact_obj.name, str(choice.boundary), depth + 1))
-        return phi.on_compact(choice.compact_obj) \
-            - _of_object(phi, choice.boundary, provider, None, depth + 1, trace)
-    raise CSupportError(f"cannot extend over {o!r}")
 
 
 def _of_locus(phi: MeasureOnCompacts, locus: ToricLocus, depth: int,
@@ -290,7 +239,7 @@ def _of_locus(phi: MeasureOnCompacts, locus: ToricLocus, depth: int,
     into tori, each torus dimension extended once.  A completion's boundary
     is upward-closed, hence compact (Fulton, Introduction to Toric
     Varieties, 2.4 and 3.1), so one extension decomposes at most one locus:
-    a non-closed top-level locus, or a declared object's locus boundary."""
+    a non-closed top-level locus."""
     if locus.is_empty():
         return MeasureValue.integer(0)
     if locus.is_compact():
@@ -318,19 +267,10 @@ def _of_torus(phi: MeasureOnCompacts, k: int, depth: int,
         - _of_locus(phi, boundary, depth + 1, trace)
 
 
-def _check_depth(o: SiteObject, depth: int) -> None:
-    if depth > max(o.dim, 0) + 1:
-        raise CSupportError(
-            f"recursion depth {depth} exceeds dim+1 for {o.name}")
-
-
 def oracle_value(phi: MeasureOnCompacts, obj: SiteObject) -> MeasureValue:
     """Independent route: substitute the measure into the canonical class
     from the orbit decomposition."""
-    cls = obj.kclass()
-    if cls is None:
-        raise CSupportError(f"{obj.name} has no class")
-    return phi.substitute_class(cls)
+    return phi.substitute_class(obj.kclass())
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +282,6 @@ class CheckResult(NamedTuple):
     lhs: object = None
     rhs: object = None
     note: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 def verdict(ok: bool, lhs=None, rhs=None, note: str = "") -> CheckResult:

@@ -113,10 +113,6 @@ class KClass:
 
     # -- views ---------------------------------------------------------------
 
-    @property
-    def canonical(self):
-        return self._canon
-
     def lpolynomial(self) -> tuple:
         """The pure-L part as a sorted tuple of (exponent, coefficient)."""
         return tuple(
@@ -554,12 +550,6 @@ class RelationSet:
                 if rel.slot("X") == x and rel.slot("C") == c:
                     return rel
         raise RelationLookupError(f"no blowup relation declared for ({x}; {c})")
-
-    def find_open(self, x: str, u: str) -> Relation:
-        for rel in self.relations:
-            if rel.kind == "open" and rel.slot("X") == x and rel.slot("U") == u:
-                return rel
-        raise RelationLookupError(f"no open decomposition declared for ({x}; {u})")
 
     # -- rewriting -----------------------------------------------------------
 

@@ -1,12 +1,12 @@
 """The category of spans and the distinguished-square calculus.
 
 A morphism X -> Y here is a window (an open subobject of X) together with a
-proper map from the window to Y; the zero span has the empty window.  On the
-toric backend windows are face-closed cone subsets and every proper map is
-the identity on the ambient lattice (refinements, subfan inclusions, orbit
-closure inclusions), so composition, orbit images, and factorization through
-square legs are all exact cone computations.  Declared objects carry the
-same structure as unverified assertions, reported as "trusted".
+proper map from the window to Y; the zero span has the empty window.  Every
+site object is a toric variety, a locus of one, or the empty object, so
+windows are face-closed cone subsets and every proper map is the identity
+on the ambient lattice (refinements, subfan inclusions, orbit closure
+inclusions): composition, orbit images, and factorization through square
+legs are all exact cone computations.
 
 Squares come in three kinds: smooth blowup, abstract blowup (corners E, Y,
 C over the base X), and localization (corners X \\ U, X, empty over the
@@ -18,9 +18,8 @@ pulled-back sieves and compatibility with the dimension function.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from kvar import toric
@@ -32,26 +31,16 @@ class SpanError(Exception):
     pass
 
 
-class BackendMismatchError(SpanError):
-    pass
-
-
-class MissingPullbackError(SpanError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # site objects
 
 class SiteObject:
-    """Common surface of toric and declared objects: a name, ``dim``,
-    ``is_compact()``, ``is_empty()`` and ``kclass()``.  Toric objects and
-    the empty object also expose their orbits as the cone set ``cones``."""
+    """Common surface of site objects: a name, ``dim``, ``is_compact()``,
+    ``is_empty()``, ``kclass()``, and the orbits as the cone set
+    ``cones``."""
 
     name: str
-
-    def kclass(self) -> Optional[KClass]:
-        return None
+    cones: FrozenSet[Cone]
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -113,25 +102,9 @@ class ToricLocusObject(SiteObject):
         return self.locus.kclass()
 
 
-class DeclaredObject(SiteObject):
-    def __init__(self, name: str, dim: int, compact: bool,
-                 components: Optional[Tuple[str, ...]] = None):
-        if dim < -1:
-            raise SpanError(f"dimension {dim} < -1")
-        self.name = name
-        self.dim = dim
-        self.compact = compact
-        self.components = components
-
-    def is_compact(self) -> bool:
-        return self.compact
-
-    def is_empty(self) -> bool:
-        return self.dim == -1
-
-
 class EmptyObject(SiteObject):
-    """The empty variety: dimension -1, initial for spans of either backend."""
+    """The empty variety: dimension -1, the source of a zero span to any
+    object."""
 
     name = "empty"
     cones: FrozenSet[Cone] = frozenset()
@@ -149,45 +122,34 @@ class EmptyObject(SiteObject):
 
 EMPTY = EmptyObject()
 
-# the objects with a fan, and those together with the empty object: the
-# objects whose windows are cone sets
+# the site objects with a fan: all but the empty object
 FAN_BACKED = (ToricObject, ToricLocusObject)
-TORIC_OBJECTS = FAN_BACKED + (EmptyObject,)
 
 
 def _ray_keys(obj: SiteObject) -> FrozenSet[tuple]:
-    """Ray-set keys of the orbits of a toric object."""
+    """Ray-set keys of the orbits of a site object."""
     return frozenset(c.rays for c in obj.cones)
 
 
 # ---------------------------------------------------------------------------
 # span morphisms
 
-TORIC_ID = ("toric-id",)
-ZERO_MAP = ("zero",)
-
-
-def _declared_map(name: str) -> tuple:
-    return ("declared", name)
-
-
 class SpanMorphism:
     """X -> Y given by an open window of X and a proper map window -> Y.
 
-    Toric windows are cone subsets of the source, face-closed relative to
-    the source (absolutely face-closed for variety sources); the map is the
+    Windows are cone subsets of the source, face-closed relative to the
+    source (absolutely face-closed for variety sources); the map is the
     lattice identity.  ``proper_reason`` records why the map is proper.
     """
 
     def __init__(self, source: SiteObject, target: SiteObject,
-                 window, map_desc: tuple = TORIC_ID,
-                 proper_reason: str = "unchecked"):
-        self._fill(source, target, window, map_desc, proper_reason)
+                 window, proper_reason: str = "unchecked"):
+        self._fill(source, target, window, proper_reason)
         self._validate()
 
     @classmethod
     def _valid_by_construction(cls, source: SiteObject, target: SiteObject,
-                               window, map_desc: tuple, proper_reason: str) -> "SpanMorphism":
+                               window, proper_reason: str) -> "SpanMorphism":
         """A span that ``compose`` or ``identity_span`` built, without
         ``_validate``.  The checks hold by construction:
 
@@ -202,38 +164,28 @@ class SpanMorphism:
           object, so every fan in the chain has the target's rank.
         """
         span = cls.__new__(cls)
-        span._fill(source, target, window, map_desc, proper_reason)
+        span._fill(source, target, window, proper_reason)
         return span
 
-    def _fill(self, source, target, window, map_desc, proper_reason) -> None:
+    def _fill(self, source, target, window, proper_reason) -> None:
         self.source = source
         self.target = target
-        if isinstance(window, str):
-            self.window = window          # declared backend: a named open or 'all'
-        else:
-            self.window = frozenset(window)
-        self.map_desc = ZERO_MAP if self.is_zero() else map_desc
+        self.window = frozenset(window)
         self.proper_reason = proper_reason
         self._key = None
 
     # -- basics ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if isinstance(self.window, str):
-            return self.window == "empty"
         return not self.window
 
     def is_identity(self) -> bool:
-        return (self.source is self.target
-                and self.map_desc == TORIC_ID
-                and not isinstance(self.window, str)
-                and self.window == _source_cones(self.source))
+        return self.source is self.target and self.window == self.source.cones
 
     def key(self):
         if self._key is None:
-            window = self.window if isinstance(self.window, str) \
-                else frozenset(c.rays for c in self.window)
-            self._key = (self.source.name, self.target.name, window, self.map_desc)
+            window = frozenset(c.rays for c in self.window)
+            self._key = (self.source.name, self.target.name, window)
         return self._key
 
     def __eq__(self, other):
@@ -243,18 +195,19 @@ class SpanMorphism:
         return hash(self.key())
 
     def __repr__(self):
-        w = self.window if isinstance(self.window, str) else f"{len(self.window)} cones"
-        return f"Span({self.source.name} -[{w}]-> {self.target.name})"
+        return f"Span({self.source.name} -[{len(self.window)} cones]-> {self.target.name})"
 
     # -- validation -------------------------------------------------------------
 
     def _validate(self) -> None:
-        if isinstance(self.window, str) or self.is_zero():
+        if self.is_zero():
             return
-        toric_map = self.map_desc == TORIC_ID and isinstance(self.target, FAN_BACKED)
-        if toric_map and any(c.rank != self.target.fan.rank for c in self.window):
-            raise SpanError(f"window cones are not of the target's rank {self.target.fan.rank}")
-        cones = _source_cones(self.source)
+        if not isinstance(self.target, FAN_BACKED):
+            raise SpanError(f"only the zero span maps into {self.target.name}")
+        tfan = self.target.fan
+        if any(c.rank != tfan.rank for c in self.window):
+            raise SpanError(f"window cones are not of the target's rank {tfan.rank}")
+        cones = self.source.cones
         if not self.window <= cones:
             raise SpanError("window is not a subset of the source's cones")
         if self.window != cones:
@@ -262,13 +215,9 @@ class SpanMorphism:
                 for f in c.faces():
                     if f in cones and f not in self.window:
                         raise SpanError("window is not relatively open in the source")
-        if toric_map:
-            tfan = self.target.fan
-            for c in self.window:
-                if tfan.smallest_containing_cone(c) is None:
-                    raise SpanError(
-                        f"window cone {c} does not map into the target fan"
-                    )
+        for c in self.window:
+            if tfan.smallest_containing_cone(c) is None:
+                raise SpanError(f"window cone {c} does not map into the target fan")
 
     # -- orbit tracking -----------------------------------------------------------
 
@@ -276,27 +225,16 @@ class SpanMorphism:
         """Ray-set keys of the target orbits hit by the window."""
         if self.is_zero():
             return frozenset()
-        if isinstance(self.window, str) or not isinstance(self.target, FAN_BACKED):
-            raise BackendMismatchError("orbit images are a toric-backend computation")
         tfan = self.target.fan
         return frozenset(tfan.orbit_of(c).rays for c in self.window)
 
 
-def _source_cones(obj: SiteObject) -> FrozenSet[Cone]:
-    if isinstance(obj, TORIC_OBJECTS):
-        return obj.cones
-    raise BackendMismatchError(f"{obj.name} has no toric cone data")
-
-
 def identity_span(obj: SiteObject) -> SpanMorphism:
-    if isinstance(obj, TORIC_OBJECTS):
-        return SpanMorphism._valid_by_construction(obj, obj, obj.cones, TORIC_ID, "identity")
-    return SpanMorphism._valid_by_construction(obj, obj, "all", _declared_map("id"), "identity")
+    return SpanMorphism._valid_by_construction(obj, obj, obj.cones, "identity")
 
 
 def zero_span(source: SiteObject, target: SiteObject) -> SpanMorphism:
-    window = "empty" if isinstance(source, DeclaredObject) else frozenset()
-    return SpanMorphism(source, target, window, ZERO_MAP, "zero")
+    return SpanMorphism(source, target, frozenset(), "zero")
 
 
 def compose(second: SpanMorphism, first: SpanMorphism) -> SpanMorphism:
@@ -309,14 +247,9 @@ def compose(second: SpanMorphism, first: SpanMorphism) -> SpanMorphism:
         )
     if first.is_zero() or second.is_zero():
         return zero_span(first.source, second.target)
-    if isinstance(first.window, str) or isinstance(second.window, str):
-        raise MissingPullbackError(
-            "composition of declared spans needs a declared pullback"
-        )
     mid_fan = second.source.fan
     window = {c for c in first.window if mid_fan.orbit_of(c) in second.window}
-    return SpanMorphism._valid_by_construction(first.source, second.target, window,
-                                               TORIC_ID, "composite")
+    return SpanMorphism._valid_by_construction(first.source, second.target, window, "composite")
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +268,7 @@ CORNERS = ("upper_left", "upper_right", "lower_left", "base")
 class DistinguishedSquare:
     def __init__(self, kind: str, corners: Dict[str, SiteObject],
                  maps: Dict[str, SpanMorphism],
-                 provenance=None, declared_flags: Optional[dict] = None):
+                 provenance=None):
         if kind not in SQUARE_KINDS:
             raise SpanError(f"unknown square kind {kind!r}")
         if set(corners) != set(CORNERS):
@@ -344,7 +277,6 @@ class DistinguishedSquare:
         self.corners = dict(corners)
         self.maps = dict(maps)
         self.provenance = provenance
-        self.declared_flags = dict(declared_flags or {})
 
     # blowup-kind aliases
     @property
@@ -371,20 +303,8 @@ class DistinguishedSquare:
     def i_leg(self) -> SpanMorphism:
         return self.maps["bottom"]
 
-    @property
-    def backend(self) -> str:
-        return "toric" if all(
-            isinstance(o, TORIC_OBJECTS) for o in self.corners.values()
-        ) else "declared"
-
-    def corner_classes(self) -> Optional[dict]:
-        out = {}
-        for role, obj in self.corners.items():
-            cls = obj.kclass()
-            if cls is None:
-                return None
-            out[role] = cls
-        return out
+    def corner_classes(self) -> Dict[str, KClass]:
+        return {role: obj.kclass() for role, obj in self.corners.items()}
 
     def __repr__(self):
         names = {r: o.name for r, o in self.corners.items()}
@@ -401,8 +321,8 @@ def localization_square(x_obj: ToricObject, window: Iterable[Cone],
     comp = ToricLocus(x_obj.fan, [c for c in x_obj.fan.cones if c not in window])
     comp_obj = ToricLocusObject(complement_name or f"{x_obj.name}-minus-U", comp)
     maps = {
-        "top": SpanMorphism(comp_obj, x_obj, comp.cones, TORIC_ID, "closed immersion"),
-        "right": SpanMorphism(x_obj, u_obj, window, TORIC_ID, "restriction to the open"),
+        "top": SpanMorphism(comp_obj, x_obj, comp.cones, "closed immersion"),
+        "right": SpanMorphism(x_obj, u_obj, window, "restriction to the open"),
         "left": zero_span(comp_obj, EMPTY),
         "bottom": zero_span(EMPTY, u_obj),
     }
@@ -412,15 +332,14 @@ def localization_square(x_obj: ToricObject, window: Iterable[Cone],
                                provenance=(x_obj.fan, window))
 
 
-def star_subdivision_square(x_obj: ToricObject, new_ray: Sequence[int]):
+def star_subdivision_square(x_obj: ToricObject, new_ray: Sequence[int]) -> DistinguishedSquare:
     """Star-subdivide X at a ray and name the corners of its blowup square:
     Bl(X;ray) over X, with centre V(center)@X and exceptional part E(X;ray).
-
-    Returns (subdivided fan, DistinguishedSquare)."""
+    The subdivided fan is the square's ``Y.fan``."""
     sd = toric.star_subdivide(x_obj.fan, new_ray)
     y_obj = ToricObject(f"Bl({x_obj.name};{sd.new_ray})", sd.fan)
-    return sd.fan, _refinement_square(y_obj, x_obj, f"V{sd.center.rays}@{x_obj.name}",
-                                      f"E({x_obj.name};{sd.new_ray})", sd)
+    return _refinement_square(y_obj, x_obj, f"V{sd.center.rays}@{x_obj.name}",
+                              f"E({x_obj.name};{sd.new_ray})", sd)
 
 
 def _refinement_square(w_obj: ToricObject, x_obj: ToricObject, c_name: str, e_name: str,
@@ -443,32 +362,16 @@ def _refinement_square(w_obj: ToricObject, x_obj: ToricObject, c_name: str, e_na
     c_obj = ToricLocusObject(c_name, ToricLocus(x_obj.fan, c_cones))
     e_obj = ToricLocusObject(e_name, ToricLocus(w_obj.fan, e_cones))
     maps = {
-        "top": SpanMorphism(e_obj, w_obj, e_cones, TORIC_ID, "closed immersion"),
-        "right": SpanMorphism(w_obj, x_obj, w_obj.cones, TORIC_ID, "refinement"),
-        "left": SpanMorphism(e_obj, c_obj, e_cones, TORIC_ID, "restriction of the refinement"),
-        "bottom": SpanMorphism(c_obj, x_obj, c_cones, TORIC_ID, "closed immersion"),
+        "top": SpanMorphism(e_obj, w_obj, e_cones, "closed immersion"),
+        "right": SpanMorphism(w_obj, x_obj, w_obj.cones, "refinement"),
+        "left": SpanMorphism(e_obj, c_obj, e_cones, "restriction of the refinement"),
+        "bottom": SpanMorphism(c_obj, x_obj, c_cones, "closed immersion"),
     }
     corners = {"upper_left": e_obj, "upper_right": w_obj,
                "lower_left": c_obj, "base": x_obj}
     smooth = isinstance(provenance, StarSubdivision) and provenance.smooth_blowup
     return DistinguishedSquare("smooth_blowup" if smooth else "abstract_blowup",
                                corners, maps, provenance=provenance)
-
-
-def declared_square(kind: str, corners: Dict[str, DeclaredObject],
-                    flags: dict) -> DistinguishedSquare:
-    """A square on the declared backend; conditions are trusted, not checked."""
-    maps = {
-        "top": SpanMorphism(corners["upper_left"], corners["upper_right"], "all",
-                            _declared_map("top"), "declared"),
-        "right": SpanMorphism(corners["upper_right"], corners["base"], "all",
-                              _declared_map("p"), "declared"),
-        "left": SpanMorphism(corners["upper_left"], corners["lower_left"], "all",
-                             _declared_map("left"), "declared"),
-        "bottom": SpanMorphism(corners["lower_left"], corners["base"], "all",
-                               _declared_map("i"), "declared"),
-    }
-    return DistinguishedSquare(kind, corners, maps, declared_flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -498,19 +401,14 @@ def _proper_status(span: SpanMorphism) -> CheckEntry:
     cond = "p is proper"
     if span.is_zero():
         return CheckEntry(cond, "pass", "zero span is trivially proper")
-    if isinstance(span.window, str):
-        return CheckEntry(cond, "trusted", "declared map")
     if isinstance(span.source, ToricLocusObject):
         if span.window == span.source.cones and span.source.locus.is_closed():
-            if isinstance(span.target, FAN_BACKED) and span.target.fan == span.source.locus.fan:
+            if span.target.fan == span.source.locus.fan:
                 return CheckEntry(cond, "pass", "closed immersion")
             if span.source.locus.is_compact():
                 return CheckEntry(cond, "pass", "the source locus is compact")
         return CheckEntry(cond, "trusted", span.proper_reason)
-    if not isinstance(span.source, ToricObject):
-        return CheckEntry(cond, "trusted", span.proper_reason)
-    if not isinstance(span.target, FAN_BACKED):
-        return CheckEntry(cond, "trusted", "target has no fan")
+    # a span that is not zero has a fan-backed source and target
     tfan = span.target.fan
     window_fan = Fan(span.source.fan.rank, span.window)
     if frozenset(window_fan.cones) == frozenset(tfan.cones):
@@ -546,7 +444,7 @@ def _covers_support(window_fan: Fan, target_fan: Fan) -> bool:
 def validate_square(sq: DistinguishedSquare) -> SquareValidation:
     """Check the defining conditions of a distinguished square.
 
-    A toric square is checked from its corners and legs alone, by exact
+    A square is checked from its corners and legs alone, by exact
     cone combinatorics, whatever built it.  A blowup square (E, Y, C, X)
     is Cartesian when E is the locus {c in Y : orbit of c in C} of Y's fan
     and C a locus of X's fan; i is a closed immersion when C is also
@@ -554,33 +452,8 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
     isomorphism off the center when Y minus E and X minus C are the same
     cones.  The upper left of a localization square (X minus U, X, empty,
     U) must be the locus of X's fan on the cones outside the window of p.
-    Declared squares are checked against their flags and reported as
-    trusted.
     """
     entries: List[CheckEntry] = []
-    if sq.backend == "declared":
-        required = {
-            "square is Cartesian": "cartesian",
-            "i is a closed immersion": "closed_immersion",
-            "p is proper": "proper",
-            "restriction off the center is an isomorphism": "off_center_iso",
-        }
-        if sq.kind == "localization":
-            required = {
-                "upper left is the closed complement": "complement",
-                "p is proper": "proper",
-            }
-        for condition, flag in required.items():
-            value = sq.declared_flags.get(flag)
-            if value is True:
-                entries.append(CheckEntry(condition, "trusted", "declared"))
-            elif value is None:
-                entries.append(CheckEntry(condition, "fail", f"{flag} undeclared"))
-            else:
-                entries.append(CheckEntry(condition, "fail", f"{flag} declared false"))
-        joint = sq.declared_flags.get("jointly_surjective")
-        return SquareValidation(entries, joint)
-
     if sq.kind == "localization":
         x_obj, comp = sq.Y, sq.E
         entries.append(CheckEntry(
@@ -626,28 +499,20 @@ def _locus_in(obj: SiteObject, fan: Fan) -> bool:
 # site presentations
 
 class SitePresentation:
-    """Finite site: objects, generating spans, and distinguished squares."""
+    """Finite site: objects and distinguished squares, each object under a
+    name of its own."""
 
     def __init__(self):
         self.objects: Dict[str, SiteObject] = {"empty": EMPTY}
-        self.morphisms: List[SpanMorphism] = []
         self.squares: List[DistinguishedSquare] = []
         self._squares_by_base: Dict[str, List[DistinguishedSquare]] = {}
 
     def add_object(self, obj: SiteObject) -> SiteObject:
-        if obj.name in self.objects and self.objects[obj.name] is not obj:
-            raise SpanError(f"object name {obj.name!r} already used")
-        self.objects[obj.name] = obj
+        self._enter([obj])
         return obj
 
-    def add_morphism(self, span: SpanMorphism) -> SpanMorphism:
-        self.morphisms.append(span)
-        return span
-
     def add_square(self, sq: DistinguishedSquare) -> DistinguishedSquare:
-        for obj in sq.corners.values():
-            if obj.name not in self.objects:
-                self.add_object(obj)
+        self._enter(sq.corners.values())
         self.squares.append(sq)
         self._squares_by_base.setdefault(sq.base.name, []).append(sq)
         return sq
@@ -656,58 +521,15 @@ class SitePresentation:
         """The squares with base ``obj``, in the order they were added."""
         return list(self._squares_by_base.get(obj.name, ()))
 
-    @staticmethod
-    def from_json(data) -> "SitePresentation":
-        """Site file: {objects: [{name, dim, compact, backend_ref}],
-        morphisms: [{src, window, map, tgt}], squares: [{kind, corners, maps}]}.
-
-        A file of another shape raises SpanError naming the record at fault;
-        an unknown ``backend_ref`` raises ToricError."""
-        site, where = SitePresentation(), "the top level"
-        try:
-            data = json.loads(data) if isinstance(data, str) else data
-            sections = [data.get(key, []) for key in ("objects", "morphisms", "squares")]
-            if not all(isinstance(records, list) for records in sections):
-                raise SpanError("objects, morphisms and squares must be lists")
-            for i, rec in enumerate(sections[0]):
-                where = f"objects[{i}]"
-                ref = rec.get("backend_ref")
-                if ref and ref != "declared":
-                    fan = toric.builtin_fan(ref) if isinstance(ref, str) else Fan.from_json(ref)
-                    site.add_object(ToricObject(rec["name"], fan))
-                elif rec["name"] != "empty":
-                    site.add_object(DeclaredObject(
-                        rec["name"], rec["dim"], rec.get("compact", False),
-                        components=tuple(rec["components"]) if rec.get("components") else None))
-            for i, rec in enumerate(sections[1]):
-                where = f"morphisms[{i}]"
-                src, tgt = site._named(rec["src"]), site._named(rec["tgt"])
-                window = rec.get("window", "all")
-                if isinstance(window, list) and isinstance(src, FAN_BACKED):
-                    rays = src.fan.rays
-                    if not all(type(j) is int and 0 <= j < len(rays) for ix in window for j in ix):
-                        raise SpanError(f"a window ray index is not in 0..{len(rays) - 1}")
-                    window = frozenset().union(
-                        *[Cone(src.fan.rank, [rays[j] for j in ix]).faces() for ix in window])
-                elif window == "all":
-                    window = src.cones if isinstance(src, TORIC_OBJECTS) else "all"
-                site.add_morphism(SpanMorphism(
-                    src, tgt, window, TORIC_ID if isinstance(src, FAN_BACKED)
-                    else _declared_map(rec.get("map", "f")), "declared"))
-            for i, rec in enumerate(sections[2]):
-                where = f"squares[{i}]"
-                corners = {role: site._named(name) for role, name in rec["corners"].items()}
-                site.add_square(declared_square(rec["kind"], corners, rec.get("maps", {})))
-        except (SpanError, AttributeError, KeyError, IndexError, TypeError, ValueError,
-                RecursionError) as exc:
-            what = f"missing {exc}" if isinstance(exc, KeyError) else exc
-            raise SpanError(f"site file: {where}: {what}") from None
-        return site
-
-    def _named(self, name) -> SiteObject:
-        if name not in self.objects:
-            raise SpanError(f"unknown object {name!r}")
-        return self.objects[name]
+    def _enter(self, objs: Iterable[SiteObject]) -> None:
+        """Register each object under its name.  A name that another object
+        holds is a ``SpanError``, and then none of them is registered."""
+        new: Dict[str, SiteObject] = {}
+        for obj in objs:
+            if self.objects.get(obj.name, new.get(obj.name, obj)) is not obj:
+                raise SpanError(f"object name {obj.name!r} already used")
+            new[obj.name] = obj
+        self.objects.update(new)
 
 
 # ---------------------------------------------------------------------------
@@ -811,8 +633,9 @@ def cover_height(site: SitePresentation, obj: SiteObject, budget: int,
     before, that ``enumerate_simple_covers`` follows.  The covers of depth d
     and of depth min(d, h) are the same list, since a square cover of depth
     d is built from covers of depth d - 1 of corners of smaller height.  A
-    declared site may hold a cycle (h infinite); the budget still ends the
-    walk, after at most one step per object name and budget."""
+    site may hold a cycle, a square with its own base as a corner (h
+    infinite); the budget still ends the walk, after at most one step per
+    object name and budget."""
     memo = {} if memo is None else memo
     if budget <= 0:
         return 0
@@ -857,25 +680,23 @@ def factors_through(g: SpanMorphism, leg: SpanMorphism) -> bool:
         return False
     if g == leg:
         return True
-    if isinstance(g.window, str) or isinstance(leg.window, str):
-        return False
     # closed-immersion-style legs: factoring is orbit-image containment
     if isinstance(leg.source, ToricLocusObject) and leg.window == leg.source.cones:
         if g.target is leg.target:
             return g.orbit_image() <= _ray_keys(leg.source)
-    # try the maximal lift: a full-window span into the leg's source
-    if g.target is leg.target and isinstance(leg.source, FAN_BACKED) \
-            and isinstance(g.source, FAN_BACKED):
+    # try the maximal lift: a full-window span into the leg's source (g and
+    # the leg are not zero, so both sources have a fan)
+    if g.target is leg.target:
         source_cones = g.source.cones
         tfan = leg.source.fan
         if all(tfan.smallest_containing_cone(c) is not None for c in source_cones):
-            h = SpanMorphism(g.source, leg.source, source_cones, TORIC_ID, "lift")
+            h = SpanMorphism(g.source, leg.source, source_cones, "lift")
             if compose(leg, h) == g and _proper_status(h).status == "pass":
                 return True
         # partial lift: just the window, when that is already a proper span
         if isinstance(g.source, ToricObject) and all(
                 tfan.smallest_containing_cone(c) is not None for c in g.window):
-            h = SpanMorphism(g.source, leg.source, g.window, TORIC_ID, "window lift")
+            h = SpanMorphism(g.source, leg.source, g.window, "window lift")
             if compose(leg, h) == g and _proper_status(h).status == "pass":
                 return True
     return False
@@ -949,10 +770,6 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
         return CCompleteVerdict(True, square_cover(sq), 1,
                                 "pullback along the identity is the square's own cover")
 
-    if sq.backend != "toric" or isinstance(f.window, str):
-        return CCompleteVerdict(False, None, None,
-                                "declared-backend search is not implemented")
-
     source = f.source
     if not isinstance(source, ToricObject):
         return CCompleteVerdict(False, None, None,
@@ -975,7 +792,7 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
         if f.window == sq.base.cones:
             # open immersion Z <- X: subdivide the big fan at the same ray
             try:
-                _, big_square = star_subdivision_square(source, sq.provenance.new_ray)
+                big_square = star_subdivision_square(source, sq.provenance.new_ray)
             except toric.ToricError as exc:
                 return CCompleteVerdict(False, None, None,
                                         f"cannot subdivide the larger fan: {exc}")
@@ -1004,7 +821,7 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
             # rebase the square onto f's source (same cones, the object itself)
             loc.corners["base"] = source
             loc.maps["right"] = SpanMorphism(g_obj, source, frozenset(source.fan.cones),
-                                             TORIC_ID, "restriction to the open")
+                                             "restriction to the open")
             loc.maps["bottom"] = zero_span(EMPTY, source)
             return _cover_verdict(f, sq, loc, "glued completion over the refinement",
                                   "glued cover is not inside the pulled-back sieve")
@@ -1032,75 +849,25 @@ def _cover_verdict(f: SpanMorphism, sq: DistinguishedSquare, square: Distinguish
 @dataclass
 class DimCompatVerdict:
     kind: str  # direct | refined | fail
-    refined: List[DistinguishedSquare] = field(default_factory=list)
     note: str = ""
-
-
-def _direct_conditions(sq: DistinguishedSquare) -> bool:
-    d_base = sq.base.dim
-    return (sq.C.dim <= d_base and sq.Y.dim <= d_base and sq.E.dim < d_base)
 
 
 def check_dim_compatible(sq: DistinguishedSquare) -> DimCompatVerdict:
     """Per-square compatibility with the dimension function.
 
     Direct when the corner dimensions already satisfy the strict drop on
-    the upper-left corner; localization squares with non-dense opens are
-    refined over the closure of the open; declared squares may refine
-    through their declared irreducible components.  Fail only when the
-    refinement is not expressible in the backend.
+    the upper-left corner, and refined, by the identity cover, over an
+    empty base.  Any other square fails: a toric open is dense, and a fan
+    is irreducible, so no refinement applies.
     """
-    if _direct_conditions(sq):
+    d_base = sq.base.dim
+    if sq.C.dim <= d_base and sq.Y.dim <= d_base and sq.E.dim < d_base:
         return DimCompatVerdict("direct")
-
     if sq.kind == "localization":
         if sq.base.is_empty():
             # the sieve on the empty object contains its identity cover
             return DimCompatVerdict(
-                "refined", [],
-                "base is empty: the sieve contains the identity cover")
-        if sq.backend == "toric":
-            # toric opens are dense, so failure here means an empty window
-            return DimCompatVerdict(
-                "fail", [], "unexpected non-dense toric open")
-        closure = sq.declared_flags.get("closure")
-        if closure:
-            corners = {
-                "upper_left": DeclaredObject(closure["boundary"],
-                                             closure["boundary_dim"], False),
-                "upper_right": DeclaredObject(closure["closure"],
-                                              sq.base.dim, False),
-                "lower_left": EMPTY,
-                "base": sq.base,
-            }
-            refined = declared_square("localization", corners,
-                                      dict(sq.declared_flags, closure=None))
-            verdict = DimCompatVerdict("refined", [refined],
-                                       "square over the closure of the open")
-            return verdict
-        return DimCompatVerdict("fail", [],
-                                "closure of the open is not declared")
-
-    # blowup kinds with dim(E) = dim(X): refine through irreducible components
-    if sq.backend == "toric":
-        return DimCompatVerdict("fail", [],
-                                "toric fans are irreducible; no refinement applies")
-    components = getattr(sq.base, "components", None)
-    comp_squares = sq.declared_flags.get("component_squares")
-    if comp_squares:
-        refined = []
-        for rec in comp_squares:
-            corners = {role: DeclaredObject(nm, dim, False)
-                       for role, (nm, dim) in rec["corners"].items()}
-            corners["base"] = sq.base if rec.get("reuse_base") else corners["base"]
-            refined.append(declared_square(rec.get("kind", "abstract_blowup"),
-                                           corners, rec.get("maps", {})))
-        if all(_direct_conditions(r) for r in refined):
-            return DimCompatVerdict("refined", refined,
-                                    "declared irreducible-component squares")
-        return DimCompatVerdict("fail", [],
-                                "declared component squares are not dimension-compatible")
-    if components:
-        return DimCompatVerdict("fail", [],
-                                "components declared without their squares")
-    return DimCompatVerdict("fail", [], "no refinement data in the backend")
+                "refined", "base is empty: the sieve contains the identity cover")
+        # toric opens are dense, so failure here means an empty window
+        return DimCompatVerdict("fail", "unexpected non-dense toric open")
+    return DimCompatVerdict("fail", "toric fans are irreducible; no refinement applies")

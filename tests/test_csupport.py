@@ -4,12 +4,10 @@ import pytest
 
 from kvar import kring, toric
 from kvar.csupport import (
-    CompactificationChoice,
     CompletionProvider,
     CSupportError,
     MeasureDomainError,
     MeasureOnCompacts,
-    MissingCompactificationError,
     PerturbedMeasure,
     additivity_check,
     consistency_check,
@@ -22,13 +20,18 @@ from kvar.csupport import (
     toric_choice,
     virtual_poincare_measure,
 )
-from kvar.measures import MeasureSpec, MeasureValue
-from kvar.spansite import DeclaredObject, ToricLocusObject, ToricObject, star_subdivision_square
+from kvar.measures import MeasureSpec, MeasureValue, apply_measure
+from kvar.spansite import EMPTY, ToricLocusObject, ToricObject, star_subdivision_square
 from kvar.toric import Fan, ToricLocus, builtin_fan
 
 
 def uv(*coeffs):
     return MeasureValue(coeffs, "uv")
+
+
+def _depth(result):
+    """The deepest step of an extension's trace."""
+    return max((step.depth for step in result.trace), default=0)
 
 
 @pytest.fixture
@@ -45,7 +48,7 @@ def obj(name):
 def test_euler_of_affine_line(provider):
     result = extend_measure(euler_measure(), obj("A1"), provider)
     assert result.value.as_int() == 1  # 2 - 1 through (P1, pt)
-    assert result.max_depth() <= 2     # <= dim + 1
+    assert _depth(result) <= 2     # <= dim + 1
 
 
 def test_compact_objects_pass_through(provider):
@@ -69,7 +72,7 @@ def test_trace_depth_bound(provider):
                          .product(builtin_fan("Gm")))
     result = extend_measure(e_polynomial_measure(), torus3, provider)
     assert result.value == uv(-1, 3, -3, 1)  # (uv - 1)^3
-    assert result.max_depth() <= torus3.dim + 1
+    assert _depth(result) <= torus3.dim + 1
 
 
 def test_oracle_agreement_dual_route(provider):
@@ -103,48 +106,33 @@ def test_non_closed_loci_decompose_into_tori(provider):
                     virtual_poincare_measure(), point_count_measure(3)):
             result = extend_measure(phi, o, provider)
             assert result.value == oracle_value(phi, o)
-            assert result.max_depth() <= o.dim + 1
+            assert _depth(result) <= o.dim + 1
     torus = ToricLocusObject("T", loci[0])
     assert str(extend_measure(e_polynomial_measure(), torus, provider).value) \
         == "1 - 2*(uv) + (uv)^2"
 
 
-def test_declared_object_extends_through_its_choice(provider):
-    phi = MeasureOnCompacts(table={"Xbar": MeasureValue.integer(3),
-                                   "D": MeasureValue.integer(1)}, name="table")
-    u = DeclaredObject("U", 2, False)
-    choice = CompactificationChoice(DeclaredObject("Xbar", 2, True),
-                                    DeclaredObject("D", 1, True))
-    result = extend_measure(phi, u, provider, choice=choice)
-    assert result.value.as_int() == 2  # table[Xbar] - table[D]
-    assert result.max_depth() == 1
-    with pytest.raises(MissingCompactificationError):
-        extend_measure(phi, u, provider)
-
-
 def test_missing_completion_is_an_error():
-    # one class for every missing compactification: a g_map table entry, a
-    # rank-4 completion, a declared object's choice
+    # one class for every missing compactification: a g_map table entry and
+    # a rank-4 completion
     rels = kring.RelationSet()
     rels.declare_generator("U", 2)
     rank4 = ToricObject("X4", builtin_fan("A2").product(builtin_fan("A2")))
-    declared = DeclaredObject("U", 2, False)
     raise_sites = (
         lambda: kring.g_map("U", kring.CompactificationTable(), rels),
         lambda: extend_measure(euler_measure(), rank4, CompletionProvider()),
-        lambda: extend_measure(euler_measure(), declared, CompletionProvider()),
     )
     for raise_site in raise_sites:
         with pytest.raises(kring.MissingCompactificationError):
             raise_site()
 
 
-def test_provider_registration_enables_rank4(provider):
+def test_an_explicit_choice_enables_rank4(provider):
     a2 = builtin_fan("A2")
     p2 = builtin_fan("P2")
-    provider.register(a2.product(a2), p2.product(p2))
     rank4 = ToricObject("A2xA2", a2.product(a2))
-    value = extend_measure(e_polynomial_measure(), rank4, provider).value
+    choice = toric_choice(rank4, p2.product(p2))
+    value = extend_measure(e_polynomial_measure(), rank4, provider, choice).value
     assert value == uv(0, 0, 0, 0, 1)  # (uv)^4
 
 
@@ -178,33 +166,24 @@ def test_extension_traces_are_pinned(provider):
     assert [(s.object_desc, s.compactification, s.boundary_desc, s.depth)
             for s in result.trace] == [("torus^2", "(P1)^2", "8 boundary cones", 1),
                                        ("torus^1", "(P1)^1", "2 boundary cones", 1)]
-    # a declared object's locus boundary goes through the same decomposition
-    boundary = ToricLocusObject("bd", ToricLocus(p2, [c for c in p2.cones if c.dim == 1]))
-    phi = MeasureOnCompacts(MeasureSpec("e_poly"), table={"Xbar": uv(0, 0, 1)})
-    choice = CompactificationChoice(DeclaredObject("Xbar", 2, True), boundary)
-    result = extend_measure(phi, DeclaredObject("U", 2, False), provider, choice=choice)
-    assert str(result.value) == "3 - 3*(uv) + (uv)^2"
-    assert [(s.object_desc, s.compactification, s.boundary_desc, s.depth)
-            for s in result.trace] == [("U", "Xbar", "<ToricLocusObject bd>", 1),
-                                       ("torus^1", "(P1)^1", "2 boundary cones", 2)]
 
 
-def test_changed_registration_reaches_the_next_extension(provider):
+def test_an_explicit_choice_overrides_the_automatic_completion(provider):
     a2 = builtin_fan("A2")
+    first = provider.completion_fan(a2)
+    assert provider.completion_fan(a2) is first
+    assert first == builtin_fan("P2")
     # the perturbation shifts the value through P2, not through P1xP1
     phi = PerturbedMeasure(e_polynomial_measure(), builtin_fan("P2"))
     a2_obj = ToricObject("A2", a2)
-    assert provider.completion_fan(a2) == builtin_fan("P2")
     through_p2 = extend_measure(phi, a2_obj, provider)
-    provider.register(a2, builtin_fan("P1xP1"))
-    through_p1xp1 = extend_measure(phi, a2_obj, provider)
-    assert through_p1xp1.value != through_p2.value
-    fresh = CompletionProvider()
-    fresh.register(a2, builtin_fan("P1xP1"))
-    assert through_p1xp1 == extend_measure(phi, a2_obj, fresh)
-    # registering the same completion again changes nothing
-    provider.register(a2, builtin_fan("P1xP1"))
-    assert extend_measure(phi, a2_obj, provider) == through_p1xp1
+    quadric = toric_choice(a2_obj, builtin_fan("P1xP1"))
+    through_p1xp1 = extend_measure(phi, a2_obj, provider, quadric)
+    assert through_p1xp1.value == uv(0, 0, 1) != through_p2.value
+    assert through_p1xp1 == extend_measure(phi, a2_obj, CompletionProvider(), quadric)
+    # the choice leaves the provider's own completion as it was
+    assert provider.completion_fan(a2) is first
+    assert extend_measure(phi, a2_obj, provider) == through_p2
 
 
 def test_locus_extension_is_free_of_the_object_name(provider):
@@ -262,56 +241,24 @@ def test_perturbed_values_stay_with_the_perturbed_measure():
     assert base.on_compact(p2) == uv(1, 1, 1)
 
 
-def test_residual_classes_are_read_from_the_registrations_every_time():
-    from kvar.kring import KClass
-    from kvar.measures import UnresolvedGeneratorError
-    from kvar.spansite import SiteObject
-
-    class Generator(SiteObject):
-        name, dim = "X", 1
-
-        def is_compact(self):
-            return True
-
-        def is_empty(self):
-            return False
-
-        def kclass(self):
-            return KClass.generator("X")
-
-    registrations = {}
-    phi = MeasureOnCompacts(MeasureSpec("euler"), registrations=registrations)
-    for _ in range(2):
-        with pytest.raises(UnresolvedGeneratorError):
-            phi.on_compact(Generator())
-    registrations[("X", "euler")] = MeasureValue.integer(5)
-    assert phi.on_compact(Generator()).as_int() == 5
-    registrations[("X", "euler")] = MeasureValue.integer(7)
-    assert phi.on_compact(Generator()).as_int() == 7
-
-
-def test_registration_after_automatic_completions_is_used(provider):
-    a2 = builtin_fan("A2")
-    first = provider.completion_fan(a2)
-    assert provider.completion_fan(a2) is first
-    assert first == builtin_fan("P2")
-    provider.register(a2, builtin_fan("P1xP1"))
-    assert provider.completion_fan(a2) == builtin_fan("P1xP1")
-    # perturbing P2 shows which completion the extension went through
-    phi = PerturbedMeasure(e_polynomial_measure(), builtin_fan("P2"))
-    result = extend_measure(phi, ToricObject("A2", a2), provider)
-    assert result.value == uv(0, 0, 1)
-    fresh = CompletionProvider()
-    fresh.register(a2, builtin_fan("P1xP1"))
-    assert result == extend_measure(phi, ToricObject("A2", a2), fresh)
+@pytest.mark.parametrize("phi", [euler_measure, e_polynomial_measure,
+                                 virtual_poincare_measure, lambda: point_count_measure(3)],
+                         ids=["euler", "e_poly", "virtual_poincare", "point_count"])
+def test_a_compact_object_is_measured_through_its_fan_class(phi):
+    phi = phi()
+    p2, quadric = obj("P2"), obj("P1xP1")
+    value = phi.on_compact(p2)
+    assert value == apply_measure(phi.spec, p2.kclass())
+    # one value per class, whatever the object's name
+    assert phi.on_compact(ToricObject("another P2", builtin_fan("P2"))) is value
+    assert phi.on_compact(quadric) == apply_measure(phi.spec, quadric.kclass()) != value
+    assert phi.on_compact(EMPTY) == MeasureValue.integer(0)
 
 
 def test_measure_domain_errors():
     phi = euler_measure()
     with pytest.raises(MeasureDomainError):
         phi.on_compact(obj("A2"))
-    with pytest.raises(MeasureDomainError):
-        MeasureOnCompacts()
 
 
 # -- checks -----------------------------------------------------------------------
@@ -320,21 +267,21 @@ def test_additivity_p1(provider):
     p1 = obj("P1")
     window = frozenset(c for c in p1.fan.cones if c.dim == 0 or (1,) in c.rays)
     report = additivity_check(euler_measure(), p1, window, provider)
-    assert report.passed
+    assert report.status == "pass"
     assert report.lhs.as_int() == 2
 
 
 def test_additivity_whole_window_trivial(provider):
     p2 = obj("P2")
     report = additivity_check(e_polynomial_measure(), p2, p2.fan.cones, provider)
-    assert report.passed
+    assert report.status == "pass"
 
 
 def test_additivity_p2_torus_e_poly(provider):
     p2 = obj("P2")
     window = frozenset(c for c in p2.fan.cones if c.dim == 0)
     report = additivity_check(e_polynomial_measure(), p2, window, provider)
-    assert report.passed
+    assert report.status == "pass"
     assert report.rhs == uv(1, 1, 1)
 
 
@@ -344,7 +291,7 @@ def test_independence_two_completions_of_a2(provider):
     cb = toric_choice(a2, builtin_fan("P1xP1"), "Qbar")
     for phi in (euler_measure(), e_polynomial_measure(), virtual_poincare_measure()):
         report = independence_check(phi, a2, ca, cb, provider)
-        assert report.passed
+        assert report.status == "pass"
     report = independence_check(e_polynomial_measure(), a2, ca, cb, provider)
     assert report.lhs == uv(0, 0, 1)
 
@@ -353,7 +300,7 @@ def test_independence_trivial_for_compact(provider):
     p2 = obj("P2")
     choice = toric_choice(p2, builtin_fan("P2"))
     report = independence_check(euler_measure(), p2, choice, choice, provider)
-    assert report.passed
+    assert report.status == "pass"
 
 
 def test_independence_flags_descent_violation(provider):
@@ -362,22 +309,22 @@ def test_independence_flags_descent_violation(provider):
     cb = toric_choice(a2, builtin_fan("P1xP1"), "Qbar")
     broken = PerturbedMeasure(e_polynomial_measure(), builtin_fan("P2"))
     report = independence_check(broken, a2, ca, cb, provider)
-    assert not report.passed
+    assert report.status == "fail"
     assert "descent violation" in report.note
 
 
 def test_blowup_descent_worked_instance(provider):
-    _, sq = star_subdivision_square(obj("P2"), (1, 1))
+    sq = star_subdivision_square(obj("P2"), (1, 1))
     report = consistency_check("blowup_descent", e_polynomial_measure(), sq, provider)
-    assert report.passed
+    assert report.status == "pass"
     assert report.lhs == uv(2, 2, 1)
 
 
 def test_blowup_descent_detects_perturbation(provider):
-    _, sq = star_subdivision_square(obj("P2"), (1, 1))
+    sq = star_subdivision_square(obj("P2"), (1, 1))
     broken = PerturbedMeasure(e_polynomial_measure(), builtin_fan("P2"))
     report = consistency_check("blowup_descent", broken, sq, provider)
-    assert not report.passed
+    assert report.status == "fail"
 
 
 def test_mayer_vietoris_p1_two_charts(provider):
@@ -386,7 +333,7 @@ def test_mayer_vietoris_p1_two_charts(provider):
     win_v = frozenset(c for c in p1.fan.cones if c.dim == 0 or (-1,) in c.rays)
     report = consistency_check("mayer_vietoris", euler_measure(),
                                (p1, win_u, win_v), provider)
-    assert report.passed
+    assert report.status == "pass"
     assert report.lhs.as_int() == 2  # chi_c(Gm) + chi(P1) = 0 + 2
 
 
@@ -400,7 +347,7 @@ def test_mayer_vietoris_requires_cover(provider):
 def test_kunneth_gm_squared(provider):
     report = consistency_check("kunneth", e_polynomial_measure(),
                                (obj("Gm"), obj("Gm")), provider)
-    assert report.passed
+    assert report.status == "pass"
     assert report.lhs == uv(1, -2, 1)
 
 
@@ -408,7 +355,7 @@ def test_kunneth_with_point_factor(provider):
     pt = ToricObject("pt", Fan(0, [toric.Cone(0, [])]))
     x = obj("A2")
     report = consistency_check("kunneth", e_polynomial_measure(), (x, pt), provider)
-    assert report.passed
+    assert report.status == "pass"
     assert report.lhs == uv(0, 0, 1)
 
 
@@ -424,7 +371,7 @@ def test_additivity_and_mv_feel_the_perturbation(provider):
     p2 = obj("P2")
     window = frozenset(c for c in p2.fan.cones if c.dim == 0)
     broken = PerturbedMeasure(e_polynomial_measure(), builtin_fan("P2"))
-    assert not additivity_check(broken, p2, window, provider).passed
+    assert additivity_check(broken, p2, window, provider).status == "fail"
     # an asymmetric Mayer-Vietoris instance: on P2 blown up twice, split
     # along the star of the first exceptional ray; only the U n V corner
     # re-completes to P2 itself
@@ -437,15 +384,6 @@ def test_additivity_and_mv_feel_the_perturbation(provider):
     assert win_u | win_v == frozenset(fan.cones)
     clean = e_polynomial_measure()
     assert consistency_check("mayer_vietoris", clean,
-                             (x_obj, win_u, win_v), provider).passed
-    assert not consistency_check("mayer_vietoris", broken,
-                                 (x_obj, win_u, win_v), provider).passed
-
-
-def test_declared_measure_table():
-    x = ToricObject("P2named", builtin_fan("P2"))
-    phi = MeasureOnCompacts(table={"P2named": MeasureValue.integer(3)}, name="custom")
-    assert phi.on_compact(x).as_int() == 3
-    from kvar.spansite import DeclaredObject
-    with pytest.raises(MeasureDomainError):
-        phi.on_compact(DeclaredObject("unknown", 2, True))
+                             (x_obj, win_u, win_v), provider).status == "pass"
+    assert consistency_check("mayer_vietoris", broken,
+                             (x_obj, win_u, win_v), provider).status == "fail"

@@ -179,7 +179,6 @@ def test_normalize_residuals_are_sorted_and_stable():
     a = normalize("S2 + S1 + S2*S1", rels)
     b = normalize("S1 + S2*S1 + S2", rels)
     assert a == b
-    assert a.canonical == b.canonical
     assert a.residual() == tuple(sorted(a.residual()))
 
 
@@ -373,7 +372,7 @@ def test_normalize_is_deterministic():
     text = "Bl(P2;pt)*Gm - 3*(P1 + A2)"
     first = normalize(text, rels)
     again = normalize(text, blowup_rels())
-    assert first.canonical == again.canonical
+    assert first == again
     assert hash(first) == hash(again)
 
 
@@ -458,7 +457,8 @@ def test_relation_file_loader_extends_a_set_and_rejects_bad_records():
                {"kind": "open", "slots": {"X": "S", "U": "A2", "complement": "P1"}}]
     rels = RelationSet.from_json(records, into=standard_relations())
     assert normalize("S - Bl(P2;pt)", rels) == lpoly(0, -1)
-    assert RelationSet.from_json(records).find_open("S", "A2").index == 0
+    (rel,) = RelationSet.from_json(records).relations
+    assert (rel.index, rel.kind, rel.slot("X"), rel.slot("U")) == (0, "open", "S", "A2")
     for bad, message in (
             ({"kind": "open"}, "a relation file is a JSON array of records"),
             (["S"], "relation record 0 is not an object"),

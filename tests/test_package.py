@@ -97,19 +97,33 @@ def _named_in(path):
             yield node.value
 
 
-def test_every_public_top_level_name_has_a_caller():
+def _defined_in(path, methods):
+    """The top-level functions and classes a module defines, or, with
+    ``methods``, the methods and properties of its classes."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if not methods and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if methods and isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def _without_a_caller(methods):
     root = pathlib.Path(__file__).resolve().parent.parent
     callers = [path for folder in ("src", "demos", "perfbench")
                for path in sorted((root / folder).rglob("*.py"))]
     assert len(callers) > len(SOURCES)
     named = {name for path in callers for name in _named_in(path)}
     exempt = set(kvar.__all__) | NO_CALLER_NEEDED
-    unused = [(path.name, node.name) for path in SOURCES
-              for node in ast.parse(path.read_text(), str(path)).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and node.name not in named and node.name not in exempt]
-    assert not unused
+    return [(path.name, name) for path in SOURCES for name in _defined_in(path, methods)
+            if not name.startswith("_") and name not in named and name not in exempt]
+
+
+def test_every_public_top_level_name_has_a_caller():
+    assert not _without_a_caller(methods=False)
+
+
+def test_every_public_method_has_a_caller():
+    assert not _without_a_caller(methods=True)
 
 
 def test_only_toric_reaches_what_a_fan_keeps():

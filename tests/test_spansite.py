@@ -8,20 +8,17 @@ from hypothesis import given, settings, strategies as st
 from kvar import corpus, kring, toric
 from kvar.spansite import (
     EMPTY,
-    DeclaredObject,
     DistinguishedSquare,
     IsoNode,
     SitePresentation,
     SpanError,
     SpanMorphism,
     SquareNode,
-    TORIC_ID,
     ToricLocusObject,
     ToricObject,
     check_c_complete,
     check_dim_compatible,
     compose,
-    declared_square,
     enumerate_simple_covers,
     identity_cover,
     identity_span,
@@ -32,6 +29,7 @@ from kvar.spansite import (
     zero_span,
     _common_refinement_square,
 )
+from kvar.csupport import toric_choice
 from kvar.toric import Cone, builtin_fan
 
 
@@ -76,8 +74,8 @@ def test_zero_span_absorbs(p1):
 
 
 def test_composition_is_associative_on_toric_triples(p2):
-    f1_fan, sq = star_subdivision_square(p2, (1, 1))
-    f2_fan, sq2 = star_subdivision_square(sq.Y, (2, 1))
+    sq = star_subdivision_square(p2, (1, 1))
+    sq2 = star_subdivision_square(sq.Y, (2, 1))
     h = SpanMorphism(p2, sq.base, frozenset(c for c in p2.fan.cones if c.dim == 0))
     g = sq.p_leg       # Y -> P2
     f = sq2.p_leg      # Y' -> Y
@@ -87,7 +85,7 @@ def test_composition_is_associative_on_toric_triples(p2):
 # -- squares ------------------------------------------------------------------------
 
 def test_star_subdivision_square_validates(p2):
-    _, sq = star_subdivision_square(p2, (1, 1))
+    sq = star_subdivision_square(p2, (1, 1))
     assert sq.kind == "smooth_blowup"
     report = validate_square(sq)
     assert report.ok and report.jointly_surjective
@@ -95,7 +93,7 @@ def test_star_subdivision_square_validates(p2):
 
 
 def test_square_relation_from_corners(p2):
-    _, sq = star_subdivision_square(p2, (1, 1))
+    sq = star_subdivision_square(p2, (1, 1))
     cls = sq.corner_classes()
     rep = kring.verify_square_relation(cls["upper_left"], cls["upper_right"],
                                        cls["lower_left"], cls["base"])
@@ -129,21 +127,21 @@ def weighted_square():
     x_obj = ToricObject("P112", toric.build_fan(2, [(1, 0), (0, 1), (-1, -2)],
                                                 [(0, 1), (1, 2), (0, 2)]))
     assert not x_obj.smooth and x_obj.complete
-    return star_subdivision_square(x_obj, (1, -2))[1]
+    return star_subdivision_square(x_obj, (1, -2))
 
 
 def refinement_square():
     """The square over one blowup of P2 of its common refinement with
     another: W has both new rays."""
     p2 = ToricObject("P2", builtin_fan("P2"))
-    _, one = star_subdivision_square(p2, (1, 1))
-    _, other = star_subdivision_square(p2, (1, 2))
+    one = star_subdivision_square(p2, (1, 1))
+    other = star_subdivision_square(p2, (1, 2))
     return _common_refinement_square(one.Y, other.Y)
 
 
 SQUARES = {
     "smooth star": lambda: star_subdivision_square(ToricObject("P2", builtin_fan("P2")),
-                                                   (1, 1))[1],
+                                                   (1, 1)),
     "weighted star": weighted_square,
     "refinement": refinement_square,
 }
@@ -246,36 +244,19 @@ def test_a_localization_square_validates_from_its_corners(p2):
     assert validate_square(faulty).entries[0].status == "fail"
 
 
-def test_declared_square_missing_flag_fails():
-    corners = {
-        "upper_left": DeclaredObject("E", 1, True),
-        "upper_right": DeclaredObject("Y", 2, True),
-        "lower_left": DeclaredObject("C", 0, True),
-        "base": DeclaredObject("X", 2, True),
-    }
-    flags = {"cartesian": True, "closed_immersion": True, "proper": True}
-    sq = declared_square("abstract_blowup", corners, flags)
-    report = validate_square(sq)
-    assert not report.ok
-    assert any("off_center_iso undeclared" in e.note for e in report.entries)
-    trusted = declared_square("abstract_blowup", corners,
-                              dict(flags, off_center_iso=True))
-    assert validate_square(trusted).ok
-
-
 # -- simple covers -----------------------------------------------------------------
 
 def test_cover_enumeration_depths(p2):
     site = SitePresentation()
     site.add_object(p2)
-    _, sq = star_subdivision_square(p2, (1, 1))
+    sq = star_subdivision_square(p2, (1, 1))
     site.add_square(sq)
     depth0 = enumerate_simple_covers(site, p2, 0)
     assert [len(c.leaves()) for c in depth0] == [1]  # only the identity
     depth1 = enumerate_simple_covers(site, p2, 1)
     assert any(len(c.leaves()) == 2 for c in depth1)
     # stacked squares give the three-leaf cover at depth 2
-    _, sq2 = star_subdivision_square(sq.Y, (2, 1))
+    sq2 = star_subdivision_square(sq.Y, (2, 1))
     site.add_square(sq2)
     depth2 = enumerate_simple_covers(site, p2, 2)
     assert any(len(c.leaves()) == 3 for c in depth2)
@@ -324,7 +305,7 @@ def test_one_identity_cover_per_object_in_one_enumeration(p2):
 def test_enumerated_covers_are_jointly_surjective(p2):
     site = SitePresentation()
     site.add_object(p2)
-    _, sq = star_subdivision_square(p2, (1, 1))
+    sq = star_subdivision_square(p2, (1, 1))
     site.add_square(sq)
     site.add_square(localization_square(p2, frozenset(
         c for c in p2.fan.cones if c.dim == 0), u_name="torus", complement_name="bd"))
@@ -334,7 +315,7 @@ def test_enumerated_covers_are_jointly_surjective(p2):
 
 
 def test_cover_replay_matches_leaves(p2):
-    _, sq = star_subdivision_square(p2, (1, 1))
+    sq = star_subdivision_square(p2, (1, 1))
     cover = square_cover(sq)
     leaves = cover.leaves()
     assert len(leaves) == 2
@@ -347,7 +328,7 @@ def test_cover_replay_matches_leaves(p2):
 def test_c_complete_identity_and_legs(p2):
     site = SitePresentation()
     site.add_object(p2)
-    _, sq = star_subdivision_square(p2, (1, 1))
+    sq = star_subdivision_square(p2, (1, 1))
     site.add_square(sq)
     assert check_c_complete(site, sq, identity_span(p2)).found
     assert check_c_complete(site, sq, sq.p_leg).found
@@ -358,7 +339,7 @@ def test_c_complete_identity_and_legs(p2):
 def test_c_complete_at_depth_zero_finds_the_covers_of_depth_zero(p2):
     site = SitePresentation()
     site.add_object(p2)
-    _, sq = star_subdivision_square(p2, (1, 1))
+    sq = star_subdivision_square(p2, (1, 1))
     site.add_square(sq)
     for f in (zero_span(sq.Y, p2), sq.p_leg):
         verdict = check_c_complete(site, sq, f, depth=0)
@@ -372,9 +353,9 @@ def test_c_complete_at_depth_zero_finds_the_covers_of_depth_zero(p2):
 def test_c_complete_pullback_along_other_blowdown(p2):
     site = SitePresentation()
     site.add_object(p2)
-    _, sq = star_subdivision_square(p2, (1, 1))
+    sq = star_subdivision_square(p2, (1, 1))
     site.add_square(sq)
-    _, other = star_subdivision_square(p2, (1, 2))
+    other = star_subdivision_square(p2, (1, 2))
     verdict = check_c_complete(site, sq, other.p_leg)
     assert verdict.found and verdict.cover is not None
     assert verdict.cover.depth() <= 3
@@ -382,7 +363,7 @@ def test_c_complete_pullback_along_other_blowdown(p2):
 
 def test_c_complete_open_immersion_into_blowup_base(p2):
     a2 = ToricObject("A2", builtin_fan("A2"))
-    _, sq = star_subdivision_square(a2, (1, 1))
+    sq = star_subdivision_square(a2, (1, 1))
     f = SpanMorphism(p2, a2, frozenset(a2.fan.cones))
     verdict = check_c_complete(SitePresentation(), sq, f)
     assert verdict.found
@@ -414,34 +395,30 @@ def test_c_complete_of_a_full_window_span_that_is_not_proper(p2):
     # along
     from kvar.spansite import _proper_status
     skeleton = ToricObject("U", p2.fan.subfan(c for c in p2.fan.cones if c.dim <= 1))
-    f = SpanMorphism(skeleton, p2, skeleton.fan.cones, TORIC_ID, "inclusion")
+    f = SpanMorphism(skeleton, p2, skeleton.fan.cones, "inclusion")
     assert _proper_status(f).status == "fail"
-    _, sq = star_subdivision_square(p2, (1, 1))
+    sq = star_subdivision_square(p2, (1, 1))
     verdict = check_c_complete(SitePresentation(), sq, f)
     assert (verdict.found, verdict.cover, verdict.depth_used, verdict.note) == (
         False, None, None, "not proper")
 
 
-def test_c_complete_not_found_is_reported():
-    # a declared square offers the search nothing to work with
-    corners = {
-        "upper_left": DeclaredObject("E", 1, True),
-        "upper_right": DeclaredObject("Y", 2, True),
-        "lower_left": DeclaredObject("C", 0, True),
-        "base": DeclaredObject("X", 2, True),
-    }
-    sq = declared_square("abstract_blowup", corners, {})
-    f = SpanMorphism(DeclaredObject("Z", 2, True), corners["base"], "all",
-                     ("declared", "f"), "declared")
+def test_c_complete_not_found_is_reported(p2):
+    # a window that is neither all of the source nor the base: no
+    # toric-representable pullback applies
+    sq = star_subdivision_square(p2, (1, 1))
+    z = ToricObject("Z", builtin_fan("P2"))
+    f = SpanMorphism(z, p2, frozenset(builtin_fan("A2").cones))
+    assert f.window not in (z.cones, sq.base.cones)
     verdict = check_c_complete(SitePresentation(), sq, f)
-    assert not verdict.found
-    assert verdict.note
+    assert (verdict.found, verdict.cover, verdict.depth_used, verdict.note) == (
+        False, None, None, "no toric-representable pullback found")
 
 
 # -- dimension compatibility ---------------------------------------------------------
 
 def test_dim_compatible_blowup_direct(p2):
-    _, sq = star_subdivision_square(p2, (1, 1))
+    sq = star_subdivision_square(p2, (1, 1))
     assert check_dim_compatible(sq).kind == "direct"
 
 
@@ -453,31 +430,26 @@ def test_dim_compatible_localization_dense(p2):
 def test_dim_compatible_empty_window(p2):
     sq = localization_square(p2, frozenset())
     verdict = check_dim_compatible(sq)
-    assert verdict.kind == "refined" and verdict.refined == []
+    assert (verdict.kind, verdict.note) == (
+        "refined", "base is empty: the sieve contains the identity cover")
 
 
-def test_dim_compatible_declared_closure_refinement():
-    # a declared non-dense open: refine over the declared closure
-    u = DeclaredObject("U", 1, False)
-    x = DeclaredObject("X", 2, False)
-    corners = {"upper_left": DeclaredObject("XminusU", 2, False),
-               "upper_right": x, "lower_left": EMPTY, "base": u}
-    sq = declared_square("localization", corners,
-                         {"closure": {"closure": "Ubar", "boundary": "UbarMinusU",
-                                      "boundary_dim": 0}})
-    verdict = check_dim_compatible(sq)
-    assert verdict.kind == "refined"
-    assert len(verdict.refined) == 1
-    assert check_dim_compatible(verdict.refined[0]).kind == "direct"
+def _dims_only_square(kind, upper_left, base):
+    """A square whose corners carry only the dimensions the check reads."""
+    corners = {"upper_left": upper_left, "upper_right": upper_left,
+               "lower_left": EMPTY, "base": base}
+    return DistinguishedSquare(kind, corners, {})
 
 
-def test_dim_compatible_declared_failure_without_data():
-    corners = {"upper_left": DeclaredObject("E2", 2, False),
-               "upper_right": DeclaredObject("Y2", 2, False),
-               "lower_left": DeclaredObject("C2", 2, False),
-               "base": DeclaredObject("X2", 2, False)}
-    sq = declared_square("abstract_blowup", corners, {})
-    assert check_dim_compatible(sq).kind == "fail"
+def test_dim_compatible_fails_on_a_non_dense_open(p1, p2):
+    verdict = check_dim_compatible(_dims_only_square("localization", p2, p1))
+    assert (verdict.kind, verdict.note) == ("fail", "unexpected non-dense toric open")
+
+
+def test_dim_compatible_fails_on_a_blowup_without_a_dimension_drop(p2):
+    verdict = check_dim_compatible(_dims_only_square("abstract_blowup", p2, p2))
+    assert (verdict.kind, verdict.note) == (
+        "fail", "toric fans are irreducible; no refinement applies")
 
 
 def test_support_comparison_detects_slivers():
@@ -535,63 +507,7 @@ def test_a_rank_three_refinement_is_decided_proper():
     assert entry.status == "fail"
 
 
-# -- site files -------------------------------------------------------------------
-
-def test_site_presentation_from_json():
-    data = {
-        "backend": "declared",
-        "objects": [
-            {"name": "X", "dim": 2, "compact": True},
-            {"name": "Y", "dim": 2, "compact": True},
-            {"name": "C", "dim": 0, "compact": True},
-            {"name": "E", "dim": 1, "compact": True},
-            {"name": "T", "dim": 2, "compact": True, "backend_ref": "P2"},
-        ],
-        "morphisms": [
-            {"src": "Y", "window": "all", "map": "p", "tgt": "X"},
-        ],
-        "squares": [
-            {"kind": "abstract_blowup",
-             "corners": {"upper_left": "E", "upper_right": "Y",
-                         "lower_left": "C", "base": "X"},
-             "maps": {"cartesian": True, "closed_immersion": True,
-                      "proper": True, "off_center_iso": True}},
-        ],
-    }
-    site = SitePresentation.from_json(data)
-    assert isinstance(site.objects["T"], ToricObject)
-    assert len(site.squares) == 1
-    assert validate_square(site.squares[0]).ok
-    assert len(site.morphisms) == 1
-
-
-_SITE_OBJECTS = [{"name": "X", "dim": 1, "compact": True},
-                 {"name": "T", "dim": 2, "compact": True, "backend_ref": "P2"}]
-
-
-@pytest.mark.parametrize("data, error, where", [
-    ([], SpanError, "the top level"),
-    ({"objects": "abc"}, SpanError, "must be lists"),
-    ('{"objects": [', SpanError, "the top level"),
-    ("[" * 100_000, SpanError, "the top level"),
-    ({"objects": [{"dim": 1}]}, SpanError, "objects[0]: missing 'name'"),
-    ({"objects": [{"name": "X", "dim": "one"}]}, SpanError, "objects[0]"),
-    ({"objects": _SITE_OBJECTS, "morphisms": [{"src": "X", "tgt": "Z"}]},
-     SpanError, "morphisms[0]: unknown object 'Z'"),
-    ({"objects": _SITE_OBJECTS, "morphisms": [{"src": "T", "window": [[0], [7]], "tgt": "T"}]},
-     SpanError, "morphisms[0]: a window ray index is not in 0..2"),
-    ({"objects": _SITE_OBJECTS, "squares": [
-        {"kind": "abstract_blowup",
-         "corners": {"upper_left": "X", "upper_right": "X", "lower_left": "X"}}]},
-     SpanError, "squares[0]: missing 'base'"),
-    ({"objects": [{"name": "S", "backend_ref": "P9"}]}, toric.ToricError, "P9"),
-])
-def test_malformed_site_file_raises_a_typed_error(data, error, where):
-    with pytest.raises(error) as info:
-        SitePresentation.from_json(data)
-    assert type(info.value) is error
-    assert where in str(info.value) and "\n" not in str(info.value)
-
+# -- sites -----------------------------------------------------------------------
 
 def test_squares_over_matches_a_scan_of_all_squares():
     site = corpus.generate(1, 10).site
@@ -601,6 +517,87 @@ def test_squares_over_matches_a_scan_of_all_squares():
         assert site.squares_over(obj) == expected
 
 
+def test_a_corner_under_a_taken_name_is_rejected(p2):
+    site = SitePresentation()
+    site.add_object(p2)
+    other = ToricObject(p2.name, builtin_fan("P1xP1"))
+    clash = star_subdivision_square(other, (1, 1))
+    with pytest.raises(SpanError, match="already used"):
+        site.add_square(clash)
+    # nothing of the rejected square is registered, its other corners included
+    assert site.squares_over(p2) == [] and site.objects == {EMPTY.name: EMPTY, p2.name: p2}
+    # the same object under its own name is accepted again
+    sq = star_subdivision_square(p2, (1, 1))
+    site.add_square(sq)
+    site.add_square(sq)
+    assert site.squares_over(p2) == [sq, sq]
+
+
+def _p2():
+    return ToricObject("P2", builtin_fan("P2"))
+
+
+def _a2():
+    return ToricObject("A2", builtin_fan("A2"))
+
+
+def _quadric():
+    return ToricObject("Q", builtin_fan("P1xP1"))
+
+
+def _a_maximal_cone(obj):
+    return frozenset([obj.fan.maximal_cones[0]])
+
+
+def _star_square_as(kind, drop=()):
+    """The corners and legs of a star square of P2, as a square of ``kind``
+    without the corners in ``drop``."""
+    sq = star_subdivision_square(_p2(), (1, 1))
+    corners = {role: obj for role, obj in sq.corners.items() if role not in drop}
+    return DistinguishedSquare(kind, corners, sq.maps)
+
+
+def _clashing_site():
+    site = SitePresentation()
+    site.add_object(_p2())
+    site.add_object(ToricObject("P2", builtin_fan("P1xP1")))
+
+
+@pytest.mark.parametrize("build, error, match", [
+    pytest.param(lambda: SpanMorphism(_p2(), _p2(), _quadric().cones),
+                 SpanError, "not a subset of the source", id="window outside the source"),
+    pytest.param(lambda: SpanMorphism(_p2(), _p2(), _a_maximal_cone(_p2())),
+                 SpanError, "not relatively open", id="window without its faces"),
+    pytest.param(lambda: SpanMorphism(_quadric(), _a2(), _quadric().cones),
+                 SpanError, "does not map into the target fan", id="window outside the target"),
+    pytest.param(lambda: compose(identity_span(_p2()), identity_span(_a2())),
+                 SpanError, "cannot compose: A2 is not P2", id="composite through two objects"),
+    pytest.param(lambda: _star_square_as("flip"),
+                 SpanError, "unknown square kind 'flip'", id="unknown square kind"),
+    pytest.param(lambda: _star_square_as("abstract_blowup", drop=("base",)),
+                 SpanError, "need corners", id="square without a base"),
+    pytest.param(_clashing_site, SpanError, "object name 'P2' already used",
+                 id="two objects under one name"),
+    pytest.param(lambda: star_subdivision_square(_a2(), (-1, 1)),
+                 toric.SubdivisionError, "outside the support", id="ray outside the support"),
+    pytest.param(lambda: star_subdivision_square(_a2(), (0, 0)),
+                 toric.NonPrimitiveRayError, "not a primitive ray", id="zero ray"),
+    pytest.param(lambda: star_subdivision_square(_a2(), (1, 1, 1)),
+                 toric.ToricError, "does not have length 2", id="ray of another rank"),
+    pytest.param(lambda: ToricObject("X", builtin_fan("P9")),
+                 toric.ToricError, "unknown builtin fan 'P9'", id="unknown builtin fan"),
+    pytest.param(lambda: toric_choice(_a2(), builtin_fan("A2")),
+                 kring.MissingCompactificationError, "not complete",
+                 id="completion that is not complete"),
+    pytest.param(lambda: toric_choice(_p2(), builtin_fan("P1xP1")),
+                 kring.MissingCompactificationError, "does not contain the fan",
+                 id="completion without the fan"),
+])
+def test_a_malformed_site_datum_raises_a_typed_error(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 # -- spans valid by construction ------------------------------------------------------
 
 def test_a_window_of_another_rank_than_the_target_is_rejected(p1, p2):
@@ -608,6 +605,12 @@ def test_a_window_of_another_rank_than_the_target_is_rejected(p1, p2):
         SpanMorphism(p1, p2, p1.cones)
     with pytest.raises(SpanError, match="rank"):
         SpanMorphism(p2, p1, frozenset(c for c in p2.cones if c.dim == 0))
+
+
+def test_only_the_zero_span_maps_into_the_empty_object(p1):
+    assert zero_span(p1, EMPTY).is_zero()
+    with pytest.raises(SpanError, match="only the zero span"):
+        SpanMorphism(p1, EMPTY, p1.cones)
 
 
 def test_every_trusted_span_of_a_battery_validates_in_full(monkeypatch):
