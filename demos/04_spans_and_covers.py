@@ -49,7 +49,6 @@ print("  localization square (P2, torus): closed part class =",
 print()
 print("== simple covers ==")
 site = SitePresentation()
-site.add_object(p2)
 site.add_square(square)
 stacked = star_subdivision_square(square.Y, (2, 1))
 site.add_square(stacked)
@@ -66,13 +65,13 @@ cases = [
     ("another blowdown", star_subdivision_square(p2, (1, 2)).p_leg),
 ]
 for label, f in cases:
-    verdict = check_c_complete(site, square, f)
+    verdict = check_c_complete(square, f)
     print(f"  {label:24s} found={verdict.found}  ({verdict.note})")
 
 a2 = ToricObject("A2", builtin_fan("A2"))
 open_base_square = star_subdivision_square(a2, (1, 1))
 f_open = SpanMorphism(p2, a2, frozenset(a2.fan.cones))
-verdict = check_c_complete(site, open_base_square, f_open)
+verdict = check_c_complete(open_base_square, f_open)
 print(f"  open immersion P2 <- A2    found={verdict.found}  ({verdict.note})")
 
 print()

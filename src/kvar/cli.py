@@ -418,13 +418,16 @@ def run_corpus_checks(report: Report, seed: int, size: int,
       their names, which no verdict reads;
     - kunneth (measure, fan, fan), purity (fan) and point_count_oracle
       (fan): the product object, the weights and the orbit counts are
-      functions of the fans.
+      functions of the fans;
+    - c_complete (provenance, span key, depth): the verdict reads the
+      square, a function of its provenance, and what the span is, its
+      ``key``: the fans or loci of its ends and its window.
 
     The extensions also read the completions the provider picks, and no
     check changes them: Kunneth extends a product that is not complete
     through an explicit choice, the product of its factors' completions.
-    c_complete and cover_monotone keep no answer: their results read names
-    (``SpanMorphism.key``, ``is`` tests, ``site.squares_over`` by base name).
+    cover_monotone keeps no answer: it is per object, because the squares
+    over an object are the ones the corpus added over that object.
     """
     corp = corpus_mod.generate(seed, size)
     provider = corp.provider
@@ -469,8 +472,8 @@ def run_corpus_checks(report: Report, seed: int, size: int,
                          provider)
 
     for i, (sq, f) in enumerate(corp.c_complete_cases):
-        _timed(report, f"c_complete[{i}]:{sq.base.name}<-{f.source.name}", "c_complete",
-               _c_complete, corp.site, sq, f, depth)
+        answered(f"c_complete[{i}]:{sq.base.name}<-{f.source.name}", "c_complete",
+                 (sq.provenance, f.key(), depth), _c_complete, sq, f, depth)
 
     for i, sq in enumerate(corp.squares + corp.loc_squares):
         answered(f"dim_compatible[{i}]:{sq.base.name}", "dim_compatible", sq.provenance,
@@ -488,7 +491,7 @@ def run_corpus_checks(report: Report, seed: int, size: int,
         answered(f"point_count_oracle[{i}]", "point_count_oracle", fan,
                  _point_count_oracle, fan)
 
-    for i, obj in enumerate(sorted({sq.base.name: sq.base for sq in corp.squares}.values(),
+    for i, obj in enumerate(sorted(dict.fromkeys(sq.base for sq in corp.squares),
                                    key=lambda o: o.name)):
         _timed(report, f"cover_monotone[{i}]:{obj.name}", "cover_monotone",
                _cover_monotone, corp.site, obj, depth)
@@ -517,8 +520,8 @@ def _square_relation(sq) -> CheckResult:
     return verdict(rep.ok, str(rep.lhs), str(rep.rhs))
 
 
-def _c_complete(site, sq, f, depth: int) -> CheckResult:
-    result = check_c_complete(site, sq, f, depth)
+def _c_complete(sq, f, depth: int) -> CheckResult:
+    result = check_c_complete(sq, f, depth)
     return verdict(result.found, note=result.note)
 
 

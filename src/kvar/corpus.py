@@ -123,7 +123,6 @@ def generate(seed: int, size: int) -> Corpus:
     for i in range(n_surfaces):
         obj, squares = _random_surface(rng, i)
         corpus.surfaces.append(obj)
-        site.add_object(obj)
         for sq in squares:
             site.add_square(sq)
             corpus.squares.append(sq)

@@ -744,6 +744,15 @@ class _Budget:
                 "the relation set is likely cyclic"
             )
 
+    def multiply(self, left: int, right: int) -> None:
+        """Spend a step on each pair of terms of a product of ``left`` by
+        ``right`` terms."""
+        self.used += left * right
+        if self.used > self.limit:
+            raise RewriteBudgetError(
+                f"rewrite budget of {self.limit} exceeded while multiplying out a "
+                f"product of {left} by {right} terms")
+
 
 EMPTY_RELATIONS = RelationSet()
 
@@ -918,7 +927,8 @@ def normalize(expr: Union[Expr, str, KClass],
     One loop folds the tree left to right over an explicit stack of
     ``(node, sign, terms)``: each operand of a sum adds, with its sign,
     into the sum's monomial -> coefficient dict, and each factor of a
-    product folds into a dict of its own; the dicts multiply out at the end.
+    product folds into a dict of its own; the dicts multiply out at the end,
+    each pair of terms multiplied at the cost of one budget step.
     """
     rels = rels if rels is not None else EMPTY_RELATIONS
     expr = _as_expr(expr, rels)
@@ -934,8 +944,10 @@ def normalize(expr: Union[Expr, str, KClass],
             factors, sign, acc, _ = item
             product = factors[0]
             for factor in factors[1:-1]:
+                counter.multiply(len(product), len(factor))
                 product, partial = {}, product
                 _add_product(product, partial, factor, 1)
+            counter.multiply(len(product), len(factors[-1]))
             _add_product(acc, product, factors[-1], sign)
             continue
         node, sign, acc = item

@@ -36,11 +36,14 @@ class SpanError(Exception):
 
 class SiteObject:
     """Common surface of site objects: a name, ``dim``, ``is_compact()``,
-    ``is_empty()``, ``kclass()``, and the orbits as the cone set
-    ``cones``."""
+    ``is_empty()``, ``kclass()``, the orbits as the cone set ``cones``, and
+    ``geometry``, what the object is: its fan, its locus, or None for the
+    empty object.  Spans compare objects by their geometry; the name only
+    labels them."""
 
     name: str
     cones: FrozenSet[Cone]
+    geometry: object
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -51,7 +54,7 @@ class ToricObject(SiteObject):
 
     def __init__(self, name: str, fan: Fan):
         self.name = name
-        self.fan = fan
+        self.fan = self.geometry = fan
         self.cones = fan.cones
 
     # each flag alone: the fan caches them, and completeness is far cheaper
@@ -81,7 +84,7 @@ class ToricObject(SiteObject):
 class ToricLocusObject(SiteObject):
     def __init__(self, name: str, locus: ToricLocus):
         self.name = name
-        self.locus = locus
+        self.locus = self.geometry = locus
         self.cones = locus.cones
 
     @property
@@ -108,6 +111,7 @@ class EmptyObject(SiteObject):
 
     name = "empty"
     cones: FrozenSet[Cone] = frozenset()
+    geometry = None
     dim = -1
 
     def is_compact(self) -> bool:
@@ -124,11 +128,6 @@ EMPTY = EmptyObject()
 
 # the site objects with a fan: all but the empty object
 FAN_BACKED = (ToricObject, ToricLocusObject)
-
-
-def _ray_keys(obj: SiteObject) -> FrozenSet[tuple]:
-    """Ray-set keys of the orbits of a site object."""
-    return frozenset(c.rays for c in obj.cones)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +159,8 @@ class SpanMorphism:
           relatively open in the first window and so in the source;
         - each composite window cone lies in the orbit it maps to, a cone of
           the second window, which maps into the target;
-        - ``compose`` takes the middle object of both spans to be one
-          object, so every fan in the chain has the target's rank.
+        - ``compose`` takes the middle objects of both spans to have one
+          geometry, so every fan in the chain has the target's rank.
         """
         span = cls.__new__(cls)
         span._fill(source, target, window, proper_reason)
@@ -180,12 +179,12 @@ class SpanMorphism:
         return not self.window
 
     def is_identity(self) -> bool:
-        return self.source is self.target and self.window == self.source.cones
+        return self.source.geometry == self.target.geometry and self.window == self.source.cones
 
     def key(self):
+        """What the span is: the geometries of its ends and its window."""
         if self._key is None:
-            window = frozenset(c.rays for c in self.window)
-            self._key = (self.source.name, self.target.name, window)
+            self._key = (self.source.geometry, self.target.geometry, self.window)
         return self._key
 
     def __eq__(self, other):
@@ -221,12 +220,12 @@ class SpanMorphism:
 
     # -- orbit tracking -----------------------------------------------------------
 
-    def orbit_image(self) -> FrozenSet[tuple]:
-        """Ray-set keys of the target orbits hit by the window."""
+    def orbit_image(self) -> FrozenSet[Cone]:
+        """The target orbits hit by the window, as cones of the target fan."""
         if self.is_zero():
             return frozenset()
         tfan = self.target.fan
-        return frozenset(tfan.orbit_of(c).rays for c in self.window)
+        return frozenset(tfan.orbit_of(c) for c in self.window)
 
 
 def identity_span(obj: SiteObject) -> SpanMorphism:
@@ -241,7 +240,7 @@ def compose(second: SpanMorphism, first: SpanMorphism) -> SpanMorphism:
     """Composite span: the window is the pullback of the second window
     along the first map (for toric identity maps, the cones of the first
     window landing inside the second window's support)."""
-    if first.target is not second.source:
+    if first.target.geometry != second.source.geometry:
         raise SpanError(
             f"cannot compose: {first.target.name} is not {second.source.name}"
         )
@@ -435,7 +434,7 @@ def _covers_support(window_fan: Fan, target_fan: Fan) -> bool:
         inside = [w for w in window_fan.cones if w.dim == tau.dim
                   and rays.issuperset(target_fan.smallest_containing_cone(w).rays)]
         facets = Counter(f for w in inside for f in w.faces() if f.dim == tau.dim - 1)
-        if not inside or any(n != (2 if target_fan.orbit_of(f) is tau else 1)
+        if not inside or any(n != (2 if target_fan.orbit_of(f) == tau else 1)
                              for f, n in facets.items()):
             return False
     return True
@@ -467,7 +466,7 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
         # joint surjectivity of {i, p} over the base U: the p window is U itself
         covered = sq.p_leg.orbit_image() | (frozenset() if sq.i_leg.is_zero()
                                             else sq.i_leg.orbit_image())
-        joint = _ray_keys(sq.base) <= covered
+        joint = sq.base.cones <= covered
         return SquareValidation(entries, joint)
 
     x_fan, y_fan = sq.base.fan, sq.Y.fan
@@ -486,7 +485,7 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
         "pass" if sq.Y.cones - sq.E.cones == sq.base.cones - sq.C.cones else "fail",
         "cones away from the center coincide"))
     covered = sq.p_leg.orbit_image() | sq.i_leg.orbit_image()
-    joint = _ray_keys(sq.base) <= covered
+    joint = sq.base.cones <= covered
     return SquareValidation(entries, joint)
 
 
@@ -499,37 +498,23 @@ def _locus_in(obj: SiteObject, fan: Fan) -> bool:
 # site presentations
 
 class SitePresentation:
-    """Finite site: objects and distinguished squares, each object under a
-    name of its own."""
+    """Finite site: the distinguished squares, found by their base object.
+
+    A square is filed under its base object itself, not its name or its
+    fan: two objects with one fan may have different squares over them."""
 
     def __init__(self):
-        self.objects: Dict[str, SiteObject] = {"empty": EMPTY}
         self.squares: List[DistinguishedSquare] = []
-        self._squares_by_base: Dict[str, List[DistinguishedSquare]] = {}
-
-    def add_object(self, obj: SiteObject) -> SiteObject:
-        self._enter([obj])
-        return obj
+        self._squares_by_base: Dict[SiteObject, List[DistinguishedSquare]] = {}
 
     def add_square(self, sq: DistinguishedSquare) -> DistinguishedSquare:
-        self._enter(sq.corners.values())
         self.squares.append(sq)
-        self._squares_by_base.setdefault(sq.base.name, []).append(sq)
+        self._squares_by_base.setdefault(sq.base, []).append(sq)
         return sq
 
     def squares_over(self, obj: SiteObject) -> List[DistinguishedSquare]:
         """The squares with base ``obj``, in the order they were added."""
-        return list(self._squares_by_base.get(obj.name, ()))
-
-    def _enter(self, objs: Iterable[SiteObject]) -> None:
-        """Register each object under its name.  A name that another object
-        holds is a ``SpanError``, and then none of them is registered."""
-        new: Dict[str, SiteObject] = {}
-        for obj in objs:
-            if self.objects.get(obj.name, new.get(obj.name, obj)) is not obj:
-                raise SpanError(f"object name {obj.name!r} already used")
-            new[obj.name] = obj
-        self.objects.update(new)
+        return list(self._squares_by_base.get(obj, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +581,7 @@ class SimpleCover:
         for leaf in self.leaves():
             if not leaf.is_zero():
                 hit = hit | leaf.orbit_image()
-        return _ray_keys(self.root) <= hit
+        return self.root.cones <= hit
 
     def __repr__(self):
         return f"SimpleCover({self.root.name}, {len(self.leaves())} leaves, depth {self.depth()})"
@@ -616,10 +601,13 @@ def square_cover(sq: DistinguishedSquare,
 
 def enumerate_simple_covers(site: SitePresentation, obj: SiteObject, depth: int,
                             identities: Optional[dict] = None) -> List[SimpleCover]:
-    """All covers reachable with at most ``depth`` applications of the
-    square rule, deduplicated by leaf family; monotone in depth.
+    """All covers of ``obj`` reachable with at most ``depth`` applications
+    of the square rule, each to a square that the site files over the
+    object being covered (``squares_over``); monotone in depth.  Covers are
+    deduplicated by leaf family: by what the leaf spans are, whatever their
+    ends are named.
 
-    ``identities`` maps an object's name to its identity cover; a caller
+    ``identities`` maps an object to its identity cover; a caller
     that enumerates one site several times may pass one dict to every call,
     so that each identity span is built and validated once.
     """
@@ -635,11 +623,11 @@ def cover_height(site: SitePresentation, obj: SiteObject, budget: int,
     d is built from covers of depth d - 1 of corners of smaller height.  A
     site may hold a cycle, a square with its own base as a corner (h
     infinite); the budget still ends the walk, after at most one step per
-    object name and budget."""
+    object and budget."""
     memo = {} if memo is None else memo
     if budget <= 0:
         return 0
-    key = (obj.name, budget)
+    key = (obj, budget)
     if key not in memo:
         memo[key] = max((1 + cover_height(site, corner, budget - 1, memo)
                          for sq in site.squares_over(obj) for corner in (sq.Y, sq.C)),
@@ -651,12 +639,12 @@ def _covers(site: SitePresentation, o: SiteObject, d: int, memo: dict,
             identities: dict) -> List[SimpleCover]:
     # a function of its own, not a recursive closure: that would be a
     # reference cycle holding every cover until the garbage collector runs
-    key = (o.name, d)
+    key = (o, d)
     if key in memo:
         return memo[key]
-    identity = identities.get(o.name)
+    identity = identities.get(o)
     if identity is None:
-        identity = identities[o.name] = identity_cover(o)
+        identity = identities[o] = identity_cover(o)
     found = {identity.key(): identity}
     if d > 0:
         for sq in site.squares_over(o):
@@ -681,12 +669,13 @@ def factors_through(g: SpanMorphism, leg: SpanMorphism) -> bool:
     if g == leg:
         return True
     # closed-immersion-style legs: factoring is orbit-image containment
+    same_target = g.target.geometry == leg.target.geometry
     if isinstance(leg.source, ToricLocusObject) and leg.window == leg.source.cones:
-        if g.target is leg.target:
-            return g.orbit_image() <= _ray_keys(leg.source)
+        if same_target:
+            return g.orbit_image() <= leg.source.cones
     # try the maximal lift: a full-window span into the leg's source (g and
     # the leg are not zero, so both sources have a fan)
-    if g.target is leg.target:
+    if same_target:
         source_cones = g.source.cones
         tfan = leg.source.fan
         if all(tfan.smallest_containing_cone(c) is not None for c in source_cones):
@@ -742,8 +731,8 @@ def _common_refinement_square(source: ToricObject, other: ToricObject) -> Distin
                               f"{name}-exc", (w_fan, source.fan))
 
 
-def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
-                     f: SpanMorphism, depth: int = 3) -> CCompleteVerdict:
+def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
+                     depth: int = 3) -> CCompleteVerdict:
     """Search the pulled-back sieve f*<i,p> for a simple cover of f's source.
 
     Implements the toric-representable constructions: pullback of the
@@ -752,7 +741,7 @@ def check_c_complete(site: SitePresentation, sq: DistinguishedSquare,
     completion gluing for restriction spans into a localization base.
     Anything beyond these returns not-found-at-depth with a note.
     """
-    if f.target is not sq.base:
+    if f.target.geometry != sq.base.geometry:
         raise SpanError("the morphism must target the square's base")
 
     # the zero span pulls back to the maximal sieve

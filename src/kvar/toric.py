@@ -961,49 +961,39 @@ def _locus_class(fan: Fan, cones: frozenset) -> KClass:
 # ---------------------------------------------------------------------------
 # builtin fans
 
-def _fan_p1() -> Fan:
-    return build_fan(1, [(1,), (-1,)], [(0,), (1,)])
-
-
-def _fan_p2() -> Fan:
-    return build_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
-
-
-def _fan_a1() -> Fan:
-    return build_fan(1, [(1,)], [(0,)])
-
-
-def _fan_a2() -> Fan:
-    return build_fan(2, [(1, 0), (0, 1)], [(0, 1)])
-
-
-def _fan_gm() -> Fan:
-    return build_fan(1, [], [()])
-
-
 def hirzebruch_fan(a: int) -> Fan:
     """The a-th Hirzebruch surface: rays e1, e2, -e1 + a*e2, -e2."""
     return build_fan(2, [(1, 0), (0, 1), (-1, a), (0, -1)],
                      [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
-@functools.lru_cache(maxsize=None)
+_BUILTIN_FANS = {
+    "P1": lambda: build_fan(1, [(1,), (-1,)], [(0,), (1,)]),
+    "P2": lambda: build_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+    "P1xP1": lambda: builtin_fan("P1").product(builtin_fan("P1")),
+    "A1": lambda: build_fan(1, [(1,)], [(0,)]),
+    "A2": lambda: build_fan(2, [(1, 0), (0, 1)], [(0, 1)]),
+    "Gm": lambda: build_fan(1, [], [()]),
+}
+
+BUILTIN_FAN_NAMES = tuple(_BUILTIN_FANS)
+
+# the builtin fans in use, by name: a fan leaves when its last user drops
+# it, with the products and subdivisions it keeps
+_builtins: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
 def builtin_fan(name: str) -> Fan:
-    simple = {
-        "P1": _fan_p1,
-        "P2": _fan_p2,
-        "A1": _fan_a1,
-        "A2": _fan_a2,
-        "Gm": _fan_gm,
-    }
-    if name in simple:
-        return simple[name]()
-    if name == "P1xP1":
-        return _fan_p1().product(_fan_p1())
-    hirzebruch = re.fullmatch(r"Hirzebruch\((-?[0-9]{1,18})\)", name)
-    if hirzebruch:
-        return hirzebruch_fan(int(hirzebruch.group(1)))
-    raise ToricError(f"unknown builtin fan {name!r}")
-
-
-BUILTIN_FAN_NAMES = ("P1", "P2", "P1xP1", "A1", "A2", "Gm")
+    """A builtin fan (``BUILTIN_FAN_NAMES`` or ``Hirzebruch(a)``), built
+    once while in use."""
+    fan = _builtins.get(name)
+    if fan is None:
+        if name in _BUILTIN_FANS:
+            fan = _BUILTIN_FANS[name]()
+        else:
+            hirzebruch = re.fullmatch(r"Hirzebruch\((-?[0-9]{1,18})\)", name)
+            if not hirzebruch:
+                raise ToricError(f"unknown builtin fan {name!r}")
+            fan = hirzebruch_fan(int(hirzebruch.group(1)))
+        _builtins[name] = fan
+    return fan

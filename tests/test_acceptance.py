@@ -152,7 +152,7 @@ def test_criterion_08_simple_covers_c_complete(corpus):
     t0 = time.perf_counter()
     found = 0
     for sq, f in corpus.c_complete_cases:
-        verdict = check_c_complete(corpus.site, sq, f, depth=3)
+        verdict = check_c_complete(sq, f, depth=3)
         assert verdict.found, f"{sq} <- {f}: {verdict.note}"
         if verdict.cover is not None:
             assert verdict.cover.depth() <= 3

@@ -26,11 +26,14 @@ from kvar.cli import (
     run_corpus_checks,
     _cover_monotone,
 )
-from kvar.csupport import CompletionProvider, MeasureOnCompacts
+from kvar.csupport import CompactificationChoice, CompletionProvider, MeasureOnCompacts
 from kvar.measures import MeasureValue
 from kvar.spansite import (
     EMPTY,
+    DistinguishedSquare,
+    SiteObject,
     SitePresentation,
+    SpanMorphism,
     ToricObject,
     cover_height,
     enumerate_simple_covers,
@@ -134,6 +137,17 @@ def test_eval_of_a_builtin_index_past_the_digit_limit_is_a_parse_error(capsys, f
             ("expression", "fail", note)]
     else:
         assert f"[{note}]" in out
+
+
+def test_eval_of_a_product_past_the_rewrite_budget_ends_soon(capsys):
+    # multiplying out 2001 by 2001 terms would take seconds
+    started = time.process_time()
+    assert main(["eval", "P2000*P2000", "--format", "json"]) == 1
+    assert time.process_time() - started < 1.0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [(r["id"], r["status"], r["note"]) for r in records] == [
+        ("expression", "fail", "rewrite budget of 1000000 exceeded while multiplying "
+         "out a product of 2001 by 2001 terms")]
 
 
 def test_eval_relation_file_extends_the_standard_relations(tmp_path):
@@ -430,8 +444,8 @@ def test_size_800_report_bytes_are_pinned(tmp_path, cli_child_env):
 
 # the kinds whose results the battery keeps in its answer table
 ANSWERED_KINDS = {"additivity", "independence", "square_relation", "blowup_descent",
-                  "mayer_vietoris", "kunneth", "dim_compatible", "square_valid", "purity",
-                  "point_count_oracle"}
+                  "mayer_vietoris", "kunneth", "c_complete", "dim_compatible", "square_valid",
+                  "purity", "point_count_oracle"}
 
 
 def _fresh(arg):
@@ -468,8 +482,47 @@ def test_each_distinct_check_of_a_battery_is_computed_once():
     assert Counter(kind for kind, _ in answers) == {
         "additivity": 768, "independence": 226, "square_relation": 78,
         "blowup_descent": 156, "mayer_vietoris": 598, "kunneth": 366,
-        "dim_compatible": 159, "square_valid": 159, "purity": 78,
+        "c_complete": 674, "dim_compatible": 159, "square_valid": 159, "purity": 78,
         "point_count_oracle": 80}
+
+
+def _site_objects(value, found: dict) -> None:
+    """Every site object that ``value`` holds, by identity, into ``found``."""
+    if isinstance(value, SiteObject):
+        found[id(value)] = value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _site_objects(item, found)
+    elif isinstance(value, dict):
+        _site_objects(list(value.values()), found)
+    elif isinstance(value, SpanMorphism):
+        _site_objects([value.source, value.target], found)
+    elif isinstance(value, (corpus.Corpus, corpus.IndependenceCase, CompactificationChoice,
+                            DistinguishedSquare, SitePresentation)):
+        _site_objects(list(vars(value).values()), found)
+
+
+def test_the_battery_ignores_object_names(monkeypatch):
+    def outcomes(report):
+        return [(r.kind, r.status, r.lhs, r.rhs, r.note) for r in report.records]
+
+    named = Report({})
+    run_corpus_checks(named, 1, 50, ["euler", "e"])
+    generate = corpus.generate
+
+    def renamed(seed, size):
+        corp = generate(seed, size)
+        objects: dict = {}
+        _site_objects(corp, objects)
+        for obj in objects.values():
+            if obj is not EMPTY:  # a shared object of the module
+                obj.name = "X"
+        return corp
+    monkeypatch.setattr(cli.corpus_mod, "generate", renamed)
+    report = Report({})
+    run_corpus_checks(report, 1, 50, ["euler", "e"])
+    assert [r.id for r in report.records] != [r.id for r in named.records]
+    assert outcomes(report) == outcomes(named)
 
 
 def test_batteries_in_one_process_report_what_fresh_processes_report(tmp_path, cli_child_env):
@@ -511,7 +564,6 @@ def test_cover_enumeration_over_a_cyclic_site_ends():
     sq.maps["right"] = identity_span(x_obj)
     sq.maps["bottom"] = zero_span(EMPTY, x_obj)
     site = SitePresentation()
-    site.add_object(x_obj)
     site.add_square(sq)
     assert [cover_height(site, x_obj, b) for b in (0, 1, 5, MAX_DEPTH)] == [0, 1, 5, MAX_DEPTH]
     for depth in range(6):

@@ -473,3 +473,13 @@ def test_relation_file_loader_extends_a_set_and_rejects_bad_records():
         with pytest.raises(InvalidRelationError) as err:
             RelationSet.from_json(bad)
         assert str(err.value) == message
+
+
+def test_each_pair_of_terms_of_a_product_costs_one_budget_step():
+    # (1 + L)(1 + L) is 2 * 2 pairs, and the result's 3 terms times the
+    # third factor's 2 are 6 more
+    assert normalize("P1*P1*P1", budget=10) == normalize("P1*P1*P1")
+    with pytest.raises(RewriteBudgetError, match="product of 3 by 2 terms"):
+        normalize("P1*P1*P1", budget=9)
+    with pytest.raises(RewriteBudgetError, match="product of 2 by 2 terms"):
+        normalize("P1*P1*P1", budget=3)

@@ -222,7 +222,7 @@ def test_every_square_behind_a_c_complete_cover_validates():
     corp = corpus.generate(1, 200)
     squares = {}
     for sq, f in corp.c_complete_cases:
-        verdict = check_c_complete(corp.site, sq, f)
+        verdict = check_c_complete(sq, f)
         if verdict.found:
             squares.update((id(s), s) for s in _cover_squares(verdict.cover))
     refinements = [s for s in squares.values() if isinstance(s.provenance, tuple)
@@ -248,7 +248,6 @@ def test_a_localization_square_validates_from_its_corners(p2):
 
 def test_cover_enumeration_depths(p2):
     site = SitePresentation()
-    site.add_object(p2)
     sq = star_subdivision_square(p2, (1, 1))
     site.add_square(sq)
     depth0 = enumerate_simple_covers(site, p2, 0)
@@ -273,7 +272,6 @@ def test_one_identity_cover_per_object_in_one_enumeration(p2):
     ray = next(c for c in chart.faces() if c.dim == 1)
     sq2 = localization_square(sq1.base, ray.faces(), u_name="U2")
     site = SitePresentation()
-    site.add_object(p2)
     site.add_square(sq1)
     site.add_square(sq2)
     identities = {}
@@ -304,7 +302,6 @@ def test_one_identity_cover_per_object_in_one_enumeration(p2):
 
 def test_enumerated_covers_are_jointly_surjective(p2):
     site = SitePresentation()
-    site.add_object(p2)
     sq = star_subdivision_square(p2, (1, 1))
     site.add_square(sq)
     site.add_square(localization_square(p2, frozenset(
@@ -326,37 +323,28 @@ def test_cover_replay_matches_leaves(p2):
 # -- c-completeness ----------------------------------------------------------------
 
 def test_c_complete_identity_and_legs(p2):
-    site = SitePresentation()
-    site.add_object(p2)
     sq = star_subdivision_square(p2, (1, 1))
-    site.add_square(sq)
-    assert check_c_complete(site, sq, identity_span(p2)).found
-    assert check_c_complete(site, sq, sq.p_leg).found
-    assert check_c_complete(site, sq, sq.i_leg).found
-    assert check_c_complete(site, sq, zero_span(sq.Y, p2)).found
+    assert check_c_complete(sq, identity_span(p2)).found
+    assert check_c_complete(sq, sq.p_leg).found
+    assert check_c_complete(sq, sq.i_leg).found
+    assert check_c_complete(sq, zero_span(sq.Y, p2)).found
 
 
 def test_c_complete_at_depth_zero_finds_the_covers_of_depth_zero(p2):
-    site = SitePresentation()
-    site.add_object(p2)
     sq = star_subdivision_square(p2, (1, 1))
-    site.add_square(sq)
     for f in (zero_span(sq.Y, p2), sq.p_leg):
-        verdict = check_c_complete(site, sq, f, depth=0)
+        verdict = check_c_complete(sq, f, depth=0)
         assert verdict.found and verdict.depth_used == 0
     # the identity needs the square itself: one application of the rule
-    assert not check_c_complete(site, sq, identity_span(p2), depth=0).found
-    verdict = check_c_complete(site, sq, identity_span(p2), depth=1)
+    assert not check_c_complete(sq, identity_span(p2), depth=0).found
+    verdict = check_c_complete(sq, identity_span(p2), depth=1)
     assert verdict.found and verdict.depth_used == 1
 
 
 def test_c_complete_pullback_along_other_blowdown(p2):
-    site = SitePresentation()
-    site.add_object(p2)
     sq = star_subdivision_square(p2, (1, 1))
-    site.add_square(sq)
     other = star_subdivision_square(p2, (1, 2))
-    verdict = check_c_complete(site, sq, other.p_leg)
+    verdict = check_c_complete(sq, other.p_leg)
     assert verdict.found and verdict.cover is not None
     assert verdict.cover.depth() <= 3
 
@@ -365,7 +353,7 @@ def test_c_complete_open_immersion_into_blowup_base(p2):
     a2 = ToricObject("A2", builtin_fan("A2"))
     sq = star_subdivision_square(a2, (1, 1))
     f = SpanMorphism(p2, a2, frozenset(a2.fan.cones))
-    verdict = check_c_complete(SitePresentation(), sq, f)
+    verdict = check_c_complete(sq, f)
     assert verdict.found
     assert "larger fan" in verdict.note
 
@@ -375,7 +363,7 @@ def test_c_complete_localization_restriction_span(p2):
     lsq = localization_square(p2, a2_cones, u_name="U")
     alt = ToricObject("Q", builtin_fan("P1xP1"))
     f = SpanMorphism(alt, lsq.base, a2_cones)
-    verdict = check_c_complete(SitePresentation(), lsq, f)
+    verdict = check_c_complete(lsq, f)
     assert verdict.found
     assert verdict.cover.depth() <= 3
 
@@ -385,7 +373,7 @@ def test_c_complete_localization_refinement_onto_base(p2):
     lsq = localization_square(p2, a2_cones, u_name="U")
     bl = toric.star_subdivide(builtin_fan("A2"), (1, 1)).fan
     f = SpanMorphism(ToricObject("Bl", bl), lsq.base, frozenset(bl.cones))
-    verdict = check_c_complete(SitePresentation(), lsq, f)
+    verdict = check_c_complete(lsq, f)
     assert verdict.found
 
 
@@ -398,7 +386,7 @@ def test_c_complete_of_a_full_window_span_that_is_not_proper(p2):
     f = SpanMorphism(skeleton, p2, skeleton.fan.cones, "inclusion")
     assert _proper_status(f).status == "fail"
     sq = star_subdivision_square(p2, (1, 1))
-    verdict = check_c_complete(SitePresentation(), sq, f)
+    verdict = check_c_complete(sq, f)
     assert (verdict.found, verdict.cover, verdict.depth_used, verdict.note) == (
         False, None, None, "not proper")
 
@@ -410,7 +398,7 @@ def test_c_complete_not_found_is_reported(p2):
     z = ToricObject("Z", builtin_fan("P2"))
     f = SpanMorphism(z, p2, frozenset(builtin_fan("A2").cones))
     assert f.window not in (z.cones, sq.base.cones)
-    verdict = check_c_complete(SitePresentation(), sq, f)
+    verdict = check_c_complete(sq, f)
     assert (verdict.found, verdict.cover, verdict.depth_used, verdict.note) == (
         False, None, None, "no toric-representable pullback found")
 
@@ -509,28 +497,43 @@ def test_a_rank_three_refinement_is_decided_proper():
 
 # -- sites -----------------------------------------------------------------------
 
-def test_squares_over_matches_a_scan_of_all_squares():
-    site = corpus.generate(1, 10).site
+def test_squares_over_matches_a_scan_of_the_squares_by_base_object():
+    corp = corpus.generate(1, 10)
+    site = corp.site
     assert site.squares
-    for obj in site.objects.values():
-        expected = [sq for sq in site.squares if sq.base.name == obj.name]
+    objects = {id(obj): obj for sq in site.squares for obj in sq.corners.values()}
+    objects.update((id(obj), obj) for obj in corp.surfaces)
+    for obj in objects.values():
+        expected = [sq for sq in site.squares if sq.base is obj]
         assert site.squares_over(obj) == expected
 
 
-def test_a_corner_under_a_taken_name_is_rejected(p2):
+def test_two_objects_under_one_name_each_keep_their_own_squares(p2):
+    quadric = ToricObject(p2.name, builtin_fan("P1xP1"))
+    twin = ToricObject(p2.name, p2.fan)  # one name and one fan, no squares
     site = SitePresentation()
-    site.add_object(p2)
-    other = ToricObject(p2.name, builtin_fan("P1xP1"))
-    clash = star_subdivision_square(other, (1, 1))
-    with pytest.raises(SpanError, match="already used"):
-        site.add_square(clash)
-    # nothing of the rejected square is registered, its other corners included
-    assert site.squares_over(p2) == [] and site.objects == {EMPTY.name: EMPTY, p2.name: p2}
-    # the same object under its own name is accepted again
-    sq = star_subdivision_square(p2, (1, 1))
-    site.add_square(sq)
-    site.add_square(sq)
-    assert site.squares_over(p2) == [sq, sq]
+    over_p2 = site.add_square(star_subdivision_square(p2, (1, 1)))
+    over_quadric = site.add_square(star_subdivision_square(quadric, (1, 1)))
+    site.add_square(over_p2)
+    assert site.squares_over(p2) == [over_p2, over_p2]
+    assert site.squares_over(quadric) == [over_quadric]
+    assert site.squares_over(twin) == []
+    assert len(enumerate_simple_covers(site, p2, 1)) == 2
+    assert len(enumerate_simple_covers(site, twin, 1)) == 1
+
+
+def test_spans_that_differ_only_in_object_names_are_equal_and_compose(p2):
+    other = ToricObject("X", p2.fan)
+    assert identity_span(other) == identity_span(p2)
+    assert hash(identity_span(other)) == hash(identity_span(p2))
+    across = SpanMorphism(p2, other, p2.cones)
+    assert across.is_identity() and across == identity_span(p2)
+    sq = star_subdivision_square(other, (1, 1))
+    # the p-leg ends at X, and P2 is X under another name
+    assert compose(identity_span(p2), sq.p_leg) == sq.p_leg
+    assert compose(across, compose(sq.p_leg, identity_span(sq.Y))) == sq.p_leg
+    verdict = check_c_complete(sq, identity_span(p2))
+    assert verdict.found and verdict.depth_used == 1
 
 
 def _p2():
@@ -557,12 +560,6 @@ def _star_square_as(kind, drop=()):
     return DistinguishedSquare(kind, corners, sq.maps)
 
 
-def _clashing_site():
-    site = SitePresentation()
-    site.add_object(_p2())
-    site.add_object(ToricObject("P2", builtin_fan("P1xP1")))
-
-
 @pytest.mark.parametrize("build, error, match", [
     pytest.param(lambda: SpanMorphism(_p2(), _p2(), _quadric().cones),
                  SpanError, "not a subset of the source", id="window outside the source"),
@@ -576,8 +573,6 @@ def _clashing_site():
                  SpanError, "unknown square kind 'flip'", id="unknown square kind"),
     pytest.param(lambda: _star_square_as("abstract_blowup", drop=("base",)),
                  SpanError, "need corners", id="square without a base"),
-    pytest.param(_clashing_site, SpanError, "object name 'P2' already used",
-                 id="two objects under one name"),
     pytest.param(lambda: star_subdivision_square(_a2(), (-1, 1)),
                  toric.SubdivisionError, "outside the support", id="ray outside the support"),
     pytest.param(lambda: star_subdivision_square(_a2(), (0, 0)),

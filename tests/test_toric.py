@@ -740,6 +740,27 @@ def test_a_dropped_fan_leaves_the_intern_table_with_what_it_keeps():
     assert not [k for k in keys if k in Fan._interned]
 
 
+def test_a_dropped_corpus_leaves_no_fan_in_the_intern_table():
+    # a builtin fan is held while it is in use, and no longer: one held for
+    # the whole process would keep each product and subdivision made from it
+    code = """
+import gc
+from kvar import corpus, toric
+p1 = toric.builtin_fan("P1")
+assert toric.builtin_fan("P1") is p1
+del p1
+for seed in (1, 2):
+    corp = corpus.generate(seed, 50)
+    del corp
+    gc.collect()
+    print(len(toric.Fan._interned))
+"""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(toric.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n0\n", "")
+
+
 def test_fans_freed_after_their_module_globals_are_gone_write_nothing_to_stderr():
     # At exit the interpreter sets the globals of a module still referenced
     # to None, then frees what they held: here the builtin fans, and every
