@@ -445,6 +445,7 @@ class RelationSet:
         self.relations: list = []
         self._resolved: dict = {}
         self._index: Optional[dict] = None  # target -> [(relation, replacement)]
+        self._blowups: Optional[dict] = None  # (X, C) -> its first blowup relation
 
     # -- declarations --------------------------------------------------------
 
@@ -464,8 +465,7 @@ class RelationSet:
                 raise InvalidRelationError(f"conflicting declarations for {name!r}")
             return
         self._gens[name] = GenInfo(name, dim, compact)
-        self._resolved.clear()
-        self._index = None
+        self._changed()
 
     def info(self, name: str) -> GenInfo:
         known = self._gens.get(name)  # builtins are never declared
@@ -516,9 +516,13 @@ class RelationSet:
                     f"relation over builtin generators fails by {total}"
                 )
         self.relations.append(rel)
-        self._resolved.clear()
-        self._index = None
+        self._changed()
         return rel
+
+    def _changed(self) -> None:
+        """Drop what was computed from the declarations so far."""
+        self._resolved.clear()
+        self._index = self._blowups = None
 
     def add_open(self, x: str, u: str, complement: str, **kw) -> Relation:
         return self.add_relation("open", {"X": x, "U": u, "complement": complement}, **kw)
@@ -545,11 +549,17 @@ class RelationSet:
                 )
 
     def find_blowup(self, x: str, c: str) -> Relation:
-        for rel in self.relations:
-            if rel.kind in ("smooth_blowup", "abstract_blowup"):
-                if rel.slot("X") == x and rel.slot("C") == c:
-                    return rel
-        raise RelationLookupError(f"no blowup relation declared for ({x}; {c})")
+        """The first blowup relation with slots X = ``x`` and C = ``c``,
+        from a table built once per state of the set."""
+        if self._blowups is None:
+            self._blowups = {}
+            for rel in self.relations:
+                if rel.kind in ("smooth_blowup", "abstract_blowup"):
+                    self._blowups.setdefault((rel.slot("X"), rel.slot("C")), rel)
+        rel = self._blowups.get((x, c))
+        if rel is None:
+            raise RelationLookupError(f"no blowup relation declared for ({x}; {c})")
+        return rel
 
     # -- rewriting -----------------------------------------------------------
 
@@ -735,6 +745,8 @@ class _Budget:
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
+        self.held = 0  # terms of the P<n> leaves met so far
+        self.terms: dict = {}  # generator name -> its terms if a P<n>, else 0
 
     def step(self, name: str) -> None:
         self.used += 1
@@ -752,6 +764,27 @@ class _Budget:
             raise RewriteBudgetError(
                 f"rewrite budget of {self.limit} exceeded while multiplying out a "
                 f"product of {left} by {right} terms")
+
+    def hold(self, nodes) -> None:
+        """Count the n + 1 terms of each ``P<n>`` leaf among ``nodes``, as
+        they are queued and before any of them is built: the leaves of one
+        normalization hold at most ``REWRITE_BUDGET`` terms in all, whatever
+        its step limit."""
+        for node in nodes:
+            if type(node) is Gen:
+                terms = self.terms.get(node.name)
+                if terms is None:
+                    series = _builtin_series(node.name)
+                    terms = series[1] + 1 if series and series[0] == "P" else 0
+                    self.terms[node.name] = terms
+                if terms:
+                    self.held += terms
+                    if self.held > REWRITE_BUDGET:
+                        raise RewriteBudgetError(
+                            f"{node.name} has {terms} terms, past the budget of "
+                            f"{REWRITE_BUDGET}" if terms == self.held else
+                            f"the P<n> leaves up to {node.name} have {self.held} "
+                            f"terms, past the budget of {REWRITE_BUDGET}")
 
 
 EMPTY_RELATIONS = RelationSet()
@@ -782,123 +815,153 @@ def standard_relations(max_dim: int = 4) -> RelationSet:
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# One re.findall call cuts the text into tokens: an integer, a name, one
+# of the symbols, or any other non-blank character, which is malformed.
+# The parser reads that list by index and compares tokens as plain
+# strings.  It checks each distinct name once per parse, and shares the
+# node of a name or integer between its occurrences (nodes are frozen and
+# compare by value).
+#
+# Errors come in the order a parser that reads one token ahead meets
+# them.  A malformed token (a stray character, an integer past the
+# interpreter's int-string digit limit) is reported as soon as the parser
+# reaches it, ahead of an unknown name or an undeclared blowup just before
+# it.  Positions are found only on an error, by cutting the text again.
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*();]))")
+_TOKENS = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|[+\-*();]|\S")
+_SQUARE_HEADS = ("Bl", "E")
+
+
+def _is_name(token: str) -> bool:
+    return token[:1].isascii() and token[:1].isalpha()
 
 
 class _Parser:
     def __init__(self, text: str, rels: RelationSet):
         self.text = text
         self.rels = rels
-        self.pos = 0
-        self.token = None
-        self.token_pos = 0
-        self.depth = 0  # open parentheses around the current position
-        self._advance()
-
-    def _advance(self):
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos:].strip()
-            if rest:
-                raise ParseError(f"unexpected character {rest[0]!r}", self.pos)
-            self.token = None
-            self.token_pos = len(self.text)
-            return
-        self.token_pos = m.start(m.lastindex)
-        if m.group(1):
-            try:
-                self.token = ("int", int(m.group(1)))
-            except ValueError:  # past the interpreter's int-string digit limit
-                raise ParseError("integer literal too long", self.token_pos) from None
-        elif m.group(2):
-            self.token = ("name", m.group(2))
-        else:
-            self.token = ("sym", m.group(3))
-        self.pos = m.end()
-
-    def _expect(self, sym: str):
-        if self.token != ("sym", sym):
-            raise ParseError(f"expected {sym!r}", self.token_pos)
-        self._advance()
+        self.tokens = _TOKENS.findall(text)
+        self.tokens.append("")  # the end of the input
+        self.i = 0  # the token to read next
+        self.depth = 0  # open parentheses around it
+        # token -> its Lit or Gen node; square heads stay out, since "Bl("
+        # and "E(" start a square term even where Bl or E is a generator
+        self.leaves: dict = {}
 
     def parse(self) -> Expr:
         expr = self.expr()
-        if self.token is not None:
-            raise ParseError("trailing input", self.token_pos)
+        if self.tokens[self.i]:
+            raise self._error("trailing input", self.i)
         return expr
 
     def expr(self) -> Expr:
         args, signs = [self.term()], [1]
-        while self.token in (("sym", "+"), ("sym", "-")):
-            signs.append(1 if self.token[1] == "+" else -1)
-            self._advance()
+        while self.tokens[self.i] in ("+", "-"):
+            signs.append(1 if self.tokens[self.i] == "+" else -1)
+            self.i += 1
             args.append(self.term())
         return args[0] if len(args) == 1 else Sum(tuple(args), tuple(signs))
 
     def term(self) -> Expr:
         args = [self.factor()]
-        while self.token == ("sym", "*"):
-            self._advance()
+        while self.tokens[self.i] == "*":
+            self.i += 1
             args.append(self.factor())
         return args[0] if len(args) == 1 else Prod(tuple(args))
 
     def factor(self) -> Expr:
-        tok = self.token
-        if tok is None:
-            raise ParseError("unexpected end of input", self.token_pos)
-        kind, value = tok
-        if kind == "int":
-            self._advance()
-            return Lit(value)
-        if kind == "sym" and value == "(":
+        i = self.i
+        token = self.tokens[i]
+        self.i = i + 1
+        leaf = self.leaves.get(token)
+        if leaf is not None:
+            return leaf
+        if token == "(":
             if self.depth == PARSE_NESTING_LIMIT:
-                raise ParseError(
-                    f"parentheses nested deeper than {PARSE_NESTING_LIMIT}", self.token_pos)
+                raise self._error(
+                    f"parentheses nested deeper than {PARSE_NESTING_LIMIT}", i)
             self.depth += 1
-            self._advance()
             node = self.expr()
-            self._expect(")")
+            self._expect(")", self.i)
+            self.i += 1
             self.depth -= 1
             return node
-        if kind == "name":
-            pos = self.token_pos
-            self._advance()
-            if value in ("Bl", "E") and self.token == ("sym", "("):
-                return self._square_term(value, pos)
-            return Gen(self._known(value, pos))
-        raise ParseError(f"unexpected token {value!r}", self.token_pos)
+        if token[:1].isdecimal():
+            try:
+                leaf = self.leaves[token] = Lit(int(token))
+            except ValueError:  # past the interpreter's int-string digit limit
+                raise self._error("integer literal too long", i) from None
+            return leaf
+        if _is_name(token):
+            if token in _SQUARE_HEADS and self.tokens[i + 1] == "(":
+                return self._square_term(token, i)
+            return self._gen(token, i)
+        if not token:
+            raise self._error("unexpected end of input", i)
+        raise self._error(f"unexpected token {token!r}", i)
 
-    def _square_term(self, head: str, pos: int) -> Expr:
-        self._expect("(")
-        x = self._name()
-        self._expect(";")
-        c = self._name()
-        self._expect(")")
+    def _square_term(self, head: str, i: int) -> Expr:
+        """``head(x;c)``, its head at token ``i``; tokens past the end of
+        the input are never read, since the last one, "", fails each test."""
+        x = self._name(i + 2)
+        self._expect(";", i + 3)
+        c = self._name(i + 4)
+        self._expect(")", i + 5)
+        self.i = i + 6
         try:
             rel = self.rels.find_blowup(x, c)
         except RelationLookupError as exc:
-            raise ParseError(str(exc), pos) from None
+            raise self._error(str(exc), i, i + 6) from None
         if head == "Bl":
             return BlowupTotal(x, c, rel.index)
         return ExcDivisor(x, c, rel.index)
 
-    def _name(self) -> str:
-        if self.token is None or self.token[0] != "name":
-            raise ParseError("expected a generator name", self.token_pos)
-        name, pos = self.token[1], self.token_pos
-        self._advance()
-        return self._known(name, pos)
+    def _expect(self, symbol: str, i: int) -> None:
+        if self.tokens[i] != symbol:
+            raise self._error(f"expected {symbol!r}", i)
 
-    def _known(self, name: str, pos: int) -> str:
-        """``name``, if it names a generator; a ParseError at ``pos`` if not."""
-        try:
-            known = self.rels.knows(name)
-        except UnknownGeneratorError as exc:
-            raise ParseError(str(exc), pos) from None
-        if not known:
-            raise ParseError(f"unknown generator {name!r}", pos)
-        return name
+    def _name(self, i: int) -> str:
+        """The generator named by token ``i``."""
+        token = self.tokens[i]
+        if not _is_name(token):
+            raise self._error("expected a generator name", i)
+        return self._gen(token, i).name
+
+    def _gen(self, name: str, i: int) -> Gen:
+        """The node of generator ``name``, the name at token ``i``, if the
+        relation set knows it; the lookup is made once per parse."""
+        gen = self.leaves.get(name)
+        if gen is None:
+            try:
+                known = self.rels.knows(name)
+            except UnknownGeneratorError as exc:
+                raise self._error(str(exc), i, i + 1) from None
+            if not known:
+                raise self._error(f"unknown generator {name!r}", i, i + 1)
+            gen = Gen(name)
+            if name not in _SQUARE_HEADS:
+                self.leaves[name] = gen
+        return gen
+
+    def _error(self, message: str, at: int, ahead: Optional[int] = None) -> ParseError:
+        """``message`` at the start of token ``at``, unless token ``ahead``
+        (by default ``at``), the furthest one the grammar has read, is
+        malformed: then the error of that token, which comes first."""
+        ahead = at if ahead is None else ahead
+        spans = [m.span() for m in _TOKENS.finditer(self.text)]
+        spans.append((len(self.text), len(self.text)))  # the end of the input
+        token = self.tokens[ahead]
+        if token[:1].isdecimal():
+            try:
+                int(token)
+            except ValueError:
+                return ParseError("integer literal too long", spans[ahead][0])
+        elif token and token not in "+-*();" and not _is_name(token):
+            # reported where the token before it ends, as a scan from there finds it
+            return ParseError(f"unexpected character {token!r}",
+                              spans[ahead - 1][1] if ahead else 0)
+        return ParseError(message, spans[at][0])
 
 
 def parse_expr(text: str, rels: Optional[RelationSet] = None) -> Expr:
@@ -928,13 +991,16 @@ def normalize(expr: Union[Expr, str, KClass],
     ``(node, sign, terms)``: each operand of a sum adds, with its sign,
     into the sum's monomial -> coefficient dict, and each factor of a
     product folds into a dict of its own; the dicts multiply out at the end,
-    each pair of terms multiplied at the cost of one budget step.
+    each pair of terms multiplied at the cost of one budget step.  The
+    ``P<n>`` leaves of a sum or product are counted as it is unfolded, so
+    that too many of their terms fail before a class is built.
     """
     rels = rels if rels is not None else EMPTY_RELATIONS
     expr = _as_expr(expr, rels)
     if isinstance(expr, KClass):
         return expr
     counter = _Budget(budget)
+    counter.hold((expr,))
     resolved = rels._resolved
     total: dict = {}
     stack: list = [(expr, 1, total)]
@@ -960,12 +1026,14 @@ def normalize(expr: Union[Expr, str, KClass],
             _add_terms(acc, cls._terms, sign)
         elif isinstance(node, Sum):
             args, signs, i = node.args, node.signs, len(node.args)
+            counter.hold(args)
             while i:  # right to left, so that the operands pop left to right
                 i -= 1
                 stack.append((args[i], sign * signs[i], acc))
         elif isinstance(node, Prod):
             factors = []  # in reverse order, which the commutative product ignores
             stack.append((factors, sign, acc, None))
+            counter.hold(node.args)
             for arg in reversed(node.args):
                 factors.append({})
                 stack.append((arg, 1, factors[-1]))

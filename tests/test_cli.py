@@ -150,6 +150,19 @@ def test_eval_of_a_product_past_the_rewrite_budget_ends_soon(capsys):
          "out a product of 2001 by 2001 terms")]
 
 
+@pytest.mark.parametrize("text", ["P999999*P999999",
+                                  "P999999 + P999999 + P999999 + P999999 + P999999"])
+def test_eval_of_p_leaves_past_the_term_budget_fails_before_building_them(capsys, text):
+    # each leaf is 10^6 terms, the whole budget, and took about 1 s to build
+    started = time.process_time()
+    assert main(["eval", text, "--format", "json"]) == 1
+    assert time.process_time() - started < 1.0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [(r["id"], r["status"], r["note"]) for r in records] == [
+        ("expression", "fail", "the P<n> leaves up to P999999 have 2000000 terms, "
+         "past the budget of 1000000")]
+
+
 def test_eval_relation_file_extends_the_standard_relations(tmp_path):
     path = tmp_path / "rels.json"
     path.write_text(json.dumps([

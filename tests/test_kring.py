@@ -1,5 +1,8 @@
 """Expression parsing, normalization, and the compact-presentation map."""
 
+import json
+import pathlib
+import re
 import sys
 import time
 
@@ -31,6 +34,7 @@ from kvar.kring import (
 )
 
 L = KClass.lefschetz
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def lpoly(*coeffs):
@@ -94,10 +98,22 @@ def test_parse_errors_carry_position():
     ("P1 )", "trailing input (at position 3)"),
     ("P2 + noSuch", "unknown generator 'noSuch' (at position 5)"),
     ("P1 * * 2", "unexpected token '*' (at position 5)"),
+    ("noSuch $", "unexpected character '$' (at position 6)"),  # before the unknown name
+    ("(pt $", "unexpected character '$' (at position 3)"),  # not "expected ')'"
+    ("Bl(P2;P1) $", "unexpected character '$' (at position 9)"),  # before the lookup
+    ("Bl(noSuch $", "unexpected character '$' (at position 9)"),
+    ("2 \u00b2", "unexpected character '\u00b2' (at position 1)"),  # a digit, not a decimal
+    ("Bl(", "expected a generator name (at position 3)"),
+    ("E(", "expected a generator name (at position 2)"),
+    ("Bl(P2", "expected ';' (at position 5)"),
+    ("Bl(P2;", "expected a generator name (at position 6)"),
+    ("Bl(P2;pt", "expected ')' (at position 8)"),
+    ("Bl(P2;P1)", "no blowup relation declared for (P2; P1) (at position 0)"),
+    ("Bl", "unknown generator 'Bl' (at position 0)"),
 ])
 def test_parse_error_texts(text, message):
     with pytest.raises(ParseError) as err:
-        parse_expr(text)
+        parse_expr(text, standard_relations())
     assert str(err.value) == message
 
 
@@ -108,6 +124,56 @@ def test_an_integer_literal_past_the_digit_limit_is_a_parse_error():
     assert str(err.value) == "integer literal too long (at position 5)"
     with pytest.raises(ParseError, match="unexpected character '\\$'"):
         parse_expr(f"P2 + $ {digits}")  # reached in order: the "$" comes first
+
+
+def test_parse_errors_match_the_pinned_fixture():
+    # tests/fixtures/parse_errors.json holds 500 malformed inputs and the
+    # error each raised in the parser before the token-list rewrite, written by
+    # tests/fixtures/make_parse_errors.py --seed 23 --count 500
+    entries = json.loads((FIXTURES / "parse_errors.json").read_text(encoding="utf-8"))
+    assert len(entries) == 500
+    rels = standard_relations()
+    for text, message, position in entries:
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, rels)
+        assert (str(err.value), err.value.position) == (message, position), text
+
+
+def _counted(monkeypatch, owner, name):
+    """Count the calls of function or method ``name`` of ``owner``."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_parsing_looks_each_name_and_the_blowups_up_once(monkeypatch):
+    rels = point_blowup_tower(70)
+    for k in range(20):
+        rels.add_open(f"V{k}", f"X{k + 1}", "pt", dims={f"V{k}": 2}, compact={f"V{k}": False})
+    assert len(rels.relations) == 90
+    clauses = [f"X{k % 70 + 1}" if k % 4 == 0 else f"Bl(X{k % 69 + 1};pt)" if k % 4 == 1
+               else f"E(X{k % 69 + 1};pt)*V{k % 20}" if k % 4 == 2 else "3*P2*Gm"
+               for k in range(200)]
+    text = " + ".join(clauses)
+    knows = _counted(monkeypatch, RelationSet, "knows")
+    slot = _counted(monkeypatch, kring.Relation, "slot")
+    tree = parse_expr(text, rels)
+    names = set(re.findall(r"[A-Za-z][A-Za-z0-9]*", text)) - {"Bl", "E"}
+    assert sorted(name for _, name in knows) == sorted(names)  # each name once
+    assert len(slot) <= 2 * len(rels.relations)  # one pass builds the blowup table
+    before = len(slot)
+    assert parse_expr(text, rels) == tree
+    assert len(slot) == before  # the table outlives the parse
+    with pytest.raises(ParseError, match="no blowup relation declared for"):
+        parse_expr("Bl(V0;pt)", rels)
+    rels.add_blowup("P1", "W", "pt", "V0", dims={"W": 2})
+    assert parse_expr("Bl(V0;pt)", rels).relation_index == 90
 
 
 def test_parse_nesting_limit_is_a_parse_error():
@@ -483,3 +549,19 @@ def test_each_pair_of_terms_of_a_product_costs_one_budget_step():
         normalize("P1*P1*P1", budget=9)
     with pytest.raises(RewriteBudgetError, match="product of 2 by 2 terms"):
         normalize("P1*P1*P1", budget=3)
+
+
+def test_p_leaves_are_counted_before_any_class_is_built(monkeypatch):
+    monkeypatch.setattr(kring, "REWRITE_BUDGET", 1000)
+    built = _counted(monkeypatch, kring, "builtin_class")
+    for text in ("P999*P999", "P999 + P999 + P999 + P999 + P999", "P999*(P999 + 1)"):
+        with pytest.raises(RewriteBudgetError, match=r"^the P<n> leaves up to P999 have 2000 "
+                           "terms, past the budget of 1000$"):
+            normalize(text, RelationSet())
+    # the leaves of one sum or product are counted together; the second
+    # P999 of the last text is counted as its sum unfolds, once the first is built
+    assert built == [("P999",)]
+    with pytest.raises(RewriteBudgetError, match=r"^P1000 has 1001 terms, past the budget"):
+        normalize("P1000", RelationSet())
+    assert normalize("P999", RelationSet()) == lpoly(*[1] * 1000)  # P<n> alone up to the budget
+    assert normalize("P1*P1*P1", RelationSet(), budget=10) == lpoly(1, 3, 3, 1)

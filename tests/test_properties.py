@@ -2,12 +2,13 @@
 
 import contextlib
 import io
+import sys
 
 from hypothesis import given, settings, strategies as st
 
 from kvar import cli
-from kvar.kring import (CompactificationTable, KClass, Lit, Sum, expr_to_text, g_map,
-                        normalize, parse_expr)
+from kvar.kring import (CompactificationTable, Expr, KClass, Lit, ParseError, Sum, expr_to_text,
+                        g_map, normalize, parse_expr, standard_relations)
 from kvar.measures import MeasureSpec, apply_measure
 
 GENS = ["pt", "empty", "P1", "P2", "A1", "A2", "Gm", "L"]
@@ -102,3 +103,22 @@ def test_eval_of_any_text_ends_in_a_report(text):
     # a leading "-" would read as an option, and "--" ends the options
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["eval", "--format", "json", "--", text]) in (0, 1)
+
+
+# the grammar's tokens and characters, some names the standard relations do
+# not know, characters outside the grammar and an integer past the digit limit
+GRAMMAR_PIECES = (list("+-*();PAEBl0129 \t") + ["Bl(", "E(", "P2", "pt", "Gm", "noSuch",
+                  "Bl(P2;pt)", "E(P3;pt)", "Bl(P2;P1)", "$", "\u00e9", "\u00b2", "\u0663",
+                  "9" * (sys.get_int_max_str_digits() + 1)])
+STANDARD = standard_relations()
+
+
+@given(st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=16).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_any_text_over_the_grammar_alphabet_parses_or_is_a_parse_error(text):
+    try:
+        tree = parse_expr(text, STANDARD)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+        return
+    assert isinstance(tree, Expr)
