@@ -745,8 +745,6 @@ class _Budget:
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
-        self.held = 0  # terms of the P<n> leaves met so far
-        self.terms: dict = {}  # generator name -> its terms if a P<n>, else 0
 
     def step(self, name: str) -> None:
         self.used += 1
@@ -765,26 +763,33 @@ class _Budget:
                 f"rewrite budget of {self.limit} exceeded while multiplying out a "
                 f"product of {left} by {right} terms")
 
-    def hold(self, nodes) -> None:
-        """Count the n + 1 terms of each ``P<n>`` leaf among ``nodes``, as
-        they are queued and before any of them is built: the leaves of one
-        normalization hold at most ``REWRITE_BUDGET`` terms in all, whatever
-        its step limit."""
-        for node in nodes:
-            if type(node) is Gen:
-                terms = self.terms.get(node.name)
-                if terms is None:
-                    series = _builtin_series(node.name)
-                    terms = series[1] + 1 if series and series[0] == "P" else 0
-                    self.terms[node.name] = terms
-                if terms:
-                    self.held += terms
-                    if self.held > REWRITE_BUDGET:
-                        raise RewriteBudgetError(
-                            f"{node.name} has {terms} terms, past the budget of "
-                            f"{REWRITE_BUDGET}" if terms == self.held else
-                            f"the P<n> leaves up to {node.name} have {self.held} "
-                            f"terms, past the budget of {REWRITE_BUDGET}")
+
+def _hold_p_leaves(expr: Expr) -> None:
+    """Count the n + 1 terms of each ``P<n>`` leaf of ``expr``, left to
+    right in one walk before any leaf is built: the leaves of one
+    normalization hold at most ``REWRITE_BUDGET`` terms in all, whatever
+    its step limit."""
+    held = 0
+    terms_of: dict = {}  # generator name -> its terms if a P<n>, else 0
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if type(node) is Sum or type(node) is Prod:
+            stack += node.args[::-1]
+        elif type(node) is Gen:
+            terms = terms_of.get(node.name)
+            if terms is None:
+                series = _builtin_series(node.name)
+                terms = terms_of[node.name] = (
+                    series[1] + 1 if series and series[0] == "P" else 0)
+            if terms:
+                held += terms
+                if held > REWRITE_BUDGET:
+                    raise RewriteBudgetError(
+                        f"{node.name} has {terms} terms, past the budget of "
+                        f"{REWRITE_BUDGET}" if terms == held else
+                        f"the P<n> leaves up to {node.name} have {held} "
+                        f"terms, past the budget of {REWRITE_BUDGET}")
 
 
 EMPTY_RELATIONS = RelationSet()
@@ -991,16 +996,16 @@ def normalize(expr: Union[Expr, str, KClass],
     ``(node, sign, terms)``: each operand of a sum adds, with its sign,
     into the sum's monomial -> coefficient dict, and each factor of a
     product folds into a dict of its own; the dicts multiply out at the end,
-    each pair of terms multiplied at the cost of one budget step.  The
-    ``P<n>`` leaves of a sum or product are counted as it is unfolded, so
-    that too many of their terms fail before a class is built.
+    each pair of terms multiplied at the cost of one budget step.  Every
+    ``P<n>`` leaf of the tree is counted before the fold, so that too many
+    of their terms fail before a class is built.
     """
     rels = rels if rels is not None else EMPTY_RELATIONS
     expr = _as_expr(expr, rels)
     if isinstance(expr, KClass):
         return expr
+    _hold_p_leaves(expr)
     counter = _Budget(budget)
-    counter.hold((expr,))
     resolved = rels._resolved
     total: dict = {}
     stack: list = [(expr, 1, total)]
@@ -1026,14 +1031,12 @@ def normalize(expr: Union[Expr, str, KClass],
             _add_terms(acc, cls._terms, sign)
         elif isinstance(node, Sum):
             args, signs, i = node.args, node.signs, len(node.args)
-            counter.hold(args)
             while i:  # right to left, so that the operands pop left to right
                 i -= 1
                 stack.append((args[i], sign * signs[i], acc))
         elif isinstance(node, Prod):
             factors = []  # in reverse order, which the commutative product ignores
             stack.append((factors, sign, acc, None))
-            counter.hold(node.args)
             for arg in reversed(node.args):
                 factors.append({})
                 stack.append((arg, 1, factors[-1]))

@@ -17,8 +17,6 @@ pulled-back sieves and compatibility with the dimension function.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -414,30 +412,9 @@ def _proper_status(span: SpanMorphism) -> CheckEntry:
         return CheckEntry(cond, "pass", "window equals the target fan")
     if window_fan.is_complete():
         return CheckEntry(cond, "pass", "window is complete")
-    if _covers_support(window_fan, tfan):
+    if toric.covers_support(window_fan, tfan):
         return CheckEntry(cond, "pass", "window support equals target support")
     return CheckEntry(cond, "fail", "window support differs from target support")
-
-
-def _covers_support(window_fan: Fan, target_fan: Fan) -> bool:
-    """Does the window's support contain the target's, so that the map is
-    proper (Fulton, Introduction to Toric Varieties, 2.4)?  Each window cone
-    lies in a target cone (``SpanMorphism._validate``), so the window cones
-    of dimension dim tau inside a maximal target cone tau must fill it.
-    They form a pure polyhedral set, which is tau when it is nonempty and
-    its frontier lies in the boundary of tau: a facet of those cones lies in
-    two of them if its orbit is tau (it meets the interior) and else in one."""
-    if window_fan.rank != target_fan.rank:
-        return False
-    for tau in target_fan.maximal_cones:
-        rays = set(tau.rays)
-        inside = [w for w in window_fan.cones if w.dim == tau.dim
-                  and rays.issuperset(target_fan.smallest_containing_cone(w).rays)]
-        facets = Counter(f for w in inside for f in w.faces() if f.dim == tau.dim - 1)
-        if not inside or any(n != (2 if target_fan.orbit_of(f) == tau else 1)
-                             for f, n in facets.items()):
-            return False
-    return True
 
 
 def validate_square(sq: DistinguishedSquare) -> SquareValidation:
@@ -706,27 +683,11 @@ class CCompleteVerdict:
         return self.found
 
 
-@toric.kept
-def _common_refinement_rank2(a: Fan, b: Fan) -> Fan:
-    """Common refinement of two rank-2 fans with equal support, kept on
-    ``a`` keyed by ``b``."""
-    rays = sorted(set(a.rays) | set(b.rays))
-    cones = {c for c in a.cones | b.cones if c.dim <= 1}
-    ordered = toric.sort_rays_ccw(rays)
-    for v, w in zip(ordered, ordered[1:] + ordered[:1]):
-        rep = (v[0] + w[0], v[1] + w[1])
-        in_a = any(c.dim == 2 and c.contains(rep) for c in a.cones)
-        in_b = any(c.dim == 2 and c.contains(rep) for c in b.cones)
-        if in_a and in_b:
-            cones.add(Cone(2, [v, w]))
-    return Fan.from_cones(2, cones)
-
-
 def _common_refinement_square(source: ToricObject, other: ToricObject) -> DistinguishedSquare:
     """The blowup square over ``source`` of its common refinement with
-    ``other``, a rank-2 fan of the same support."""
+    ``other``, a fan of the same support (else a ``ToricError``)."""
     name = f"{source.name}&{other.name}"
-    w_fan = _common_refinement_rank2(source.fan, other.fan)
+    w_fan = toric.common_refinement(source.fan, other.fan)
     return _refinement_square(ToricObject(name, w_fan), source, f"{name}-center",
                               f"{name}-exc", (w_fan, source.fan))
 
@@ -735,11 +696,13 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
                      depth: int = 3) -> CCompleteVerdict:
     """Search the pulled-back sieve f*<i,p> for a simple cover of f's source.
 
-    Implements the toric-representable constructions: pullback of the
-    square along proper refinements (common refinement of fans), the
-    same-ray star subdivision for open immersions into a blowup base, and
-    completion gluing for restriction spans into a localization base.
-    Anything beyond these returns not-found-at-depth with a note.
+    Implements the toric-representable constructions, at every rank:
+    pullback of the square along proper refinements (common refinement of
+    fans), the same-ray star subdivision for open immersions into a blowup
+    base, and, into a localization base, completion glueing for a
+    refinement of the base and the common refinement with another
+    completion.  A glue that breaks the fan condition, or a completion of
+    another support, is not-found with a note, as is anything beyond these.
     """
     if f.target.geometry != sq.base.geometry:
         raise SpanError("the morphism must target the square's base")
@@ -767,17 +730,14 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
 
     if isinstance(sq.provenance, StarSubdivision):
         if full_window:
-            # proper refinement Z -> X: pull the square back (rank 2).  A
-            # proper full-window span has the support of X, the precondition
-            # of the common refinement
+            # proper refinement Z -> X: pull the square back.  A proper
+            # full-window span has the support of X, the precondition of the
+            # common refinement
             if _proper_status(f).status == "fail":
                 return CCompleteVerdict(False, None, None, "not proper")
-            unrepresentable = "fiber-product fan not representable at rank > 2"
-            if source.fan.rank != 2:
-                return CCompleteVerdict(False, None, None, unrepresentable)
             return _cover_verdict(f, sq, _common_refinement_square(source, sq.Y),
                                   "pulled-back square via common refinement",
-                                  unrepresentable)
+                                  "refinement cover not inside the pulled-back sieve")
         if f.window == sq.base.cones:
             # open immersion Z <- X: subdivide the big fan at the same ray
             try:
@@ -792,15 +752,14 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
 
     if sq.kind == "localization":
         x_obj, window = sq.Y, sq.p_leg.window
-        if source.fan.rank != 2:
-            return CCompleteVerdict(False, None, None,
-                                    "localization glueing implemented for surfaces only")
         if full_window:
-            # proper Z -> U with |Z| = |U|: extend the refinement over X
+            # proper Z -> U with |Z| = |U|: extend the refinement over X.
+            # From rank 3 a refinement may subdivide a face that U shares
+            # with the boundary, and the glued cones are then not a fan
             boundary = [c for c in x_obj.fan.cones if c not in window]
             try:
-                glued = Fan(2, set(source.fan.cones) | set(boundary) |
-                            set(itertools.chain.from_iterable(c.faces() for c in boundary)))
+                glued = Fan.from_cones(source.fan.rank, source.fan.cones.union(boundary))
+                glued._check_pairwise()
             except toric.ToricError:
                 return CCompleteVerdict(False, None, None,
                                         "non-toric glue required for this pullback")
@@ -816,7 +775,11 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
                                   "glued cover is not inside the pulled-back sieve")
         if f.window == window:
             # restriction span X' -> U from another completion of U
-            return _cover_verdict(f, sq, _common_refinement_square(source, x_obj),
+            try:
+                refinement = _common_refinement_square(source, x_obj)
+            except toric.ToricError as exc:
+                return CCompleteVerdict(False, None, None, str(exc))
+            return _cover_verdict(f, sq, refinement,
                                   "dominating completion via common refinement",
                                   "refinement cover not inside the pulled-back sieve")
     return CCompleteVerdict(False, None, None, "no toric-representable pullback found")

@@ -13,8 +13,10 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -70,7 +72,7 @@ def primitive(v: Sequence[int]) -> Vector:
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def _rref(rows: List[List[Fraction]]) -> Tuple[int, List[List[Fraction]], List[int]]:
@@ -154,7 +156,8 @@ def _check_rank(rank) -> None:
 
 
 class Cone:
-    """Strongly convex rational polyhedral cone, stored by its primitive rays.
+    """Strongly convex rational polyhedral cone, stored by its primitive rays:
+    every generator must be a ray, an extreme one, of the cone.
 
     The facet description (span equations plus facet inequalities) is
     computed once, by enumerating supporting hyperplanes through
@@ -187,6 +190,10 @@ class Cone:
         inst = cls._blank(key)
         if inst._lineality_rank() != 0:
             raise NotStronglyConvexError(f"cone{rays} contains a line")
+        for r in rays if len(rays) > inst.dim else ():  # a simplicial cone's are rays
+            tight = [f for f in inst.facet_normals if dot(f, r) == 0]
+            if sum(all(dot(f, s) == 0 for f in tight) for s in rays) > 1:
+                raise ToricError(f"generator {r} is not a ray of cone{rays}")
         cls._interned[key] = inst
         return inst
 
@@ -336,27 +343,30 @@ class Cone:
         return g == 1
 
     def intersect(self, other: "Cone") -> "Cone":
-        """Exact intersection, via extreme-ray enumeration of the combined
-        halfspace description."""
+        """Exact intersection, by the face rule.  A point x of the meet lies
+        in the relative interiors of a face F of self and a face G of other;
+        near x the meet is the meet of their tangent cones, whose lineality
+        space is span F & span G, so x spans a ray of the meet exactly when
+        that is the line through x.  Every generator is a ray, so dim F = 1
+        is a generator of self lying in other and dim G = 1 the converse;
+        else 2 <= dim F, dim G < rank and dim F + dim G <= rank + 1, as two
+        spans meet in at least their dimensions less the rank (no such pair
+        at rank 2)."""
+        if self is other:
+            return self
         if self.rank != other.rank:
             raise ToricError("rank mismatch")
-        equalities = list(self.span_equations) + list(other.span_equations)
-        inequalities = list(self.facet_normals) + list(other.facet_normals)
-        space = nullspace(equalities, self.rank)
-        d = len(space)
-        if d == 0:
-            return Cone(self.rank, ())
-        rays = {}
-        max_size = min(len(inequalities), max(self.rank - 1, 0))
-        for k in range(0, max_size + 1):
-            for subset in itertools.combinations(inequalities, k):
-                kernel = nullspace(equalities + list(subset), self.rank)
-                if len(kernel) != 1:
-                    continue
-                for cand in (kernel[0], tuple(-x for x in kernel[0])):
-                    if self.contains(cand) and other.contains(cand):
-                        rays[cand] = True
-        return Cone(self.rank, list(rays))
+        rays = {r for r in self.rays if other.contains(r)}
+        rays.update(r for r in other.rays if self.contains(r))
+        for f in self.faces():
+            if 2 <= f.dim < self.rank:
+                for g in other.faces():
+                    if 2 <= g.dim <= self.rank + 1 - f.dim:
+                        line = nullspace(f.span_equations + g.span_equations, self.rank)
+                        if len(line) == 1:
+                            rays.update(v for v in (line[0], tuple(-x for x in line[0]))
+                                        if self.contains(v) and other.contains(v))
+        return Cone(self.rank, rays)
 
     def __eq__(self, other) -> bool:
         # type(self), not the module global: the weak fan table's callbacks
@@ -409,8 +419,8 @@ class Fan:
     smoothness, rays, maximal cones, the class, point and cone containment,
     the closedness and class of a cone subset, the product with another
     fan, the star subdivision at a ray, the rank-2 completion, the common
-    refinement with another fan (``spansite``) and the boundary inside a
-    completion (``csupport``).
+    refinement with another fan of the same support, at any rank, and the
+    boundary inside a completion (``csupport``).
     """
 
     __slots__ = ("rank", "cones", "_by_rays", "_flags", "__weakref__")
@@ -724,6 +734,46 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]],
 
 def fan_properties(fan: Fan) -> FanProperties:
     return FanProperties(fan.is_complete(), fan.is_smooth(), fan.dimension())
+
+
+@kept
+def common_refinement(a: Fan, b: Fan) -> Fan:
+    """The fan of the meets of the cones of two fans of one support, at any
+    rank (Fulton, Introduction to Toric Varieties, 1.2 and 2.4), kept on
+    ``a`` keyed by ``b``.  Every meet is a face of a meet of two maximal
+    cones.  A facet hyperplane of one cone that has the other on its far
+    side puts their meet in a facet, a face of a meet across it, so that
+    pair is skipped; the support test sees any meet missed.  Fans of
+    different supports raise a ``ToricError``."""
+    refined = Fan.from_cones(a.rank, [
+        s.intersect(t) for s in a.maximal_cones for t in b.maximal_cones
+        if not any(all(dot(f, r) <= 0 for r in y.rays)
+                   for x, y in ((s, t), (t, s)) for f in x.facet_normals)])
+    if not (a.is_complete() and b.is_complete()
+            or covers_support(refined, a) and covers_support(refined, b)):
+        raise ToricError("the fans have different supports: no common refinement")
+    return refined
+
+
+def covers_support(window_fan: Fan, target_fan: Fan) -> bool:
+    """Does the window's support contain the target's, so that the map is
+    proper (Fulton, Introduction to Toric Varieties, 2.4)?  Each window cone
+    must lie in a target cone, so the window cones of dimension dim tau in a
+    maximal target cone tau must fill it.  They form a pure polyhedral set,
+    which is tau when it is nonempty and its frontier lies in the boundary
+    of tau: a facet of those cones lies in two of them if its orbit is tau
+    (it meets the interior) and else in one."""
+    if window_fan.rank != target_fan.rank:
+        return False
+    for tau in target_fan.maximal_cones:
+        rays = set(tau.rays)
+        inside = [w for w in window_fan.cones if w.dim == tau.dim
+                  and rays.issuperset(target_fan.smallest_containing_cone(w).rays)]
+        facets = Counter(f for w in inside for f in w.faces() if f.dim == tau.dim - 1)
+        if not inside or any(n != (2 if target_fan.orbit_of(f) == tau else 1)
+                             for f, n in facets.items()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

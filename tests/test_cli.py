@@ -151,7 +151,8 @@ def test_eval_of_a_product_past_the_rewrite_budget_ends_soon(capsys):
 
 
 @pytest.mark.parametrize("text", ["P999999*P999999",
-                                  "P999999 + P999999 + P999999 + P999999 + P999999"])
+                                  "P999999 + P999999 + P999999 + P999999 + P999999",
+                                  "P999999*(P999999 + 1)"])
 def test_eval_of_p_leaves_past_the_term_budget_fails_before_building_them(capsys, text):
     # each leaf is 10^6 terms, the whole budget, and took about 1 s to build
     started = time.process_time()
@@ -286,6 +287,9 @@ def test_exit_code_contract(tmp_path):
     # input errors: exit 2 with one line on stderr, never a traceback
     no_rank = tmp_path / "no_rank.json"
     no_rank.write_text('{"rays": [[1, 0]], "maximal_cones": [[0]]}')
+    redundant = tmp_path / "redundant.json"  # A2 with the generator (1, 1), not a ray
+    redundant.write_text('{"rank": 2, "rays": [[1, 0], [1, 1], [0, 1]], '
+                         '"maximal_cones": [[0, 1, 2]]}')
     no_slots = tmp_path / "no_slots.json"
     no_slots.write_text('[{"kind": "open", "dims": {"X": 1}}]')
     no_kind = tmp_path / "no_kind.json"
@@ -349,6 +353,7 @@ def test_exit_code_contract(tmp_path):
                   "--depth", str(MAX_DEPTH + 1)],
                  ["check"],
                  ["fan", str(no_rank)],
+                 ["fan", str(redundant), "--props"],
                  ["eval", "P1", "--relations", str(no_slots)]):
         proc = subprocess.run([sys.executable, "-m", "kvar.cli", *argv],
                               capture_output=True, text=True)

@@ -558,9 +558,9 @@ def test_p_leaves_are_counted_before_any_class_is_built(monkeypatch):
         with pytest.raises(RewriteBudgetError, match=r"^the P<n> leaves up to P999 have 2000 "
                            "terms, past the budget of 1000$"):
             normalize(text, RelationSet())
-    # the leaves of one sum or product are counted together; the second
-    # P999 of the last text is counted as its sum unfolds, once the first is built
-    assert built == [("P999",)]
+    # every leaf of the tree is counted before any is built, the P999
+    # nested in the last text's sum too
+    assert built == []
     with pytest.raises(RewriteBudgetError, match=r"^P1000 has 1001 terms, past the budget"):
         normalize("P1000", RelationSet())
     assert normalize("P999", RelationSet()) == lpoly(*[1] * 1000)  # P<n> alone up to the budget

@@ -403,6 +403,62 @@ def test_c_complete_not_found_is_reported(p2):
         False, None, None, "no toric-representable pullback found")
 
 
+def p1xp2():
+    return ToricObject("P1xP2", builtin_fan("P1").product(builtin_fan("P2")))
+
+
+@pytest.mark.parametrize("square_ray, other_ray, smooth", [
+    ((1, 1, 1), (1, 2, 1), True), ((1, 1, 0), (1, 0, 1), False),
+    ((1, 2, 1), (1, 1, 1), True), ((-1, 1, 1), (1, 1, 1), True)])
+def test_c_complete_pulls_a_rank_three_square_back_along_another_blowdown(
+        square_ray, other_ray, smooth):
+    x = p1xp2()
+    sq = star_subdivision_square(x, square_ray)
+    other = star_subdivision_square(x, other_ray)
+    verdict = check_c_complete(sq, other.p_leg)
+    assert (verdict.found, verdict.depth_used, verdict.note) == (
+        True, 1, "pulled-back square via common refinement")
+    refinement = verdict.cover.node.square
+    assert refinement.base is other.Y and refinement.Y.fan.is_smooth() is smooth
+    assert refinement.Y.fan == toric.common_refinement(other.Y.fan, sq.Y.fan)
+    for square in _cover_squares(verdict.cover):
+        report = validate_square(square)
+        assert report.ok and report.jointly_surjective, report.entries
+
+
+def _rank_three_localization():
+    """The localization square of P1xP2 over U, the affine chart of the
+    cone on the unit vectors."""
+    sigma = Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    return localization_square(p1xp2(), frozenset(sigma.faces()), u_name="U")
+
+
+@pytest.mark.parametrize("ray, found, note", [
+    ((1, 1, 1), True, "glued completion over the refinement"),
+    # both subdivide a 2-cone that U shares with the boundary
+    ((1, 1, 0), False, "non-toric glue required for this pullback"),
+    ((0, 1, 1), False, "non-toric glue required for this pullback")])
+def test_c_complete_glues_a_rank_three_refinement_only_into_a_fan(ray, found, note):
+    lsq = _rank_three_localization()
+    z = toric.star_subdivide(lsq.base.fan, ray).fan
+    verdict = check_c_complete(lsq, SpanMorphism(ToricObject("Z", z), lsq.base, z.cones))
+    assert (verdict.found, verdict.note) == (found, note)
+    if found:
+        assert verdict.depth_used == 1
+        report = validate_square(verdict.cover.node.square)
+        assert report.ok and report.jointly_surjective
+
+
+def test_c_complete_over_a_completion_of_another_support_is_not_found(p2):
+    a2_cones = frozenset(builtin_fan("A2").cones)
+    lsq = localization_square(p2, a2_cones, u_name="U")
+    # A2 and the cone of (0, 1), (-1, 0): not complete, so not a completion
+    other = toric.Fan.from_cones(2, [Cone(2, [(1, 0), (0, 1)]), Cone(2, [(0, 1), (-1, 0)])])
+    verdict = check_c_complete(lsq, SpanMorphism(ToricObject("X'", other), lsq.base, a2_cones))
+    assert (verdict.found, verdict.cover, verdict.depth_used, verdict.note) == (
+        False, None, None, "the fans have different supports: no common refinement")
+
+
 # -- dimension compatibility ---------------------------------------------------------
 
 def test_dim_compatible_blowup_direct(p2):
@@ -441,23 +497,23 @@ def test_dim_compatible_fails_on_a_blowup_without_a_dimension_drop(p2):
 
 
 def test_support_comparison_detects_slivers():
-    from kvar.spansite import _covers_support
+    from kvar.toric import covers_support
 
     p2_fan = builtin_fan("P2")
     f1 = toric.star_subdivide(p2_fan, (1, 1)).fan
     missing = Cone(2, [(1, 0), (1, 1)])
     partial = toric.Fan.from_cones(
         2, [c for c in f1.maximal_cones if c != missing])
-    assert _covers_support(f1, p2_fan)
-    assert not _covers_support(partial, p2_fan)
-    assert _covers_support(partial, partial)
-    assert not _covers_support(builtin_fan("A1"), builtin_fan("P1"))
+    assert covers_support(f1, p2_fan)
+    assert not covers_support(partial, p2_fan)
+    assert covers_support(partial, partial)
+    assert not covers_support(builtin_fan("A1"), builtin_fan("P1"))
     # a missing interior slice among many rays of one quadrant
     rays = [(1, 0), (3, 1), (2, 1), (1, 1), (1, 2), (1, 3), (0, 1)]
     quadrant = [Cone(2, [rays[i], rays[i + 1]]) for i in range(len(rays) - 1)]
-    assert _covers_support(toric.Fan.from_cones(2, quadrant), builtin_fan("A2"))
+    assert covers_support(toric.Fan.from_cones(2, quadrant), builtin_fan("A2"))
     sliced = toric.Fan.from_cones(2, quadrant[:3] + quadrant[4:])
-    assert not _covers_support(sliced, builtin_fan("A2"))
+    assert not covers_support(sliced, builtin_fan("A2"))
 
 
 def octant_fan():
@@ -465,19 +521,19 @@ def octant_fan():
 
 
 def test_support_comparison_at_rank_three():
-    from kvar.spansite import _covers_support
+    from kvar.toric import covers_support
 
     def without_one(fan):
         return toric.Fan.from_cones(fan.rank, fan.maximal_cones[1:])
 
     cube = builtin_fan("P1xP1").product(builtin_fan("P1"))
     subdivided = toric.star_subdivide(cube, (1, 1, 1)).fan
-    assert _covers_support(subdivided, cube)
-    assert not _covers_support(without_one(cube), cube)
+    assert covers_support(subdivided, cube)
+    assert not covers_support(without_one(cube), cube)
     octant = octant_fan()
     split = toric.star_subdivide(octant, (1, 1, 1)).fan
-    assert _covers_support(split, octant)
-    assert not _covers_support(without_one(split), octant)
+    assert covers_support(split, octant)
+    assert not covers_support(without_one(split), octant)
 
 
 def test_a_rank_three_refinement_is_decided_proper():

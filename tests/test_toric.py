@@ -65,6 +65,21 @@ def test_cone_rejects_bad_input():
         Cone(2, [(1, 0), (-1, 1), (0, -1)])  # full plane
 
 
+@pytest.mark.parametrize("rays", [
+    [(1, 0), (1, 1), (0, 1)],                                  # inside the 2-cone
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)],              # inside a facet
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],              # inside the 3-cone
+    [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]])  # inside a square
+def test_a_generator_that_is_not_a_ray_of_its_cone_is_rejected(rays):
+    key = (len(rays[0]), tuple(sorted(rays)))
+    for _ in range(2):
+        with pytest.raises(toric.ToricError, match=r"^generator .* is not a ray of cone"):
+            Cone(len(rays[0]), rays)
+        assert key not in Cone._interned
+    with pytest.raises(toric.ToricError, match="is not a ray"):
+        build_fan(2, [(1, 0), (1, 1), (0, 1)], [(0, 1, 2)])
+
+
 def test_cone_smoothness():
     assert Cone(2, [(1, 0), (0, 1)]).is_smooth()
     assert not Cone(2, [(0, 1), (2, -1)]).is_smooth()  # determinant 2
@@ -78,6 +93,65 @@ def test_cone_intersection_is_exact():
     meet = a.intersect(b)
     assert meet.rays == ((1, 2), (2, 1))
     assert Cone(2, [(1, 0)]).intersect(Cone(2, [(0, 1)])).dim == 0
+
+
+def _halfspace_meet(a: Cone, b: Cone) -> Cone:
+    """The meet by the extreme rays of the joint half-space description:
+    each line that both cones' span equations and at most rank - 1 of
+    their facet inequalities cut out, in the direction that both cones
+    hold."""
+    equalities = list(a.span_equations) + list(b.span_equations)
+    inequalities = list(a.facet_normals) + list(b.facet_normals)
+    rays = set()
+    for k in range(min(len(inequalities), max(a.rank - 1, 0)) + 1):
+        for subset in itertools.combinations(inequalities, k):
+            kernel = nullspace(equalities + list(subset), a.rank)
+            if len(kernel) == 1:
+                rays.update(v for v in (kernel[0], tuple(-x for x in kernel[0]))
+                            if a.contains(v) and b.contains(v))
+    return Cone(a.rank, rays)
+
+
+# points in convex position, one set per rank: the rays over any subset
+# of one set, all at one height, are the rays of the cone they generate
+_SECTIONS = {1: [()], 2: [(1,), (-1,)],
+             3: [(2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)],
+             4: list(itertools.product((1, -1), repeat=3))}
+
+
+@st.composite
+def cones_with_rays(draw, rank):
+    """The cone over some points of a convex section, shifted, at a height
+    of either sign."""
+    points = draw(st.lists(st.sampled_from(_SECTIONS[rank]), unique=True))
+    shift = draw(st.tuples(*[st.integers(-2, 2)] * (rank - 1)))
+    height = draw(st.sampled_from([2, 1, 3, -1]))
+    return Cone(rank, [toric.primitive(tuple(x + y for x, y in zip(p, shift)) + (height,))
+                       for p in points])
+
+
+@st.composite
+def cone_pairs(draw):
+    rank = draw(st.integers(1, 4))
+    return draw(cones_with_rays(rank)), draw(cones_with_rays(rank))
+
+
+@given(cone_pairs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_the_meet_is_the_half_space_meet(pair):
+    a, b = pair
+    meet = _halfspace_meet(a, b)
+    assert a.intersect(b) is meet and b.intersect(a) is meet
+
+
+def test_the_meet_of_every_cone_pair_of_a_corpus_fan_is_the_half_space_meet():
+    fans = corpus.generate(1, 50).all_fans()
+    assert {fan.rank for fan in fans} == {2, 3}
+    pairs = {pair for fan in fans
+             for pair in itertools.combinations(sorted(fan.cones, key=lambda c: c.rays), 2)}
+    assert len(pairs) == 2696
+    for a, b in pairs:
+        assert a.intersect(b) is _halfspace_meet(a, b), (a, b)
 
 
 def test_cone_interning_shares_instances():
@@ -635,6 +709,57 @@ def test_memoised_closedness_is_the_definition_on_every_cone_subset(name):
         assert sum(k[0] is memo for k in fan._flags if isinstance(k, tuple)) == len(subsets)
 
 
+# -- common refinement ------------------------------------------------------------
+
+def _p1xp2_star(ray):
+    return star_subdivide(builtin_fan("P1").product(builtin_fan("P2")), ray).fan
+
+
+def _octant():
+    return Fan.from_cones(3, [Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])])
+
+
+def _refinement_pairs():
+    """Pairs of fans of one support: star subdivisions of P1xP2 (the rays
+    of the rank-3 c_complete cases), of the octant, which is not
+    complete, and the corpus squares' Y and X at size 10."""
+    pairs = [(_p1xp2_star(a), _p1xp2_star(b))
+             for a, b in (((1, 1, 1), (1, 2, 1)), ((1, 1, 0), (1, 0, 1)),
+                          ((-1, 1, 1), (1, 1, 1)))]
+    pairs.append((star_subdivide(_octant(), (1, 1, 1)).fan,
+                  star_subdivide(_octant(), (1, 1, 0)).fan))
+    pairs.append((star_subdivide(builtin_fan("A2"), (1, 2)).fan,
+                  star_subdivide(builtin_fan("A2"), (2, 1)).fan))
+    pairs += list(dict.fromkeys((sq.Y.fan, sq.base.fan) for sq in corpus.generate(1, 10).squares))
+    return pairs
+
+
+def test_the_common_refinement_is_the_fan_of_all_meets():
+    pairs = _refinement_pairs()
+    assert {a.rank for a, _ in pairs} == {2, 3}
+    assert not all(a.is_complete() for a, _ in pairs)
+    for a, b in pairs:
+        refined = toric.common_refinement(a, b)
+        assert refined.cones == {s.intersect(t) for s in a.cones for t in b.cones}
+        assert toric.common_refinement(b, a) is refined
+        assert toric.common_refinement(a, a) is a
+        for c in refined.cones:  # each cone lies in a cone of both fans
+            assert a.smallest_containing_cone(c) is not None
+            assert b.smallest_containing_cone(c) is not None
+
+
+def test_fans_of_different_supports_have_no_common_refinement():
+    octant = _octant()
+    cube = builtin_fan("P1xP1").product(builtin_fan("P1"))
+    sliced = Fan.from_cones(2, star_subdivide(builtin_fan("P2"), (1, 1)).fan.maximal_cones[1:])
+    for a, b in ((octant, cube), (sliced, builtin_fan("P2")),
+                 (builtin_fan("A1"), builtin_fan("P1")), (builtin_fan("P1"), builtin_fan("P2"))):
+        for x, y in ((a, b), (b, a)):
+            for _ in range(2):  # raised again, not kept
+                with pytest.raises(toric.ToricError):
+                    toric.common_refinement(x, y)
+
+
 # -- what each interned fan keeps ------------------------------------------------
 
 def _smallest_containing_cone_by_definition(fan: Fan, cone: Cone):
@@ -660,9 +785,9 @@ def test_each_kept_fan_construction_is_its_fresh_computation():
                 expected = _smallest_containing_cone_by_definition(b, c)
                 assert b.smallest_containing_cone(c) is expected
                 assert b.smallest_containing_cone(c) is expected  # kept
-            refined = spansite._common_refinement_rank2(a, b)
-            assert refined is spansite._common_refinement_rank2.__wrapped__(a, b)
-            assert spansite._common_refinement_rank2(a, b) is refined
+            refined = toric.common_refinement(a, b)
+            assert refined is toric.common_refinement.__wrapped__(a, b)
+            assert toric.common_refinement(a, b) is refined
     for case in corp.independence:
         for choice in (case.choice_a, case.choice_b):
             completion = choice.compact_obj.fan
@@ -726,8 +851,8 @@ def _build_and_keep():
     product = fan.product(builtin_fan("P1"))
     completion = complete_surface(fan)
     sd = star_subdivide(completion, toric.primitive(completion.maximal_cones[0].representative()))
-    refined = spansite._common_refinement_rank2(completion, sd.fan)
-    spansite._common_refinement_rank2(sd.fan, completion)
+    refined = toric.common_refinement(completion, sd.fan)
+    toric.common_refinement(sd.fan, completion)
     csupport._completion_choice(spansite.ToricObject("U", fan), completion)
     for c in completion.cones:
         sd.fan.smallest_containing_cone(c)
@@ -771,8 +896,8 @@ def test_fans_freed_after_their_module_globals_are_gone_write_nothing_to_stderr(
 from kvar import corpus, spansite, toric
 corp = corpus.generate(1, 10)
 for sq in corp.squares:  # kept constructions that refer to each other
-    spansite._common_refinement_rank2(sq.Y.fan, sq.base.fan)
-    spansite._common_refinement_rank2(sq.base.fan, sq.Y.fan)
+    toric.common_refinement(sq.Y.fan, sq.base.fan)
+    toric.common_refinement(sq.base.fan, sq.Y.fan)
 for fan in corp.all_fans():
     key = (fan.rank, fan.cones)
     del toric.Fan._interned[key]
