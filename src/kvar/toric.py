@@ -210,15 +210,23 @@ class Cone:
 
     @classmethod
     def product(cls, a: "Cone", b: "Cone") -> "Cone":
-        """The product cone a x b in the sum of the two lattices.
+        """The product cone a x b in the sum of the two lattices, with its
+        faces.
 
-        Its faces are the products of a face of a and a face of b (Fulton,
-        Introduction to Toric Varieties, 1.2), so its facet normals are the
-        factors' facet normals padded with zeros, and so are its span
-        equations; both come out exactly as ``Cone`` computes them from the
-        rays.  Padded primitive rays stay primitive and distinct, and a
-        product of strongly convex cones is strongly convex, so nothing is
-        left to validate.  The result is interned like any cone.
+        Its faces are the products f x g of a face f of a and a face g of b
+        (Fulton, Introduction to Toric Varieties, 1.2): a functional
+        (u, v) >= 0 on a x b is >= 0 on a and on b, since both contain 0,
+        so it vanishes at (x, y) exactly when u vanishes at x and v at y;
+        its face is the product of the faces u and v cut out, and each such
+        product is cut out so.  Distinct face pairs give distinct products,
+        as their padded rays differ.  So the faces are those products,
+        interned here from the factors' faces with no facet subset
+        enumerated, and the facet normals are the factors' facet normals
+        padded with zeros, as are the span equations; all come out exactly
+        as ``Cone`` computes them from the rays.  Padded primitive rays stay
+        primitive and distinct, and a product of strongly convex cones is
+        strongly convex, so nothing is left to validate.  The result is
+        interned like any cone.
         """
         pad_a, pad_b = (0,) * b.rank, (0,) * a.rank
         rays = sorted([r + pad_a for r in a.rays] + [pad_b + s for s in b.rays])
@@ -232,6 +240,8 @@ class Cone:
                           + tuple(pad_b + e for e in b.span_equations))
         inst._facets = tuple(sorted([f + pad_a for f in a.facet_normals]
                                     + [pad_b + f for f in b.facet_normals]))
+        inst._faces = tuple(inst if f is a and g is b else cls.product(f, g)
+                            for f in a.faces() for g in b.faces())
         cls._interned[key] = inst
         return inst
 
@@ -391,18 +401,26 @@ def kept(compute):
     hashable, normalised arguments, in the fan's ``_flags``, keyed by
     ``compute`` alone or with the arguments: it lives and dies with the
     fan.  An error is not kept, so it is raised again on every call.
+
+    ``keeper.keep(fan, value, *args)`` keeps ``value`` as that result
+    without computing it, unless one is kept already: for a value that
+    follows from other fans (``Fan.product``).  It is the only other code
+    that writes ``_flags``.
     """
     @functools.wraps(compute)
     def keeper(fan, *args):
         key = (compute,) + args if args else compute
-        flags = fan._flags
         try:
-            return flags[key]
+            return fan._flags[key]
         except KeyError:
             pass
-        value = flags[key] = compute(fan, *args)
+        value = fan._flags[key] = compute(fan, *args)
         return value
 
+    def keep(fan, value, *args) -> None:
+        fan._flags.setdefault((compute,) + args if args else compute, value)
+
+    keeper.keep = keep
     return keeper
 
 
@@ -421,6 +439,10 @@ class Fan:
     fan, the star subdivision at a ray, the rank-2 completion, the common
     refinement with another fan of the same support, at any rank, and the
     boundary inside a completion (``csupport``).
+
+    A product fan (``product``) still validates in full.  Its cones come
+    with their faces, so the face-closure check finds each face known, and
+    its factors give its maximal cones, completeness, smoothness and class.
     """
 
     __slots__ = ("rank", "cones", "_by_rays", "_flags", "__weakref__")
@@ -627,8 +649,34 @@ class Fan:
 
     @kept
     def product(self, other: "Fan") -> "Fan":
-        return Fan(self.rank + other.rank,
-                   {Cone.product(a, b) for a in self.cones for b in other.cones})
+        """The product fan, whose cones are the products a x b of a cone of
+        each factor (Fulton, Introduction to Toric Varieties, 1.2), kept on
+        ``self`` keyed by ``other``.  Each product cone comes with its faces
+        (``Cone.product``), so ``Fan`` validates face closure in full
+        without enumerating a facet subset.  The rest follows from the
+        factors and is kept on the product as it is built:
+
+        - maximal cones: a x b is a face of a' x b' exactly when a is a face
+          of a' and b of b', so a x b is maximal exactly when a and b are;
+        - completeness: the support is the product of the supports, which is
+          the whole space exactly when both are (with an empty factor the
+          product is empty, and not complete);
+        - the class: the orbit of a x b is the product of the orbits of a
+          and b, so (L - 1)^(codim a + codim b) summed over the pairs is the
+          product of the factors' classes;
+        - smoothness: a x b is smooth exactly when a and b are (bases of the
+          two lattices join to a basis of their sum), so the product is
+          smooth when both factors are, or when it is empty.
+        """
+        fan = Fan(self.rank + other.rank,
+                  {Cone.product(a, b) for a in self.cones for b in other.cones})
+        Fan.maximal_cones.fget.keep(fan, tuple(sorted(
+            (Cone.product(a, b) for a in self.maximal_cones for b in other.maximal_cones),
+            key=lambda c: c.rays)))
+        Fan.is_complete.keep(fan, self.is_complete() and other.is_complete())
+        Fan.is_smooth.keep(fan, fan.is_empty() or (self.is_smooth() and other.is_smooth()))
+        Fan._class.keep(fan, self._class() * other._class())
+        return fan
 
     def __eq__(self, other) -> bool:
         return isinstance(other, type(self)) and self.rank == other.rank and self.cones == other.cones
@@ -664,6 +712,7 @@ class Fan:
         if not isinstance(data, dict):
             raise ToricError("a fan file is a JSON object")
         rank, rays, maximal = (data.get(k) for k in ("rank", "rays", "maximal_cones"))
+        torus = data.get("dense_torus", False)
 
         def int_rows(rows, length=None, bound=None) -> bool:
             return isinstance(rows, list) and all(
@@ -678,9 +727,11 @@ class Fan:
             raise ToricError(f'fan file: "rays" must be a list of integer vectors of length {rank}')
         if not int_rows(maximal, bound=len(rays)):
             raise ToricError('fan file: "maximal_cones" must be a list of lists of ray indices')
+        if type(torus) is not bool:
+            raise ToricError('fan file: "dense_torus" must be true or false')
         rays = [tuple(r) for r in rays]
         maximal = [tuple(ix) for ix in maximal]
-        if data.get("dense_torus") and not maximal:
+        if torus and not maximal:
             maximal = [()]
         return build_fan(rank, rays, maximal)
 

@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import json
+import math
 import sys
 
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from kvar import cli
 from kvar.kring import (CompactificationTable, Expr, KClass, Lit, ParseError, Sum, expr_to_text,
                         g_map, normalize, parse_expr, standard_relations)
 from kvar.measures import MeasureSpec, apply_measure
+from kvar.toric import sort_rays_ccw
 
 GENS = ["pt", "empty", "P1", "P2", "A1", "A2", "Gm", "L"]
 
@@ -122,3 +125,96 @@ def test_any_text_over_the_grammar_alphabet_parses_or_is_a_parse_error(text):
         assert 0 <= err.position <= len(text)
         return
     assert isinstance(tree, Expr)
+
+
+# -- fan files ------------------------------------------------------------------
+
+RAYS_2 = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda v: math.gcd(*v) == 1)
+
+
+def _rank2_fan(draw, max_rays):
+    """Rays in counterclockwise order, a subset of the 2-cones between
+    neighbours less than a half-turn apart, and the other rays as 1-cones."""
+    rays = sort_rays_ccw(draw(st.lists(RAYS_2, max_size=max_rays, unique=True)))
+    pairs = [[i, (i + 1) % len(rays)] for i, (v, w) in enumerate(zip(rays, rays[1:] + rays[:1]))
+             if v[0] * w[1] > v[1] * w[0]]
+    maximal = [p for p in pairs if draw(st.booleans())]
+    covered = {i for cone in maximal for i in cone}
+    maximal += [[i] for i in range(len(rays)) if i not in covered]
+    return rays, maximal
+
+
+@st.composite
+def fan_files(draw):
+    """A well-formed ``kvar fan`` file at rank 1, 2 or 3: cones of the fan
+    of P1, a rank-2 fan, a set of octants, the product of a rank-2 fan with
+    a rank-1 one, or a dense torus."""
+    shape = draw(st.sampled_from(["P1", "surface", "octants", "product", "torus"]))
+    if shape == "P1":
+        rank, rays = 1, draw(st.lists(st.sampled_from([(1,), (-1,)]), unique=True))
+        maximal = [[i] for i in range(len(rays))]
+    elif shape == "surface":
+        rank, (rays, maximal) = 2, _rank2_fan(draw, 6)
+    elif shape == "octants":
+        rank, rays = 3, [(s * (i == 0), s * (i == 1), s * (i == 2))
+                         for i in range(3) for s in (1, -1)]
+        signs = draw(st.lists(st.tuples(*[st.sampled_from([0, 1])] * 3), unique=True,
+                              max_size=8))
+        maximal = [[2 * i + sign[i] for i in range(3)] for sign in signs]
+    elif shape == "product":
+        surface, cones = _rank2_fan(draw, 4)
+        line = [(1,), (-1,)][:draw(st.integers(0, 2))]
+        rank, rays = 3, [r + (0,) for r in surface] + [(0, 0) + r for r in line]
+        maximal = [c + [len(surface) + i] for c in cones for i in range(len(line))] or cones
+    else:
+        rank = draw(st.integers(1, 3))
+        return {"rank": rank, "rays": [], "maximal_cones": [], "dense_torus": True}
+    return {"rank": rank, "rays": [list(r) for r in rays], "maximal_cones": maximal}
+
+
+WRONG_TYPES = {"rank": ["2", 2.0, True, None, [2], {}],
+               "rays": [{}, "rays", 3, [[1.5, 0]], [["1", "0"]], [[True, False]], [None]],
+               "maximal_cones": [{}, "0", [0], [[0.0]], [[True]], [["0"]], [[-1]], [[99]]],
+               "dense_torus": ["yes", [], {}, 1]}
+
+
+@st.composite
+def mutated_fan_files(draw):
+    """A fan file, maybe broken: a cone dropped, a non-primitive or zero ray
+    added, a wrong rank, or a field of the wrong JSON type."""
+    data = draw(fan_files())
+    mutation = draw(st.sampled_from(["none", "drop", "ray", "rank", "type"]))
+    if mutation == "drop" and data["maximal_cones"]:
+        del data["maximal_cones"][draw(st.integers(0, len(data["maximal_cones"]) - 1))]
+    elif mutation == "ray":
+        scale = draw(st.sampled_from([0, 2, -3]))
+        ray = draw(st.sampled_from(data["rays"] or [[1] * data["rank"]]))
+        data["rays"].append([scale * x for x in ray])
+        if draw(st.booleans()):
+            data["maximal_cones"].append([len(data["rays"]) - 1])
+    elif mutation == "rank":
+        data["rank"] = draw(st.sampled_from([data["rank"] - 1, data["rank"] + 1, -1, 0]))
+    elif mutation == "type":
+        field = draw(st.sampled_from(sorted(WRONG_TYPES)))
+        data[field] = draw(st.sampled_from(WRONG_TYPES[field]))
+    return mutation, data
+
+
+@given(mutated_fan_files())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_fan_file_ends_in_a_report_or_one_error_line(tmp_path_factory, case):
+    mutation, data = case
+    path = tmp_path_factory.mktemp("fan") / "fan.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(["fan", str(path)])
+    if status == 2:
+        assert not out.getvalue()
+        assert err.getvalue().startswith("kvar: error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert status in (0, 1) and out.getvalue() and not err.getvalue()
+        assert mutation != "type"
+    if mutation == "none":
+        assert status == 0

@@ -297,6 +297,62 @@ def test_product_cone_is_interned_with_the_cone_of_its_rays():
     assert Cone.product(Cone(2, [(5, 2), (1, 7)]), Cone(1, [(1,)])) is q
 
 
+def _product_factors():
+    """Factor pairs: every Kunneth pair of a size-50 corpus, P1 times each
+    of its surfaces, the steps to P1^3 and to Gm^3, and products with an
+    empty fan, the rank-0 fan and a singular surface."""
+    corp = corpus.generate(1, 50)
+    p1, gm, p2 = builtin_fan("P1"), builtin_fan("Gm"), builtin_fan("P2")
+    p112 = build_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+    pairs = [(a.fan, b.fan) for a, b in corp.kunneth_pairs]
+    pairs += [(p1, s.fan) for s in corp.surfaces]
+    pairs += [(p1, p1), (p1.product(p1), p1), (gm, gm), (gm.product(gm), gm)]
+    pairs += [(Fan(2, []), p1), (Fan(0, [Cone(0, [])]), p2), (Fan(1, []), p112), (p1, p112)]
+    return pairs
+
+
+def test_a_product_fan_has_what_its_own_computation_gives():
+    # the faces, maximal cones, completeness, smoothness and class that a
+    # product takes from its factors, against facet enumeration and the
+    # undecorated computations on the product itself
+    cones = set()
+    for a, b in _product_factors():
+        fan = a.product(b)
+        cones |= fan.cones
+        assert fan.maximal_cones == Fan.maximal_cones.fget.__wrapped__(fan)
+        assert fan.maximal_cones == _maximal_by_subset_scan(fan)
+        assert fan.is_complete() is Fan.is_complete.__wrapped__(fan)
+        assert fan.is_smooth() is Fan.is_smooth.__wrapped__(fan)
+        assert fan.class_of() == Fan._class.__wrapped__(fan)
+    for cone in cones:
+        assert set(cone.faces()) == set(Cone._blank((cone.rank, cone.rays)).faces())
+
+
+def test_a_fresh_product_fan_enumerates_no_face_of_its_cones(monkeypatch):
+    # two corpus surfaces whose product no earlier test built: its top
+    # cone is not interned yet
+    surfaces = [o.fan for o in corpus.generate(907, 50).surfaces]
+
+    def top_cone_key(x, y):
+        a, b = x.maximal_cones[-1], y.maximal_cones[-1]
+        return (4, tuple(sorted([r + (0, 0) for r in a.rays] + [(0, 0) + s for s in b.rays])))
+
+    x, y = next((x, y) for x in surfaces for y in surfaces
+                if top_cone_key(x, y) not in Cone._interned)
+    enumerated = []
+    faces = Cone.faces
+
+    def recording(cone):
+        if cone._faces is None:
+            enumerated.append(cone)
+        return faces(cone)
+
+    monkeypatch.setattr(Cone, "faces", recording)
+    fan = x.product(y)
+    assert top_cone_key(x, y) in Cone._interned and len(fan.cones) > 1
+    assert not enumerated
+
+
 # -- fan construction ------------------------------------------------------------
 
 def test_build_fan_p1():
