@@ -401,26 +401,18 @@ def kept(compute):
     hashable, normalised arguments, in the fan's ``_flags``, keyed by
     ``compute`` alone or with the arguments: it lives and dies with the
     fan.  An error is not kept, so it is raised again on every call.
-
-    ``keeper.keep(fan, value, *args)`` keeps ``value`` as that result
-    without computing it, unless one is kept already: for a value that
-    follows from other fans (``Fan.product``).  It is the only other code
-    that writes ``_flags``.
     """
     @functools.wraps(compute)
     def keeper(fan, *args):
         key = (compute,) + args if args else compute
+        flags = fan._flags
         try:
-            return fan._flags[key]
+            return flags[key]
         except KeyError:
             pass
-        value = fan._flags[key] = compute(fan, *args)
+        value = flags[key] = compute(fan, *args)
         return value
 
-    def keep(fan, value, *args) -> None:
-        fan._flags.setdefault((compute,) + args if args else compute, value)
-
-    keeper.keep = keep
     return keeper
 
 
@@ -440,9 +432,10 @@ class Fan:
     refinement with another fan of the same support, at any rank, and the
     boundary inside a completion (``csupport``).
 
-    A product fan (``product``) still validates in full.  Its cones come
-    with their faces, so the face-closure check finds each face known, and
-    its factors give its maximal cones, completeness, smoothness and class.
+    A product fan (``product``) validates in full and computes its maximal
+    cones, completeness, smoothness and class from its own cones, like any
+    fan; only its cones come with their faces (``Cone.product``), so no
+    face is enumerated on the way.
     """
 
     __slots__ = ("rank", "cones", "_by_rays", "_flags", "__weakref__")
@@ -649,34 +642,11 @@ class Fan:
 
     @kept
     def product(self, other: "Fan") -> "Fan":
-        """The product fan, whose cones are the products a x b of a cone of
-        each factor (Fulton, Introduction to Toric Varieties, 1.2), kept on
-        ``self`` keyed by ``other``.  Each product cone comes with its faces
-        (``Cone.product``), so ``Fan`` validates face closure in full
-        without enumerating a facet subset.  The rest follows from the
-        factors and is kept on the product as it is built:
-
-        - maximal cones: a x b is a face of a' x b' exactly when a is a face
-          of a' and b of b', so a x b is maximal exactly when a and b are;
-        - completeness: the support is the product of the supports, which is
-          the whole space exactly when both are (with an empty factor the
-          product is empty, and not complete);
-        - the class: the orbit of a x b is the product of the orbits of a
-          and b, so (L - 1)^(codim a + codim b) summed over the pairs is the
-          product of the factors' classes;
-        - smoothness: a x b is smooth exactly when a and b are (bases of the
-          two lattices join to a basis of their sum), so the product is
-          smooth when both factors are, or when it is empty.
-        """
-        fan = Fan(self.rank + other.rank,
-                  {Cone.product(a, b) for a in self.cones for b in other.cones})
-        Fan.maximal_cones.fget.keep(fan, tuple(sorted(
-            (Cone.product(a, b) for a in self.maximal_cones for b in other.maximal_cones),
-            key=lambda c: c.rays)))
-        Fan.is_complete.keep(fan, self.is_complete() and other.is_complete())
-        Fan.is_smooth.keep(fan, fan.is_empty() or (self.is_smooth() and other.is_smooth()))
-        Fan._class.keep(fan, self._class() * other._class())
-        return fan
+        """The product fan: the products a x b of a cone of each factor
+        (Fulton, Introduction to Toric Varieties, 1.2), kept on ``self``
+        keyed by ``other``."""
+        return Fan(self.rank + other.rank,
+                   {Cone.product(a, b) for a in self.cones for b in other.cones})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, type(self)) and self.rank == other.rank and self.cones == other.cones

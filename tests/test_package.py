@@ -139,42 +139,6 @@ def test_only_toric_reaches_what_a_fan_keeps():
         assert not named, (path.name, named)
 
 
-DICT_WRITES = {"setdefault", "update", "pop", "popitem", "clear"}
-
-
-def _flags_writes(tree):
-    """The nodes that write into a ``_flags`` dict: a subscript stored or
-    deleted, a call of a dict method that changes it, or a name bound to
-    it, through which it could be written unseen."""
-    def is_flags(node):
-        return isinstance(node, ast.Attribute) and node.attr == "_flags"
-
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
-                and is_flags(node.value)):
-            yield node
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in DICT_WRITES and is_flags(node.func.value)):
-            yield node
-        elif isinstance(node, (ast.Assign, ast.NamedExpr)) and is_flags(node.value):
-            yield node
-
-
-def test_only_toric_kept_writes_what_a_fan_keeps():
-    # kept computes or stores every value a fan keeps, so one memo idiom
-    # holds also for values stored without computing them (Fan.product)
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(), str(path))
-        inside = set()
-        if path.name == "toric.py":
-            kept = next(node for node in tree.body
-                        if isinstance(node, ast.FunctionDef) and node.name == "kept")
-            inside = {id(node) for node in _flags_writes(kept)}
-            assert len(inside) >= 2  # the computed value and the stored one
-        outside = [node.lineno for node in _flags_writes(tree) if id(node) not in inside]
-        assert not outside, (path.name, outside)
-
-
 @pytest.mark.parametrize("load, error", [(Fan.from_json, ToricError),
                                          (RelationSet.from_json, InvalidRelationError),
                                          (registrations_from_json, MeasureError)])

@@ -311,34 +311,32 @@ def _product_factors():
     return pairs
 
 
-def test_a_product_fan_has_what_its_own_computation_gives():
-    # the faces, maximal cones, completeness, smoothness and class that a
-    # product takes from its factors, against facet enumeration and the
-    # undecorated computations on the product itself
+def test_a_product_fan_agrees_with_its_factors():
+    # every product cone's faces against facet enumeration, and the
+    # product's own maximal cones, completeness, smoothness and class
+    # against what its factors give (Fulton, 1.2)
     cones = set()
     for a, b in _product_factors():
         fan = a.product(b)
         cones |= fan.cones
-        assert fan.maximal_cones == Fan.maximal_cones.fget.__wrapped__(fan)
         assert fan.maximal_cones == _maximal_by_subset_scan(fan)
-        assert fan.is_complete() is Fan.is_complete.__wrapped__(fan)
-        assert fan.is_smooth() is Fan.is_smooth.__wrapped__(fan)
-        assert fan.class_of() == Fan._class.__wrapped__(fan)
+        assert fan.maximal_cones == tuple(sorted(
+            (Cone.product(x, y) for x in a.maximal_cones for y in b.maximal_cones),
+            key=lambda c: c.rays))
+        assert fan.is_complete() is (a.is_complete() and b.is_complete())
+        assert fan.is_smooth() is (fan.is_empty() or (a.is_smooth() and b.is_smooth()))
+        assert fan.class_of() == a.class_of() * b.class_of()
     for cone in cones:
         assert set(cone.faces()) == set(Cone._blank((cone.rank, cone.rays)).faces())
 
 
 def test_a_fresh_product_fan_enumerates_no_face_of_its_cones(monkeypatch):
-    # two corpus surfaces whose product no earlier test built: its top
-    # cone is not interned yet
-    surfaces = [o.fan for o in corpus.generate(907, 50).surfaces]
-
-    def top_cone_key(x, y):
-        a, b = x.maximal_cones[-1], y.maximal_cones[-1]
-        return (4, tuple(sorted([r + (0, 0) for r in a.rays] + [(0, 0) + s for s in b.rays])))
-
-    x, y = next((x, y) for x in surfaces for y in surfaces
-                if top_cone_key(x, y) not in Cone._interned)
+    # two complete surfaces with rays no other test uses, so no cone of
+    # their product is interned before it is built here
+    x = build_fan(2, [(1, 0), (0, 1), (-7, -11)], [(0, 1), (1, 2), (0, 2)])
+    y = build_fan(2, [(1, 0), (0, 1), (-13, -17)], [(0, 1), (1, 2), (0, 2)])
+    top = (4, ((-7, -11, 0, 0), (0, 0, -13, -17), (0, 0, 0, 1), (0, 1, 0, 0)))
+    assert top not in Cone._interned, "the product of x and y was built before this test"
     enumerated = []
     faces = Cone.faces
 
@@ -349,7 +347,7 @@ def test_a_fresh_product_fan_enumerates_no_face_of_its_cones(monkeypatch):
 
     monkeypatch.setattr(Cone, "faces", recording)
     fan = x.product(y)
-    assert top_cone_key(x, y) in Cone._interned and len(fan.cones) > 1
+    assert Cone._interned[top] in fan.cones and len(fan.cones) == 49
     assert not enumerated
 
 
