@@ -6,6 +6,7 @@ all in exact integer arithmetic.
 """
 
 from kvar import toric
+from kvar.spansite import ToricObject, star_subdivision_square
 from kvar.toric import build_fan, builtin_fan, complete_surface, fan_properties
 
 print("== builtin fans ==")
@@ -23,19 +24,19 @@ print("  (the cone <e2, -e1+2e2> has determinant -2: a quotient singularity)")
 
 print()
 print("== star subdivision = blowup ==")
-sd = toric.star_subdivide(builtin_fan("P2"), (1, 1))
+square = star_subdivision_square(ToricObject("P2", builtin_fan("P2")), (1, 1))
 print("  blowing up P2 at the fixed point of <e1,e2>:")
-print("  new fan rays:", sd.fan.rays)
-print("  [Y] =", sd.fan.class_of(), " [E] =", sd.exceptional_class(),
-      " [C] =", sd.center_class())
-lhs = sd.exceptional_class() + sd.parent.class_of()
-rhs = sd.center_class() + sd.fan.class_of()
+print("  new fan rays:", square.Y.fan.rays)
+print("  [Y] =", square.Y.kclass(), " [E] =", square.E.kclass(),
+      " [C] =", square.C.kclass())
+lhs = square.E.kclass() + square.base.kclass()
+rhs = square.C.kclass() + square.Y.kclass()
 print("  [E] + [X] == [C] + [Y]:", lhs == rhs, "| both:", lhs)
 
 print()
 print("== orbit counting over finite fields ==")
 for q in (2, 3, 4, 5):
-    print(f"  #F1(F_{q}) =", sd.fan.orbit_count(q))
+    print(f"  #F1(F_{q}) =", square.Y.fan.orbit_count(q))
 
 print()
 print("== surface completion (the computable stand-in for compactification) ==")

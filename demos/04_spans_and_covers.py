@@ -44,7 +44,7 @@ print("  jointly surjective on orbits:", report.jointly_surjective)
 
 loc = localization_square(p2, frozenset(c for c in p2.fan.cones if c.dim == 0))
 print("  localization square (P2, torus): closed part class =",
-      loc.corners["upper_left"].kclass())
+      loc.E.kclass())
 
 print()
 print("== simple covers ==")

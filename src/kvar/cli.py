@@ -620,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--measure", action="append", dest="measures",
-                        help="euler | e | poincare | count:<q> (repeatable)")
+                        help="euler | chi | e | e_poly | poincare | virtual_poincare | "
+                             "count:<q> (repeatable)")
     common.add_argument("--depth", type=int, default=3,
                         help=f"simple-cover search bound, 0 to {MAX_DEPTH} (default 3)")
     common.add_argument("--format", choices=("text", "json"), default="text")

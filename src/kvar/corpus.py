@@ -210,7 +210,7 @@ def generate(seed: int, size: int) -> Corpus:
             corpus.c_complete_cases.append((sq, f))
     for sq in corpus.loc_squares:
         u_obj = sq.base
-        cases = [identity_span(u_obj), sq.p_leg, zero_span(sq.corners["upper_right"], u_obj)]
+        cases = [identity_span(u_obj), sq.p_leg, zero_span(sq.Y, u_obj)]
         if not u_obj.fan.is_complete():
             completion = toric.complete_surface(u_obj.fan)
             alt_fan = toric.alternative_completion(completion, u_obj.fan) or completion

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple
 
 from kvar.kring import KClass, KringError, signed_sum_text
 
@@ -175,7 +175,8 @@ class MeasureSpec:
 
     @staticmethod
     def parse(text: str) -> "MeasureSpec":
-        """Parse CLI-style selectors: euler | e | poincare | count:<q>."""
+        """Parse CLI-style selectors: euler | chi | e | e_poly | poincare |
+        virtual_poincare | count:<q>."""
         if text in ("euler", "chi"):
             return MeasureSpec("euler")
         if text in ("e", "e_poly"):
@@ -191,79 +192,30 @@ class MeasureSpec:
         raise MeasureError(f"unknown measure {text!r}")
 
 
-Registration = Mapping[Tuple[str, str], MeasureValue]
-
-
-def apply_measure(spec: MeasureSpec, cls: KClass,
-                  registrations: Optional[Registration] = None) -> MeasureValue:
+def apply_measure(spec: MeasureSpec, cls: KClass) -> MeasureValue:
     """Substitute the measure into a canonical class.
 
-    Residual generators must be registered: ``registrations`` maps
-    (generator name, selector) to a MeasureValue.  Every builtin image of L
-    is a monomial c x^k, so coeff L^e goes to coeff c^e at degree k e (times
-    the values of the term's generators), with no power of the image.
+    A residual generator has no value under a builtin measure, so a class
+    with one raises ``UnresolvedGeneratorError`` naming its first.  Every
+    builtin image of L is a monomial c x^k, so coeff L^e goes to coeff c^e
+    at degree k e, with no power of the image.
     """
+    residual = cls.residual()
+    if residual:
+        _, names, _ = residual[0]
+        raise UnresolvedGeneratorError(
+            f"no {spec.name} value registered for generator {names[0]!r}")
     lval = spec.lefschetz_image()
     k = lval.degree()
     c = lval.coefficient(k)
     sums: dict = {}
-    # each view is sorted by exponent: one running power of c per view
+    # the view is sorted by exponent: one running power of c
     power, at = 1, 0
     for exp, coeff in cls.lpolynomial():
         power, at = power * c ** (exp - at), exp
         sums[k * exp] = sums.get(k * exp, 0) + coeff * power
     var = lval.var if max(sums, default=0) else None  # past degree 0 only
-    power, at = 1, 0
-    for exp, names, coeff in cls.residual():
-        power, at = power * c ** (exp - at), exp
-        term = MeasureValue.integer(coeff * power)
-        for name in names:
-            value = (registrations or {}).get((name, spec.selector))
-            if value is None:
-                raise UnresolvedGeneratorError(
-                    f"no {spec.name} value registered for generator {name!r}"
-                )
-            term = term * value
-        if term.coeffs:
-            var = _join(var, _join(lval.var if k * exp else None, term.var))
-            for degree, a in enumerate(term.coeffs, k * exp):
-                sums[degree] = sums.get(degree, 0) + a
     return MeasureValue([sums.get(d, 0) for d in range(max(sums, default=-1) + 1)], var)
-
-
-def registrations_from_json(records: Union[str, list]) -> dict:
-    """Measure registration file: list of {generator, measure, value}.
-
-    A value is an integer or {"var": name, "coeffs": [integers, constant
-    term first]}; a record of any other shape raises ``MeasureError``.
-    """
-    import json
-
-    if isinstance(records, str):
-        try:
-            records = json.loads(records)
-        except (ValueError, RecursionError) as exc:  # nesting too deep to decode
-            raise MeasureError(f"registrations are not JSON: {exc}") from None
-    if not isinstance(records, list):
-        raise MeasureError("registrations are a list of records")
-    table = {}
-    for rec in records:
-        if not (isinstance(rec, dict) and isinstance(rec.get("generator"), str)
-                and isinstance(rec.get("measure"), str) and "value" in rec):
-            raise MeasureError(f"registration {rec!r} needs a string \"generator\", "
-                               "a string \"measure\" and a \"value\"")
-        value = rec["value"]
-        if type(value) is int:
-            mv = MeasureValue.integer(value)
-        elif (isinstance(value, dict) and isinstance(value.get("var"), str)
-              and isinstance(value.get("coeffs"), list)
-              and all(type(c) is int for c in value["coeffs"])):
-            mv = MeasureValue(value["coeffs"], value["var"])
-        else:
-            raise MeasureError(f"registration value {value!r} is neither an integer "
-                               "nor {\"var\": name, \"coeffs\": [integers]}")
-        table[(rec["generator"], rec["measure"])] = mv
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -701,8 +701,27 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
     fans), the same-ray star subdivision for open immersions into a blowup
     base, and, into a localization base, completion glueing for a
     refinement of the base and the common refinement with another
-    completion.  A glue that breaks the fan condition, or a completion of
-    another support, is not-found with a note, as is anything beyond these.
+    completion.  A glue that breaks the fan condition, a glued cover
+    outside the sieve, or a completion of another support, is not-found
+    with a note, as is anything beyond these.
+
+    The other covers lie in the sieve by construction, so f composed with
+    their leaves is not tested against it.  In the first and the last, W
+    is the common refinement, and the centre leaf holds the cones of the
+    source that are not cones of W.
+
+    - Refinement Z -> X, proper with full window.  A cone of W lies in a
+      cone of Y, so W -> X lifts to W -> Y.  A cone of Z that is not a cone
+      of W lies in no cone of Y, so the cone of X whose relative interior
+      holds it is not a cone of Y: it is in C, and the centre leaf factors
+      through i.
+    - Open immersion X -> Z, the window all cones of X.  The centre is a
+      cone of X, so of Z, of dimension at least 2 with the ray in its
+      relative interior, so Z subdivides at the ray.  Over X, Bl Z is
+      Bl X, so that leaf lifts, and the centre of Z meets X in C.
+    - Restriction X' -> U from another completion.  The cones of U are
+      cones of X and of X', so of W: the centre leaf misses the window and
+      is zero, and W -> X' -> U lifts to W -> X.
     """
     if f.target.geometry != sq.base.geometry:
         raise SpanError("the morphism must target the square's base")
@@ -735,27 +754,22 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
             # common refinement
             if _proper_status(f).status == "fail":
                 return CCompleteVerdict(False, None, None, "not proper")
-            return _cover_verdict(f, sq, _common_refinement_square(source, sq.Y),
-                                  "pulled-back square via common refinement",
-                                  "refinement cover not inside the pulled-back sieve")
+            return CCompleteVerdict(True, square_cover(_common_refinement_square(source, sq.Y)),
+                                    1, "pulled-back square via common refinement")
         if f.window == sq.base.cones:
             # open immersion Z <- X: subdivide the big fan at the same ray
-            try:
-                big_square = star_subdivision_square(source, sq.provenance.new_ray)
-            except toric.ToricError as exc:
-                return CCompleteVerdict(False, None, None,
-                                        f"cannot subdivide the larger fan: {exc}")
-            return _cover_verdict(f, sq, big_square, "square over the larger fan, same ray",
-                                  "no toric-representable pullback found")
+            big_square = star_subdivision_square(source, sq.provenance.new_ray)
+            return CCompleteVerdict(True, square_cover(big_square), 1,
+                                    "square over the larger fan, same ray")
         return CCompleteVerdict(False, None, None,
                                 "no toric-representable pullback found")
 
     if sq.kind == "localization":
         x_obj, window = sq.Y, sq.p_leg.window
         if full_window:
-            # proper Z -> U with |Z| = |U|: extend the refinement over X.
-            # From rank 3 a refinement may subdivide a face that U shares
-            # with the boundary, and the glued cones are then not a fan
+            # Z -> U with the window all of Z: extend Z over X.  From rank 3
+            # a refinement may subdivide a face that U shares with the
+            # boundary, and the glued cones are then not a fan
             boundary = [c for c in x_obj.fan.cones if c not in window]
             try:
                 glued = Fan.from_cones(source.fan.rank, source.fan.cones.union(boundary))
@@ -771,28 +785,22 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
             loc.maps["right"] = SpanMorphism(g_obj, source, frozenset(source.fan.cones),
                                              "restriction to the open")
             loc.maps["bottom"] = zero_span(EMPTY, source)
-            return _cover_verdict(f, sq, loc, "glued completion over the refinement",
-                                  "glued cover is not inside the pulled-back sieve")
+            # f is not checked proper here: for an open Z of U, the glued
+            # completion lifts to X by a span that is not proper
+            cover = square_cover(loc)
+            if all(in_sieve(compose(f, leaf), sq) for leaf in cover.leaves()):
+                return CCompleteVerdict(True, cover, 1, "glued completion over the refinement")
+            return CCompleteVerdict(False, None, None,
+                                    "glued cover is not inside the pulled-back sieve")
         if f.window == window:
             # restriction span X' -> U from another completion of U
             try:
                 refinement = _common_refinement_square(source, x_obj)
             except toric.ToricError as exc:
                 return CCompleteVerdict(False, None, None, str(exc))
-            return _cover_verdict(f, sq, refinement,
-                                  "dominating completion via common refinement",
-                                  "refinement cover not inside the pulled-back sieve")
+            return CCompleteVerdict(True, square_cover(refinement), 1,
+                                    "dominating completion via common refinement")
     return CCompleteVerdict(False, None, None, "no toric-representable pullback found")
-
-
-def _cover_verdict(f: SpanMorphism, sq: DistinguishedSquare, square: DistinguishedSquare,
-                   found: str, missing: str) -> CCompleteVerdict:
-    """The cover of ``square``, found at depth 1 when f composed with each
-    of its leaves lies in the sieve of ``sq``."""
-    cover = square_cover(square)
-    if all(in_sieve(compose(f, leaf), sq) for leaf in cover.leaves()):
-        return CCompleteVerdict(True, cover, 1, found)
-    return CCompleteVerdict(False, None, None, missing)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ from kvar.kring import KClass
 
 Vector = Tuple[int, ...]
 
+# the largest rank of a fan file: a dense torus costs time quadratic in it
+MAX_FAN_FILE_RANK = 64
+
 
 class ToricError(Exception):
     pass
@@ -691,8 +694,8 @@ class Fan:
                 and all(type(x) is int and (bound is None or 0 <= x < bound) for x in row)
                 for row in rows)
 
-        if type(rank) is not int or rank < 0:
-            raise ToricError('fan file: "rank" must be a non-negative integer')
+        if type(rank) is not int or not 0 <= rank <= MAX_FAN_FILE_RANK:
+            raise ToricError(f'fan file: "rank" must be an integer from 0 to {MAX_FAN_FILE_RANK}')
         if not int_rows(rays, length=rank):
             raise ToricError(f'fan file: "rays" must be a list of integer vectors of length {rank}')
         if not int_rows(maximal, bound=len(rays)):
@@ -799,21 +802,15 @@ def covers_support(window_fan: Fan, target_fan: Fan) -> bool:
 
 @dataclass(frozen=True)
 class StarSubdivision:
-    """Result of a star subdivision: the refined fan plus the abstract
-    blowup square data (corner cone sets and provenance)."""
+    """Result of a star subdivision: the refined fan and what it was built
+    from.  The corners C and E of its blowup square are the cones of X that
+    are not cones of Y and those of Y that are not cones of X
+    (``spansite.star_subdivision_square``)."""
     fan: Fan                      # the subdivided fan Y
     parent: Fan                   # X
     center: Cone                  # the cone whose relative interior holds the ray
     new_ray: Vector
-    center_cones: Tuple[Cone, ...]       # cones of X giving the closed center C
-    exceptional_cones: Tuple[Cone, ...]  # cones of Y giving E = p^{-1}(C)
     smooth_blowup: bool
-
-    def center_class(self) -> KClass:
-        return self.parent.class_of(self.center_cones)
-
-    def exceptional_class(self) -> KClass:
-        return self.fan.class_of(self.exceptional_cones)
 
 
 def star_subdivide(fan: Fan, new_ray: Sequence[int]) -> StarSubdivision:
@@ -834,8 +831,8 @@ def star_subdivide(fan: Fan, new_ray: Sequence[int]) -> StarSubdivision:
     ray = tuple(int(x) for x in new_ray)
     if all(x == 0 for x in ray) or vgcd(ray) != 1:
         raise NonPrimitiveRayError(f"{ray} is not a primitive ray")
-    subdivided, center, center_cones, exceptional, smooth = _star_parts(fan, ray)
-    return StarSubdivision(subdivided, fan, center, ray, center_cones, exceptional, smooth)
+    subdivided, center, smooth = _star_parts(fan, ray)
+    return StarSubdivision(subdivided, fan, center, ray, smooth)
 
 
 @kept
@@ -857,12 +854,9 @@ def _star_parts(fan: Fan, ray: Vector) -> tuple:
             if facet.dim == tau.dim - 1 and not facet.contains(ray):
                 new_cones.append(Cone(fan.rank, facet.rays + (ray,)))
     subdivided = Fan.from_cones(fan.rank, new_cones)
-    center_cones = tuple(sorted(star, key=lambda c: c.rays))
-    exceptional = tuple(sorted((c for c in subdivided.cones if ray in c.rays),
-                               key=lambda c: c.rays))
     barycentric = ray == primitive(sigma.representative())
     smooth = fan.is_smooth() and barycentric
-    return subdivided, sigma, center_cones, exceptional, smooth
+    return subdivided, sigma, smooth
 
 
 def complete_surface(fan: Fan) -> Fan:

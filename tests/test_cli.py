@@ -27,7 +27,7 @@ from kvar.cli import (
     _cover_monotone,
 )
 from kvar.csupport import CompactificationChoice, CompletionProvider, MeasureOnCompacts
-from kvar.measures import MeasureValue
+from kvar.measures import MeasureSpec, MeasureValue
 from kvar.spansite import (
     EMPTY,
     DistinguishedSquare,
@@ -290,6 +290,9 @@ def test_exit_code_contract(tmp_path):
     redundant = tmp_path / "redundant.json"  # A2 with the generator (1, 1), not a ray
     redundant.write_text('{"rank": 2, "rays": [[1, 0], [1, 1], [0, 1]], '
                          '"maximal_cones": [[0, 1, 2]]}')
+    too_high = tmp_path / "too_high.json"  # a dense torus past the rank bound
+    too_high.write_text('{"rank": %d, "rays": [], "maximal_cones": [], "dense_torus": true}'
+                        % (toric.MAX_FAN_FILE_RANK + 1))
     no_slots = tmp_path / "no_slots.json"
     no_slots.write_text('[{"kind": "open", "dims": {"X": 1}}]')
     no_kind = tmp_path / "no_kind.json"
@@ -354,6 +357,7 @@ def test_exit_code_contract(tmp_path):
                  ["check"],
                  ["fan", str(no_rank)],
                  ["fan", str(redundant), "--props"],
+                 ["fan", str(too_high), "--props", "--class"],
                  ["eval", "P1", "--relations", str(no_slots)]):
         proc = subprocess.run([sys.executable, "-m", "kvar.cli", *argv],
                               capture_output=True, text=True)
@@ -423,6 +427,20 @@ def test_check_reads_measure_names_like_eval():
     phis = _corpus_measures(["chi", "e", "poincare", "count:3"])
     assert [phi.name for phi in phis] == ["euler", "e_poly", "virtual_poincare",
                                           "point_count(3)"]
+
+
+@pytest.mark.parametrize("spelling, name", [
+    ("euler", "euler"), ("chi", "euler"), ("e", "e_poly"), ("e_poly", "e_poly"),
+    ("poincare", "virtual_poincare"), ("virtual_poincare", "virtual_poincare"),
+    ("count:<q>", "point_count(5)")])
+def test_help_and_readme_list_each_measure_spelling(spelling, name):
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    helps = {sub._option_string_actions["--measure"].help for sub in subcommands.values()}
+    assert len(helps) == 1 and spelling in helps.pop().replace(" (repeatable)", "").split(" | ")
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    common_flags = readme.split("Common flags:", 1)[1].split("`--depth", 1)[0]
+    assert f"`{spelling}`" in common_flags
+    assert MeasureSpec.parse(spelling.replace("<q>", "5")).name == name
 
 
 def test_corpus_report_bytes_are_pinned(tmp_path, cli_child_env):

@@ -1,5 +1,6 @@
 """Measure values, substitutions, and weight tables."""
 
+import operator
 import time
 import tracemalloc
 
@@ -14,7 +15,6 @@ from kvar.measures import (
     UnresolvedGeneratorError,
     apply_measure,
     h_vector,
-    registrations_from_json,
     weight_report,
 )
 
@@ -54,36 +54,12 @@ def test_the_e_polynomial_of_a_high_projective_space_is_linear_in_its_degree():
                                   MeasureSpec("virtual_poincare"),
                                   MeasureSpec("point_count", q=4)])
 def test_a_substitution_is_the_sum_of_its_terms_in_value_arithmetic(spec):
-    rels = RelationSet()
-    rels.declare_generator("S", 2, compact=True)
-    rels.declare_generator("T", 1, compact=True)
-    cls = normalize("3*A4*S*T - 2*L*S + S*S + 5*A3 - A2 + 7 + A6*T", rels)
+    cls = normalize("3*A4*L - 2*L + 5*A3 - A2 + 7 + A6*P1")
     lval = spec.lefschetz_image()
-    values = {"S": {"euler": MeasureValue.integer(3), "e_poly": uv(1, 1, 1),
-                    "virtual_poincare": MeasureValue([1, 0, 1, 0, 1], "t"),
-                    "point_count": MeasureValue.integer(21)},
-              "T": {"euler": MeasureValue.integer(2), "e_poly": uv(1, 1),
-                    "virtual_poincare": MeasureValue([1, 0, 1], "t"),
-                    "point_count": MeasureValue.integer(5)}}
-    table = {(name, sel): v for name, by_sel in values.items() for sel, v in by_sel.items()}
     expected = MeasureValue.integer(0)
     for exp, coeff in cls.lpolynomial():
         expected = expected + lval ** exp * MeasureValue.integer(coeff)
-    for exp, names, coeff in cls.residual():
-        term = lval ** exp * MeasureValue.integer(coeff)
-        for name in names:
-            term = term * table[(name, spec.selector)]
-        expected = expected + term
-    assert cls.residual() and apply_measure(spec, cls, table) == expected
-
-
-@pytest.mark.parametrize("text", ["L*S", "L + S"])
-def test_a_substitution_that_mixes_two_variables_is_an_error(text):
-    rels = RelationSet()
-    rels.declare_generator("S", 2, compact=True)
-    table = {("S", "e_poly"): MeasureValue([1, 0, 1], "t")}
-    with pytest.raises(MeasureError, match="mixed variables"):
-        apply_measure(MeasureSpec("e_poly"), normalize(text, rels), table)
+    assert apply_measure(spec, cls) == expected
 
 
 def test_value_arithmetic():
@@ -94,6 +70,15 @@ def test_value_arithmetic():
     assert uv(0, 1) ** 3 == uv(0, 0, 0, 1)
     with pytest.raises(MeasureError):
         uv(1, 1) + MeasureValue([1, 1], "t")
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_arithmetic_that_mixes_two_variables_is_an_error(op):
+    apply = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
+    e_poly, poincare, three = uv(1, 1), MeasureValue([1, 1], "t"), MeasureValue.integer(3)
+    with pytest.raises(MeasureError, match="^mixed variables 'uv' and 't'$"):
+        apply(e_poly, poincare)
+    assert apply(e_poly, three).var == apply(three, e_poly).var == "uv"  # a constant mixes
 
 
 @pytest.mark.parametrize("base", [MeasureValue.integer(3), uv(1, 2), uv(0, 1), uv(-1, 0, 2)])
@@ -147,44 +132,15 @@ def test_measure_spec_validation_and_parse():
         MeasureSpec.parse("count:x")
 
 
-def test_residual_generators_need_registration():
+def test_a_residual_generator_has_no_value():
     rels = RelationSet()
     rels.declare_generator("S", 2, compact=True)
-    cls = normalize("S + pt", rels)
-    with pytest.raises(UnresolvedGeneratorError):
-        apply_measure(MeasureSpec("euler"), cls)
-    table = registrations_from_json(
-        '[{"generator": "S", "measure": "euler", "value": 3}]')
-    assert apply_measure(MeasureSpec("euler"), cls, table).as_int() == 4
-
-
-def test_registration_values_round_trip():
-    table = registrations_from_json(
-        '[{"generator": "S", "measure": "e_poly", "value": {"var": "uv", "coeffs": [1, 0, 2]}},'
-        ' {"generator": "S", "measure": "euler", "value": {"var": "uv", "coeffs": [3]}}]')
-    assert table[("S", "e_poly")] == uv(1, 0, 2)
-    assert table[("S", "euler")] == MeasureValue.integer(3)
-
-
-@pytest.mark.parametrize("records", [
-    '[{"generator": "S", "measure": "euler"}]',              # no value
-    '[{"measure": "euler", "value": 3}]',                    # no generator
-    '[{"generator": "S", "value": 3}]',                      # no measure
-    '[{"generator": ["S"], "measure": "euler", "value": 3}]',
-    '[{"generator": "S", "measure": "euler", "value": {"coeffs": [1, 2]}}]',  # no var
-    '[{"generator": "S", "measure": "euler", "value": {"var": "uv", "coeffs": [1.5]}}]',
-    '[{"generator": "S", "measure": "euler", "value": {"var": "uv", "coeffs": [true]}}]',
-    '[{"generator": "S", "measure": "euler", "value": {"var": "uv", "coeffs": 2}}]',
-    '[{"generator": "S", "measure": "euler", "value": {"var": "uv"}}]',
-    '[{"generator": "S", "measure": "euler", "value": "3"}]',
-    '[{"generator": "S", "measure": "euler", "value": true}]',
-    '["S"]',
-    '{"generator": "S", "measure": "euler", "value": 3}',
-    '[{"generator": "S"',
-])
-def test_malformed_registrations_raise_measure_error(records):
-    with pytest.raises(MeasureError):
-        registrations_from_json(records)
+    rels.declare_generator("T", 1, compact=True)
+    cls = normalize("L*S + T + pt", rels)  # T's term comes first: it has no L
+    for spec in (MeasureSpec("euler"), MeasureSpec("point_count", q=3)):
+        with pytest.raises(UnresolvedGeneratorError) as caught:
+            apply_measure(spec, cls)
+        assert str(caught.value) == f"no {spec.name} value registered for generator 'T'"
 
 
 def test_measure_is_ring_homomorphism_random():

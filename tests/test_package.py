@@ -1,19 +1,22 @@
 """The package itself: kvar imports only the standard library and only
-names it uses, each public top-level name has a caller, and its JSON
-loaders end bad text in their typed errors."""
+names it uses, each public top-level name has a caller, a command reaches
+each of its functions or a reason keeps it, and its JSON loaders end bad
+text in their typed errors."""
 
 import ast
+import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
 import kvar
 from kvar.kring import InvalidRelationError, RelationSet
-from kvar.measures import MeasureError, registrations_from_json
 from kvar.toric import Fan, ToricError
 
 SOURCES = sorted(pathlib.Path(kvar.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_kvar_imports_only_the_standard_library():
@@ -77,10 +80,37 @@ def test_kvar_modules_use_every_name_they_import():
         assert not unused, (path.name, unused)
 
 
-# public API that no caller in the repository reads: the measures that
-# README lists beside euler and e, and the documented registration loader
-NO_CALLER_NEEDED = {"point_count_measure", "virtual_poincare_measure",
-                    "registrations_from_json"}
+# every def under src/kvar that none of the reach map's runs reaches, dunders
+# aside, with what keeps it
+NO_COMMAND_REACHES = {
+    "cli.Report.to_json_text":
+        "perfbench's worker serialises a report through it and times it",
+    "cli._too_long":
+        "the note for a class or value past the interpreter's int-string digit limit",
+    "csupport._of_torus":
+        "the paper's orbit decomposition of a locus that is not closed; "
+        "every locus a command builds is closed",
+    "csupport.point_count_measure":
+        "constructor of a builtin measure; the battery builds point counts from MeasureSpec",
+    "csupport.virtual_poincare_measure":
+        "constructor of a builtin measure; the battery measures euler and e_poly",
+    "kring.expr_size":
+        "perfbench counts the nodes of each eval tree with it",
+    "spansite.EmptyObject.is_compact":
+        "the site-object interface of the empty corner of a localization square, "
+        "which no check measures",
+    "spansite.EmptyObject.kclass":
+        "the site-object interface of the empty corner of a localization square, "
+        "which no check measures",
+    "spansite.SimpleCover.depth":
+        "a cover's depth, printed by its repr and bounded by the c_complete tests",
+    "toric.ToricLocus._minimal_cones":
+        "compactness of a closed locus in a fan that is not complete; "
+        "every locus a command builds lies in a complete fan",
+    "toric.hirzebruch_fan":
+        "a suite file's Hirzebruch(a) object, through builtin_fan; "
+        "the suite fixture names none",
+}
 
 
 def _named_in(path):
@@ -108,12 +138,11 @@ def _defined_in(path, methods):
 
 
 def _without_a_caller(methods):
-    root = pathlib.Path(__file__).resolve().parent.parent
     callers = [path for folder in ("src", "demos", "perfbench")
-               for path in sorted((root / folder).rglob("*.py"))]
+               for path in sorted((ROOT / folder).rglob("*.py"))]
     assert len(callers) > len(SOURCES)
     named = {name for path in callers for name in _named_in(path)}
-    exempt = set(kvar.__all__) | NO_CALLER_NEEDED
+    exempt = set(kvar.__all__) | {q.rpartition(".")[2] for q in NO_COMMAND_REACHES}
     return [(path.name, name) for path in SOURCES for name in _defined_in(path, methods)
             if not name.startswith("_") and name not in named and name not in exempt]
 
@@ -140,9 +169,83 @@ def test_only_toric_reaches_what_a_fan_keeps():
 
 
 @pytest.mark.parametrize("load, error", [(Fan.from_json, ToricError),
-                                         (RelationSet.from_json, InvalidRelationError),
-                                         (registrations_from_json, MeasureError)])
+                                         (RelationSet.from_json, InvalidRelationError)])
 @pytest.mark.parametrize("text", ["{", "[" * 100000], ids=["not JSON", "nested too deeply"])
 def test_json_text_that_does_not_decode_is_a_typed_error(load, error, text):
     with pytest.raises(error, match="not JSON"):
         load(text)
+
+
+# Runs every command of the reach map in one process under sys.setprofile
+# and prints the (file, first line, name) of each function it called.  The
+# first line of a decorated function is that of its first decorator.
+REACH_CHILD = """
+import contextlib, io, json, os, runpy, sys
+called = set()
+def note(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+sys.setprofile(note)
+from kvar import cli
+runs, demos = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in runs:
+        cli.main(argv)
+    for demo in demos:
+        runpy.run_path(demo, run_name="__main__")
+sys.setprofile(None)
+root = os.path.dirname(cli.__file__)
+print(json.dumps([(os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
+                  for c in called if os.path.dirname(c.co_filename) == root]))
+"""
+
+
+def _reached(tmp_path, env):
+    """What a fresh process reaches: the size-10 battery, the suite fixture,
+    README's evals, a relation file, a fan file, a parse error and the
+    demos.  A fresh process starts with empty intern tables and kept fans."""
+    relations = tmp_path / "relations.json"
+    relations.write_text(json.dumps([  # an axiom-checked relation over builtins
+        {"kind": "open", "slots": {"X": "P1", "U": "A1", "complement": "pt"}},
+        {"kind": "generator", "name": "S", "dim": 2, "compact": True}]))
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 1]]}))
+    runs = [["check", "--corpus-seed", "1", "--corpus-size", "10", "--format", "json"],
+            ["check", "--suite", str(ROOT / "tests" / "fixtures" / "perturbed_suite.json")],
+            ["eval", "P2 - pt", "--measure", "euler", "--measure", "e"],
+            ["eval", "Bl(P2;pt)", "--measure", "e"],
+            ["eval", "S + P1", "--relations", str(relations)],
+            ["fan", str(fan), "--props", "--class", "--complete"],
+            ["eval", "P2 + $"]]
+    demos = [str(path) for path in sorted((ROOT / "demos").glob("*.py"))]
+    proc = subprocess.run([sys.executable, "-c", REACH_CHILD, json.dumps([runs, demos])],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {tuple(key) for key in json.loads(proc.stdout)}
+
+
+def _defs():
+    """(qualified name, (file, first line, name)) of every def under src/kvar."""
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = (child.decorator_list or [child])[0].lineno
+                yield prefix + child.name, (path.name, first, child.name)
+                yield from walk(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, path, f"{prefix}{child.name}.")
+            else:
+                yield from walk(child, path, prefix)
+    for path in SOURCES:
+        yield from walk(ast.parse(path.read_text(), str(path)), path, f"{path.stem}.")
+
+
+def test_a_command_reaches_every_function_or_a_reason_keeps_it(tmp_path, cli_child_env):
+    reached = _reached(tmp_path, cli_child_env("0"))
+    defs = list(_defs())
+    assert len(reached) > len(defs) // 2
+    unreached = {name for name, key in defs if key not in reached
+                 and not (key[2].startswith("__") and key[2].endswith("__"))}
+    assert sorted(unreached - NO_COMMAND_REACHES.keys()) == []  # reach it or delete it
+    assert sorted(NO_COMMAND_REACHES.keys() - unreached) == []  # reached, or gone
+    assert all(NO_COMMAND_REACHES.values())

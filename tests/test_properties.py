@@ -12,7 +12,7 @@ from kvar import cli
 from kvar.kring import (CompactificationTable, Expr, KClass, Lit, ParseError, Sum, expr_to_text,
                         g_map, normalize, parse_expr, standard_relations)
 from kvar.measures import MeasureSpec, apply_measure
-from kvar.toric import sort_rays_ccw
+from kvar.toric import MAX_FAN_FILE_RANK, sort_rays_ccw
 
 GENS = ["pt", "empty", "P1", "P2", "A1", "A2", "Gm", "L"]
 
@@ -194,7 +194,8 @@ def mutated_fan_files(draw):
         if draw(st.booleans()):
             data["maximal_cones"].append([len(data["rays"]) - 1])
     elif mutation == "rank":
-        data["rank"] = draw(st.sampled_from([data["rank"] - 1, data["rank"] + 1, -1, 0]))
+        data["rank"] = draw(st.sampled_from([data["rank"] - 1, data["rank"] + 1, -1, 0,
+                                             MAX_FAN_FILE_RANK + 1]))
     elif mutation == "type":
         field = draw(st.sampled_from(sorted(WRONG_TYPES)))
         data[field] = draw(st.sampled_from(WRONG_TYPES[field]))

@@ -22,6 +22,7 @@ from kvar.spansite import (
     enumerate_simple_covers,
     identity_cover,
     identity_span,
+    in_sieve,
     localization_square,
     square_cover,
     star_subdivision_square,
@@ -199,14 +200,12 @@ def test_a_planted_fault_in_a_blowup_square_fails(name, fault):
     assert report.entries[0].status == "fail"  # E is not the preimage of C
 
 
-def test_the_builder_gives_a_star_square_the_center_and_exceptional_cones():
+def test_the_builder_gives_a_star_square_its_kind():
     squares = [SQUARES["smooth star"](), weighted_square()]
     squares += corpus.generate(1, 10).squares
     for sq in squares:
-        sd = sq.provenance
-        assert sq.C.cones == frozenset(sd.center_cones)
-        assert sq.E.cones == frozenset(sd.exceptional_cones)
-        assert sq.kind == ("smooth_blowup" if sd.smooth_blowup else "abstract_blowup")
+        assert sq.kind == ("smooth_blowup" if sq.provenance.smooth_blowup
+                           else "abstract_blowup")
     assert weighted_square().kind == "abstract_blowup"
     assert refinement_square().kind == "abstract_blowup"
 
@@ -336,7 +335,6 @@ def test_c_complete_at_depth_zero_finds_the_covers_of_depth_zero(p2):
         verdict = check_c_complete(sq, f, depth=0)
         assert verdict.found and verdict.depth_used == 0
     # the identity needs the square itself: one application of the rule
-    assert not check_c_complete(sq, identity_span(p2), depth=0).found
     verdict = check_c_complete(sq, identity_span(p2), depth=1)
     assert verdict.found and verdict.depth_used == 1
 
@@ -401,6 +399,68 @@ def test_c_complete_not_found_is_reported(p2):
     verdict = check_c_complete(sq, f)
     assert (verdict.found, verdict.cover, verdict.depth_used, verdict.note) == (
         False, None, None, "no toric-representable pullback found")
+
+
+def _star_square_and_its_locus_through_the_center(p2):
+    """The square of P2 at (1, 1), and the closed line V((1, 0)) of P2 into
+    it: the line holds the centre and is not inside it."""
+    cones = frozenset(c for c in p2.fan.cones if (1, 0) in c.rays)
+    line = ToricLocusObject("D", toric.ToricLocus(p2.fan, cones))
+    return star_subdivision_square(p2, (1, 1)), SpanMorphism(line, p2, cones), 3
+
+
+def _localization_of_p2_at_a2_and(source_fan, window=None):
+    """The localization square of P2 over U = A2, and a span into U from
+    ``source_fan`` on ``window`` (all its cones by default)."""
+    lsq = localization_square(ToricObject("P2", builtin_fan("P2")),
+                              frozenset(builtin_fan("A2").cones), u_name="U")
+    z = ToricObject("Z", source_fan)
+    return lsq, SpanMorphism(z, lsq.base, z.cones if window is None else window), 3
+
+
+NOT_FOUND = {
+    # the identity needs the square itself: one application of the rule
+    "depth budget exhausted":
+        lambda p2: (star_subdivision_square(p2, (1, 1)), identity_span(p2), 0),
+    "search needs a fan-backed source": _star_square_and_its_locus_through_the_center,
+    # the open A1 x Gm of U: not proper, so its glued completion lifts to
+    # P2 only by a span that is not proper
+    "glued cover is not inside the pulled-back sieve":
+        lambda p2: _localization_of_p2_at_a2_and(toric.Fan.from_cones(2, [Cone(2, [(1, 0)])])),
+    # the torus of P2 into U: a window neither all of P2 nor U's cones
+    "no toric-representable pullback found":
+        lambda p2: _localization_of_p2_at_a2_and(
+            builtin_fan("P2"), frozenset(c for c in builtin_fan("P2").cones if c.dim == 0)),
+}
+
+
+@pytest.mark.parametrize("note", NOT_FOUND)
+def test_c_complete_says_why_it_found_no_cover(p2, note):
+    sq, f, depth = NOT_FOUND[note](p2)
+    verdict = check_c_complete(sq, f, depth)
+    assert (verdict.found, verdict.cover, verdict.depth_used, verdict.note) == (
+        False, None, None, note)
+
+
+def test_a_cover_found_by_construction_lies_in_the_pulled_back_sieve(p2):
+    # check_c_complete does not test these covers against the sieve; its
+    # docstring proves that they lie in it
+    cases = list(corpus.generate(1, 10).c_complete_cases)
+    a2 = ToricObject("A2", builtin_fan("A2"))
+    cases.append((star_subdivision_square(a2, (1, 1)), SpanMorphism(p2, a2, a2.cones)))
+    x = p1xp2()
+    cases.append((star_subdivision_square(x, (1, 1, 0)),
+                  star_subdivision_square(x, (1, 0, 1)).p_leg))
+    by_construction = {"pulled-back square via common refinement",
+                       "square over the larger fan, same ray",
+                       "dominating completion via common refinement"}
+    seen = set()
+    for sq, f in cases:
+        verdict = check_c_complete(sq, f)
+        if verdict.note in by_construction:
+            seen.add(verdict.note)
+            assert all(in_sieve(compose(f, leaf), sq) for leaf in verdict.cover.leaves())
+    assert seen == by_construction
 
 
 def p1xp2():
