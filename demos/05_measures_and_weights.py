@@ -6,7 +6,7 @@ h-vector of its fan.
 """
 
 from kvar import toric
-from kvar.csupport import CompletionProvider, e_polynomial_measure, extend_measure
+from kvar.csupport import MeasureOnCompacts, extend_measure
 from kvar.kring import normalize
 from kvar.measures import MeasureSpec, apply_measure, h_vector, weight_report
 from kvar.spansite import ToricObject
@@ -29,8 +29,7 @@ for q in (2, 3, 4, 5):
 
 print()
 print("== weight tables and purity ==")
-provider = CompletionProvider()
-e_poly = e_polynomial_measure()
+e_poly = MeasureOnCompacts(MeasureSpec("e_poly"))
 examples = [
     ToricObject("P1xP1", builtin_fan("P1xP1")),
     ToricObject("P1xP2", builtin_fan("P1").product(builtin_fan("P2"))),
@@ -38,7 +37,7 @@ examples = [
     ToricObject("A2", builtin_fan("A2")),
 ]
 for obj in examples:
-    value = extend_measure(e_poly, obj, provider).value
+    value = extend_measure(e_poly, obj).value
     report = weight_report(value, obj.smooth, obj.is_compact(),
                            obj.fan.face_counts(), obj.fan.rank)
     verdict = {True: "pure", False: "IMPURE", None: "no verdict"}[report.purity]

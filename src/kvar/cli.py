@@ -30,7 +30,6 @@ from kvar import corpus as corpus_mod
 from kvar import csupport, kring, measures, spansite, toric
 from kvar.csupport import (
     CheckResult,
-    CompletionProvider,
     MeasureOnCompacts,
     PerturbedMeasure,
     consistency_check,
@@ -189,20 +188,21 @@ def _load_json(path: str):
 
 def _measure_from_record(rec) -> MeasureOnCompacts:
     """A suite check's measure: a selector, or an object with a "selector"
-    and an optional "perturb" of a builtin "target" fan by an integer
-    "delta"."""
+    and an optional "perturb": absent or null for none, else an object that
+    shifts a builtin "target" fan (default P2) by an integer "delta"
+    (default 1)."""
     if isinstance(rec, str):
         return MeasureOnCompacts(MeasureSpec.parse(rec))
     perturb = rec.get("perturb") if isinstance(rec, dict) else None
     target = perturb.get("target", "P2") if isinstance(perturb, dict) else None
     delta = perturb.get("delta", 1) if isinstance(perturb, dict) else None
     if not (isinstance(rec, dict) and isinstance(rec.get("selector"), str)
-            and (not perturb or (isinstance(target, str) and type(delta) is int))):
+            and (perturb is None or (isinstance(target, str) and type(delta) is int))):
         raise InputError(f"{json.dumps(rec)} is not a measure")
     base = MeasureOnCompacts(MeasureSpec.parse(rec["selector"]))
-    if perturb:
-        return PerturbedMeasure(base, toric.builtin_fan(target), delta)
-    return base
+    if perturb is None:
+        return base
+    return PerturbedMeasure(base, toric.builtin_fan(target), delta)
 
 
 def _suite_checks(suite) -> list:
@@ -423,14 +423,14 @@ def run_corpus_checks(report: Report, seed: int, size: int,
       square, a function of its provenance, and what the span is, its
       ``key``: the fans or loci of its ends and its window.
 
-    The extensions also read the completions the provider picks, and no
-    check changes them: Kunneth extends a product that is not complete
-    through an explicit choice, the product of its factors' completions.
+    The extensions also read each open's automatic completion, a function
+    of its fan (``csupport.completion_fan``); Kunneth extends a product that
+    is not complete through an explicit choice, the product of its factors'
+    completions.
     cover_monotone keeps no answer: it is per object, because the squares
     over an object are the ones the corpus added over that object.
     """
     corp = corpus_mod.generate(seed, size)
-    provider = corp.provider
     phis = _corpus_measures(measure_names)
     answers: dict = {}
 
@@ -440,7 +440,7 @@ def run_corpus_checks(report: Report, seed: int, size: int,
     for i, (obj, window) in enumerate(corp.pairs_xu):
         for phi in phis:
             answered(f"additivity[{i}]:{obj.name}:{phi.name}", "additivity",
-                     (phi, obj.fan, window), additivity_check, phi, obj, window, provider)
+                     (phi, obj.fan, window), additivity_check, phi, obj, window)
 
     for i, case in enumerate(corp.independence):
         a, b = case.choice_a, case.choice_b
@@ -448,28 +448,26 @@ def run_corpus_checks(report: Report, seed: int, size: int,
                  b.compact_obj.fan, b.boundary.cones)
         for phi in phis:
             answered(f"independence[{i}]:{case.obj.name}:{phi.name}", "independence",
-                     (phi, shape), independence_check, phi, case.obj, a, b, provider)
+                     (phi, shape), independence_check, phi, case.obj, a, b)
 
     for i, sq in enumerate(corp.squares):
         answered(f"square_relation[{i}]:{sq.base.name}", "square_relation", sq.provenance,
                  _square_relation, sq)
         for phi in phis:
             answered(f"blowup_descent[{i}]:{sq.base.name}:{phi.name}", "blowup_descent",
-                     (phi, sq.provenance), consistency_check, "blowup_descent", phi, sq,
-                     provider)
+                     (phi, sq.provenance), consistency_check, "blowup_descent", phi, sq)
 
     for i, (obj, win_u, win_v) in enumerate(corp.mv_triples):
         for phi in phis:
             answered(f"mayer_vietoris[{i}]:{obj.name}:{phi.name}", "mayer_vietoris",
                      (phi, obj.fan, win_u, win_v), consistency_check, "mayer_vietoris",
-                     phi, (obj, win_u, win_v), provider)
+                     phi, (obj, win_u, win_v))
 
     for i, (a, b) in enumerate(corp.kunneth_pairs):
         for phi in phis:
             if phi.multiplicative:
                 answered(f"kunneth[{i}]:{a.name}x{b.name}:{phi.name}", "kunneth",
-                         (phi, a.fan, b.fan), consistency_check, "kunneth", phi, (a, b),
-                         provider)
+                         (phi, a.fan, b.fan), consistency_check, "kunneth", phi, (a, b))
 
     for i, (sq, f) in enumerate(corp.c_complete_cases):
         answered(f"c_complete[{i}]:{sq.base.name}<-{f.source.name}", "c_complete",
@@ -481,11 +479,11 @@ def run_corpus_checks(report: Report, seed: int, size: int,
         answered(f"square_valid[{i}]:{sq.base.name}", "square_valid", sq.provenance,
                  _square_valid, sq)
 
-    e_phi = csupport.e_polynomial_measure()
+    e_phi = MeasureOnCompacts(MeasureSpec("e_poly"))
     for i, obj in enumerate(corp.rank3 + corp.surfaces):
         if obj.fan.rank <= 3 and obj.smooth and obj.complete:
             answered(f"purity[{i}]:{obj.name}", "purity", obj.fan,
-                     _purity, e_phi, obj, provider)
+                     _purity, e_phi, obj)
 
     for i, fan in enumerate(corp.all_fans()):
         answered(f"point_count_oracle[{i}]", "point_count_oracle", fan,
@@ -536,8 +534,8 @@ def _square_valid(sq) -> CheckResult:
                    note="; ".join(f"{e.condition}={e.status}" for e in v.entries))
 
 
-def _purity(e_phi, obj, provider) -> CheckResult:
-    value = extend_measure(e_phi, obj, provider).value
+def _purity(e_phi, obj) -> CheckResult:
+    value = extend_measure(e_phi, obj).value
     wr = weight_report(value, obj.smooth, obj.is_compact(),
                        obj.fan.face_counts(), obj.fan.rank)
     return verdict(wr.purity, [list(w) for w in wr.weights], note=wr.note)
@@ -572,7 +570,6 @@ def _cover_monotone(site, obj, depth: int) -> CheckResult:
 
 def run_suite(report: Report, suite: dict) -> None:
     checks = _suite_checks(suite)
-    provider = CompletionProvider()
     for i, (kind, phi, args) in enumerate(checks):
         rec_id = f"{kind}[{i}]"
         if kind in ("blowup_descent", "mayer_vietoris", "kunneth"):
@@ -584,7 +581,7 @@ def run_suite(report: Report, suite: dict) -> None:
             report.add(Record(rec_id, kind, "skipped", note="unknown kind"))
             continue
         try:
-            _timed(report, rec_id, kind, check, *args, provider)
+            _timed(report, rec_id, kind, check, *args)
         except Exception as exc:  # suite records stay isolated
             report.add(Record(rec_id, kind, "fail", note=f"error: {exc}"))
 

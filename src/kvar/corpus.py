@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Tuple
 
 from kvar import toric
-from kvar.csupport import CompactificationChoice, CompletionProvider, toric_choice
+from kvar.csupport import CompactificationChoice, toric_choice
 from kvar.spansite import (
     DistinguishedSquare,
     SitePresentation,
@@ -55,7 +55,6 @@ class Corpus:
     expressions: List[str] = field(default_factory=list)
     site: SitePresentation = field(default_factory=SitePresentation)
     c_complete_cases: List[Tuple[DistinguishedSquare, SpanMorphism]] = field(default_factory=list)
-    provider: CompletionProvider = field(default_factory=CompletionProvider)
 
     def all_fans(self) -> List[Fan]:
         fans = [o.fan for o in self.surfaces]

@@ -85,27 +85,8 @@ class PerturbedMeasure(MeasureOnCompacts):
         return value
 
 
-def euler_measure() -> MeasureOnCompacts:
-    return MeasureOnCompacts(MeasureSpec("euler"))
-
-
-def e_polynomial_measure() -> MeasureOnCompacts:
-    return MeasureOnCompacts(MeasureSpec("e_poly"))
-
-
-def virtual_poincare_measure() -> MeasureOnCompacts:
-    return MeasureOnCompacts(MeasureSpec("virtual_poincare"))
-
-
-def point_count_measure(q: int) -> MeasureOnCompacts:
-    return MeasureOnCompacts(MeasureSpec("point_count", q=q))
-
-
-BUILTIN_MEASURES = ("euler", "e_poly", "virtual_poincare")
-
-
 # ---------------------------------------------------------------------------
-# compactification choices and providers
+# compactification choices and the automatic completion
 
 @dataclass
 class CompactificationChoice:
@@ -114,35 +95,19 @@ class CompactificationChoice:
     boundary: ToricLocus
 
 
-class CompletionProvider:
-    """Supplies a completion fan for every non-compact toric object it
-    meets of rank <= 2, and for tori of any rank (products of P1).  An
-    object of higher rank takes an explicit compactification choice
-    (``toric_choice``) instead.
-
-    A provider belongs to one run.  It keeps the automatic rank-2
-    completion of each fan, so the completion it picks for a fan stays
-    fixed.
-    """
-
-    def __init__(self):
-        self._completions: Dict[Fan, Fan] = {}
-
-    def completion_fan(self, fan: Fan) -> Fan:
-        if fan.is_complete():
-            return fan
-        if all(c.dim == 0 for c in fan.cones):
-            return _p1_power(fan.rank)
-        if fan.rank <= 2:
-            completion = self._completions.get(fan)
-            if completion is None:
-                completion = self._completions[fan] = toric.complete_surface(fan)
-            return completion
-        raise MissingCompactificationError(
-            f"no automatic completion of a rank-{fan.rank} fan; pass an explicit choice")
-
-    def choose(self, obj: ToricObject) -> CompactificationChoice:
-        return _completion_choice(obj, self.completion_fan(obj.fan))
+def completion_fan(fan: Fan) -> Fan:
+    """The automatic completion of a fan: the fan itself when it is
+    complete, (P1)^k for a k-torus, and ``toric.complete_surface``, kept on
+    the fan, in rank <= 2.  A fan of higher rank takes an explicit
+    compactification choice (``toric_choice``) instead."""
+    if fan.is_complete():
+        return fan
+    if all(c.dim == 0 for c in fan.cones):
+        return _p1_power(fan.rank)
+    if fan.rank <= 2:
+        return toric.complete_surface(fan)
+    raise MissingCompactificationError(
+        f"no automatic completion of a rank-{fan.rank} fan; pass an explicit choice")
 
 
 def _p1_power(k: int) -> Fan:
@@ -203,18 +168,17 @@ class ExtensionResult:
 
 
 def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
-                   provider: Optional[CompletionProvider] = None,
                    choice: Optional[CompactificationChoice] = None) -> ExtensionResult:
     """Phi_c of any object: Phi on compacts, else Phi(Xbar) - Phi_c(boundary).
 
-    ``choice`` overrides the provider's compactification of the object
-    (used by the independence check, and for a rank above 2).  Trace depth
-    never exceeds dim + 1: every recursive boundary strictly drops
-    dimension.  Nothing is memoized, so the value and the trace depend on
-    the measure, the object and the completions the provider picks, and on
-    nothing extended before.  The recursion is module functions sharing
-    ``trace``: nested closures would form a reference cycle per call, which
-    only the garbage collector frees.
+    Xbar is the object's automatic completion (``completion_fan``), or
+    ``choice`` when one is given (by the independence check, and for a
+    rank above 2).  Trace depth never exceeds dim + 1: every recursive
+    boundary strictly drops dimension.  Nothing is memoized here, so the
+    value and the trace are functions of the measure, the object and the
+    choice, and of nothing extended before.  The recursion is module
+    functions sharing ``trace``: nested closures would form a reference
+    cycle per call, which only the garbage collector frees.
     """
     trace: List[TraceStep] = []
     if obj.is_empty():
@@ -222,7 +186,7 @@ def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
     elif obj.is_compact():
         value = phi.on_compact(obj)
     elif isinstance(obj, ToricObject):
-        ch = choice or (provider or CompletionProvider()).choose(obj)
+        ch = choice or _completion_choice(obj, completion_fan(obj.fan))
         trace.append(TraceStep(obj.name, ch.compact_obj.name,
                                f"{len(ch.boundary.cones)} boundary cones", 1))
         value = phi.on_compact(ch.compact_obj) - _of_locus(phi, ch.boundary, 1, trace)
@@ -290,35 +254,31 @@ def verdict(ok: bool, lhs=None, rhs=None, note: str = "") -> CheckResult:
 
 
 def additivity_check(phi: MeasureOnCompacts, x_obj: ToricObject,
-                     window: Iterable[Cone],
-                     provider: Optional[CompletionProvider] = None) -> CheckResult:
+                     window: Iterable[Cone]) -> CheckResult:
     """Phi_c(U) + Phi_c(X \\ U) = Phi_c(X) for U the open subvariety on a
     face-closed cone subset."""
-    provider = provider or CompletionProvider()
     window = frozenset(window)
     sub = x_obj.fan.subfan(window)
     u_obj = ToricObject(f"{x_obj.name}|U", sub)
     complement = ToricLocus(x_obj.fan, [c for c in x_obj.fan.cones if c not in window])
-    lhs = extend_measure(phi, u_obj, provider).value \
-        + extend_measure(phi, ToricLocusObject("complement", complement), provider).value
-    rhs = extend_measure(phi, x_obj, provider).value
+    lhs = extend_measure(phi, u_obj).value \
+        + extend_measure(phi, ToricLocusObject("complement", complement)).value
+    rhs = extend_measure(phi, x_obj).value
     return verdict(lhs == rhs, lhs, rhs)
 
 
 def independence_check(phi: MeasureOnCompacts, obj: ToricObject,
                        comp_a: CompactificationChoice,
-                       comp_b: CompactificationChoice,
-                       provider: Optional[CompletionProvider] = None) -> CheckResult:
+                       comp_b: CompactificationChoice) -> CheckResult:
     """Phi_c through two compactifications; inequality is evidence of a
     descent violation (well-definedness fails exactly then)."""
-    va = extend_measure(phi, obj, provider, choice=comp_a).value
-    vb = extend_measure(phi, obj, provider, choice=comp_b).value
+    va = extend_measure(phi, obj, comp_a).value
+    vb = extend_measure(phi, obj, comp_b).value
     return verdict(va == vb, va, vb, "" if va == vb else
                    "descent violation: the measure does not satisfy abstract-blowup descent")
 
 
-def consistency_check(kind: str, phi: MeasureOnCompacts, args,
-                      provider: Optional[CompletionProvider] = None) -> CheckResult:
+def consistency_check(kind: str, phi: MeasureOnCompacts, args) -> CheckResult:
     """Descent identities at measure level.
 
     blowup_descent:  Phi_c(X) + Phi_c(E) = Phi_c(C) + Phi_c(Y) on a square;
@@ -327,23 +287,19 @@ def consistency_check(kind: str, phi: MeasureOnCompacts, args,
                      product that is not complete is extended through the
                      product of the factors' completions.
     """
-    provider = provider or CompletionProvider()
     if kind == "blowup_descent":
         sq: DistinguishedSquare = args
-        lhs = extend_measure(phi, sq.base, provider).value \
-            + extend_measure(phi, sq.E, provider).value
-        rhs = extend_measure(phi, sq.C, provider).value \
-            + extend_measure(phi, sq.Y, provider).value
+        lhs = extend_measure(phi, sq.base).value + extend_measure(phi, sq.E).value
+        rhs = extend_measure(phi, sq.C).value + extend_measure(phi, sq.Y).value
         return verdict(lhs == rhs, lhs, rhs, "" if lhs == rhs else "descent violation")
     if kind == "mayer_vietoris":
         x_obj, win_u, win_v = args
         win_u, win_v = frozenset(win_u), frozenset(win_v)
         if win_u | win_v != frozenset(x_obj.fan.cones):
             raise CSupportError("U and V do not cover X")
-        vu, vv, vunv = (extend_measure(phi, ToricObject(tag, x_obj.fan.subfan(win)),
-                                       provider).value
+        vu, vv, vunv = (extend_measure(phi, ToricObject(tag, x_obj.fan.subfan(win))).value
                         for tag, win in (("U", win_u), ("V", win_v), ("UnV", win_u & win_v)))
-        lhs = vunv + extend_measure(phi, x_obj, provider).value
+        lhs = vunv + extend_measure(phi, x_obj).value
         return verdict(lhs == vu + vv, lhs, vu + vv)
     if kind == "kunneth":
         if not phi.multiplicative:
@@ -353,11 +309,9 @@ def consistency_check(kind: str, phi: MeasureOnCompacts, args,
         prod_obj = ToricObject(f"{a_obj.name}x{b_obj.name}", product_fan)
         choice = None
         if not product_fan.is_complete():
-            comp_a = provider.completion_fan(a_obj.fan)
-            comp_b = provider.completion_fan(b_obj.fan)
-            choice = toric_choice(prod_obj, comp_a.product(comp_b))
-        lhs = extend_measure(phi, prod_obj, provider, choice).value
-        rhs = extend_measure(phi, a_obj, provider).value \
-            * extend_measure(phi, b_obj, provider).value
+            choice = toric_choice(prod_obj, completion_fan(a_obj.fan).product(
+                completion_fan(b_obj.fan)))
+        lhs = extend_measure(phi, prod_obj, choice).value
+        rhs = extend_measure(phi, a_obj).value * extend_measure(phi, b_obj).value
         return verdict(lhs == rhs, lhs, rhs)
     raise CSupportError(f"unknown consistency check {kind!r}")

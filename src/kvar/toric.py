@@ -430,10 +430,10 @@ class Fan:
     dropped, with everything it keeps.  Each datum is kept by ``kept``, as
     a pure function of the fan and the other arguments: completeness,
     smoothness, rays, maximal cones, the class, point and cone containment,
-    the closedness and class of a cone subset, the product with another
-    fan, the star subdivision at a ray, the rank-2 completion, the common
-    refinement with another fan of the same support, at any rank, and the
-    boundary inside a completion (``csupport``).
+    the closedness and class of a cone subset, the subfan on a cone subset,
+    the product with another fan, the star subdivision at a ray, the rank-2
+    completion, the common refinement with another fan of the same support,
+    at any rank, and the boundary inside a completion (``csupport``).
 
     A product fan (``product``) validates in full and computes its maximal
     cones, completeness, smoothness and class from its own cones, like any
@@ -628,7 +628,13 @@ class Fan:
     # -- constructions -------------------------------------------------------
 
     def subfan(self, cone_subset: Iterable[Cone]) -> "Fan":
+        """The fan on a face-closed subset of the cones; a proper subfan is
+        kept on this fan."""
         subset = frozenset(cone_subset)
+        return self if subset == self.cones else self._subfan(subset)
+
+    @kept
+    def _subfan(self, subset: frozenset) -> "Fan":
         # an interned fan on these cones was face-closed when it was built
         known = Fan._interned.get((self.rank, subset))
         if known is not None and subset <= self.cones:

@@ -15,16 +15,13 @@ import pytest
 from kvar import corpus as corpus_mod
 from kvar import kring, toric
 from kvar.csupport import (
+    MeasureOnCompacts,
     PerturbedMeasure,
     additivity_check,
     consistency_check,
-    e_polynomial_measure,
-    euler_measure,
     extend_measure,
     independence_check,
-    point_count_measure,
     toric_choice,
-    virtual_poincare_measure,
 )
 from kvar.kring import CompactificationTable, KClass, g_map, normalize, verify_square_relation
 from kvar.measures import MeasureSpec, apply_measure, h_vector, weight_report
@@ -57,12 +54,12 @@ def corpus():
 
 def test_criterion_01_localization_additivity(corpus):
     t0 = time.perf_counter()
-    measures = [euler_measure(), e_polynomial_measure(),
-                point_count_measure(2), point_count_measure(3), point_count_measure(5)]
+    measures = [MeasureOnCompacts(MeasureSpec("euler")), MeasureOnCompacts(MeasureSpec("e_poly"))]
+    measures += [MeasureOnCompacts(MeasureSpec("point_count", q=q)) for q in (2, 3, 5)]
     assert len(corpus.pairs_xu) >= 200
     for obj, window in corpus.pairs_xu:
         for phi in measures:
-            report = additivity_check(phi, obj, window, corpus.provider)
+            report = additivity_check(phi, obj, window)
             assert report.status == "pass", \
                 f"{obj.name} {phi.name}: {report.lhs} != {report.rhs}"
     _record(1, t0, f"{len(corpus.pairs_xu)} (X, U) pairs x {len(measures)} measures, exact")
@@ -70,14 +67,13 @@ def test_criterion_01_localization_additivity(corpus):
 
 def test_criterion_02_compactification_independence(corpus):
     t0 = time.perf_counter()
-    measures = [euler_measure(), e_polynomial_measure(),
-                virtual_poincare_measure(), point_count_measure(2)]
+    measures = [MeasureOnCompacts(MeasureSpec(s)) for s in ("euler", "e_poly", "virtual_poincare")]
+    measures.append(MeasureOnCompacts(MeasureSpec("point_count", q=2)))
     assert len(corpus.independence) >= 50
     for case in corpus.independence:
         assert case.choice_a.compact_obj.fan != case.choice_b.compact_obj.fan
         for phi in measures:
-            report = independence_check(phi, case.obj, case.choice_a,
-                                        case.choice_b, corpus.provider)
+            report = independence_check(phi, case.obj, case.choice_a, case.choice_b)
             assert report.status == "pass", f"{case.obj.name} {phi.name}"
     _record(2, t0, f"{len(corpus.independence)} opens x two completions x "
                    f"{len(measures)} measures")
@@ -129,10 +125,10 @@ def test_criterion_05_point_count_oracle(corpus):
 
 def test_criterion_06_kunneth(corpus):
     t0 = time.perf_counter()
-    phi = e_polynomial_measure()
+    phi = MeasureOnCompacts(MeasureSpec("e_poly"))
     assert len(corpus.kunneth_pairs) >= 100
     for a, b in corpus.kunneth_pairs:
-        report = consistency_check("kunneth", phi, (a, b), corpus.provider)
+        report = consistency_check("kunneth", phi, (a, b))
         assert report.status == "pass", f"{a.name} x {b.name}"
     _record(6, t0, f"{len(corpus.kunneth_pairs)} product pairs, E-polynomial")
 
@@ -140,10 +136,10 @@ def test_criterion_06_kunneth(corpus):
 def test_criterion_07_mayer_vietoris(corpus):
     t0 = time.perf_counter()
     assert len(corpus.mv_triples) >= 50
-    for phi in (euler_measure(), e_polynomial_measure()):
+    for phi in (MeasureOnCompacts(MeasureSpec(s)) for s in ("euler", "e_poly")):
         for x_obj, win_u, win_v in corpus.mv_triples:
             report = consistency_check("mayer_vietoris", phi,
-                                       (x_obj, win_u, win_v), corpus.provider)
+                                       (x_obj, win_u, win_v))
             assert report.status == "pass"
     _record(7, t0, f"{len(corpus.mv_triples)} triples X = U u V")
 
@@ -180,12 +176,12 @@ def test_criterion_09_dimension_compatibility(corpus):
 
 def test_criterion_10_weight_purity(corpus):
     t0 = time.perf_counter()
-    phi = e_polynomial_measure()
+    phi = MeasureOnCompacts(MeasureSpec("e_poly"))
     objs = [o for o in corpus.rank3 + corpus.surfaces
             if o.fan.rank <= 3 and o.smooth and o.complete]
     assert objs
     for obj in objs:
-        value = extend_measure(phi, obj, corpus.provider).value
+        value = extend_measure(phi, obj).value
         report = weight_report(value, obj.smooth, obj.is_compact(),
                                obj.fan.face_counts(), obj.fan.rank)
         assert report.purity is True, f"{obj.name}: {report.note}"
@@ -196,22 +192,21 @@ def test_criterion_10_weight_purity(corpus):
 
 def test_criterion_11_mutation_sensitivity(corpus):
     t0 = time.perf_counter()
-    broken = PerturbedMeasure(e_polynomial_measure(), toric.builtin_fan("P2"))
-    clean = e_polynomial_measure()
+    clean = MeasureOnCompacts(MeasureSpec("e_poly"))
+    broken = PerturbedMeasure(clean, toric.builtin_fan("P2"))
     # a criterion-2 run: two completions of A2, one of them P2
     a2 = ToricObject("A2", toric.builtin_fan("A2"))
     ca = toric_choice(a2, toric.builtin_fan("P2"), "P2bar")
     cb = toric_choice(a2, toric.builtin_fan("P1xP1"), "Qbar")
-    assert independence_check(clean, a2, ca, cb, corpus.provider).status == "pass"
-    assert independence_check(broken, a2, ca, cb, corpus.provider).status == "fail"
+    assert independence_check(clean, a2, ca, cb).status == "pass"
+    assert independence_check(broken, a2, ca, cb).status == "fail"
     # criterion-3 runs: every corpus square based on the P2 fan
     p2_squares = [sq for sq in corpus.squares
                   if sq.base.fan == toric.builtin_fan("P2")]
     assert p2_squares, "the corpus always contains squares over P2 itself"
     for sq in p2_squares:
-        assert consistency_check("blowup_descent", clean, sq, corpus.provider).status == "pass"
-        assert consistency_check("blowup_descent", broken, sq,
-                                 corpus.provider).status == "fail"
+        assert consistency_check("blowup_descent", clean, sq).status == "pass"
+        assert consistency_check("blowup_descent", broken, sq).status == "fail"
     _record(11, t0, f"perturbed measure detected on independence and "
                     f"{len(p2_squares)} descent runs")
 

@@ -6,12 +6,14 @@ would leave its span at zero calls without any error.
 """
 
 import importlib.util
+import json
 import pathlib
 import sys
 
 from kvar import cli
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SUITE = pathlib.Path(__file__).resolve().parent / "fixtures" / "perturbed_suite.json"
 
 
 def _load_tracing():
@@ -69,3 +71,22 @@ def test_tracer_wraps_every_target_and_restores_it(monkeypatch):
     for ns, attrs in before:
         now = vars(ns)
         assert all(now.get(k) is v for k, v in attrs.items()), ns
+
+
+def test_tracer_counts_the_checks_of_a_suite():
+    # the suite runner picks its check function per kind; each call still
+    # goes through the tracer's span
+    suite = json.loads(SUITE.read_text())
+    kinds = [check["kind"] for check in suite["checks"]]
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        report = cli.Report({})
+        cli.run_suite(report, suite)
+    finally:
+        tracer.uninstall()
+    assert len(report.records) == len(kinds)
+    assert tracer.calls["csupport.additivity_check"] == kinds.count("additivity") > 0
+    assert tracer.calls["csupport.consistency_check"] == sum(
+        kinds.count(k) for k in ("blowup_descent", "mayer_vietoris", "kunneth")) > 0
+    assert tracer.calls["csupport.extend_measure"] > 0

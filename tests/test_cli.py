@@ -26,7 +26,7 @@ from kvar.cli import (
     run_corpus_checks,
     _cover_monotone,
 )
-from kvar.csupport import CompactificationChoice, CompletionProvider, MeasureOnCompacts
+from kvar.csupport import CompactificationChoice, MeasureOnCompacts
 from kvar.measures import MeasureSpec, MeasureValue
 from kvar.spansite import (
     EMPTY,
@@ -207,6 +207,23 @@ def test_check_suite_perturbed_fixture():
     assert {"additivity", "mayer_vietoris", "kunneth"} <= passing
 
 
+def test_an_empty_perturbation_takes_the_documented_defaults():
+    # {} perturbs P2 by 1, as the fixture spells out; null perturbs nothing
+    fixture = json.loads((FIXTURES / "perturbed_suite.json").read_text())
+    check = next(c for c in fixture["checks"] if c["kind"] == "blowup_descent")
+    assert check["measure"]["perturb"] == {"target": "P2", "delta": 1}
+    results = {}
+    for name, perturb in (("spelled", check["measure"]["perturb"]), ("empty", {}),
+                          ("null", None)):
+        report = Report({})
+        measure = dict(check["measure"], perturb=perturb)
+        cli.run_suite(report, {"checks": [dict(check, measure=measure)]})
+        [rec] = report.records
+        results[name] = (rec.status, rec.lhs, rec.rhs, rec.note)
+    assert results["empty"] == results["spelled"]
+    assert results["empty"][0] == "fail" and results["null"][0] == "pass"
+
+
 def test_check_empty_suite(tmp_path):
     path = tmp_path / "suite.json"
     path.write_text('{"checks": []}')
@@ -321,6 +338,13 @@ def test_exit_code_contract(tmp_path):
             '{"checks": [{"kind": "blowup_descent", "object": "P2", "ray": [1, 1], '
             '"measure": {"selector": "euler", "perturb": {"target": "P2", "delta": %s}}}]}'
             % delta)
+    # a perturbation that is neither null nor an object
+    bad_perturbs = []
+    for j, perturb in enumerate(("[]", "false", "0", '""')):
+        bad_perturbs.append(tmp_path / f"bad_perturb{j}.json")
+        bad_perturbs[-1].write_text(
+            '{"checks": [{"kind": "blowup_descent", "object": "P2", "ray": [1, 1], '
+            '"measure": {"selector": "euler", "perturb": %s}}]}' % perturb)
     # a malformed field of a known kind: an object that is not a builtin
     # fan, a ray that is not a list of integers of the object's rank (or
     # not a primitive ray inside a cone), a window that is not "torus" or
@@ -343,7 +367,7 @@ def test_exit_code_contract(tmp_path):
         bad_fields[-1].write_text('{"checks": [{%s}]}' % check)
     for argv in (["check", "--suite", str(tmp_path / "nonexistent.json")],
                  *(["check", "--suite", str(path)]
-                   for path in bad_deltas + bad_fields + bad_names),
+                   for path in bad_deltas + bad_perturbs + bad_fields + bad_names),
                  ["check", "--suite", str(no_kind)],
                  ["check", "--suite", str(list_suite)],
                  ["check", "--suite", str(deep_suite)],
@@ -485,10 +509,8 @@ ANSWERED_KINDS = {"additivity", "independence", "square_relation", "blowup_desce
 
 
 def _fresh(arg):
-    """A battery argument with no state of the run: a new provider, a new
-    measure of the same spec; any other argument as it is."""
-    if isinstance(arg, CompletionProvider):
-        return CompletionProvider()
+    """A battery argument with no state of the run: a new measure of the
+    same spec; any other argument as it is."""
     if type(arg) is MeasureOnCompacts:
         return MeasureOnCompacts(arg.spec)
     return arg
@@ -520,6 +542,36 @@ def test_each_distinct_check_of_a_battery_is_computed_once():
         "blowup_descent": 156, "mayer_vietoris": 598, "kunneth": 366,
         "c_complete": 674, "dim_compatible": 159, "square_valid": 159, "purity": 78,
         "point_count_oracle": 80}
+
+
+# Runs the seed-1, size-200 battery under sys.setprofile and prints how
+# often the body of toric._gap_filled ran, and for how many distinct fans.
+COMPLETIONS_CHILD = """
+import sys
+from collections import Counter
+from kvar import cli, toric
+body = toric._gap_filled.__wrapped__.__code__
+computed = Counter()
+def note(frame, event, arg):
+    if event == "call" and frame.f_code is body:
+        fan = frame.f_locals["fan"]
+        computed[fan.rank, fan.cones] += 1
+sys.setprofile(note)
+cli.run_corpus_checks(cli.Report({}), 1, 200, ["euler", "e"])
+sys.setprofile(None)
+print(sum(computed.values()), len(computed))
+"""
+
+
+def test_each_completion_of_a_battery_is_computed_once(cli_child_env):
+    # an open's automatic completion is kept on its fan: a fan dropped
+    # between two measures of the battery and built again shows here as a
+    # second computation.  A child process starts with no fan kept.
+    proc = subprocess.run([sys.executable, "-c", COMPLETIONS_CHILD], capture_output=True,
+                          text=True, env=cli_child_env("0"), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    computations, fans = map(int, proc.stdout.split())
+    assert computations == fans > 0
 
 
 def _site_objects(value, found: dict) -> None:

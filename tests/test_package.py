@@ -90,10 +90,6 @@ NO_COMMAND_REACHES = {
     "csupport._of_torus":
         "the paper's orbit decomposition of a locus that is not closed; "
         "every locus a command builds is closed",
-    "csupport.point_count_measure":
-        "constructor of a builtin measure; the battery builds point counts from MeasureSpec",
-    "csupport.virtual_poincare_measure":
-        "constructor of a builtin measure; the battery measures euler and e_poly",
     "kring.expr_size":
         "perfbench counts the nodes of each eval tree with it",
     "spansite.EmptyObject.is_compact":
