@@ -293,10 +293,8 @@ def _two_completions(obj: ToricObject, window: frozenset, name: str) -> tuple:
     """The open of ``obj`` on ``window``, named ``name``, with its automatic
     completion and that completion's alternative (itself if it has none)."""
     u_obj = ToricObject(name, obj.fan.subfan(window))
-    completion = toric.complete_surface(u_obj.fan)
-    alt = toric.alternative_completion(completion, u_obj.fan) or completion
-    return (u_obj, csupport.toric_choice(u_obj, completion),
-            csupport.toric_choice(u_obj, alt))
+    return (u_obj, csupport.toric_choice(u_obj),
+            csupport.toric_choice(u_obj, toric.alternative_completion(u_obj.fan)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +379,7 @@ def _fan_op(op: str, fan: toric.Fan) -> CheckResult:
         raise InputError(f"unknown fan operation {op!r}")
     try:
         return verdict(True, toric.complete_surface(fan).to_json())
-    except toric.ToricError as exc:
+    except (toric.ToricError, kring.MissingCompactificationError) as exc:
         return verdict(False, note=str(exc))
 
 
@@ -424,9 +422,9 @@ def run_corpus_checks(report: Report, seed: int, size: int,
       ``key``: the fans or loci of its ends and its window.
 
     The extensions also read each open's automatic completion, a function
-    of its fan (``csupport.completion_fan``); Kunneth extends a product that
+    of its fan (``toric.complete_surface``); Kunneth extends a product that
     is not complete through an explicit choice, the product of its factors'
-    completions.
+    automatic completions.
     cover_monotone keeps no answer: it is per object, because the squares
     over an object are the ones the corpus added over that object.
     """

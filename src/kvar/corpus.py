@@ -141,14 +141,13 @@ def generate(seed: int, size: int) -> Corpus:
         sub = obj.fan.subfan(window)
         if sub.is_complete() or sub.is_empty():
             continue
-        comp_a = toric.complete_surface(sub)
-        comp_b = toric.alternative_completion(comp_a, sub, pick=rng.choice)
+        comp_b = toric.alternative_completion(sub, pick=rng.choice)
         if comp_b is None:
             continue
         u_obj = ToricObject(f"{obj.name}|open{len(corpus.independence)}", sub)
         corpus.independence.append(IndependenceCase(
             u_obj,
-            toric_choice(u_obj, comp_a, f"{u_obj.name}^auto"),
+            toric_choice(u_obj, name=f"{u_obj.name}^auto"),
             toric_choice(u_obj, comp_b, f"{u_obj.name}^subdiv"),
         ))
 
@@ -211,8 +210,8 @@ def generate(seed: int, size: int) -> Corpus:
         u_obj = sq.base
         cases = [identity_span(u_obj), sq.p_leg, zero_span(sq.Y, u_obj)]
         if not u_obj.fan.is_complete():
-            completion = toric.complete_surface(u_obj.fan)
-            alt_fan = toric.alternative_completion(completion, u_obj.fan) or completion
+            alt_fan = toric.alternative_completion(u_obj.fan) \
+                or toric.complete_surface(u_obj.fan)
             alt_obj = ToricObject(f"{u_obj.name}^alt", alt_fan)
             cases.append(SpanMorphism(alt_obj, u_obj, frozenset(u_obj.fan.cones),
                                       "restriction from an alternative completion"))

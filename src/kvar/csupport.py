@@ -86,7 +86,7 @@ class PerturbedMeasure(MeasureOnCompacts):
 
 
 # ---------------------------------------------------------------------------
-# compactification choices and the automatic completion
+# compactification choices
 
 @dataclass
 class CompactificationChoice:
@@ -95,49 +95,18 @@ class CompactificationChoice:
     boundary: ToricLocus
 
 
-def completion_fan(fan: Fan) -> Fan:
-    """The automatic completion of a fan: the fan itself when it is
-    complete, (P1)^k for a k-torus, and ``toric.complete_surface``, kept on
-    the fan, in rank <= 2.  A fan of higher rank takes an explicit
-    compactification choice (``toric_choice``) instead."""
-    if fan.is_complete():
-        return fan
-    if all(c.dim == 0 for c in fan.cones):
-        return _p1_power(fan.rank)
-    if fan.rank <= 2:
-        return toric.complete_surface(fan)
-    raise MissingCompactificationError(
-        f"no automatic completion of a rank-{fan.rank} fan; pass an explicit choice")
-
-
-def _p1_power(k: int) -> Fan:
-    fan = toric.builtin_fan("P1")
-    if k == 0:
-        return Fan(0, [Cone(0, [])])
-    out = fan
-    for _ in range(k - 1):
-        out = out.product(fan)
-    return out
-
-
-def toric_choice(obj: ToricObject, completion: Fan,
+def toric_choice(obj: ToricObject, completion: Optional[Fan] = None,
                  name: Optional[str] = None) -> CompactificationChoice:
-    """Explicit compactification of a toric object by a completion fan
-    containing its fan as a subfan."""
-    _check_completion(obj.fan, completion)
-    return _completion_choice(obj, completion, name)
-
-
-def _check_completion(fan: Fan, completion: Fan) -> None:
-    if not completion.is_complete():
+    """The object as a dense open of ``completion``, the rest as boundary.
+    With no completion, the automatic one (``toric.complete_surface``),
+    which holds the fan by construction; a given one must be complete and
+    contain the fan."""
+    if completion is None:
+        completion = toric.complete_surface(obj.fan)
+    elif not completion.is_complete():
         raise MissingCompactificationError("completion fan is not complete")
-    if not all(completion.contains_cone(c) for c in fan.cones):
+    elif not all(completion.contains_cone(c) for c in obj.fan.cones):
         raise MissingCompactificationError("completion does not contain the fan")
-
-
-def _completion_choice(obj: ToricObject, completion: Fan,
-                       name: Optional[str] = None) -> CompactificationChoice:
-    """The object as a dense open of the completion, the rest as boundary."""
     compact_obj = ToricObject(name or f"{obj.name}^bar", completion)
     return CompactificationChoice(compact_obj,
                                   ToricLocus(completion, _boundary(obj.fan, completion)))
@@ -171,14 +140,14 @@ def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
                    choice: Optional[CompactificationChoice] = None) -> ExtensionResult:
     """Phi_c of any object: Phi on compacts, else Phi(Xbar) - Phi_c(boundary).
 
-    Xbar is the object's automatic completion (``completion_fan``), or
-    ``choice`` when one is given (by the independence check, and for a
-    rank above 2).  Trace depth never exceeds dim + 1: every recursive
-    boundary strictly drops dimension.  Nothing is memoized here, so the
-    value and the trace are functions of the measure, the object and the
-    choice, and of nothing extended before.  The recursion is module
-    functions sharing ``trace``: nested closures would form a reference
-    cycle per call, which only the garbage collector frees.
+    Xbar is the object's automatic completion (``toric_choice``), or
+    ``choice`` when one is given (by the independence check, and for a fan
+    that has no automatic completion).  Trace depth never exceeds dim + 1:
+    every recursive boundary strictly drops dimension.  Nothing is memoized
+    here, so the value and the trace are functions of the measure, the
+    object and the choice, and of nothing extended before.  The recursion
+    is module functions sharing ``trace``: nested closures would form a
+    reference cycle per call, which only the garbage collector frees.
     """
     trace: List[TraceStep] = []
     if obj.is_empty():
@@ -186,10 +155,7 @@ def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
     elif obj.is_compact():
         value = phi.on_compact(obj)
     elif isinstance(obj, ToricObject):
-        ch = choice or _completion_choice(obj, completion_fan(obj.fan))
-        trace.append(TraceStep(obj.name, ch.compact_obj.name,
-                               f"{len(ch.boundary.cones)} boundary cones", 1))
-        value = phi.on_compact(ch.compact_obj) - _of_locus(phi, ch.boundary, 1, trace)
+        value = _of_open(phi, obj, choice or toric_choice(obj), 0, trace)
     elif isinstance(obj, ToricLocusObject):
         value = _of_locus(phi, obj.locus, 0, trace)
     else:
@@ -197,13 +163,22 @@ def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
     return ExtensionResult(obj.name, value, tuple(trace))
 
 
+def _of_open(phi: MeasureOnCompacts, obj: ToricObject, choice: CompactificationChoice,
+             depth: int, trace: List[TraceStep]) -> MeasureValue:
+    """Phi(Xbar) - Phi_c(Xbar \\ U) for U the object, one step deeper."""
+    trace.append(TraceStep(obj.name, choice.compact_obj.name,
+                           f"{len(choice.boundary.cones)} boundary cones", depth + 1))
+    return phi.on_compact(choice.compact_obj) \
+        - _of_locus(phi, choice.boundary, depth + 1, trace)
+
+
 def _of_locus(phi: MeasureOnCompacts, locus: ToricLocus, depth: int,
               trace: List[TraceStep]) -> MeasureValue:
     """A compact locus is measured; any other is decomposed orbit by orbit
-    into tori, each torus dimension extended once.  A completion's boundary
-    is upward-closed, hence compact (Fulton, Introduction to Toric
-    Varieties, 2.4 and 3.1), so one extension decomposes at most one locus:
-    a non-closed top-level locus."""
+    into tori, each torus dimension extended once as the dense open of
+    (P1)^k.  A completion's boundary is upward-closed, hence compact
+    (Fulton, Introduction to Toric Varieties, 2.4 and 3.1), so one
+    extension decomposes at most one locus: a non-closed top-level locus."""
     if locus.is_empty():
         return MeasureValue.integer(0)
     if locus.is_compact():
@@ -213,22 +188,11 @@ def _of_locus(phi: MeasureOnCompacts, locus: ToricLocus, depth: int,
     for cone in sorted(locus.cones, key=lambda c: c.rays):
         k = locus.fan.rank - cone.dim
         if k not in tori:
-            tori[k] = _of_torus(phi, k, depth, trace)
+            torus = ToricObject(f"torus^{k}", Fan(k, [Cone(k, ())]))
+            tori[k] = phi.on_compact(torus) if k == 0 else _of_open(
+                phi, torus, toric_choice(torus, name=f"(P1)^{k}"), depth, trace)
         total = total + tori[k]
     return total
-
-
-def _of_torus(phi: MeasureOnCompacts, k: int, depth: int,
-              trace: List[TraceStep]) -> MeasureValue:
-    """The k-torus as the dense open of (P1)^k."""
-    if k == 0:
-        return phi.on_compact(ToricObject("pt", _p1_power(0)))
-    ambient = _p1_power(k)
-    boundary = ToricLocus(ambient, [c for c in ambient.cones if c.dim > 0])
-    trace.append(TraceStep(f"torus^{k}", f"(P1)^{k}",
-                           f"{len(boundary.cones)} boundary cones", depth + 1))
-    return phi.on_compact(ToricObject(f"(P1)^{k}", ambient)) \
-        - _of_locus(phi, boundary, depth + 1, trace)
 
 
 def oracle_value(phi: MeasureOnCompacts, obj: SiteObject) -> MeasureValue:
@@ -309,8 +273,8 @@ def consistency_check(kind: str, phi: MeasureOnCompacts, args) -> CheckResult:
         prod_obj = ToricObject(f"{a_obj.name}x{b_obj.name}", product_fan)
         choice = None
         if not product_fan.is_complete():
-            choice = toric_choice(prod_obj, completion_fan(a_obj.fan).product(
-                completion_fan(b_obj.fan)))
+            choice = toric_choice(prod_obj, toric.complete_surface(a_obj.fan).product(
+                toric.complete_surface(b_obj.fan)))
         lhs = extend_measure(phi, prod_obj, choice).value
         rhs = extend_measure(phi, a_obj).value * extend_measure(phi, b_obj).value
         return verdict(lhs == rhs, lhs, rhs)

@@ -21,12 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from kvar.kring import KClass
+from kvar.kring import KClass, MissingCompactificationError
 
 Vector = Tuple[int, ...]
 
 # the largest rank of a fan file: a dense torus costs time quadratic in it
 MAX_FAN_FILE_RANK = 64
+
+# the largest rank of a torus with an automatic completion: (P1)^k has 3^k
+# cones, and building it takes about four times as long per rank (1.5 s at
+# rank 8 on a 2-core cloud host)
+MAX_TORUS_COMPLETION_RANK = 8
 
 
 class ToricError(Exception):
@@ -50,10 +55,6 @@ class NotFaceClosedError(ToricError):
 
 
 class SubdivisionError(ToricError):
-    pass
-
-
-class CompletionRankError(ToricError):
     pass
 
 
@@ -431,7 +432,7 @@ class Fan:
     a pure function of the fan and the other arguments: completeness,
     smoothness, rays, maximal cones, the class, point and cone containment,
     the closedness and class of a cone subset, the subfan on a cone subset,
-    the product with another fan, the star subdivision at a ray, the rank-2
+    the product with another fan, the star subdivision at a ray, the automatic
     completion, the common refinement with another fan of the same support,
     at any rank, and the boundary inside a completion (``csupport``).
 
@@ -866,22 +867,40 @@ def _star_parts(fan: Fan, ray: Vector) -> tuple:
 
 
 def complete_surface(fan: Fan) -> Fan:
-    """Toric compactification in rank <= 2 by deterministic gap filling.
+    """The automatic completion of a fan, kept on the fan: the fan itself
+    when it is complete, deterministic gap filling in rank <= 2 (below),
+    and (P1)^k for a k-torus up to ``MAX_TORUS_COMPLETION_RANK`` (Fulton,
+    Introduction to Toric Varieties, 2.4).  The empty fan is a
+    ``ToricError``; any other fan takes an explicit completion, and is a
+    ``MissingCompactificationError`` here.
 
-    Uncovered angular gaps of more than pi get the primitive negated sum of
-    their bounding rays; gaps of exactly pi (negated sum degenerates) get
-    the 90-degree counterclockwise rotation of the starting ray.  Once all
-    uncovered gaps are strictly less than pi, each is filled with a single
-    2-cone.  The input fan survives as a subfan.  The completion of a fan
-    that is not complete is kept on the fan.
+    Gap filling: uncovered angular gaps of more than pi get the primitive
+    negated sum of their bounding rays; gaps of exactly pi (negated sum
+    degenerates) get the 90-degree counterclockwise rotation of the
+    starting ray.  Once all uncovered gaps are strictly less than pi, each
+    is filled with a single 2-cone.  The input fan survives as a subfan;
+    a torus of rank <= 2 gap-fills to (P1)^k.
     """
-    if fan.rank > 2:
-        raise CompletionRankError("automatic completion only in rank <= 2")
     if fan.is_empty():
         raise ToricError("cannot complete the empty fan")
     if fan.is_complete():  # every nonempty rank-0 fan is
         return fan
-    return _gap_filled(fan)
+    if fan.rank <= 2:
+        return _gap_filled(fan)
+    if len(fan.cones) > 1:
+        raise MissingCompactificationError(
+            f"no automatic completion of a rank-{fan.rank} fan; pass an explicit choice")
+    if fan.rank > MAX_TORUS_COMPLETION_RANK:
+        raise MissingCompactificationError(
+            f"no automatic completion of a rank-{fan.rank} torus: (P1)^{fan.rank} "
+            f"has 3^{fan.rank} cones, past the bound of rank {MAX_TORUS_COMPLETION_RANK}")
+    return _p1_closure(fan)
+
+
+@kept
+def _p1_closure(torus: Fan) -> Fan:
+    """(P1)^k, the completion of the k-torus, k >= 3."""
+    return functools.reduce(Fan.product, [builtin_fan("P1")] * torus.rank)
 
 
 @kept
@@ -938,11 +957,12 @@ def _gap_filled(fan: Fan) -> Fan:
     return Fan.from_cones(2, cones)
 
 
-def alternative_completion(completion: Fan, fan: Fan, pick=None) -> Optional[Fan]:
-    """A second completion of ``fan``: ``completion`` star-subdivided at the
-    barycentre of a maximal 2-cone that ``fan`` lacks, or None when it
-    lacks none.  ``pick`` chooses from those cones, given in ray order; by
-    default the first."""
+def alternative_completion(fan: Fan, pick=None) -> Optional[Fan]:
+    """A second completion of ``fan``: its automatic completion
+    star-subdivided at the barycentre of a maximal 2-cone that ``fan``
+    lacks, or None when it lacks none.  ``pick`` chooses from those cones,
+    given in ray order; by default the first."""
+    completion = complete_surface(fan)
     outside = [c for c in completion.maximal_cones
                if c.dim == 2 and not fan.contains_cone(c)]
     if not outside:

@@ -65,7 +65,8 @@ def test_tracer_wraps_every_target_and_restores_it(monkeypatch):
     finally:
         tracer.uninstall()
     for span in ("csupport.additivity_check", "csupport.consistency_check",
-                 "csupport.extend_measure", "spansite.check_c_complete"):
+                 "csupport.extend_measure", "spansite.check_c_complete",
+                 "toric.complete_surface"):
         assert tracer.calls[span] > 0, span
     assert len(added) == len(report.records) > 0
     for ns, attrs in before:

@@ -187,6 +187,27 @@ def test_fan_command(tmp_path):
     assert sorted(completed["rays"]) == [[-1, -1], [0, 1], [1, 0]]
 
 
+def test_fan_complete_past_rank_two_is_the_automatic_completion(tmp_path, capsys):
+    # a rank-3 torus completes to (P1)^3 and a complete fan to itself; any
+    # other rank-3 fan has no automatic completion and fails its record
+    p1 = toric.builtin_fan("P1")
+    p1_cubed = p1.product(p1).product(p1)
+    fans = {"torus": {"rank": 3, "rays": [], "maximal_cones": [], "dense_torus": True},
+            "one_ray": {"rank": 3, "rays": [[1, 0, 0]], "maximal_cones": [[0]]},
+            "p1_cubed": p1_cubed.to_json()}
+    outcomes = {}
+    for name, data in fans.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code = main(["fan", str(path), "--complete", "--format", "json"])
+        (record,) = json.loads(capsys.readouterr().out)["records"]
+        outcomes[name] = code, record["status"], record["lhs"], record["note"]
+    assert outcomes["torus"] == (0, "pass", p1_cubed.to_json(), "")
+    assert outcomes["p1_cubed"] == (0, "pass", p1_cubed.to_json(), "")
+    assert outcomes["one_ray"] == (1, "fail", None, "no automatic completion of a "
+                                   "rank-3 fan; pass an explicit choice")
+
+
 def test_text_report_prints_rhs_only_when_there_is_one(tmp_path):
     text = run_cli("eval", "P2 - pt", "--measure", "euler").to_text()
     assert "lhs=L + L^2  (" in text and "rhs=" not in text

@@ -9,7 +9,6 @@ from kvar.csupport import (
     MeasureOnCompacts,
     PerturbedMeasure,
     additivity_check,
-    completion_fan,
     consistency_check,
     extend_measure,
     independence_check,
@@ -19,7 +18,7 @@ from kvar.csupport import (
 )
 from kvar.measures import MeasureSpec, MeasureValue, apply_measure
 from kvar.spansite import EMPTY, ToricLocusObject, ToricObject, star_subdivision_square
-from kvar.toric import Fan, ToricLocus, builtin_fan
+from kvar.toric import Fan, ToricLocus, builtin_fan, complete_surface
 
 
 def uv(*coeffs):
@@ -117,7 +116,7 @@ def test_missing_completion_is_an_error():
     raise_sites = (
         lambda: kring.g_map("U", kring.CompactificationTable(), rels),
         lambda: extend_measure(measure("euler"), rank4),
-        lambda: completion_fan(rank4.fan),
+        lambda: complete_surface(rank4.fan),
     )
     for raise_site in raise_sites:
         with pytest.raises(kring.MissingCompactificationError):
@@ -162,10 +161,24 @@ def test_extension_traces_are_pinned():
                                        ("torus^1", "(P1)^1", "2 boundary cones", 1)]
 
 
+def test_each_open_has_one_automatic_completion():
+    # the corpus, the extension of an additivity open and a Kunneth factor
+    # all take the completion that toric.complete_surface keeps on the fan
+    corp = corpus.generate(1, 50)
+    assert corp.independence
+    for case in corp.independence:
+        assert case.choice_a.compact_obj.fan is complete_surface(case.obj.fan)
+    opens = [ToricObject(f"{x.name}|U", x.fan.subfan(w)) for x, w in corp.pairs_xu if w]
+    factors = [o for pair in corp.kunneth_pairs for o in pair if not o.fan.is_complete()]
+    assert factors and any(not o.fan.is_complete() for o in opens)
+    for o in opens + factors:
+        assert toric_choice(o).compact_obj.fan is complete_surface(o.fan)
+
+
 def test_an_explicit_choice_overrides_the_automatic_completion():
     a2 = builtin_fan("A2")
-    first = completion_fan(a2)
-    assert completion_fan(a2) is first
+    first = complete_surface(a2)
+    assert complete_surface(a2) is first
     assert first == builtin_fan("P2")
     # the perturbation shifts the value through P2, not through P1xP1
     phi = PerturbedMeasure(measure("e_poly"), builtin_fan("P2"))
@@ -176,7 +189,7 @@ def test_an_explicit_choice_overrides_the_automatic_completion():
     assert through_p1xp1.value == uv(0, 0, 1) != through_p2.value
     assert through_p1xp1 == extend_measure(phi, a2_obj, quadric)
     # the choice leaves the automatic completion as it was
-    assert completion_fan(a2) is first
+    assert complete_surface(a2) is first
     assert extend_measure(phi, a2_obj) == through_p2
 
 

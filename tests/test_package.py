@@ -87,9 +87,6 @@ NO_COMMAND_REACHES = {
         "perfbench's worker serialises a report through it and times it",
     "cli._too_long":
         "the note for a class or value past the interpreter's int-string digit limit",
-    "csupport._of_torus":
-        "the paper's orbit decomposition of a locus that is not closed; "
-        "every locus a command builds is closed",
     "kring.expr_size":
         "perfbench counts the nodes of each eval tree with it",
     "spansite.EmptyObject.is_compact":
@@ -103,9 +100,6 @@ NO_COMMAND_REACHES = {
     "toric.ToricLocus._minimal_cones":
         "compactness of a closed locus in a fan that is not complete; "
         "every locus a command builds lies in a complete fan",
-    "toric.hirzebruch_fan":
-        "a suite file's Hirzebruch(a) object, through builtin_fan; "
-        "the suite fixture names none",
 }
 
 
@@ -198,20 +192,28 @@ print(json.dumps([(os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
 
 def _reached(tmp_path, env):
     """What a fresh process reaches: the size-10 battery, the suite fixture,
-    README's evals, a relation file, a fan file, a parse error and the
-    demos.  A fresh process starts with empty intern tables and kept fans."""
+    a Hirzebruch suite, README's evals, a relation file, two fan files (the
+    second a rank-3 torus), a parse error and the demos.  A fresh process
+    starts with empty intern tables and kept fans."""
     relations = tmp_path / "relations.json"
     relations.write_text(json.dumps([  # an axiom-checked relation over builtins
         {"kind": "open", "slots": {"X": "P1", "U": "A1", "complement": "pt"}},
         {"kind": "generator", "name": "S", "dim": 2, "compact": True}]))
     fan = tmp_path / "fan.json"
     fan.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 1]]}))
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps({"rank": 3, "rays": [], "maximal_cones": [], "dense_torus": True}))
+    suite = tmp_path / "hirzebruch_suite.json"
+    suite.write_text(json.dumps({"checks": [
+        {"kind": "additivity", "object": "Hirzebruch(2)", "window": [[0, 1]]}]}))
     runs = [["check", "--corpus-seed", "1", "--corpus-size", "10", "--format", "json"],
             ["check", "--suite", str(ROOT / "tests" / "fixtures" / "perturbed_suite.json")],
+            ["check", "--suite", str(suite)],
             ["eval", "P2 - pt", "--measure", "euler", "--measure", "e"],
             ["eval", "Bl(P2;pt)", "--measure", "e"],
             ["eval", "S + P1", "--relations", str(relations)],
             ["fan", str(fan), "--props", "--class", "--complete"],
+            ["fan", str(torus), "--complete"],
             ["eval", "P2 + $"]]
     demos = [str(path) for path in sorted((ROOT / "demos").glob("*.py"))]
     proc = subprocess.run([sys.executable, "-c", REACH_CHILD, json.dumps([runs, demos])],

@@ -14,17 +14,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kvar import corpus, toric
-from kvar.kring import KClass
+from kvar.kring import KClass, MissingCompactificationError
 from kvar.spansite import ToricObject, star_subdivision_square
 from kvar.toric import (
     Cone,
-    CompletionRankError,
     Fan,
     FanConditionError,
     NonPrimitiveRayError,
     NotFaceClosedError,
     NotStronglyConvexError,
     SubdivisionError,
+    ToricError,
     ToricLocus,
     alternative_completion,
     build_fan,
@@ -618,8 +618,28 @@ def test_complete_surface_always_contains_input():
 
 
 def test_complete_surface_rank_bound():
-    with pytest.raises(CompletionRankError):
-        complete_surface(builtin_fan("P1").product(builtin_fan("P1xP1")))
+    # past rank 2 a fan that is neither complete nor a torus takes an
+    # explicit completion; a complete fan is its own at any rank
+    with pytest.raises(MissingCompactificationError, match="rank-3"):
+        complete_surface(builtin_fan("A1").product(builtin_fan("A2")))
+    p1_cubed = builtin_fan("P1").product(builtin_fan("P1xP1"))
+    assert complete_surface(p1_cubed) is p1_cubed
+    assert complete_surface(Fan(3, [Cone(3, ())])) is p1_cubed
+
+
+@pytest.mark.parametrize("rank", [toric.MAX_TORUS_COMPLETION_RANK + 1, toric.MAX_FAN_FILE_RANK])
+def test_a_torus_past_the_completion_bound_is_not_completed(rank):
+    # (P1)^k has 3^k cones: past the bound the torus fails before building any
+    torus = Fan(rank, [Cone(rank, ())])
+    with pytest.raises(MissingCompactificationError, match=f"rank-{rank} torus"):
+        complete_surface(torus)
+    assert toric._p1_closure.__wrapped__ not in torus._flags
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_the_empty_fan_has_no_completion(rank):
+    with pytest.raises(ToricError, match="^cannot complete the empty fan$"):
+        complete_surface(Fan(rank, []))
 
 
 # -- star fans and loci -----------------------------------------------------------------
@@ -689,15 +709,15 @@ def test_alternative_completion_subdivides_a_cone_the_fan_lacks():
     a2 = builtin_fan("A2")
     completion = complete_surface(a2)
     outside = [c for c in completion.maximal_cones if not a2.contains_cone(c)]
-    first = alternative_completion(completion, a2)
+    first = alternative_completion(a2)
     assert first == star_subdivide(completion, toric.primitive(outside[0].representative())).fan
-    last = alternative_completion(completion, a2, pick=lambda cones: cones[-1])
+    last = alternative_completion(a2, pick=lambda cones: cones[-1])
     assert last == star_subdivide(completion, toric.primitive(outside[-1].representative())).fan
     assert first.is_complete() and all(first.contains_cone(c) for c in a2.cones)
     # a complete fan lacks no cone of itself, and a rank-1 completion has no
     # 2-cone at all
-    assert alternative_completion(builtin_fan("P2"), builtin_fan("P2")) is None
-    assert alternative_completion(builtin_fan("P1"), builtin_fan("A1")) is None
+    assert alternative_completion(builtin_fan("P2")) is None
+    assert alternative_completion(builtin_fan("A1")) is None
 
 
 def test_orbit_of_is_the_cone_holding_the_representative():
@@ -866,7 +886,7 @@ def test_each_kept_fan_construction_is_its_fresh_computation():
     for case in corp.independence:
         for choice in (case.choice_a, case.choice_b):
             completion = choice.compact_obj.fan
-            again = csupport._completion_choice(case.obj, completion)
+            again = csupport.toric_choice(case.obj, completion)
             assert again.boundary.cones == frozenset(
                 c for c in completion.cones if not case.obj.fan.contains_cone(c))
             assert again.boundary is not choice.boundary  # a fresh locus
@@ -928,7 +948,7 @@ def _build_and_keep():
     sd = star_subdivide(completion, toric.primitive(completion.maximal_cones[0].representative()))
     refined = toric.common_refinement(completion, sd.fan)
     toric.common_refinement(sd.fan, completion)
-    csupport._completion_choice(spansite.ToricObject("U", fan), completion)
+    csupport.toric_choice(spansite.ToricObject("U", fan), completion)
     for c in completion.cones:
         sd.fan.smallest_containing_cone(c)
     return [(f.rank, f.cones) for f in (fan, completion, sd.fan, refined, product)]
