@@ -30,16 +30,17 @@ from kvar import corpus as corpus_mod
 from kvar import csupport, kring, measures, spansite, toric
 from kvar.csupport import (
     CheckResult,
+    CompactificationChoice,
     MeasureOnCompacts,
     PerturbedMeasure,
-    consistency_check,
     extend_measure,
-    independence_check,
-    additivity_check,
     verdict,
 )
 from kvar.measures import MeasureSpec, MeasureValue, apply_measure, weight_report
 from kvar.spansite import (
+    DistinguishedSquare,
+    SiteObject,
+    SpanMorphism,
     ToricObject,
     check_c_complete,
     check_dim_compatible,
@@ -206,67 +207,79 @@ def _measure_from_record(rec) -> MeasureOnCompacts:
 
 
 def _suite_checks(suite) -> list:
-    """The (kind, measure, arguments) triples of a suite file, or an
-    InputError when the file does not have the shape
-    {"checks": [{"kind": ..., ...}, ...]} or a field of a known kind is
-    malformed."""
+    """The (record id, kind, arguments) cases of a suite file, the
+    arguments as ``CHECKS[kind]`` takes them or, for a kind that a suite
+    cannot run, the note of its skipped record; or an InputError when the
+    file does not have the shape {"checks": [{"kind": ..., ...}, ...]} or a
+    field of a known kind is malformed."""
     checks = suite.get("checks", []) if isinstance(suite, dict) else None
     if not isinstance(checks, list):
         raise InputError('suite file: the top level must be an object whose "checks" is a list')
     out = []
-    objects: dict = {}
     for i, rec in enumerate(checks):
         if not (isinstance(rec, dict) and isinstance(rec.get("kind"), str)):
             raise InputError(f'suite file: check {i} is not an object with a string "kind"')
         try:
             phi = _measure_from_record(rec.get("measure", "euler"))
-            args = _suite_args(rec, i, objects)
-            if rec["kind"] == "kunneth" and not phi.multiplicative:
-                raise InputError("kunneth needs a multiplicative measure")
+            out.append((f"{rec['kind']}[{i}]", rec["kind"], _suite_args(rec, i, phi)))
         except (kring.KringError, toric.ToricError, InputError) as exc:
             raise InputError(f"suite file: check {i}: {exc}") from None
-        out.append((rec["kind"], phi, args))
     return out
 
 
-def _suite_args(rec: dict, i: int, objects: dict):
+def _suite_args(rec: dict, i: int, phi: MeasureOnCompacts):
     """The arguments of suite check ``i`` as its check function takes them,
     read from its fields: builtin fan names as objects, windows ("torus" or
     lists of ray indices, each list spanning a cone of the object) as
     face-closed cone sets, a ray (a list of integers of the object's rank)
     as its star-subdivision square, and an independence window as its open
-    with two completions.  An unknown kind has none."""
+    with two completions.  ``phi`` is the measure of the kinds that take
+    one; purity takes the E-polynomial.  A kind whose arguments a suite
+    cannot name, and an unknown kind, get the note of a skipped record."""
     kind = rec["kind"]
+    if kind not in CHECKS:
+        return "unknown kind"
+    if kind in ("c_complete", "cover_monotone"):
+        needed = "a span" if kind == "c_complete" else "a site"
+        return f"needs {needed}, which a suite cannot name yet"
     if kind == "kunneth":
-        return _suite_object(rec, "x", objects), _suite_object(rec, "y", objects)
-    if kind not in ("additivity", "independence", "blowup_descent", "mayer_vietoris"):
-        return ()
-    obj = _suite_object(rec, "object", objects)
+        args = phi, _suite_object(rec, "x"), _suite_object(rec, "y")
+        if not phi.multiplicative:
+            raise InputError("kunneth needs a multiplicative measure")
+        return args
+    obj = _suite_object(rec, "object")
     if kind == "additivity":
-        return obj, _suite_window(rec, obj, "window")
+        return phi, obj, _suite_window(rec, obj, "window")
     if kind == "independence":
-        return _two_completions(obj, _suite_window(rec, obj, "window", "torus"),
-                                f"{obj.name}|U{i}")
+        u_obj = ToricObject(f"{obj.name}|U{i}",
+                            obj.fan.subfan(_suite_window(rec, obj, "window", "torus")))
+        return (phi, u_obj, csupport.toric_choice(u_obj),
+                csupport.toric_choice(u_obj, toric.alternative_completion(u_obj.fan)))
     if kind == "mayer_vietoris":
         win_u, win_v = _suite_window(rec, obj, "u"), _suite_window(rec, obj, "v")
         if win_u | win_v != obj.fan.cones:
             raise InputError(f'"u" and "v" do not cover {obj.name}')
-        return obj, win_u, win_v
+        return phi, obj, win_u, win_v
+    if kind == "purity":
+        if not (obj.smooth and obj.complete):
+            raise InputError(f"purity needs a smooth complete object, not {obj.name}")
+        return MeasureOnCompacts(MeasureSpec("e_poly")), obj
+    if kind == "point_count_oracle":
+        return (obj.fan,)
     ray = rec.get("ray")
     if not (isinstance(ray, list) and len(ray) == obj.fan.rank
             and all(type(x) is int for x in ray)):
         raise InputError(f'"ray" must be a list of {obj.fan.rank} integers')
-    return spansite.star_subdivision_square(obj, tuple(ray))
+    sq = spansite.star_subdivision_square(obj, tuple(ray))
+    return (phi, sq) if kind == "blowup_descent" else (sq,)
 
 
-def _suite_object(rec: dict, field: str, objects: dict) -> ToricObject:
-    """The builtin fan named by ``field``, one object per name per suite."""
+def _suite_object(rec: dict, field: str) -> ToricObject:
+    """The builtin fan named by ``field``."""
     name = rec.get(field)
     if not isinstance(name, str):
         raise InputError(f'"{field}" must be the name of a builtin fan')
-    if name not in objects:
-        objects[name] = ToricObject(name, toric.builtin_fan(name))
-    return objects[name]
+    return ToricObject(name, toric.builtin_fan(name))
 
 
 def _suite_window(rec: dict, obj: ToricObject, field: str, default=None) -> frozenset:
@@ -287,14 +300,6 @@ def _suite_window(rec: dict, obj: ToricObject, field: str, default=None) -> froz
             raise InputError(f'"{field}": {cone} is not a cone of {obj.name}')
         cones.update(cone.faces())
     return frozenset(cones)
-
-
-def _two_completions(obj: ToricObject, window: frozenset, name: str) -> tuple:
-    """The open of ``obj`` on ``window``, named ``name``, with its automatic
-    completion and that completion's alternative (itself if it has none)."""
-    u_obj = ToricObject(name, obj.fan.subfan(window))
-    return (u_obj, csupport.toric_choice(u_obj),
-            csupport.toric_choice(u_obj, toric.alternative_completion(u_obj.fan)))
 
 
 # ---------------------------------------------------------------------------
@@ -395,103 +400,101 @@ def run_corpus_checks(report: Report, seed: int, size: int,
     """The fixed battery over a seeded corpus; record order is deterministic.
 
     The corpus repeats its inputs under new names, so the battery keeps one
-    answer table for its own run and returns it: each distinct (kind, key)
-    is checked once, and a repeat gets a record of its own with the kept
-    result, timed over the lookup alone.  A key holds only the measure
-    instance, interned fans, frozensets of interned cones and square
-    provenance, and each is sound because the result reads nothing else:
+    answer table for its own run and returns it: each distinct key is
+    checked once, and a repeat gets a record of its own with the kept
+    result.  A key is the kind and the ``_shape`` of each argument, what the
+    check reads of it.  No check reads a name, and a record holds values,
+    never a name, so each rule is sound:
 
-    - additivity (measure, fan, window) and Mayer-Vietoris (measure, fan,
-      U, V): the open, the complement and X are built from these alone,
-      and a record holds values, never a name;
-    - independence (measure, fan, then each choice's compact fan and
-      boundary cones): the extension through a given choice reads the
-      open's fan (is it compact?), the compact fan and the boundary;
-    - square_relation, dim_compatible and square_valid (the square's
-      provenance), and blowup_descent (measure, provenance): a square is
-      built from its provenance, which holds no name (a
-      ``StarSubdivision``, a frozen record of interned fans and cones; the
-      fans (W, X) of a refinement; or (X's fan, window) of a
-      localization), so its corners and legs are functions of it up to
-      their names, which no verdict reads;
-    - kunneth (measure, fan, fan), purity (fan) and point_count_oracle
-      (fan): the product object, the weights and the orbit counts are
-      functions of the fans;
-    - c_complete (provenance, span key, depth): the verdict reads the
-      square, a function of its provenance, and what the span is, its
-      ``key``: the fans or loci of its ends and its window.
+    - a site object is its geometry (an open's automatic completion is a
+      function of its fan, ``toric.complete_surface``);
+    - a square is its provenance, which holds no name and builds the square
+      (a ``StarSubdivision``, the fans (W, X) of a refinement, or (X's fan,
+      window) of a localization);
+    - a span is its ``key``: the fans or loci of its ends and its window;
+    - a compactification choice is its compact fan and boundary cones;
+    - a measure instance, an interned fan or cone set, or the depth is
+      itself.
 
-    The extensions also read each open's automatic completion, a function
-    of its fan (``toric.complete_surface``); Kunneth extends a product that
-    is not complete through an explicit choice, the product of its factors'
-    automatic completions.
     cover_monotone keeps no answer: it is per object, because the squares
     over an object are the ones the corpus added over that object.
     """
     corp = corpus_mod.generate(seed, size)
-    phis = _corpus_measures(measure_names)
     answers: dict = {}
+    run_checks(report, _battery_cases(corp, _corpus_measures(measure_names), depth), answers)
+    bases = sorted(dict.fromkeys(sq.base for sq in corp.squares), key=lambda o: o.name)
+    run_checks(report, ((f"cover_monotone[{i}]:{obj.name}", "cover_monotone",
+                         (corp.site, obj, depth)) for i, obj in enumerate(bases)), None)
+    return answers
 
-    def answered(rec_id: str, kind: str, key, check, *args) -> None:
-        _timed(report, rec_id, kind, _answer, answers, (kind, key), check, *args)
 
+def _battery_cases(corp, phis: List[MeasureOnCompacts], depth: int):
+    """The (record id, kind, arguments) cases of the battery that keep an
+    answer, in report order."""
     for i, (obj, window) in enumerate(corp.pairs_xu):
         for phi in phis:
-            answered(f"additivity[{i}]:{obj.name}:{phi.name}", "additivity",
-                     (phi, obj.fan, window), additivity_check, phi, obj, window)
-
+            yield f"additivity[{i}]:{obj.name}:{phi.name}", "additivity", (phi, obj, window)
     for i, case in enumerate(corp.independence):
-        a, b = case.choice_a, case.choice_b
-        shape = (case.obj.fan, a.compact_obj.fan, a.boundary.cones,
-                 b.compact_obj.fan, b.boundary.cones)
         for phi in phis:
-            answered(f"independence[{i}]:{case.obj.name}:{phi.name}", "independence",
-                     (phi, shape), independence_check, phi, case.obj, a, b)
-
+            yield (f"independence[{i}]:{case.obj.name}:{phi.name}", "independence",
+                   (phi, case.obj, case.choice_a, case.choice_b))
     for i, sq in enumerate(corp.squares):
-        answered(f"square_relation[{i}]:{sq.base.name}", "square_relation", sq.provenance,
-                 _square_relation, sq)
+        yield f"square_relation[{i}]:{sq.base.name}", "square_relation", (sq,)
         for phi in phis:
-            answered(f"blowup_descent[{i}]:{sq.base.name}:{phi.name}", "blowup_descent",
-                     (phi, sq.provenance), consistency_check, "blowup_descent", phi, sq)
-
+            yield f"blowup_descent[{i}]:{sq.base.name}:{phi.name}", "blowup_descent", (phi, sq)
     for i, (obj, win_u, win_v) in enumerate(corp.mv_triples):
         for phi in phis:
-            answered(f"mayer_vietoris[{i}]:{obj.name}:{phi.name}", "mayer_vietoris",
-                     (phi, obj.fan, win_u, win_v), consistency_check, "mayer_vietoris",
-                     phi, (obj, win_u, win_v))
-
+            yield (f"mayer_vietoris[{i}]:{obj.name}:{phi.name}", "mayer_vietoris",
+                   (phi, obj, win_u, win_v))
     for i, (a, b) in enumerate(corp.kunneth_pairs):
         for phi in phis:
             if phi.multiplicative:
-                answered(f"kunneth[{i}]:{a.name}x{b.name}:{phi.name}", "kunneth",
-                         (phi, a.fan, b.fan), consistency_check, "kunneth", phi, (a, b))
-
+                yield f"kunneth[{i}]:{a.name}x{b.name}:{phi.name}", "kunneth", (phi, a, b)
     for i, (sq, f) in enumerate(corp.c_complete_cases):
-        answered(f"c_complete[{i}]:{sq.base.name}<-{f.source.name}", "c_complete",
-                 (sq.provenance, f.key(), depth), _c_complete, sq, f, depth)
-
+        yield f"c_complete[{i}]:{sq.base.name}<-{f.source.name}", "c_complete", (sq, f, depth)
     for i, sq in enumerate(corp.squares + corp.loc_squares):
-        answered(f"dim_compatible[{i}]:{sq.base.name}", "dim_compatible", sq.provenance,
-                 _dim_compatible, sq)
-        answered(f"square_valid[{i}]:{sq.base.name}", "square_valid", sq.provenance,
-                 _square_valid, sq)
-
+        yield f"dim_compatible[{i}]:{sq.base.name}", "dim_compatible", (sq,)
+        yield f"square_valid[{i}]:{sq.base.name}", "square_valid", (sq,)
     e_phi = MeasureOnCompacts(MeasureSpec("e_poly"))
     for i, obj in enumerate(corp.rank3 + corp.surfaces):
         if obj.fan.rank <= 3 and obj.smooth and obj.complete:
-            answered(f"purity[{i}]:{obj.name}", "purity", obj.fan,
-                     _purity, e_phi, obj)
-
+            yield f"purity[{i}]:{obj.name}", "purity", (e_phi, obj)
     for i, fan in enumerate(corp.all_fans()):
-        answered(f"point_count_oracle[{i}]", "point_count_oracle", fan,
-                 _point_count_oracle, fan)
+        yield f"point_count_oracle[{i}]", "point_count_oracle", (fan,)
 
-    for i, obj in enumerate(sorted(dict.fromkeys(sq.base for sq in corp.squares),
-                                   key=lambda o: o.name)):
-        _timed(report, f"cover_monotone[{i}]:{obj.name}", "cover_monotone",
-               _cover_monotone, corp.site, obj, depth)
-    return answers
+
+def run_checks(report: Report, cases, answers: Optional[dict]) -> None:
+    """Add the record of each (record id, kind, arguments) case, checked by
+    ``CHECKS[kind]``.  With an answer table, a case is answered from it
+    under the key (kind, the ``_shape`` of each argument); with None, each
+    case is computed.  A check that raises fails its own record, and a case
+    whose arguments are a note is skipped with that note."""
+    for rec_id, kind, args in cases:
+        if isinstance(args, str):
+            report.add(Record(rec_id, kind, "skipped", note=args))
+            continue
+        check = CHECKS[kind]
+        try:
+            if answers is None:
+                _timed(report, rec_id, kind, check, *args)
+            else:
+                _timed(report, rec_id, kind, _answer, answers,
+                       (kind, tuple(_shape(a) for a in args)), check, *args)
+        except Exception as exc:  # records stay isolated
+            report.add(Record(rec_id, kind, "fail", note=f"error: {exc}"))
+
+
+def _shape(arg):
+    """What a check reads of one argument: see ``run_corpus_checks``."""
+    if isinstance(arg, SiteObject):
+        return arg.geometry
+    if isinstance(arg, DistinguishedSquare):
+        return arg.provenance
+    if isinstance(arg, SpanMorphism):
+        return arg.key()
+    if isinstance(arg, CompactificationChoice):
+        return arg.compact_obj.fan, arg.boundary.cones
+    return arg
 
 
 def _timed(report: Report, rec_id: str, kind: str, check, *args) -> None:
@@ -522,8 +525,8 @@ def _c_complete(sq, f, depth: int) -> CheckResult:
 
 
 def _dim_compatible(sq) -> CheckResult:
-    kind = check_dim_compatible(sq).kind
-    return verdict(kind in ("direct", "refined"), note=kind)
+    how = check_dim_compatible(sq).kind
+    return verdict(how in ("direct", "refined"), note=how)
 
 
 def _square_valid(sq) -> CheckResult:
@@ -566,22 +569,28 @@ def _cover_monotone(site, obj, depth: int) -> CheckResult:
     return verdict(ok and surj, note=f"cover counts {counts}")
 
 
+# Each check kind and the function that checks one case.  The csupport
+# checks are looked up in their module when they run, so a wrapper put on
+# the module attribute (a tracer's) sees each call.
+CHECKS = {
+    "additivity": lambda *args: csupport.additivity_check(*args),
+    "independence": lambda *args: csupport.independence_check(*args),
+    "square_relation": _square_relation,
+    "blowup_descent": lambda phi, sq: csupport.consistency_check("blowup_descent", phi, sq),
+    "mayer_vietoris": lambda phi, *args: csupport.consistency_check("mayer_vietoris", phi, args),
+    "kunneth": lambda phi, *args: csupport.consistency_check("kunneth", phi, args),
+    "c_complete": _c_complete,
+    "dim_compatible": _dim_compatible,
+    "square_valid": _square_valid,
+    "purity": _purity,
+    "point_count_oracle": _point_count_oracle,
+    "cover_monotone": _cover_monotone,
+}
+
+
 def run_suite(report: Report, suite: dict) -> None:
-    checks = _suite_checks(suite)
-    for i, (kind, phi, args) in enumerate(checks):
-        rec_id = f"{kind}[{i}]"
-        if kind in ("blowup_descent", "mayer_vietoris", "kunneth"):
-            check, args = consistency_check, (kind, phi, args)
-        elif kind in ("additivity", "independence"):
-            check = additivity_check if kind == "additivity" else independence_check
-            args = (phi, *args)
-        else:
-            report.add(Record(rec_id, kind, "skipped", note="unknown kind"))
-            continue
-        try:
-            _timed(report, rec_id, kind, check, *args)
-        except Exception as exc:  # suite records stay isolated
-            report.add(Record(rec_id, kind, "fail", note=f"error: {exc}"))
+    """A suite file's checks, in file order."""
+    run_checks(report, _suite_checks(suite), None)
 
 
 def cmd_check(config: RunConfig) -> Report:
@@ -614,12 +623,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--measure", action="append", dest="measures",
+    # each option's dest is a RunConfig field; one not given keeps its default
+    common.add_argument("--measure", action="append", dest="measure_names",
+                        metavar="MEASURES", default=argparse.SUPPRESS,
                         help="euler | chi | e | e_poly | poincare | virtual_poincare | "
                              "count:<q> (repeatable)")
     common.add_argument("--depth", type=int, default=3,
                         help=f"simple-cover search bound, 0 to {MAX_DEPTH} (default 3)")
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--format", choices=("text", "json"), default="text",
+                        dest="out_format")
     common.add_argument("--out", dest="out_path")
 
     p_eval = sub.add_parser("eval", parents=[common], help="normalize an expression")
@@ -633,27 +645,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fan = sub.add_parser("fan", parents=[common], help="inspect a fan file")
     p_fan.add_argument("fan_path")
-    p_fan.add_argument("--props", action="append_const", const="props", dest="fan_ops")
-    p_fan.add_argument("--class", action="append_const", const="class", dest="fan_ops")
-    p_fan.add_argument("--complete", action="append_const", const="complete", dest="fan_ops")
+    for op in ("props", "class", "complete"):
+        p_fan.add_argument(f"--{op}", action="append_const", const=op, dest="fan_ops",
+                           default=argparse.SUPPRESS)
     return parser
 
 
 def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        expression=getattr(args, "expression", None),
-        relations_path=getattr(args, "relations_path", None),
-        suite_path=getattr(args, "suite_path", None),
-        fan_path=getattr(args, "fan_path", None),
-        measure_names=args.measures or ["euler", "e"],
-        corpus_seed=getattr(args, "corpus_seed", None),
-        corpus_size=getattr(args, "corpus_size", None),
-        depth=args.depth,
-        out_format=args.format,
-        out_path=args.out_path,
-        fan_ops=getattr(args, "fan_ops", None) or [],
-    )
+    return RunConfig(**vars(args))
 
 
 def run(config: RunConfig) -> Report:

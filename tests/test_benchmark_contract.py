@@ -13,7 +13,7 @@ import sys
 from kvar import cli
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-SUITE = pathlib.Path(__file__).resolve().parent / "fixtures" / "perturbed_suite.json"
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 def _load_tracing():
@@ -74,20 +74,27 @@ def test_tracer_wraps_every_target_and_restores_it(monkeypatch):
         assert all(now.get(k) is v for k, v in attrs.items()), ns
 
 
+def test_the_check_table_holds_the_kinds_the_benchmark_times():
+    # perfbench reports check.<kind>.s for each of tracing.CHECK_KINDS
+    assert tuple(cli.CHECKS) == _load_tracing().CHECK_KINDS
+
+
 def test_tracer_counts_the_checks_of_a_suite():
-    # the suite runner picks its check function per kind; each call still
-    # goes through the tracer's span
-    suite = json.loads(SUITE.read_text())
-    kinds = [check["kind"] for check in suite["checks"]]
-    tracer = _load_tracing().Tracer()
-    tracer.install()
-    try:
-        report = cli.Report({})
-        cli.run_suite(report, suite)
-    finally:
-        tracer.uninstall()
-    assert len(report.records) == len(kinds)
-    assert tracer.calls["csupport.additivity_check"] == kinds.count("additivity") > 0
-    assert tracer.calls["csupport.consistency_check"] == sum(
-        kinds.count(k) for k in ("blowup_descent", "mayer_vietoris", "kunneth")) > 0
-    assert tracer.calls["csupport.extend_measure"] > 0
+    # the check table looks each csupport check up when it runs; a table
+    # that kept the function objects would leave these spans at zero
+    for fixture in ("perturbed_suite.json", "every_kind_suite.json"):
+        suite = json.loads((FIXTURES / fixture).read_text())
+        kinds = [check["kind"] for check in suite["checks"]]
+        tracer = _load_tracing().Tracer()
+        tracer.install()
+        try:
+            report = cli.Report({})
+            cli.run_suite(report, suite)
+        finally:
+            tracer.uninstall()
+        assert len(report.records) == len(kinds)
+        assert tracer.calls["csupport.additivity_check"] == kinds.count("additivity") > 0
+        assert tracer.calls["csupport.consistency_check"] == sum(
+            kinds.count(k) for k in ("blowup_descent", "mayer_vietoris", "kunneth")) > 0
+        assert tracer.calls["spansite.validate_square"] == kinds.count("square_valid")
+        assert tracer.calls["csupport.extend_measure"] > 0

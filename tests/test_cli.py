@@ -26,7 +26,7 @@ from kvar.cli import (
     run_corpus_checks,
     _cover_monotone,
 )
-from kvar.csupport import CompactificationChoice, MeasureOnCompacts
+from kvar.csupport import CompactificationChoice, MeasureOnCompacts, toric_choice
 from kvar.measures import MeasureSpec, MeasureValue
 from kvar.spansite import (
     EMPTY,
@@ -39,6 +39,7 @@ from kvar.spansite import (
     enumerate_simple_covers,
     identity_span,
     localization_square,
+    star_subdivision_square,
     zero_span,
 )
 
@@ -299,6 +300,83 @@ def test_suite_fixture_report_is_pinned(tmp_path, cli_child_env):
         "310d4b75f3acae559784134d97a3132a8b6339dce67b44813f0579c703d3a673")
 
 
+def test_every_kind_suite_passes_and_its_report_is_pinned(tmp_path, cli_child_env):
+    # one check of each kind: the ten a suite can name pass, and c_complete
+    # and cover_monotone are skipped with a note that says why
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kvar.cli", "check", "--suite",
+         str(FIXTURES / "every_kind_suite.json"), "--format", "json", "--out", str(out)],
+        env=cli_child_env("0"))
+    assert proc.returncode == 0
+    payload = json.loads(out.read_text())
+    assert [r["kind"] for r in payload["records"]] == list(cli.CHECKS)
+    assert [(r["kind"], r["note"]) for r in payload["records"] if r["status"] != "pass"] == [
+        ("c_complete", "needs a span, which a suite cannot name yet"),
+        ("cover_monotone", "needs a site, which a suite cannot name yet")]
+    body = json.dumps({"records": payload["records"], "summary": payload["summary"]},
+                      sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "8405e88d54056ecbabdb4a33aa5e0fa1960c6fa77f00762da14be5acb0e0f5e0")
+
+
+def _table_cases():
+    """The every-kind fixture's checks as (kind, arguments) for ``cli.CHECKS``,
+    built here rather than read from the suite."""
+    def obj(name):
+        return ToricObject(name, toric.builtin_fan(name))
+
+    def measure(name):
+        return MeasureOnCompacts(MeasureSpec.parse(name))
+
+    def window(x, *cones):
+        rays = x.fan.rays
+        return frozenset(f for ix in cones
+                         for f in toric.Cone(x.fan.rank, [rays[j] for j in ix]).faces())
+    p1xp1, p2 = obj("P1xP1"), obj("P2")
+    u_obj = ToricObject("U", p2.fan.subfan(window(p2, [0, 1])))
+    square = star_subdivision_square(p2, (1, 1))
+    return [
+        ("additivity", (measure("euler"), p1xp1, window(p1xp1, [0, 1]))),
+        ("independence", (measure("e"), u_obj, toric_choice(u_obj), toric_choice(
+            u_obj, toric.alternative_completion(u_obj.fan)))),
+        ("square_relation", (square,)),
+        ("blowup_descent", (measure("e"), square)),
+        ("mayer_vietoris", (measure("e_poly"), p2, window(p2, [0, 1], [1, 2]),
+                            window(p2, [1, 2], [2, 0]))),
+        ("kunneth", (measure("e"), obj("P1"), obj("A1"))),
+        ("dim_compatible", (star_subdivision_square(p1xp1, (1, 1)),)),
+        ("square_valid", (square,)),
+        ("purity", (measure("e_poly"), p1xp1)),
+        ("point_count_oracle", (toric.builtin_fan("Hirzebruch(2)"),)),
+    ]
+
+
+def test_a_suite_check_is_its_table_check_on_the_same_arguments():
+    report = Report({})
+    cli.run_suite(report, json.loads((FIXTURES / "every_kind_suite.json").read_text()))
+    suite = {r.kind: (r.status, r.lhs, r.rhs, r.note) for r in report.records}
+    cases = _table_cases()
+    assert suite.keys() - {kind for kind, _ in cases} == {"c_complete", "cover_monotone"}
+    for kind, args in cases:
+        assert tuple(cli.CHECKS[kind](*args)) == suite[kind], kind
+
+
+def test_a_check_that_raises_fails_its_own_record(monkeypatch):
+    def broken(*args):
+        raise ValueError("planted")
+    monkeypatch.setitem(cli.CHECKS, "purity", broken)
+    fan = toric.builtin_fan("P2")
+    cases = [("a", "purity", (fan,)), ("b", "point_count_oracle", (fan,)),
+             ("c", "purity", (fan,))]
+    for answers in (None, {}):
+        report = Report({})
+        cli.run_checks(report, cases, answers)
+        assert [(r.id, r.status, r.note) for r in report.records] == [
+            ("a", "fail", "error: planted"), ("b", "pass", "q in {2,3,4,5}"),
+            ("c", "fail", "error: planted")]
+
+
 def test_check_corpus_small():
     report = run_cli("check", "--corpus-seed", "3", "--corpus-size", "4",
                      "--measure", "euler")
@@ -383,7 +461,17 @@ def test_exit_code_contract(tmp_path):
             '"kind": "additivity", "object": "Hirzebruch(1)", "window": [[0, 3]]',
             '"kind": "kunneth", "x": "P1"',
             '"kind": "mayer_vietoris", "object": "P2", "u": [[0]], "v": [[9]]',
-            '"kind": "mayer_vietoris", "object": "P1", "u": [[0]], "v": [[0]]')):
+            '"kind": "mayer_vietoris", "object": "P1", "u": [[0]], "v": [[0]]',
+            # the square kinds read "object" and "ray" as blowup_descent does;
+            # purity reads a smooth complete object, point_count_oracle any
+            '"kind": "square_valid", "object": "P2"',
+            '"kind": "square_valid", "object": "P2", "ray": [1.5, 1]',
+            '"kind": "square_relation", "ray": [1, 1]',
+            '"kind": "dim_compatible", "object": "P1xP1", "ray": [1, 1, 1]',
+            '"kind": "purity", "object": "Hirzebruch(x)"',
+            '"kind": "purity", "object": "A2"',
+            '"kind": "point_count_oracle", "object": 5',
+            '"kind": "point_count_oracle", "object": "NoSuch"')):
         bad_fields.append(tmp_path / f"bad_field{j}.json")
         bad_fields[-1].write_text('{"checks": [{%s}]}' % check)
     for argv in (["check", "--suite", str(tmp_path / "nonexistent.json")],
