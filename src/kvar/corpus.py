@@ -158,8 +158,8 @@ def generate(seed: int, size: int) -> Corpus:
             continue
         for _ in range(max(1, size // len(corpus.surfaces) + 1)):
             s1, s2 = rng.sample(maximal, 2)
-            win_u = frozenset(c for c in obj.fan.cones if c != s1)
-            win_v = frozenset(c for c in obj.fan.cones if c != s2)
+            win_u = obj.fan.cones - {s1}
+            win_v = obj.fan.cones - {s2}
             corpus.mv_triples.append((obj, win_u, win_v))
 
     # Kunneth pool: small surfaces, their opens, and rank-1 objects

@@ -147,8 +147,8 @@ class SpanMorphism:
     @classmethod
     def _valid_by_construction(cls, source: SiteObject, target: SiteObject,
                                window, proper_reason: str) -> "SpanMorphism":
-        """A span that ``compose`` or ``identity_span`` built, without
-        ``_validate``.  The checks hold by construction:
+        """A span that its builder proves valid, without ``_validate``.
+        For ``compose`` and ``identity_span`` the checks hold so:
 
         - the identity window is all of the source's cones;
         - a composite window is the preimage, under the orbit map of the
@@ -159,6 +159,9 @@ class SpanMorphism:
           the second window, which maps into the target;
         - ``compose`` takes the middle objects of both spans to have one
           geometry, so every fan in the chain has the target's rank.
+
+        The legs of the square builders, ``_refinement_square`` and
+        ``localization_square``, have their proofs in those docstrings.
         """
         span = cls.__new__(cls)
         span._fill(source, target, window, proper_reason)
@@ -311,15 +314,30 @@ class DistinguishedSquare:
 def localization_square(x_obj: ToricObject, window: Iterable[Cone],
                         complement_name: Optional[str] = None,
                         u_name: Optional[str] = None) -> DistinguishedSquare:
-    """The span-category square (X \\ U, X, empty, U) for U open in X."""
+    """The span-category square (X \\ U, X, empty, U) for U open in X.
+
+    Its two legs that are not zero are valid by construction.  X is a
+    toric variety, so its cones are those of its fan, and ``Fan.subfan``
+    has checked that the window is a face-closed set of them: it is
+    relatively open in X, and U's fan is the subfan on it.
+
+    - Right, X -> U, the restriction to the open: each window cone is a
+      cone of U's fan.
+    - Top, X \\ U -> X, the closed immersion of the complement: the window
+      is all of the complement's cones, each a cone of X's fan.
+
+    Both targets are fan-backed, of X's rank.
+    """
     window = frozenset(window)
     sub = x_obj.fan.subfan(window)  # validates face-closedness and membership
     u_obj = ToricObject(u_name or f"{x_obj.name}|U", sub)
-    comp = ToricLocus(x_obj.fan, [c for c in x_obj.fan.cones if c not in window])
+    comp = ToricLocus(x_obj.fan, x_obj.fan.cones - window)
     comp_obj = ToricLocusObject(complement_name or f"{x_obj.name}-minus-U", comp)
     maps = {
-        "top": SpanMorphism(comp_obj, x_obj, comp.cones, "closed immersion"),
-        "right": SpanMorphism(x_obj, u_obj, window, "restriction to the open"),
+        "top": SpanMorphism._valid_by_construction(comp_obj, x_obj, comp.cones,
+                                                   "closed immersion"),
+        "right": SpanMorphism._valid_by_construction(x_obj, u_obj, window,
+                                                     "restriction to the open"),
         "left": zero_span(comp_obj, EMPTY),
         "bottom": zero_span(EMPTY, u_obj),
     }
@@ -353,16 +371,33 @@ def _refinement_square(w_obj: ToricObject, x_obj: ToricObject, c_name: str, e_na
     its relative interior inside that of a cone tau of X (W refines X), and
     tau is not a cone of W, since the relative interiors of distinct cones
     of one fan are disjoint.  So tau is in C.
+
+    The four legs are valid by construction.  W and X are toric varieties,
+    so their cones are those of their fans, and E and C are loci of those
+    fans.  W refines X, so the two fans have one rank, every target is
+    fan-backed, and each window cone has the target's rank.  Each window is
+    all of its source's cones, so it is relatively open.  Each window cone
+    lies in a cone of the target's fan:
+
+    - top, E -> W, and bottom, C -> X, are closed immersions: the window
+      cones are cones of the target's fan;
+    - right, W -> X, is the refinement: each cone of W lies in a cone of X;
+    - left, E -> C, is its restriction: each cone of E is a cone of W, so
+      it lies in a cone of X, the fan of C.
     """
     c_cones = x_obj.cones - w_obj.cones
     e_cones = w_obj.cones - x_obj.cones
     c_obj = ToricLocusObject(c_name, ToricLocus(x_obj.fan, c_cones))
     e_obj = ToricLocusObject(e_name, ToricLocus(w_obj.fan, e_cones))
     maps = {
-        "top": SpanMorphism(e_obj, w_obj, e_cones, "closed immersion"),
-        "right": SpanMorphism(w_obj, x_obj, w_obj.cones, "refinement"),
-        "left": SpanMorphism(e_obj, c_obj, e_cones, "restriction of the refinement"),
-        "bottom": SpanMorphism(c_obj, x_obj, c_cones, "closed immersion"),
+        "top": SpanMorphism._valid_by_construction(e_obj, w_obj, e_cones,
+                                                   "closed immersion"),
+        "right": SpanMorphism._valid_by_construction(w_obj, x_obj, w_obj.cones,
+                                                     "refinement"),
+        "left": SpanMorphism._valid_by_construction(e_obj, c_obj, e_cones,
+                                                    "restriction of the refinement"),
+        "bottom": SpanMorphism._valid_by_construction(c_obj, x_obj, c_cones,
+                                                      "closed immersion"),
     }
     corners = {"upper_left": e_obj, "upper_right": w_obj,
                "lower_left": c_obj, "base": x_obj}

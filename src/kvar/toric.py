@@ -174,6 +174,8 @@ class Cone:
     __slots__ = ("rank", "rays", "_hash", "_dim", "_span_eqs", "_facets", "_faces")
 
     _interned: dict = {}
+    # each product cone of ``product``, keyed by its factor pair (a, b)
+    _products: dict = {}
 
     def __new__(cls, rank: int, rays: Iterable[Sequence[int]] = ()):
         _check_rank(rank)
@@ -230,13 +232,19 @@ class Cone:
         as ``Cone`` computes them from the rays.  Padded primitive rays stay
         primitive and distinct, and a product of strongly convex cones is
         strongly convex, so nothing is left to validate.  The result is
-        interned like any cone.
+        interned like any cone, and kept under the factor pair, so a
+        repeated product is one lookup.
         """
+        pair = (a, b)
+        found = cls._products.get(pair)
+        if found is not None:
+            return found
         pad_a, pad_b = (0,) * b.rank, (0,) * a.rank
         rays = sorted([r + pad_a for r in a.rays] + [pad_b + s for s in b.rays])
         key = (a.rank + b.rank, tuple(rays))
         cached = cls._interned.get(key)
         if cached is not None:
+            cls._products[pair] = cached
             return cached
         inst = cls._blank(key)
         inst._dim = a.dim + b.dim
@@ -246,7 +254,7 @@ class Cone:
                                     + [pad_b + f for f in b.facet_normals]))
         inst._faces = tuple(inst if f is a and g is b else cls.product(f, g)
                             for f in a.faces() for g in b.faces())
-        cls._interned[key] = inst
+        cls._interned[key] = cls._products[pair] = inst
         return inst
 
     @property
@@ -985,9 +993,9 @@ class ToricLocus:
 
     def __init__(self, fan: Fan, cones: Iterable[Cone]):
         subset = frozenset(cones)
-        for c in subset:
-            if not fan.contains_cone(c):
-                raise ToricError(f"{c} is not a cone of the ambient fan")
+        if not subset <= fan.cones:
+            stray = next(c for c in subset if c not in fan.cones)
+            raise ToricError(f"{stray} is not a cone of the ambient fan")
         self.fan = fan
         self.cones = subset
 

@@ -1,6 +1,8 @@
 """Spans, distinguished squares, simple covers, and the instance checks."""
 
+import ast
 import functools
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -724,6 +726,27 @@ def test_only_the_zero_span_maps_into_the_empty_object(p1):
         SpanMorphism(p1, EMPTY, p1.cones)
 
 
+def _trusted_reasons_in_source() -> set:
+    """The ``proper_reason`` of each ``_valid_by_construction`` call under
+    ``src/kvar``, read from the syntax tree.  Every reference to the method
+    must be called there, with the reason a string literal, so that no
+    alias or computed reason hides a trusted builder from this list."""
+    reasons = set()
+    for path in sorted((pathlib.Path(__file__).parents[1] / "src" / "kvar").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_valid_by_construction":
+                assert id(node) in called, f"{path.name}:{node.lineno} aliases the method"
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_valid_by_construction":
+                given = [k.value for k in node.keywords if k.arg == "proper_reason"]
+                reason = (given or node.args[3:4] or [None])[0]
+                assert isinstance(reason, ast.Constant) and isinstance(reason.value, str), \
+                    f"{path.name}:{node.lineno} gives no string-literal reason"
+                reasons.add(reason.value)
+    return reasons
+
+
 def test_every_trusted_span_of_a_battery_validates_in_full(monkeypatch):
     from kvar import cli
     built = []
@@ -735,9 +758,27 @@ def test_every_trusted_span_of_a_battery_validates_in_full(monkeypatch):
         return span
     monkeypatch.setattr(SpanMorphism, "_valid_by_construction", classmethod(collect))
     cli.run_corpus_checks(cli.Report({}), 1, 50, ["euler", "e"])
-    assert {span.proper_reason for span in built} == {"identity", "composite"}
+    assert {span.proper_reason for span in built} == _trusted_reasons_in_source() == {
+        "identity", "composite", "closed immersion", "refinement",
+        "restriction of the refinement", "restriction to the open"}
     for span in built:
         span._validate()
+
+
+def test_corpus_generation_validates_no_square_leg(monkeypatch):
+    validated = []
+    validate = SpanMorphism._validate
+
+    def recording(span):
+        validated.append(span)
+        validate(span)
+    monkeypatch.setattr(SpanMorphism, "_validate", recording)
+    corp = corpus.generate(1, 50)
+    seen = {id(span) for span in validated}
+    legs = [leg for sq in corp.squares + corp.loc_squares
+            for leg in sq.maps.values() if not leg.is_zero()]
+    assert len(legs) == 4 * len(corp.squares) + 2 * len(corp.loc_squares)
+    assert not [leg for leg in legs if id(leg) in seen]
 
 
 def _relatively_open(span: SpanMorphism, subset) -> frozenset:

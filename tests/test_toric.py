@@ -298,6 +298,17 @@ def test_product_cone_is_interned_with_the_cone_of_its_rays():
     assert Cone.product(Cone(2, [(5, 2), (1, 7)]), Cone(1, [(1,)])) is q
 
 
+def test_a_repeated_product_cone_is_one_lookup(monkeypatch):
+    a, b = Cone(1, [(1,)]), Cone(2, [(2, 3), (1, 5)])
+    first = Cone.product(a, b)
+    assert Cone.product(b, a) is Cone(3, [(2, 3, 0), (1, 5, 0), (0, 0, 1)])
+
+    def no_sorting(*args, **kwargs):
+        raise AssertionError("a repeated product built its key again")
+    monkeypatch.setattr(toric, "sorted", no_sorting, raising=False)
+    assert Cone.product(a, b) is first
+
+
 def _product_factors():
     """Factor pairs: every Kunneth pair of a size-50 corpus, P1 times each
     of its surfaces, the steps to P1^3 and to Gm^3, and products with an
@@ -697,6 +708,17 @@ def test_locus_flags_and_classes():
     assert boundary.kclass() == lpoly(0, 3)
     assert boundary.dim == 1
     assert ToricLocus(p2, []).dim == -1
+
+
+def test_a_locus_names_the_cone_that_is_not_in_its_fan():
+    p2 = builtin_fan("P2")
+    stray = Cone(2, [(1, 1)])
+    with pytest.raises(ToricError, match=r"Cone\(\(1, 1\),\) is not a cone of the ambient"):
+        ToricLocus(p2, [c for c in p2.cones if c.dim == 0] + [stray])
+    # the zero cone of another rank has the rays of p2's zero cone, but is
+    # not a cone of p2
+    with pytest.raises(ToricError, match="not a cone of the ambient"):
+        ToricLocus(p2, [Cone(1, [])])
 
 
 def test_variety_flags():
