@@ -146,10 +146,7 @@ def generate(seed: int, size: int) -> Corpus:
             continue
         u_obj = ToricObject(f"{obj.name}|open{len(corpus.independence)}", sub)
         corpus.independence.append(IndependenceCase(
-            u_obj,
-            toric_choice(u_obj, name=f"{u_obj.name}^auto"),
-            toric_choice(u_obj, comp_b, f"{u_obj.name}^subdiv"),
-        ))
+            u_obj, toric_choice(u_obj), toric_choice(u_obj, comp_b)))
 
     # Mayer-Vietoris triples: drop two different maximal cones
     for obj in corpus.surfaces:

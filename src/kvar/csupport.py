@@ -1,10 +1,12 @@
 """Compactly supported extension of measures defined on compact varieties.
 
 Given a ring-valued measure on compact objects, the extension is
-Phi_c(U) = Phi(Xbar) - Phi_c(Xbar \\ U) for a compactification Xbar of U;
-the recursion terminates because boundaries drop dimension.  Toric
-boundaries are decomposed orbit by orbit, so the recursion bottoms out in
-torus classes, whose own compactification chain is (P1)^k.  The value is
+Phi_c(U) = Phi(Xbar) - Phi_c(Xbar \\ U) for a compactification Xbar of U.
+Applied down to compact pieces, with other loci split orbit by orbit into
+tori, each the dense open of (P1)^k, it is a fixed integer combination of
+compact objects that does not depend on the measure (``compact_terms``),
+and Phi_c is Phi summed over it (Bittner, Compositio Math. 140, 2004,
+gives the blowup presentation of K0(Var) behind it).  The value is
 well defined exactly when the input measure satisfies descent for abstract
 blowup squares; the checks in this module verify the resulting identities
 (additivity, independence of the compactification, blowup descent,
@@ -14,8 +16,9 @@ engine errors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from kvar import toric
 from kvar.kring import KClass, MissingCompactificationError
@@ -61,9 +64,6 @@ class MeasureOnCompacts:
             value = self._values[cls] = apply_measure(self.spec, cls)
         return value
 
-    def substitute_class(self, cls: KClass) -> MeasureValue:
-        return apply_measure(self.spec, cls)
-
 
 class PerturbedMeasure(MeasureOnCompacts):
     """Mutation fixture: the base measure with one compact variety's value
@@ -95,8 +95,7 @@ class CompactificationChoice:
     boundary: ToricLocus
 
 
-def toric_choice(obj: ToricObject, completion: Optional[Fan] = None,
-                 name: Optional[str] = None) -> CompactificationChoice:
+def toric_choice(obj: ToricObject, completion: Optional[Fan] = None) -> CompactificationChoice:
     """The object as a dense open of ``completion``, the rest as boundary.
     With no completion, the automatic one (``toric.complete_surface``),
     which holds the fan by construction; a given one must be complete and
@@ -107,7 +106,7 @@ def toric_choice(obj: ToricObject, completion: Optional[Fan] = None,
         raise MissingCompactificationError("completion fan is not complete")
     elif not all(completion.contains_cone(c) for c in obj.fan.cones):
         raise MissingCompactificationError("completion does not contain the fan")
-    compact_obj = ToricObject(name or f"{obj.name}^bar", completion)
+    compact_obj = ToricObject(f"{obj.name}^bar", completion)
     return CompactificationChoice(compact_obj,
                                   ToricLocus(completion, _boundary(obj.fan, completion)))
 
@@ -122,83 +121,66 @@ def _boundary(fan: Fan, completion: Fan) -> frozenset:
 # the extension
 
 @dataclass(frozen=True, slots=True)
-class TraceStep:
-    object_desc: str
-    compactification: str
-    boundary_desc: str
-    depth: int
-
-
-@dataclass(frozen=True, slots=True)
 class ExtensionResult:
-    object_name: str
+    """Phi_c of an object, with the combination of compact geometries
+    (``compact_terms``) it sums: no name, so one geometry under two names
+    extends to equal results."""
     value: MeasureValue
-    trace: Tuple[TraceStep, ...]
+    terms: Tuple[Tuple[int, object], ...]
+
+
+def compact_terms(obj: SiteObject, choice: Optional[CompactificationChoice] = None
+                  ) -> Tuple[Tuple[int, object], ...]:
+    """Phi_c(obj) as (c, K) pairs, Phi_c(obj) = sum of c * Phi(K) for every
+    measure Phi: each K a compact fan or locus, with no name.
+
+    A compact object is its own term.  An open is +Xbar, less its boundary
+    in Xbar: the object's automatic completion (``toric_choice``), or
+    ``choice`` when one is given (by the independence check, and for a fan
+    that has no automatic completion).  A completion's boundary is
+    upward-closed in a complete fan, hence compact (Fulton, Introduction to
+    Toric Varieties, 2.4 and 3.1).  Any other locus splits orbit by orbit
+    into tori, a torus of dimension k > 0 being the dense open of (P1)^k,
+    and the terms of each torus dimension count its orbits.  So there are
+    at most 2 * dim + 1 terms, and they depend on the geometry and the
+    choice alone.
+    """
+    if obj.is_empty():
+        return ()
+    if obj.is_compact():
+        return ((1, obj.geometry),)
+    if isinstance(obj, ToricObject):
+        choice = choice or toric_choice(obj)
+        return ((1, choice.compact_obj.fan), (-1, choice.boundary))
+    if not isinstance(obj, ToricLocusObject):
+        raise CSupportError(f"cannot extend over {obj!r}")
+    orbits = Counter(obj.locus.fan.rank - c.dim for c in obj.locus.cones)
+    return tuple((n * c, k) for dim, n in sorted(orbits.items(), reverse=True)
+                 for c, k in compact_terms(ToricObject("torus", Fan(dim, [Cone(dim, ())]))))
 
 
 def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
                    choice: Optional[CompactificationChoice] = None) -> ExtensionResult:
-    """Phi_c of any object: Phi on compacts, else Phi(Xbar) - Phi_c(boundary).
+    """Phi_c of any object: the sum of c * Phi(K) over its ``compact_terms``.
 
-    Xbar is the object's automatic completion (``toric_choice``), or
-    ``choice`` when one is given (by the independence check, and for a fan
-    that has no automatic completion).  Trace depth never exceeds dim + 1:
-    every recursive boundary strictly drops dimension.  Nothing is memoized
-    here, so the value and the trace are functions of the measure, the
-    object and the choice, and of nothing extended before.  The recursion
-    is module functions sharing ``trace``: nested closures would form a
-    reference cycle per call, which only the garbage collector frees.
+    Nothing is memoized here, so the value is a function of the measure,
+    the object and the choice, and of nothing extended before.
     """
-    trace: List[TraceStep] = []
-    if obj.is_empty():
-        value = MeasureValue.integer(0)
-    elif obj.is_compact():
-        value = phi.on_compact(obj)
-    elif isinstance(obj, ToricObject):
-        value = _of_open(phi, obj, choice or toric_choice(obj), 0, trace)
-    elif isinstance(obj, ToricLocusObject):
-        value = _of_locus(phi, obj.locus, 0, trace)
-    else:
-        raise CSupportError(f"cannot extend over {obj!r}")
-    return ExtensionResult(obj.name, value, tuple(trace))
-
-
-def _of_open(phi: MeasureOnCompacts, obj: ToricObject, choice: CompactificationChoice,
-             depth: int, trace: List[TraceStep]) -> MeasureValue:
-    """Phi(Xbar) - Phi_c(Xbar \\ U) for U the object, one step deeper."""
-    trace.append(TraceStep(obj.name, choice.compact_obj.name,
-                           f"{len(choice.boundary.cones)} boundary cones", depth + 1))
-    return phi.on_compact(choice.compact_obj) \
-        - _of_locus(phi, choice.boundary, depth + 1, trace)
-
-
-def _of_locus(phi: MeasureOnCompacts, locus: ToricLocus, depth: int,
-              trace: List[TraceStep]) -> MeasureValue:
-    """A compact locus is measured; any other is decomposed orbit by orbit
-    into tori, each torus dimension extended once as the dense open of
-    (P1)^k.  A completion's boundary is upward-closed, hence compact
-    (Fulton, Introduction to Toric Varieties, 2.4 and 3.1), so one
-    extension decomposes at most one locus: a non-closed top-level locus."""
-    if locus.is_empty():
-        return MeasureValue.integer(0)
-    if locus.is_compact():
-        return phi.on_compact(ToricLocusObject("piece", locus))
-    tori: Dict[int, MeasureValue] = {}
-    total = MeasureValue.integer(0)
-    for cone in sorted(locus.cones, key=lambda c: c.rays):
-        k = locus.fan.rank - cone.dim
-        if k not in tori:
-            torus = ToricObject(f"torus^{k}", Fan(k, [Cone(k, ())]))
-            tori[k] = phi.on_compact(torus) if k == 0 else _of_open(
-                phi, torus, toric_choice(torus, name=f"(P1)^{k}"), depth, trace)
-        total = total + tori[k]
-    return total
+    terms = compact_terms(obj, choice)
+    value = None
+    for c, k in terms:
+        term = phi.on_compact(ToricObject("K", k) if isinstance(k, Fan)
+                              else ToricLocusObject("K", k))
+        if c != 1:
+            term = -term if c == -1 else term * MeasureValue.integer(c)
+        value = term if value is None else value + term
+    return ExtensionResult(MeasureValue.integer(0) if value is None else value, terms)
 
 
 def oracle_value(phi: MeasureOnCompacts, obj: SiteObject) -> MeasureValue:
     """Independent route: substitute the measure into the canonical class
     from the orbit decomposition."""
-    return phi.substitute_class(obj.kclass())
+    return apply_measure(phi.spec, obj.kclass())
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,8 @@ def test_criterion_11_mutation_sensitivity(corpus):
     broken = PerturbedMeasure(clean, toric.builtin_fan("P2"))
     # a criterion-2 run: two completions of A2, one of them P2
     a2 = ToricObject("A2", toric.builtin_fan("A2"))
-    ca = toric_choice(a2, toric.builtin_fan("P2"), "P2bar")
-    cb = toric_choice(a2, toric.builtin_fan("P1xP1"), "Qbar")
+    ca = toric_choice(a2, toric.builtin_fan("P2"))
+    cb = toric_choice(a2, toric.builtin_fan("P1xP1"))
     assert independence_check(clean, a2, ca, cb).status == "pass"
     assert independence_check(broken, a2, ca, cb).status == "fail"
     # criterion-3 runs: every corpus square based on the P2 fan

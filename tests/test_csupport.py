@@ -1,14 +1,19 @@
 """The compactly supported extension and its well-definedness checks."""
 
+import json
+import pathlib
+from collections import Counter
+
 import pytest
 
-from kvar import corpus, kring, toric
+from kvar import cli, corpus, csupport, kring, toric
 from kvar.csupport import (
     CSupportError,
     MeasureDomainError,
     MeasureOnCompacts,
     PerturbedMeasure,
     additivity_check,
+    compact_terms,
     consistency_check,
     extend_measure,
     independence_check,
@@ -25,9 +30,9 @@ def uv(*coeffs):
     return MeasureValue(coeffs, "uv")
 
 
-def _depth(result):
-    """The deepest step of an extension's trace."""
-    return max((step.depth for step in result.trace), default=0)
+def _bounded(terms, o):
+    """Every term compact, and at most 2 * dim + 1 of them."""
+    return len(terms) <= 2 * o.dim + 1 and all(k.is_compact() for _, k in terms)
 
 
 def measure(selector, **params):
@@ -41,15 +46,16 @@ def obj(name):
 # -- extension values -----------------------------------------------------------
 
 def test_euler_of_affine_line():
-    result = extend_measure(measure("euler"), obj("A1"))
+    a1 = obj("A1")
+    result = extend_measure(measure("euler"), a1)
     assert result.value.as_int() == 1  # 2 - 1 through (P1, pt)
-    assert _depth(result) <= 2     # <= dim + 1
+    assert _bounded(result.terms, a1)
 
 
 def test_compact_objects_pass_through():
     result = extend_measure(measure("e_poly"), obj("P2"))
     assert result.value == uv(1, 1, 1)
-    assert result.trace == ()
+    assert result.terms == ((1, builtin_fan("P2")),)
 
 
 def test_e_poly_of_gm_and_a2():
@@ -62,12 +68,12 @@ def test_extension_of_empty_is_zero():
     assert extend_measure(measure("euler"), empty).value.as_int() == 0
 
 
-def test_trace_depth_bound():
+def test_terms_are_compact_and_bounded():
     torus3 = ToricObject("T3", builtin_fan("Gm").product(builtin_fan("Gm"))
                          .product(builtin_fan("Gm")))
     result = extend_measure(measure("e_poly"), torus3)
     assert result.value == uv(-1, 3, -3, 1)  # (uv - 1)^3
-    assert _depth(result) <= torus3.dim + 1
+    assert _bounded(result.terms, torus3)
 
 
 def test_oracle_agreement_dual_route():
@@ -101,7 +107,7 @@ def test_non_closed_loci_decompose_into_tori():
                     measure("virtual_poincare"), measure("point_count", q=3)):
             result = extend_measure(phi, o)
             assert result.value == oracle_value(phi, o)
-            assert _depth(result) <= o.dim + 1
+            assert _bounded(result.terms, o)
     torus = ToricLocusObject("T", loci[0])
     assert str(extend_measure(measure("e_poly"), torus).value) \
         == "1 - 2*(uv) + (uv)^2"
@@ -151,14 +157,17 @@ def test_memoized_extensions_match_the_oracle():
 
 
 def test_extension_traces_are_pinned():
-    # a non-closed locus decomposes into tori, one step per torus dimension
+    # a non-closed locus decomposes into tori, (P1)^k less its boundary per
+    # torus dimension k, times the number of orbits of that dimension
     p2 = builtin_fan("P2")
     locus = ToricLocusObject("L", ToricLocus(p2, [c for c in p2.cones if c.dim <= 1]))
     result = extend_measure(measure("e_poly"), locus)
     assert str(result.value) == "-2 + (uv) + (uv)^2"
-    assert [(s.object_desc, s.compactification, s.boundary_desc, s.depth)
-            for s in result.trace] == [("torus^2", "(P1)^2", "8 boundary cones", 1),
-                                       ("torus^1", "(P1)^1", "2 boundary cones", 1)]
+    square, line = builtin_fan("P1xP1"), builtin_fan("P1")
+    assert result.terms == (
+        (1, square), (-1, ToricLocus(square, [c for c in square.cones if c.dim > 0])),
+        (3, line), (-3, ToricLocus(line, [c for c in line.cones if c.dim > 0])))
+    assert len(result.terms[1][1].cones) == 8
 
 
 def test_each_open_has_one_automatic_completion():
@@ -194,31 +203,112 @@ def test_an_explicit_choice_overrides_the_automatic_completion():
 
 
 def test_locus_extension_is_free_of_the_object_name():
-    # two names over one locus: equal values and traces, each under its own name
+    # two names over one locus: equal values and terms
     p2 = builtin_fan("P2")
     torus = ToricLocus(p2, [c for c in p2.cones if c.dim == 0])
     phi = measure("e_poly")
     first = extend_measure(phi, ToricLocusObject("T", torus))
     second = extend_measure(phi, ToricLocusObject("open torus", torus))
-    assert (first.object_name, second.object_name) == ("T", "open torus")
-    assert second.value == first.value and second.trace == first.trace != ()
+    assert second.value == first.value and second.terms == first.terms != ()
     assert second == extend_measure(phi, ToricLocusObject("open torus", torus))
 
 
-def test_one_fan_under_two_names_differs_only_in_the_first_step():
+def test_one_fan_under_two_names_extends_alike():
     a2 = builtin_fan("A2")
     phi = measure("e_poly")
     first = extend_measure(phi, ToricObject("A2", a2))
     plane = ToricObject("plane", a2)
     second = extend_measure(phi, plane)
     assert second.value == first.value == uv(0, 0, 1)
-    assert (first.trace[0].object_desc, first.trace[0].compactification) == ("A2", "A2^bar")
-    assert (second.trace[0].object_desc, second.trace[0].compactification) \
-        == ("plane", "plane^bar")
-    assert second.trace[0].boundary_desc == first.trace[0].boundary_desc
-    assert second.trace[0].depth == first.trace[0].depth
-    assert second.trace[1:] == first.trace[1:]
+    p2 = builtin_fan("P2")
+    assert second.terms == first.terms == (
+        (1, p2), (-1, ToricLocus(p2, [c for c in p2.cones if not a2.contains_cone(c)])))
     assert second == extend_measure(phi, plane)
+
+
+def test_each_extension_of_the_battery_is_its_class_in_k0(monkeypatch):
+    # every object and choice that the battery extends: additivity opens and
+    # complements, independence choices, square corners, Mayer-Vietoris
+    # opens, Kunneth factors and products.  Its terms are compact and sum to
+    # its class, so Phi_c agrees with the oracle for every measure that
+    # factors through K0(Var), not only the ones the battery runs.
+    extended = {}
+
+    def record(phi, obj, choice=None):
+        extended[obj.geometry, choice and (choice.compact_obj.fan, choice.boundary)] = obj, choice
+        return extend_measure(phi, obj, choice)
+
+    monkeypatch.setattr(csupport, "extend_measure", record)
+    monkeypatch.setattr(cli, "extend_measure", record)
+    cli.run_corpus_checks(cli.Report({}), 1, 50, ["e"])
+    assert {type(o) for o, _ in extended.values()} == {ToricObject, ToricLocusObject}
+    assert any(choice for _, choice in extended.values())
+    for o, choice in extended.values():
+        terms = compact_terms(o, choice)
+        assert _bounded(terms, o)
+        total = kring.KClass.zero()
+        for c, k in terms:
+            total = total + (k.class_of() if isinstance(k, Fan) else k.kclass()).scale(c)
+        assert total == o.kclass()
+
+
+class _FormalMeasure(MeasureOnCompacts):
+    """Each compact geometry its own basis vector t^i: a check's lhs - rhs is
+    then the combination of compact objects it tests, merged by geometry."""
+
+    multiplicative = False
+
+    def __init__(self):
+        super().__init__(MeasureSpec("e_poly"))
+        self.basis = {}
+
+    def on_compact(self, obj):
+        i = self.basis.setdefault(obj.geometry, len(self.basis) + 1)
+        return MeasureValue([0] * i + [1], "t")
+
+
+def _fan_coefficients(kind, args):
+    """The merged coefficient of each compact fan in a measure record's
+    lhs - rhs; ``args`` are the check's arguments after its measure."""
+    formal = _FormalMeasure()
+    result = cli.CHECKS[kind](formal, *args)
+    difference = result.lhs - result.rhs
+    return {k: difference.coefficient(i) for k, i in formal.basis.items() if isinstance(k, Fan)}
+
+
+def _blind_exactly_when_no_fan_term_is_left(kind, phi, args):
+    """A measure perturbed on each compact fan of the record's combination
+    fails the record exactly when that fan's coefficient is non-zero.
+    Returns whether the record is blind: no fan term left."""
+    coefficients = _fan_coefficients(kind, args)
+    for fan, c in coefficients.items():
+        perturbed = PerturbedMeasure(MeasureOnCompacts(phi.spec), fan)
+        assert (cli.CHECKS[kind](perturbed, *args).status == "fail") == (c != 0), (kind, fan)
+    return not any(coefficients.values())
+
+
+MEASURE_KINDS = ("additivity", "independence", "blowup_descent", "mayer_vietoris")
+
+
+def test_a_record_is_blind_exactly_when_its_combination_has_no_fan_term():
+    e_poly = measure("e_poly")
+    blind, records = Counter(), Counter()
+    for _, kind, (phi, *args) in cli._battery_cases(corpus.generate(1, 50), [e_poly], 3):
+        if kind in MEASURE_KINDS:
+            records[kind] += 1
+            blind[kind] += _blind_exactly_when_no_fan_term_is_left(kind, phi, args)
+    assert {k: (blind[k], records[k]) for k in MEASURE_KINDS} == {
+        "additivity": (88, 200), "independence": (0, 50),
+        "blowup_descent": (0, 96), "mayer_vietoris": (100, 100)}
+    # the fixture's own perturbed measures fail where their target's
+    # coefficient is non-zero
+    suite = json.loads((pathlib.Path(__file__).parent / "fixtures"
+                        / "perturbed_suite.json").read_text())
+    for _, kind, (phi, *args) in cli._suite_checks(suite):
+        if kind in MEASURE_KINDS:
+            _blind_exactly_when_no_fan_term_is_left(kind, phi, args)
+            shift = _fan_coefficients(kind, args).get(phi.target_fan, 0) * phi.delta
+            assert (cli.CHECKS[kind](phi, *args).status == "fail") == (shift != 0), kind
 
 
 def test_independence_after_the_battery_matches_the_value_before_it():
@@ -296,8 +386,8 @@ def test_additivity_p2_torus_e_poly():
 
 def test_independence_two_completions_of_a2():
     a2 = obj("A2")
-    ca = toric_choice(a2, builtin_fan("P2"), "P2bar")
-    cb = toric_choice(a2, builtin_fan("P1xP1"), "Qbar")
+    ca = toric_choice(a2, builtin_fan("P2"))
+    cb = toric_choice(a2, builtin_fan("P1xP1"))
     for phi in (measure("euler"), measure("e_poly"), measure("virtual_poincare")):
         report = independence_check(phi, a2, ca, cb)
         assert report.status == "pass"
@@ -314,8 +404,8 @@ def test_independence_trivial_for_compact():
 
 def test_independence_flags_descent_violation():
     a2 = obj("A2")
-    ca = toric_choice(a2, builtin_fan("P2"), "P2bar")
-    cb = toric_choice(a2, builtin_fan("P1xP1"), "Qbar")
+    ca = toric_choice(a2, builtin_fan("P2"))
+    cb = toric_choice(a2, builtin_fan("P1xP1"))
     broken = PerturbedMeasure(measure("e_poly"), builtin_fan("P2"))
     report = independence_check(broken, a2, ca, cb)
     assert report.status == "fail"

@@ -16,8 +16,8 @@ STDOUT_SHA256 = {
         "8b98ba450d342656191404d0c8b69bee1bc63b9b0bd0f6829a61412201d617df",
     "02_toric_geometry.py":
         "93c79b763a9203f405910d4694f441b5f825d520550789e897a4a0acf375cdff",
-    "03_compact_support.py":
-        "1c442bdebb244e254130e8bf653fc7c66919da39e90e9360a4940660b570c25e",
+    "03_compact_support.py":  # prints each extension's combination of compact objects
+        "c3a3bcc7a9eda6d9785680eef9ba03130c9e8cb4f32b4bd3478f119377adb29d",
     "04_spans_and_covers.py":
         "340809be980d47fbebff796342968fcae4098d428e46b203e960fff2f89a200a",
     "05_measures_and_weights.py":
