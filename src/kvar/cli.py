@@ -90,11 +90,13 @@ class Record:
 
 # The JSON report is what ``json.dumps(payload, sort_keys=True, indent=2)``
 # gives for {"header": ..., "records": [...], "summary": ...}, written piece
-# by piece.  Each record fills one template whose keys are in sorted order;
-# its timing is left out so reports are byte-identical.
+# by piece.  Each record is its id, its kind and its answer, from "lhs" to
+# the end, with its keys in sorted order; its timing is left out so reports
+# are byte-identical.
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
-_RECORD = ('    {{\n      "id": {},\n      "kind": {},\n      "lhs": {},\n'
-           '      "note": {},\n      "rhs": {},\n      "status": {},\n'
+_ID = '    {\n      "id": '
+_KIND = ',\n      "kind": {},\n      "lhs": '
+_ANSWER = ('{},\n      "note": {},\n      "rhs": {},\n      "status": {},\n'
            '      "timing": null,\n      "trace": []\n    }}')
 _FIELD = " " * 6  # the indent of a record's fields
 
@@ -132,8 +134,17 @@ class Report:
         return self.counts["fail"] == 0
 
     def write_json(self, fh: TextIO) -> None:
-        """Write the JSON report to ``fh`` one record at a time."""
-        measured: dict = {}  # each distinct measure value is encoded once
+        """Write the JSON report to ``fh`` one record at a time.
+
+        Each kind, each distinct measure value and each answer is encoded
+        once.  An answer's text depends on its lhs, note, rhs and status
+        alone, and records answered from a battery's table share their lhs
+        and rhs objects, so the text is kept under the ids of those objects
+        with the note and status: the records hold the objects while the
+        report is written, so no id is reused."""
+        measured: dict = {}
+        kinds: dict = {}
+        answers: dict = {}
 
         def side(value) -> str:
             if not isinstance(value, MeasureValue):
@@ -143,12 +154,19 @@ class Report:
             return measured[value]
 
         fh.write('{\n  "header": ' + _json_value(self.header, "  ") + ',\n  "records": [')
-        sep = "\n"
+        sep = "\n" + _ID
         for r in self.records:
-            fh.write(sep + _RECORD.format(
-                _json_value(r.id, _FIELD), _json_value(r.kind, _FIELD), side(r.lhs),
-                _json_value(r.note, _FIELD), side(r.rhs), _json_value(r.status, _FIELD)))
-            sep = ",\n"
+            kind = kinds.get(r.kind)
+            if kind is None:
+                kind = kinds[r.kind] = _KIND.format(encode_basestring_ascii(r.kind))
+            key = (id(r.lhs), id(r.rhs), r.note, r.status)
+            answer = answers.get(key)
+            if answer is None:
+                answer = answers[key] = _ANSWER.format(
+                    side(r.lhs), encode_basestring_ascii(r.note), side(r.rhs),
+                    encode_basestring_ascii(r.status))
+            fh.write(sep + encode_basestring_ascii(r.id) + kind + answer)
+            sep = ",\n" + _ID
         fh.write(("\n  ]" if self.records else "]") + ',\n  "summary": '
                  + _json_value(self.counts, "  ") + "\n}\n")
 
@@ -416,15 +434,22 @@ def run_corpus_checks(report: Report, seed: int, size: int,
     - a measure instance, an interned fan or cone set, or the depth is
       itself.
 
-    cover_monotone keeps no answer: it is per object, because the squares
-    over an object are the ones the corpus added over that object.
+    cover_monotone reads the site over an object, the squares the corpus
+    added over it, so its key is not per argument: it is the tree of
+    squares that its covers walk (``spansite.square_tree``) and the depth.
+
+    The battery's fans keep what they compute until it returns, and drop
+    it then (``toric.kept_until_done``), so they die with the last
+    reference to them rather than in reference cycles.
     """
-    corp = corpus_mod.generate(seed, size)
     answers: dict = {}
-    run_checks(report, _battery_cases(corp, _corpus_measures(measure_names), depth), answers)
-    bases = sorted(dict.fromkeys(sq.base for sq in corp.squares), key=lambda o: o.name)
-    run_checks(report, ((f"cover_monotone[{i}]:{obj.name}", "cover_monotone",
-                         (corp.site, obj, depth)) for i, obj in enumerate(bases)), None)
+    with toric.kept_until_done():
+        corp = corpus_mod.generate(seed, size)
+        run_checks(report, _battery_cases(corp, _corpus_measures(measure_names), depth),
+                   answers)
+        bases = sorted(dict.fromkeys(sq.base for sq in corp.squares), key=lambda o: o.name)
+        run_checks(report, ((f"cover_monotone[{i}]:{obj.name}", "cover_monotone",
+                             (corp.site, obj, depth)) for i, obj in enumerate(bases)), answers)
     return answers
 
 
@@ -466,9 +491,10 @@ def _battery_cases(corp, phis: List[MeasureOnCompacts], depth: int):
 def run_checks(report: Report, cases, answers: Optional[dict]) -> None:
     """Add the record of each (record id, kind, arguments) case, checked by
     ``CHECKS[kind]``.  With an answer table, a case is answered from it
-    under the key (kind, the ``_shape`` of each argument); with None, each
-    case is computed.  A check that raises fails its own record, and a case
-    whose arguments are a note is skipped with that note."""
+    under its ``_key``; with None, each case is computed.  A check that
+    raises fails its own record, and a case whose arguments are a note is
+    skipped with that note."""
+    trees: dict = {}  # the square-tree memo of each site (``_key``)
     for rec_id, kind, args in cases:
         if isinstance(args, str):
             report.add(Record(rec_id, kind, "skipped", note=args))
@@ -478,10 +504,21 @@ def run_checks(report: Report, cases, answers: Optional[dict]) -> None:
             if answers is None:
                 _timed(report, rec_id, kind, check, *args)
             else:
-                _timed(report, rec_id, kind, _answer, answers,
-                       (kind, tuple(_shape(a) for a in args)), check, *args)
+                _timed(report, rec_id, kind, _answer, answers, _key(kind, args, trees),
+                       check, *args)
         except Exception as exc:  # records stay isolated
             report.add(Record(rec_id, kind, "fail", note=f"error: {exc}"))
+
+
+def _key(kind: str, args: tuple, trees: dict) -> tuple:
+    """The answer-table key of a case: the kind and the ``_shape`` of each
+    argument, or for cover_monotone, the token of the square tree over
+    the object, from the memo that ``trees`` holds for the site, and the
+    depth."""
+    if kind == "cover_monotone":
+        site, obj, depth = args
+        return kind, (spansite.square_tree(site, obj, depth, trees.setdefault(site, {})), depth)
+    return kind, tuple(_shape(a) for a in args)
 
 
 def _shape(arg):
@@ -493,7 +530,7 @@ def _shape(arg):
     if isinstance(arg, SpanMorphism):
         return arg.key()
     if isinstance(arg, CompactificationChoice):
-        return arg.compact_obj.fan, arg.boundary.cones
+        return arg.completion, arg.boundary.cones
     return arg
 
 

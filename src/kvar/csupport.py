@@ -90,8 +90,9 @@ class PerturbedMeasure(MeasureOnCompacts):
 
 @dataclass
 class CompactificationChoice:
-    """U sits as a dense open inside ``compact_obj`` with the given boundary."""
-    compact_obj: ToricObject
+    """U sits as a dense open inside the complete fan ``completion`` with
+    the given boundary."""
+    completion: Fan
     boundary: ToricLocus
 
 
@@ -106,8 +107,7 @@ def toric_choice(obj: ToricObject, completion: Optional[Fan] = None) -> Compacti
         raise MissingCompactificationError("completion fan is not complete")
     elif not all(completion.contains_cone(c) for c in obj.fan.cones):
         raise MissingCompactificationError("completion does not contain the fan")
-    compact_obj = ToricObject(f"{obj.name}^bar", completion)
-    return CompactificationChoice(compact_obj,
+    return CompactificationChoice(completion,
                                   ToricLocus(completion, _boundary(obj.fan, completion)))
 
 
@@ -151,12 +151,22 @@ def compact_terms(obj: SiteObject, choice: Optional[CompactificationChoice] = No
         return ((1, obj.geometry),)
     if isinstance(obj, ToricObject):
         choice = choice or toric_choice(obj)
-        return ((1, choice.compact_obj.fan), (-1, choice.boundary))
+        return ((1, choice.completion), (-1, choice.boundary))
     if not isinstance(obj, ToricLocusObject):
         raise CSupportError(f"cannot extend over {obj!r}")
-    orbits = Counter(obj.locus.fan.rank - c.dim for c in obj.locus.cones)
+    fan = obj.locus.fan
+    orbits = Counter(fan.rank - c.dim for c in obj.locus.cones)
     return tuple((n * c, k) for dim, n in sorted(orbits.items(), reverse=True)
-                 for c, k in compact_terms(ToricObject("torus", Fan(dim, [Cone(dim, ())]))))
+                 for c, k in _torus_terms(fan, dim))
+
+
+@toric.kept
+def _torus_terms(fan: Fan, dim: int) -> Tuple[Tuple[int, object], ...]:
+    """The terms of the torus of dimension ``dim``, kept on ``fan``, the
+    ambient fan of a locus with orbits of that dimension, so that the torus
+    is completed once while the fan lives.  They hold the torus's
+    completion and boundary, and neither the torus nor ``fan``."""
+    return compact_terms(ToricObject("torus", Fan(dim, [Cone(dim, ())])))
 
 
 def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,

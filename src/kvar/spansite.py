@@ -647,6 +647,29 @@ def cover_height(site: SitePresentation, obj: SiteObject, budget: int,
     return memo[key]
 
 
+def square_tree(site: SitePresentation, obj: SiteObject, budget: int, memo: dict) -> object:
+    """A token for what ``enumerate_simple_covers`` reads of ``site`` over
+    ``obj`` with at most ``budget`` square steps: the object's geometry
+    and, for each square that the site files over it, the square's
+    provenance and kind and the trees of its Y and C corners with one step
+    less.  No part of it is a name, so objects with one token have the
+    same covers up to the names of their ends.
+
+    ``memo`` maps each (object, budget) and each tree to its token, a plain
+    ``object()``: a tree is built once per object and budget, as in
+    ``cover_height``, so a site with a cycle stays linear, and equal trees
+    get one token.  Tokens of different memos never compare equal."""
+    key = (obj, budget)
+    token = memo.get(key)
+    if token is None:
+        tree = (obj.geometry, tuple(
+            (sq.provenance, sq.kind, square_tree(site, sq.Y, budget - 1, memo),
+             square_tree(site, sq.C, budget - 1, memo))
+            for sq in site.squares_over(obj)) if budget > 0 else ())
+        token = memo[key] = memo.setdefault(tree, object())
+    return token
+
+
 def _covers(site: SitePresentation, o: SiteObject, d: int, memo: dict,
             identities: dict) -> List[SimpleCover]:
     # a function of its own, not a recursive closure: that would be a

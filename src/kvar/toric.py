@@ -9,6 +9,7 @@ and fractions; there is no floating point anywhere.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -412,7 +413,8 @@ def kept(compute):
     """Keep ``compute(fan, *args)``, a pure function of an interned fan and
     hashable, normalised arguments, in the fan's ``_flags``, keyed by
     ``compute`` alone or with the arguments: it lives and dies with the
-    fan.  An error is not kept, so it is raised again on every call.
+    fan, or ends with the ``kept_until_done`` block that built the fan.  An
+    error is not kept, so it is raised again on every call.
     """
     @functools.wraps(compute)
     def keeper(fan, *args):
@@ -450,9 +452,11 @@ class Fan:
     face is enumerated on the way.
     """
 
-    __slots__ = ("rank", "cones", "_by_rays", "_flags", "__weakref__")
+    __slots__ = ("rank", "cones", "_by_rays", "_flags", "_serial", "__weakref__")
 
     _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+    # numbers in the order of entry to the table, a fan's ``_serial``
+    _serials = itertools.count()
 
     def __new__(cls, rank: int, cones: Iterable[Cone]):
         _check_rank(rank)
@@ -475,6 +479,7 @@ class Fan:
         inst.cones = cone_set
         inst._by_rays = {c.rays: c for c in cone_set}
         inst._flags = {}
+        inst._serial = next(cls._serials)
         cls._interned[key] = inst
         return inst
 
@@ -644,18 +649,11 @@ class Fan:
 
     @kept
     def _subfan(self, subset: frozenset) -> "Fan":
-        # an interned fan on these cones was face-closed when it was built
-        known = Fan._interned.get((self.rank, subset))
-        if known is not None and subset <= self.cones:
-            return known
-        for c in subset:
-            if not self.contains_cone(c):
-                raise ToricError(f"{c} is not a cone of the fan")
-            for f in c.faces():
-                if f not in subset:
-                    raise NotFaceClosedError(
-                        f"subset is not face-closed: {f} missing"
-                    )
+        # ``Fan`` checks face-closure, or finds the interned fan on these
+        # cones, which was face-closed when it was built
+        if not subset <= self.cones:
+            stray = next(c for c in subset if c not in self.cones)
+            raise ToricError(f"{stray} is not a cone of the fan")
         return Fan(self.rank, subset)
 
     @kept
@@ -722,6 +720,26 @@ class Fan:
         if torus and not maximal:
             maximal = [()]
         return build_fan(rank, rays, maximal)
+
+
+@contextlib.contextmanager
+def kept_until_done():
+    """A block whose fans keep their ``kept`` data until it ends: then every
+    fan that entered the intern table inside the block drops what it keeps.
+    Kept data can form reference cycles (an open keeps its boundary keyed
+    by its completion, and the completion keeps the open as a subfan), so
+    fans built in the block then die by reference count, with nothing left
+    for the garbage collector.  The block takes a number in the order of entry to
+    the table, so no reused ``id`` can confuse a fan from before it with
+    one from inside it.  Fans that entered before the block keep all of
+    theirs."""
+    mark = next(Fan._serials)
+    try:
+        yield
+    finally:
+        for fan in list(Fan._interned.values()):
+            if fan._serial > mark:
+                fan._flags.clear()
 
 
 def sort_rays_ccw(rays: Iterable[Vector]) -> List[Vector]:

@@ -71,7 +71,7 @@ def test_criterion_02_compactification_independence(corpus):
     measures.append(MeasureOnCompacts(MeasureSpec("point_count", q=2)))
     assert len(corpus.independence) >= 50
     for case in corpus.independence:
-        assert case.choice_a.compact_obj.fan != case.choice_b.compact_obj.fan
+        assert case.choice_a.completion != case.choice_b.completion
         for phi in measures:
             report = independence_check(phi, case.obj, case.choice_a, case.choice_b)
             assert report.status == "pass", f"{case.obj.name} {phi.name}"

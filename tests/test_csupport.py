@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -92,6 +94,40 @@ def test_locus_extension_orbitwise():
     assert value == uv(0, 3)  # class 3L
 
 
+# Extends the locus of P2's cones of dimension at most 1 twice, then the
+# locus of its rays, under sys.setprofile, and prints how often the body of
+# toric._gap_filled ran for each rank.
+TORI_CHILD = """
+import sys
+from collections import Counter
+from kvar import csupport, toric
+from kvar.measures import MeasureSpec
+from kvar.spansite import ToricLocusObject
+body = toric._gap_filled.__wrapped__.__code__
+computed = Counter()
+def note(frame, event, arg):
+    if event == "call" and frame.f_code is body:
+        computed[frame.f_locals["fan"].rank] += 1
+p2 = toric.builtin_fan("P2")
+phi = csupport.MeasureOnCompacts(MeasureSpec("euler"))
+sys.setprofile(note)
+for dims in ((0, 1), (0, 1), (1,)):
+    locus = toric.ToricLocus(p2, [c for c in p2.cones if c.dim in dims])
+    csupport.extend_measure(phi, ToricLocusObject("L", locus))
+sys.setprofile(None)
+print(sorted(computed.items()))
+"""
+
+
+def test_each_torus_of_a_fan_s_loci_is_completed_once(cli_child_env):
+    # the terms of a torus are kept on the ambient fan of the locus: a
+    # torus built anew for each locus, and dropped, shows here as a second
+    # completion.  A child process starts with no torus alive.
+    proc = subprocess.run([sys.executable, "-c", TORI_CHILD], capture_output=True,
+                          text=True, env=cli_child_env("0"), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[(1, 1), (2, 1)]\n", "")
+
+
 def test_non_closed_loci_decompose_into_tori():
     # neither closed nor compact: the value is a sum over torus orbits
     loci = []
@@ -176,12 +212,12 @@ def test_each_open_has_one_automatic_completion():
     corp = corpus.generate(1, 50)
     assert corp.independence
     for case in corp.independence:
-        assert case.choice_a.compact_obj.fan is complete_surface(case.obj.fan)
+        assert case.choice_a.completion is complete_surface(case.obj.fan)
     opens = [ToricObject(f"{x.name}|U", x.fan.subfan(w)) for x, w in corp.pairs_xu if w]
     factors = [o for pair in corp.kunneth_pairs for o in pair if not o.fan.is_complete()]
     assert factors and any(not o.fan.is_complete() for o in opens)
     for o in opens + factors:
-        assert toric_choice(o).compact_obj.fan is complete_surface(o.fan)
+        assert toric_choice(o).completion is complete_surface(o.fan)
 
 
 def test_an_explicit_choice_overrides_the_automatic_completion():
@@ -235,7 +271,7 @@ def test_each_extension_of_the_battery_is_its_class_in_k0(monkeypatch):
     extended = {}
 
     def record(phi, obj, choice=None):
-        extended[obj.geometry, choice and (choice.compact_obj.fan, choice.boundary)] = obj, choice
+        extended[obj.geometry, choice and (choice.completion, choice.boundary)] = obj, choice
         return extend_measure(phi, obj, choice)
 
     monkeypatch.setattr(csupport, "extend_measure", record)

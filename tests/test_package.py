@@ -85,6 +85,9 @@ def test_kvar_modules_use_every_name_they_import():
 NO_COMMAND_REACHES = {
     "cli.Report.to_json_text":
         "perfbench's worker serialises a report through it and times it",
+    "csupport._torus_terms":
+        "the terms of a torus orbit of a locus that is not compact; "
+        "every locus a command extends is closed in a complete fan",
     "cli._too_long":
         "the note for a class or value past the interpreter's int-string digit limit",
     "kring.expr_size":

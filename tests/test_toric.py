@@ -907,7 +907,7 @@ def test_each_kept_fan_construction_is_its_fresh_computation():
             assert toric.common_refinement(a, b) is refined
     for case in corp.independence:
         for choice in (case.choice_a, case.choice_b):
-            completion = choice.compact_obj.fan
+            completion = choice.completion
             again = csupport.toric_choice(case.obj, completion)
             assert again.boundary.cones == frozenset(
                 c for c in completion.cones if not case.obj.fan.contains_cone(c))
