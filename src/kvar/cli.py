@@ -138,7 +138,7 @@ class Report:
 
         Each kind, each distinct measure value and each answer is encoded
         once.  An answer's text depends on its lhs, note, rhs and status
-        alone, and records answered from a battery's table share their lhs
+        alone, and records answered from a run's table share their lhs
         and rhs objects, so the text is kept under the ids of those objects
         with the note and status: the records hold the objects while the
         report is written, so no id is reused."""
@@ -253,7 +253,9 @@ def _suite_args(rec: dict, i: int, phi: MeasureOnCompacts):
     as its star-subdivision square, and an independence window as its open
     with two completions.  ``phi`` is the measure of the kinds that take
     one; purity takes the E-polynomial.  A kind whose arguments a suite
-    cannot name, and an unknown kind, get the note of a skipped record."""
+    cannot name, an open with one completion only, whose independence
+    check cannot fail, and an unknown kind get the note of a skipped
+    record."""
     kind = rec["kind"]
     if kind not in CHECKS:
         return "unknown kind"
@@ -271,8 +273,10 @@ def _suite_args(rec: dict, i: int, phi: MeasureOnCompacts):
     if kind == "independence":
         u_obj = ToricObject(f"{obj.name}|U{i}",
                             obj.fan.subfan(_suite_window(rec, obj, "window", "torus")))
-        return (phi, u_obj, csupport.toric_choice(u_obj),
-                csupport.toric_choice(u_obj, toric.alternative_completion(u_obj.fan)))
+        alternative = toric.alternative_completion(u_obj.fan)
+        if alternative is None:
+            return "the open has no second completion, so the check cannot fail"
+        return phi, u_obj, csupport.toric_choice(u_obj), csupport.toric_choice(u_obj, alternative)
     if kind == "mayer_vietoris":
         win_u, win_v = _suite_window(rec, obj, "u"), _suite_window(rec, obj, "v")
         if win_u | win_v != obj.fan.cones:
@@ -415,47 +419,15 @@ def _corpus_measures(names: List[str]) -> List[MeasureOnCompacts]:
 
 def run_corpus_checks(report: Report, seed: int, size: int,
                       measure_names: List[str], depth: int = 3) -> dict:
-    """The fixed battery over a seeded corpus; record order is deterministic.
-
-    The corpus repeats its inputs under new names, so the battery keeps one
-    answer table for its own run and returns it: each distinct key is
-    checked once, and a repeat gets a record of its own with the kept
-    result.  A key is the kind and the ``_shape`` of each argument, what the
-    check reads of it.  No check reads a name, and a record holds values,
-    never a name, so each rule is sound:
-
-    - a site object is its geometry (an open's automatic completion is a
-      function of its fan, ``toric.complete_surface``);
-    - a square is its provenance, which holds no name and builds the square
-      (a ``StarSubdivision``, the fans (W, X) of a refinement, or (X's fan,
-      window) of a localization);
-    - a span is its ``key``: the fans or loci of its ends and its window;
-    - a compactification choice is its compact fan and boundary cones;
-    - a measure instance, an interned fan or cone set, or the depth is
-      itself.
-
-    cover_monotone reads the site over an object, the squares the corpus
-    added over it, so its key is not per argument: it is the tree of
-    squares that its covers walk (``spansite.square_tree``) and the depth.
-
-    The battery's fans keep what they compute until it returns, and drop
-    it then (``toric.kept_until_done``), so they die with the last
-    reference to them rather than in reference cycles.
-    """
-    answers: dict = {}
-    with toric.kept_until_done():
-        corp = corpus_mod.generate(seed, size)
-        run_checks(report, _battery_cases(corp, _corpus_measures(measure_names), depth),
-                   answers)
-        bases = sorted(dict.fromkeys(sq.base for sq in corp.squares), key=lambda o: o.name)
-        run_checks(report, ((f"cover_monotone[{i}]:{obj.name}", "cover_monotone",
-                             (corp.site, obj, depth)) for i, obj in enumerate(bases)), answers)
-    return answers
+    """The fixed battery over a seeded corpus, in a deterministic record
+    order; returns the answer table of its run (``run_checks``)."""
+    corp = corpus_mod.generate(seed, size)
+    return run_checks(report, _battery_cases(corp, _corpus_measures(measure_names), depth))
 
 
 def _battery_cases(corp, phis: List[MeasureOnCompacts], depth: int):
-    """The (record id, kind, arguments) cases of the battery that keep an
-    answer, in report order."""
+    """The (record id, kind, arguments) cases of the battery, in report
+    order."""
     for i, (obj, window) in enumerate(corp.pairs_xu):
         for phi in phis:
             yield f"additivity[{i}]:{obj.name}:{phi.name}", "additivity", (phi, obj, window)
@@ -486,35 +458,59 @@ def _battery_cases(corp, phis: List[MeasureOnCompacts], depth: int):
             yield f"purity[{i}]:{obj.name}", "purity", (e_phi, obj)
     for i, fan in enumerate(corp.all_fans()):
         yield f"point_count_oracle[{i}]", "point_count_oracle", (fan,)
+    bases = sorted(dict.fromkeys(sq.base for sq in corp.squares), key=lambda o: o.name)
+    for i, obj in enumerate(bases):
+        yield f"cover_monotone[{i}]:{obj.name}", "cover_monotone", (corp.site, obj, depth)
 
 
-def run_checks(report: Report, cases, answers: Optional[dict]) -> None:
+def run_checks(report: Report, cases) -> dict:
     """Add the record of each (record id, kind, arguments) case, checked by
-    ``CHECKS[kind]``.  With an answer table, a case is answered from it
-    under its ``_key``; with None, each case is computed.  A check that
-    raises fails its own record, and a case whose arguments are a note is
-    skipped with that note."""
+    ``CHECKS[kind]``, and return the answer table of the run.
+
+    Cases repeat their inputs under new names, so each case is answered
+    from the table under its ``_key``: each distinct key is checked once,
+    and a repeat gets a record of its own with the kept result.  A check
+    that raises fails its own record, and a case whose arguments are a
+    note is skipped with that note.  The fans keep what they compute until
+    the run ends, and drop it then (``toric.kept_until_done``), so they
+    die with the last reference to them rather than in reference cycles.
+    """
+    answers: dict = {}
     trees: dict = {}  # the square-tree memo of each site (``_key``)
-    for rec_id, kind, args in cases:
-        if isinstance(args, str):
-            report.add(Record(rec_id, kind, "skipped", note=args))
-            continue
-        check = CHECKS[kind]
-        try:
-            if answers is None:
-                _timed(report, rec_id, kind, check, *args)
-            else:
+    with toric.kept_until_done():
+        for rec_id, kind, args in cases:
+            if isinstance(args, str):
+                report.add(Record(rec_id, kind, "skipped", note=args))
+                continue
+            try:
                 _timed(report, rec_id, kind, _answer, answers, _key(kind, args, trees),
-                       check, *args)
-        except Exception as exc:  # records stay isolated
-            report.add(Record(rec_id, kind, "fail", note=f"error: {exc}"))
+                       CHECKS[kind], *args)
+            except Exception as exc:  # records stay isolated
+                report.add(Record(rec_id, kind, "fail", note=f"error: {exc}"))
+    return answers
 
 
 def _key(kind: str, args: tuple, trees: dict) -> tuple:
     """The answer-table key of a case: the kind and the ``_shape`` of each
-    argument, or for cover_monotone, the token of the square tree over
-    the object, from the memo that ``trees`` holds for the site, and the
-    depth."""
+    argument, what the check reads of it.  No check reads a name, and a
+    record holds values, never a name, so each rule is sound:
+
+    - a site object is its geometry (an open's automatic completion is a
+      function of its fan, ``toric.complete_surface``);
+    - a square is its provenance, which holds no name and builds the square
+      (a ``StarSubdivision``, the fans (W, X) of a refinement, or (X's fan,
+      window) of a localization);
+    - a span is its ``key``: the fans or loci of its ends and its window;
+    - a compactification choice is its compact fan and boundary cones;
+    - a measure instance, an interned fan or cone set, or the depth is
+      itself, so the checks of a suite, each with a measure of its own,
+      share a key only when they take no measure.
+
+    cover_monotone reads the site over an object, the squares added over
+    it, so its key is not per argument: it is the token of the square tree
+    that its covers walk (``spansite.square_tree``), from the memo that
+    ``trees`` holds for the site, and the depth.
+    """
     if kind == "cover_monotone":
         site, obj, depth = args
         return kind, (spansite.square_tree(site, obj, depth, trees.setdefault(site, {})), depth)
@@ -522,7 +518,7 @@ def _key(kind: str, args: tuple, trees: dict) -> tuple:
 
 
 def _shape(arg):
-    """What a check reads of one argument: see ``run_corpus_checks``."""
+    """What a check reads of one argument: see ``_key``."""
     if isinstance(arg, SiteObject):
         return arg.geometry
     if isinstance(arg, DistinguishedSquare):
@@ -627,7 +623,7 @@ CHECKS = {
 
 def run_suite(report: Report, suite: dict) -> None:
     """A suite file's checks, in file order."""
-    run_checks(report, _suite_checks(suite), None)
+    run_checks(report, _suite_checks(suite))
 
 
 def cmd_check(config: RunConfig) -> Report:

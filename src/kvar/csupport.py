@@ -16,6 +16,7 @@ engine errors.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
@@ -157,15 +158,15 @@ def compact_terms(obj: SiteObject, choice: Optional[CompactificationChoice] = No
     fan = obj.locus.fan
     orbits = Counter(fan.rank - c.dim for c in obj.locus.cones)
     return tuple((n * c, k) for dim, n in sorted(orbits.items(), reverse=True)
-                 for c, k in _torus_terms(fan, dim))
+                 for c, k in _torus_terms(dim))
 
 
-@toric.kept
-def _torus_terms(fan: Fan, dim: int) -> Tuple[Tuple[int, object], ...]:
-    """The terms of the torus of dimension ``dim``, kept on ``fan``, the
-    ambient fan of a locus with orbits of that dimension, so that the torus
-    is completed once while the fan lives.  They hold the torus's
-    completion and boundary, and neither the torus nor ``fan``."""
+@functools.lru_cache(maxsize=None)
+def _torus_terms(dim: int) -> Tuple[Tuple[int, object], ...]:
+    """The terms of the torus of dimension ``dim``, computed once per
+    process: they depend on ``dim`` alone, and there are at most
+    ``toric.MAX_TORUS_COMPLETION_RANK`` + 1 tori to complete.  Kept on no
+    fan, they make no reference cycle with a locus's fan."""
     return compact_terms(ToricObject("torus", Fan(dim, [Cone(dim, ())])))
 
 

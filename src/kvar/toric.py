@@ -412,9 +412,9 @@ class Cone:
 def kept(compute):
     """Keep ``compute(fan, *args)``, a pure function of an interned fan and
     hashable, normalised arguments, in the fan's ``_flags``, keyed by
-    ``compute`` alone or with the arguments: it lives and dies with the
-    fan, or ends with the ``kept_until_done`` block that built the fan.  An
-    error is not kept, so it is raised again on every call.
+    ``compute`` alone or with the arguments: it lives until the fan dies
+    or a ``kept_until_done`` block ends.  An error is not kept, so it is
+    raised again on every call.
     """
     @functools.wraps(compute)
     def keeper(fan, *args):
@@ -440,7 +440,7 @@ class Fan:
     enters the table only once it has validated, and leaves it when it is
     dropped, with everything it keeps.  Each datum is kept by ``kept``, as
     a pure function of the fan and the other arguments: completeness,
-    smoothness, rays, maximal cones, the class, point and cone containment,
+    smoothness, maximal cones, the class, point and cone containment,
     the closedness and class of a cone subset, the subfan on a cone subset,
     the product with another fan, the star subdivision at a ray, the automatic
     completion, the common refinement with another fan of the same support,
@@ -452,11 +452,9 @@ class Fan:
     face is enumerated on the way.
     """
 
-    __slots__ = ("rank", "cones", "_by_rays", "_flags", "_serial", "__weakref__")
+    __slots__ = ("rank", "cones", "_by_rays", "_flags", "__weakref__")
 
     _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-    # numbers in the order of entry to the table, a fan's ``_serial``
-    _serials = itertools.count()
 
     def __new__(cls, rank: int, cones: Iterable[Cone]):
         _check_rank(rank)
@@ -479,7 +477,6 @@ class Fan:
         inst.cones = cone_set
         inst._by_rays = {c.rays: c for c in cone_set}
         inst._flags = {}
-        inst._serial = next(cls._serials)
         cls._interned[key] = inst
         return inst
 
@@ -511,7 +508,6 @@ class Fan:
                             key=lambda c: c.rays))
 
     @property
-    @kept
     def rays(self) -> Tuple[Vector, ...]:
         return tuple(sorted({r for c in self.cones for r in c.rays}))
 
@@ -724,22 +720,18 @@ class Fan:
 
 @contextlib.contextmanager
 def kept_until_done():
-    """A block whose fans keep their ``kept`` data until it ends: then every
-    fan that entered the intern table inside the block drops what it keeps.
-    Kept data can form reference cycles (an open keeps its boundary keyed
-    by its completion, and the completion keeps the open as a subfan), so
-    fans built in the block then die by reference count, with nothing left
-    for the garbage collector.  The block takes a number in the order of entry to
-    the table, so no reused ``id`` can confuse a fan from before it with
-    one from inside it.  Fans that entered before the block keep all of
-    theirs."""
-    mark = next(Fan._serials)
+    """A block at whose end every interned fan drops its ``kept`` data.
+    A kept value is a pure function of its fan, so dropping it costs at
+    most a recomputation.  Kept data can form reference cycles (an open
+    keeps its boundary keyed by its completion, and the completion keeps
+    the open as a subfan), and a fan from before the block can keep fans
+    built inside it, so those fans then die by reference count, with
+    nothing left for the garbage collector."""
     try:
         yield
     finally:
         for fan in list(Fan._interned.values()):
-            if fan._serial > mark:
-                fan._flags.clear()
+            fan._flags.clear()
 
 
 def sort_rays_ccw(rays: Iterable[Vector]) -> List[Vector]:

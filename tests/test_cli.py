@@ -269,8 +269,8 @@ def test_check_suite_unknown_kind_is_skipped(tmp_path, cli_child_env):
 
 
 def test_check_suite_independence_on_rank_one_objects(tmp_path, cli_child_env):
-    # a rank-1 completion has no 2-cone to subdivide: the check compares the
-    # automatic completion with itself
+    # a rank-1 completion has no 2-cone to subdivide, so the open has one
+    # completion only: a check of it against itself could not fail
     path = tmp_path / "suite.json"
     path.write_text(json.dumps({"checks": [
         {"kind": "independence", "object": "A1"},
@@ -282,7 +282,21 @@ def test_check_suite_independence_on_rank_one_objects(tmp_path, cli_child_env):
     assert proc.returncode == 0
     payload = json.loads(out.read_text())
     assert [(r["id"], r["status"]) for r in payload["records"]] == [
-        ("independence[0]", "pass"), ("independence[1]", "pass"), ("independence[2]", "pass")]
+        ("independence[0]", "skipped"), ("independence[1]", "skipped"),
+        ("independence[2]", "skipped")]
+
+
+def test_an_independence_check_with_one_completion_is_skipped_whatever_the_measure():
+    # comparing a completion with itself passed even under a perturbed
+    # measure
+    perturbed = {"selector": "euler", "perturb": {"target": "P1", "delta": 5}}
+    report = Report({})
+    cli.run_suite(report, {"checks": [
+        {"kind": "independence", "object": "P1", "window": "torus", "measure": perturbed},
+        {"kind": "independence", "object": "P2", "window": [[0, 1], [1, 2], [2, 0]],
+         "measure": dict(perturbed, perturb={"target": "P2", "delta": 5})}]})
+    assert [(r.status, r.note) for r in report.records] == [
+        ("skipped", "the open has no second completion, so the check cannot fail")] * 2
 
 
 def test_suite_fixture_report_is_pinned(tmp_path, cli_child_env):
@@ -370,12 +384,11 @@ def test_a_check_that_raises_fails_its_own_record(monkeypatch):
     fan = toric.builtin_fan("P2")
     cases = [("a", "purity", (fan,)), ("b", "point_count_oracle", (fan,)),
              ("c", "purity", (fan,))]
-    for answers in (None, {}):
-        report = Report({})
-        cli.run_checks(report, cases, answers)
-        assert [(r.id, r.status, r.note) for r in report.records] == [
-            ("a", "fail", "error: planted"), ("b", "pass", "q in {2,3,4,5}"),
-            ("c", "fail", "error: planted")]
+    report = Report({})
+    cli.run_checks(report, cases)
+    assert [(r.id, r.status, r.note) for r in report.records] == [
+        ("a", "fail", "error: planted"), ("b", "pass", "q in {2,3,4,5}"),
+        ("c", "fail", "error: planted")]
 
 
 def test_check_corpus_small():
@@ -723,6 +736,54 @@ def test_a_battery_leaves_no_fan_and_no_cycle_behind(cli_child_env):
     assert found < 22_803 // 100
 
 
+# Keeps three builtin fans alive, then runs the seed-1, size-200 battery and
+# the every-kind suite fixture (its path in argv) with the garbage collector
+# off, dropping each report, and prints the size of the fan intern table
+# before the runs and after each.
+KEPT_FANS_CHILD = """
+import gc, json, sys
+from kvar import cli, toric
+gc.disable()
+kept = [toric.builtin_fan(name) for name in ("P1", "P2", "P1xP1")]
+sizes = [len(toric.Fan._interned)]
+report = cli.Report({})
+cli.run_corpus_checks(report, 1, 200, ["euler", "e"])
+del report
+sizes.append(len(toric.Fan._interned))
+report = cli.Report({})
+with open(sys.argv[1]) as fh:
+    cli.run_suite(report, json.load(fh))
+del report
+sizes.append(len(toric.Fan._interned))
+print(*sizes)
+"""
+
+
+def test_a_run_leaves_no_fan_behind_on_the_fans_from_before_it(cli_child_env):
+    # while a run spared what fans from before it kept, the battery left 64
+    # of its fans in the table here, and the suite 6 more
+    proc = subprocess.run(
+        [sys.executable, "-c", KEPT_FANS_CHILD, str(FIXTURES / "every_kind_suite.json")],
+        capture_output=True, text=True, env=cli_child_env("0"), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "3", "3"]
+
+
+def test_a_repeated_suite_case_is_checked_once(monkeypatch):
+    validated, validate = [], cli.validate_square
+
+    def counting(sq):
+        validated.append(sq)
+        return validate(sq)
+    monkeypatch.setattr(cli, "validate_square", counting)
+    case = {"kind": "square_valid", "object": "P2", "ray": [1, 1]}
+    report = Report({})
+    cli.run_suite(report, {"checks": [case, dict(case)]})
+    assert len(validated) == 1
+    first, second = ([r.kind, r.status, r.lhs, r.rhs, r.note] for r in report.records)
+    assert first == second and first[1] == "pass"
+
+
 def _site_objects(value, found: dict) -> None:
     """Every site object that ``value`` holds, by identity, into ``found``."""
     if isinstance(value, SiteObject):
@@ -829,9 +890,9 @@ def test_a_cover_monotone_answer_is_keyed_by_the_squares_not_only_the_fan():
     for base in bases:
         star_site.add_square(star_subdivision_square(base, (1, 1)))
     cases = [(_cyclic_site(x_obj), x_obj)] + [(star_site, base) for base in bases]
-    report, answers = Report({}), {}
-    cli.run_checks(report, [(obj.name, "cover_monotone", (site, obj, 3))
-                            for site, obj in cases], answers)
+    report = Report({})
+    answers = cli.run_checks(report, [(obj.name, "cover_monotone", (site, obj, 3))
+                                      for site, obj in cases])
     records = [(r.status, r.lhs, r.rhs, r.note) for r in report.records]
     assert records == [tuple(_cover_monotone(site, obj, 3)) for site, obj in cases]
     assert records[0] != records[1] and len(answers) == 2

@@ -128,6 +128,31 @@ def test_each_torus_of_a_fan_s_loci_is_completed_once(cli_child_env):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[(1, 1), (2, 1)]\n", "")
 
 
+# Extends the torus orbit of P1 in P1 with the garbage collector off, drops
+# it, and prints what the collector then finds.
+TORUS_CYCLE_CHILD = """
+import gc
+from kvar import csupport, toric
+from kvar.measures import MeasureSpec
+from kvar.spansite import ToricLocusObject
+gc.disable()
+p1 = toric.builtin_fan("P1")
+locus = toric.ToricLocus(p1, [c for c in p1.cones if c.dim == 0])
+csupport.extend_measure(csupport.MeasureOnCompacts(MeasureSpec("euler")),
+                        ToricLocusObject("T", locus))
+del p1, locus
+print(gc.collect())
+"""
+
+
+def test_the_terms_of_a_torus_make_no_reference_cycle(cli_child_env):
+    # while the terms were kept on the locus's ambient fan, here the torus's
+    # own completion, they held that fan, and the collector found objects
+    proc = subprocess.run([sys.executable, "-c", TORUS_CYCLE_CHILD], capture_output=True,
+                          text=True, env=cli_child_env("0"), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
 def test_non_closed_loci_decompose_into_tori():
     # neither closed nor compact: the value is a sum over torus orbits
     loci = []
