@@ -393,6 +393,13 @@ def cmd_fan(config: RunConfig) -> Report:
     return report
 
 
+def _timed(report: Report, rec_id: str, kind: str, check, *args) -> None:
+    """Run one check and add its record, timed over the check call alone."""
+    t0 = time.perf_counter()
+    result = check(*args)
+    report.add(Record(rec_id, kind, *result, seconds=time.perf_counter() - t0))
+
+
 def _fan_op(op: str, fan: toric.Fan) -> CheckResult:
     """The record of one fan operation; a fan that cannot be completed
     fails ``complete``."""
@@ -469,11 +476,13 @@ def run_checks(report: Report, cases) -> dict:
 
     Cases repeat their inputs under new names, so each case is answered
     from the table under its ``_key``: each distinct key is checked once,
-    and a repeat gets a record of its own with the kept result.  A check
-    that raises fails its own record, and a case whose arguments are a
-    note is skipped with that note.  The fans keep what they compute until
-    the run ends, and drop it then (``toric.kept_until_done``), so they
-    die with the last reference to them rather than in reference cycles.
+    and a repeat gets a record of its own with the kept result.  A record
+    is timed over its answer alone (``_answer``): the lookup, and the check
+    on a miss, never the key.  A check that raises fails its own record,
+    and a case whose arguments are a note is skipped with that note.  The
+    fans keep what they compute until the run ends, and drop it then
+    (``toric.kept_until_done``), so they die with the last reference to
+    them rather than in reference cycles.
     """
     answers: dict = {}
     trees: dict = {}  # the square-tree memo of each site (``_key``)
@@ -483,8 +492,10 @@ def run_checks(report: Report, cases) -> dict:
                 report.add(Record(rec_id, kind, "skipped", note=args))
                 continue
             try:
-                _timed(report, rec_id, kind, _answer, answers, _key(kind, args, trees),
-                       CHECKS[kind], *args)
+                key = _key(kind, args, trees)
+                t0 = time.perf_counter()
+                result = _answer(answers, key, CHECKS[kind], *args)
+                report.add(Record(rec_id, kind, *result, seconds=time.perf_counter() - t0))
             except Exception as exc:  # records stay isolated
                 report.add(Record(rec_id, kind, "fail", note=f"error: {exc}"))
     return answers
@@ -528,13 +539,6 @@ def _shape(arg):
     if isinstance(arg, CompactificationChoice):
         return arg.completion, arg.boundary.cones
     return arg
-
-
-def _timed(report: Report, rec_id: str, kind: str, check, *args) -> None:
-    """Run one check and add its record, timed over the check call alone."""
-    t0 = time.perf_counter()
-    result = check(*args)
-    report.add(Record(rec_id, kind, *result, seconds=time.perf_counter() - t0))
 
 
 def _answer(answers: dict, key, check, *args) -> CheckResult:

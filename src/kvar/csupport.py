@@ -44,7 +44,8 @@ class MeasureOnCompacts:
 
     A compact object evaluates through its canonical class, a fan class,
     and the spec's ring substitution.  Each measure memoizes its value per
-    class; a failure is never memoized.
+    class, and its sum over each combination of compact objects
+    (``sum_over``); a failure is never memoized.
     """
 
     multiplicative = True
@@ -53,6 +54,7 @@ class MeasureOnCompacts:
         self.spec = spec
         self.name = spec.name
         self._values: Dict[KClass, MeasureValue] = {}
+        self._sums: Dict[tuple, MeasureValue] = {}
 
     def on_compact(self, obj: SiteObject) -> MeasureValue:
         if obj.is_empty():
@@ -64,6 +66,24 @@ class MeasureOnCompacts:
         if value is None:
             value = self._values[cls] = apply_measure(self.spec, cls)
         return value
+
+    def sum_over(self, terms: Tuple[Tuple[int, object], ...]) -> MeasureValue:
+        """The sum of c * Phi(K) over (c, K) pairs of ``compact_terms``,
+        kept per combination, so a repeated extension is one lookup."""
+        value = self._sums.get(terms)
+        if value is None:
+            value = self._sums[terms] = self._sum(terms)
+        return value
+
+    def _sum(self, terms: Tuple[Tuple[int, object], ...]) -> MeasureValue:
+        value = None
+        for c, k in terms:
+            term = self.on_compact(ToricObject("K", k) if isinstance(k, Fan)
+                                   else ToricLocusObject("K", k))
+            if c != 1:
+                term = -term if c == -1 else term * MeasureValue.integer(c)
+            value = term if value is None else value + term
+        return MeasureValue.integer(0) if value is None else value
 
 
 class PerturbedMeasure(MeasureOnCompacts):
@@ -109,13 +129,7 @@ def toric_choice(obj: ToricObject, completion: Optional[Fan] = None) -> Compacti
     elif not all(completion.contains_cone(c) for c in obj.fan.cones):
         raise MissingCompactificationError("completion does not contain the fan")
     return CompactificationChoice(completion,
-                                  ToricLocus(completion, _boundary(obj.fan, completion)))
-
-
-@toric.kept
-def _boundary(fan: Fan, completion: Fan) -> frozenset:
-    """The cones of the completion outside the fan, kept on the fan."""
-    return frozenset(c for c in completion.cones if not fan.contains_cone(c))
+                                  ToricLocus(completion, completion.cones - obj.fan.cones))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +152,9 @@ def compact_terms(obj: SiteObject, choice: Optional[CompactificationChoice] = No
     A compact object is its own term.  An open is +Xbar, less its boundary
     in Xbar: the object's automatic completion (``toric_choice``), or
     ``choice`` when one is given (by the independence check, and for a fan
-    that has no automatic completion).  A completion's boundary is
+    that has no automatic completion).  An open's terms are kept on its
+    fan, keyed by the choice's completion, which fixes the boundary: the
+    completion's cones outside the fan.  A completion's boundary is
     upward-closed in a complete fan, hence compact (Fulton, Introduction to
     Toric Varieties, 2.4 and 3.1).  Any other locus splits orbit by orbit
     into tori, a torus of dimension k > 0 being the dense open of (P1)^k,
@@ -151,14 +167,21 @@ def compact_terms(obj: SiteObject, choice: Optional[CompactificationChoice] = No
     if obj.is_compact():
         return ((1, obj.geometry),)
     if isinstance(obj, ToricObject):
-        choice = choice or toric_choice(obj)
-        return ((1, choice.completion), (-1, choice.boundary))
+        return _open_terms(obj.fan, choice and choice.completion)
     if not isinstance(obj, ToricLocusObject):
         raise CSupportError(f"cannot extend over {obj!r}")
     fan = obj.locus.fan
     orbits = Counter(fan.rank - c.dim for c in obj.locus.cones)
     return tuple((n * c, k) for dim, n in sorted(orbits.items(), reverse=True)
                  for c, k in _torus_terms(dim))
+
+
+@toric.kept
+def _open_terms(fan: Fan, completion: Optional[Fan]) -> Tuple[Tuple[int, object], ...]:
+    """The terms of the open on ``fan`` inside ``completion``, by default
+    its automatic one (``compact_terms``)."""
+    choice = toric_choice(ToricObject("U", fan), completion)
+    return ((1, choice.completion), (-1, choice.boundary))
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,20 +195,13 @@ def _torus_terms(dim: int) -> Tuple[Tuple[int, object], ...]:
 
 def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
                    choice: Optional[CompactificationChoice] = None) -> ExtensionResult:
-    """Phi_c of any object: the sum of c * Phi(K) over its ``compact_terms``.
-
-    Nothing is memoized here, so the value is a function of the measure,
-    the object and the choice, and of nothing extended before.
+    """Phi_c of any object: the sum of c * Phi(K) over its ``compact_terms``
+    (``MeasureOnCompacts.sum_over``).  The terms are a function of the
+    object's geometry and the choice, and the sum of the measure and the
+    terms, so each is kept under exactly what it is a function of.
     """
     terms = compact_terms(obj, choice)
-    value = None
-    for c, k in terms:
-        term = phi.on_compact(ToricObject("K", k) if isinstance(k, Fan)
-                              else ToricLocusObject("K", k))
-        if c != 1:
-            term = -term if c == -1 else term * MeasureValue.integer(c)
-        value = term if value is None else value + term
-    return ExtensionResult(MeasureValue.integer(0) if value is None else value, terms)
+    return ExtensionResult(phi.sum_over(terms), terms)
 
 
 def oracle_value(phi: MeasureOnCompacts, obj: SiteObject) -> MeasureValue:

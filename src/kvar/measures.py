@@ -9,6 +9,7 @@ integer polynomials in a single variable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
@@ -67,10 +68,9 @@ class MeasureValue:
 
     def __add__(self, other: "MeasureValue") -> "MeasureValue":
         var = _join(self.var, other.var)
-        n = max(len(self.coeffs), len(other.coeffs))
         return MeasureValue(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)], var
-        )
+            [a + b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)],
+            var)
 
     def __neg__(self) -> "MeasureValue":
         return MeasureValue([-c for c in self.coeffs], self.var)

@@ -430,6 +430,14 @@ def kept(compute):
     return keeper
 
 
+def keep_proven(keeper, fan: "Fan", value, *args) -> None:
+    """Keep ``value`` as the ``kept`` function ``keeper`` would keep it on
+    ``fan`` and ``args``, under the same key: for a value proven without
+    running the computation, which is then never run on this fan."""
+    compute = keeper.__wrapped__
+    fan._flags[(compute,) + args if args else compute] = value
+
+
 class Fan:
     """Finite fan: a set of cones closed under faces, pairwise intersecting
     in common faces.  The empty fan is the empty variety; the fan with only
@@ -444,7 +452,9 @@ class Fan:
     the closedness and class of a cone subset, the subfan on a cone subset,
     the product with another fan, the star subdivision at a ray, the automatic
     completion, the common refinement with another fan of the same support,
-    at any rank, and the boundary inside a completion (``csupport``).
+    at any rank, and an open's combination of compact objects inside each
+    completion (``csupport``).  A proper subfan of a complete fan keeps its
+    completeness and, at rank 2, its completion as proven (``_subfan``).
 
     A product fan (``product``) validates in full and computes its maximal
     cones, completeness, smoothness and class from its own cones, like any
@@ -452,7 +462,7 @@ class Fan:
     face is enumerated on the way.
     """
 
-    __slots__ = ("rank", "cones", "_by_rays", "_flags", "__weakref__")
+    __slots__ = ("rank", "cones", "_hash", "_by_rays", "_flags", "__weakref__")
 
     _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
@@ -475,6 +485,7 @@ class Fan:
         inst = object.__new__(cls)
         inst.rank = rank
         inst.cones = cone_set
+        inst._hash = hash(key)
         inst._by_rays = {c.rays: c for c in cone_set}
         inst._flags = {}
         cls._interned[key] = inst
@@ -645,12 +656,35 @@ class Fan:
 
     @kept
     def _subfan(self, subset: frozenset) -> "Fan":
-        # ``Fan`` checks face-closure, or finds the interned fan on these
-        # cones, which was face-closed when it was built
+        """The proper subfan on ``subset``.  ``Fan`` checks face-closure, or
+        finds the interned fan on these cones, which was face-closed when
+        it was built.
+
+        A proper subfan of a complete fan keeps two proven facts
+        (``keep_proven``), so no open of a complete surface is tested for
+        completeness or gap-filled from scratch:
+
+        - It is not complete.  Every cone of a complete fan is a face of a
+          full-dimensional cone (Fulton, Introduction to Toric Varieties,
+          2.4), and a face-closed proper subset lacks one of those, since
+          it holds every face of each cone it holds.  The interior of the
+          lacked cone meets no other cone of the fan, so it lies in no
+          cone of the subset, and the support is not the whole space.
+        - At rank 2, when it holds every ray of this fan, its automatic
+          completion (``complete_surface``) is this fan.  Consecutive rays
+          of a complete rank-2 fan bound its 2-cones, each under pi, so gap
+          filling (``_gap_filled``) adds no ray and closes exactly this
+          fan's missing 2-cones, with this fan's own rays and cones.
+        """
         if not subset <= self.cones:
             stray = next(c for c in subset if c not in self.cones)
             raise ToricError(f"{stray} is not a cone of the fan")
-        return Fan(self.rank, subset)
+        sub = Fan(self.rank, subset)
+        if self.is_complete():
+            keep_proven(Fan.is_complete, sub, False)
+            if self.rank == 2 and all(c in subset for c in self.cones if c.dim == 1):
+                keep_proven(_gap_filled, sub, self)
+        return sub
 
     @kept
     def product(self, other: "Fan") -> "Fan":
@@ -664,7 +698,7 @@ class Fan:
         return isinstance(other, type(self)) and self.rank == other.rank and self.cones == other.cones
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.cones))
+        return self._hash
 
     def __reduce__(self):
         return Fan, (self.rank, self.cones)
@@ -723,10 +757,10 @@ def kept_until_done():
     """A block at whose end every interned fan drops its ``kept`` data.
     A kept value is a pure function of its fan, so dropping it costs at
     most a recomputation.  Kept data can form reference cycles (an open
-    keeps its boundary keyed by its completion, and the completion keeps
-    the open as a subfan), and a fan from before the block can keep fans
-    built inside it, so those fans then die by reference count, with
-    nothing left for the garbage collector."""
+    keeps its completion, and the completion keeps the open as a subfan),
+    and a fan from before the block can keep fans built inside it, so
+    those fans then die by reference count, with nothing left for the
+    garbage collector."""
     try:
         yield
     finally:

@@ -913,14 +913,22 @@ def test_each_kept_fan_construction_is_its_fresh_computation():
                 c for c in completion.cones if not case.obj.fan.contains_cone(c))
             assert again.boundary is not choice.boundary  # a fresh locus
             assert again.boundary == choice.boundary
-    for obj, window in corp.pairs_xu:
+    # every open of the battery: additivity windows and Mayer-Vietoris
+    # windows; a subfan of a complete fan keeps its completeness and, at rank
+    # 2 with every ray, its completion as proven, not computed
+    windows = corp.pairs_xu + [(obj, w) for obj, u, v in corp.mv_triples for w in (u, v, u & v)]
+    inherited = 0
+    for obj, window in windows:
         sub = obj.fan.subfan(window)
         assert sub is Fan(obj.fan.rank, window) and obj.fan.subfan(set(window)) is sub
+        assert sub.is_complete() is Fan.is_complete.__wrapped__(sub)
         if not sub.is_complete() and not sub.is_empty():
             completion = complete_surface(sub)
             assert completion is toric._gap_filled.__wrapped__(sub)
             assert complete_surface(sub) is completion
             assert sub._flags[toric._gap_filled.__wrapped__] is completion
+            inherited += completion is obj.fan
+    assert inherited > 0
     for fan in fans:  # a complete fan is its own completion and keeps none
         if fan.rank <= 2:
             assert complete_surface(fan) is fan
