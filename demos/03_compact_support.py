@@ -11,11 +11,11 @@ from kvar.csupport import (
     MeasureOnCompacts,
     PerturbedMeasure,
     additivity_check,
+    compact_terms,
     consistency_check,
     extend_measure,
     independence_check,
     oracle_value,
-    toric_choice,
 )
 from kvar.measures import MeasureSpec
 from kvar.spansite import ToricObject, star_subdivision_square
@@ -28,11 +28,10 @@ e_poly = MeasureOnCompacts(MeasureSpec("e_poly"))
 def show(name):
     """The combination of compact objects, one for every measure, then its values."""
     obj = ToricObject(name, builtin_fan(name))
-    results = [(phi, extend_measure(phi, obj)) for phi in (chi, e_poly)]
-    terms = " ".join(f"{c:+d} Phi({k!r})" for c, k in results[0][1].terms)
+    terms = " ".join(f"{c:+d} Phi({k!r})" for c, k in compact_terms(obj))
     print(f"  Phi_c({name}) = {terms}")
-    for phi, result in results:
-        print(f"    {phi.name}_c({name}) = {result.value}")
+    for phi in (chi, e_poly):
+        print(f"    {phi.name}_c({name}) = {extend_measure(phi, obj)}")
 
 
 print("== values of the extension ==")
@@ -43,15 +42,15 @@ print()
 print("== the two routes agree (orbit-class oracle) ==")
 for name in ("A2", "Gm", "P1xP1"):
     obj = ToricObject(name, builtin_fan(name))
-    ours = extend_measure(e_poly, obj).value
+    ours = extend_measure(e_poly, obj)
     oracle = oracle_value(e_poly, obj)
     print(f"  E_c({name}) = {ours}  == substitution of the class: {ours == oracle}")
 
 print()
 print("== independence of the compactification ==")
 a2 = ToricObject("A2", builtin_fan("A2"))
-via_p2 = toric_choice(a2, builtin_fan("P2"))
-via_quadric = toric_choice(a2, builtin_fan("P1xP1"))
+via_p2 = builtin_fan("P2")
+via_quadric = builtin_fan("P1xP1")
 report = independence_check(e_poly, a2, via_p2, via_quadric)
 print(f"  E_c(A2) via P2 = {report.lhs}, via P1xP1 = {report.rhs}: {report.status}")
 

@@ -37,7 +37,7 @@ examples = [
     ToricObject("A2", builtin_fan("A2")),
 ]
 for obj in examples:
-    value = extend_measure(e_poly, obj).value
+    value = extend_measure(e_poly, obj)
     report = weight_report(value, obj.smooth, obj.is_compact(),
                            obj.fan.face_counts(), obj.fan.rank)
     verdict = {True: "pure", False: "IMPURE", None: "no verdict"}[report.purity]

@@ -30,7 +30,6 @@ from kvar import corpus as corpus_mod
 from kvar import csupport, kring, measures, spansite, toric
 from kvar.csupport import (
     CheckResult,
-    CompactificationChoice,
     MeasureOnCompacts,
     PerturbedMeasure,
     extend_measure,
@@ -276,7 +275,7 @@ def _suite_args(rec: dict, i: int, phi: MeasureOnCompacts):
         alternative = toric.alternative_completion(u_obj.fan)
         if alternative is None:
             return "the open has no second completion, so the check cannot fail"
-        return phi, u_obj, csupport.toric_choice(u_obj), csupport.toric_choice(u_obj, alternative)
+        return phi, u_obj, toric.complete_surface(u_obj.fan), alternative
     if kind == "mayer_vietoris":
         win_u, win_v = _suite_window(rec, obj, "u"), _suite_window(rec, obj, "v")
         if win_u | win_v != obj.fan.cones:
@@ -438,10 +437,10 @@ def _battery_cases(corp, phis: List[MeasureOnCompacts], depth: int):
     for i, (obj, window) in enumerate(corp.pairs_xu):
         for phi in phis:
             yield f"additivity[{i}]:{obj.name}:{phi.name}", "additivity", (phi, obj, window)
-    for i, case in enumerate(corp.independence):
+    for i, (u_obj, comp_a, comp_b) in enumerate(corp.independence):
         for phi in phis:
-            yield (f"independence[{i}]:{case.obj.name}:{phi.name}", "independence",
-                   (phi, case.obj, case.choice_a, case.choice_b))
+            yield (f"independence[{i}]:{u_obj.name}:{phi.name}", "independence",
+                   (phi, u_obj, comp_a, comp_b))
     for i, sq in enumerate(corp.squares):
         yield f"square_relation[{i}]:{sq.base.name}", "square_relation", (sq,)
         for phi in phis:
@@ -512,10 +511,10 @@ def _key(kind: str, args: tuple, trees: dict) -> tuple:
       (a ``StarSubdivision``, the fans (W, X) of a refinement, or (X's fan,
       window) of a localization);
     - a span is its ``key``: the fans or loci of its ends and its window;
-    - a compactification choice is its compact fan and boundary cones;
     - a measure instance, an interned fan or cone set, or the depth is
-      itself, so the checks of a suite, each with a measure of its own,
-      share a key only when they take no measure.
+      itself (a completion fan fixes the boundary of the open inside it),
+      so the checks of a suite, each with a measure of its own, share a
+      key only when they take no measure.
 
     cover_monotone reads the site over an object, the squares added over
     it, so its key is not per argument: it is the token of the square tree
@@ -536,8 +535,6 @@ def _shape(arg):
         return arg.provenance
     if isinstance(arg, SpanMorphism):
         return arg.key()
-    if isinstance(arg, CompactificationChoice):
-        return arg.completion, arg.boundary.cones
     return arg
 
 
@@ -573,7 +570,7 @@ def _square_valid(sq) -> CheckResult:
 
 
 def _purity(e_phi, obj) -> CheckResult:
-    value = extend_measure(e_phi, obj).value
+    value = extend_measure(e_phi, obj)
     wr = weight_report(value, obj.smooth, obj.is_compact(),
                        obj.fan.face_counts(), obj.fan.rank)
     return verdict(wr.purity, [list(w) for w in wr.weights], note=wr.note)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, NamedTuple, Tuple
 
 from kvar import toric
-from kvar.csupport import CompactificationChoice, toric_choice
 from kvar.spansite import (
     DistinguishedSquare,
     SitePresentation,
@@ -33,11 +32,12 @@ RECIPE_VERSION = "corpus-v1"
 EXPR_GENERATORS = ("pt", "P1", "P2", "P3", "A1", "A2", "A3", "Gm", "L")
 
 
-@dataclass
-class IndependenceCase:
+class TwoCompletions(NamedTuple):
+    """An open of an independence check, its automatic completion and a
+    second one (a triple that ``perfbench/verify.py`` reads by ``.obj``)."""
     obj: ToricObject
-    choice_a: CompactificationChoice
-    choice_b: CompactificationChoice
+    completion: Fan
+    alternative: Fan
 
 
 @dataclass
@@ -48,7 +48,7 @@ class Corpus:
     squares: List[DistinguishedSquare] = field(default_factory=list)
     loc_squares: List[DistinguishedSquare] = field(default_factory=list)
     pairs_xu: List[Tuple[ToricObject, FrozenSet[Cone]]] = field(default_factory=list)
-    independence: List[IndependenceCase] = field(default_factory=list)
+    independence: List[TwoCompletions] = field(default_factory=list)
     mv_triples: List[Tuple[ToricObject, FrozenSet[Cone], FrozenSet[Cone]]] = field(default_factory=list)
     kunneth_pairs: List[Tuple[ToricObject, ToricObject]] = field(default_factory=list)
     rank3: List[ToricObject] = field(default_factory=list)
@@ -145,8 +145,7 @@ def generate(seed: int, size: int) -> Corpus:
         if comp_b is None:
             continue
         u_obj = ToricObject(f"{obj.name}|open{len(corpus.independence)}", sub)
-        corpus.independence.append(IndependenceCase(
-            u_obj, toric_choice(u_obj), toric_choice(u_obj, comp_b)))
+        corpus.independence.append(TwoCompletions(u_obj, toric.complete_surface(sub), comp_b))
 
     # Mayer-Vietoris triples: drop two different maximal cones
     for obj in corpus.surfaces:

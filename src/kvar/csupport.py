@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from kvar import toric
@@ -107,67 +106,33 @@ class PerturbedMeasure(MeasureOnCompacts):
 
 
 # ---------------------------------------------------------------------------
-# compactification choices
-
-@dataclass
-class CompactificationChoice:
-    """U sits as a dense open inside the complete fan ``completion`` with
-    the given boundary."""
-    completion: Fan
-    boundary: ToricLocus
-
-
-def toric_choice(obj: ToricObject, completion: Optional[Fan] = None) -> CompactificationChoice:
-    """The object as a dense open of ``completion``, the rest as boundary.
-    With no completion, the automatic one (``toric.complete_surface``),
-    which holds the fan by construction; a given one must be complete and
-    contain the fan."""
-    if completion is None:
-        completion = toric.complete_surface(obj.fan)
-    elif not completion.is_complete():
-        raise MissingCompactificationError("completion fan is not complete")
-    elif not all(completion.contains_cone(c) for c in obj.fan.cones):
-        raise MissingCompactificationError("completion does not contain the fan")
-    return CompactificationChoice(completion,
-                                  ToricLocus(completion, completion.cones - obj.fan.cones))
-
-
-# ---------------------------------------------------------------------------
 # the extension
 
-@dataclass(frozen=True, slots=True)
-class ExtensionResult:
-    """Phi_c of an object, with the combination of compact geometries
-    (``compact_terms``) it sums: no name, so one geometry under two names
-    extends to equal results."""
-    value: MeasureValue
-    terms: Tuple[Tuple[int, object], ...]
-
-
-def compact_terms(obj: SiteObject, choice: Optional[CompactificationChoice] = None
+def compact_terms(obj: SiteObject, completion: Optional[Fan] = None
                   ) -> Tuple[Tuple[int, object], ...]:
     """Phi_c(obj) as (c, K) pairs, Phi_c(obj) = sum of c * Phi(K) for every
     measure Phi: each K a compact fan or locus, with no name.
 
     A compact object is its own term.  An open is +Xbar, less its boundary
-    in Xbar: the object's automatic completion (``toric_choice``), or
-    ``choice`` when one is given (by the independence check, and for a fan
-    that has no automatic completion).  An open's terms are kept on its
-    fan, keyed by the choice's completion, which fixes the boundary: the
-    completion's cones outside the fan.  A completion's boundary is
-    upward-closed in a complete fan, hence compact (Fulton, Introduction to
-    Toric Varieties, 2.4 and 3.1).  Any other locus splits orbit by orbit
-    into tori, a torus of dimension k > 0 being the dense open of (P1)^k,
-    and the terms of each torus dimension count its orbits.  So there are
-    at most 2 * dim + 1 terms, and they depend on the geometry and the
-    choice alone.
+    Xbar \\ U: Xbar is the open's automatic completion
+    (``toric.complete_surface``), or ``completion`` when one is given (by
+    the independence check, and for a fan that has no automatic
+    completion), which must be complete and contain the fan.  An open's
+    terms are kept on its fan, keyed by the completion, which fixes the
+    boundary: the completion's cones outside the fan.  A completion's
+    boundary is upward-closed in a complete fan, hence compact (Fulton,
+    Introduction to Toric Varieties, 2.4 and 3.1).  Any other locus splits
+    orbit by orbit into tori, a torus of dimension k > 0 being the dense
+    open of (P1)^k, and the terms of each torus dimension count its orbits.
+    So there are at most 2 * dim + 1 terms, and they depend on the
+    geometry and the completion alone.
     """
     if obj.is_empty():
         return ()
     if obj.is_compact():
         return ((1, obj.geometry),)
     if isinstance(obj, ToricObject):
-        return _open_terms(obj.fan, choice and choice.completion)
+        return _open_terms(obj.fan, completion)
     if not isinstance(obj, ToricLocusObject):
         raise CSupportError(f"cannot extend over {obj!r}")
     fan = obj.locus.fan
@@ -179,9 +144,15 @@ def compact_terms(obj: SiteObject, choice: Optional[CompactificationChoice] = No
 @toric.kept
 def _open_terms(fan: Fan, completion: Optional[Fan]) -> Tuple[Tuple[int, object], ...]:
     """The terms of the open on ``fan`` inside ``completion``, by default
-    its automatic one (``compact_terms``)."""
-    choice = toric_choice(ToricObject("U", fan), completion)
-    return ((1, choice.completion), (-1, choice.boundary))
+    its automatic one, which holds the fan by construction
+    (``compact_terms``)."""
+    if completion is None:
+        completion = toric.complete_surface(fan)
+    elif not completion.is_complete():
+        raise MissingCompactificationError("completion fan is not complete")
+    elif not all(completion.contains_cone(c) for c in fan.cones):
+        raise MissingCompactificationError("completion does not contain the fan")
+    return ((1, completion), (-1, ToricLocus(completion, completion.cones - fan.cones)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,14 +165,13 @@ def _torus_terms(dim: int) -> Tuple[Tuple[int, object], ...]:
 
 
 def extend_measure(phi: MeasureOnCompacts, obj: SiteObject,
-                   choice: Optional[CompactificationChoice] = None) -> ExtensionResult:
+                   completion: Optional[Fan] = None) -> MeasureValue:
     """Phi_c of any object: the sum of c * Phi(K) over its ``compact_terms``
     (``MeasureOnCompacts.sum_over``).  The terms are a function of the
-    object's geometry and the choice, and the sum of the measure and the
-    terms, so each is kept under exactly what it is a function of.
+    object's geometry and the completion, and the sum of the measure and
+    the terms, so each is kept under exactly what it is a function of.
     """
-    terms = compact_terms(obj, choice)
-    return ExtensionResult(phi.sum_over(terms), terms)
+    return phi.sum_over(compact_terms(obj, completion))
 
 
 def oracle_value(phi: MeasureOnCompacts, obj: SiteObject) -> MeasureValue:
@@ -234,19 +204,18 @@ def additivity_check(phi: MeasureOnCompacts, x_obj: ToricObject,
     sub = x_obj.fan.subfan(window)
     u_obj = ToricObject(f"{x_obj.name}|U", sub)
     complement = ToricLocus(x_obj.fan, [c for c in x_obj.fan.cones if c not in window])
-    lhs = extend_measure(phi, u_obj).value \
-        + extend_measure(phi, ToricLocusObject("complement", complement)).value
-    rhs = extend_measure(phi, x_obj).value
+    lhs = extend_measure(phi, u_obj) \
+        + extend_measure(phi, ToricLocusObject("complement", complement))
+    rhs = extend_measure(phi, x_obj)
     return verdict(lhs == rhs, lhs, rhs)
 
 
 def independence_check(phi: MeasureOnCompacts, obj: ToricObject,
-                       comp_a: CompactificationChoice,
-                       comp_b: CompactificationChoice) -> CheckResult:
-    """Phi_c through two compactifications; inequality is evidence of a
+                       comp_a: Fan, comp_b: Fan) -> CheckResult:
+    """Phi_c through two completion fans; inequality is evidence of a
     descent violation (well-definedness fails exactly then)."""
-    va = extend_measure(phi, obj, comp_a).value
-    vb = extend_measure(phi, obj, comp_b).value
+    va = extend_measure(phi, obj, comp_a)
+    vb = extend_measure(phi, obj, comp_b)
     return verdict(va == vb, va, vb, "" if va == vb else
                    "descent violation: the measure does not satisfy abstract-blowup descent")
 
@@ -257,22 +226,22 @@ def consistency_check(kind: str, phi: MeasureOnCompacts, args) -> CheckResult:
     blowup_descent:  Phi_c(X) + Phi_c(E) = Phi_c(C) + Phi_c(Y) on a square;
     mayer_vietoris:  Phi_c(U n V) + Phi_c(X) = Phi_c(U) + Phi_c(V), X = U u V;
     kunneth:         Phi_c(X x Y) = Phi_c(X) Phi_c(Y), phi multiplicative; a
-                     product that is not complete is extended through the
-                     product of the factors' completions.
+                     product that is not complete is extended with the
+                     product of the factors' completions as its completion.
     """
     if kind == "blowup_descent":
         sq: DistinguishedSquare = args
-        lhs = extend_measure(phi, sq.base).value + extend_measure(phi, sq.E).value
-        rhs = extend_measure(phi, sq.C).value + extend_measure(phi, sq.Y).value
+        lhs = extend_measure(phi, sq.base) + extend_measure(phi, sq.E)
+        rhs = extend_measure(phi, sq.C) + extend_measure(phi, sq.Y)
         return verdict(lhs == rhs, lhs, rhs, "" if lhs == rhs else "descent violation")
     if kind == "mayer_vietoris":
         x_obj, win_u, win_v = args
         win_u, win_v = frozenset(win_u), frozenset(win_v)
         if win_u | win_v != frozenset(x_obj.fan.cones):
             raise CSupportError("U and V do not cover X")
-        vu, vv, vunv = (extend_measure(phi, ToricObject(tag, x_obj.fan.subfan(win))).value
+        vu, vv, vunv = (extend_measure(phi, ToricObject(tag, x_obj.fan.subfan(win)))
                         for tag, win in (("U", win_u), ("V", win_v), ("UnV", win_u & win_v)))
-        lhs = vunv + extend_measure(phi, x_obj).value
+        lhs = vunv + extend_measure(phi, x_obj)
         return verdict(lhs == vu + vv, lhs, vu + vv)
     if kind == "kunneth":
         if not phi.multiplicative:
@@ -280,11 +249,9 @@ def consistency_check(kind: str, phi: MeasureOnCompacts, args) -> CheckResult:
         a_obj, b_obj = args
         product_fan = a_obj.fan.product(b_obj.fan)
         prod_obj = ToricObject(f"{a_obj.name}x{b_obj.name}", product_fan)
-        choice = None
-        if not product_fan.is_complete():
-            choice = toric_choice(prod_obj, toric.complete_surface(a_obj.fan).product(
-                toric.complete_surface(b_obj.fan)))
-        lhs = extend_measure(phi, prod_obj, choice).value
-        rhs = extend_measure(phi, a_obj).value * extend_measure(phi, b_obj).value
+        completion = None if product_fan.is_complete() else \
+            toric.complete_surface(a_obj.fan).product(toric.complete_surface(b_obj.fan))
+        lhs = extend_measure(phi, prod_obj, completion)
+        rhs = extend_measure(phi, a_obj) * extend_measure(phi, b_obj)
         return verdict(lhs == rhs, lhs, rhs)
     raise CSupportError(f"unknown consistency check {kind!r}")

@@ -838,11 +838,6 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
             g_obj = ToricObject(f"{source.name}+bd", glued)
             loc = localization_square(g_obj, frozenset(source.fan.cones),
                                       u_name=f"{source.name}|open")
-            # rebase the square onto f's source (same cones, the object itself)
-            loc.corners["base"] = source
-            loc.maps["right"] = SpanMorphism(g_obj, source, frozenset(source.fan.cones),
-                                             "restriction to the open")
-            loc.maps["bottom"] = zero_span(EMPTY, source)
             # f is not checked proper here: for an open Z of U, the glued
             # completion lifts to X by a span that is not proper
             cover = square_cover(loc)

@@ -21,7 +21,6 @@ from kvar.csupport import (
     consistency_check,
     extend_measure,
     independence_check,
-    toric_choice,
 )
 from kvar.kring import CompactificationTable, KClass, g_map, normalize, verify_square_relation
 from kvar.measures import MeasureSpec, apply_measure, h_vector, weight_report
@@ -70,11 +69,11 @@ def test_criterion_02_compactification_independence(corpus):
     measures = [MeasureOnCompacts(MeasureSpec(s)) for s in ("euler", "e_poly", "virtual_poincare")]
     measures.append(MeasureOnCompacts(MeasureSpec("point_count", q=2)))
     assert len(corpus.independence) >= 50
-    for case in corpus.independence:
-        assert case.choice_a.completion != case.choice_b.completion
+    for u_obj, comp_a, comp_b in corpus.independence:
+        assert comp_a != comp_b
         for phi in measures:
-            report = independence_check(phi, case.obj, case.choice_a, case.choice_b)
-            assert report.status == "pass", f"{case.obj.name} {phi.name}"
+            report = independence_check(phi, u_obj, comp_a, comp_b)
+            assert report.status == "pass", f"{u_obj.name} {phi.name}"
     _record(2, t0, f"{len(corpus.independence)} opens x two completions x "
                    f"{len(measures)} measures")
 
@@ -181,7 +180,7 @@ def test_criterion_10_weight_purity(corpus):
             if o.fan.rank <= 3 and o.smooth and o.complete]
     assert objs
     for obj in objs:
-        value = extend_measure(phi, obj).value
+        value = extend_measure(phi, obj)
         report = weight_report(value, obj.smooth, obj.is_compact(),
                                obj.fan.face_counts(), obj.fan.rank)
         assert report.purity is True, f"{obj.name}: {report.note}"
@@ -196,8 +195,7 @@ def test_criterion_11_mutation_sensitivity(corpus):
     broken = PerturbedMeasure(clean, toric.builtin_fan("P2"))
     # a criterion-2 run: two completions of A2, one of them P2
     a2 = ToricObject("A2", toric.builtin_fan("A2"))
-    ca = toric_choice(a2, toric.builtin_fan("P2"))
-    cb = toric_choice(a2, toric.builtin_fan("P1xP1"))
+    ca, cb = toric.builtin_fan("P2"), toric.builtin_fan("P1xP1")
     assert independence_check(clean, a2, ca, cb).status == "pass"
     assert independence_check(broken, a2, ca, cb).status == "fail"
     # criterion-3 runs: every corpus square based on the P2 fan

@@ -27,7 +27,7 @@ from kvar.cli import (
     run_corpus_checks,
     _cover_monotone,
 )
-from kvar.csupport import CompactificationChoice, MeasureOnCompacts, toric_choice
+from kvar.csupport import MeasureOnCompacts
 from kvar.measures import MeasureSpec, MeasureValue
 from kvar.spansite import (
     EMPTY,
@@ -353,8 +353,8 @@ def _table_cases():
     square = star_subdivision_square(p2, (1, 1))
     return [
         ("additivity", (measure("euler"), p1xp1, window(p1xp1, [0, 1]))),
-        ("independence", (measure("e"), u_obj, toric_choice(u_obj), toric_choice(
-            u_obj, toric.alternative_completion(u_obj.fan)))),
+        ("independence", (measure("e"), u_obj, toric.complete_surface(u_obj.fan),
+                          toric.alternative_completion(u_obj.fan))),
         ("square_relation", (square,)),
         ("blowup_descent", (measure("e"), square)),
         ("mayer_vietoris", (measure("e_poly"), p2, window(p2, [0, 1], [1, 2]),
@@ -848,8 +848,7 @@ def _site_objects(value, found: dict) -> None:
         _site_objects(list(value.values()), found)
     elif isinstance(value, SpanMorphism):
         _site_objects([value.source, value.target], found)
-    elif isinstance(value, (corpus.Corpus, corpus.IndependenceCase, CompactificationChoice,
-                            DistinguishedSquare, SitePresentation)):
+    elif isinstance(value, (corpus.Corpus, DistinguishedSquare, SitePresentation)):
         _site_objects(list(vars(value).values()), found)
 
 

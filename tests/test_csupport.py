@@ -20,7 +20,6 @@ from kvar.csupport import (
     extend_measure,
     independence_check,
     oracle_value,
-    toric_choice,
     verdict,
 )
 from kvar.measures import MeasureSpec, MeasureValue, apply_measure
@@ -49,33 +48,30 @@ def obj(name):
 
 def test_euler_of_affine_line():
     a1 = obj("A1")
-    result = extend_measure(measure("euler"), a1)
-    assert result.value.as_int() == 1  # 2 - 1 through (P1, pt)
-    assert _bounded(result.terms, a1)
+    assert extend_measure(measure("euler"), a1).as_int() == 1  # 2 - 1 through (P1, pt)
+    assert _bounded(compact_terms(a1), a1)
 
 
 def test_compact_objects_pass_through():
-    result = extend_measure(measure("e_poly"), obj("P2"))
-    assert result.value == uv(1, 1, 1)
-    assert result.terms == ((1, builtin_fan("P2")),)
+    assert extend_measure(measure("e_poly"), obj("P2")) == uv(1, 1, 1)
+    assert compact_terms(obj("P2")) == ((1, builtin_fan("P2")),)
 
 
 def test_e_poly_of_gm_and_a2():
-    assert extend_measure(measure("e_poly"), obj("Gm")).value == uv(-1, 1)
-    assert extend_measure(measure("e_poly"), obj("A2")).value == uv(0, 0, 1)
+    assert extend_measure(measure("e_poly"), obj("Gm")) == uv(-1, 1)
+    assert extend_measure(measure("e_poly"), obj("A2")) == uv(0, 0, 1)
 
 
 def test_extension_of_empty_is_zero():
     empty = ToricObject("nothing", Fan(2, []))
-    assert extend_measure(measure("euler"), empty).value.as_int() == 0
+    assert extend_measure(measure("euler"), empty).as_int() == 0
 
 
 def test_terms_are_compact_and_bounded():
     torus3 = ToricObject("T3", builtin_fan("Gm").product(builtin_fan("Gm"))
                          .product(builtin_fan("Gm")))
-    result = extend_measure(measure("e_poly"), torus3)
-    assert result.value == uv(-1, 3, -3, 1)  # (uv - 1)^3
-    assert _bounded(result.terms, torus3)
+    assert extend_measure(measure("e_poly"), torus3) == uv(-1, 3, -3, 1)  # (uv - 1)^3
+    assert _bounded(compact_terms(torus3), torus3)
 
 
 def test_oracle_agreement_dual_route():
@@ -83,14 +79,14 @@ def test_oracle_agreement_dual_route():
         o = obj(name)
         for phi in (measure("euler"), measure("e_poly"),
                     measure("virtual_poincare"), measure("point_count", q=3)):
-            assert extend_measure(phi, o).value == oracle_value(phi, o)
+            assert extend_measure(phi, o) == oracle_value(phi, o)
 
 
 def test_locus_extension_orbitwise():
     p2 = builtin_fan("P2")
     boundary = ToricLocusObject("bd", ToricLocus(
         p2, [c for c in p2.cones if c.dim > 0]))
-    value = extend_measure(measure("e_poly"), boundary).value
+    value = extend_measure(measure("e_poly"), boundary)
     assert value == uv(0, 3)  # class 3L
 
 
@@ -166,11 +162,10 @@ def test_non_closed_loci_decompose_into_tori():
         assert not locus.is_closed() and not o.is_compact()
         for phi in (measure("euler"), measure("e_poly"),
                     measure("virtual_poincare"), measure("point_count", q=3)):
-            result = extend_measure(phi, o)
-            assert result.value == oracle_value(phi, o)
-            assert _bounded(result.terms, o)
+            assert extend_measure(phi, o) == oracle_value(phi, o)
+            assert _bounded(compact_terms(o), o)
     torus = ToricLocusObject("T", loci[0])
-    assert str(extend_measure(measure("e_poly"), torus).value) \
+    assert str(extend_measure(measure("e_poly"), torus)) \
         == "1 - 2*(uv) + (uv)^2"
 
 
@@ -194,9 +189,28 @@ def test_an_explicit_choice_enables_rank4():
     a2 = builtin_fan("A2")
     p2 = builtin_fan("P2")
     rank4 = ToricObject("A2xA2", a2.product(a2))
-    choice = toric_choice(rank4, p2.product(p2))
-    value = extend_measure(measure("e_poly"), rank4, choice).value
+    value = extend_measure(measure("e_poly"), rank4, p2.product(p2))
     assert value == uv(0, 0, 0, 0, 1)  # (uv)^4
+
+
+def test_a_malformed_completion_is_an_error_on_every_call():
+    # the terms of an open are kept on its fan, and an error is not kept:
+    # a rejected completion is rejected again, and leaves the open able to
+    # extend through a valid one
+    p2 = builtin_fan("P2")
+    u_obj = ToricObject("P2-pt", p2.subfan(p2.cones - {p2.maximal_cones[0]}))
+    phi = measure("e_poly")
+    for _ in range(2):
+        for completion, match in ((builtin_fan("A2"), "not complete"),
+                                  (builtin_fan("P1xP1"), "does not contain the fan")):
+            with pytest.raises(kring.MissingCompactificationError, match=match):
+                compact_terms(u_obj, completion)
+            with pytest.raises(kring.MissingCompactificationError, match=match):
+                extend_measure(phi, u_obj, completion)
+    assert compact_terms(u_obj, p2) == (
+        (1, p2), (-1, ToricLocus(p2, [p2.maximal_cones[0]])))
+    assert extend_measure(phi, u_obj, p2) == extend_measure(phi, u_obj) \
+        == oracle_value(phi, u_obj) == uv(0, 1, 1)
 
 
 def test_memoized_extensions_match_the_oracle():
@@ -213,7 +227,7 @@ def test_memoized_extensions_match_the_oracle():
     for o in objects:
         for phi in phis:
             memoized = extend_measure(phi, o)
-            assert memoized.value == oracle_value(phi, o)
+            assert memoized == oracle_value(phi, o)
             assert extend_measure(phi, o) == memoized
 
 
@@ -222,13 +236,13 @@ def test_extension_traces_are_pinned():
     # torus dimension k, times the number of orbits of that dimension
     p2 = builtin_fan("P2")
     locus = ToricLocusObject("L", ToricLocus(p2, [c for c in p2.cones if c.dim <= 1]))
-    result = extend_measure(measure("e_poly"), locus)
-    assert str(result.value) == "-2 + (uv) + (uv)^2"
+    assert str(extend_measure(measure("e_poly"), locus)) == "-2 + (uv) + (uv)^2"
+    terms = compact_terms(locus)
     square, line = builtin_fan("P1xP1"), builtin_fan("P1")
-    assert result.terms == (
+    assert terms == (
         (1, square), (-1, ToricLocus(square, [c for c in square.cones if c.dim > 0])),
         (3, line), (-3, ToricLocus(line, [c for c in line.cones if c.dim > 0])))
-    assert len(result.terms[1][1].cones) == 8
+    assert len(terms[1][1].cones) == 8
 
 
 def test_each_open_has_one_automatic_completion():
@@ -236,13 +250,13 @@ def test_each_open_has_one_automatic_completion():
     # all take the completion that toric.complete_surface keeps on the fan
     corp = corpus.generate(1, 50)
     assert corp.independence
-    for case in corp.independence:
-        assert case.choice_a.completion is complete_surface(case.obj.fan)
+    for u_obj, completion, _ in corp.independence:
+        assert completion is complete_surface(u_obj.fan)
     opens = [ToricObject(f"{x.name}|U", x.fan.subfan(w)) for x, w in corp.pairs_xu if w]
     factors = [o for pair in corp.kunneth_pairs for o in pair if not o.fan.is_complete()]
     assert factors and any(not o.fan.is_complete() for o in opens)
     for o in opens + factors:
-        assert toric_choice(o).completion is complete_surface(o.fan)
+        assert compact_terms(o)[0][1] is complete_surface(o.fan)
 
 
 def test_an_explicit_choice_overrides_the_automatic_completion():
@@ -254,9 +268,9 @@ def test_an_explicit_choice_overrides_the_automatic_completion():
     phi = PerturbedMeasure(measure("e_poly"), builtin_fan("P2"))
     a2_obj = ToricObject("A2", a2)
     through_p2 = extend_measure(phi, a2_obj)
-    quadric = toric_choice(a2_obj, builtin_fan("P1xP1"))
+    quadric = builtin_fan("P1xP1")
     through_p1xp1 = extend_measure(phi, a2_obj, quadric)
-    assert through_p1xp1.value == uv(0, 0, 1) != through_p2.value
+    assert through_p1xp1 == uv(0, 0, 1) != through_p2
     assert through_p1xp1 == extend_measure(phi, a2_obj, quadric)
     # the choice leaves the automatic completion as it was
     assert complete_surface(a2) is first
@@ -270,7 +284,9 @@ def test_locus_extension_is_free_of_the_object_name():
     phi = measure("e_poly")
     first = extend_measure(phi, ToricLocusObject("T", torus))
     second = extend_measure(phi, ToricLocusObject("open torus", torus))
-    assert second.value == first.value and second.terms == first.terms != ()
+    assert second == first
+    assert compact_terms(ToricLocusObject("open torus", torus)) \
+        == compact_terms(ToricLocusObject("T", torus)) != ()
     assert second == extend_measure(phi, ToricLocusObject("open torus", torus))
 
 
@@ -280,9 +296,9 @@ def test_one_fan_under_two_names_extends_alike():
     first = extend_measure(phi, ToricObject("A2", a2))
     plane = ToricObject("plane", a2)
     second = extend_measure(phi, plane)
-    assert second.value == first.value == uv(0, 0, 1)
+    assert second == first == uv(0, 0, 1)
     p2 = builtin_fan("P2")
-    assert second.terms == first.terms == (
+    assert compact_terms(plane) == compact_terms(ToricObject("A2", a2)) == (
         (1, p2), (-1, ToricLocus(p2, [c for c in p2.cones if not a2.contains_cone(c)])))
     assert second == extend_measure(phi, plane)
 
@@ -295,17 +311,17 @@ def test_each_extension_of_the_battery_is_its_class_in_k0(monkeypatch):
     # factors through K0(Var), not only the ones the battery runs.
     extended = {}
 
-    def record(phi, obj, choice=None):
-        extended[obj.geometry, choice and (choice.completion, choice.boundary)] = obj, choice
-        return extend_measure(phi, obj, choice)
+    def record(phi, obj, completion=None):
+        extended[obj.geometry, completion] = obj, completion
+        return extend_measure(phi, obj, completion)
 
     monkeypatch.setattr(csupport, "extend_measure", record)
     monkeypatch.setattr(cli, "extend_measure", record)
     cli.run_corpus_checks(cli.Report({}), 1, 50, ["e"])
     assert {type(o) for o, _ in extended.values()} == {ToricObject, ToricLocusObject}
-    assert any(choice for _, choice in extended.values())
-    for o, choice in extended.values():
-        terms = compact_terms(o, choice)
+    assert any(completion is not None for _, completion in extended.values())
+    for o, completion in extended.values():
+        terms = compact_terms(o, completion)
         assert _bounded(terms, o)
         total = kring.KClass.zero()
         for c, k in terms:
@@ -376,18 +392,16 @@ def test_independence_after_the_battery_matches_the_value_before_it():
     corp = corpus.generate(1, 10)
     plain = [measure("euler"), measure("e_poly")]
     broken = PerturbedMeasure(measure("e_poly"), builtin_fan("P2"))
-    before = [independence_check(PerturbedMeasure(measure("e_poly"), builtin_fan("P2")),
-                                 case.obj, case.choice_a, case.choice_b)
+    before = [independence_check(PerturbedMeasure(measure("e_poly"), builtin_fan("P2")), *case)
               for case in corp.independence]
     for x_obj, window in corp.pairs_xu:
         for phi in plain + [broken]:
             additivity_check(phi, x_obj, window)
     for case, first in zip(corp.independence, before):
         for phi in plain:
-            oracle = oracle_value(phi, case.obj)
-            assert independence_check(phi, case.obj, case.choice_a, case.choice_b) \
-                == verdict(True, oracle, oracle)
-        assert independence_check(broken, case.obj, case.choice_a, case.choice_b) == first
+            oracle = oracle_value(phi, case[0])
+            assert independence_check(phi, *case) == verdict(True, oracle, oracle)
+        assert independence_check(broken, *case) == first
 
 
 def test_perturbed_values_stay_with_the_perturbed_measure():
@@ -447,8 +461,7 @@ def test_additivity_p2_torus_e_poly():
 
 def test_independence_two_completions_of_a2():
     a2 = obj("A2")
-    ca = toric_choice(a2, builtin_fan("P2"))
-    cb = toric_choice(a2, builtin_fan("P1xP1"))
+    ca, cb = builtin_fan("P2"), builtin_fan("P1xP1")
     for phi in (measure("euler"), measure("e_poly"), measure("virtual_poincare")):
         report = independence_check(phi, a2, ca, cb)
         assert report.status == "pass"
@@ -458,15 +471,14 @@ def test_independence_two_completions_of_a2():
 
 def test_independence_trivial_for_compact():
     p2 = obj("P2")
-    choice = toric_choice(p2, builtin_fan("P2"))
-    report = independence_check(measure("euler"), p2, choice, choice)
+    completion = builtin_fan("P2")
+    report = independence_check(measure("euler"), p2, completion, completion)
     assert report.status == "pass"
 
 
 def test_independence_flags_descent_violation():
     a2 = obj("A2")
-    ca = toric_choice(a2, builtin_fan("P2"))
-    cb = toric_choice(a2, builtin_fan("P1xP1"))
+    ca, cb = builtin_fan("P2"), builtin_fan("P1xP1")
     broken = PerturbedMeasure(measure("e_poly"), builtin_fan("P2"))
     report = independence_check(broken, a2, ca, cb)
     assert report.status == "fail"

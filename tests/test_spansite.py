@@ -32,7 +32,8 @@ from kvar.spansite import (
     zero_span,
     _common_refinement_square,
 )
-from kvar.csupport import toric_choice
+from kvar.csupport import MeasureOnCompacts, compact_terms, extend_measure
+from kvar.measures import MeasureSpec
 from kvar.toric import Cone, builtin_fan
 
 
@@ -670,6 +671,11 @@ def _a_maximal_cone(obj):
     return frozenset([obj.fan.maximal_cones[0]])
 
 
+def _p2_less_a_point():
+    fan = builtin_fan("P2")
+    return ToricObject("P2-pt", fan.subfan(fan.cones - _a_maximal_cone(_p2())))
+
+
 def _star_square_as(kind, drop=()):
     """The corners and legs of a star square of P2, as a square of ``kind``
     without the corners in ``drop``."""
@@ -699,10 +705,11 @@ def _star_square_as(kind, drop=()):
                  toric.ToricError, "does not have length 2", id="ray of another rank"),
     pytest.param(lambda: ToricObject("X", builtin_fan("P9")),
                  toric.ToricError, "unknown builtin fan 'P9'", id="unknown builtin fan"),
-    pytest.param(lambda: toric_choice(_a2(), builtin_fan("A2")),
+    pytest.param(lambda: compact_terms(_a2(), builtin_fan("A2")),
                  kring.MissingCompactificationError, "not complete",
                  id="completion that is not complete"),
-    pytest.param(lambda: toric_choice(_p2(), builtin_fan("P1xP1")),
+    pytest.param(lambda: extend_measure(MeasureOnCompacts(MeasureSpec("euler")),
+                                        _p2_less_a_point(), builtin_fan("P1xP1")),
                  kring.MissingCompactificationError, "does not contain the fan",
                  id="completion without the fan"),
 ])

@@ -905,14 +905,12 @@ def test_each_kept_fan_construction_is_its_fresh_computation():
             refined = toric.common_refinement(a, b)
             assert refined is toric.common_refinement.__wrapped__(a, b)
             assert toric.common_refinement(a, b) is refined
-    for case in corp.independence:
-        for choice in (case.choice_a, case.choice_b):
-            completion = choice.completion
-            again = csupport.toric_choice(case.obj, completion)
-            assert again.boundary.cones == frozenset(
-                c for c in completion.cones if not case.obj.fan.contains_cone(c))
-            assert again.boundary is not choice.boundary  # a fresh locus
-            assert again.boundary == choice.boundary
+    for u_obj, *completions in corp.independence:
+        for completion in completions:
+            sign, boundary = csupport.compact_terms(u_obj, completion)[1]
+            assert sign == -1 and boundary == ToricLocus(completion, [
+                c for c in completion.cones if not u_obj.fan.contains_cone(c)])
+            assert csupport.compact_terms(u_obj, completion)[1][1] is boundary  # kept
     # every open of the battery: additivity windows and Mayer-Vietoris
     # windows; a subfan of a complete fan keeps its completeness and, at rank
     # 2 with every ray, its completion as proven, not computed
@@ -978,7 +976,7 @@ def _build_and_keep():
     sd = star_subdivide(completion, toric.primitive(completion.maximal_cones[0].representative()))
     refined = toric.common_refinement(completion, sd.fan)
     toric.common_refinement(sd.fan, completion)
-    csupport.toric_choice(spansite.ToricObject("U", fan), completion)
+    csupport.compact_terms(spansite.ToricObject("U", fan), completion)
     for c in completion.cones:
         sd.fan.smallest_containing_cone(c)
     return [(f.rank, f.cones) for f in (fan, completion, sd.fan, refined, product)]
