@@ -451,8 +451,7 @@ def _battery_cases(corp, phis: List[MeasureOnCompacts], depth: int):
                    (phi, obj, win_u, win_v))
     for i, (a, b) in enumerate(corp.kunneth_pairs):
         for phi in phis:
-            if phi.multiplicative:
-                yield f"kunneth[{i}]:{a.name}x{b.name}:{phi.name}", "kunneth", (phi, a, b)
+            yield f"kunneth[{i}]:{a.name}x{b.name}:{phi.name}", "kunneth", (phi, a, b)
     for i, (sq, f) in enumerate(corp.c_complete_cases):
         yield f"c_complete[{i}]:{sq.base.name}<-{f.source.name}", "c_complete", (sq, f, depth)
     for i, sq in enumerate(corp.squares + corp.loc_squares):

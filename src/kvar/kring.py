@@ -801,14 +801,15 @@ REWRITE_BUDGET = 10 ** 6
 PARSE_NESTING_LIMIT = 200
 
 
-def standard_relations(max_dim: int = 4) -> RelationSet:
-    """Relations for the blowups of the builtin series at a point.
+def standard_relations() -> RelationSet:
+    """Relations for the blowups of the builtin series at a point, in
+    dimensions 1 to 4.
 
     The exceptional divisor of blowing up a smooth n-fold at a point is
     P^(n-1), so Bl(P<n>;pt) and Bl(A<n>;pt) resolve out of the box.
     """
     rels = RelationSet()
-    for n in range(1, max_dim + 1):
+    for n in range(1, 5):
         e = "pt" if n == 1 else f"P{n - 1}"
         for series, compact in (("P", True), ("A", False)):
             x = f"{series}{n}"

@@ -2,11 +2,11 @@
 
 A morphism X -> Y here is a window (an open subobject of X) together with a
 proper map from the window to Y; the zero span has the empty window.  Every
-site object is a toric variety, a locus of one, or the empty object, so
-windows are face-closed cone subsets and every proper map is the identity
-on the ambient lattice (refinements, subfan inclusions, orbit closure
-inclusions): composition, orbit images, and factorization through square
-legs are all exact cone computations.
+site object is a toric variety or a locus of one, the empty variety being
+the empty fan, so windows are face-closed cone subsets and every proper map
+is the identity on the ambient lattice (refinements, subfan inclusions,
+orbit closure inclusions): composition, orbit images, and factorization
+through square legs are all exact cone computations.
 
 Squares come in three kinds: smooth blowup, abstract blowup (corners E, Y,
 C over the base X), and localization (corners X \\ U, X, empty over the
@@ -34,10 +34,11 @@ class SpanError(Exception):
 
 class SiteObject:
     """Common surface of site objects: a name, ``dim``, ``is_compact()``,
-    ``is_empty()``, ``kclass()``, the orbits as the cone set ``cones``, and
-    ``geometry``, what the object is: its fan, its locus, or None for the
-    empty object.  Spans compare objects by their geometry; the name only
-    labels them."""
+    ``is_empty()``, ``kclass()``, its ``fan``, the orbits as the cone set
+    ``cones``, and ``geometry``, what the object is: its fan or its locus.
+    Every site object is a toric variety or a locus of one, and the empty
+    variety is the empty fan.  Spans compare objects by their geometry; the
+    name only labels them."""
 
     name: str
     cones: FrozenSet[Cone]
@@ -101,31 +102,6 @@ class ToricLocusObject(SiteObject):
 
     def kclass(self) -> KClass:
         return self.locus.kclass()
-
-
-class EmptyObject(SiteObject):
-    """The empty variety: dimension -1, the source of a zero span to any
-    object."""
-
-    name = "empty"
-    cones: FrozenSet[Cone] = frozenset()
-    geometry = None
-    dim = -1
-
-    def is_compact(self) -> bool:
-        return True
-
-    def is_empty(self) -> bool:
-        return True
-
-    def kclass(self) -> KClass:
-        return KClass.zero()
-
-
-EMPTY = EmptyObject()
-
-# the site objects with a fan: all but the empty object
-FAN_BACKED = (ToricObject, ToricLocusObject)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +178,7 @@ class SpanMorphism:
     def _validate(self) -> None:
         if self.is_zero():
             return
-        if not isinstance(self.target, FAN_BACKED):
+        if not self.target.cones:
             raise SpanError(f"only the zero span maps into {self.target.name}")
         tfan = self.target.fan
         if any(c.rank != tfan.rank for c in self.window):
@@ -316,33 +292,36 @@ def localization_square(x_obj: ToricObject, window: Iterable[Cone],
                         u_name: Optional[str] = None) -> DistinguishedSquare:
     """The span-category square (X \\ U, X, empty, U) for U open in X.
 
-    Its two legs that are not zero are valid by construction.  X is a
-    toric variety, so its cones are those of its fan, and ``Fan.subfan``
-    has checked that the window is a face-closed set of them: it is
-    relatively open in X, and U's fan is the subfan on it.
+    The empty corner is the empty fan of X's rank, one object per square,
+    where both zero legs end or start.  The two legs that are not zero are
+    valid by construction.  X is a toric variety, so its cones are those of
+    its fan, and ``Fan.subfan`` has checked that the window is a
+    face-closed set of them: it is relatively open in X, and U's fan is the
+    subfan on it.
 
     - Right, X -> U, the restriction to the open: each window cone is a
       cone of U's fan.
     - Top, X \\ U -> X, the closed immersion of the complement: the window
       is all of the complement's cones, each a cone of X's fan.
 
-    Both targets are fan-backed, of X's rank.
+    Both targets have X's rank.
     """
     window = frozenset(window)
     sub = x_obj.fan.subfan(window)  # validates face-closedness and membership
     u_obj = ToricObject(u_name or f"{x_obj.name}|U", sub)
     comp = ToricLocus(x_obj.fan, x_obj.fan.cones - window)
     comp_obj = ToricLocusObject(complement_name or f"{x_obj.name}-minus-U", comp)
+    empty = ToricObject("empty", Fan(x_obj.fan.rank, ()))
     maps = {
         "top": SpanMorphism._valid_by_construction(comp_obj, x_obj, comp.cones,
                                                    "closed immersion"),
         "right": SpanMorphism._valid_by_construction(x_obj, u_obj, window,
                                                      "restriction to the open"),
-        "left": zero_span(comp_obj, EMPTY),
-        "bottom": zero_span(EMPTY, u_obj),
+        "left": zero_span(comp_obj, empty),
+        "bottom": zero_span(empty, u_obj),
     }
     corners = {"upper_left": comp_obj, "upper_right": x_obj,
-               "lower_left": EMPTY, "base": u_obj}
+               "lower_left": empty, "base": u_obj}
     return DistinguishedSquare("localization", corners, maps,
                                provenance=(x_obj.fan, window))
 
@@ -374,10 +353,10 @@ def _refinement_square(w_obj: ToricObject, x_obj: ToricObject, c_name: str, e_na
 
     The four legs are valid by construction.  W and X are toric varieties,
     so their cones are those of their fans, and E and C are loci of those
-    fans.  W refines X, so the two fans have one rank, every target is
-    fan-backed, and each window cone has the target's rank.  Each window is
-    all of its source's cones, so it is relatively open.  Each window cone
-    lies in a cone of the target's fan:
+    fans.  W refines X, so the two fans have one rank, and each window
+    cone has the target's rank.  Each window is all of its source's cones,
+    so it is relatively open.  Each window cone lies in a cone of the
+    target's fan:
 
     - top, E -> W, and bottom, C -> X, are closed immersions: the window
       cones are cones of the target's fan;
@@ -440,7 +419,7 @@ def _proper_status(span: SpanMorphism) -> CheckEntry:
             if span.source.locus.is_compact():
                 return CheckEntry(cond, "pass", "the source locus is compact")
         return CheckEntry(cond, "trusted", span.proper_reason)
-    # a span that is not zero has a fan-backed source and target
+    # the source is a toric variety
     tfan = span.target.fan
     window_fan = Fan(span.source.fan.rank, span.window)
     if frozenset(window_fan.cones) == frozenset(tfan.cones):
@@ -759,14 +738,14 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
     fans), the same-ray star subdivision for open immersions into a blowup
     base, and, into a localization base, completion glueing for a
     refinement of the base and the common refinement with another
-    completion.  A glue that breaks the fan condition, a glued cover
-    outside the sieve, or a completion of another support, is not-found
-    with a note, as is anything beyond these.
+    completion.  A full-window f that is not proper, a glue that breaks the
+    fan condition, or a completion of another support, is not-found with a
+    note, as is anything beyond these.
 
-    The other covers lie in the sieve by construction, so f composed with
-    their leaves is not tested against it.  In the first and the last, W
-    is the common refinement, and the centre leaf holds the cones of the
-    source that are not cones of W.
+    The covers lie in the sieve by construction, so f composed with their
+    leaves is not tested against it.  In the first and the last, W is the
+    common refinement, and the centre leaf holds the cones of the source
+    that are not cones of W.
 
     - Refinement Z -> X, proper with full window.  A cone of W lies in a
       cone of Y, so W -> X lifts to W -> Y.  A cone of Z that is not a cone
@@ -780,6 +759,12 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
     - Restriction X' -> U from another completion.  The cones of U are
       cones of X and of X', so of W: the centre leaf misses the window and
       is zero, and W -> X' -> U lifts to W -> X.
+    - Refinement Z -> U, proper with full window, so Z has U's support.
+      Each cone of Z lies in a cone of U, so the glued fan G (Z with the
+      cones of X outside U, when they form a fan) refines X and has X's
+      support: G -> X is a proper span.  Composed with X -> U, its window
+      is the cones of Z, as is that of f composed with the leaf G -> Z.
+      The leaf through the empty corner is zero.
     """
     if f.target.geometry != sq.base.geometry:
         raise SpanError("the morphism must target the square's base")
@@ -802,16 +787,16 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
     source = f.source
     if not isinstance(source, ToricObject):
         return CCompleteVerdict(False, None, None,
-                                "search needs a fan-backed source")
+                                "search needs a toric variety as source")
     full_window = f.window == source.fan.cones
+    # a proper full-window span has the support of the base, the
+    # precondition of the common refinement and of the glued completion
+    if full_window and _proper_status(f).status == "fail":
+        return CCompleteVerdict(False, None, None, "not proper")
 
     if isinstance(sq.provenance, StarSubdivision):
         if full_window:
-            # proper refinement Z -> X: pull the square back.  A proper
-            # full-window span has the support of X, the precondition of the
-            # common refinement
-            if _proper_status(f).status == "fail":
-                return CCompleteVerdict(False, None, None, "not proper")
+            # proper refinement Z -> X: pull the square back
             return CCompleteVerdict(True, square_cover(_common_refinement_square(source, sq.Y)),
                                     1, "pulled-back square via common refinement")
         if f.window == sq.base.cones:
@@ -838,13 +823,8 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
             g_obj = ToricObject(f"{source.name}+bd", glued)
             loc = localization_square(g_obj, frozenset(source.fan.cones),
                                       u_name=f"{source.name}|open")
-            # f is not checked proper here: for an open Z of U, the glued
-            # completion lifts to X by a span that is not proper
-            cover = square_cover(loc)
-            if all(in_sieve(compose(f, leaf), sq) for leaf in cover.leaves()):
-                return CCompleteVerdict(True, cover, 1, "glued completion over the refinement")
-            return CCompleteVerdict(False, None, None,
-                                    "glued cover is not inside the pulled-back sieve")
+            return CCompleteVerdict(True, square_cover(loc), 1,
+                                    "glued completion over the refinement")
         if f.window == window:
             # restriction span X' -> U from another completion of U
             try:

@@ -640,11 +640,10 @@ class Fan:
     def _class(self) -> KClass:
         return self.class_of(self.cones)
 
-    def orbit_count(self, q: int, cone_subset: Optional[Iterable[Cone]] = None) -> int:
+    def orbit_count(self, q: int) -> int:
         """Independent point count over F_q: direct summation of
         (q-1)^(n - dim) with plain integers, no KClass arithmetic."""
-        cones = self.cones if cone_subset is None else list(cone_subset)
-        return sum((q - 1) ** (self.rank - c.dim) for c in cones)
+        return sum((q - 1) ** (self.rank - c.dim) for c in self.cones)
 
     # -- constructions -------------------------------------------------------
 
@@ -808,8 +807,6 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]],
     if len(set(rays)) != len(rays):
         raise ToricError("duplicate rays")
     cones = [Cone(rank, [rays[i] for i in ix]) for ix in maximal_cones]
-    if not cones:
-        return Fan(rank, [])
     fan = Fan.from_cones(rank, cones)
     fan._check_pairwise()
     return fan

@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import pathlib
+import sys
 
 import pytest
 
@@ -17,9 +18,14 @@ def cli_child_env():
 
     It holds only ``PATH``, the given ``PYTHONHASHSEED`` and a ``PYTHONPATH``
     naming the parent's ``kvar``, so the child runs the code under test and
-    nothing else of the parent's environment reaches it.
+    nothing else of the parent's environment reaches it; and
+    ``PYTHONDONTWRITEBYTECODE`` when the parent writes no bytecode, so a run
+    that leaves no caches behind leaves none through its children either.
     """
     def build(hashseed):
-        return {"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": KVAR_IMPORT_ROOT}
+        env = {"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin",
+               "PYTHONPATH": KVAR_IMPORT_ROOT}
+        if sys.flags.dont_write_bytecode:
+            env["PYTHONDONTWRITEBYTECODE"] = "1"
+        return env
     return build

@@ -30,7 +30,6 @@ from kvar.cli import (
 from kvar.csupport import MeasureOnCompacts
 from kvar.measures import MeasureSpec, MeasureValue
 from kvar.spansite import (
-    EMPTY,
     DistinguishedSquare,
     SiteObject,
     SitePresentation,
@@ -865,8 +864,7 @@ def test_the_battery_ignores_object_names(monkeypatch):
         objects: dict = {}
         _site_objects(corp, objects)
         for obj in objects.values():
-            if obj is not EMPTY:  # a shared object of the module
-                obj.name = "X"
+            obj.name = "X"
         return corp
     monkeypatch.setattr(cli.corpus_mod, "generate", renamed)
     report = Report({})
@@ -912,7 +910,7 @@ def test_cover_enumeration_over_a_cyclic_site_ends():
     sq = localization_square(x_obj, x_obj.fan.cones)
     sq.corners["base"] = x_obj
     sq.maps["right"] = identity_span(x_obj)
-    sq.maps["bottom"] = zero_span(EMPTY, x_obj)
+    sq.maps["bottom"] = zero_span(sq.C, x_obj)
     site = SitePresentation()
     site.add_square(sq)
     assert [cover_height(site, x_obj, b) for b in (0, 1, 5, MAX_DEPTH)] == [0, 1, 5, MAX_DEPTH]
@@ -927,7 +925,7 @@ def _cyclic_site(x_obj):
     sq = localization_square(x_obj, x_obj.fan.cones)
     sq.corners["base"] = x_obj
     sq.maps["right"] = identity_span(x_obj)
-    sq.maps["bottom"] = zero_span(EMPTY, x_obj)
+    sq.maps["bottom"] = zero_span(sq.C, x_obj)
     site = SitePresentation()
     site.add_square(sq)
     return site

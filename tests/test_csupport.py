@@ -23,7 +23,8 @@ from kvar.csupport import (
     verdict,
 )
 from kvar.measures import MeasureSpec, MeasureValue, apply_measure
-from kvar.spansite import EMPTY, ToricLocusObject, ToricObject, star_subdivision_square
+from kvar.spansite import (ToricLocusObject, ToricObject, localization_square,
+                            star_subdivision_square)
 from kvar.toric import Fan, ToricLocus, builtin_fan, complete_surface
 
 
@@ -426,7 +427,7 @@ def test_a_compact_object_is_measured_through_its_fan_class(spec):
     # one value per class, whatever the object's name
     assert phi.on_compact(ToricObject("another P2", builtin_fan("P2"))) is value
     assert phi.on_compact(quadric) == apply_measure(phi.spec, quadric.kclass()) != value
-    assert phi.on_compact(EMPTY) == MeasureValue.integer(0)
+    assert phi.on_compact(localization_square(p2, p2.cones).C) == MeasureValue.integer(0)
 
 
 def test_measure_domain_errors():

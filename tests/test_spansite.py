@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from kvar import corpus, kring, toric
 from kvar.spansite import (
-    EMPTY,
     DistinguishedSquare,
     IsoNode,
     SitePresentation,
@@ -108,7 +107,8 @@ def test_square_relation_from_corners(p2):
 def test_localization_square_p1_a1(p1):
     sq = localization_square(p1, a1_window(p1))
     assert sq.corners["upper_left"].kclass() == kring.ONE  # one fixed point
-    assert sq.corners["lower_left"] is EMPTY
+    empty = sq.corners["lower_left"]
+    assert empty.is_empty() and empty.fan == toric.Fan(p1.fan.rank, ())
     report = validate_square(sq)
     assert report.ok and report.jointly_surjective
 
@@ -267,8 +267,8 @@ def test_cover_enumeration_depths(p2):
 
 
 def test_one_identity_cover_per_object_in_one_enumeration(p2):
-    # the empty object is the lower-left corner of both localization
-    # squares, so it is covered at depths 1 and 0 below U2
+    # each localization square has an empty lower-left corner of its own,
+    # covered at depth 1 or 0 below U2
     chart = max(p2.fan.maximal_cones, key=lambda c: c.rays)
     sq1 = localization_square(p2, chart.faces(), u_name="U1")
     ray = next(c for c in chart.faces() if c.dim == 1)
@@ -280,7 +280,7 @@ def test_one_identity_cover_per_object_in_one_enumeration(p2):
 
     def walk(cover):
         if isinstance(cover.node, IsoNode):
-            identities.setdefault(cover.root.name, set()).add(id(cover))
+            identities.setdefault(cover.root, set()).add(id(cover))
         else:
             walk(cover.node.over_upper)
             walk(cover.node.over_lower)
@@ -288,7 +288,7 @@ def test_one_identity_cover_per_object_in_one_enumeration(p2):
     covers = enumerate_simple_covers(site, sq2.base, 2)
     for cover in covers:
         walk(cover)
-    assert set(identities) == {"U2", "U1", "P2", EMPTY.name}
+    assert set(identities) == {sq2.base, sq1.base, p2, sq1.C, sq2.C}
     assert all(len(ids) == 1 for ids in identities.values())
     assert identity_cover(sq2.base).key() in {c.key() for c in covers}
     # one dict of identity covers, passed to every depth's enumeration
@@ -425,10 +425,9 @@ NOT_FOUND = {
     # the identity needs the square itself: one application of the rule
     "depth budget exhausted":
         lambda p2: (star_subdivision_square(p2, (1, 1)), identity_span(p2), 0),
-    "search needs a fan-backed source": _star_square_and_its_locus_through_the_center,
-    # the open A1 x Gm of U: not proper, so its glued completion lifts to
-    # P2 only by a span that is not proper
-    "glued cover is not inside the pulled-back sieve":
+    "search needs a toric variety as source": _star_square_and_its_locus_through_the_center,
+    # the open A1 x Gm of U: it has not U's support, so it is not proper
+    "not proper":
         lambda p2: _localization_of_p2_at_a2_and(toric.Fan.from_cones(2, [Cone(2, [(1, 0)])])),
     # the torus of P2 into U: a window neither all of P2 nor U's cones
     "no toric-representable pullback found":
@@ -454,9 +453,13 @@ def test_a_cover_found_by_construction_lies_in_the_pulled_back_sieve(p2):
     x = p1xp2()
     cases.append((star_subdivision_square(x, (1, 1, 0)),
                   star_subdivision_square(x, (1, 0, 1)).p_leg))
+    lsq = _rank_three_localization()
+    z = toric.star_subdivide(lsq.base.fan, (1, 1, 1)).fan
+    cases.append((lsq, SpanMorphism(ToricObject("Z", z), lsq.base, z.cones)))
     by_construction = {"pulled-back square via common refinement",
                        "square over the larger fan, same ray",
-                       "dominating completion via common refinement"}
+                       "dominating completion via common refinement",
+                       "glued completion over the refinement"}
     seen = set()
     for sq, f in cases:
         verdict = check_c_complete(sq, f)
@@ -543,8 +546,9 @@ def test_dim_compatible_empty_window(p2):
 
 def _dims_only_square(kind, upper_left, base):
     """A square whose corners carry only the dimensions the check reads."""
+    empty = ToricObject("empty", toric.Fan(base.fan.rank, ()))
     corners = {"upper_left": upper_left, "upper_right": upper_left,
-               "lower_left": EMPTY, "base": base}
+               "lower_left": empty, "base": base}
     return DistinguishedSquare(kind, corners, {})
 
 
@@ -728,9 +732,11 @@ def test_a_window_of_another_rank_than_the_target_is_rejected(p1, p2):
 
 
 def test_only_the_zero_span_maps_into_the_empty_object(p1):
-    assert zero_span(p1, EMPTY).is_zero()
-    with pytest.raises(SpanError, match="only the zero span"):
-        SpanMorphism(p1, EMPTY, p1.cones)
+    corner = localization_square(p1, a1_window(p1)).C
+    for empty in (corner, ToricObject("empty", toric.Fan(1, ()))):
+        assert zero_span(p1, empty).is_zero()
+        with pytest.raises(SpanError, match="only the zero span"):
+            SpanMorphism(p1, empty, p1.cones)
 
 
 def _trusted_reasons_in_source() -> set:
@@ -786,6 +792,9 @@ def test_corpus_generation_validates_no_square_leg(monkeypatch):
             for leg in sq.maps.values() if not leg.is_zero()]
     assert len(legs) == 4 * len(corp.squares) + 2 * len(corp.loc_squares)
     assert not [leg for leg in legs if id(leg) in seen]
+    # every corner has a fan, the empty one too
+    assert all(obj.fan.rank == sq.base.fan.rank for sq in corp.squares + corp.loc_squares
+               for obj in sq.corners.values())
 
 
 def _relatively_open(span: SpanMorphism, subset) -> frozenset:
