@@ -546,9 +546,8 @@ def _answer(answers: dict, key, check, *args) -> CheckResult:
 
 
 def _square_relation(sq) -> CheckResult:
-    cls = sq.corner_classes()
-    rep = kring.verify_square_relation(cls["upper_left"], cls["upper_right"],
-                                       cls["lower_left"], cls["base"])
+    rep = kring.verify_square_relation(sq.E.kclass(), sq.Y.kclass(),
+                                       sq.C.kclass(), sq.base.kclass())
     return verdict(rep.ok, str(rep.lhs), str(rep.rhs))
 
 
@@ -592,8 +591,7 @@ def _cover_monotone(site, obj, depth: int) -> CheckResult:
     covers stay the same (``cover_height``), so the later counts repeat the
     last one."""
     top = cover_height(site, obj, depth)
-    identities: dict = {}
-    levels = [enumerate_simple_covers(site, obj, d, identities) for d in range(top + 1)]
+    levels = [enumerate_simple_covers(site, obj, d) for d in range(top + 1)]
     keys = [{c.key() for c in covers} for covers in levels]
     ok = all(a <= b for a, b in zip(keys, keys[1:]))
     surj = all(c.jointly_surjective() for c in levels[min(top, 2)])

@@ -231,59 +231,40 @@ def compose(second: SpanMorphism, first: SpanMorphism) -> SpanMorphism:
 # ---------------------------------------------------------------------------
 # distinguished squares
 #
-#   upper_left ──▶ upper_right
-#       │               │ p
-#       ▼               ▼
-#   lower_left ──i──▶ base
+#   E ──top──▶ Y
+#   │          │
+#  left      p_leg
+#   ▼          ▼
+#   C ─i_leg─▶ base
 
 SQUARE_KINDS = ("smooth_blowup", "abstract_blowup", "localization")
 
-CORNERS = ("upper_left", "upper_right", "lower_left", "base")
 
-
+@dataclass(frozen=True, eq=False)
 class DistinguishedSquare:
-    def __init__(self, kind: str, corners: Dict[str, SiteObject],
-                 maps: Dict[str, SpanMorphism],
-                 provenance=None):
-        if kind not in SQUARE_KINDS:
-            raise SpanError(f"unknown square kind {kind!r}")
-        if set(corners) != set(CORNERS):
-            raise SpanError(f"need corners {CORNERS}")
-        self.kind = kind
-        self.corners = dict(corners)
-        self.maps = dict(maps)
-        self.provenance = provenance
+    """A square of one of ``SQUARE_KINDS``: the corners E, Y and C over the
+    base, and the legs top: E -> Y, p_leg: Y -> base, left: E -> C and
+    i_leg: C -> base.  ``provenance`` is what the square was built from.
+    Squares compare and hash by identity, and their fields are frozen: a
+    square with another corner is a new square (``dataclasses.replace``)."""
 
-    # blowup-kind aliases
-    @property
-    def E(self) -> SiteObject:
-        return self.corners["upper_left"]
+    kind: str
+    E: SiteObject
+    Y: SiteObject
+    C: SiteObject
+    base: SiteObject
+    top: SpanMorphism
+    p_leg: SpanMorphism
+    left: SpanMorphism
+    i_leg: SpanMorphism
+    provenance: object = None
 
-    @property
-    def Y(self) -> SiteObject:
-        return self.corners["upper_right"]
-
-    @property
-    def C(self) -> SiteObject:
-        return self.corners["lower_left"]
-
-    @property
-    def base(self) -> SiteObject:
-        return self.corners["base"]
-
-    @property
-    def p_leg(self) -> SpanMorphism:
-        return self.maps["right"]
-
-    @property
-    def i_leg(self) -> SpanMorphism:
-        return self.maps["bottom"]
-
-    def corner_classes(self) -> Dict[str, KClass]:
-        return {role: obj.kclass() for role, obj in self.corners.items()}
+    def __post_init__(self):
+        if self.kind not in SQUARE_KINDS:
+            raise SpanError(f"unknown square kind {self.kind!r}")
 
     def __repr__(self):
-        names = {r: o.name for r, o in self.corners.items()}
+        names = ", ".join(o.name for o in (self.E, self.Y, self.C, self.base))
         return f"Square[{self.kind}]({names})"
 
 
@@ -299,9 +280,9 @@ def localization_square(x_obj: ToricObject, window: Iterable[Cone],
     face-closed set of them: it is relatively open in X, and U's fan is the
     subfan on it.
 
-    - Right, X -> U, the restriction to the open: each window cone is a
+    - p_leg, X -> U, the restriction to the open: each window cone is a
       cone of U's fan.
-    - Top, X \\ U -> X, the closed immersion of the complement: the window
+    - top, X \\ U -> X, the closed immersion of the complement: the window
       is all of the complement's cones, each a cone of X's fan.
 
     Both targets have X's rank.
@@ -312,18 +293,14 @@ def localization_square(x_obj: ToricObject, window: Iterable[Cone],
     comp = ToricLocus(x_obj.fan, x_obj.fan.cones - window)
     comp_obj = ToricLocusObject(complement_name or f"{x_obj.name}-minus-U", comp)
     empty = ToricObject("empty", Fan(x_obj.fan.rank, ()))
-    maps = {
-        "top": SpanMorphism._valid_by_construction(comp_obj, x_obj, comp.cones,
-                                                   "closed immersion"),
-        "right": SpanMorphism._valid_by_construction(x_obj, u_obj, window,
-                                                     "restriction to the open"),
-        "left": zero_span(comp_obj, empty),
-        "bottom": zero_span(empty, u_obj),
-    }
-    corners = {"upper_left": comp_obj, "upper_right": x_obj,
-               "lower_left": empty, "base": u_obj}
-    return DistinguishedSquare("localization", corners, maps,
-                               provenance=(x_obj.fan, window))
+    return DistinguishedSquare(
+        "localization", E=comp_obj, Y=x_obj, C=empty, base=u_obj,
+        top=SpanMorphism._valid_by_construction(comp_obj, x_obj, comp.cones,
+                                                "closed immersion"),
+        p_leg=SpanMorphism._valid_by_construction(x_obj, u_obj, window,
+                                                  "restriction to the open"),
+        left=zero_span(comp_obj, empty), i_leg=zero_span(empty, u_obj),
+        provenance=(x_obj.fan, window))
 
 
 def star_subdivision_square(x_obj: ToricObject, new_ray: Sequence[int]) -> DistinguishedSquare:
@@ -358,9 +335,9 @@ def _refinement_square(w_obj: ToricObject, x_obj: ToricObject, c_name: str, e_na
     so it is relatively open.  Each window cone lies in a cone of the
     target's fan:
 
-    - top, E -> W, and bottom, C -> X, are closed immersions: the window
+    - top, E -> W, and i_leg, C -> X, are closed immersions: the window
       cones are cones of the target's fan;
-    - right, W -> X, is the refinement: each cone of W lies in a cone of X;
+    - p_leg, W -> X, is the refinement: each cone of W lies in a cone of X;
     - left, E -> C, is its restriction: each cone of E is a cone of W, so
       it lies in a cone of X, the fan of C.
     """
@@ -368,21 +345,16 @@ def _refinement_square(w_obj: ToricObject, x_obj: ToricObject, c_name: str, e_na
     e_cones = w_obj.cones - x_obj.cones
     c_obj = ToricLocusObject(c_name, ToricLocus(x_obj.fan, c_cones))
     e_obj = ToricLocusObject(e_name, ToricLocus(w_obj.fan, e_cones))
-    maps = {
-        "top": SpanMorphism._valid_by_construction(e_obj, w_obj, e_cones,
-                                                   "closed immersion"),
-        "right": SpanMorphism._valid_by_construction(w_obj, x_obj, w_obj.cones,
-                                                     "refinement"),
-        "left": SpanMorphism._valid_by_construction(e_obj, c_obj, e_cones,
-                                                    "restriction of the refinement"),
-        "bottom": SpanMorphism._valid_by_construction(c_obj, x_obj, c_cones,
-                                                      "closed immersion"),
-    }
-    corners = {"upper_left": e_obj, "upper_right": w_obj,
-               "lower_left": c_obj, "base": x_obj}
     smooth = isinstance(provenance, StarSubdivision) and provenance.smooth_blowup
-    return DistinguishedSquare("smooth_blowup" if smooth else "abstract_blowup",
-                               corners, maps, provenance=provenance)
+    return DistinguishedSquare(
+        "smooth_blowup" if smooth else "abstract_blowup",
+        E=e_obj, Y=w_obj, C=c_obj, base=x_obj,
+        top=SpanMorphism._valid_by_construction(e_obj, w_obj, e_cones, "closed immersion"),
+        p_leg=SpanMorphism._valid_by_construction(w_obj, x_obj, w_obj.cones, "refinement"),
+        left=SpanMorphism._valid_by_construction(e_obj, c_obj, e_cones,
+                                                 "restriction of the refinement"),
+        i_leg=SpanMorphism._valid_by_construction(c_obj, x_obj, c_cones, "closed immersion"),
+        provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +412,7 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
     and C a locus of X's fan; i is a closed immersion when C is also
     closed in X; p is proper by ``_proper_status``; and p is an
     isomorphism off the center when Y minus E and X minus C are the same
-    cones.  The upper left of a localization square (X minus U, X, empty,
+    cones.  The corner E of a localization square (X minus U, X, empty,
     U) must be the locus of X's fan on the cones outside the window of p.
     """
     entries: List[CheckEntry] = []
@@ -453,7 +425,7 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
         entries.append(CheckEntry(
             "lower left is empty",
             "pass" if sq.C.is_empty() else "fail", ""))
-        entries.append(_proper_status(sq.maps["top"]))
+        entries.append(_proper_status(sq.top))
         # joint surjectivity of {i, p} over the base U: the p window is U itself
         covered = sq.p_leg.orbit_image() | (frozenset() if sq.i_leg.is_zero()
                                             else sq.i_leg.orbit_image())
@@ -523,8 +495,8 @@ class IsoNode(CoverNode):
 @dataclass(frozen=True)
 class SquareNode(CoverNode):
     square: DistinguishedSquare
-    over_upper: "SimpleCover"   # cover of the upper-right corner, through p
-    over_lower: "SimpleCover"   # cover of the lower-left corner, through i
+    over_upper: "SimpleCover"   # cover of Y, through p_leg
+    over_lower: "SimpleCover"   # cover of C, through i_leg
 
 
 class SimpleCover:
@@ -590,19 +562,15 @@ def square_cover(sq: DistinguishedSquare,
     return SimpleCover(sq.base, SquareNode(sq, over_upper, over_lower))
 
 
-def enumerate_simple_covers(site: SitePresentation, obj: SiteObject, depth: int,
-                            identities: Optional[dict] = None) -> List[SimpleCover]:
+def enumerate_simple_covers(site: SitePresentation, obj: SiteObject,
+                            depth: int) -> List[SimpleCover]:
     """All covers of ``obj`` reachable with at most ``depth`` applications
     of the square rule, each to a square that the site files over the
     object being covered (``squares_over``); monotone in depth.  Covers are
     deduplicated by leaf family: by what the leaf spans are, whatever their
     ends are named.
-
-    ``identities`` maps an object to its identity cover; a caller
-    that enumerates one site several times may pass one dict to every call,
-    so that each identity span is built and validated once.
     """
-    return _covers(site, obj, depth, {}, {} if identities is None else identities)
+    return _covers(site, obj, depth, {})
 
 
 def cover_height(site: SitePresentation, obj: SiteObject, budget: int,
@@ -649,21 +617,22 @@ def square_tree(site: SitePresentation, obj: SiteObject, budget: int, memo: dict
     return token
 
 
-def _covers(site: SitePresentation, o: SiteObject, d: int, memo: dict,
-            identities: dict) -> List[SimpleCover]:
+def _covers(site: SitePresentation, o: SiteObject, d: int, memo: dict) -> List[SimpleCover]:
     # a function of its own, not a recursive closure: that would be a
-    # reference cycle holding every cover until the garbage collector runs
+    # reference cycle holding every cover until the garbage collector runs.
+    # ``memo`` maps (object, depth) to its covers and each object to its one
+    # identity cover
     key = (o, d)
     if key in memo:
         return memo[key]
-    identity = identities.get(o)
+    identity = memo.get(o)
     if identity is None:
-        identity = identities[o] = identity_cover(o)
+        identity = memo[o] = identity_cover(o)
     found = {identity.key(): identity}
     if d > 0:
         for sq in site.squares_over(o):
-            for cu in _covers(site, sq.Y, d - 1, memo, identities):
-                for cl in _covers(site, sq.C, d - 1, memo, identities):
+            for cu in _covers(site, sq.Y, d - 1, memo):
+                for cl in _covers(site, sq.C, d - 1, memo):
                     cover = square_cover(sq, cu, cl)
                     found.setdefault(cover.key(), cover)
     out = list(found.values())
@@ -849,9 +818,9 @@ def check_dim_compatible(sq: DistinguishedSquare) -> DimCompatVerdict:
     """Per-square compatibility with the dimension function.
 
     Direct when the corner dimensions already satisfy the strict drop on
-    the upper-left corner, and refined, by the identity cover, over an
-    empty base.  Any other square fails: a toric open is dense, and a fan
-    is irreducible, so no refinement applies.
+    the corner E, and refined, by the identity cover, over an empty base.
+    Any other square fails: a toric open is dense, and a fan is
+    irreducible, so no refinement applies.
     """
     d_base = sq.base.dim
     if sq.C.dim <= d_base and sq.Y.dim <= d_base and sq.E.dim < d_base:

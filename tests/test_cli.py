@@ -1,6 +1,7 @@
 """The batch front door: eval, fan, check; determinism and exit codes."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -903,32 +904,23 @@ def test_cover_enumeration_stops_at_its_fixed_point():
                 _every_depth_cover_monotone(corp.site, obj, depth), (obj.name, depth)
 
 
-def test_cover_enumeration_over_a_cyclic_site_ends():
-    # the square over X has X itself as its upper right corner: X minus
-    # nothing, rebased onto X
-    x_obj = ToricObject("X", toric.builtin_fan("P2"))
+def _cyclic_site(x_obj):
+    """A site with one square over ``x_obj`` that has ``x_obj`` itself as its
+    corner Y: X minus nothing, rebased onto X."""
     sq = localization_square(x_obj, x_obj.fan.cones)
-    sq.corners["base"] = x_obj
-    sq.maps["right"] = identity_span(x_obj)
-    sq.maps["bottom"] = zero_span(sq.C, x_obj)
     site = SitePresentation()
-    site.add_square(sq)
+    site.add_square(dataclasses.replace(sq, base=x_obj, p_leg=identity_span(x_obj),
+                                        i_leg=zero_span(sq.C, x_obj)))
+    return site
+
+
+def test_cover_enumeration_over_a_cyclic_site_ends():
+    x_obj = ToricObject("X", toric.builtin_fan("P2"))
+    site = _cyclic_site(x_obj)
     assert [cover_height(site, x_obj, b) for b in (0, 1, 5, MAX_DEPTH)] == [0, 1, 5, MAX_DEPTH]
     for depth in range(6):
         assert _cover_monotone(site, x_obj, depth) == \
             _every_depth_cover_monotone(site, x_obj, depth)
-
-
-def _cyclic_site(x_obj):
-    """A site with one square over ``x_obj`` that has ``x_obj`` itself as its
-    upper right corner: X minus nothing, rebased onto X."""
-    sq = localization_square(x_obj, x_obj.fan.cones)
-    sq.corners["base"] = x_obj
-    sq.maps["right"] = identity_span(x_obj)
-    sq.maps["bottom"] = zero_span(sq.C, x_obj)
-    site = SitePresentation()
-    site.add_square(sq)
-    return site
 
 
 def test_a_cover_monotone_answer_is_keyed_by_the_squares_not_only_the_fan():

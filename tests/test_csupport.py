@@ -218,7 +218,7 @@ def test_memoized_extensions_match_the_oracle():
     corp = corpus.generate(1, 10)
     objects = list(corp.surfaces) + list(corp.rank3)
     for sq in corp.squares + corp.loc_squares:
-        objects.extend(sq.corners.values())
+        objects.extend((sq.E, sq.Y, sq.C, sq.base))
     objects.extend(ToricObject(f"{x.name}|U", x.fan.subfan(w)) for x, w in corp.pairs_xu)
     objects.extend(ToricLocusObject("complement", ToricLocus(
         x.fan, [c for c in x.fan.cones if c not in w])) for x, w in corp.pairs_xu)

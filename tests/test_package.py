@@ -87,18 +87,12 @@ def test_kvar_modules_use_every_name_they_import():
 NO_COMMAND_REACHES = {
     "cli.Report.to_json_text":
         "perfbench's worker serialises a report through it and times it",
-    "csupport._torus_terms":
-        "the terms of a torus orbit of a locus that is not compact; "
-        "every locus a command extends is closed in a complete fan",
     "cli._too_long":
         "the note for a class or value past the interpreter's int-string digit limit",
     "kring.expr_size":
         "perfbench counts the nodes of each eval tree with it",
     "spansite.SimpleCover.depth":
         "a cover's depth, printed by its repr and bounded by the c_complete tests",
-    "toric.ToricLocus._minimal_cones":
-        "compactness of a closed locus in a fan that is not complete; "
-        "every locus a command builds lies in a complete fan",
 }
 
 
@@ -202,9 +196,10 @@ print(json.dumps([(os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
 
 def _reached(tmp_path, env):
     """What a fresh process reaches: the size-10 battery, the suite fixture,
-    a Hirzebruch suite, README's evals, a relation file, two fan files (the
-    second a rank-3 torus), a parse error and the demos.  A fresh process
-    starts with empty intern tables and kept fans."""
+    a suite over Hirzebruch(2) and over A2, whose fan is not complete,
+    README's evals, a relation file, two fan files (the second a rank-3
+    torus), a parse error and the demos.  A fresh process starts with empty
+    intern tables and kept fans."""
     relations = tmp_path / "relations.json"
     relations.write_text(json.dumps([  # an axiom-checked relation over builtins
         {"kind": "open", "slots": {"X": "P1", "U": "A1", "complement": "pt"}},
@@ -213,9 +208,11 @@ def _reached(tmp_path, env):
     fan.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 1]]}))
     torus = tmp_path / "torus.json"
     torus.write_text(json.dumps({"rank": 3, "rays": [], "maximal_cones": [], "dense_torus": True}))
-    suite = tmp_path / "hirzebruch_suite.json"
+    suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"checks": [
-        {"kind": "additivity", "object": "Hirzebruch(2)", "window": [[0, 1]]}]}))
+        {"kind": "additivity", "object": "Hirzebruch(2)", "window": [[0, 1]]},
+        {"kind": "additivity", "object": "A2", "window": []},
+        {"kind": "blowup_descent", "object": "A2", "ray": [1, 1]}]}))
     runs = [["check", "--corpus-seed", "1", "--corpus-size", "10", "--format", "json"],
             ["check", "--suite", str(ROOT / "tests" / "fixtures" / "perturbed_suite.json")],
             ["check", "--suite", str(suite)],

@@ -1,6 +1,7 @@
 """Spans, distinguished squares, simple covers, and the instance checks."""
 
 import ast
+import dataclasses
 import functools
 import pathlib
 
@@ -97,17 +98,16 @@ def test_star_subdivision_square_validates(p2):
 
 def test_square_relation_from_corners(p2):
     sq = star_subdivision_square(p2, (1, 1))
-    cls = sq.corner_classes()
-    rep = kring.verify_square_relation(cls["upper_left"], cls["upper_right"],
-                                       cls["lower_left"], cls["base"])
+    rep = kring.verify_square_relation(sq.E.kclass(), sq.Y.kclass(),
+                                       sq.C.kclass(), sq.base.kclass())
     assert rep.ok
     assert str(rep.lhs) == "2 + 2*L + L^2"
 
 
 def test_localization_square_p1_a1(p1):
     sq = localization_square(p1, a1_window(p1))
-    assert sq.corners["upper_left"].kclass() == kring.ONE  # one fixed point
-    empty = sq.corners["lower_left"]
+    assert sq.E.kclass() == kring.ONE  # one fixed point
+    empty = sq.C
     assert empty.is_empty() and empty.fan == toric.Fan(p1.fan.rank, ())
     report = validate_square(sq)
     assert report.ok and report.jointly_surjective
@@ -115,7 +115,7 @@ def test_localization_square_p1_a1(p1):
 
 def test_localization_square_degenerate_whole_space(p2):
     sq = localization_square(p2, p2.fan.cones)
-    assert sq.corners["upper_left"].is_empty()
+    assert sq.E.is_empty()
     assert validate_square(sq).ok
 
 
@@ -151,10 +151,12 @@ SQUARES = {
 }
 
 
-def _replaced(sq, role, obj, leg, span):
-    """``sq`` with the corner ``role`` and the leg ``leg`` replaced."""
-    return DistinguishedSquare(sq.kind, dict(sq.corners, **{role: obj}),
-                               dict(sq.maps, **{leg: span}), sq.provenance)
+def _corners(sq):
+    return sq.E, sq.Y, sq.C, sq.base
+
+
+def _legs(sq):
+    return sq.top, sq.p_leg, sq.left, sq.i_leg
 
 
 def _first(cones, outside):
@@ -165,14 +167,13 @@ def _first(cones, outside):
 def _wrong_point(sq):
     point = _first(sq.base.cones, sq.C.cones)
     c_obj = ToricLocusObject("C'", toric.ToricLocus(sq.base.fan, [point]))
-    return _replaced(sq, "lower_left", c_obj, "bottom",
-                     SpanMorphism(c_obj, sq.base, c_obj.cones))
+    return dataclasses.replace(sq, C=c_obj, i_leg=SpanMorphism(c_obj, sq.base, c_obj.cones))
 
 
 def _wrong_exceptional_set(sq):
     cones = sq.E.cones | {_first(sq.Y.cones, sq.E.cones)}
     e_obj = ToricLocusObject("E'", toric.ToricLocus(sq.Y.fan, cones))
-    return _replaced(sq, "upper_left", e_obj, "top", SpanMorphism(e_obj, sq.Y, cones))
+    return dataclasses.replace(sq, E=e_obj, top=SpanMorphism(e_obj, sq.Y, cones))
 
 
 def _center_of_another_fan(sq):
@@ -180,8 +181,7 @@ def _center_of_another_fan(sq):
     assert other != sq.base.fan
     c_obj = ToricLocusObject("C'", toric.ToricLocus(other, sq.C.cones))
     assert c_obj.locus.is_closed() and c_obj.cones == sq.C.cones
-    return _replaced(sq, "lower_left", c_obj, "bottom",
-                     SpanMorphism(c_obj, sq.base, c_obj.cones))
+    return dataclasses.replace(sq, C=c_obj, i_leg=SpanMorphism(c_obj, sq.base, c_obj.cones))
 
 
 @pytest.mark.parametrize("name", SQUARES)
@@ -235,6 +235,22 @@ def test_every_square_behind_a_c_complete_cover_validates():
         assert report.ok and report.jointly_surjective, (sq, report.entries)
 
 
+def test_each_leg_runs_between_the_corners_the_diagram_names():
+    corp = corpus.generate(1, 50)
+    squares = {id(sq): sq for sq in corp.squares + corp.loc_squares}
+    for sq, f in corp.c_complete_cases:
+        verdict = check_c_complete(sq, f)
+        if verdict.found:
+            squares.update((id(s), s) for s in _cover_squares(verdict.cover))
+    assert len(squares) == 210  # the 121 corpus squares are in covers too
+    for sq in squares.values():
+        ends = [(leg.source, leg.target) for leg in _legs(sq)]
+        expected = [(sq.E, sq.Y), (sq.Y, sq.base), (sq.E, sq.C), (sq.C, sq.base)]
+        assert all(a is c and b is d for (a, b), (c, d) in zip(ends, expected)), sq
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sq.base = sq.Y
+
+
 def test_a_localization_square_validates_from_its_corners(p2):
     torus = frozenset(c for c in p2.fan.cones if c.dim == 0)
     sq = localization_square(p2, torus)
@@ -242,7 +258,7 @@ def test_a_localization_square_validates_from_its_corners(p2):
     assert validate_square(sq).ok
     bad = ToricLocusObject("bd'", toric.ToricLocus(p2.fan, p2.fan.cones - torus
                                                    - {_first(p2.fan.cones, ())}))
-    faulty = _replaced(sq, "upper_left", bad, "top", SpanMorphism(bad, p2, bad.cones))
+    faulty = dataclasses.replace(sq, E=bad, top=SpanMorphism(bad, p2, bad.cones))
     assert validate_square(faulty).entries[0].status == "fail"
 
 
@@ -267,7 +283,7 @@ def test_cover_enumeration_depths(p2):
 
 
 def test_one_identity_cover_per_object_in_one_enumeration(p2):
-    # each localization square has an empty lower-left corner of its own,
+    # each localization square has an empty corner C of its own,
     # covered at depth 1 or 0 below U2
     chart = max(p2.fan.maximal_cones, key=lambda c: c.rays)
     sq1 = localization_square(p2, chart.faces(), u_name="U1")
@@ -291,15 +307,6 @@ def test_one_identity_cover_per_object_in_one_enumeration(p2):
     assert set(identities) == {sq2.base, sq1.base, p2, sq1.C, sq2.C}
     assert all(len(ids) == 1 for ids in identities.values())
     assert identity_cover(sq2.base).key() in {c.key() for c in covers}
-    # one dict of identity covers, passed to every depth's enumeration
-    shared = {}
-    by_depth = [enumerate_simple_covers(site, sq2.base, d, shared) for d in range(3)]
-    identities.clear()
-    for cover in by_depth[1] + by_depth[2]:
-        walk(cover)
-    assert all(len(ids) == 1 for ids in identities.values())
-    assert [[c.key() for c in covers] for covers in by_depth] == [
-        [c.key() for c in enumerate_simple_covers(site, sq2.base, d)] for d in range(3)]
 
 
 def test_enumerated_covers_are_jointly_surjective(p2):
@@ -544,12 +551,12 @@ def test_dim_compatible_empty_window(p2):
         "refined", "base is empty: the sieve contains the identity cover")
 
 
-def _dims_only_square(kind, upper_left, base):
-    """A square whose corners carry only the dimensions the check reads."""
+def _dims_only_square(kind, e_obj, base):
+    """A square whose corners carry only the dimensions the check reads, and
+    no legs."""
     empty = ToricObject("empty", toric.Fan(base.fan.rank, ()))
-    corners = {"upper_left": upper_left, "upper_right": upper_left,
-               "lower_left": empty, "base": base}
-    return DistinguishedSquare(kind, corners, {})
+    return DistinguishedSquare(kind, E=e_obj, Y=e_obj, C=empty, base=base,
+                               top=None, p_leg=None, left=None, i_leg=None)
 
 
 def test_dim_compatible_fails_on_a_non_dense_open(p1, p2):
@@ -624,7 +631,7 @@ def test_squares_over_matches_a_scan_of_the_squares_by_base_object():
     corp = corpus.generate(1, 10)
     site = corp.site
     assert site.squares
-    objects = {id(obj): obj for sq in site.squares for obj in sq.corners.values()}
+    objects = {id(obj): obj for sq in site.squares for obj in _corners(sq)}
     objects.update((id(obj), obj) for obj in corp.surfaces)
     for obj in objects.values():
         expected = [sq for sq in site.squares if sq.base is obj]
@@ -682,10 +689,11 @@ def _p2_less_a_point():
 
 def _star_square_as(kind, drop=()):
     """The corners and legs of a star square of P2, as a square of ``kind``
-    without the corners in ``drop``."""
+    without the fields in ``drop``."""
     sq = star_subdivision_square(_p2(), (1, 1))
-    corners = {role: obj for role, obj in sq.corners.items() if role not in drop}
-    return DistinguishedSquare(kind, corners, sq.maps)
+    fields = {f.name: getattr(sq, f.name) for f in dataclasses.fields(sq)
+              if f.name not in drop}
+    return DistinguishedSquare(**dict(fields, kind=kind))
 
 
 @pytest.mark.parametrize("build, error, match", [
@@ -700,7 +708,7 @@ def _star_square_as(kind, drop=()):
     pytest.param(lambda: _star_square_as("flip"),
                  SpanError, "unknown square kind 'flip'", id="unknown square kind"),
     pytest.param(lambda: _star_square_as("abstract_blowup", drop=("base",)),
-                 SpanError, "need corners", id="square without a base"),
+                 TypeError, "required .* argument: 'base'", id="square without a base"),
     pytest.param(lambda: star_subdivision_square(_a2(), (-1, 1)),
                  toric.SubdivisionError, "outside the support", id="ray outside the support"),
     pytest.param(lambda: star_subdivision_square(_a2(), (0, 0)),
@@ -789,12 +797,12 @@ def test_corpus_generation_validates_no_square_leg(monkeypatch):
     corp = corpus.generate(1, 50)
     seen = {id(span) for span in validated}
     legs = [leg for sq in corp.squares + corp.loc_squares
-            for leg in sq.maps.values() if not leg.is_zero()]
+            for leg in _legs(sq) if not leg.is_zero()]
     assert len(legs) == 4 * len(corp.squares) + 2 * len(corp.loc_squares)
     assert not [leg for leg in legs if id(leg) in seen]
     # every corner has a fan, the empty one too
     assert all(obj.fan.rank == sq.base.fan.rank for sq in corp.squares + corp.loc_squares
-               for obj in sq.corners.values())
+               for obj in _corners(sq))
 
 
 def _relatively_open(span: SpanMorphism, subset) -> frozenset:
@@ -810,9 +818,8 @@ def _composable_pairs() -> tuple:
     corp = corpus.generate(1, 10)
     pairs = []
     for sq in corp.squares + corp.loc_squares:
-        legs = sq.maps
-        pairs += [(legs["top"], legs["right"]), (legs["left"], legs["bottom"])]
-        for leg in legs.values():
+        pairs += [(sq.top, sq.p_leg), (sq.left, sq.i_leg)]
+        for leg in _legs(sq):
             pairs += [(leg, SpanMorphism(leg.target, leg.target, leg.target.cones)),
                       (SpanMorphism(leg.source, leg.source, leg.source.cones), leg)]
     return tuple((a, b) for a, b in pairs if not a.is_zero() and not b.is_zero())
