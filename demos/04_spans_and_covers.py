@@ -66,13 +66,13 @@ cases = [
 ]
 for label, f in cases:
     verdict = check_c_complete(square, f)
-    print(f"  {label:24s} found={verdict.found}  ({verdict.note})")
+    print(f"  {label:24s} found={verdict.cover is not None}  ({verdict.note})")
 
 a2 = ToricObject("A2", builtin_fan("A2"))
 open_base_square = star_subdivision_square(a2, (1, 1))
 f_open = SpanMorphism(p2, a2, frozenset(a2.fan.cones))
 verdict = check_c_complete(open_base_square, f_open)
-print(f"  open immersion P2 <- A2    found={verdict.found}  ({verdict.note})")
+print(f"  open immersion P2 <- A2    found={verdict.cover is not None}  ({verdict.note})")
 
 print()
 print("== dimension compatibility ==")

@@ -553,7 +553,7 @@ def _square_relation(sq) -> CheckResult:
 
 def _c_complete(sq, f, depth: int) -> CheckResult:
     result = check_c_complete(sq, f, depth)
-    return verdict(result.found, note=result.note)
+    return verdict(result.cover is not None, note=result.note)
 
 
 def _dim_compatible(sq) -> CheckResult:
@@ -563,7 +563,7 @@ def _dim_compatible(sq) -> CheckResult:
 
 def _square_valid(sq) -> CheckResult:
     v = validate_square(sq)
-    return verdict(v.ok and v.jointly_surjective is not False,
+    return verdict(v.ok and v.jointly_surjective,
                    note="; ".join(f"{e.condition}={e.status}" for e in v.entries))
 
 

@@ -364,43 +364,38 @@ def _refinement_square(w_obj: ToricObject, x_obj: ToricObject, c_name: str, e_na
 class CheckEntry:
     condition: str
     status: str  # pass | fail | trusted
-    note: str = ""
 
 
 @dataclass
 class SquareValidation:
     entries: List[CheckEntry]
-    jointly_surjective: Optional[bool]
+    jointly_surjective: bool
 
     @property
     def ok(self) -> bool:
         return all(e.status != "fail" for e in self.entries)
 
 
-def _proper_status(span: SpanMorphism) -> CheckEntry:
+def _proper_status(span: SpanMorphism) -> str:
     """Decide properness of a toric span where the support comparison is
-    computable: complete window, subfan identity, closed loci, or the
-    supports of a toric window and target fan compared at any rank."""
-    cond = "p is proper"
+    computable: the zero span, closed immersions and compact closed loci,
+    and for a toric window the target fan itself, a complete window, or
+    the supports of window and target fan compared at any rank."""
     if span.is_zero():
-        return CheckEntry(cond, "pass", "zero span is trivially proper")
+        return "pass"
     if isinstance(span.source, ToricLocusObject):
-        if span.window == span.source.cones and span.source.locus.is_closed():
-            if span.target.fan == span.source.locus.fan:
-                return CheckEntry(cond, "pass", "closed immersion")
-            if span.source.locus.is_compact():
-                return CheckEntry(cond, "pass", "the source locus is compact")
-        return CheckEntry(cond, "trusted", span.proper_reason)
+        locus = span.source.locus
+        if span.window == span.source.cones and locus.is_closed() and (
+                span.target.fan == locus.fan or locus.is_compact()):
+            return "pass"
+        return "trusted"
     # the source is a toric variety
     tfan = span.target.fan
     window_fan = Fan(span.source.fan.rank, span.window)
-    if frozenset(window_fan.cones) == frozenset(tfan.cones):
-        return CheckEntry(cond, "pass", "window equals the target fan")
-    if window_fan.is_complete():
-        return CheckEntry(cond, "pass", "window is complete")
-    if toric.covers_support(window_fan, tfan):
-        return CheckEntry(cond, "pass", "window support equals target support")
-    return CheckEntry(cond, "fail", "window support differs from target support")
+    if (frozenset(window_fan.cones) == frozenset(tfan.cones) or window_fan.is_complete()
+            or toric.covers_support(window_fan, tfan)):
+        return "pass"
+    return "fail"
 
 
 def validate_square(sq: DistinguishedSquare) -> SquareValidation:
@@ -414,42 +409,31 @@ def validate_square(sq: DistinguishedSquare) -> SquareValidation:
     isomorphism off the center when Y minus E and X minus C are the same
     cones.  The corner E of a localization square (X minus U, X, empty,
     U) must be the locus of X's fan on the cones outside the window of p.
+    Either way {i, p} must hit every orbit of the base.
     """
-    entries: List[CheckEntry] = []
+    def entry(condition: str, holds: bool) -> CheckEntry:
+        return CheckEntry(condition, "pass" if holds else "fail")
+
     if sq.kind == "localization":
         x_obj, comp = sq.Y, sq.E
-        entries.append(CheckEntry(
-            "upper left is the closed complement",
-            "pass" if _locus_in(comp, x_obj.fan)
-            and comp.cones == x_obj.cones - sq.p_leg.window else "fail", ""))
-        entries.append(CheckEntry(
-            "lower left is empty",
-            "pass" if sq.C.is_empty() else "fail", ""))
-        entries.append(_proper_status(sq.top))
-        # joint surjectivity of {i, p} over the base U: the p window is U itself
-        covered = sq.p_leg.orbit_image() | (frozenset() if sq.i_leg.is_zero()
-                                            else sq.i_leg.orbit_image())
-        joint = sq.base.cones <= covered
-        return SquareValidation(entries, joint)
-
-    x_fan, y_fan = sq.base.fan, sq.Y.fan
-    c_in_x = _locus_in(sq.C, x_fan)
-    preimage = frozenset(c for c in y_fan.cones if x_fan.orbit_of(c) in sq.C.cones)
-    entries.append(CheckEntry(
-        "square is Cartesian (E is the preimage of C)",
-        "pass" if c_in_x and _locus_in(sq.E, y_fan) and sq.E.cones == preimage
-        else "fail", ""))
-    entries.append(CheckEntry(
-        "i is a closed immersion",
-        "pass" if c_in_x and sq.C.locus.is_closed() else "fail", ""))
-    entries.append(_proper_status(sq.p_leg))
-    entries.append(CheckEntry(
-        "restriction off the center is an isomorphism",
-        "pass" if sq.Y.cones - sq.E.cones == sq.base.cones - sq.C.cones else "fail",
-        "cones away from the center coincide"))
+        entries = [
+            entry("upper left is the closed complement",
+                  _locus_in(comp, x_obj.fan) and comp.cones == x_obj.cones - sq.p_leg.window),
+            entry("lower left is empty", sq.C.is_empty()),
+            CheckEntry("p is proper", _proper_status(sq.top))]
+    else:
+        x_fan, y_fan = sq.base.fan, sq.Y.fan
+        c_in_x = _locus_in(sq.C, x_fan)
+        preimage = frozenset(c for c in y_fan.cones if x_fan.orbit_of(c) in sq.C.cones)
+        entries = [
+            entry("square is Cartesian (E is the preimage of C)",
+                  c_in_x and _locus_in(sq.E, y_fan) and sq.E.cones == preimage),
+            entry("i is a closed immersion", c_in_x and sq.C.locus.is_closed()),
+            CheckEntry("p is proper", _proper_status(sq.p_leg)),
+            entry("restriction off the center is an isomorphism",
+                  sq.Y.cones - sq.E.cones == sq.base.cones - sq.C.cones)]
     covered = sq.p_leg.orbit_image() | sq.i_leg.orbit_image()
-    joint = sq.base.cones <= covered
-    return SquareValidation(entries, joint)
+    return SquareValidation(entries, sq.base.cones <= covered)
 
 
 def _locus_in(obj: SiteObject, fan: Fan) -> bool:
@@ -483,50 +467,37 @@ class SitePresentation:
 # ---------------------------------------------------------------------------
 # simple covers
 
-class CoverNode:
-    pass
-
-
-@dataclass(frozen=True)
-class IsoNode(CoverNode):
-    span: SpanMorphism  # an isomorphism onto the root (the identity here)
-
-
-@dataclass(frozen=True)
-class SquareNode(CoverNode):
-    square: DistinguishedSquare
-    over_upper: "SimpleCover"   # cover of Y, through p_leg
-    over_lower: "SimpleCover"   # cover of C, through i_leg
-
-
 class SimpleCover:
     """Witness tree for membership in the class of simple covers.
 
-    Leaves are span morphisms into the root object; replaying the two
-    inductive rules from the leaves reconstructs the stored family.
+    With no ``square`` it is the identity cover of ``root``, whose one leaf
+    is the identity span.  With one it is the square rule over ``root``,
+    the square's base: ``upper`` covers the square's Y and ``lower`` its C,
+    and their leaves composed with p_leg and i_leg are the leaves of the
+    cover.  Replaying the rule from the leaves reconstructs the family.
     """
 
-    def __init__(self, root: SiteObject, node: CoverNode):
+    def __init__(self, root: SiteObject, square: Optional[DistinguishedSquare] = None,
+                 upper: Optional["SimpleCover"] = None, lower: Optional["SimpleCover"] = None):
         self.root = root
-        self.node = node
+        self.square = square
+        self.upper = upper
+        self.lower = lower
         self._leaf_spans: Optional[Tuple[SpanMorphism, ...]] = None
         self._key: Optional[frozenset] = None
 
     def leaves(self) -> Tuple[SpanMorphism, ...]:
         if self._leaf_spans is None:
-            self._leaf_spans = tuple(self._collect(self.node))
+            sq = self.square
+            self._leaf_spans = (identity_span(self.root),) if sq is None else tuple(
+                [compose(sq.p_leg, leaf) for leaf in self.upper.leaves()]
+                + [compose(sq.i_leg, leaf) for leaf in self.lower.leaves()])
         return self._leaf_spans
 
-    def _collect(self, node: CoverNode) -> List[SpanMorphism]:
-        if isinstance(node, IsoNode):
-            return [node.span]
-        return ([compose(node.square.p_leg, leaf) for leaf in node.over_upper.leaves()]
-                + [compose(node.square.i_leg, leaf) for leaf in node.over_lower.leaves()])
-
     def depth(self) -> int:
-        if isinstance(self.node, IsoNode):
+        if self.square is None:
             return 0
-        return 1 + max(self.node.over_upper.depth(), self.node.over_lower.depth())
+        return 1 + max(self.upper.depth(), self.lower.depth())
 
     def key(self) -> frozenset:
         """Deduplication key: the multiset of leaf morphisms."""
@@ -551,15 +522,14 @@ class SimpleCover:
 
 
 def identity_cover(obj: SiteObject) -> SimpleCover:
-    return SimpleCover(obj, IsoNode(identity_span(obj)))
+    return SimpleCover(obj)
 
 
 def square_cover(sq: DistinguishedSquare,
                  over_upper: Optional[SimpleCover] = None,
                  over_lower: Optional[SimpleCover] = None) -> SimpleCover:
-    over_upper = over_upper or identity_cover(sq.Y)
-    over_lower = over_lower or identity_cover(sq.C)
-    return SimpleCover(sq.base, SquareNode(sq, over_upper, over_lower))
+    return SimpleCover(sq.base, sq, over_upper or identity_cover(sq.Y),
+                       over_lower or identity_cover(sq.C))
 
 
 def enumerate_simple_covers(site: SitePresentation, obj: SiteObject,
@@ -663,13 +633,13 @@ def factors_through(g: SpanMorphism, leg: SpanMorphism) -> bool:
         tfan = leg.source.fan
         if all(tfan.smallest_containing_cone(c) is not None for c in source_cones):
             h = SpanMorphism(g.source, leg.source, source_cones, "lift")
-            if compose(leg, h) == g and _proper_status(h).status == "pass":
+            if compose(leg, h) == g and _proper_status(h) == "pass":
                 return True
         # partial lift: just the window, when that is already a proper span
         if isinstance(g.source, ToricObject) and all(
                 tfan.smallest_containing_cone(c) is not None for c in g.window):
             h = SpanMorphism(g.source, leg.source, g.window, "window lift")
-            if compose(leg, h) == g and _proper_status(h).status == "pass":
+            if compose(leg, h) == g and _proper_status(h) == "pass":
                 return True
     return False
 
@@ -680,13 +650,9 @@ def in_sieve(g: SpanMorphism, sq: DistinguishedSquare) -> bool:
 
 @dataclass
 class CCompleteVerdict:
-    found: bool
+    """The simple cover found in the pulled-back sieve, or None, and why."""
     cover: Optional[SimpleCover]
-    depth_used: Optional[int]
     note: str
-
-    def __bool__(self):
-        return self.found
 
 
 def _common_refinement_square(source: ToricObject, other: ToricObject) -> DistinguishedSquare:
@@ -708,8 +674,8 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
     base, and, into a localization base, completion glueing for a
     refinement of the base and the common refinement with another
     completion.  A full-window f that is not proper, a glue that breaks the
-    fan condition, or a completion of another support, is not-found with a
-    note, as is anything beyond these.
+    fan condition, or a completion of another support, gets no cover, only
+    a note, as does anything beyond these.
 
     The covers lie in the sieve by construction, so f composed with their
     leaves is not tested against it.  In the first and the last, W is the
@@ -740,41 +706,39 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
 
     # the zero span pulls back to the maximal sieve
     if f.is_zero():
-        return CCompleteVerdict(True, identity_cover(f.source), 0,
+        return CCompleteVerdict(identity_cover(f.source),
                                 "zero span: the pulled-back sieve is maximal")
     # f itself factors through a leg: the identity covers the source
     if in_sieve(f, sq):
-        return CCompleteVerdict(True, identity_cover(f.source), 0,
+        return CCompleteVerdict(identity_cover(f.source),
                                 "the morphism factors through the square")
     # every cover below needs one application of the square rule
     if depth < 1:
-        return CCompleteVerdict(False, None, None, "depth budget exhausted")
+        return CCompleteVerdict(None, "depth budget exhausted")
     if f.is_identity():
-        return CCompleteVerdict(True, square_cover(sq), 1,
+        return CCompleteVerdict(square_cover(sq),
                                 "pullback along the identity is the square's own cover")
 
     source = f.source
     if not isinstance(source, ToricObject):
-        return CCompleteVerdict(False, None, None,
-                                "search needs a toric variety as source")
+        return CCompleteVerdict(None, "search needs a toric variety as source")
     full_window = f.window == source.fan.cones
     # a proper full-window span has the support of the base, the
     # precondition of the common refinement and of the glued completion
-    if full_window and _proper_status(f).status == "fail":
-        return CCompleteVerdict(False, None, None, "not proper")
+    if full_window and _proper_status(f) == "fail":
+        return CCompleteVerdict(None, "not proper")
 
     if isinstance(sq.provenance, StarSubdivision):
         if full_window:
             # proper refinement Z -> X: pull the square back
-            return CCompleteVerdict(True, square_cover(_common_refinement_square(source, sq.Y)),
-                                    1, "pulled-back square via common refinement")
+            return CCompleteVerdict(square_cover(_common_refinement_square(source, sq.Y)),
+                                    "pulled-back square via common refinement")
         if f.window == sq.base.cones:
             # open immersion Z <- X: subdivide the big fan at the same ray
             big_square = star_subdivision_square(source, sq.provenance.new_ray)
-            return CCompleteVerdict(True, square_cover(big_square), 1,
+            return CCompleteVerdict(square_cover(big_square),
                                     "square over the larger fan, same ray")
-        return CCompleteVerdict(False, None, None,
-                                "no toric-representable pullback found")
+        return CCompleteVerdict(None, "no toric-representable pullback found")
 
     if sq.kind == "localization":
         x_obj, window = sq.Y, sq.p_leg.window
@@ -787,22 +751,20 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
                 glued = Fan.from_cones(source.fan.rank, source.fan.cones.union(boundary))
                 glued._check_pairwise()
             except toric.ToricError:
-                return CCompleteVerdict(False, None, None,
-                                        "non-toric glue required for this pullback")
+                return CCompleteVerdict(None, "non-toric glue required for this pullback")
             g_obj = ToricObject(f"{source.name}+bd", glued)
             loc = localization_square(g_obj, frozenset(source.fan.cones),
                                       u_name=f"{source.name}|open")
-            return CCompleteVerdict(True, square_cover(loc), 1,
-                                    "glued completion over the refinement")
+            return CCompleteVerdict(square_cover(loc), "glued completion over the refinement")
         if f.window == window:
             # restriction span X' -> U from another completion of U
             try:
                 refinement = _common_refinement_square(source, x_obj)
             except toric.ToricError as exc:
-                return CCompleteVerdict(False, None, None, str(exc))
-            return CCompleteVerdict(True, square_cover(refinement), 1,
+                return CCompleteVerdict(None, str(exc))
+            return CCompleteVerdict(square_cover(refinement),
                                     "dominating completion via common refinement")
-    return CCompleteVerdict(False, None, None, "no toric-representable pullback found")
+    return CCompleteVerdict(None, "no toric-representable pullback found")
 
 
 # ---------------------------------------------------------------------------

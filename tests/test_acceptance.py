@@ -146,9 +146,8 @@ def test_criterion_08_simple_covers_c_complete(corpus):
     found = 0
     for sq, f in corpus.c_complete_cases:
         verdict = check_c_complete(sq, f, depth=3)
-        assert verdict.found, f"{sq} <- {f}: {verdict.note}"
-        if verdict.cover is not None:
-            assert verdict.cover.depth() <= 3
+        assert verdict.cover is not None, f"{sq} <- {f}: {verdict.note}"
+        assert verdict.cover.depth() <= 3
         found += 1
     bases = sorted({sq.base.name: sq.base for sq in corpus.squares}.values(),
                    key=lambda o: o.name)

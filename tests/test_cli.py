@@ -38,6 +38,7 @@ from kvar.spansite import (
     ToricObject,
     cover_height,
     enumerate_simple_covers,
+    identity_cover,
     identity_span,
     localization_square,
     star_subdivision_square,
@@ -402,7 +403,13 @@ def test_check_corpus_small():
             "cover_monotone"} <= kinds
 
 
-def test_exit_code_contract(tmp_path):
+def _one_error_line(argv, out, err):
+    assert out == "", argv
+    assert err.startswith("kvar: error: "), argv
+    assert err.count("\n") == 1 and "Traceback" not in err, argv
+
+
+def test_exit_code_contract(tmp_path, capsys):
     env_cmd = [sys.executable, "-m", "kvar.cli", "check",
                "--suite", str(FIXTURES / "perturbed_suite.json")]
     proc = subprocess.run(env_cmd, capture_output=True, text=True)
@@ -414,7 +421,7 @@ def test_exit_code_contract(tmp_path):
     assert proc.stdout.endswith("summary: 4 pass, 2 fail, 0 skipped\n")
     ok_cmd = [sys.executable, "-m", "kvar.cli", "eval", "P1"]
     assert subprocess.run(ok_cmd, capture_output=True).returncode == 0
-    # input errors: exit 2 with one line on stderr, never a traceback
+    # input errors: return 2 with one line on stderr, never a traceback
     no_rank = tmp_path / "no_rank.json"
     no_rank.write_text('{"rays": [[1, 0]], "maximal_cones": [[0]]}')
     redundant = tmp_path / "redundant.json"  # A2 with the generator (1, 1), not a ray
@@ -506,12 +513,16 @@ def test_exit_code_contract(tmp_path):
                  ["fan", str(redundant), "--props"],
                  ["fan", str(too_high), "--props", "--class"],
                  ["eval", "P1", "--relations", str(no_slots)]):
+        assert main(argv) == 2, argv
+        _one_error_line(argv, *capsys.readouterr())
+    # and the exit status of a fresh process
+    for argv in (["check", "--suite", str(deep_suite)],
+                 ["check", "--suite", str(tmp_path / "nonexistent.json")],
+                 ["check"]):
         proc = subprocess.run([sys.executable, "-m", "kvar.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 2, argv
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("kvar: error: ")
-        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        _one_error_line(argv, proc.stdout, proc.stderr)
 
 
 def test_json_reports_byte_identical(tmp_path, cli_child_env):
@@ -921,6 +932,40 @@ def test_cover_enumeration_over_a_cyclic_site_ends():
     for depth in range(6):
         assert _cover_monotone(site, x_obj, depth) == \
             _every_depth_cover_monotone(site, x_obj, depth)
+
+
+def _stacked_star_site(x_obj):
+    """A site with the star square of ``x_obj`` at (1, 1) and a star square
+    at (2, 1) over its corner Y, as in demo 04."""
+    site = SitePresentation()
+    sq = site.add_square(star_subdivision_square(x_obj, (1, 1)))
+    site.add_square(star_subdivision_square(sq.Y, (2, 1)))
+    return site
+
+
+def _squares_above_identity_covers(cover, above=0):
+    """For each identity cover the tree reaches through ``upper`` and
+    ``lower``, the number of squares on the way to it."""
+    if cover.square is None:
+        yield above
+    else:
+        for below in (cover.upper, cover.lower):
+            yield from _squares_above_identity_covers(below, above + 1)
+
+
+@pytest.mark.parametrize("site_of", [_stacked_star_site, _cyclic_site])
+def test_a_simple_cover_is_a_tree_of_squares_over_identity_covers(site_of):
+    x_obj = ToricObject("X", toric.builtin_fan("P2"))
+    site = site_of(x_obj)
+    identity = identity_cover(x_obj).key()
+    for depth in range(3):
+        covers = enumerate_simple_covers(site, x_obj, depth)
+        for cover in covers:
+            above = list(_squares_above_identity_covers(cover))
+            assert (cover.square is None) == (cover.key() == identity)
+            assert len(cover.leaves()) == len(above)
+            assert cover.depth() == max(above)
+        assert max(cover.depth() for cover in covers) == depth
 
 
 def test_a_cover_monotone_answer_is_keyed_by_the_squares_not_only_the_fan():

@@ -87,12 +87,11 @@ def test_kvar_modules_use_every_name_they_import():
 NO_COMMAND_REACHES = {
     "cli.Report.to_json_text":
         "perfbench's worker serialises a report through it and times it",
-    "cli._too_long":
-        "the note for a class or value past the interpreter's int-string digit limit",
     "kring.expr_size":
         "perfbench counts the nodes of each eval tree with it",
     "spansite.SimpleCover.depth":
-        "a cover's depth, printed by its repr and bounded by the c_complete tests",
+        "the height of a cover's tree of squares, printed by its repr; the c_complete "
+        "tests read it as the number of square steps of the cover found",
 }
 
 
@@ -198,7 +197,8 @@ def _reached(tmp_path, env):
     """What a fresh process reaches: the size-10 battery, the suite fixture,
     a suite over Hirzebruch(2) and over A2, whose fan is not complete,
     README's evals, a relation file, two fan files (the second a rank-3
-    torus), a parse error and the demos.  A fresh process starts with empty
+    torus), a parse error, a class with a coefficient too long to print and
+    the demos.  A fresh process starts with empty
     intern tables and kept fans."""
     relations = tmp_path / "relations.json"
     relations.write_text(json.dumps([  # an axiom-checked relation over builtins
@@ -221,7 +221,8 @@ def _reached(tmp_path, env):
             ["eval", "S + P1", "--relations", str(relations)],
             ["fan", str(fan), "--props", "--class", "--complete"],
             ["fan", str(torus), "--complete"],
-            ["eval", "P2 + $"]]
+            ["eval", "P2 + $"],
+            ["eval", "9" * 2200 + "*" + "9" * 2200]]
     demos = [str(path) for path in sorted((ROOT / "demos").glob("*.py"))]
     proc = subprocess.run([sys.executable, "-c", REACH_CHILD, json.dumps([runs, demos])],
                           capture_output=True, text=True, env=env, timeout=60)

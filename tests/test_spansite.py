@@ -11,11 +11,9 @@ from hypothesis import given, settings, strategies as st
 from kvar import corpus, kring, toric
 from kvar.spansite import (
     DistinguishedSquare,
-    IsoNode,
     SitePresentation,
     SpanError,
     SpanMorphism,
-    SquareNode,
     ToricLocusObject,
     ToricObject,
     check_c_complete,
@@ -214,10 +212,10 @@ def test_the_builder_gives_a_star_square_its_kind():
 
 
 def _cover_squares(cover):
-    if isinstance(cover.node, SquareNode):
-        yield cover.node.square
-        yield from _cover_squares(cover.node.over_upper)
-        yield from _cover_squares(cover.node.over_lower)
+    if cover.square is not None:
+        yield cover.square
+        yield from _cover_squares(cover.upper)
+        yield from _cover_squares(cover.lower)
 
 
 def test_every_square_behind_a_c_complete_cover_validates():
@@ -225,7 +223,7 @@ def test_every_square_behind_a_c_complete_cover_validates():
     squares = {}
     for sq, f in corp.c_complete_cases:
         verdict = check_c_complete(sq, f)
-        if verdict.found:
+        if verdict.cover is not None:
             squares.update((id(s), s) for s in _cover_squares(verdict.cover))
     refinements = [s for s in squares.values() if isinstance(s.provenance, tuple)
                    and s.kind == "abstract_blowup"]
@@ -240,7 +238,7 @@ def test_each_leg_runs_between_the_corners_the_diagram_names():
     squares = {id(sq): sq for sq in corp.squares + corp.loc_squares}
     for sq, f in corp.c_complete_cases:
         verdict = check_c_complete(sq, f)
-        if verdict.found:
+        if verdict.cover is not None:
             squares.update((id(s), s) for s in _cover_squares(verdict.cover))
     assert len(squares) == 210  # the 121 corpus squares are in covers too
     for sq in squares.values():
@@ -295,11 +293,11 @@ def test_one_identity_cover_per_object_in_one_enumeration(p2):
     identities = {}
 
     def walk(cover):
-        if isinstance(cover.node, IsoNode):
+        if cover.square is None:
             identities.setdefault(cover.root, set()).add(id(cover))
         else:
-            walk(cover.node.over_upper)
-            walk(cover.node.over_lower)
+            walk(cover.upper)
+            walk(cover.lower)
 
     covers = enumerate_simple_covers(site, sq2.base, 2)
     for cover in covers:
@@ -333,27 +331,27 @@ def test_cover_replay_matches_leaves(p2):
 
 def test_c_complete_identity_and_legs(p2):
     sq = star_subdivision_square(p2, (1, 1))
-    assert check_c_complete(sq, identity_span(p2)).found
-    assert check_c_complete(sq, sq.p_leg).found
-    assert check_c_complete(sq, sq.i_leg).found
-    assert check_c_complete(sq, zero_span(sq.Y, p2)).found
+    assert check_c_complete(sq, identity_span(p2)).cover is not None
+    assert check_c_complete(sq, sq.p_leg).cover is not None
+    assert check_c_complete(sq, sq.i_leg).cover is not None
+    assert check_c_complete(sq, zero_span(sq.Y, p2)).cover is not None
 
 
 def test_c_complete_at_depth_zero_finds_the_covers_of_depth_zero(p2):
     sq = star_subdivision_square(p2, (1, 1))
     for f in (zero_span(sq.Y, p2), sq.p_leg):
         verdict = check_c_complete(sq, f, depth=0)
-        assert verdict.found and verdict.depth_used == 0
+        assert verdict.cover.depth() == 0
     # the identity needs the square itself: one application of the rule
     verdict = check_c_complete(sq, identity_span(p2), depth=1)
-    assert verdict.found and verdict.depth_used == 1
+    assert verdict.cover.depth() == 1
 
 
 def test_c_complete_pullback_along_other_blowdown(p2):
     sq = star_subdivision_square(p2, (1, 1))
     other = star_subdivision_square(p2, (1, 2))
     verdict = check_c_complete(sq, other.p_leg)
-    assert verdict.found and verdict.cover is not None
+    assert verdict.cover is not None
     assert verdict.cover.depth() <= 3
 
 
@@ -362,7 +360,7 @@ def test_c_complete_open_immersion_into_blowup_base(p2):
     sq = star_subdivision_square(a2, (1, 1))
     f = SpanMorphism(p2, a2, frozenset(a2.fan.cones))
     verdict = check_c_complete(sq, f)
-    assert verdict.found
+    assert verdict.cover is not None
     assert "larger fan" in verdict.note
 
 
@@ -372,7 +370,7 @@ def test_c_complete_localization_restriction_span(p2):
     alt = ToricObject("Q", builtin_fan("P1xP1"))
     f = SpanMorphism(alt, lsq.base, a2_cones)
     verdict = check_c_complete(lsq, f)
-    assert verdict.found
+    assert verdict.cover is not None
     assert verdict.cover.depth() <= 3
 
 
@@ -382,7 +380,7 @@ def test_c_complete_localization_refinement_onto_base(p2):
     bl = toric.star_subdivide(builtin_fan("A2"), (1, 1)).fan
     f = SpanMorphism(ToricObject("Bl", bl), lsq.base, frozenset(bl.cones))
     verdict = check_c_complete(lsq, f)
-    assert verdict.found
+    assert verdict.cover is not None
 
 
 def test_c_complete_of_a_full_window_span_that_is_not_proper(p2):
@@ -392,11 +390,10 @@ def test_c_complete_of_a_full_window_span_that_is_not_proper(p2):
     from kvar.spansite import _proper_status
     skeleton = ToricObject("U", p2.fan.subfan(c for c in p2.fan.cones if c.dim <= 1))
     f = SpanMorphism(skeleton, p2, skeleton.fan.cones, "inclusion")
-    assert _proper_status(f).status == "fail"
+    assert _proper_status(f) == "fail"
     sq = star_subdivision_square(p2, (1, 1))
     verdict = check_c_complete(sq, f)
-    assert (verdict.found, verdict.cover, verdict.depth_used, verdict.note) == (
-        False, None, None, "not proper")
+    assert (verdict.cover, verdict.note) == (None, "not proper")
 
 
 def test_c_complete_not_found_is_reported(p2):
@@ -407,8 +404,7 @@ def test_c_complete_not_found_is_reported(p2):
     f = SpanMorphism(z, p2, frozenset(builtin_fan("A2").cones))
     assert f.window not in (z.cones, sq.base.cones)
     verdict = check_c_complete(sq, f)
-    assert (verdict.found, verdict.cover, verdict.depth_used, verdict.note) == (
-        False, None, None, "no toric-representable pullback found")
+    assert (verdict.cover, verdict.note) == (None, "no toric-representable pullback found")
 
 
 def _star_square_and_its_locus_through_the_center(p2):
@@ -447,8 +443,7 @@ NOT_FOUND = {
 def test_c_complete_says_why_it_found_no_cover(p2, note):
     sq, f, depth = NOT_FOUND[note](p2)
     verdict = check_c_complete(sq, f, depth)
-    assert (verdict.found, verdict.cover, verdict.depth_used, verdict.note) == (
-        False, None, None, note)
+    assert (verdict.cover, verdict.note) == (None, note)
 
 
 def test_a_cover_found_by_construction_lies_in_the_pulled_back_sieve(p2):
@@ -489,9 +484,9 @@ def test_c_complete_pulls_a_rank_three_square_back_along_another_blowdown(
     sq = star_subdivision_square(x, square_ray)
     other = star_subdivision_square(x, other_ray)
     verdict = check_c_complete(sq, other.p_leg)
-    assert (verdict.found, verdict.depth_used, verdict.note) == (
-        True, 1, "pulled-back square via common refinement")
-    refinement = verdict.cover.node.square
+    assert (verdict.cover.depth(), verdict.note) == (
+        1, "pulled-back square via common refinement")
+    refinement = verdict.cover.square
     assert refinement.base is other.Y and refinement.Y.fan.is_smooth() is smooth
     assert refinement.Y.fan == toric.common_refinement(other.Y.fan, sq.Y.fan)
     for square in _cover_squares(verdict.cover):
@@ -515,10 +510,10 @@ def test_c_complete_glues_a_rank_three_refinement_only_into_a_fan(ray, found, no
     lsq = _rank_three_localization()
     z = toric.star_subdivide(lsq.base.fan, ray).fan
     verdict = check_c_complete(lsq, SpanMorphism(ToricObject("Z", z), lsq.base, z.cones))
-    assert (verdict.found, verdict.note) == (found, note)
+    assert (verdict.cover is not None, verdict.note) == (found, note)
     if found:
-        assert verdict.depth_used == 1
-        report = validate_square(verdict.cover.node.square)
+        assert verdict.cover.depth() == 1
+        report = validate_square(verdict.cover.square)
         assert report.ok and report.jointly_surjective
 
 
@@ -528,8 +523,8 @@ def test_c_complete_over_a_completion_of_another_support_is_not_found(p2):
     # A2 and the cone of (0, 1), (-1, 0): not complete, so not a completion
     other = toric.Fan.from_cones(2, [Cone(2, [(1, 0), (0, 1)]), Cone(2, [(0, 1), (-1, 0)])])
     verdict = check_c_complete(lsq, SpanMorphism(ToricObject("X'", other), lsq.base, a2_cones))
-    assert (verdict.found, verdict.cover, verdict.depth_used, verdict.note) == (
-        False, None, None, "the fans have different supports: no common refinement")
+    assert (verdict.cover, verdict.note) == (
+        None, "the fans have different supports: no common refinement")
 
 
 # -- dimension compatibility ---------------------------------------------------------
@@ -617,12 +612,13 @@ def test_a_rank_three_refinement_is_decided_proper():
     for ray in ((1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)):
         barycentric = toric.star_subdivide(barycentric, ray).fan
     assert len([c for c in barycentric.cones if c.dim == 3]) == 6
+    # neither the target fan nor complete: the support comparison decides
+    assert barycentric.cones != octant.cones and not barycentric.is_complete()
     a3 = ToricObject("A3", octant)
-    entry = _proper_status(SpanMorphism(ToricObject("Y", barycentric), a3, barycentric.cones))
-    assert (entry.status, entry.note) == ("pass", "window support equals target support")
+    assert _proper_status(SpanMorphism(ToricObject("Y", barycentric), a3,
+                                       barycentric.cones)) == "pass"
     holed = toric.Fan.from_cones(3, barycentric.maximal_cones[1:])
-    entry = _proper_status(SpanMorphism(ToricObject("Y0", holed), a3, holed.cones))
-    assert entry.status == "fail"
+    assert _proper_status(SpanMorphism(ToricObject("Y0", holed), a3, holed.cones)) == "fail"
 
 
 # -- sites -----------------------------------------------------------------------
@@ -663,7 +659,7 @@ def test_spans_that_differ_only_in_object_names_are_equal_and_compose(p2):
     assert compose(identity_span(p2), sq.p_leg) == sq.p_leg
     assert compose(across, compose(sq.p_leg, identity_span(sq.Y))) == sq.p_leg
     verdict = check_c_complete(sq, identity_span(p2))
-    assert verdict.found and verdict.depth_used == 1
+    assert verdict.cover.depth() == 1
 
 
 def _p2():
