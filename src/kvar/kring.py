@@ -244,23 +244,17 @@ class Prod(Expr):
 
 
 @dataclass(frozen=True)
-class BlowupTotal(Expr):
-    """Total space Bl(X;C) of a declared blowup relation."""
+class SquareTerm(Expr):
+    """``head(x;c)`` of a declared blowup relation: its total space for the
+    head ``Bl``, its exceptional divisor for ``E``."""
+    head: str
     x: str
     c: str
     relation_index: int
 
 
-@dataclass(frozen=True)
-class ExcDivisor(Expr):
-    """Exceptional divisor E(X;C) of a declared blowup relation."""
-    x: str
-    c: str
-    relation_index: int
-
-
-# the generator slot a square node names in its relation
-_SQUARE_ROLES = {BlowupTotal: "Y", ExcDivisor: "E"}
+# each square head -> the slot of its relation it stands for
+_SQUARE_HEADS = {"Bl": "Y", "E": "E"}
 
 
 def _fold(expr: Expr, leaf, branch):
@@ -292,8 +286,7 @@ def expr_size(expr: Expr) -> int:
 _LEAF_TEXT = {
     Lit: lambda node: str(node.value),
     Gen: lambda node: node.name,
-    BlowupTotal: lambda node: f"Bl({node.x};{node.c})",
-    ExcDivisor: lambda node: f"E({node.x};{node.c})",
+    SquareTerm: lambda node: f"{node.head}({node.x};{node.c})",
 }
 
 
@@ -331,10 +324,24 @@ def expr_to_text(expr: Expr) -> str:
 
 _BUILTIN_SERIES = re.compile(r"^([AP])(\d+)$")
 
-OPEN_ROLES = ("X", "U", "complement")
-BLOWUP_ROLES = ("E", "Y", "C", "X")
+# each builtin outside the A<n> and P<n> series -> (dimension, compact, class)
+_BUILTINS = {
+    "pt": (0, True, ONE),
+    "empty": (-1, True, KClass.zero()),
+    "Gm": (1, False, L - ONE),
+    "L": (1, False, L),
+}
 
-RELATION_KINDS = ("open", "abstract_blowup", "smooth_blowup")
+# each relation kind -> its roles in canonical order, each with its sign in
+# the relation read as (sum) = 0 and its priority for elimination on a
+# dimension tie: the total space of the decomposition ([X] -> [U] + [X \ U])
+# and the blowup total space ([Y] -> [X] + [E] - [C]) go first, matching the
+# canonical orientations
+_ROLES = {
+    "open": {"X": (1, 2), "U": (-1, 0), "complement": (-1, 1)},
+    **dict.fromkeys(("abstract_blowup", "smooth_blowup"),
+                    {"E": (1, 1), "Y": (-1, 3), "C": (-1, 0), "X": (1, 2)}),
+}
 
 
 @dataclass(frozen=True)
@@ -345,14 +352,9 @@ class GenInfo:
 
 
 def builtin_info(name: str) -> Optional[GenInfo]:
-    if name == "pt":
-        return GenInfo("pt", 0, True)
-    if name == "empty":
-        return GenInfo("empty", -1, True)
-    if name == "Gm":
-        return GenInfo("Gm", 1, False)
-    if name == "L":
-        return GenInfo("L", 1, False)
+    known = _BUILTINS.get(name)
+    if known is not None:
+        return GenInfo(name, known[0], known[1])
     series = _builtin_series(name)
     if series:
         letter, n = series
@@ -362,14 +364,9 @@ def builtin_info(name: str) -> Optional[GenInfo]:
 
 def builtin_class(name: str) -> Optional[KClass]:
     """Cellular reduction of a builtin generator, or None."""
-    if name == "pt":
-        return ONE
-    if name == "empty":
-        return KClass.zero()
-    if name == "Gm":
-        return L - ONE
-    if name == "L":
-        return L
+    known = _BUILTINS.get(name)
+    if known is not None:
+        return known[2]
     series = _builtin_series(name)
     if series:
         letter, n = series
@@ -395,15 +392,6 @@ def _builtin_series(name: str) -> Optional[tuple]:
             f"{sys.get_int_max_str_digits()}-digit int-string limit") from None
 
 
-# which slot a rewrite eliminates first on a dimension tie: the total space
-# of the decomposition ([X] -> [U] + [X \ U]) and the blowup total space
-# ([Y] -> [X] + [E] - [C]), matching the canonical orientations
-_ROLE_PRIORITY = {
-    "open": {"X": 2, "complement": 1, "U": 0},
-    "blowup": {"Y": 3, "X": 2, "E": 1, "C": 0},
-}
-
-
 @dataclass(frozen=True)
 class Relation:
     kind: str
@@ -418,18 +406,15 @@ class Relation:
 
     def signed_support(self) -> dict:
         """Coefficients of the relation read as (sum) = 0."""
-        if self.kind == "open":
-            signs = {"X": 1, "U": -1, "complement": -1}
-        else:
-            signs = {"E": 1, "X": 1, "C": -1, "Y": -1}
+        roles = _ROLES[self.kind]
         support: dict = {}
         for role, name in self.slots:
-            support[name] = support.get(name, 0) + signs[role]
+            support[name] = support.get(name, 0) + roles[role][0]
         return {n: c for n, c in support.items() if c}
 
     def role_priority(self, name: str) -> int:
-        table = _ROLE_PRIORITY["open" if self.kind == "open" else "blowup"]
-        return max(table[r] for r, n in self.slots if n == name)
+        roles = _ROLES[self.kind]
+        return max(roles[r][1] for r, n in self.slots if n == name)
 
 
 class RelationSet:
@@ -484,9 +469,9 @@ class RelationSet:
     def add_relation(self, kind: str, slots: Mapping[str, str],
                      dims: Optional[Mapping[str, int]] = None,
                      compact: Optional[Mapping[str, bool]] = None) -> Relation:
-        if kind not in RELATION_KINDS:
+        if kind not in _ROLES:
             raise InvalidRelationError(f"unknown relation kind {kind!r}")
-        roles = OPEN_ROLES if kind == "open" else BLOWUP_ROLES
+        roles = tuple(_ROLES[kind])
         if set(slots) != set(roles):
             raise InvalidRelationError(
                 f"{kind} relation needs slots {roles}, got {tuple(slots)}"
@@ -573,7 +558,8 @@ class RelationSet:
         The target is the largest slot by (dimension, role priority, name)
         among those not already reducible; orientation toward the total
         space makes the rewrite descend on relation sets of geometric
-        origin, and genuine cycles are caught by the recursion guard.
+        origin, and genuine cycles are caught by the path check of
+        ``_resolve``.
         Returns None for a vacuous relation (everything cancels, e.g. the
         degenerate square E=C, Y=X) or one whose slots are all reducible
         (then it is an axiom, verified at declaration time).
@@ -606,69 +592,63 @@ class RelationSet:
         return self._index
 
     def _resolve(self, name: str, counter: "_Budget") -> KClass:
-        """The canonical class of a generator, depth first over its
+        """The canonical class of a generator, post-order over its
         candidate relations, on an explicit stack instead of recursion.
 
-        Every candidate relation costs one budget step and must give the
-        same class as the first; a generator met again on the path from
-        ``name`` is a cycle.  Finished classes are cached.
+        Entering a generator with candidates costs one budget step and
+        pushes, above a ``(generator,)`` marker that finishes it, the
+        replacement generators of each candidate left to right, each
+        candidate after the first behind a ``[generator]`` marker that
+        costs one more step.  Every candidate must give the same class as
+        the first; a generator met again on the path from ``name`` is a
+        cycle.  Finished classes are cached.
         """
         resolved = self._resolved
-        frames: list = []  # generators being eliminated, outermost first
-        path: set = set()  # their names
-        pending = name     # a generator to enter next, or None
-        value = None       # the class last finished, for the top frame
-        while True:
-            if pending is not None:
-                value = resolved.get(pending)
-                if value is None:
-                    if pending in path:
-                        raise CyclicRelationError(
-                            f"cyclic rewriting through {pending!r}: "
-                            "the relation set is not well founded"
+        path: set = set()  # generators entered and not yet finished
+        stack: list = [name]
+        while stack:
+            item = stack.pop()
+            if type(item) is list:  # a later candidate of item[0] starts
+                counter.step(item[0])
+            elif type(item) is tuple:  # every candidate of item[0] is resolved
+                gen = item[0]
+                classes = []
+                for rel, replacement in self._rewrite_index()[gen]:
+                    terms: dict = {}
+                    for part, coeff in replacement:
+                        _add_terms(terms, resolved[part]._terms, coeff)
+                    classes.append((rel, KClass(terms)))
+                (first_rel, first), *others = classes
+                for rel, other in others:
+                    if other != first:
+                        raise InconsistentRelationsError(
+                            f"relations {first_rel.index} and {rel.index} force "
+                            f"different canonical forms for {gen!r}: "
+                            f"{first} vs {other}"
                         )
-                    value = builtin_class(pending)
-                    if value is None and self.info(pending).dim == -1:
-                        value = KClass.zero()  # dimension -1 means isomorphic to empty
-                    if value is None:
-                        candidates = self._rewrite_index().get(pending)
-                        if candidates:
-                            counter.step(pending)
-                            frames.append(_Frame(pending, candidates))
-                            path.add(pending)
-                        else:
-                            value = KClass.generator(pending)
-                    if value is not None:
-                        resolved[pending] = value
-                pending = None
-            if not frames:
-                return value
-            frame = frames[-1]
-            rel, replacement = frame.candidates[frame.k]
-            if value is not None:
-                _add_terms(frame.acc, value._terms, replacement[frame.j][1])
-                frame.j += 1
-                value = None
-            if frame.j < len(replacement):
-                pending = replacement[frame.j][0]
-                continue
-            frame.results.append((rel, KClass(frame.acc)))
-            frame.k += 1
-            if frame.k < len(frame.candidates):
-                counter.step(frame.name)
-                frame.j, frame.acc = 0, {}
-                continue
-            (first_rel, first), *others = frame.results
-            for rel, other in others:
-                if other != first:
-                    raise InconsistentRelationsError(
-                        f"relations {first_rel.index} and {rel.index} force "
-                        f"different canonical forms for {frame.name!r}: "
-                        f"{first} vs {other}"
+                path.discard(gen)
+                resolved[gen] = first
+            elif item not in resolved:
+                if item in path:
+                    raise CyclicRelationError(
+                        f"cyclic rewriting through {item!r}: "
+                        "the relation set is not well founded"
                     )
-            frames.pop()
-            path.discard(frame.name)
-            resolved[frame.name] = value = first
+                value = builtin_class(item)
+                if value is None and self.info(item).dim == -1:
+                    value = KClass.zero()  # dimension -1 means isomorphic to empty
+                candidates = self._rewrite_index().get(item) if value is None else None
+                if not candidates:
+                    resolved[item] = KClass.generator(item) if value is None else value
+                    continue
+                counter.step(item)
+                path.add(item)
+                stack.append((item,))
+                for k in reversed(range(len(candidates))):
+                    stack += [part for part, _ in reversed(candidates[k][1])]
+                    if k:
+                        stack.append([item])
+        return resolved[name]
 
     # -- I/O -----------------------------------------------------------------
 
@@ -725,20 +705,6 @@ def _field(rec: dict, i: int, key: str, kind: type, default=_REQUIRED,
         return value
     what = f"an object of {_JSON_NAMES[values][1]}" if values else _JSON_NAMES[kind][0]
     raise InvalidRelationError(f"relation record {i}: field {key!r} must be {what}")
-
-
-class _Frame:
-    """A generator under elimination in ``RelationSet._resolve``: its
-    candidates, the candidate ``k`` and replacement slot ``j`` being
-    resolved, that candidate's class so far, and the finished ones."""
-    __slots__ = ("name", "candidates", "k", "j", "acc", "results")
-
-    def __init__(self, name: str, candidates: list):
-        self.name = name
-        self.candidates = candidates
-        self.k = self.j = 0
-        self.acc: dict = {}
-        self.results: list = []
 
 
 class _Budget:
@@ -836,7 +802,6 @@ def standard_relations() -> RelationSet:
 # it.  Positions are found only on an error, by cutting the text again.
 
 _TOKENS = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|[+\-*();]|\S")
-_SQUARE_HEADS = ("Bl", "E")
 
 
 def _is_name(token: str) -> bool:
@@ -919,9 +884,7 @@ class _Parser:
             rel = self.rels.find_blowup(x, c)
         except RelationLookupError as exc:
             raise self._error(str(exc), i, i + 6) from None
-        if head == "Bl":
-            return BlowupTotal(x, c, rel.index)
-        return ExcDivisor(x, c, rel.index)
+        return SquareTerm(head, x, c, rel.index)
 
     def _expect(self, symbol: str, i: int) -> None:
         if self.tokens[i] != symbol:
@@ -979,9 +942,10 @@ def parse_expr(text: str, rels: Optional[RelationSet] = None) -> Expr:
 # ---------------------------------------------------------------------------
 # normalization
 
-def _square_slot(node: Expr, rels: RelationSet) -> str:
-    """The generator a Bl/E/complement node stands for."""
-    return rels.relations[node.relation_index].slot(_SQUARE_ROLES[type(node)])
+def _square_slot(node: SquareTerm, rels: RelationSet) -> str:
+    """The generator a square term stands for: the slot of its relation
+    that its head names."""
+    return rels.relations[node.relation_index].slot(_SQUARE_HEADS[node.head])
 
 
 def _as_expr(expr: Union[Expr, str, KClass], rels: RelationSet) -> Union[Expr, KClass]:
@@ -1043,8 +1007,8 @@ def normalize(expr: Union[Expr, str, KClass],
                 stack.append((arg, 1, factors[-1]))
         elif isinstance(node, Lit):
             acc[(0, ())] = acc.get((0, ()), 0) + sign * node.value
-        elif isinstance(node, (BlowupTotal, ExcDivisor)):
-            _add_terms(acc, rels._resolve(_square_slot(node, rels), counter)._terms, sign)
+        elif isinstance(node, SquareTerm):
+            stack.append((Gen(_square_slot(node, rels)), sign, acc))
         else:
             raise TypeError(f"not an expression node: {node!r}")
     return KClass(total)
@@ -1101,11 +1065,10 @@ def expr_dim(expr: Expr, rels: RelationSet) -> int:
     """Dimension upper bound of an expression: max over sums, additive over
     products, declared dimension on generators."""
     def leaf(node: Expr) -> int:
+        if isinstance(node, SquareTerm):
+            node = Gen(_square_slot(node, rels))
         if isinstance(node, Gen):
             return rels.info(node.name).dim
-        if isinstance(node, (BlowupTotal, ExcDivisor)):
-            rel = rels.relations[node.relation_index]
-            return max(rels.info(n).dim for _, n in rel.slots)
         if isinstance(node, Lit):
             return -1 if node.value == 0 else 0
         raise TypeError(f"not an expression node: {node!r}")
@@ -1120,6 +1083,8 @@ def expr_dim(expr: Expr, rels: RelationSet) -> int:
 
 def _all_compact(expr: Expr, rels: RelationSet) -> bool:
     def leaf(node: Expr) -> bool:
+        if isinstance(node, SquareTerm):
+            node = Gen(_square_slot(node, rels))
         return rels.info(node.name).compact if isinstance(node, Gen) else isinstance(node, Lit)
 
     return _fold(expr, leaf, lambda node, values: all(values))
@@ -1141,7 +1106,7 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
     presenting: set = set()  # generators whose boundary is being presented
 
     def transform(e: Expr) -> Expr:
-        if isinstance(e, (BlowupTotal, ExcDivisor)):
+        if isinstance(e, SquareTerm):
             e = Gen(_square_slot(e, rels))
         if isinstance(e, Lit):
             return e

@@ -462,7 +462,7 @@ class Fan:
     face is enumerated on the way.
     """
 
-    __slots__ = ("rank", "cones", "_hash", "_by_rays", "_flags", "__weakref__")
+    __slots__ = ("rank", "cones", "_hash", "_flags", "__weakref__")
 
     _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
@@ -486,14 +486,18 @@ class Fan:
         inst.rank = rank
         inst.cones = cone_set
         inst._hash = hash(key)
-        inst._by_rays = {c.rays: c for c in cone_set}
         inst._flags = {}
         cls._interned[key] = inst
         return inst
 
     def _check_pairwise(self) -> None:
-        cones = sorted(self.cones, key=lambda c: c.rays)
-        for a, b in itertools.combinations(cones, 2):
+        """The fan condition: each two cones meet in a common face.  Pairs
+        of maximal cones are enough, since every cone is a face of one.  If
+        F = s & t is a face of s and of t, and s' and t' are faces of s and
+        t, then s' & t' = (s' & F) & (t' & F) is a meet of two faces of F,
+        so a face of F, hence of s, and it lies in s', so it is a face of
+        s'; and of t' likewise."""
+        for a, b in itertools.combinations(self.maximal_cones, 2):
             meet = a.intersect(b)
             if not (meet.is_face_of(a) and meet.is_face_of(b)):
                 raise FanConditionError(
@@ -530,10 +534,13 @@ class Fan:
         return self.is_empty() or self.is_complete()
 
     def contains_cone(self, cone: Cone) -> bool:
-        return cone.rays in self._by_rays
+        return cone in self.cones
 
     def smallest_containing(self, point: Sequence[int]) -> Optional[Cone]:
-        return self._relint_holding(tuple(point))
+        point = tuple(point)
+        if len(point) != self.rank:
+            raise ToricError(f"point {point} does not have length {self.rank}")
+        return self._relint_holding(point)
 
     @kept
     def _relint_holding(self, point: Vector) -> Optional[Cone]:
@@ -546,9 +553,8 @@ class Fan:
         A cone of the fan is its own answer, found by lookup, since the
         relative interiors of fan cones are disjoint.
         """
-        found = self._by_rays.get(cone.rays)
-        if found is not None:
-            return found
+        if cone in self.cones:
+            return cone
         return self.smallest_containing(cone.representative())
 
     def smallest_containing_cone(self, cone: Cone) -> Optional[Cone]:
@@ -558,9 +564,8 @@ class Fan:
         most one fan cone; containment additionally needs every ray inside,
         which is decided once per cone.
         """
-        container = self._by_rays.get(cone.rays)
-        if container is not None:
-            return container
+        if cone in self.cones:
+            return cone
         return self._containing_cone(cone)
 
     @kept

@@ -190,6 +190,19 @@ def test_fan_command(tmp_path):
     assert sorted(completed["rays"]) == [[-1, -1], [0, 1], [1, 0]]
 
 
+def test_the_fan_condition_of_an_orthant_is_checked_on_its_maximal_cones(tmp_path, capsys):
+    # A^6 is one smooth cone: its 64 faces make 2,016 pairs, its maximal cones none
+    path = tmp_path / "orthant.json"
+    path.write_text(json.dumps({"rank": 6, "rays": [[int(i == j) for j in range(6)]
+                                                    for i in range(6)],
+                                "maximal_cones": [list(range(6))]}))
+    started = time.perf_counter()
+    assert main(["fan", str(path), "--props", "--format", "json"]) == 0
+    assert time.perf_counter() - started < 1.0
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    assert record["lhs"] == {"complete": False, "smooth": True, "dimension": 6}
+
+
 def test_fan_complete_past_rank_two_is_the_automatic_completion(tmp_path, capsys):
     # a rank-3 torus completes to (P1)^3 and a complete fan to itself; any
     # other rank-3 fan has no automatic completion and fails its record

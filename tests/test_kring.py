@@ -362,6 +362,18 @@ def test_compactification_lookup_reads_a_builtin_index_as_the_parser_does():
         CompactificationTable().lookup("A0")
 
 
+def test_a_square_term_is_its_generator_in_every_walker():
+    # Bl(P2;pt) is BlP2pt and E(P2;pt) is P1 in the compactness and
+    # dimension checks of g_map, as in normalize
+    rels = standard_relations()
+    rels.declare_generator("U", 2)
+    assert expr_dim(parse_expr("E(P2;pt)", rels), rels) == 1
+    for compact, boundary in (("BlP2pt", "P1"), ("Bl(P2;pt)", "P1"), ("BlP2pt", "E(P2;pt)")):
+        table = CompactificationTable()
+        table.set("U", compact, boundary, rels)
+        assert g_map("U", table, rels).kclass == lpoly(0, 1, 1)
+
+
 def test_g_map_rejects_a_boundary_that_names_its_generator():
     # 0*U has dimension -1, so only the generator check stops the expansion
     rels = RelationSet()
@@ -459,6 +471,24 @@ def test_deep_blowup_tower_resolves_in_linear_time():
     started = time.perf_counter()
     assert normalize("X1200", rels) == lpoly(1, 1201, 1)
     assert time.perf_counter() - started < 1.0
+
+
+def test_a_later_candidate_pays_its_step_once_the_one_before_is_resolved():
+    # entering X<k> costs a step, and its second candidate one more once
+    # the first is resolved: the 1,000 entries are paid from X1000 down, then
+    # the second candidates from X1 up, so the last step is X1000's
+    def tower():
+        rels = point_blowup_tower(1000)
+        for rel in list(rels.relations):
+            rels.add_relation(rel.kind, dict(rel.slots))
+        return rels
+
+    started = time.perf_counter()
+    assert normalize("X1000", tower(), budget=2000) == lpoly(1, 1001, 1)
+    assert time.perf_counter() - started < 1.0
+    with pytest.raises(RewriteBudgetError, match=r"^rewrite budget of 1999 exceeded while "
+                       "eliminating 'X1000'; "):
+        normalize("X1000", tower(), budget=1999)
 
 
 def test_long_sums_walk_without_recursion():

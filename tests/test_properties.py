@@ -9,8 +9,8 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from kvar import cli
-from kvar.kring import (CompactificationTable, Expr, KClass, Lit, ParseError, Sum, expr_to_text,
-                        g_map, normalize, parse_expr, standard_relations)
+from kvar.kring import (CompactificationTable, Expr, KClass, Lit, ParseError, RelationSet, Sum,
+                        expr_to_text, g_map, normalize, parse_expr, standard_relations)
 from kvar.measures import MeasureSpec, apply_measure
 from kvar.toric import MAX_FAN_FILE_RANK, sort_rays_ccw
 
@@ -88,6 +88,41 @@ def test_a_long_sum_normalizes_to_its_scaled_closed_form(pattern):
     for plus, text in pattern:
         closed = closed + normalize(text).scale(1 if plus else -1)
     assert normalize(tree) == closed.scale(repeats)
+
+
+def _towers_and_opens():
+    """The records of point-blowup towers over P2 and P3, each level
+    X<k> = Bl(X<k-1>; pt) with exceptional divisor P^(n-1), and of opens
+    V = X<k> + A^(n-1) and W = V + pt over them, with each generator's
+    class in closed form: [X<k>] = [P^n] + k ([P^(n-1)] - 1)."""
+    records, classes = [], {}
+    for n in (2, 3):
+        below = f"P{n}"
+        for k in range(1, 7):
+            name, v, w = f"T{n}x{k}", f"T{n}v{k}", f"T{n}w{k}"
+            records.append({"kind": "smooth_blowup",
+                            "slots": {"E": f"P{n - 1}", "Y": name, "C": "pt", "X": below},
+                            "dims": {name: n, below: n}, "compact": {name: True, below: True}})
+            classes[name] = normalize(f"P{n} + {k}*(P{n - 1} - 1)")
+            records.append({"kind": "open",
+                            "slots": {"X": v, "U": name, "complement": f"A{n - 1}"},
+                            "dims": {v: n, name: n}, "compact": {name: True}})
+            classes[v] = classes[name] + normalize(f"A{n - 1}")
+            records.append({"kind": "open", "slots": {"X": w, "U": v, "complement": "pt"},
+                            "dims": {w: n, v: n}})
+            classes[w] = classes[v] + normalize("pt")
+            below = name
+    return records, classes
+
+
+TOWER_RECORDS, TOWER_CLASSES = _towers_and_opens()
+
+
+@given(st.permutations(TOWER_RECORDS), st.permutations(sorted(TOWER_CLASSES)))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_a_relation_file_gives_each_generator_one_class_in_any_order(records, names):
+    rels = RelationSet.from_json(records)
+    assert {name: normalize(name, rels) for name in names} == TOWER_CLASSES
 
 
 @given(expressions)

@@ -720,6 +720,10 @@ def _star_square_as(kind, drop=()):
                                         _p2_less_a_point(), builtin_fan("P1xP1")),
                  kring.MissingCompactificationError, "does not contain the fan",
                  id="completion without the fan"),
+    pytest.param(lambda: extend_measure(MeasureOnCompacts(MeasureSpec("e_poly")),
+                                        ToricObject("Gm", builtin_fan("Gm")), builtin_fan("P2")),
+                 kring.MissingCompactificationError, "does not contain the fan",
+                 id="completion of another rank"),
 ])
 def test_a_malformed_site_datum_raises_a_typed_error(build, error, match):
     with pytest.raises(error, match=match):

@@ -385,8 +385,9 @@ def test_build_fan_rejects_bad_input():
         build_fan(2, [(2, 0), (0, 1)], [(0, 1)])
     with pytest.raises(NotStronglyConvexError):
         build_fan(2, [(1, 0), (-1, 0)], [(0, 1)])
-    # two quadrant cones overlapping in a non-face
-    with pytest.raises(FanConditionError):
+    # two quadrant cones overlapping in a non-face, named as the maximal pair
+    with pytest.raises(FanConditionError, match=r"^cones Cone\(\(0, 1\), \(1, 0\)\) and "
+                       r"Cone\(\(0, 1\), \(1, 2\)\) intersect in "):
         build_fan(2, [(1, 0), (0, 1), (1, 2)], [(0, 1), (1, 2)])
 
 
@@ -719,6 +720,18 @@ def test_a_locus_names_the_cone_that_is_not_in_its_fan():
     # not a cone of p2
     with pytest.raises(ToricError, match="not a cone of the ambient"):
         ToricLocus(p2, [Cone(1, [])])
+
+
+def test_a_fan_answers_only_for_its_own_rank():
+    # the rank-1 zero cone has the rays of P2's zero cone, but is no cone of P2
+    p2, other_zero = builtin_fan("P2"), Cone(1, ())
+    assert not p2.contains_cone(other_zero)
+    with pytest.raises(ToricError, match="is not a cone of the fan"):
+        p2.class_of([other_zero])
+    kept = set(p2._flags)
+    with pytest.raises(ToricError, match=r"^point \(1,\) does not have length 2$"):
+        p2.smallest_containing((1,))
+    assert set(p2._flags) == kept
 
 
 def test_variety_flags():
