@@ -1,5 +1,6 @@
 """Expression parsing, normalization, and the compact-presentation map."""
 
+import importlib.util
 import json
 import pathlib
 import re
@@ -137,6 +138,19 @@ def test_parse_errors_match_the_pinned_fixture():
         with pytest.raises(ParseError) as err:
             parse_expr(text, rels)
         assert (str(err.value), err.value.position) == (message, position), text
+
+
+def test_the_eval_path_matches_the_pinned_digest():
+    # tests/fixtures/eval_pin.json holds one sha256 over the printed trees,
+    # classes, g_map results and measure values of seeded relation files and
+    # 200-clause expressions, written by tests/fixtures/make_eval_pin.py
+    pin = json.loads((FIXTURES / "eval_pin.json").read_text(encoding="utf-8"))
+    spec = importlib.util.spec_from_file_location("make_eval_pin", FIXTURES / "make_eval_pin.py")
+    make_eval_pin = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_eval_pin)
+    started = time.perf_counter()
+    assert make_eval_pin.digest(pin["seed"], pin["files"]) == pin["sha256"]
+    assert time.perf_counter() - started < 1.0
 
 
 def _counted(monkeypatch, owner, name):
