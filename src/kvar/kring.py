@@ -18,8 +18,11 @@ turn malformed relation sets into clean errors.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import re
+import string
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
@@ -201,10 +204,11 @@ def _add_terms(acc: dict, terms: Mapping[Monomial, int], coeff: int) -> None:
 
 def _add_product(acc: dict, left: Mapping[Monomial, int],
                  right: Mapping[Monomial, int], coeff: int) -> None:
-    """acc += coeff * left * right, on monomial -> coefficient dicts."""
+    """acc += coeff * left * right, on monomial -> coefficient dicts; the
+    names of two monomials are sorted only when both have some."""
     for (e1, n1), c1 in left.items():
         for (e2, n2), c2 in right.items():
-            mono = (e1 + e2, tuple(sorted(n1 + n2)))
+            mono = (e1 + e2, tuple(sorted(n1 + n2)) if n1 and n2 else n1 or n2)
             acc[mono] = acc.get(mono, 0) + coeff * c1 * c2
 
 
@@ -352,6 +356,13 @@ class GenInfo:
 
 
 def builtin_info(name: str) -> Optional[GenInfo]:
+    """The dimension and compactness of a builtin generator, or None; a
+    string's answer is kept in a bounded table, so a relation file looks
+    each builtin slot name up once."""
+    return _kept_builtin_info(name) if type(name) is str else _builtin_info(name)
+
+
+def _builtin_info(name: str) -> Optional[GenInfo]:
     known = _BUILTINS.get(name)
     if known is not None:
         return GenInfo(name, known[0], known[1])
@@ -360,6 +371,9 @@ def builtin_info(name: str) -> Optional[GenInfo]:
         letter, n = series
         return GenInfo(name, n, letter == "P" or n == 0)
     return None
+
+
+_kept_builtin_info = functools.lru_cache(maxsize=1024)(_builtin_info)
 
 
 def builtin_class(name: str) -> Optional[KClass]:
@@ -730,31 +744,33 @@ class _Budget:
                 f"product of {left} by {right} terms")
 
 
-def _hold_p_leaves(expr: Expr) -> None:
-    """Count the n + 1 terms of each ``P<n>`` leaf of ``expr``, left to
-    right in one walk before any leaf is built: the leaves of one
-    normalization hold at most ``REWRITE_BUDGET`` terms in all, whatever
-    its step limit."""
+def _hold_p_leaves(exprs: list, rels: RelationSet) -> None:
+    """Count the n + 1 terms of each ``P<n>`` leaf of the trees ``exprs``,
+    left to right in one walk before any leaf is built, a square term as
+    the generator it stands for: the leaves of one normalization hold at
+    most ``REWRITE_BUDGET`` terms in all, whatever its step limit."""
     held = 0
     terms_of: dict = {}  # generator name -> its terms if a P<n>, else 0
-    stack = [expr]
+    stack = exprs[::-1]
     while stack:
         node = stack.pop()
-        if type(node) is Sum or type(node) is Prod:
+        kind = type(node)
+        if kind is Sum or kind is Prod:
             stack += node.args[::-1]
-        elif type(node) is Gen:
-            terms = terms_of.get(node.name)
+        elif kind is Gen or kind is SquareTerm:
+            name = node.name if kind is Gen else _square_slot(node, rels)
+            terms = terms_of.get(name)
             if terms is None:
-                series = _builtin_series(node.name)
-                terms = terms_of[node.name] = (
+                series = _builtin_series(name)
+                terms = terms_of[name] = (
                     series[1] + 1 if series and series[0] == "P" else 0)
             if terms:
                 held += terms
                 if held > REWRITE_BUDGET:
                     raise RewriteBudgetError(
-                        f"{node.name} has {terms} terms, past the budget of "
+                        f"{name} has {terms} terms, past the budget of "
                         f"{REWRITE_BUDGET}" if terms == held else
-                        f"the P<n> leaves up to {node.name} have {held} "
+                        f"the P<n> leaves up to {name} have {held} "
                         f"terms, past the budget of {REWRITE_BUDGET}")
 
 
@@ -762,8 +778,9 @@ EMPTY_RELATIONS = RelationSet()
 
 REWRITE_BUDGET = 10 ** 6
 
-# deepest parenthesis nesting the parser accepts; each level costs it a
-# few Python frames, and deeper input is a ParseError, not a RecursionError
+# deepest parenthesis nesting the parser accepts; deeper input is a
+# ParseError at the first parenthesis past it.  The parser keeps open
+# parentheses on a list, so the limit bounds the grammar, not Python frames
 PARSE_NESTING_LIMIT = 200
 
 
@@ -790,10 +807,17 @@ def standard_relations() -> RelationSet:
 #
 # One re.findall call cuts the text into tokens: an integer, a name, one
 # of the symbols, or any other non-blank character, which is malformed.
-# The parser reads that list by index and compares tokens as plain
-# strings.  It checks each distinct name once per parse, and shares the
-# node of a name or integer between its occurrences (nodes are frozen and
-# compare by value).
+# A text of ASCII letters, digits, symbols and blanks alone is cut faster,
+# by spacing out its symbols and splitting it at blanks.  The two cuts
+# differ only where a digit runs into a letter ("2P" is two regex tokens),
+# and such a chunk is neither an integer nor a name, so a parse that reads
+# it fails.  A failed parse of a split text is made again from the regex's
+# tokens, and that one raises the error.
+#
+# The parser reads its token list in one loop and compares tokens as
+# plain strings.  It checks each distinct name once per parse, and shares
+# the node of a name or integer between its occurrences (nodes are frozen
+# and compare by value).
 #
 # Errors come in the order a parser that reads one token ahead meets
 # them.  A malformed token (a stray character, an integer past the
@@ -802,72 +826,84 @@ def standard_relations() -> RelationSet:
 # it.  Positions are found only on an error, by cutting the text again.
 
 _TOKENS = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|[+\-*();]|\S")
+_PLAIN = re.compile(r"[A-Za-z0-9+\-*(); \t\n\r\f\v]*")
+_LETTERS = frozenset(string.ascii_letters)
 
 
 def _is_name(token: str) -> bool:
-    return token[:1].isascii() and token[:1].isalpha()
+    return token[:1] in _LETTERS
 
 
 class _Parser:
-    def __init__(self, text: str, rels: RelationSet):
+    def __init__(self, text: str, rels: RelationSet, tokens: list):
         self.text = text
         self.rels = rels
-        self.tokens = _TOKENS.findall(text)
+        self.tokens = tokens
         self.tokens.append("")  # the end of the input
-        self.i = 0  # the token to read next
-        self.depth = 0  # open parentheses around it
         # token -> its Lit or Gen node; square heads stay out, since "Bl("
         # and "E(" start a square term even where Bl or E is a generator
         self.leaves: dict = {}
 
     def parse(self) -> Expr:
-        expr = self.expr()
-        if self.tokens[self.i]:
-            raise self._error("trailing input", self.i)
-        return expr
+        """One loop over the tokens.  ``args`` and ``signs`` hold the terms
+        before the current one in the innermost open sum, with a sign for
+        each and for the current one, and ``factors`` the factors before
+        the current one in its term; an open parenthesis pushes the three,
+        and its ``)`` pops them, the finished sum the current factor."""
+        tokens, leaves, open_sums = self.tokens, self.leaves, []
+        args, signs, factors = [], [1], []
+        i = 0
+        while True:
+            token = tokens[i]
+            i += 1
+            if token == "(":
+                if len(open_sums) == PARSE_NESTING_LIMIT:
+                    raise self._error(
+                        f"parentheses nested deeper than {PARSE_NESTING_LIMIT}", i - 1)
+                open_sums.append((args, signs, factors))
+                args, signs, factors = [], [1], []
+                continue
+            node = leaves.get(token)
+            if node is None:
+                node, i = self._leaf(token, i - 1)
+            # the operator after a factor ends its term, its sum, or both
+            while True:
+                token = tokens[i]
+                i += 1
+                if token == "*":
+                    factors.append(node)
+                    break
+                if factors:
+                    factors.append(node)
+                    node, factors = Prod(tuple(factors)), []
+                if token == "+" or token == "-":
+                    args.append(node)
+                    signs.append(1 if token == "+" else -1)
+                    break
+                if args:
+                    args.append(node)
+                    node = Sum(tuple(args), tuple(signs))
+                if not open_sums:
+                    if token:
+                        raise self._error("trailing input", i - 1)
+                    return node
+                if token != ")":
+                    raise self._error("expected ')'", i - 1)
+                args, signs, factors = open_sums.pop()
 
-    def expr(self) -> Expr:
-        args, signs = [self.term()], [1]
-        while self.tokens[self.i] in ("+", "-"):
-            signs.append(1 if self.tokens[self.i] == "+" else -1)
-            self.i += 1
-            args.append(self.term())
-        return args[0] if len(args) == 1 else Sum(tuple(args), tuple(signs))
-
-    def term(self) -> Expr:
-        args = [self.factor()]
-        while self.tokens[self.i] == "*":
-            self.i += 1
-            args.append(self.factor())
-        return args[0] if len(args) == 1 else Prod(tuple(args))
-
-    def factor(self) -> Expr:
-        i = self.i
-        token = self.tokens[i]
-        self.i = i + 1
-        leaf = self.leaves.get(token)
-        if leaf is not None:
-            return leaf
-        if token == "(":
-            if self.depth == PARSE_NESTING_LIMIT:
-                raise self._error(
-                    f"parentheses nested deeper than {PARSE_NESTING_LIMIT}", i)
-            self.depth += 1
-            node = self.expr()
-            self._expect(")", self.i)
-            self.i += 1
-            self.depth -= 1
-            return node
+    def _leaf(self, token: str, i: int) -> tuple:
+        """The node of the factor that starts with token ``i``, not a
+        parenthesis or a cached leaf, and the token after it."""
+        if token[:1] in _LETTERS:
+            if token in _SQUARE_HEADS and self.tokens[i + 1] == "(":
+                return self._square_term(token, i), i + 6
+            return self._gen(token, i), i + 1
         if token[:1].isdecimal():
             try:
                 leaf = self.leaves[token] = Lit(int(token))
             except ValueError:  # past the interpreter's int-string digit limit
                 raise self._error("integer literal too long", i) from None
-            return leaf
-        if _is_name(token):
-            if token in _SQUARE_HEADS and self.tokens[i + 1] == "(":
-                return self._square_term(token, i)
-            return self._gen(token, i)
+            return leaf, i + 1
         if not token:
             raise self._error("unexpected end of input", i)
         raise self._error(f"unexpected token {token!r}", i)
@@ -879,7 +915,6 @@ class _Parser:
         self._expect(";", i + 3)
         c = self._name(i + 4)
         self._expect(")", i + 5)
-        self.i = i + 6
         try:
             rel = self.rels.find_blowup(x, c)
         except RelationLookupError as exc:
@@ -936,7 +971,16 @@ class _Parser:
 def parse_expr(text: str, rels: Optional[RelationSet] = None) -> Expr:
     """Parse an expression against the grammar; names resolve against
     builtins or the relation set."""
-    return _Parser(text, rels if rels is not None else EMPTY_RELATIONS).parse()
+    rels = rels if rels is not None else EMPTY_RELATIONS
+    if _PLAIN.fullmatch(text):
+        spaced = text
+        for symbol in "+-*();":
+            spaced = spaced.replace(symbol, f" {symbol} ")
+        try:
+            return _Parser(text, rels, spaced.split()).parse()
+        except ParseError:
+            pass  # the regex's tokens give the error
+    return _Parser(text, rels, _TOKENS.findall(text)).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -957,21 +1001,32 @@ def normalize(expr: Union[Expr, str, KClass],
               budget: int = REWRITE_BUDGET) -> KClass:
     """Rewrite an expression to its canonical KClass.
 
-    One loop folds the tree left to right over an explicit stack of
-    ``(node, sign, terms)``: each operand of a sum adds, with its sign,
-    into the sum's monomial -> coefficient dict, and each factor of a
-    product folds into a dict of its own; the dicts multiply out at the end,
-    each pair of terms multiplied at the cost of one budget step.  Every
-    ``P<n>`` leaf of the tree is counted before the fold, so that too many
-    of their terms fail before a class is built.
+    Every ``P<n>`` leaf of the tree, a square term as its generator, is
+    counted first, so that too many of their terms fail before a class is
+    built; then ``_sum_classes``, the loop ``g_map`` runs too, sums the
+    resolved classes of its leaves over the tree within ``budget`` steps.
     """
     rels = rels if rels is not None else EMPTY_RELATIONS
     expr = _as_expr(expr, rels)
     if isinstance(expr, KClass):
         return expr
-    _hold_p_leaves(expr)
-    counter = _Budget(budget)
-    resolved = rels._resolved
+    _hold_p_leaves([expr], rels)
+    return _sum_classes(expr, rels, _Budget(budget), rels._resolved)
+
+
+def _sum_classes(expr: Expr, rels: RelationSet, counter: _Budget, leaves: dict) -> KClass:
+    """The class of a tree whose generator leaves have the classes in
+    ``leaves``; a name that ``leaves`` lacks is resolved against ``rels``
+    and added to it.
+
+    One loop folds the tree left to right over an explicit stack of
+    ``(node, sign, terms)``: each operand of a sum adds, with its sign,
+    into the sum's monomial -> coefficient dict, and each factor of a
+    product folds into a dict of its own; the dicts multiply out at the end,
+    each pair of terms multiplied at the cost of one budget step.  A
+    generator operand whose class ``leaves`` holds adds when its sum or
+    product is entered, as nothing it does can fail or spend a step.
+    """
     total: dict = {}
     stack: list = [(expr, 1, total)]
     while stack:
@@ -987,28 +1042,40 @@ def normalize(expr: Union[Expr, str, KClass],
             _add_product(acc, product, factors[-1], sign)
             continue
         node, sign, acc = item
-        if isinstance(node, Gen):
-            cls = resolved.get(node.name)  # a resolved name is known
+        kind = type(node)
+        if kind is Gen or kind is SquareTerm:
+            name = node.name if kind is Gen else _square_slot(node, rels)
+            cls = leaves.get(name)  # a name with a class is known
             if cls is None:
-                if not rels.knows(node.name):
-                    raise UnknownGeneratorError(f"unknown generator {node.name!r}")
-                cls = rels._resolve(node.name, counter)
-            _add_terms(acc, cls._terms, sign)
-        elif isinstance(node, Sum):
+                if not rels.knows(name):
+                    raise UnknownGeneratorError(f"unknown generator {name!r}")
+                cls = leaves[name] = rels._resolve(name, counter)
+            for mono, c in cls._terms.items():
+                acc[mono] = acc.get(mono, 0) + sign * c
+        elif kind is Sum:
             args, signs, i = node.args, node.signs, len(node.args)
             while i:  # right to left, so that the operands pop left to right
                 i -= 1
-                stack.append((args[i], sign * signs[i], acc))
-        elif isinstance(node, Prod):
+                arg = args[i]
+                cls = leaves.get(arg.name) if type(arg) is Gen else None
+                if cls is None:
+                    stack.append((arg, sign * signs[i], acc))
+                else:  # a leaf with a class adds at once, as nothing can fail
+                    arg_sign = sign * signs[i]
+                    for mono, c in cls._terms.items():
+                        acc[mono] = acc.get(mono, 0) + arg_sign * c
+        elif kind is Prod:
             factors = []  # in reverse order, which the commutative product ignores
             stack.append((factors, sign, acc, None))
             for arg in reversed(node.args):
-                factors.append({})
-                stack.append((arg, 1, factors[-1]))
-        elif isinstance(node, Lit):
+                cls = leaves.get(arg.name) if type(arg) is Gen else None
+                if cls is None:
+                    factors.append({})
+                    stack.append((arg, 1, factors[-1]))
+                else:  # read only, as the product only reads its factors
+                    factors.append(cls._terms)
+        elif kind is Lit:
             acc[(0, ())] = acc.get((0, ()), 0) + sign * node.value
-        elif isinstance(node, SquareTerm):
-            stack.append((Gen(_square_slot(node, rels)), sign, acc))
         else:
             raise TypeError(f"not an expression node: {node!r}")
     return KClass(total)
@@ -1090,6 +1157,32 @@ def _all_compact(expr: Expr, rels: RelationSet) -> bool:
     return _fold(expr, leaf, lambda node, values: all(values))
 
 
+def _substitute(expr: Expr, known: dict, leaf) -> Expr:
+    """``expr`` with each generator leaf that ``known`` names replaced by
+    its value there, and every other leaf by ``leaf(node)``; post-order on
+    an explicit stack, and a Sum or Prod whose operands all come back as
+    they were is returned as it is."""
+    stack, values = [expr], []
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:  # (branch node,) once all its operands are valued
+            node = node[0]
+            start = len(values) - len(node.args)
+            args = values[start:]
+            del values[start:]
+            if not all(map(operator.is_, args, node.args)):
+                node = Sum(tuple(args), node.signs) if type(node) is Sum else Prod(tuple(args))
+            values.append(node)
+        elif kind is Sum or kind is Prod:
+            stack.append((node,))
+            stack += node.args[::-1]
+        else:
+            value = known.get(node.name) if kind is Gen else None
+            values.append(leaf(node) if value is None else value)
+    return values[0]
+
+
 def g_map(expr: Union[Expr, str], comp: CompactificationTable,
           rels: Optional[RelationSet] = None) -> GMapResult:
     """Express a class purely in compact generators: g([U]) = [Xbar] - [Xbar \\ U].
@@ -1097,13 +1190,21 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
     Each non-compact generator is replaced by its compactification minus the
     boundary, recursively; boundaries must consist of generators of strictly
     smaller dimension, so the recursion drops dimension and terminates.  The
-    result records both the rewritten expression and its canonical form.
+    result records both the rewritten expression, in which every unchanged
+    subtree is the given one, and its canonical form.
+
+    Each distinct non-compact generator is presented once, and the class of
+    its presentation is its leaf class in a sum over the given tree, not
+    over the rewritten one.  One call has one step budget and one count of
+    ``P<n>`` terms: the leaves of the given tree, then of each
+    compactification and boundary once.
     """
     rels = rels if rels is not None else EMPTY_RELATIONS
     node = _as_expr(expr, rels)
 
     presented: dict = {}  # generator name -> its compact presentation, per call
     presenting: set = set()  # generators whose boundary is being presented
+    entries: list = []  # (name, entry) of each presented non-compact generator, innermost first
 
     def transform(e: Expr) -> Expr:
         if isinstance(e, SquareTerm):
@@ -1142,15 +1243,20 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
             )
         # nests once per boundary, whose dimension strictly drops
         presenting.add(e.name)
-        boundary = _fold(entry.boundary, transform, rebuild)
+        boundary = _substitute(entry.boundary, presented, transform)
         presenting.discard(e.name)
+        entries.append((e.name, entry))
         return Sum((entry.compact, boundary), (1, -1))
 
-    def rebuild(e: Expr, args: list) -> Expr:
-        return Sum(tuple(args), e.signs) if isinstance(e, Sum) else Prod(tuple(args))
-
-    compact_expr = _fold(node, transform, rebuild)
-    return GMapResult(compact_expr, normalize(compact_expr, rels))
+    compact_expr = _substitute(node, presented, transform)
+    _hold_p_leaves([node] + [part for _, entry in entries
+                             for part in (entry.compact, entry.boundary)], rels)
+    counter = _Budget(REWRITE_BUDGET)
+    classes: dict = {}  # generator name -> its class in g, per call
+    for name, entry in entries:  # a boundary's generators come before it
+        classes[name] = _sum_classes(Sum((entry.compact, entry.boundary), (1, -1)),
+                                     rels, counter, classes)
+    return GMapResult(compact_expr, _sum_classes(node, rels, counter, classes))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from kvar import kring
+from kvar import cli, kring
 from kvar.kring import (
     BoundaryDimensionError,
     CompactificationTable,
@@ -585,6 +585,18 @@ def test_relation_file_loader_extends_a_set_and_rejects_bad_records():
         assert str(err.value) == message
 
 
+def test_the_builtin_table_keeps_strings_alone():
+    # a str subclass is answered but not kept, so it never stands in for the
+    # plain name; the table holds at most 1,024 names
+    class Name(str):
+        pass
+
+    assert kring.builtin_info(Name("P7")) == kring.GenInfo("P7", 7, True)
+    assert type(kring.builtin_info("P7").name) is str
+    assert kring.builtin_info("P7") is kring.builtin_info("P7")
+    assert kring._kept_builtin_info.cache_info().maxsize == 1024
+
+
 def test_each_pair_of_terms_of_a_product_costs_one_budget_step():
     # (1 + L)(1 + L) is 2 * 2 pairs, and the result's 3 terms times the
     # third factor's 2 are 6 more
@@ -609,3 +621,38 @@ def test_p_leaves_are_counted_before_any_class_is_built(monkeypatch):
         normalize("P1000", RelationSet())
     assert normalize("P999", RelationSet()) == lpoly(*[1] * 1000)  # P<n> alone up to the budget
     assert normalize("P1*P1*P1", RelationSet(), budget=10) == lpoly(1, 3, 3, 1)
+
+
+def test_a_square_term_counts_toward_the_p_leaves_as_its_generator(tmp_path, capsys):
+    # E(X;pt) is P999999; both texts fail before a class is built
+    records = [{"kind": "smooth_blowup", "slots": {"E": "P999999", "Y": "Y", "C": "pt", "X": "X"},
+                "dims": {"X": 10 ** 6, "Y": 10 ** 6}}]
+    path = tmp_path / "rels.json"
+    path.write_text(json.dumps(records))
+    message = ("the P<n> leaves up to P999999 have 2000000 terms, "
+               "past the budget of 1000000")
+    for text in ("E(X;pt)*E(X;pt)", "P999999*P999999"):
+        started = time.perf_counter()
+        with pytest.raises(RewriteBudgetError) as err:
+            normalize(text, RelationSet.from_json(records))
+        assert str(err.value) == message
+        assert cli.main(["eval", text, "--relations", str(path), "--format", "json"]) == 1
+        records_out = json.loads(capsys.readouterr().out)["records"]
+        assert [(r["id"], r["status"], r["note"]) for r in records_out] == [
+            ("expression", "fail", message)]
+        assert time.perf_counter() - started < 0.5
+
+
+def test_g_map_presents_each_generator_once_under_one_budget(monkeypatch):
+    monkeypatch.setattr(kring, "REWRITE_BUDGET", 1000)
+    # the presentation P3 - P2 of A3 is built and counted once, 7 terms, not
+    # once per leaf (1,400 terms)
+    result = g_map(" + ".join(["A3"] * 200), CompactificationTable())
+    assert result.kclass == L(3).scale(200)
+    assert expr_to_text(result.compact_expr) == " + ".join(["P3 - P2"] * 200)
+    # the given tree's own P<n> leaves are counted before any class is built
+    built = _counted(monkeypatch, kring, "builtin_class")
+    with pytest.raises(RewriteBudgetError, match=r"^the P<n> leaves up to P999 have 2000 "
+                       "terms, past the budget of 1000$"):
+        g_map("A3 + P999*P999", CompactificationTable())
+    assert built == []

@@ -8,7 +8,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from kvar import cli
+from kvar import cli, kring
 from kvar.kring import (CompactificationTable, Expr, KClass, Lit, ParseError, RelationSet, Sum,
                         expr_to_text, g_map, normalize, parse_expr, standard_relations)
 from kvar.measures import MeasureSpec, apply_measure
@@ -125,6 +125,51 @@ def test_a_relation_file_gives_each_generator_one_class_in_any_order(records, na
     assert {name: normalize(name, rels) for name in names} == TOWER_CLASSES
 
 
+# standard_relations() with the towers and opens above; the non-compact
+# generators that get table entries, with their dimensions, and the pieces
+# of boundaries and expressions: products, Bl/E terms and non-compact ones
+TOWER_SET = RelationSet.from_json(TOWER_RECORDS, into=standard_relations())
+ENTRIES = {"BlA2pt": 2, "BlA3pt": 3, "T2v1": 2, "T2w3": 2, "T3v2": 3, "T3w6": 3,
+           "A2": 2, "Gm": 1}
+COMPACTIFICATIONS = {1: ["P1", "Bl(P1;pt)"], 2: ["P2", "Bl(P2;pt)", "P1*P1", "T2x4"],
+                     3: ["P3", "Bl(P3;pt)", "P1*P2", "T3x2"]}
+PIECES = [("2", 0), ("pt", 0), ("P1", 1), ("A1", 1), ("Gm", 1), ("L", 1), ("E(P2;pt)", 1),
+          ("E(P3;pt)", 2), ("E(A3;pt)", 2), ("Bl(A2;pt)", 2), ("Bl(P2;pt)", 2), ("A2", 2),
+          ("T2v1", 2), ("T2w3", 2), ("T2x3", 2), ("Bl(A3;pt)", 3), ("T3v2", 3), ("T3w6", 3)]
+
+
+@st.composite
+def compactified(draw):
+    """A table with an entry for each of ENTRIES (A2 and Gm keep their
+    builtin one half the time), each boundary a sum of products of pieces
+    of lower dimension; and a sum of products of any pieces."""
+    table = CompactificationTable()
+
+    def product(max_dim: int) -> str:
+        first, dim = draw(st.sampled_from([p for p in PIECES if p[1] <= max_dim]))
+        rest = [p for p, d in PIECES if d <= max_dim - dim]
+        return first + (f"*{draw(st.sampled_from(rest))}" if rest and draw(st.booleans()) else "")
+
+    def signed_sum(max_dim: int, size: int) -> str:
+        terms = [product(max_dim) for _ in range(draw(st.integers(1, size)))]
+        return "".join([terms[0]] + [f" {draw(st.sampled_from('+-'))} {t}" for t in terms[1:]])
+
+    for name, dim in ENTRIES.items():
+        if name in ("A2", "Gm") and draw(st.booleans()):
+            continue
+        table.set(name, draw(st.sampled_from(COMPACTIFICATIONS[dim])),
+                  signed_sum(dim - 1, 3), TOWER_SET)
+    return table, signed_sum(6, 6)
+
+
+@given(compactified())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_g_map_class_is_the_class_of_its_compact_expression(case):
+    table, text = case
+    result = g_map(text, table, TOWER_SET)
+    assert result.kclass == normalize(result.compact_expr, TOWER_SET)
+
+
 @given(expressions)
 @settings(max_examples=120, deadline=None)
 def test_printed_expressions_parse_back_to_themselves(text):
@@ -160,6 +205,24 @@ def test_any_text_over_the_grammar_alphabet_parses_or_is_a_parse_error(text):
         assert 0 <= err.position <= len(text)
         return
     assert isinstance(tree, Expr)
+
+
+def _parse_outcome(parse):
+    try:
+        return parse()
+    except ParseError as err:
+        return str(err), err.position
+
+
+@given(st.lists(st.sampled_from(GRAMMAR_PIECES + ["2P", "3x", "P2x3", "007"]),
+                max_size=16).map("".join))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_plain_text_parses_as_from_the_regex_tokens(text):
+    # parse_expr splits a text of ASCII grammar characters at blanks after
+    # spacing out its symbols; "2P" is one chunk there, two regex tokens
+    from_regex = _parse_outcome(
+        lambda: kring._Parser(text, STANDARD, kring._TOKENS.findall(text)).parse())
+    assert _parse_outcome(lambda: parse_expr(text, STANDARD)) == from_regex
 
 
 # -- fan files ------------------------------------------------------------------
