@@ -1187,17 +1187,15 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
           rels: Optional[RelationSet] = None) -> GMapResult:
     """Express a class purely in compact generators: g([U]) = [Xbar] - [Xbar \\ U].
 
-    Each non-compact generator is replaced by its compactification minus the
-    boundary, recursively; boundaries must consist of generators of strictly
-    smaller dimension, so the recursion drops dimension and terminates.  The
-    result records both the rewritten expression, in which every unchanged
-    subtree is the given one, and its canonical form.
-
-    Each distinct non-compact generator is presented once, and the class of
-    its presentation is its leaf class in a sum over the given tree, not
-    over the rewritten one.  One call has one step budget and one count of
-    ``P<n>`` terms: the leaves of the given tree, then of each
-    compactification and boundary once.
+    Each distinct non-compact generator is presented once, as its
+    compactification minus its boundary, itself presented; boundaries must
+    consist of generators of strictly smaller dimension, so the nesting
+    drops dimension and ends.  The class is summed over the given tree,
+    each presented generator's leaf class the class of its presentation,
+    within one step budget and one count of ``P<n>`` terms: the given
+    tree's leaves, then each compactification and boundary once.  The
+    result records both the rewritten expression, which keeps every
+    unchanged subtree of the given one, and its class.
     """
     rels = rels if rels is not None else EMPTY_RELATIONS
     node = _as_expr(expr, rels)
@@ -1206,49 +1204,63 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
     presenting: set = set()  # generators whose boundary is being presented
     entries: list = []  # (name, entry) of each presented non-compact generator, innermost first
 
-    def transform(e: Expr) -> Expr:
-        if isinstance(e, SquareTerm):
-            e = Gen(_square_slot(e, rels))
-        if isinstance(e, Lit):
-            return e
-        if not isinstance(e, Gen):
-            raise TypeError(f"not an expression node: {e!r}")
-        done = presented.get(e.name)
-        if done is None:
+    def present(leaf: Expr) -> Expr:
+        """The presentation of a leaf that ``presented`` lacks.  Each
+        generator's boundary is presented before it, left to right on an
+        explicit stack, so a chain of compactifications nests no calls."""
+        if isinstance(leaf, SquareTerm):
+            leaf = Gen(_square_slot(leaf, rels))
+        if isinstance(leaf, Lit):
+            return leaf
+        stack = [leaf]
+        while stack:
+            e = stack.pop()
+            if type(e) is tuple:  # (name, entry): its boundary's generators are presented
+                name, entry = e
+                boundary = _substitute(entry.boundary, presented, present)
+                presented[name] = Sum((entry.compact, boundary), (1, -1))
+                presenting.discard(name)
+                entries.append(e)
+                continue
+            if isinstance(e, (Sum, Prod)):
+                stack += e.args[::-1]
+                continue
+            if isinstance(e, SquareTerm):
+                e = Gen(_square_slot(e, rels))
+            if isinstance(e, Lit):
+                continue
+            if not isinstance(e, Gen):
+                raise TypeError(f"not an expression node: {e!r}")
+            if e.name in presented:
+                continue
             if e.name in presenting:
                 # a zero factor hides it from the dimension check: 0*U
                 raise BoundaryDimensionError(
                     f"{e.name!r} occurs in the boundary of its own compactification")
-            done = presented[e.name] = present(e)
-        return done
+            info = rels.info(e.name)
+            if info.compact:
+                presented[e.name] = e
+                continue
+            entry = comp.lookup(e.name)
+            if not _all_compact(entry.compact, rels):
+                raise MissingCompactificationError(
+                    f"compactification of {e.name!r} uses non-compact generators"
+                )
+            cdim = expr_dim(entry.compact, rels)
+            if cdim != info.dim:
+                raise BoundaryDimensionError(
+                    f"{e.name!r} is not dense in its compactification: "
+                    f"dimensions {info.dim} vs {cdim}"
+                )
+            if expr_dim(entry.boundary, rels) >= cdim:
+                raise BoundaryDimensionError(
+                    f"boundary of {e.name!r} does not have strictly smaller dimension"
+                )
+            presenting.add(e.name)
+            stack += [(e.name, entry), entry.boundary]
+        return presented[leaf.name]
 
-    def present(e: Gen) -> Expr:
-        info = rels.info(e.name)
-        if info.compact:
-            return e
-        entry = comp.lookup(e.name)
-        if not _all_compact(entry.compact, rels):
-            raise MissingCompactificationError(
-                f"compactification of {e.name!r} uses non-compact generators"
-            )
-        cdim = expr_dim(entry.compact, rels)
-        if cdim != info.dim:
-            raise BoundaryDimensionError(
-                f"{e.name!r} is not dense in its compactification: "
-                f"dimensions {info.dim} vs {cdim}"
-            )
-        if expr_dim(entry.boundary, rels) >= cdim:
-            raise BoundaryDimensionError(
-                f"boundary of {e.name!r} does not have strictly smaller dimension"
-            )
-        # nests once per boundary, whose dimension strictly drops
-        presenting.add(e.name)
-        boundary = _substitute(entry.boundary, presented, transform)
-        presenting.discard(e.name)
-        entries.append((e.name, entry))
-        return Sum((entry.compact, boundary), (1, -1))
-
-    compact_expr = _substitute(node, presented, transform)
+    compact_expr = _substitute(node, presented, present)
     _hold_p_leaves([node] + [part for _, entry in entries
                              for part in (entry.compact, entry.boundary)], rels)
     counter = _Budget(REWRITE_BUDGET)

@@ -405,6 +405,22 @@ def test_g_map_rejects_a_boundary_that_names_its_generator():
     assert g_map("U + V + U*V", table, rels).kclass == normalize("2*P1 - pt + (P1 - pt)*P1")
 
 
+def test_g_map_presents_a_chain_of_compactifications_without_recursion():
+    # U<k> sits in the compact C<k> with boundary U<k-1>, so each
+    # presentation nests the one before: 500 levels, more than the
+    # interpreter's recursion limit allows at a few frames a level
+    rels, table = RelationSet(), CompactificationTable()
+    expected = KClass.from_int(1)  # pt, the boundary of U1
+    for k in range(1, 501):
+        rels.declare_generator(f"C{k}", k, compact=True)
+        rels.declare_generator(f"U{k}", k)
+        table.set(f"U{k}", f"C{k}", f"U{k - 1}" if k > 1 else "pt", rels)
+        expected = KClass.generator(f"C{k}") - expected
+    result = g_map("U500", table, rels)
+    assert result.kclass == expected
+    assert expr_to_text(result.compact_expr).startswith("C500 - (C499 - (C498 - ")
+
+
 def test_g_map_roundtrip_random_expressions():
     import random
 
