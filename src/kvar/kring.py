@@ -894,7 +894,7 @@ class _Parser:
     def _leaf(self, token: str, i: int) -> tuple:
         """The node of the factor that starts with token ``i``, not a
         parenthesis or a cached leaf, and the token after it."""
-        if token[:1] in _LETTERS:
+        if _is_name(token):
             if token in _SQUARE_HEADS and self.tokens[i + 1] == "(":
                 return self._square_term(token, i), i + 6
             return self._gen(token, i), i + 1
