@@ -22,7 +22,6 @@ import functools
 import json
 import operator
 import re
-import string
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
@@ -355,14 +354,11 @@ class GenInfo:
     compact: bool
 
 
+@functools.lru_cache(maxsize=1024)
 def builtin_info(name: str) -> Optional[GenInfo]:
-    """The dimension and compactness of a builtin generator, or None; a
-    string's answer is kept in a bounded table, so a relation file looks
-    each builtin slot name up once."""
-    return _kept_builtin_info(name) if type(name) is str else _builtin_info(name)
-
-
-def _builtin_info(name: str) -> Optional[GenInfo]:
+    """The dimension and compactness of a builtin generator, or None; the
+    answers are kept in a bounded table, so a relation file looks each
+    builtin slot name up once."""
     known = _BUILTINS.get(name)
     if known is not None:
         return GenInfo(name, known[0], known[1])
@@ -371,9 +367,6 @@ def _builtin_info(name: str) -> Optional[GenInfo]:
         letter, n = series
         return GenInfo(name, n, letter == "P" or n == 0)
     return None
-
-
-_kept_builtin_info = functools.lru_cache(maxsize=1024)(_builtin_info)
 
 
 def builtin_class(name: str) -> Optional[KClass]:
@@ -827,11 +820,10 @@ def standard_relations() -> RelationSet:
 
 _TOKENS = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|[+\-*();]|\S")
 _PLAIN = re.compile(r"[A-Za-z0-9+\-*(); \t\n\r\f\v]*")
-_LETTERS = frozenset(string.ascii_letters)
 
 
 def _is_name(token: str) -> bool:
-    return token[:1] in _LETTERS
+    return token[:1].isascii() and token[:1].isalpha()
 
 
 class _Parser:
@@ -1023,9 +1015,7 @@ def _sum_classes(expr: Expr, rels: RelationSet, counter: _Budget, leaves: dict) 
     ``(node, sign, terms)``: each operand of a sum adds, with its sign,
     into the sum's monomial -> coefficient dict, and each factor of a
     product folds into a dict of its own; the dicts multiply out at the end,
-    each pair of terms multiplied at the cost of one budget step.  A
-    generator operand whose class ``leaves`` holds adds when its sum or
-    product is entered, as nothing it does can fail or spend a step.
+    each pair of terms multiplied at the cost of one budget step.
     """
     total: dict = {}
     stack: list = [(expr, 1, total)]
@@ -1050,30 +1040,18 @@ def _sum_classes(expr: Expr, rels: RelationSet, counter: _Budget, leaves: dict) 
                 if not rels.knows(name):
                     raise UnknownGeneratorError(f"unknown generator {name!r}")
                 cls = leaves[name] = rels._resolve(name, counter)
-            for mono, c in cls._terms.items():
-                acc[mono] = acc.get(mono, 0) + sign * c
+            _add_terms(acc, cls._terms, sign)
         elif kind is Sum:
             args, signs, i = node.args, node.signs, len(node.args)
             while i:  # right to left, so that the operands pop left to right
                 i -= 1
-                arg = args[i]
-                cls = leaves.get(arg.name) if type(arg) is Gen else None
-                if cls is None:
-                    stack.append((arg, sign * signs[i], acc))
-                else:  # a leaf with a class adds at once, as nothing can fail
-                    arg_sign = sign * signs[i]
-                    for mono, c in cls._terms.items():
-                        acc[mono] = acc.get(mono, 0) + arg_sign * c
+                stack.append((args[i], sign * signs[i], acc))
         elif kind is Prod:
             factors = []  # in reverse order, which the commutative product ignores
             stack.append((factors, sign, acc, None))
             for arg in reversed(node.args):
-                cls = leaves.get(arg.name) if type(arg) is Gen else None
-                if cls is None:
-                    factors.append({})
-                    stack.append((arg, 1, factors[-1]))
-                else:  # read only, as the product only reads its factors
-                    factors.append(cls._terms)
+                factors.append({})
+                stack.append((arg, 1, factors[-1]))
         elif kind is Lit:
             acc[(0, ())] = acc.get((0, ()), 0) + sign * node.value
         else:
@@ -1157,32 +1135,6 @@ def _all_compact(expr: Expr, rels: RelationSet) -> bool:
     return _fold(expr, leaf, lambda node, values: all(values))
 
 
-def _substitute(expr: Expr, known: dict, leaf) -> Expr:
-    """``expr`` with each generator leaf that ``known`` names replaced by
-    its value there, and every other leaf by ``leaf(node)``; post-order on
-    an explicit stack, and a Sum or Prod whose operands all come back as
-    they were is returned as it is."""
-    stack, values = [expr], []
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is tuple:  # (branch node,) once all its operands are valued
-            node = node[0]
-            start = len(values) - len(node.args)
-            args = values[start:]
-            del values[start:]
-            if not all(map(operator.is_, args, node.args)):
-                node = Sum(tuple(args), node.signs) if type(node) is Sum else Prod(tuple(args))
-            values.append(node)
-        elif kind is Sum or kind is Prod:
-            stack.append((node,))
-            stack += node.args[::-1]
-        else:
-            value = known.get(node.name) if kind is Gen else None
-            values.append(leaf(node) if value is None else value)
-    return values[0]
-
-
 def g_map(expr: Union[Expr, str], comp: CompactificationTable,
           rels: Optional[RelationSet] = None) -> GMapResult:
     """Express a class purely in compact generators: g([U]) = [Xbar] - [Xbar \\ U].
@@ -1205,9 +1157,11 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
     entries: list = []  # (name, entry) of each presented non-compact generator, innermost first
 
     def present(leaf: Expr) -> Expr:
-        """The presentation of a leaf that ``presented`` lacks.  Each
-        generator's boundary is presented before it, left to right on an
-        explicit stack, so a chain of compactifications nests no calls."""
+        """The presentation of a leaf.  A generator's boundary is presented
+        before it, left to right on an explicit stack, so calls do not nest
+        once per level of a chain of compactifications."""
+        if type(leaf) is Gen and leaf.name in presented:
+            return presented[leaf.name]
         if isinstance(leaf, SquareTerm):
             leaf = Gen(_square_slot(leaf, rels))
         if isinstance(leaf, Lit):
@@ -1217,7 +1171,7 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
             e = stack.pop()
             if type(e) is tuple:  # (name, entry): its boundary's generators are presented
                 name, entry = e
-                boundary = _substitute(entry.boundary, presented, present)
+                boundary = _fold(entry.boundary, present, rebuild)
                 presented[name] = Sum((entry.compact, boundary), (1, -1))
                 presenting.discard(name)
                 entries.append(e)
@@ -1260,7 +1214,12 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
             stack += [(e.name, entry), entry.boundary]
         return presented[leaf.name]
 
-    compact_expr = _substitute(node, presented, present)
+    def rebuild(e: Expr, args: list) -> Expr:  # an unchanged subtree stays as it is
+        if all(map(operator.is_, args, e.args)):
+            return e
+        return Sum(tuple(args), e.signs) if isinstance(e, Sum) else Prod(tuple(args))
+
+    compact_expr = _fold(node, present, rebuild)
     _hold_p_leaves([node] + [part for _, entry in entries
                              for part in (entry.compact, entry.boundary)], rels)
     counter = _Budget(REWRITE_BUDGET)

@@ -601,16 +601,9 @@ def test_relation_file_loader_extends_a_set_and_rejects_bad_records():
         assert str(err.value) == message
 
 
-def test_the_builtin_table_keeps_strings_alone():
-    # a str subclass is answered but not kept, so it never stands in for the
-    # plain name; the table holds at most 1,024 names
-    class Name(str):
-        pass
-
-    assert kring.builtin_info(Name("P7")) == kring.GenInfo("P7", 7, True)
-    assert type(kring.builtin_info("P7").name) is str
+def test_the_builtin_table_answers_each_name_once():
+    assert kring.builtin_info("P7") == kring.GenInfo("P7", 7, True)
     assert kring.builtin_info("P7") is kring.builtin_info("P7")
-    assert kring._kept_builtin_info.cache_info().maxsize == 1024
 
 
 def test_each_pair_of_terms_of_a_product_costs_one_budget_step():
