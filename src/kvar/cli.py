@@ -22,7 +22,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, TextIO
 
@@ -35,6 +34,7 @@ from kvar.csupport import (
     extend_measure,
     verdict,
 )
+from kvar.kring import Fields
 from kvar.measures import MeasureSpec, MeasureValue, apply_measure, weight_report
 from kvar.spansite import (
     DistinguishedSquare,
@@ -60,31 +60,33 @@ class InputError(Exception):
     measure name, a bound out of range, or a check with nothing to check."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    expression: Optional[str] = None
-    relations_path: Optional[str] = None
-    suite_path: Optional[str] = None
-    fan_path: Optional[str] = None
-    measure_names: List[str] = field(default_factory=lambda: ["euler", "e"])
-    corpus_seed: Optional[int] = None
-    corpus_size: Optional[int] = None
-    depth: int = 3
-    out_format: str = "text"
-    out_path: Optional[str] = None
-    fan_ops: List[str] = field(default_factory=list)
+class RunConfig(Fields):
+    """What one command runs, one field per option of ``build_parser``."""
+    __slots__ = ("command", "expression", "relations_path", "suite_path", "fan_path",
+                 "measure_names", "corpus_seed", "corpus_size", "depth", "out_format",
+                 "out_path", "fan_ops")
+
+    def __init__(self, command: str, expression: Optional[str] = None,
+                 relations_path: Optional[str] = None, suite_path: Optional[str] = None,
+                 fan_path: Optional[str] = None, measure_names: Optional[List[str]] = None,
+                 corpus_seed: Optional[int] = None, corpus_size: Optional[int] = None,
+                 depth: int = 3, out_format: str = "text", out_path: Optional[str] = None,
+                 fan_ops: Optional[List[str]] = None):
+        self.command, self.expression = command, expression
+        self.relations_path, self.suite_path, self.fan_path = relations_path, suite_path, fan_path
+        self.measure_names = ["euler", "e"] if measure_names is None else measure_names
+        self.corpus_seed, self.corpus_size, self.depth = corpus_seed, corpus_size, depth
+        self.out_format, self.out_path = out_format, out_path
+        self.fan_ops = [] if fan_ops is None else fan_ops
 
 
-@dataclass(slots=True)
-class Record:
-    id: str
-    kind: str
-    status: str  # pass | fail | skipped
-    lhs: object = None
-    rhs: object = None
-    note: str = ""
-    seconds: float = 0.0
+class Record(Fields):
+    __slots__ = ("id", "kind", "status", "lhs", "rhs", "note", "seconds")
+
+    def __init__(self, id: str, kind: str, status: str, lhs: object = None,
+                 rhs: object = None, note: str = "", seconds: float = 0.0):
+        self.id, self.kind, self.status = id, kind, status  # status: pass | fail | skipped
+        self.lhs, self.rhs, self.note, self.seconds = lhs, rhs, note, seconds
 
 
 # The JSON report is what ``json.dumps(payload, sort_keys=True, indent=2)``
@@ -114,10 +116,12 @@ def _json_value(value, indent: str) -> str:
     return _ENCODER.encode(value).replace("\n", "\n" + indent)
 
 
-@dataclass
-class Report:
-    header: dict
-    records: List[Record] = field(default_factory=list)
+class Report(Fields):
+    __slots__ = ("header", "records")
+
+    def __init__(self, header: dict, records: Optional[List[Record]] = None):
+        self.header = header
+        self.records = [] if records is None else records
 
     def add(self, record: Record) -> None:
         self.records.append(record)
@@ -647,8 +651,13 @@ def cmd_check(config: RunConfig) -> Report:
 # ---------------------------------------------------------------------------
 # entry point
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="kvar",
         description="classes of varieties, toric fans, and compactly supported invariants")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -715,18 +724,20 @@ def _write(report: Report, out_format: str, fh: TextIO) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
+        config = config_from_args(build_parser().parse_args(argv))
         report = run(config)
+        if config.out_path:
+            try:
+                with open(config.out_path, "w") as fh:
+                    _write(report, config.out_format, fh)
+            except OSError as exc:
+                raise InputError(f"cannot write {config.out_path}: {exc}") from None
+        else:
+            _write(report, config.out_format, sys.stdout)
     except InputError as exc:
         sys.stderr.write(f"kvar: error: {exc}\n")
         return 2
-    if config.out_path:
-        with open(config.out_path, "w") as fh:
-            _write(report, config.out_format, fh)
-    else:
-        _write(report, config.out_format, sys.stdout)
     return 0 if report.ok() else 1
 
 

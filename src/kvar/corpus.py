@@ -11,10 +11,10 @@ random draws go through one seeded generator over sorted candidate lists.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import FrozenSet, List, NamedTuple, Tuple
 
 from kvar import toric
+from kvar.kring import Fields
 from kvar.spansite import (
     DistinguishedSquare,
     SitePresentation,
@@ -40,21 +40,24 @@ class TwoCompletions(NamedTuple):
     alternative: Fan
 
 
-@dataclass
-class Corpus:
-    seed: int
-    size: int
-    surfaces: List[ToricObject] = field(default_factory=list)
-    squares: List[DistinguishedSquare] = field(default_factory=list)
-    loc_squares: List[DistinguishedSquare] = field(default_factory=list)
-    pairs_xu: List[Tuple[ToricObject, FrozenSet[Cone]]] = field(default_factory=list)
-    independence: List[TwoCompletions] = field(default_factory=list)
-    mv_triples: List[Tuple[ToricObject, FrozenSet[Cone], FrozenSet[Cone]]] = field(default_factory=list)
-    kunneth_pairs: List[Tuple[ToricObject, ToricObject]] = field(default_factory=list)
-    rank3: List[ToricObject] = field(default_factory=list)
-    expressions: List[str] = field(default_factory=list)
-    site: SitePresentation = field(default_factory=SitePresentation)
-    c_complete_cases: List[Tuple[DistinguishedSquare, SpanMorphism]] = field(default_factory=list)
+class Corpus(Fields):
+    __slots__ = ("seed", "size", "surfaces", "squares", "loc_squares", "pairs_xu",
+                 "independence", "mv_triples", "kunneth_pairs", "rank3", "expressions",
+                 "site", "c_complete_cases")
+
+    def __init__(self, seed: int, size: int):
+        self.seed, self.size = seed, size
+        self.surfaces: List[ToricObject] = []
+        self.squares: List[DistinguishedSquare] = []
+        self.loc_squares: List[DistinguishedSquare] = []
+        self.pairs_xu: List[Tuple[ToricObject, FrozenSet[Cone]]] = []
+        self.independence: List[TwoCompletions] = []
+        self.mv_triples: List[Tuple[ToricObject, FrozenSet[Cone], FrozenSet[Cone]]] = []
+        self.kunneth_pairs: List[Tuple[ToricObject, ToricObject]] = []
+        self.rank3: List[ToricObject] = []
+        self.expressions: List[str] = []
+        self.site = SitePresentation()
+        self.c_complete_cases: List[Tuple[DistinguishedSquare, SpanMorphism]] = []
 
     def all_fans(self) -> List[Fan]:
         fans = [o.fan for o in self.surfaces]

@@ -23,8 +23,7 @@ import json
 import operator
 import re
 import sys
-from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 
 class KringError(Exception):
@@ -216,44 +215,93 @@ ONE = KClass.from_int(1)
 
 
 # ---------------------------------------------------------------------------
+# plain classes
+
+class Fields:
+    """A class whose ``__slots__`` are its fields, set by its ``__init__``.
+    An instance equals one of its own class with equal fields and prints as
+    ``Name(field=value, ...)``; being mutable, it is unhashable."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, name) for name in self.__slots__]
+                == [getattr(other, name) for name in self.__slots__])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Fields):
+    """Fields that ``__init__`` sets with ``object.__setattr__``, in the
+    order of its parameters, and that cannot be assigned after; hashed by
+    their values, and copied and pickled through ``__init__``."""
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # expression trees
 
-class Expr:
+class Expr(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Lit(Expr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Gen(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Sum(Expr):
     """A sum of two or more operands with ``signs`` +1 or -1 for each of
     ``args``, the first +1: the grammar has no unary minus."""
-    args: tuple
-    signs: tuple
+    __slots__ = ("args", "signs")
+
+    def __init__(self, args: tuple, signs: tuple):
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "signs", signs)
 
 
-@dataclass(frozen=True)
 class Prod(Expr):
     """A product of the two or more operands in ``args``."""
-    args: tuple
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple):
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
 class SquareTerm(Expr):
     """``head(x;c)`` of a declared blowup relation: its total space for the
     head ``Bl``, its exceptional divisor for ``E``."""
-    head: str
-    x: str
-    c: str
-    relation_index: int
+    __slots__ = ("head", "x", "c", "relation_index")
+
+    def __init__(self, head: str, x: str, c: str, relation_index: int):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "relation_index", relation_index)
 
 
 # each square head -> the slot of its relation it stands for
@@ -347,8 +395,7 @@ _ROLES = {
 }
 
 
-@dataclass(frozen=True)
-class GenInfo:
+class GenInfo(NamedTuple):
     name: str
     dim: int
     compact: bool
@@ -399,8 +446,7 @@ def _builtin_series(name: str) -> Optional[tuple]:
             f"{sys.get_int_max_str_digits()}-digit int-string limit") from None
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     kind: str
     slots: tuple  # ((role, generator name), ...) in canonical role order
     index: int
@@ -1062,8 +1108,7 @@ def _sum_classes(expr: Expr, rels: RelationSet, counter: _Budget, leaves: dict) 
 # ---------------------------------------------------------------------------
 # the compact presentation map g
 
-@dataclass(frozen=True)
-class CompEntry:
+class CompEntry(NamedTuple):
     """One compactification choice: U sits densely inside the compact
     space ``compact`` (an expression over compact generators, e.g. P1*P1)
     with boundary class ``boundary``."""
@@ -1100,8 +1145,7 @@ class CompactificationTable:
         raise MissingCompactificationError(f"no compactification registered for {name!r}")
 
 
-@dataclass(frozen=True)
-class GMapResult:
+class GMapResult(NamedTuple):
     compact_expr: Expr   # the presentation-(ii) witness, over compact generators
     kclass: KClass
 
@@ -1233,8 +1277,7 @@ def g_map(expr: Union[Expr, str], comp: CompactificationTable,
 # ---------------------------------------------------------------------------
 # square relations
 
-@dataclass(frozen=True)
-class SquareRelationReport:
+class SquareRelationReport(NamedTuple):
     ok: bool
     lhs: KClass  # [E] + [X]
     rhs: KClass  # [C] + [Y]

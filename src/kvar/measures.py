@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
-from kvar.kring import KClass, KringError, signed_sum_text
+from kvar.kring import Frozen, KClass, KringError, signed_sum_text
 
 
 class MeasureError(KringError):
@@ -142,21 +141,20 @@ def _join(var: Optional[str], other: Optional[str]) -> Optional[str]:
 SELECTORS = ("euler", "e_poly", "virtual_poincare", "point_count")
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
+class MeasureSpec(Frozen):
     """Choice of measure: a substitution rule for the Lefschetz class."""
+    __slots__ = ("selector", "q")
 
-    selector: str
-    q: Optional[int] = None
-
-    def __post_init__(self):
-        if self.selector not in SELECTORS:
-            raise MeasureError(f"unknown measure selector {self.selector!r}")
-        if self.selector == "point_count":
-            if not isinstance(self.q, int) or self.q < 2:
+    def __init__(self, selector: str, q: Optional[int] = None):
+        if selector not in SELECTORS:
+            raise MeasureError(f"unknown measure selector {selector!r}")
+        if selector == "point_count":
+            if not isinstance(q, int) or q < 2:
                 raise MeasureError("point_count needs an integer q >= 2")
-        elif self.q is not None:
-            raise MeasureError(f"{self.selector} takes no q")
+        elif q is not None:
+            raise MeasureError(f"{selector} takes no q")
+        object.__setattr__(self, "selector", selector)
+        object.__setattr__(self, "q", q)
 
     def lefschetz_image(self) -> MeasureValue:
         if self.selector == "euler":
@@ -235,8 +233,7 @@ def h_vector(face_counts: Mapping[int, int], rank: int) -> Tuple[int, ...]:
     return tuple(h)
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     weights: Tuple[Tuple[int, int], ...]  # (weight 2k, coefficient of (uv)^k)
     purity: Optional[bool]                # None when no verdict applies
     mixed: bool

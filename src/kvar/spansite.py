@@ -17,11 +17,10 @@ pulled-back sieves and compatibility with the dimension function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from kvar import toric
-from kvar.kring import KClass
+from kvar.kring import Frozen, KClass
 from kvar.toric import Cone, Fan, StarSubdivision, ToricLocus
 
 
@@ -240,28 +239,24 @@ def compose(second: SpanMorphism, first: SpanMorphism) -> SpanMorphism:
 SQUARE_KINDS = ("smooth_blowup", "abstract_blowup", "localization")
 
 
-@dataclass(frozen=True, eq=False)
-class DistinguishedSquare:
+class DistinguishedSquare(Frozen):
     """A square of one of ``SQUARE_KINDS``: the corners E, Y and C over the
     base, and the legs top: E -> Y, p_leg: Y -> base, left: E -> C and
     i_leg: C -> base.  ``provenance`` is what the square was built from.
     Squares compare and hash by identity, and their fields are frozen: a
-    square with another corner is a new square (``dataclasses.replace``)."""
+    square with another corner is a new square, built from all ten fields."""
+    __slots__ = ("kind", "E", "Y", "C", "base", "top", "p_leg", "left", "i_leg", "provenance")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    kind: str
-    E: SiteObject
-    Y: SiteObject
-    C: SiteObject
-    base: SiteObject
-    top: SpanMorphism
-    p_leg: SpanMorphism
-    left: SpanMorphism
-    i_leg: SpanMorphism
-    provenance: object = None
-
-    def __post_init__(self):
-        if self.kind not in SQUARE_KINDS:
-            raise SpanError(f"unknown square kind {self.kind!r}")
+    def __init__(self, kind: str, E: SiteObject, Y: SiteObject, C: SiteObject,
+                 base: SiteObject, top: SpanMorphism, p_leg: SpanMorphism,
+                 left: SpanMorphism, i_leg: SpanMorphism, provenance: object = None):
+        if kind not in SQUARE_KINDS:
+            raise SpanError(f"unknown square kind {kind!r}")
+        for name, value in zip(self.__slots__, (kind, E, Y, C, base, top, p_leg, left,
+                                                i_leg, provenance)):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         names = ", ".join(o.name for o in (self.E, self.Y, self.C, self.base))
@@ -360,14 +355,12 @@ def _refinement_square(w_obj: ToricObject, x_obj: ToricObject, c_name: str, e_na
 # ---------------------------------------------------------------------------
 # square validation
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
     condition: str
     status: str  # pass | fail | trusted
 
 
-@dataclass
-class SquareValidation:
+class SquareValidation(NamedTuple):
     entries: List[CheckEntry]
     jointly_surjective: bool
 
@@ -648,8 +641,7 @@ def in_sieve(g: SpanMorphism, sq: DistinguishedSquare) -> bool:
     return factors_through(g, sq.p_leg) or factors_through(g, sq.i_leg)
 
 
-@dataclass
-class CCompleteVerdict:
+class CCompleteVerdict(NamedTuple):
     """The simple cover found in the pulled-back sieve, or None, and why."""
     cover: Optional[SimpleCover]
     note: str
@@ -770,8 +762,7 @@ def check_c_complete(sq: DistinguishedSquare, f: SpanMorphism,
 # ---------------------------------------------------------------------------
 # dimension compatibility
 
-@dataclass
-class DimCompatVerdict:
+class DimCompatVerdict(NamedTuple):
     kind: str  # direct | refined | fail
     note: str = ""
 

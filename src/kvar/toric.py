@@ -18,9 +18,8 @@ import operator
 import re
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from kvar.kring import KClass, MissingCompactificationError
 
@@ -791,8 +790,7 @@ def sort_rays_ccw(rays: Iterable[Vector]) -> List[Vector]:
 # ---------------------------------------------------------------------------
 # the spec-level operations
 
-@dataclass(frozen=True)
-class FanProperties:
+class FanProperties(NamedTuple):
     complete: bool
     smooth: bool
     dimension: int
@@ -861,8 +859,7 @@ def covers_support(window_fan: Fan, target_fan: Fan) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class StarSubdivision:
+class StarSubdivision(NamedTuple):
     """Result of a star subdivision: the refined fan and what it was built
     from.  The corners C and E of its blowup square are the cones of X that
     are not cones of Y and those of Y that are not cones of X

@@ -1,9 +1,11 @@
 """The batch front door: eval, fan, check; determinism and exit codes."""
 
 import copy
-import dataclasses
+import contextlib
 import hashlib
+import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kvar import cli, corpus, toric
 from kvar.cli import (
@@ -522,6 +524,12 @@ def test_exit_code_contract(tmp_path, capsys):
                  ["check", "--corpus-seed", "1", "--corpus-size", "2",
                   "--depth", str(MAX_DEPTH + 1)],
                  ["check"],
+                 # usage errors, and a report that cannot be written
+                 ["check", "--corpus-seed", "1", "--corpus-size", "2", "--depth", "x"],
+                 ["check", "--corpus-seed", "1", "--corpus-size", "2", "--bogus"],
+                 ["frobnicate"],
+                 [],
+                 ["check", "--corpus-seed", "1", "--corpus-size", "1", "--out", str(tmp_path)],
                  ["fan", str(no_rank)],
                  ["fan", str(redundant), "--props"],
                  ["fan", str(too_high), "--props", "--class"],
@@ -872,7 +880,9 @@ def _site_objects(value, found: dict) -> None:
         _site_objects(list(value.values()), found)
     elif isinstance(value, SpanMorphism):
         _site_objects([value.source, value.target], found)
-    elif isinstance(value, (corpus.Corpus, DistinguishedSquare, SitePresentation)):
+    elif isinstance(value, (corpus.Corpus, DistinguishedSquare)):
+        _site_objects([getattr(value, name) for name in value.__slots__], found)
+    elif isinstance(value, SitePresentation):
         _site_objects(list(vars(value).values()), found)
 
 
@@ -933,8 +943,9 @@ def _cyclic_site(x_obj):
     corner Y: X minus nothing, rebased onto X."""
     sq = localization_square(x_obj, x_obj.fan.cones)
     site = SitePresentation()
-    site.add_square(dataclasses.replace(sq, base=x_obj, p_leg=identity_span(x_obj),
-                                        i_leg=zero_span(sq.C, x_obj)))
+    site.add_square(DistinguishedSquare(sq.kind, sq.E, sq.Y, sq.C, x_obj, sq.top,
+                                        identity_span(x_obj), sq.left, zero_span(sq.C, x_obj),
+                                        sq.provenance))
     return site
 
 
@@ -1009,3 +1020,99 @@ def test_the_largest_depth_ends_soon(tmp_path):
 def test_run_config_requires_corpus_or_suite():
     with pytest.raises(InputError):
         run(RunConfig(command="check"))
+
+
+# ---------------------------------------------------------------------------
+# argv: every run ends with a report, or with exit 2 and one error line
+
+_ARGV_EXPRESSIONS = ["P1", "P2 - pt", "Bl(P2;pt) - E(P2;pt)", "2*A1 + Gm", "S + P1", "(P1", "$"]
+_ARGV_MEASURES = ["euler", "chi", "e", "poincare", "count:3", "count:x", "chi2"]
+# what a mutation puts in: commands, options, values, and the files below
+_ARGV_TOKENS = ["eval", "check", "fan", "--measure", "--depth", "--format", "--out",
+                "--suite", "--corpus-seed", "--corpus-size", "--relations", "--props",
+                "--complete", "--bogus", "-1", "0", "2", "x", "", "json",
+                "{out}", "{folder}", "{missing}", "{fan}", "{relations}"]
+
+
+@st.composite
+def well_formed_argv(draw):
+    command = draw(st.sampled_from(["eval", "check", "fan"]))
+    if command == "eval":
+        argv = ["eval", draw(st.sampled_from(_ARGV_EXPRESSIONS))]
+        argv += draw(st.sampled_from([[], ["--relations", "{relations}"]]))
+    elif command == "check":
+        argv = ["check"] + draw(st.sampled_from([
+            ["--suite", str(FIXTURES / "perturbed_suite.json")],
+            ["--corpus-seed", draw(st.sampled_from(["1", "2"])),
+             "--corpus-size", draw(st.sampled_from(["0", "1", "2"]))]]))
+    else:
+        argv = ["fan", "{fan}"] + draw(st.lists(
+            st.sampled_from(["--props", "--class", "--complete"]), max_size=3))
+    for name in draw(st.lists(st.sampled_from(_ARGV_MEASURES), max_size=2)):
+        argv += ["--measure", name]
+    for option, values in (("--depth", ["0", "2"]), ("--format", ["text", "json"]),
+                           ("--out", ["{out}"])):
+        if draw(st.booleans()):
+            argv += [option, draw(st.sampled_from(values))]
+    return argv
+
+
+@st.composite
+def mutated_argv(draw):
+    """A well-formed argv with one to three tokens dropped, put in,
+    replaced or swapped."""
+    argv = draw(well_formed_argv())
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["drop", "insert", "replace", "swap"]))
+        i = draw(st.integers(0, len(argv)))
+        token = draw(st.sampled_from(_ARGV_TOKENS))
+        if how == "insert" or not argv:
+            argv.insert(i, token)
+        elif how == "drop":
+            del argv[i % len(argv)]
+        elif how == "replace":
+            argv[i % len(argv)] = token
+        else:
+            j = draw(st.integers(0, len(argv) - 1))
+            argv[i % len(argv)], argv[j] = argv[j], argv[i % len(argv)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@given(well_formed_argv() | mutated_argv())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_every_argv_ends_with_a_report_or_one_error_line(argv_folder, argv):
+    # the input files are written afresh, since a mutated --out may name them
+    fan, relations, out_path = (argv_folder / name for name in (
+        "fan.json", "relations.json", "report.txt"))
+    fan.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 1]]}))
+    relations.write_text(json.dumps([{"kind": "generator", "name": "S", "dim": 2,
+                                      "compact": True}]))
+    out_path.unlink(missing_ok=True)
+    paths = {"{out}": out_path, "{folder}": argv_folder, "{fan}": fan,
+             "{missing}": argv_folder / "missing" / "report.txt", "{relations}": relations}
+    argv = [str(paths.get(token, token)) for token in argv]
+    try:  # a battery past size 2 takes seconds
+        config = config_from_args(build_parser().parse_args(argv))
+        assume(config.command != "check" or config.suite_path
+               or (config.corpus_size or 0) <= 2)
+    except InputError:
+        pass
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(argv_folder)  # where a report written under another name goes
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        _one_error_line(argv, out, err)
+    else:
+        assert code in (0, 1) and err == "", argv
+        report = out or out_path.read_text()
+        assert "summary" in report, argv

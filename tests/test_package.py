@@ -1,21 +1,30 @@
-"""The package itself: kvar imports only the standard library and only
-names it uses, each public top-level name has a caller, a command reaches
-each of its functions or a reason keeps it, no module holds a site object,
-span or square, and its JSON loaders end bad text in their typed errors."""
+"""The package itself: kvar imports only the standard library, never
+dataclasses, and only names it uses; importing the command line loads
+neither dataclasses nor inspect; its plain classes keep the value semantics
+of the dataclasses they replaced; each public top-level name has a caller,
+a command reaches each of its functions or a reason keeps it, no module
+holds a site object, span or square, and its JSON loaders end bad text in
+their typed errors."""
 
 import ast
+import copy
 import importlib
 import json
 import pathlib
+import pickle
 import subprocess
 import sys
 
 import pytest
 
 import kvar
-from kvar.kring import InvalidRelationError, RelationSet
+from kvar import corpus
+from kvar.cli import Record, Report, RunConfig
+from kvar.kring import (InvalidRelationError, RelationSet, builtin_info, parse_expr,
+                        standard_relations)
+from kvar.measures import MeasureError, MeasureSpec
 from kvar.spansite import DistinguishedSquare, SiteObject, SpanMorphism
-from kvar.toric import Fan, ToricError
+from kvar.toric import Fan, ToricError, builtin_fan, star_subdivide
 
 SOURCES = sorted(pathlib.Path(kvar.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -34,6 +43,84 @@ def test_kvar_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "kvar" or top in sys.stdlib_module_names, (path.name, name)
+                # its classes would be generated at import time
+                assert top != "dataclasses", (path.name, name)
+
+
+def test_importing_the_command_line_loads_neither_dataclasses_nor_inspect(cli_child_env):
+    probe = "import sys, kvar.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=cli_child_env("0"), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def _nodes(expr):
+    """Every node of an expression tree, the root first."""
+    out = [expr]
+    for node in out:
+        out += getattr(node, "args", ())
+    return out
+
+
+def test_equal_expression_nodes_hash_alike_and_their_fields_are_frozen():
+    text = "2*P1 - Gm + Bl(P2;pt)*(A1 + pt)"
+    rels = standard_relations()
+    nodes, again = _nodes(parse_expr(text, rels)), _nodes(parse_expr(text, rels))
+    assert {type(n).__name__ for n in nodes} == {"Sum", "Prod", "Lit", "Gen", "SquareTerm"}
+    for node, twin in zip(nodes, again):
+        assert node is not twin and node == twin and hash(node) == hash(twin)
+        assert copy.deepcopy(node) == node == pickle.loads(pickle.dumps(node))
+        field = node.__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    assert nodes[0] != parse_expr("2*P1 - Gm") and nodes[-1] != nodes[-2]
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: parse_expr("2*P1 - Gm"),
+     "Sum(args=(Prod(args=(Lit(value=2), Gen(name='P1'))), Gen(name='Gm')), signs=(1, -1))"),
+    (lambda: parse_expr("E(P2;pt)", standard_relations()), "SquareTerm(head='E', x='P2', c='pt', relation_index=2)"),
+    (lambda: builtin_info("P3"), "GenInfo(name='P3', dim=3, compact=True)"),
+    (lambda: MeasureSpec("point_count", q=3), "MeasureSpec(selector='point_count', q=3)"),
+    (lambda: Record("a", "eval", "pass"),
+     "Record(id='a', kind='eval', status='pass', lhs=None, rhs=None, note='', seconds=0.0)"),
+    (lambda: Report({"command": "eval"}), "Report(header={'command': 'eval'}, records=[])"),
+    (lambda: RunConfig("check"),
+     "RunConfig(command='check', expression=None, relations_path=None, suite_path=None, "
+     "fan_path=None, measure_names=['euler', 'e'], corpus_seed=None, corpus_size=None, "
+     "depth=3, out_format='text', out_path=None, fan_ops=[])"),
+    (lambda: star_subdivide(builtin_fan("P2"), (1, 1)),
+     "StarSubdivision(fan=Fan(rank=2, cones=9), parent=Fan(rank=2, cones=7), "
+     "center=Cone((0, 1), (1, 0)), new_ray=(1, 1), smooth_blowup=True)"),
+], ids=["sum", "square term", "generator info", "measure", "record", "report", "config",
+        "star subdivision"])
+def test_a_plain_class_prints_as_its_dataclass_did(build, text):
+    assert repr(build()) == text
+
+
+def test_a_measure_spec_is_validated_when_built():
+    for selector, q, match in [("nope", None, "unknown measure selector 'nope'"),
+                               ("point_count", None, "needs an integer q"),
+                               ("euler", 2, "takes no q")]:
+        with pytest.raises(MeasureError, match=match):
+            MeasureSpec(selector, q)
+    assert MeasureSpec("point_count", 2) == MeasureSpec("point_count", q=2) != MeasureSpec("euler")
+    assert hash(MeasureSpec("e_poly")) == hash(MeasureSpec("e_poly"))
+    with pytest.raises(AttributeError):
+        MeasureSpec("euler").q = 2
+
+
+def test_no_two_instances_share_a_default_list():
+    a, b = RunConfig("check"), RunConfig("check")
+    assert a == b and a.measure_names is not b.measure_names and a.fan_ops is not b.fan_ops
+    a.measure_names.append("chi")
+    assert b.measure_names == ["euler", "e"] and a != b
+    assert Report({}).records is not Report({}).records
+    first, second = corpus.Corpus(1, 0), corpus.Corpus(1, 0)
+    assert all(getattr(first, name) is not getattr(second, name)
+                for name in first.__slots__[2:])
 
 
 def _imported_names(tree):
@@ -85,6 +172,9 @@ def test_kvar_modules_use_every_name_they_import():
 # every def under src/kvar that none of the reach map's runs reaches, dunders
 # aside, with what keeps it
 NO_COMMAND_REACHES = {
+    "cli._ArgumentParser.error":
+        "argparse calls it on a usage error, which the reach map's runs do not make; "
+        "test_exit_code_contract and the argv property in test_cli.py do",
     "cli.Report.to_json_text":
         "perfbench's worker serialises a report through it and times it",
     "kring.expr_size":
