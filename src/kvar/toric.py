@@ -3,8 +3,9 @@
 Fans supply varieties where everything the ring engine needs is computable
 exactly: completeness (= compactness), open subvarieties (subfans), blowups
 (star subdivisions), complements (cone sets), and classes (orbit
-decomposition).  All lattice arithmetic uses arbitrary-precision integers
-and fractions; there is no floating point anywhere.
+decomposition).  All lattice arithmetic is on arbitrary-precision
+integers, and its linear algebra is one Hermite normal form; there is no
+fraction or floating point anywhere.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import operator
 import re
 import weakref
 from collections import Counter
-from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from kvar.kring import KClass, MissingCompactificationError
@@ -59,7 +59,7 @@ class SubdivisionError(ToricError):
 
 
 # ---------------------------------------------------------------------------
-# exact integer / rational linear algebra
+# exact integer linear algebra
 
 def vgcd(v: Sequence[int]) -> int:
     g = 0
@@ -79,74 +79,46 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(operator.mul, u, v))
 
 
-def _rref(rows: List[List[Fraction]]) -> Tuple[int, List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (rank, rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0, rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return r, rows, pivots
+def _hermite(rows: Iterable[Sequence[int]], width: int) -> List[List[int]]:
+    """The reduced row Hermite normal form of integer ``rows`` on their
+    first ``width`` columns (Cohen, GTM 138, 2.4), by unimodular row
+    operations only; columns past ``width`` ride along.  The rows with a
+    pivot there come first, in the order of their pivot columns, each pivot
+    positive, the entries below it 0 and those above it in [0, pivot); the
+    rest are 0 on those columns.  It depends only on the lattice the rows
+    span, and the number of pivots is their rank."""
+    done, rows = [], [list(row) for row in rows]
+    for c in range(width):
+        live = [row for row in rows if row[c]]
+        rows = [row for row in rows if not row[c]]
+        while len(live) > 1:  # Euclid: reduce the others by the least entry
+            pivot = min(live, key=lambda row: abs(row[c]))
+            reduced = [[x - row[c] // pivot[c] * y for x, y in zip(row, pivot)]
+                       for row in live if row is not pivot]
+            live = [pivot] + [row for row in reduced if row[c]]
+            rows += [row for row in reduced if not row[c]]
+        if live:
+            pivot = live[0] if live[0][c] > 0 else [-x for x in live[0]]
+            done = [[x - row[c] // pivot[c] * y for x, y in zip(row, pivot)]
+                    for row in done] + [pivot]
+    return done + rows
 
 
 def mat_rank(rows: Sequence[Sequence[int]]) -> int:
-    return _rref([[Fraction(x) for x in row] for row in rows])[0]
-
-
-def _primitive_frac(v: Sequence[Fraction]) -> Vector:
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    return primitive(ints)
+    return sum(map(any, _hermite(rows, len(rows[0]) if rows else 0)))
 
 
 def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[Vector]:
-    """Primitive integer basis of the right nullspace."""
-    if not rows:
-        return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
-    rank, rref, pivots = _rref([[Fraction(x) for x in row] for row in rows])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rref[i][fc]
-        basis.append(_primitive_frac(v))
-    return basis
-
-
-def det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free expansion (small matrices)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        total += (-1) ** j * rows[0][j] * det(minor)
-    return total
+    """The lattice of integer vectors that ``rows`` send to 0, as the rows
+    of its Hermite normal form.  The transpose of ``rows``, beside an
+    identity block, is reduced by unimodular row operations: the identity
+    rows whose first block comes out 0 are then a Z-basis of that lattice,
+    each vector primitive, and their reduced Hermite form is unique to the
+    lattice, so the basis does not depend on how ``rows`` present it."""
+    m = len(rows)
+    block = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)]
+             for j in range(ncols)]
+    return [tuple(row[m:]) for row in _hermite(block, m + ncols) if not any(row[:m])]
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +254,7 @@ class Cone:
             return ()
         found = {}
         for subset in itertools.combinations(self.rays, d - 1):
-            kernel = nullspace(list(subset) + [list(e) for e in self.span_equations],
-                               self.rank)
+            kernel = nullspace(subset + self.span_equations, self.rank)
             if len(kernel) != 1:
                 continue
             n = kernel[0]
@@ -295,15 +266,12 @@ class Cone:
             else:
                 continue
             tight = [r for r in self.rays if dot(normal, r) == 0]
-            tight_rank = mat_rank(tight) if tight else 0
-            if tight_rank == d - 1:
+            if mat_rank(tight) == d - 1:
                 found[normal] = True
         return tuple(sorted(found))
 
     def _lineality_rank(self) -> int:
-        constraints = [list(e) for e in self.span_equations] + \
-                      [list(f) for f in self.facet_normals]
-        return len(nullspace(constraints, self.rank))
+        return len(nullspace(self.span_equations + self.facet_normals, self.rank))
 
     def contains(self, point: Sequence[int]) -> bool:
         return (all(dot(e, point) == 0 for e in self.span_equations)
@@ -350,19 +318,16 @@ class Cone:
         return len(self.rays) == self.dim
 
     def is_smooth(self) -> bool:
-        """Rays extend to a basis of the ambient lattice: simplicial with
-        the gcd of the maximal minors equal to 1."""
+        """Rays extend to a basis of the ambient lattice: simplicial, with
+        the gcd of the maximal minors of the rays equal to 1.  The Hermite
+        form of the rays taken as columns keeps that gcd, as unimodular row
+        operations do, and there it is the product of the pivots: so the
+        cone is smooth exactly when every pivot is 1.  (Not so for the rays
+        as rows: the ray (2, 1) is smooth, and its row form has pivot 2.)"""
         if not self.is_simplicial():
             return False
-        if self.dim == 0:
-            return True
-        g = 0
-        for cols in itertools.combinations(range(self.rank), self.dim):
-            minor = [[r[c] for c in cols] for r in self.rays]
-            g = math.gcd(g, abs(det(minor)))
-            if g == 1:
-                return True
-        return g == 1
+        form = _hermite(zip(*self.rays), len(self.rays))
+        return all(form[i][i] == 1 for i in range(len(self.rays)))
 
     def intersect(self, other: "Cone") -> "Cone":
         """Exact intersection, by the face rule.  A point x of the meet lies

@@ -1,10 +1,10 @@
 """The package itself: kvar imports only the standard library, never
-dataclasses, and only names it uses; importing the command line loads
-neither dataclasses nor inspect; its plain classes keep the value semantics
-of the dataclasses they replaced; each public top-level name has a caller,
-a command reaches each of its functions or a reason keeps it, no module
-holds a site object, span or square, and its JSON loaders end bad text in
-their typed errors."""
+dataclasses or fractions, and only names it uses; importing the command
+line loads no dataclasses, inspect or fractions; its plain classes keep
+the value semantics of the dataclasses they replaced; each public
+top-level name has a caller, a command reaches each of its functions or a
+reason keeps it, no module holds a site object, span or square, and its
+JSON loaders end bad text in their typed errors."""
 
 import ast
 import copy
@@ -43,12 +43,14 @@ def test_kvar_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "kvar" or top in sys.stdlib_module_names, (path.name, name)
-                # its classes would be generated at import time
-                assert top != "dataclasses", (path.name, name)
+                # its classes would be generated at import time; lattice
+                # algebra is toric's integer Hermite form
+                assert top not in ("dataclasses", "fractions"), (path.name, name)
 
 
 def test_importing_the_command_line_loads_neither_dataclasses_nor_inspect(cli_child_env):
-    probe = "import sys, kvar.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = ("import sys, kvar.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=cli_child_env("0"), timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -4,11 +4,14 @@ import copy
 import gc
 import itertools
 import json
+import math
 import os
 import pathlib
 import pickle
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +89,68 @@ def test_cone_smoothness():
     assert not Cone(2, [(0, 1), (2, -1)]).is_smooth()  # determinant 2
     assert Cone(3, [(1, 0, 0), (1, 2, 0)]).dim == 2
     assert not Cone(3, [(1, 0, 0), (1, 2, 0)]).is_smooth()  # index 2 in its span
+
+
+def _laplace(m):
+    """Determinant by expansion along the first row: the reference."""
+    return 1 if not m else sum((-1) ** j * x * _laplace([row[:j] + row[j + 1:] for row in m[1:]])
+                               for j, x in enumerate(m[0]))
+
+
+def _minors(rows, k):
+    """Every k x k minor of the rows (one, of value 1, for k = 0)."""
+    return [_laplace([[row[c] for c in cols] for row in sub])
+            for sub in itertools.combinations(rows, k)
+            for cols in itertools.combinations(range(len(rows[0]) if rows else 0), k)]
+
+
+def _gcd_of_maximal_minors(rows):
+    return math.gcd(*_minors(rows, len(rows)))
+
+
+@st.composite
+def int_matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+                         max_size=4))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(int_matrices())
+def test_the_hermite_form_agrees_with_the_minors(matrix):
+    rows, ncols = matrix
+    rank = mat_rank(rows)
+    assert rank == max(k for k in range(min(len(rows), ncols) + 1) if any(_minors(rows, k)))
+    kernel = nullspace(rows, ncols)
+    assert all(toric.dot(row, v) == 0 for row in rows for v in kernel)
+    assert len(kernel) == ncols - rank
+    assert _gcd_of_maximal_minors(kernel) == 1  # saturated: a Z-basis of the kernel lattice
+    # a basis of the lattice alone, whichever rows cut it out
+    assert nullspace(rows[::-1] + [[sum(row[j] for row in rows) for j in range(ncols)]],
+                     ncols) == kernel
+    rays = sorted({toric.primitive(row) for row in rows if any(row)})
+    if mat_rank(rays) == len(rays):  # a simplicial cone
+        assert Cone(ncols, rays).is_smooth() == (_gcd_of_maximal_minors(rays) == 1)
+
+
+def _dense_unimodular(n, steps, rng):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        sign = rng.choice((1, -1))
+        rows[i] = [x + sign * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_a_dense_rank_10_cone_is_tested_for_smoothness_at_once():
+    rays = _dense_unimodular(10, 60, random.Random(1))
+    index_two = [[2 * x + y for x, y in zip(rays[0], rays[1])]] + rays[1:]
+    for rays, smooth in [(rays, True), (index_two, False)]:
+        cone = Cone(10, rays)
+        start = time.perf_counter()
+        assert cone.is_smooth() is smooth
+        assert time.perf_counter() - start < 0.1
 
 
 def test_cone_intersection_is_exact():
