@@ -187,7 +187,7 @@ class SpanMorphism:
             raise SpanError("window is not a subset of the source's cones")
         if self.window != cones:
             for c in self.window:
-                for f in c.faces():
+                for f in c.faces():  # not facets(): a source need not be face-closed
                     if f in cones and f not in self.window:
                         raise SpanError("window is not relatively open in the source")
         for c in self.window:

@@ -143,7 +143,7 @@ class Cone:
     intern table only once it has validated, and its hash is computed once.
     """
 
-    __slots__ = ("rank", "rays", "_hash", "_dim", "_span_eqs", "_facets", "_faces")
+    __slots__ = ("rank", "rays", "_hash", "_dim", "_span_eqs", "_normals", "_facets", "_faces")
 
     _interned: dict = {}
     # each product cone of ``product``, keyed by its factor pair (a, b)
@@ -182,6 +182,7 @@ class Cone:
         inst._hash = hash(key)
         inst._dim = None
         inst._span_eqs = None
+        inst._normals = None
         inst._facets = None
         inst._faces = None
         return inst
@@ -189,7 +190,7 @@ class Cone:
     @classmethod
     def product(cls, a: "Cone", b: "Cone") -> "Cone":
         """The product cone a x b in the sum of the two lattices, with its
-        faces.
+        facets.
 
         Its faces are the products f x g of a face f of a and a face g of b
         (Fulton, Introduction to Toric Varieties, 1.2): a functional
@@ -197,9 +198,9 @@ class Cone:
         so it vanishes at (x, y) exactly when u vanishes at x and v at y;
         its face is the product of the faces u and v cut out, and each such
         product is cut out so.  Distinct face pairs give distinct products,
-        as their padded rays differ.  So the faces are those products,
-        interned here from the factors' faces with no facet subset
-        enumerated, and the facet normals are the factors' facet normals
+        as their padded rays differ.  So the facets are f x b and a x g for
+        the facets f of a and g of b, interned here from the factors'
+        facets with no facet subset enumerated; the facet normals are theirs
         padded with zeros, as are the span equations; all come out exactly
         as ``Cone`` computes them from the rays.  Padded primitive rays stay
         primitive and distinct, and a product of strongly convex cones is
@@ -222,10 +223,10 @@ class Cone:
         inst._dim = a.dim + b.dim
         inst._span_eqs = (tuple(e + pad_a for e in a.span_equations)
                           + tuple(pad_b + e for e in b.span_equations))
-        inst._facets = tuple(sorted([f + pad_a for f in a.facet_normals]
-                                    + [pad_b + f for f in b.facet_normals]))
-        inst._faces = tuple(inst if f is a and g is b else cls.product(f, g)
-                            for f in a.faces() for g in b.faces())
+        inst._normals = tuple(sorted([f + pad_a for f in a.facet_normals]
+                                     + [pad_b + f for f in b.facet_normals]))
+        inst._facets = (tuple(cls.product(f, b) for f in a.facets())
+                        + tuple(cls.product(a, g) for g in b.facets()))
         cls._interned[key] = cls._products[pair] = inst
         return inst
 
@@ -244,9 +245,9 @@ class Cone:
 
     @property
     def facet_normals(self) -> Tuple[Vector, ...]:
-        if self._facets is None:
-            self._facets = self._compute_facets()
-        return self._facets
+        if self._normals is None:
+            self._normals = self._compute_facets()
+        return self._normals
 
     def _compute_facets(self) -> Tuple[Vector, ...]:
         d = self.dim
@@ -278,8 +279,6 @@ class Cone:
                 and all(dot(f, point) >= 0 for f in self.facet_normals))
 
     def relint_contains(self, point: Sequence[int]) -> bool:
-        if self.dim == 0:
-            return all(x == 0 for x in point)
         return (all(dot(e, point) == 0 for e in self.span_equations)
                 and all(dot(f, point) > 0 for f in self.facet_normals))
 
@@ -287,32 +286,27 @@ class Cone:
         """An interior lattice point (the sum of the rays; 0 for the zero cone)."""
         return tuple(sum(col) for col in zip(*self.rays)) if self.rays else (0,) * self.rank
 
-    def smallest_face_containing(self, points: Sequence[Sequence[int]]) -> "Cone":
-        tight_normals = [f for f in self.facet_normals
-                         if all(dot(f, p) == 0 for p in points)]
-        rays = [r for r in self.rays if all(dot(f, r) == 0 for f in tight_normals)]
-        return Cone(self.rank, rays)
+    def facets(self) -> Tuple["Cone", ...]:
+        """The faces of one dimension less: the cone of the rays on each
+        facet hyperplane."""
+        if self._facets is None:
+            self._facets = tuple(Cone(self.rank, [r for r in self.rays if dot(f, r) == 0])
+                                 for f in self.facet_normals)
+        return self._facets
 
     def faces(self) -> Tuple["Cone", ...]:
-        """All faces, the zero cone and the cone itself included."""
-        if self._faces is not None:
-            return self._faces
-        out = {self.rays: self}
-        for k in range(1, len(self.facet_normals) + 1):
-            for normals in itertools.combinations(self.facet_normals, k):
-                rays = tuple(r for r in self.rays
-                             if all(dot(f, r) == 0 for f in normals))
-                if rays not in out:
-                    out[rays] = Cone(self.rank, rays)
-        if () not in out:
-            out[()] = Cone(self.rank, ())
-        self._faces = tuple(out.values())
+        """All faces, the zero cone and the cone itself included: the cone
+        and its facets' faces, as a proper face of a polyhedral cone is a
+        face of one of its facets (Ziegler, Lectures on Polytopes, 2)."""
+        if self._faces is None:
+            out = dict.fromkeys([self])
+            for facet in self.facets():
+                out.update(dict.fromkeys(facet.faces()))
+            self._faces = tuple(out)
         return self._faces
 
     def is_face_of(self, other: "Cone") -> bool:
-        if not set(self.rays) <= set(other.rays):
-            return False
-        return other.smallest_face_containing(self.rays).rays == self.rays
+        return self in other.faces()
 
     def is_simplicial(self) -> bool:
         return len(self.rays) == self.dim
@@ -431,6 +425,8 @@ class Fan:
     _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, rank: int, cones: Iterable[Cone]):
+        """The fan on ``cones``, which must hold each cone's facets: by
+        induction on dimension they then hold every face, the zero cone too."""
         _check_rank(rank)
         cone_set = frozenset(cones)
         key = (rank, cone_set)
@@ -440,10 +436,8 @@ class Fan:
         for c in cone_set:
             if c.rank != rank:
                 raise ToricError("cone rank differs from fan rank")
-        if cone_set and Cone(rank, ()) not in cone_set:
-            raise NotFaceClosedError("nonempty fan must contain the zero cone")
         for c in cone_set:
-            for f in c.faces():
+            for f in c.facets():
                 if f not in cone_set:
                     raise NotFaceClosedError(f"face {f} of {c} missing from the fan")
         inst = object.__new__(cls)
@@ -481,9 +475,10 @@ class Fan:
     @property
     @kept
     def maximal_cones(self) -> Tuple[Cone, ...]:
-        """The cones that are not a proper face of another cone."""
-        proper_faces = {f for c in self.cones for f in c.faces() if f is not c}
-        return tuple(sorted((c for c in self.cones if c not in proper_faces),
+        """The cones that are no cone's facet: in a face-closed set, a proper
+        face of a cone is a facet of one of its faces."""
+        facets = {f for c in self.cones for f in c.facets()}
+        return tuple(sorted((c for c in self.cones if c not in facets),
                             key=lambda c: c.rays))
 
     @property
@@ -573,8 +568,8 @@ class Fan:
                 continue
             if c.dim != self.rank:
                 return False
-            for f in c.faces():
-                if f.dim == self.rank - 1 and (not below or below <= set(f.rays)):
+            for f in c.facets():
+                if not below or below <= set(f.rays):
                     counts[f] = counts.get(f, 0) + 1
         return all(v == 2 for v in counts.values())
 
@@ -817,7 +812,7 @@ def covers_support(window_fan: Fan, target_fan: Fan) -> bool:
         rays = set(tau.rays)
         inside = [w for w in window_fan.cones if w.dim == tau.dim
                   and rays.issuperset(target_fan.smallest_containing_cone(w).rays)]
-        facets = Counter(f for w in inside for f in w.faces() if f.dim == tau.dim - 1)
+        facets = Counter(f for w in inside for f in w.facets())
         if not inside or any(n != (2 if target_fan.orbit_of(f) == tau else 1)
                              for f, n in facets.items()):
             return False
@@ -873,8 +868,8 @@ def _star_parts(fan: Fan, ray: Vector) -> tuple:
     star = [c for c in fan.cones if set(sigma.rays) <= set(c.rays)]
     new_cones = [c for c in fan.cones if c not in star]
     for tau in star:
-        for facet in tau.faces():
-            if facet.dim == tau.dim - 1 and not facet.contains(ray):
+        for facet in tau.facets():
+            if not facet.contains(ray):
                 new_cones.append(Cone(fan.rank, facet.rays + (ray,)))
     subdivided = Fan.from_cones(fan.rank, new_cones)
     barycentric = ray == primitive(sigma.representative())
@@ -1056,8 +1051,10 @@ class ToricLocus:
 
 @kept
 def _is_upward_closed(fan: Fan, cones: frozenset) -> bool:
+    """No cone outside has a facet inside, so none has a face inside, as
+    ``fan.cones`` is face-closed and a face is a facet of a facet, and so on."""
     return not any(f in cones for other in fan.cones if other not in cones
-                   for f in other.faces())
+                   for f in other.facets())
 
 
 @kept

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -243,12 +244,20 @@ def _rank2_fan(draw, max_rays):
     return rays, maximal
 
 
+# a convex lattice 12-gon: the partial sums of its edges, twelve distinct
+# primitive directions in counterclockwise order that sum to zero
+_EDGES = sort_rays_ccw([(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2)]
+                       + [(-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2)])
+TWELVE_GON = list(itertools.accumulate(_EDGES, lambda p, d: (p[0] + d[0], p[1] + d[1])))
+
+
 @st.composite
 def fan_files(draw):
     """A well-formed ``kvar fan`` file at rank 1, 2 or 3: cones of the fan
     of P1, a rank-2 fan, a set of octants, the product of a rank-2 fan with
-    a rank-1 one, or a dense torus."""
-    shape = draw(st.sampled_from(["P1", "surface", "octants", "product", "torus"]))
+    a rank-1 one, one cone over a convex lattice polygon of 3 to 12
+    vertices, or a dense torus."""
+    shape = draw(st.sampled_from(["P1", "surface", "octants", "product", "polygon", "torus"]))
     if shape == "P1":
         rank, rays = 1, draw(st.lists(st.sampled_from([(1,), (-1,)]), unique=True))
         maximal = [[i] for i in range(len(rays))]
@@ -265,6 +274,10 @@ def fan_files(draw):
         line = [(1,), (-1,)][:draw(st.integers(0, 2))]
         rank, rays = 3, [r + (0,) for r in surface] + [(0, 0) + r for r in line]
         maximal = [c + [len(surface) + i] for c in cones for i in range(len(line))] or cones
+    elif shape == "polygon":  # any vertices of a convex polygon span a convex polygon
+        vertices = draw(st.lists(st.sampled_from(TWELVE_GON), min_size=3, max_size=12,
+                                 unique=True))
+        rank, rays, maximal = 3, [(x, y, 1) for x, y in vertices], [list(range(len(vertices)))]
     else:
         rank = draw(st.integers(1, 3))
         return {"rank": rank, "rays": [], "maximal_cones": [], "dense_torus": True}

@@ -220,6 +220,69 @@ def test_the_meet_of_every_cone_pair_of_a_corpus_fan_is_the_half_space_meet():
         assert a.intersect(b) is _halfspace_meet(a, b), (a, b)
 
 
+def _faces_cut_out_by_normal_subsets(cone):
+    """The faces by the definition: the ray sets on which every subset of
+    the facet normals vanishes, and the zero cone."""
+    cut = {()}
+    for k in range(len(cone.facet_normals) + 1):
+        for normals in itertools.combinations(cone.facet_normals, k):
+            cut.add(tuple(r for r in cone.rays if all(toric.dot(f, r) == 0 for f in normals)))
+    return {Cone(cone.rank, rays) for rays in cut}
+
+
+@given(cone_pairs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_the_faces_are_the_facets_faces_and_those_cut_out_by_facet_normals(pair):
+    for cone, other in (pair, pair[::-1]):
+        reference = _faces_cut_out_by_normal_subsets(cone)
+        assert len(cone.faces()) == len(reference) and set(cone.faces()) == reference
+        assert len(cone.facets()) == len(cone.facet_normals)
+        assert set(cone.facets()) == {f for f in reference if f.dim == cone.dim - 1}
+        for g in other.faces():
+            assert g.is_face_of(cone) is (g in reference)
+
+
+def test_a_cone_of_another_rank_is_no_face():
+    assert not Cone(2, ()).is_face_of(Cone(3, [(1, 0, 0), (0, 1, 0)]))
+    assert Cone(3, ()).is_face_of(Cone(3, [(1, 0, 0), (0, 1, 0)]))
+
+
+def _lattice_polygon(directions):
+    """The vertices of the convex lattice polygon whose edges are the given
+    distinct primitive directions, which sum to zero: their partial sums,
+    in counterclockwise order."""
+    return list(itertools.accumulate(sort_rays_ccw(directions),
+                                     lambda p, d: (p[0] + d[0], p[1] + d[1])))
+
+
+def test_a_cone_over_a_20_gon_finds_its_42_faces_at_once():
+    half = [(1, 0), (3, 1), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (1, 3), (0, 1), (-1, 4)]
+    vertices = _lattice_polygon(half + [(-x, -y) for x, y in half])
+    assert len(set(vertices)) == 20 and vertices[-1] == (0, 0)
+    start = time.perf_counter()
+    fan = Fan.from_json({"rank": 3, "rays": [[x, y, 1] for x, y in vertices],
+                         "maximal_cones": [list(range(20))]})
+    assert fan_properties(fan) == toric.FanProperties(False, False, 3)
+    assert len(fan.cones) == 42  # the cone, 20 facets, 20 rays and the zero cone
+    assert time.perf_counter() - start < 0.5  # about 20 s by facet normal subsets
+
+
+def test_the_rank_10_orthant_builds_from_a_few_cones_per_face(monkeypatch):
+    rays = [[-int(i == j) for j in range(10)] for i in range(10)]
+    assert (10, tuple(sorted(map(tuple, rays)))) not in Cone._interned, "built before this test"
+    calls = []
+    new = Cone.__new__
+
+    def counting(cls, *args):
+        calls.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(Cone, "__new__", counting)
+    fan = Fan.from_json({"rank": 10, "rays": rays, "maximal_cones": [list(range(10))]})
+    assert len(fan.cones) == 2 ** 10
+    assert len(calls) <= 11 * 2 ** 10  # about 3^10 = 59,049 by facet normal subsets
+
+
 def test_cone_interning_shares_instances():
     assert Cone(2, [(0, 1), (1, 0)]) is Cone(2, [(1, 0), (0, 1)])
 
@@ -389,7 +452,7 @@ def _product_factors():
 
 
 def test_a_product_fan_agrees_with_its_factors():
-    # every product cone's faces against facet enumeration, and the
+    # every product cone's faces and facets against those of its rays, and the
     # product's own maximal cones, completeness, smoothness and class
     # against what its factors give (Fulton, 1.2)
     cones = set()
@@ -405,6 +468,7 @@ def test_a_product_fan_agrees_with_its_factors():
         assert fan.class_of() == a.class_of() * b.class_of()
     for cone in cones:
         assert set(cone.faces()) == set(Cone._blank((cone.rank, cone.rays)).faces())
+        assert set(cone.facets()) == set(Cone._blank((cone.rank, cone.rays)).facets())
 
 
 def test_a_fresh_product_fan_enumerates_no_face_of_its_cones(monkeypatch):
